@@ -56,6 +56,7 @@ fn bench_frame(c: &mut Criterion) {
         msg_id: MsgId(42),
         frag_index: 0,
         frag_count: 1,
+        reliable: true,
         payload: Bytes::from(vec![7u8; 1024]),
     };
     let encoded = frame.encode_to_bytes();

@@ -506,6 +506,7 @@ mod tests {
             msg_id: MsgId(1),
             frag_index: 0,
             frag_count: 1,
+            reliable: false,
             payload: msg.encode_to_bytes(),
         };
         encode_wire(&Datagram::control(

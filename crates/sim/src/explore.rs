@@ -434,6 +434,7 @@ impl ModelWorld {
                 msg_id,
                 frag_index: 0,
                 frag_count: 1,
+                reliable,
                 payload,
             }) = Frame::decode_from_bytes(&p.dgram.payload)
             else {
@@ -458,6 +459,7 @@ impl ModelWorld {
                 msg_id: MsgId(msg_id.0 + (1 << 32)),
                 frag_index: 0,
                 frag_count: 1,
+                reliable,
                 payload: SessionMsg::Token(t).encode_to_bytes(),
             };
             forged = Some((
@@ -769,6 +771,7 @@ fn digest_wire_payload(bytes: &[u8], d: &mut StateDigest) {
                     msg_id,
                     frag_index,
                     frag_count,
+                    reliable,
                     payload,
                 } => {
                     // Only a single-fragment payload holds a whole
@@ -781,6 +784,7 @@ fn digest_wire_payload(bytes: &[u8], d: &mut StateDigest) {
                             msg_id.digest_into(d);
                             d.write_u32(frag_index);
                             d.write_u32(frag_count);
+                            d.write_bool(reliable);
                             msg.digest_into(d);
                             return;
                         }
@@ -790,13 +794,13 @@ fn digest_wire_payload(bytes: &[u8], d: &mut StateDigest) {
                     from,
                     inc,
                     msg_id,
-                    frag_index,
+                    frags,
                 } => {
                     d.tag(2);
                     d.node(from);
                     inc.digest_into(d);
                     msg_id.digest_into(d);
-                    d.write_u32(frag_index);
+                    frags.digest_into(d);
                     return;
                 }
             }

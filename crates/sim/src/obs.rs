@@ -87,14 +87,7 @@ impl Cluster {
                 c.add(v.saturating_sub(c.get()));
             }
             let ts = s.transport_stats();
-            for (name, v) in [
-                ("msgs_sent", ts.msgs_sent),
-                ("msgs_delivered", ts.msgs_delivered),
-                ("msgs_failed", ts.msgs_failed),
-                ("msgs_received", ts.msgs_received),
-                ("retransmissions", ts.retransmissions),
-                ("duplicates_dropped", ts.duplicates_dropped),
-            ] {
+            for (name, v) in ts.fields() {
                 let c = r.counter(&format!("raincore_transport_{name}"), labels);
                 c.add(v.saturating_sub(c.get()));
             }

@@ -75,7 +75,16 @@ fn exhaustive_bulk_loss_exploration_is_clean() {
         report.violation.map(|v| v.reason)
     );
     assert!(!report.capped, "search capped before exhausting the space");
-    assert!(report.stats.schedules > 100, "space suspiciously small");
+    // The space exhausts at 3 166 schedules (4 555 states). It was 26 557
+    // (34 188) while every bulk frame put an acknowledgement on the model
+    // wire: fire-and-forget frames are no longer acked, so those acks —
+    // which no protocol state ever depended on — left the in-flight set.
+    // The floor guards against accidentally tightened bounds.
+    assert!(
+        report.stats.schedules > 1_000,
+        "space suspiciously small: {} schedules",
+        report.stats.schedules
+    );
 }
 
 /// Non-vacuity: with the `bulk_blind_delivery` fault dial on (deliver on

@@ -8,7 +8,7 @@
 //! ([`Endpoint::poll_event`]).
 
 use crate::dedup::DedupWindow;
-use crate::frame::Frame;
+use crate::frame::{FragSet, Frame, MAX_FRAGS};
 use bytes::Bytes;
 use raincore_net::{Addr, Datagram, PacketClass};
 use raincore_types::config::SendStrategy;
@@ -19,10 +19,6 @@ use raincore_types::{
     Error, Incarnation, MsgId, NodeId, Result, StateDigest, Time, TransportConfig,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// Upper bound on fragments per message: guards reassembly memory against
-/// corrupt or hostile frag counts.
-const MAX_FRAGS: u32 = 4096;
 
 /// Events surfaced to the session layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,8 +105,12 @@ impl PeerTable {
 /// Counters exposed for tests and experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Logical messages accepted by [`Endpoint::send`].
+    /// Logical messages accepted by [`Endpoint::send`]. With
+    /// `msgs_delivered`, `msgs_failed` and aborted sends this accounts for
+    /// every message in flight; fire-and-forget sends are counted apart.
     pub msgs_sent: u64,
+    /// Logical messages accepted by [`Endpoint::send_unreliable`].
+    pub unreliable_sent: u64,
     /// Messages fully acknowledged.
     pub msgs_delivered: u64,
     /// Messages that ended in failure-on-delivery.
@@ -121,12 +121,42 @@ pub struct TransportStats {
     pub data_frames_sent: u64,
     /// ACK frames put on the wire.
     pub acks_sent: u64,
+    /// Fire-and-forget DATA frames received, none of which is acknowledged.
+    pub acks_suppressed: u64,
+    /// Reliable DATA frames that shared an ACK with an earlier frame of
+    /// their message instead of getting a datagram of their own.
+    pub ack_frags_coalesced: u64,
+    /// ACKs that matched no in-flight message: late duplicates, and acks
+    /// nobody asked for.
+    pub acks_unmatched: u64,
     /// DATA frame retransmissions.
     pub retransmissions: u64,
     /// Duplicate logical messages suppressed.
     pub duplicates_dropped: u64,
     /// Frames dropped because they carried a stale incarnation.
     pub stale_dropped: u64,
+}
+
+impl TransportStats {
+    /// Every counter as a `(name, value)` pair, for metric export
+    /// (`raincore_transport_<name>`).
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("msgs_sent", self.msgs_sent),
+            ("unreliable_sent", self.unreliable_sent),
+            ("msgs_delivered", self.msgs_delivered),
+            ("msgs_failed", self.msgs_failed),
+            ("msgs_received", self.msgs_received),
+            ("data_frames_sent", self.data_frames_sent),
+            ("acks_sent", self.acks_sent),
+            ("acks_suppressed", self.acks_suppressed),
+            ("ack_frags_coalesced", self.ack_frags_coalesced),
+            ("acks_unmatched", self.acks_unmatched),
+            ("retransmissions", self.retransmissions),
+            ("duplicates_dropped", self.duplicates_dropped),
+            ("stale_dropped", self.stale_dropped),
+        ]
+    }
 }
 
 /// Latency histograms maintained by the endpoint. The handles share their
@@ -158,16 +188,30 @@ struct PendingSend {
     sent_at: Time,
 }
 
-impl PendingSend {
-    fn all_acked(&self) -> bool {
-        self.acked.iter().all(|&a| a)
-    }
-}
-
 #[derive(Debug)]
 struct Reassembly {
     frags: Vec<Option<Bytes>>,
-    received: usize,
+    /// The indices of the `Some` slots of `frags`: what an ack names.
+    have: FragSet,
+}
+
+/// An acknowledgement owed to a multi-fragment reliable message. It waits
+/// for the driver's next [`Endpoint::poll_outgoing`] drain, so every
+/// fragment fed in before that drain shares one ACK datagram.
+#[derive(Debug)]
+struct AckDue {
+    /// The link the data arrived on — our address, then the sender's —
+    /// which is the link the ack returns on.
+    src: Addr,
+    dst: Addr,
+    from: NodeId,
+    /// The sender's incarnation, echoed back.
+    inc: Incarnation,
+    msg_id: MsgId,
+    /// Every fragment of the message held when its latest frame arrived.
+    frags: FragSet,
+    /// DATA frames this ack answers (statistics only).
+    answers: u64,
 }
 
 /// The per-node transport endpoint. See the crate docs for semantics.
@@ -184,6 +228,9 @@ pub struct Endpoint {
     /// Latest known incarnation and dedup window per peer.
     dedup: HashMap<NodeId, (Incarnation, DedupWindow)>,
     reasm: HashMap<(NodeId, MsgId), Reassembly>,
+    /// One entry per (link, sender incarnation, message), in arrival
+    /// order; a burst touches a handful of messages, so a scan finds it.
+    acks_due: Vec<AckDue>,
     outbox: VecDeque<Datagram>,
     events: VecDeque<TransportEvent>,
     stats: TransportStats,
@@ -215,6 +262,7 @@ impl Endpoint {
             pending: BTreeMap::new(),
             dedup: HashMap::new(),
             reasm: HashMap::new(),
+            acks_due: Vec::new(),
             outbox: VecDeque::new(),
             events: VecDeque::new(),
             stats: TransportStats::default(),
@@ -297,7 +345,7 @@ impl Endpoint {
             let r = &self.reasm[&key];
             d.node(key.0);
             d.write_u64(key.1 .0);
-            d.write_len(r.received);
+            d.write_len(r.have.len() as usize);
             d.write_len(r.frags.len());
             for f in &r.frags {
                 match f {
@@ -309,9 +357,20 @@ impl Endpoint {
                 }
             }
         }
-        // Outbox and event queue are normally drained between model-checker
-        // steps, but digest them fully so an undrained queue can never
-        // merge two genuinely different states.
+        // Owed acks, outbox and event queue are normally drained between
+        // model-checker steps, but digest them fully so an undrained queue
+        // can never merge two genuinely different states.
+        d.write_len(self.acks_due.len());
+        for a in &self.acks_due {
+            d.node(a.src.node);
+            d.write_u8(a.src.nic);
+            d.node(a.dst.node);
+            d.write_u8(a.dst.nic);
+            d.node(a.from);
+            d.write_u64(a.inc.0.into());
+            d.write_u64(a.msg_id.0);
+            a.frags.digest_into(d);
+        }
         d.write_len(self.outbox.len());
         for dg in &self.outbox {
             d.node(dg.src.node);
@@ -358,41 +417,16 @@ impl Endpoint {
     /// message id; completion is reported later as
     /// [`TransportEvent::Delivered`] or [`TransportEvent::DeliveryFailed`].
     pub fn send(&mut self, now: Time, to: NodeId, payload: Bytes) -> Result<MsgId> {
-        let n_addrs = self.peers.addrs(to).map(<[Addr]>::len).unwrap_or(0);
-        if n_addrs == 0 {
-            return Err(Error::UnknownNode(to));
-        }
-        let msg_id = MsgId(self.next_msg_id);
-        self.next_msg_id += 1;
+        let (msg_id, p) = self.start_send(now, to, payload, true)?;
         self.stats.msgs_sent += 1;
-
-        let chunk = self.cfg.mtu;
-        let frags: Vec<Bytes> = if payload.is_empty() {
-            vec![Bytes::new()]
-        } else {
-            (0..payload.len())
-                .step_by(chunk)
-                .map(|off| payload.slice(off..payload.len().min(off + chunk)))
-                .collect()
-        };
-        let n = frags.len();
-        let mut p = PendingSend {
-            to,
-            frags,
-            acked: vec![false; n],
-            addr_index: 0,
-            attempts: 1,
-            next_retry: now + self.cfg.retry_timeout,
-            sent_at: now,
-        };
-        self.transmit_unacked(&mut p, msg_id);
         self.pending.insert(msg_id, p);
         Ok(msg_id)
     }
 
     /// Sends `payload` to `to` *unreliably*: identical fragmentation and
-    /// framing to [`Endpoint::send`], but fire-and-forget — no
-    /// retransmission state is kept, so neither
+    /// framing to [`Endpoint::send`], but fire-and-forget — the frames
+    /// clear the reliability bit, so the receiver sends no
+    /// acknowledgement, and no retransmission state is kept, so neither
     /// [`TransportEvent::Delivered`] nor
     /// [`TransportEvent::DeliveryFailed`] is ever reported for it.
     ///
@@ -400,16 +434,30 @@ impl Endpoint {
     /// session layer recovers losses end-to-end by NACK-pulling against
     /// the token's id manifest, and a lost bulk frame must *not* feed the
     /// failure-on-delivery detector (losing best-effort bulk traffic is
-    /// not evidence the peer is down). The receiver still acks each
-    /// fragment — harmless, since no pending entry is listening.
+    /// not evidence the peer is down).
     pub fn send_unreliable(&mut self, now: Time, to: NodeId, payload: Bytes) -> Result<MsgId> {
-        let n_addrs = self.peers.addrs(to).map(<[Addr]>::len).unwrap_or(0);
-        if n_addrs == 0 {
+        // The send record drives the shared transmit path once and is
+        // dropped: nothing enters `pending`, so there are no retries and
+        // no failure notification.
+        let (msg_id, _) = self.start_send(now, to, payload, false)?;
+        self.stats.unreliable_sent += 1;
+        Ok(msg_id)
+    }
+
+    /// Allocates a message id, fragments `payload` and puts every
+    /// fragment on the wire once.
+    fn start_send(
+        &mut self,
+        now: Time,
+        to: NodeId,
+        payload: Bytes,
+        reliable: bool,
+    ) -> Result<(MsgId, PendingSend)> {
+        if self.peers.addrs(to).is_none_or(<[Addr]>::is_empty) {
             return Err(Error::UnknownNode(to));
         }
         let msg_id = MsgId(self.next_msg_id);
         self.next_msg_id += 1;
-        self.stats.msgs_sent += 1;
 
         let chunk = self.cfg.mtu;
         let frags: Vec<Bytes> = if payload.is_empty() {
@@ -421,10 +469,7 @@ impl Endpoint {
                 .collect()
         };
         let n = frags.len();
-        // A transient send record drives the shared transmit path once and
-        // is dropped: nothing enters `pending`, so there are no retries,
-        // no failure notification, and acks for it fall on the floor.
-        let mut p = PendingSend {
+        let p = PendingSend {
             to,
             frags,
             acked: vec![false; n],
@@ -433,8 +478,8 @@ impl Endpoint {
             next_retry: now + self.cfg.retry_timeout,
             sent_at: now,
         };
-        self.transmit_unacked(&mut p, msg_id);
-        Ok(msg_id)
+        self.transmit_unacked(&p, msg_id, reliable);
+        Ok((msg_id, p))
     }
 
     /// Abandons an in-flight send without a failure notification (used
@@ -461,19 +506,21 @@ impl Endpoint {
                 msg_id,
                 frag_index,
                 frag_count,
+                reliable,
                 payload,
             } => {
                 self.on_data(
-                    dgram.src, dgram.dst, from, inc, msg_id, frag_index, frag_count, payload,
+                    dgram.src, dgram.dst, from, inc, msg_id, frag_index, frag_count, reliable,
+                    payload,
                 );
             }
             Frame::Ack {
                 from: _,
                 inc,
                 msg_id,
-                frag_index,
+                frags,
             } => {
-                self.on_ack(now, inc, msg_id, frag_index);
+                self.on_ack(now, inc, msg_id, &frags);
             }
         }
     }
@@ -488,6 +535,7 @@ impl Endpoint {
         msg_id: MsgId,
         frag_index: u32,
         frag_count: u32,
+        reliable: bool,
         payload: Bytes,
     ) {
         if frag_count == 0 || frag_count > MAX_FRAGS || frag_index >= frag_count {
@@ -502,49 +550,75 @@ impl Endpoint {
             return; // ghost of the peer's previous life — no ack
         }
         if inc > entry.0 {
-            // Peer restarted: fresh dedup state, discard partial reassemblies.
+            // Peer restarted: fresh dedup state, discard partial
+            // reassemblies and the acks its previous life was owed.
             *entry = (inc, DedupWindow::new());
             self.reasm.retain(|(n, _), _| *n != from);
+            self.acks_due.retain(|a| a.from != from);
         }
 
-        // Always acknowledge current-incarnation data, even duplicates:
-        // our previous ack may have been lost. Reply on the link the data
-        // arrived on.
-        let ack = Frame::Ack {
-            from: self.id,
-            inc,
-            msg_id,
-            frag_index,
-        };
-        self.outbox.push_back(Datagram {
-            src: wire_dst,
-            dst: wire_src,
-            class: self.class,
-            payload: ack.encode_to_bytes(),
-        });
-        self.stats.acks_sent += 1;
-
-        if entry.1.contains(msg_id) {
+        // Reliable current-incarnation data is always acknowledged, even
+        // duplicates: our previous ack may have been lost. The ack names
+        // every fragment of the message held so far and returns on the
+        // link the data arrived on.
+        let duplicate = entry.1.contains(msg_id);
+        // The fragments held, while the message is still incomplete.
+        let mut have = None;
+        let complete = if duplicate {
             self.stats.duplicates_dropped += 1;
-            return;
+            true
+        } else {
+            let r = self
+                .reasm
+                .entry((from, msg_id))
+                .or_insert_with(|| Reassembly {
+                    frags: vec![None; frag_count as usize],
+                    have: FragSet::new(),
+                });
+            if r.frags.len() != frag_count as usize {
+                return; // inconsistent frag_count across fragments — corrupt
+            }
+            let slot = &mut r.frags[frag_index as usize];
+            if slot.is_none() {
+                *slot = Some(payload);
+                r.have.insert(frag_index);
+            }
+            let complete = r.have.len() == frag_count;
+            if !complete {
+                have = Some(&r.have);
+            }
+            complete
+        };
+
+        if !reliable {
+            self.stats.acks_suppressed += 1;
+        } else if frag_count == 1 {
+            // A whole message in one datagram (every token that fits the
+            // MTU): nothing to wait for, acknowledge at once.
+            self.push_ack(wire_dst, wire_src, inc, msg_id, FragSet::single(0));
+        } else {
+            let frags = have.map_or_else(|| FragSet::first_n(frag_count), FragSet::clone);
+            let due = self.acks_due.iter_mut().find(|a| {
+                a.msg_id == msg_id && a.from == from && a.src == wire_dst && a.dst == wire_src
+            });
+            match due {
+                Some(due) => {
+                    due.frags = frags;
+                    due.answers += 1;
+                }
+                None => self.acks_due.push(AckDue {
+                    src: wire_dst,
+                    dst: wire_src,
+                    from,
+                    inc,
+                    msg_id,
+                    frags,
+                    answers: 1,
+                }),
+            }
         }
 
-        let r = self
-            .reasm
-            .entry((from, msg_id))
-            .or_insert_with(|| Reassembly {
-                frags: vec![None; frag_count as usize],
-                received: 0,
-            });
-        if r.frags.len() != frag_count as usize {
-            return; // inconsistent frag_count across fragments — corrupt
-        }
-        let slot = &mut r.frags[frag_index as usize];
-        if slot.is_none() {
-            *slot = Some(payload);
-            r.received += 1;
-        }
-        if r.received == r.frags.len() {
+        if complete && !duplicate {
             let Some(r) = self.reasm.remove(&(from, msg_id)) else {
                 return;
             };
@@ -568,19 +642,43 @@ impl Endpoint {
         }
     }
 
-    fn on_ack(&mut self, now: Time, inc: Incarnation, msg_id: MsgId, frag_index: u32) {
+    /// Queues one ACK datagram from our address `src` to the sender's
+    /// `dst`.
+    fn push_ack(&mut self, src: Addr, dst: Addr, inc: Incarnation, msg_id: MsgId, frags: FragSet) {
+        let ack = Frame::Ack {
+            from: self.id,
+            inc,
+            msg_id,
+            frags,
+        };
+        self.outbox.push_back(Datagram {
+            src,
+            dst,
+            class: self.class,
+            payload: ack.encode_to_bytes(),
+        });
+        self.stats.acks_sent += 1;
+    }
+
+    fn on_ack(&mut self, now: Time, inc: Incarnation, msg_id: MsgId, frags: &FragSet) {
         if inc != self.inc {
             self.stats.stale_dropped += 1;
             return; // ack for a previous life of this node
         }
         let Some(p) = self.pending.get_mut(&msg_id) else {
-            return; // already completed (late duplicate ack)
-        };
-        let Some(flag) = p.acked.get_mut(frag_index as usize) else {
+            // Already completed (late duplicate ack), aborted, or never
+            // awaiting one (fire-and-forget): nothing to mark, nothing kept.
+            self.stats.acks_unmatched += 1;
             return;
         };
-        *flag = true;
-        if p.all_acked() {
+        // The set is the peer's word: only the message's own fragments are
+        // looked up in it, so indices it does not have are never touched.
+        let mut all_acked = true;
+        for (i, acked) in p.acked.iter_mut().enumerate() {
+            *acked |= frags.contains(i as u32);
+            all_acked &= *acked;
+        }
+        if all_acked {
             let Some(p) = self.pending.remove(&msg_id) else {
                 return;
             };
@@ -627,7 +725,7 @@ impl Endpoint {
             p.attempts += 1;
             self.stats.retransmissions += 1;
             p.next_retry = now + self.cfg.retry_timeout;
-            self.transmit_unacked(&mut p, msg_id);
+            self.transmit_unacked(&p, msg_id, true);
             self.pending.insert(msg_id, p);
         }
     }
@@ -646,8 +744,18 @@ impl Endpoint {
         self.pending.values().map(|p| p.next_retry).min()
     }
 
-    /// Drains one outgoing datagram, if any.
+    /// Drains one outgoing datagram, if any. The first call after
+    /// datagrams were fed in also releases the acknowledgements they are
+    /// owed: one per message and link, however many fragments arrived.
     pub fn poll_outgoing(&mut self) -> Option<Datagram> {
+        if !self.acks_due.is_empty() {
+            let mut due = std::mem::take(&mut self.acks_due);
+            for a in due.drain(..) {
+                self.stats.ack_frags_coalesced += a.answers - 1;
+                self.push_ack(a.src, a.dst, a.inc, a.msg_id, a.frags);
+            }
+            self.acks_due = due; // keep the buffer
+        }
         self.outbox.pop_front()
     }
 
@@ -656,17 +764,19 @@ impl Endpoint {
         self.events.pop_front()
     }
 
-    fn transmit_unacked(&mut self, p: &mut PendingSend, msg_id: MsgId) {
-        let peer_addrs: Vec<Addr> = match self.peers.addrs(p.to) {
-            Some(a) if !a.is_empty() => a.to_vec(),
+    /// Puts every un-acked fragment of `p` on the wire: to the current
+    /// address (sequential) or to all of them (parallel).
+    fn transmit_unacked(&mut self, p: &PendingSend, msg_id: MsgId, reliable: bool) {
+        let addrs = match self.peers.addrs(p.to) {
+            Some(a) if !a.is_empty() => a,
             _ => return,
         };
-        let targets: Vec<Addr> = match self.cfg.strategy {
+        let targets = match self.cfg.strategy {
             SendStrategy::Sequential => {
-                let i = p.addr_index.min(peer_addrs.len() - 1);
-                vec![peer_addrs[i]]
+                let i = p.addr_index.min(addrs.len() - 1);
+                &addrs[i..=i]
             }
-            SendStrategy::Parallel => peer_addrs,
+            SendStrategy::Parallel => addrs,
         };
         let frag_count = p.frags.len() as u32;
         for dst in targets {
@@ -683,11 +793,12 @@ impl Endpoint {
                     msg_id,
                     frag_index: i as u32,
                     frag_count,
+                    reliable,
                     payload: frag.clone(),
                 };
                 self.outbox.push_back(Datagram {
                     src,
-                    dst,
+                    dst: *dst,
                     class: self.class,
                     payload: frame.encode_to_bytes(),
                 });
@@ -844,11 +955,18 @@ mod tests {
             TransportEvent::Received { payload: got, .. } => assert_eq!(&got[..], &payload[..]),
             other => panic!("unexpected {other:?}"),
         }
-        // ...its acks fall on the floor harmlessly, and the sender keeps
-        // no in-flight state and reports no completion either way.
+        // ...without acknowledging a single frame, and the sender keeps no
+        // in-flight state and reports no completion either way.
+        assert_eq!(b.stats().acks_sent, 0);
+        assert_eq!(b.stats().acks_suppressed, 4);
         assert_eq!(drain_events(&mut a), vec![]);
         assert_eq!(a.in_flight(), 0);
         assert_eq!(a.stats().data_frames_sent, 4);
+        assert_eq!(
+            (a.stats().unreliable_sent, a.stats().msgs_sent),
+            (1, 0),
+            "fire-and-forget sends are not in-flight messages"
+        );
     }
 
     #[test]
@@ -901,7 +1019,13 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(a.stats().data_frames_sent, 10);
-        assert_eq!(b.stats().acks_sent, 10);
+        // The ten fragments arrive as one burst and share one ack.
+        assert_eq!(b.stats().acks_sent, 1);
+        assert_eq!(b.stats().ack_frags_coalesced, 9);
+        assert!(matches!(
+            drain_events(&mut a)[..],
+            [TransportEvent::Delivered { .. }]
+        ));
     }
 
     #[test]
@@ -1171,6 +1295,7 @@ mod tests {
             msg_id: MsgId(0),
             frag_index: 5,
             frag_count: 2,
+            reliable: true,
             payload: Bytes::new(),
         };
         b.on_datagram(
@@ -1393,28 +1518,319 @@ mod more_tests {
         assert!(failed, "vanished peer reported as failure-on-delivery");
     }
 
+    fn ack_dgram(inc: Incarnation, msg_id: u64, frags: FragSet) -> Datagram {
+        let ack = Frame::Ack {
+            from: NodeId(1),
+            inc,
+            msg_id: MsgId(msg_id),
+            frags,
+        };
+        Datagram::control(
+            Addr::primary(NodeId(1)),
+            Addr::primary(NodeId(0)),
+            ack.encode_to_bytes(),
+        )
+    }
+
+    fn drain(ep: &mut Endpoint) -> Vec<Datagram> {
+        std::iter::from_fn(|| ep.poll_outgoing()).collect()
+    }
+
+    /// The fragment sets named by the ACK frames among `dgrams`.
+    fn acked_sets(dgrams: &[Datagram]) -> Vec<Vec<u32>> {
+        dgrams
+            .iter()
+            .filter_map(|d| match Frame::decode_from_bytes(&d.payload) {
+                Ok(Frame::Ack { frags, .. }) => Some(frags.iter().collect()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn ten_fragment_cfg() -> TransportConfig {
+        TransportConfig {
+            mtu: 100,
+            retry_timeout: Duration::from_millis(10),
+            max_retries: 3,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn ack_for_unknown_fragment_index_ignored() {
         let (mut a, _b) = pair(TransportConfig::default());
         a.send(Time::ZERO, NodeId(1), Bytes::from_static(b"x"))
             .unwrap();
-        // Forge an ack with an out-of-range fragment index.
-        let bogus = Frame::Ack {
-            from: NodeId(1),
-            inc: Incarnation::FIRST,
-            msg_id: MsgId(0),
-            frag_index: 99,
-        };
-        a.on_datagram(
-            Time::ZERO,
-            raincore_net::Datagram::control(
-                Addr::primary(NodeId(1)),
-                Addr::primary(NodeId(0)),
-                raincore_types::wire::WireEncode::encode_to_bytes(&bogus),
-            ),
-        );
+        // Forged acks naming fragments the message does not have: one out
+        // of range for the message, one a full-width set minus fragment 0.
+        let mut all_but_first = FragSet::new();
+        for i in 1..MAX_FRAGS {
+            all_but_first.insert(i);
+        }
+        assert_eq!(all_but_first.len(), MAX_FRAGS - 1);
+        for frags in [FragSet::single(99), all_but_first] {
+            a.on_datagram(Time::ZERO, ack_dgram(Incarnation::FIRST, 0, frags));
+        }
         assert_eq!(a.in_flight(), 1, "message still pending");
         assert!(a.poll_event().is_none());
+    }
+
+    #[test]
+    fn acks_nobody_waits_for_are_counted_no_ops() {
+        let (mut a, _b) = pair(TransportConfig::default());
+        // A fire-and-forget message, a completed one and one never sent:
+        // an ack for any of them marks nothing and creates no state.
+        a.send_unreliable(Time::ZERO, NodeId(1), Bytes::from_static(b"bulk"))
+            .unwrap();
+        a.send(Time::ZERO, NodeId(1), Bytes::from_static(b"x"))
+            .unwrap();
+        a.on_datagram(
+            Time::ZERO,
+            ack_dgram(Incarnation::FIRST, 1, FragSet::single(0)),
+        );
+        assert_eq!(a.stats().msgs_delivered, 1);
+        for msg_id in [0, 1, 77] {
+            a.on_datagram(
+                Time::ZERO,
+                ack_dgram(Incarnation::FIRST, msg_id, FragSet::first_n(6)),
+            );
+        }
+        assert_eq!(a.stats().acks_unmatched, 3);
+        assert_eq!(a.in_flight(), 0);
+        assert_eq!(a.stats().msgs_delivered, 1);
+        // An ack for a previous life of this node is dropped before that.
+        a.on_datagram(Time::ZERO, ack_dgram(Incarnation(7), 0, FragSet::single(0)));
+        assert_eq!(a.stats().stale_dropped, 1);
+        assert_eq!(a.stats().acks_unmatched, 3);
+    }
+
+    #[test]
+    fn oversized_ack_set_is_rejected_before_allocation() {
+        use raincore_types::wire::Writer;
+        let (mut a, _b) = pair(TransportConfig::default());
+        a.send(Time::ZERO, NodeId(1), Bytes::from_static(b"x"))
+            .unwrap();
+        // Hand-built tag-3 ack declaring one word more than MAX_FRAGS
+        // allows, every word naming fragment 0 of its range.
+        let mut w = Writer::new();
+        w.put_u8(3);
+        NodeId(1).encode(&mut w);
+        Incarnation::FIRST.encode(&mut w);
+        MsgId(0).encode(&mut w);
+        w.put_varint(u64::from(MAX_FRAGS / 64) + 1);
+        for _ in 0..=MAX_FRAGS / 64 {
+            w.put_varint(1);
+        }
+        let payload = w.finish();
+        assert!(Frame::decode_from_bytes(&payload).is_err());
+        a.on_datagram(
+            Time::ZERO,
+            Datagram::control(Addr::primary(NodeId(1)), Addr::primary(NodeId(0)), payload),
+        );
+        assert_eq!(a.in_flight(), 1, "undecodable ack marks nothing");
+    }
+
+    #[test]
+    fn lost_fragment_is_named_missing_and_alone_resent() {
+        let (mut a, mut b) = pair(ten_fragment_cfg());
+        let payload: Vec<u8> = (0..1000).map(|i| (i % 251) as u8).collect();
+        let id = a
+            .send(Time::ZERO, NodeId(1), Bytes::from(payload.clone()))
+            .unwrap();
+        // Fragment 4 is lost; the other nine arrive as one burst.
+        let mut sent = drain(&mut a);
+        sent.remove(4);
+        for d in sent {
+            b.on_datagram(Time::ZERO, d);
+        }
+        let acks = drain(&mut b);
+        assert_eq!(
+            acked_sets(&acks),
+            vec![vec![0, 1, 2, 3, 5, 6, 7, 8, 9]],
+            "one ack naming the nine fragments held"
+        );
+        for d in acks {
+            a.on_datagram(Time::ZERO, d);
+        }
+        assert!(a.poll_event().is_none(), "not delivered yet");
+        // The retry resends exactly the missing fragment.
+        let t1 = Time::ZERO + Duration::from_millis(10);
+        a.on_tick(t1);
+        let resent = drain(&mut a);
+        assert_eq!(resent.len(), 1);
+        assert!(matches!(
+            Frame::decode_from_bytes(&resent[0].payload),
+            Ok(Frame::Data { frag_index: 4, .. })
+        ));
+        for d in resent {
+            b.on_datagram(t1, d);
+        }
+        assert_eq!(
+            b.poll_event(),
+            Some(TransportEvent::Received {
+                from: NodeId(0),
+                payload: Bytes::from(payload)
+            })
+        );
+        let acks = drain(&mut b);
+        assert_eq!(acked_sets(&acks), vec![(0..10).collect::<Vec<u32>>()]);
+        for d in acks {
+            a.on_datagram(t1, d);
+        }
+        assert_eq!(
+            a.poll_event(),
+            Some(TransportEvent::Delivered {
+                msg_id: id,
+                to: NodeId(1)
+            })
+        );
+        assert_eq!(a.stats().data_frames_sent, 11);
+        assert_eq!(b.stats().acks_sent, 2);
+    }
+
+    #[test]
+    fn lost_ack_is_repeated_with_the_full_set_on_duplicate_data() {
+        let (mut a, mut b) = pair(ten_fragment_cfg());
+        a.send(Time::ZERO, NodeId(1), Bytes::from(vec![9u8; 1000]))
+            .unwrap();
+        for d in drain(&mut a) {
+            b.on_datagram(Time::ZERO, d);
+        }
+        assert_eq!(drain(&mut b).len(), 1, "the ack that gets lost");
+        // The sender heard nothing and resends all ten; the receiver has
+        // delivered the message and re-acks every fragment, once.
+        let t1 = Time::ZERO + Duration::from_millis(10);
+        a.on_tick(t1);
+        let resent = drain(&mut a);
+        assert_eq!(resent.len(), 10);
+        b.on_datagram(t1, resent[3].clone());
+        assert_eq!(
+            acked_sets(&drain(&mut b)),
+            vec![(0..10).collect::<Vec<u32>>()],
+            "one duplicate fragment is answered with the whole message"
+        );
+        for d in resent {
+            b.on_datagram(t1, d);
+        }
+        let acks = drain(&mut b);
+        assert_eq!(acks.len(), 1);
+        assert_eq!(b.stats().msgs_received, 1);
+        assert_eq!(b.stats().duplicates_dropped, 11);
+        for d in acks {
+            a.on_datagram(t1, d);
+        }
+        assert!(matches!(
+            a.poll_event(),
+            Some(TransportEvent::Delivered { .. })
+        ));
+    }
+
+    #[test]
+    fn stale_incarnation_set_ack_is_ignored() {
+        let (mut a, _b) = pair(ten_fragment_cfg());
+        a.send(Time::ZERO, NodeId(1), Bytes::from(vec![1u8; 1000]))
+            .unwrap();
+        a.on_datagram(
+            Time::ZERO,
+            ack_dgram(Incarnation(3), 0, FragSet::first_n(10)),
+        );
+        assert_eq!(a.in_flight(), 1);
+        assert_eq!(a.stats().stale_dropped, 1);
+        a.on_datagram(
+            Time::ZERO,
+            ack_dgram(Incarnation::FIRST, 0, FragSet::first_n(10)),
+        );
+        assert_eq!(a.in_flight(), 0);
+    }
+
+    #[test]
+    fn peer_restart_cancels_acks_owed_to_its_previous_life() {
+        let (mut a_old, mut b) = pair(ten_fragment_cfg());
+        a_old
+            .send(Time::ZERO, NodeId(1), Bytes::from(vec![1u8; 300]))
+            .unwrap();
+        let old = drain(&mut a_old);
+        b.on_datagram(Time::ZERO, old[0].clone());
+        // Before the next drain the peer's new life speaks.
+        let mut a_new = Endpoint::new(
+            NodeId(0),
+            Incarnation(1),
+            vec![Addr::primary(NodeId(0))],
+            PeerTable::full_mesh([NodeId(0), NodeId(1)], 1),
+            ten_fragment_cfg(),
+        )
+        .unwrap();
+        a_new
+            .send(Time::ZERO, NodeId(1), Bytes::from(vec![2u8; 300]))
+            .unwrap();
+        for d in drain(&mut a_new) {
+            b.on_datagram(Time::ZERO, d);
+        }
+        let acks = drain(&mut b);
+        assert_eq!(acked_sets(&acks), vec![vec![0, 1, 2]]);
+        assert!(matches!(
+            Frame::decode_from_bytes(&acks[0].payload),
+            Ok(Frame::Ack {
+                inc: Incarnation(1),
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn parallel_strategy_acks_each_link_once() {
+        let cfg = TransportConfig {
+            strategy: raincore_types::config::SendStrategy::Parallel,
+            ..ten_fragment_cfg()
+        };
+        let peers = PeerTable::full_mesh([NodeId(0), NodeId(1)], 2);
+        let mk = |id: u32| {
+            Endpoint::new(
+                NodeId(id),
+                Incarnation::FIRST,
+                vec![Addr::new(NodeId(id), 0), Addr::new(NodeId(id), 1)],
+                peers.clone(),
+                cfg.clone(),
+            )
+            .unwrap()
+        };
+        let (mut a, mut b) = (mk(0), mk(1));
+        a.send(Time::ZERO, NodeId(1), Bytes::from(vec![5u8; 400]))
+            .unwrap();
+        let sent = drain(&mut a);
+        assert_eq!(sent.len(), 8, "four fragments on each of two links");
+        for d in sent {
+            b.on_datagram(Time::ZERO, d);
+        }
+        let acks = drain(&mut b);
+        assert_eq!(acked_sets(&acks), vec![vec![0, 1, 2, 3]; 2]);
+        let links: Vec<(Addr, Addr)> = acks.iter().map(|d| (d.src, d.dst)).collect();
+        assert_eq!(
+            links,
+            vec![
+                (Addr::new(NodeId(1), 0), Addr::new(NodeId(0), 0)),
+                (Addr::new(NodeId(1), 1), Addr::new(NodeId(0), 1)),
+            ],
+            "each ack returns on the link its data arrived on"
+        );
+        assert_eq!(b.stats().msgs_received, 1);
+    }
+
+    #[test]
+    fn owed_acks_are_part_of_the_state_digest() {
+        let digest = |ep: &Endpoint| {
+            let mut d = StateDigest::identity();
+            ep.digest_into(Time::ZERO, &mut d, &|b, d| d.write_bytes(b));
+            d.finish()
+        };
+        let (mut a, mut b) = pair(ten_fragment_cfg());
+        a.send(Time::ZERO, NodeId(1), Bytes::from(vec![1u8; 300]))
+            .unwrap();
+        b.on_datagram(Time::ZERO, a.poll_outgoing().unwrap());
+        // The same reassembly state, with the ack owed and with it gone.
+        let owing = digest(&b);
+        assert_eq!(drain(&mut b).len(), 1);
+        assert_ne!(owing, digest(&b));
     }
 
     #[test]

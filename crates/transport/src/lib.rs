@@ -41,4 +41,4 @@ pub mod frame;
 pub use bulk::{BulkId, BulkStore};
 pub use dedup::BulkDedup;
 pub use endpoint::{Endpoint, PeerTable, TransportEvent, TransportObs, TransportStats};
-pub use frame::Frame;
+pub use frame::{FragSet, Frame, MAX_FRAGS};

@@ -9,16 +9,18 @@
 //!    `Err`/`Ok`, never panic;
 //! 2. valid encodings with seeded byte mutations (flips, truncations,
 //!    extensions) must decode without panicking;
-//! 3. randomized instances of every [`SessionMsg`] variant must
+//! 3. randomized instances of every [`SessionMsg`] variant — and of both
+//!    flavours of transport `DATA` frame and both forms of `ACK` — must
 //!    round-trip encode→decode exactly.
 
 use bytes::Bytes;
+use raincore_transport::{FragSet, Frame, MAX_FRAGS};
 use raincore_types::messages::{
     Attached, AttachedBody, BodyOdor, BulkData, BulkNack, Call911, DeliveryMode, OpenSubmit,
     Reply911, SessionMsg, Token, TraceCtx, Verdict911,
 };
 use raincore_types::wire::{WireDecode, WireEncode};
-use raincore_types::{GroupId, NodeId, OriginSeq, Ring, TokenEncoder};
+use raincore_types::{GroupId, Incarnation, MsgId, NodeId, OriginSeq, Ring, TokenEncoder};
 
 /// Minimal xorshift64* PRNG: deterministic, dependency-free, good enough
 /// for byte fuzzing.
@@ -134,6 +136,47 @@ fn arb_msg(rng: &mut Rng) -> SessionMsg {
     }
 }
 
+/// A transport frame: reliable or fire-and-forget `DATA`, or an `ACK`
+/// naming one fragment (original wire form) or a set (bitmap form).
+fn arb_frame(rng: &mut Rng) -> Frame {
+    let from = NodeId(rng.below(64) as u32);
+    let inc = Incarnation(rng.below(4) as u32);
+    let msg_id = MsgId(rng.below(1 << 40));
+    match rng.below(4) {
+        shape @ (0 | 1) => {
+            let frag_count = 1 + rng.below(16) as u32;
+            let n = rng.below(200) as usize;
+            Frame::Data {
+                from,
+                inc,
+                msg_id,
+                frag_index: rng.below(u64::from(frag_count)) as u32,
+                frag_count,
+                reliable: shape == 0,
+                payload: Bytes::from(rng.bytes(n)),
+            }
+        }
+        2 => Frame::Ack {
+            from,
+            inc,
+            msg_id,
+            frags: FragSet::single(rng.below(u64::from(MAX_FRAGS)) as u32),
+        },
+        _ => {
+            let mut frags = FragSet::first_n(rng.below(80) as u32);
+            for _ in 0..rng.below(6) {
+                frags.insert(rng.below(u64::from(MAX_FRAGS)) as u32);
+            }
+            Frame::Ack {
+                from,
+                inc,
+                msg_id,
+                frags,
+            }
+        }
+    }
+}
+
 #[test]
 fn random_garbage_never_panics() {
     let mut rng = Rng::new(0xC0FFEE);
@@ -144,6 +187,11 @@ fn random_garbage_never_panics() {
         let _ = Token::decode_from_bytes(&data);
         let _ = Attached::decode_from_bytes(&data);
         let _ = Vec::<u64>::decode_from_bytes(&data);
+        // A decoded ack set is the peer's word: whatever the bytes say, it
+        // stays within the per-message fragment bound.
+        if let Ok(Frame::Ack { frags, .. }) = Frame::decode_from_bytes(&data) {
+            assert!(frags.len() <= MAX_FRAGS);
+        }
     }
 }
 
@@ -176,6 +224,43 @@ fn mutated_valid_encodings_never_panic() {
         }
         let _ = SessionMsg::decode_from_bytes(&buf);
     }
+}
+
+/// Both `DATA` flavours and both `ACK` forms round-trip, each under its
+/// own wire tag; seeded byte mutations of them never panic the decoder or
+/// yield a set beyond the fragment bound.
+#[test]
+fn transport_frames_round_trip_and_survive_mutation() {
+    let mut rng = Rng::new(0xF4A6);
+    let mut seen_tags = [false; 4];
+    for _ in 0..5_000 {
+        let frame = arb_frame(&mut rng);
+        let mut buf = frame.encode_to_bytes().to_vec();
+        let want_tag = match &frame {
+            Frame::Data { reliable: true, .. } => 0,
+            Frame::Data {
+                reliable: false, ..
+            } => 2,
+            Frame::Ack { frags, .. } if frags.len() == 1 => 1,
+            Frame::Ack { .. } => 3,
+        };
+        assert_eq!(buf[0], want_tag);
+        seen_tags[want_tag as usize] = true;
+        assert_eq!(Frame::decode_from_bytes(&buf).expect("valid frame"), frame);
+
+        // Flip a few bytes, then maybe cut the tail off.
+        for _ in 0..=rng.below(3) {
+            let at = rng.below(buf.len() as u64) as usize;
+            buf[at] ^= rng.next() as u8;
+        }
+        if rng.below(2) == 0 {
+            buf.truncate(rng.below(buf.len() as u64) as usize);
+        }
+        if let Ok(Frame::Ack { frags, .. }) = Frame::decode_from_bytes(&buf) {
+            assert!(frags.len() <= MAX_FRAGS);
+        }
+    }
+    assert!(seen_tags.iter().all(|&s| s), "{seen_tags:?}");
 }
 
 /// The patch-per-hop [`TokenEncoder`] must be byte-identical to a fresh

@@ -79,6 +79,15 @@ cargo run --release -q -p raincore-bench --bin micro_bench -- \
 echo "==> bulk macro experiment (sustained out-of-band multicast over the batched engine)"
 cargo run --release -q -p raincore-bench --bin exp_bulk_macro -- 60 1024
 
+echo "==> benchmark package (outside the workspace: must still build, test and run)"
+# benchmark/ has its own manifest, so `cargo build --workspace` never sees
+# it: a transport or runtime API change that breaks it would otherwise
+# surface only at the perf gate. No timing assertion here — the smoke only
+# requires the checker's verdict (exit 0 and "correct": true).
+cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload udp_bulk --seed 7 --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct": true'
+
 echo "==> procher (real-socket gate: lossy soak + sim<->real differential)"
 # Exit 77 means the sandbox forbids spawning subprocesses — skip, don't fail.
 cargo build --release -q -p raincore-procher

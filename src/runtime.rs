@@ -123,14 +123,7 @@ fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsDump {
             .add(v);
     }
     let ts = node.transport_stats();
-    for (name, v) in [
-        ("msgs_sent", ts.msgs_sent),
-        ("msgs_delivered", ts.msgs_delivered),
-        ("msgs_failed", ts.msgs_failed),
-        ("msgs_received", ts.msgs_received),
-        ("retransmissions", ts.retransmissions),
-        ("duplicates_dropped", ts.duplicates_dropped),
-    ] {
+    for (name, v) in ts.fields() {
         r.counter(&format!("raincore_transport_{name}"), labels)
             .add(v);
     }
@@ -469,6 +462,17 @@ mod tests {
             .contains("# TYPE raincore_token_rotation_ns histogram"));
         assert!(dump.journal.contains("TOKEN_RX"), "{}", dump.journal);
         assert!(dump.json.contains("\"name\":\"raincore_transport_rtt_ns\""));
+        // Every transport counter is exported, the ack ledger included.
+        for name in [
+            "msgs_sent",
+            "data_frames_sent",
+            "acks_sent",
+            "acks_suppressed",
+            "ack_frags_coalesced",
+        ] {
+            let line = format!("raincore_transport_{name}{{node=\"2\"}}");
+            assert!(dump.prometheus.contains(&line), "{line}");
+        }
         assert!(dump.journal_json.starts_with('['));
         // Trace health and the causal hop pipeline are in the same dump:
         // overflow counter, per-stage latency, spans with real timings,
