@@ -319,12 +319,9 @@ impl SessionNode {
     /// `payload_digest` handles opaque wire bytes held inside the
     /// transport (see [`Endpoint::digest_into`]). Application multicast
     /// payloads (`outgoing`, `holdback`) are hashed raw — they are opaque
-    /// to the protocol and never contain node ids. Deliberately excluded:
-    /// `cfg` (constant), `codec` (a cache of already-digested token
-    /// state), and `metrics`/`obs` (observability only). `join_probe_idx`
-    /// is digested as a plain number: probe order over `cfg.eligible` is
-    /// positional, so two id-permuted states with the same index probe
-    /// the "same" slot — see DESIGN.md §12 for the soundness argument.
+    /// to the protocol. Deliberately excluded: `cfg` (constant), `codec`
+    /// (a cache of already-digested token state), and `metrics`/`obs`
+    /// (observability only).
     pub fn digest_into(
         &self,
         now: Time,
@@ -374,7 +371,7 @@ impl SessionNode {
         for (label, map) in [(0u8, &self.delivered), (1u8, &self.open_dedup)] {
             d.tag(label);
             let mut ids: Vec<NodeId> = map.keys().copied().collect();
-            ids.sort_unstable_by(|a, b| d.canon_cmp(*a, *b));
+            ids.sort_unstable();
             d.write_len(ids.len());
             for id in ids {
                 d.node(id);

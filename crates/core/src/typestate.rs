@@ -703,8 +703,7 @@ impl Role {
 
     /// Digests the role state for the model checker's canonical state
     /// fingerprint. Times are digested relative to `now`; the vote's
-    /// member sets are digested in canonical id order so symmetric votes
-    /// merge.
+    /// member sets are digested in id order.
     pub fn digest_into(&self, d: &mut StateDigest, now: Time) {
         match self.inner() {
             RoleInner::Hungry(s) => {
@@ -725,16 +724,14 @@ impl Role {
                     Some(v) => {
                         d.tag(1);
                         d.write_u64(v.req_id);
-                        let mut awaiting: Vec<NodeId> = v.awaiting.iter().copied().collect();
-                        awaiting.sort_by(|a, b| d.canon_cmp(*a, *b));
-                        d.write_len(awaiting.len());
-                        for n in awaiting {
+                        d.write_len(v.awaiting.len());
+                        for &n in &v.awaiting {
                             d.node(n);
                         }
                         // Exclusions act as a set (each is removed from
                         // the regenerated ring); digest order-insensitive.
                         let mut excluded = v.excluded.clone();
-                        excluded.sort_by(|a, b| d.canon_cmp(*a, *b));
+                        excluded.sort_unstable();
                         d.write_len(excluded.len());
                         for n in excluded {
                             d.node(n);

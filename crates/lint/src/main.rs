@@ -78,7 +78,6 @@ const DISPATCH_FILES: &[&str] = &[
     "crates/types/src/digest.rs",
     "crates/types/src/token_codec.rs",
     "crates/bench/src/bin/micro_bench.rs",
-    "crates/bench/src/bin/exp_bulk_macro.rs",
     "crates/obs/src/trace.rs",
     "crates/obs/src/span.rs",
     "crates/obs/src/recorder.rs",

@@ -1,9 +1,8 @@
 //! Batched-syscall UDP I/O engine with buffer pooling.
 //!
-//! ROADMAP item 3: the protocol hot path reached its 6-alloc/hop floor in
-//! PR 5, but every hop still crossed the kernel one `sendto`/`recvfrom` at
-//! a time through per-socket reader threads and an unbounded channel.
-//! [`BatchIo`] replaces that with the production shape:
+//! The protocol hot path costs 6 allocations per hop; crossing the kernel
+//! one `sendto`/`recvfrom` at a time would dominate it. [`BatchIo`] is the
+//! only socket path of the runtime:
 //!
 //! - **Receive** with `recvmmsg` into a reusable pool of pinned blocks.
 //!   Each received datagram is a zero-copy [`Bytes`] slice of a pooled
@@ -32,7 +31,7 @@ use crate::addr::{Addr, Datagram};
 use crate::udp::{decode_wire_shared, encode_wire, encode_wire_header, WIRE_HDR_MAX};
 use bytes::Bytes;
 use raincore_obs::{Counter, Histogram};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,8 +48,8 @@ pub enum IoBackend {
     /// elsewhere silently falls back to [`IoBackend::Scalar`]).
     Batched,
     /// Portable one-datagram-at-a-time `std` socket calls. Kept as the
-    /// non-Linux fallback and as the legacy comparator for the
-    /// `bench_udp_pps` gate.
+    /// non-Linux fallback and as the reference `tests/batch_equivalence.rs`
+    /// and the `bench_udp_pps` gate compare the batched backend against.
     Scalar,
 }
 
@@ -72,8 +71,7 @@ pub struct BatchConfig {
     pub batch: usize,
     /// Bytes reserved per received datagram (one pool-block slot). A
     /// datagram longer than this is truncated by the kernel and then
-    /// dropped by the wire decoder — the same fate oversized foreign
-    /// traffic meets on the legacy path.
+    /// dropped by the wire decoder.
     pub slot: usize,
     /// Pool capacity in blocks (each `batch × slot` bytes). The pool
     /// grows past this transiently when receivers hold payload slices,
@@ -259,8 +257,6 @@ pub struct BatchIo {
     sockets: Vec<(Addr, UdpSocket)>,
     index: HashMap<Addr, usize>,
     peers: HashMap<Addr, SocketAddr>,
-    /// Datagrams inherited from a legacy `UdpNet` at conversion time.
-    pending: VecDeque<Datagram>,
     pool: BufferPool,
     metrics: IoMetrics,
     backend: IoBackend,
@@ -281,17 +277,12 @@ impl BatchIo {
         peers: HashMap<Addr, SocketAddr>,
         cfg: BatchConfig,
     ) -> std::io::Result<Self> {
-        let mut sockets = Vec::with_capacity(local.len());
-        for &(laddr, saddr) in local {
-            sockets.push((laddr, UdpSocket::bind(saddr)?));
-        }
-        BatchIo::from_parts(sockets, peers, VecDeque::new(), cfg)
+        crate::udp::UdpNet::bind(local, peers)?.into_batch_io(cfg)
     }
 
     pub(crate) fn from_parts(
         sockets: Vec<(Addr, UdpSocket)>,
         peers: HashMap<Addr, SocketAddr>,
-        pending: VecDeque<Datagram>,
         cfg: BatchConfig,
     ) -> std::io::Result<Self> {
         let backend = if cfg!(target_os = "linux") {
@@ -317,7 +308,6 @@ impl BatchIo {
             sockets,
             index,
             peers,
-            pending,
             pool,
             metrics,
             backend,
@@ -383,14 +373,6 @@ impl BatchIo {
     /// were appended. Datagrams that fail wire decoding (garbage,
     /// truncation, foreign traffic) are dropped and counted.
     pub fn recv_batch(&mut self, out: &mut Vec<Datagram>, timeout: Duration) -> usize {
-        let mut got = 0;
-        while let Some(d) = self.pending.pop_front() {
-            out.push(d);
-            got += 1;
-        }
-        if got > 0 {
-            return got;
-        }
         match self.backend {
             #[cfg(target_os = "linux")]
             IoBackend::Batched => self.recv_batched(out, timeout),
@@ -579,7 +561,7 @@ impl BatchIo {
         }
     }
 
-    // ---- scalar backend (portable fallback / legacy comparator) -------
+    // ---- scalar backend (portable fallback / equivalence reference) ---
 
     fn send_scalar(&mut self, frames: &[Datagram]) -> usize {
         let mut accepted = 0;

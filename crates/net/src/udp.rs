@@ -1,10 +1,11 @@
-//! Real UDP backend.
+//! Real UDP backend: socket binding and the wire header.
 //!
 //! The production Raincore implementation "uses UDP as the packet sending
-//! and receiving interface" (§2.1). [`UdpNet`] provides the same
-//! [`Datagram`] vocabulary as the simulator over real
-//! [`std::net::UdpSocket`]s, so the protocol state machines run unchanged
-//! on an actual network (see the `udp_cluster` example).
+//! and receiving interface" (§2.1). [`UdpNet`] binds the node's
+//! [`std::net::UdpSocket`]s and the I/O engine ([`crate::batch::BatchIo`])
+//! moves the simulator's [`Datagram`] vocabulary over them, so the
+//! protocol state machines run unchanged on an actual network (see the
+//! `udp_cluster` example).
 //!
 //! Each logical [`Addr`] (node + NIC index) maps to one socket address;
 //! multiple NICs per node are simply multiple bound sockets, giving real
@@ -16,15 +17,9 @@
 
 use crate::addr::{Addr, Datagram, PacketClass};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-const MAX_DGRAM: usize = 65_536;
 
 /// Encode a datagram into its on-the-wire form:
 /// `varint(src.node) · u8(src.nic) · u8(class) · payload`.
@@ -112,17 +107,17 @@ fn put_varint_raw(out: &mut [u8; WIRE_HDR_MAX], mut n: usize, mut v: u64) -> usi
     }
 }
 
-/// A UDP-backed datagram network endpoint for one node.
+/// The bound sockets and peer map of one node, before any I/O starts.
 ///
-/// Binds one socket per local NIC and spawns a reader thread per socket;
-/// received datagrams are queued on an internal channel and drained with
-/// [`UdpNet::try_recv`] / [`UdpNet::recv_timeout`].
+/// Binds one socket per local NIC and nothing else: no thread, no
+/// channel. A caller binds every node first (ports chosen by the OS),
+/// exchanges the resulting addresses with [`UdpNet::add_peer`], and then
+/// hands the sockets to the I/O engine with [`UdpNet::into_batch_io`].
+/// Datagrams that arrive in between wait in the kernel socket buffer and
+/// are delivered by the engine's first `recv_batch`.
 pub struct UdpNet {
-    sockets: HashMap<Addr, UdpSocket>,
+    sockets: Vec<(Addr, UdpSocket)>,
     peers: HashMap<Addr, SocketAddr>,
-    rx: Receiver<Datagram>,
-    stop: Arc<AtomicBool>,
-    readers: Vec<JoinHandle<()>>,
 }
 
 impl UdpNet {
@@ -135,29 +130,17 @@ impl UdpNet {
         local: &[(Addr, SocketAddr)],
         peers: HashMap<Addr, SocketAddr>,
     ) -> std::io::Result<Self> {
-        let (tx, rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut sockets = HashMap::new();
-        let mut readers = Vec::new();
+        let mut sockets = Vec::with_capacity(local.len());
         for &(laddr, saddr) in local {
-            let sock = UdpSocket::bind(saddr)?;
-            sock.set_read_timeout(Some(std::time::Duration::from_millis(100)))?;
-            let reader_sock = sock.try_clone()?;
-            sockets.insert(laddr, sock);
-            readers.push(spawn_reader(reader_sock, laddr, tx.clone(), stop.clone()));
+            sockets.push((laddr, UdpSocket::bind(saddr)?));
         }
-        Ok(UdpNet {
-            sockets,
-            peers,
-            rx,
-            stop,
-            readers,
-        })
+        Ok(UdpNet { sockets, peers })
     }
 
     /// The OS socket address actually bound for a local logical address.
     pub fn local_socket_addr(&self, addr: Addr) -> Option<SocketAddr> {
-        self.sockets.get(&addr).and_then(|s| s.local_addr().ok())
+        let (_, sock) = self.sockets.iter().find(|(a, _)| *a == addr)?;
+        sock.local_addr().ok()
     }
 
     /// Registers (or updates) the socket address of a peer's logical
@@ -166,102 +149,14 @@ impl UdpNet {
         self.peers.insert(addr, saddr);
     }
 
-    /// Sends a datagram. `dgram.src` must be one of the locally bound
-    /// addresses and `dgram.dst` must be a known peer.
-    pub fn send(&self, dgram: &Datagram) -> std::io::Result<()> {
-        let sock = self.sockets.get(&dgram.src).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "unbound source addr")
-        })?;
-        let to = self.peers.get(&dgram.dst).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "unknown peer addr")
-        })?;
-        sock.send_to(&encode_wire(dgram), to)?;
-        Ok(())
-    }
-
-    /// Dequeues one received datagram without blocking.
-    pub fn try_recv(&self) -> Option<Datagram> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Dequeues one received datagram, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Datagram> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Converts this endpoint into the batched I/O engine, keeping every
-    /// bound socket, the peer map, and any datagrams the reader threads
-    /// already queued (delivered first by the next `recv_batch`). The
-    /// reader threads are stopped and joined; from here on the caller's
-    /// pump thread owns all I/O.
+    /// Hands every bound socket and the peer map to the batched I/O
+    /// engine; from here on the caller's pump thread owns all I/O.
     pub fn into_batch_io(
-        mut self,
+        self,
         cfg: crate::batch::BatchConfig,
     ) -> std::io::Result<crate::batch::BatchIo> {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake each reader out of its blocking recv with a zero-byte
-        // datagram to its own socket (decodes to None, so it is dropped);
-        // worst case the 100ms read timeout bounds the join anyway.
-        for sock in self.sockets.values() {
-            if let Ok(me) = sock.local_addr() {
-                let _ = sock.send_to(&[], me);
-            }
-        }
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
-        let sockets: Vec<(Addr, UdpSocket)> =
-            std::mem::take(&mut self.sockets).into_iter().collect();
-        let peers = std::mem::take(&mut self.peers);
-        let mut pending = std::collections::VecDeque::new();
-        while let Ok(d) = self.rx.try_recv() {
-            pending.push_back(d);
-        }
-        crate::batch::BatchIo::from_parts(sockets, peers, pending, cfg)
+        crate::batch::BatchIo::from_parts(self.sockets, self.peers, cfg)
     }
-}
-
-impl Drop for UdpNet {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn spawn_reader(
-    sock: UdpSocket,
-    local: Addr,
-    tx: Sender<Datagram>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("raincore-udp-rx-{local}"))
-        .spawn(move || {
-            let mut buf = vec![0u8; MAX_DGRAM];
-            while !stop.load(Ordering::SeqCst) {
-                match sock.recv_from(&mut buf) {
-                    Ok((n, _from)) => {
-                        if let Some(d) = decode_wire(&buf[..n], local) {
-                            if tx.send(d).is_err() {
-                                return; // receiver side gone
-                            }
-                        }
-                        // Undecodable datagrams (foreign traffic) are dropped,
-                        // exactly like garbage on a real port.
-                    }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => return,
-                }
-            }
-        })
-        .expect("spawn udp reader thread")
 }
 
 #[cfg(test)]
@@ -333,62 +228,6 @@ mod tests {
             let shared = decode_wire_shared(&case, dst);
             assert_eq!(copied, shared);
         }
-    }
-
-    #[test]
-    fn two_endpoints_exchange_datagrams() {
-        let a_addr = Addr::primary(NodeId(0));
-        let b_addr = Addr::primary(NodeId(1));
-        let mut a = UdpNet::bind(&[(a_addr, loopback())], HashMap::new()).unwrap();
-        let mut b = UdpNet::bind(&[(b_addr, loopback())], HashMap::new()).unwrap();
-        a.add_peer(b_addr, b.local_socket_addr(b_addr).unwrap());
-        b.add_peer(a_addr, a.local_socket_addr(a_addr).unwrap());
-
-        a.send(&Datagram::control(
-            a_addr,
-            b_addr,
-            Bytes::from_static(b"ping"),
-        ))
-        .unwrap();
-        let got = b
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("datagram");
-        assert_eq!(&got.payload[..], b"ping");
-        assert_eq!(got.src, a_addr);
-        assert_eq!(got.dst, b_addr);
-
-        b.send(&Datagram::control(
-            b_addr,
-            a_addr,
-            Bytes::from_static(b"pong"),
-        ))
-        .unwrap();
-        let got = a
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("datagram");
-        assert_eq!(&got.payload[..], b"pong");
-    }
-
-    #[test]
-    fn send_to_unknown_peer_errors() {
-        let a_addr = Addr::primary(NodeId(0));
-        let a = UdpNet::bind(&[(a_addr, loopback())], HashMap::new()).unwrap();
-        let err = a
-            .send(&Datagram::control(
-                a_addr,
-                Addr::primary(NodeId(9)),
-                Bytes::new(),
-            ))
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::AddrNotAvailable);
-        let err = a
-            .send(&Datagram::control(
-                Addr::primary(NodeId(5)),
-                a_addr,
-                Bytes::new(),
-            ))
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::AddrNotAvailable);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //!    that blocks demonstrably get reused.
 //! 4. **Burst capacity** — a burst larger than one `recvmmsg` batch is
 //!    still delivered completely, in multiple batches.
+//! 5. **Bind-time arrivals** — a datagram that reaches a bound `UdpNet`
+//!    before it becomes a `BatchIo` waits in the kernel socket buffer and
+//!    is delivered by the first `recv_batch`, on both backends.
 
 use bytes::Bytes;
 use raincore_net::batch::{BatchConfig, BatchIo, IoBackend};
-use raincore_net::{encode_wire, Addr, Datagram};
+use raincore_net::{encode_wire, Addr, Datagram, UdpNet};
 use raincore_types::NodeId;
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
@@ -258,5 +261,37 @@ fn burst_larger_than_one_batch_is_fully_delivered() {
             u64::from(total).div_ceil(8),
             "send side flushed in full batches"
         );
+    }
+}
+
+#[test]
+fn datagram_sent_before_into_batch_io_is_delivered_first() {
+    for backend in [IoBackend::Batched, IoBackend::Scalar] {
+        let cfg = BatchConfig {
+            backend,
+            ..BatchConfig::default()
+        };
+        let (mut tx, tx_saddr, tx_addr) = bind_io(0, cfg);
+        let rx_addr = Addr::primary(NodeId(1));
+        let mut net = UdpNet::bind(&[(rx_addr, loopback())], HashMap::new()).unwrap();
+        net.add_peer(tx_addr, tx_saddr);
+        tx.add_peer(rx_addr, net.local_socket_addr(rx_addr).unwrap());
+        // Loopback `sendmmsg`/`send_to` has queued the datagram on the
+        // receiving socket by the time it returns, so no pacing is needed.
+        let early = Datagram::control(tx_addr, rx_addr, Bytes::from_static(b"early"));
+        assert_eq!(tx.send_batch(std::slice::from_ref(&early)), 1);
+
+        let mut rx = net.into_batch_io(cfg).unwrap();
+        let mut got = Vec::new();
+        assert_eq!(
+            rx.recv_batch(&mut got, Duration::from_secs(5)),
+            1,
+            "{backend:?}: first recv_batch returns the bind-time datagram"
+        );
+        assert_eq!(got, [early]);
+        // The peer map survived the conversion too.
+        let reply = Datagram::control(rx_addr, tx_addr, Bytes::from_static(b"reply"));
+        assert_eq!(rx.send_batch(std::slice::from_ref(&reply)), 1);
+        assert_eq!(drain(&mut tx, 1), [reply]);
     }
 }

@@ -708,13 +708,13 @@ impl MembershipAuditor {
     /// ignored this state could unsoundly merge them.
     pub fn digest_into(&self, d: &mut raincore_types::StateDigest) {
         let mut purged: Vec<NodeId> = self.purged.iter().copied().collect();
-        purged.sort_unstable_by(|a, b| d.canon_cmp(*a, *b));
+        purged.sort_unstable();
         d.write_len(purged.len());
         for x in purged {
             d.node(x);
         }
         let mut streaks: Vec<(NodeId, u32)> = self.streak.iter().map(|(k, v)| (*k, *v)).collect();
-        streaks.sort_unstable_by(|a, b| d.canon_cmp(a.0, b.0));
+        streaks.sort_unstable_by_key(|(id, _)| *id);
         d.write_len(streaks.len());
         for (x, s) in streaks {
             d.node(x);

@@ -23,7 +23,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: model_check [--nodes N] [--depth N] [--crashes N] [--drops N] \
          [--max-schedules N] [--min-schedules N] [--dump FILE] [--seeded-check] [--replay FILE] \
-         [--no-symmetry | --no-reduction] [--stats-out FILE]"
+         [--no-reduction] [--stats-out FILE]"
     );
     std::process::exit(2);
 }
@@ -56,8 +56,6 @@ fn main() {
             "--dump" => dump_path = next(&mut i),
             "--seeded-check" => seeded_check = true,
             "--replay" => replay_path = Some(next(&mut i)),
-            // Plain state caching without id-permutation symmetry.
-            "--no-symmetry" => cfg.reduction = Reduction::Hash,
             // Pure sleep-set DFS (the differential baseline).
             "--no-reduction" => cfg.reduction = Reduction::None,
             "--stats-out" => stats_out = Some(next(&mut i)),

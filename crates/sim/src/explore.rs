@@ -194,17 +194,11 @@ pub enum Reduction {
     /// No state caching: pure sleep-set DFS (the pre-reduction
     /// behavior; useful as a differential baseline).
     None,
-    /// Cache visited states under an identity fingerprint and prune
+    /// Cache visited states under their fingerprint and prune
     /// revisits. Unconditionally sound: only byte-identical canonical
     /// snapshots merge.
-    Hash,
-    /// Like [`Reduction::Hash`], plus id-permutation symmetry: live
-    /// nodes pack order-preservingly into the lowest canonical slots
-    /// (crashed nodes follow), merging states that differ only by which
-    /// ids crashed. See DESIGN.md §12 for the soundness argument and
-    /// its one documented caveat (the join-probe cursor).
     #[default]
-    Symmetry,
+    Hash,
 }
 
 /// Bounds and scenario of one exploration.
@@ -241,8 +235,8 @@ pub struct ModelCheckConfig {
     /// a different member. Exists to prove the checker can find real
     /// violations (`Explorer` must report one).
     pub forge_token: bool,
-    /// State-space reduction mode (visited-state cache + optional
-    /// id-permutation symmetry) layered over sleep-set pruning.
+    /// State-space reduction mode (the visited-state cache) layered
+    /// over sleep-set pruning.
     pub reduction: Reduction,
     /// Session-layer timers.
     pub session: SessionConfig,
@@ -628,48 +622,6 @@ impl ModelWorld {
         self.pending.len()
     }
 
-    /// The canonical id map for symmetry reduction: live nodes keep
-    /// their relative order but pack into the lowest slots; crashed
-    /// nodes follow, also in raw order. Identity until the first crash,
-    /// so normal (crash-free) exploration pays nothing for symmetry.
-    ///
-    /// Order preservation on the live set matters: node ids are totally
-    /// ordered and the protocol tie-breaks on them (group id = lowest
-    /// member, 911 grant ties toward the lower id), so only
-    /// order-preserving relabelings of the *acting* nodes are protocol
-    /// automorphisms.
-    fn canonical_map(&self) -> Vec<u32> {
-        let len = self
-            .slots
-            .keys()
-            .map(|id| id.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut map = vec![u32::MAX; len];
-        let mut next = 0u32;
-        for (&id, slot) in &self.slots {
-            if slot.alive {
-                map[id.0 as usize] = next;
-                next += 1;
-            }
-        }
-        for (&id, slot) in &self.slots {
-            if !slot.alive {
-                map[id.0 as usize] = next;
-                next += 1;
-            }
-        }
-        map
-    }
-
-    /// A fresh [`StateDigest`] configured with `reduction`'s id map.
-    pub fn digest_for(&self, reduction: Reduction) -> StateDigest {
-        match reduction {
-            Reduction::None | Reduction::Hash => StateDigest::identity(),
-            Reduction::Symmetry => StateDigest::with_map(self.canonical_map()),
-        }
-    }
-
     /// Digests the complete world state — every node (session + embedded
     /// transport), the in-flight wire, and the fault budgets. Absolute
     /// time is deliberately excluded: every deadline is digested relative
@@ -680,7 +632,7 @@ impl ModelWorld {
         d.write_u32(self.bulk_drops_left);
         d.write_bool(self.forged);
         let mut ids: Vec<NodeId> = self.slots.keys().copied().collect();
-        ids.sort_unstable_by(|a, b| d.canon_cmp(*a, *b));
+        ids.sort_unstable();
         d.write_len(ids.len());
         for id in ids {
             let slot = &self.slots[&id];
@@ -705,7 +657,7 @@ impl ModelWorld {
             }
         }
         let mut keys: Vec<MsgKey> = self.pending.keys().copied().collect();
-        keys.sort_unstable_by(|a, b| d.canon_cmp(a.0, b.0).then(a.1.cmp(&b.1)));
+        keys.sort_unstable();
         d.write_len(keys.len());
         for key in keys {
             let p = &self.pending[&key];
@@ -724,8 +676,8 @@ impl ModelWorld {
     /// Canonical 128-bit fingerprint of the world plus the
     /// path-dependent membership-auditor continuity state (see
     /// [`MembershipAuditor::digest_into`]).
-    pub fn fingerprint(&self, reduction: Reduction, membership: &MembershipAuditor) -> Fingerprint {
-        let mut d = self.digest_for(reduction);
+    pub fn fingerprint(&self, membership: &MembershipAuditor) -> Fingerprint {
+        let mut d = StateDigest::identity();
         self.digest_state(&mut d);
         membership.digest_into(&mut d);
         d.finish()
@@ -753,59 +705,9 @@ impl ModelWorld {
     }
 }
 
-/// Digests an opaque wire payload. Under the identity map raw encoded
-/// bytes *are* canonical, so they are hashed directly — no decode, no
-/// allocation. Under a non-identity (symmetry) map the payload is decoded
-/// structurally so embedded node ids pass through the map; payloads that
-/// do not decode (e.g. one fragment of a larger message) fall back to raw
-/// bytes, which can only *lose* reduction — two relabeled-but-equal
-/// states get different digests and fail to merge — never merge two
-/// genuinely different states.
+/// Digests an opaque wire payload: the raw encoded bytes are canonical,
+/// so they are hashed directly — no decode, no allocation.
 fn digest_wire_payload(bytes: &[u8], d: &mut StateDigest) {
-    if !d.is_identity() {
-        if let Ok(frame) = Frame::decode_from_bytes(bytes) {
-            match frame {
-                Frame::Data {
-                    from,
-                    inc,
-                    msg_id,
-                    frag_index,
-                    frag_count,
-                    reliable,
-                    payload,
-                } => {
-                    // Only a single-fragment payload holds a whole
-                    // decodable SessionMsg.
-                    if frag_count == 1 {
-                        if let Ok(msg) = SessionMsg::decode_from_bytes(&payload) {
-                            d.tag(1);
-                            d.node(from);
-                            inc.digest_into(d);
-                            msg_id.digest_into(d);
-                            d.write_u32(frag_index);
-                            d.write_u32(frag_count);
-                            d.write_bool(reliable);
-                            msg.digest_into(d);
-                            return;
-                        }
-                    }
-                }
-                Frame::Ack {
-                    from,
-                    inc,
-                    msg_id,
-                    frags,
-                } => {
-                    d.tag(2);
-                    d.node(from);
-                    inc.digest_into(d);
-                    msg_id.digest_into(d);
-                    frags.digest_into(d);
-                    return;
-                }
-            }
-        }
-    }
     d.tag(0);
     d.write_bytes(bytes);
 }
@@ -1030,7 +932,7 @@ pub struct ExploreStats {
     /// Branches skipped by sleep-set pruning.
     pub pruned: u64,
     /// Subtrees skipped because a dominating visit of the same canonical
-    /// state was already in the cache (hash/symmetry reduction).
+    /// state was already in the cache ([`Reduction::Hash`]).
     pub states_pruned: u64,
     /// Total actions applied across all replays.
     pub actions: u64,
@@ -1048,25 +950,6 @@ pub struct ExploreReport {
     /// True if the search stopped at [`ModelCheckConfig::max_schedules`]
     /// rather than exhausting the bounded space.
     pub capped: bool,
-}
-
-/// Maps an action's node ids through a digest's canonical map, so the
-/// sleep sets of two symmetric states become comparable.
-fn canon_action(a: &Action, d: &StateDigest) -> Action {
-    match *a {
-        Action::Deliver { key: (src, n), dst } => Action::Deliver {
-            key: (d.canon_node(src), n),
-            dst: d.canon_node(dst),
-        },
-        Action::Drop { key: (src, n) } => Action::Drop {
-            key: (d.canon_node(src), n),
-        },
-        Action::DropBulk { key: (src, n) } => Action::DropBulk {
-            key: (d.canon_node(src), n),
-        },
-        Action::Crash(id) => Action::Crash(d.canon_node(id)),
-        Action::Tick => Action::Tick,
-    }
 }
 
 /// Subset test over two sorted action lists (linear merge walk).
@@ -1186,18 +1069,14 @@ impl Explorer {
         // sleep set no larger than ours — it explored a superset of the
         // traces this call would.
         if self.cfg.reduction != Reduction::None {
-            let d = r.world.digest_for(self.cfg.reduction);
-            let mut canon_sleep: Vec<Action> = sleep.iter().map(|a| canon_action(a, &d)).collect();
-            canon_sleep.sort_unstable();
-            let mut d = d;
-            r.world.digest_state(&mut d);
-            r.auditors.membership.digest_into(&mut d);
-            let fp = d.finish();
+            // A `BTreeSet` iterates in order, which `sorted_subset` needs.
+            let sleep_sorted: Vec<Action> = sleep.iter().copied().collect();
+            let fp = r.world.fingerprint(&r.auditors.membership);
             let remaining = self.cfg.max_depth - prefix.len();
             let entries = self.visited.entry(fp).or_default();
             if entries
                 .iter()
-                .any(|e| e.remaining >= remaining && sorted_subset(&e.sleep, &canon_sleep))
+                .any(|e| e.remaining >= remaining && sorted_subset(&e.sleep, &sleep_sorted))
             {
                 self.stats.states_pruned += 1;
                 // The skipped subtree collapses into one counted
@@ -1207,10 +1086,10 @@ impl Explorer {
             }
             // This visit is about to explore; drop entries it dominates.
             entries
-                .retain(|e| !(e.remaining <= remaining && sorted_subset(&canon_sleep, &e.sleep)));
+                .retain(|e| !(e.remaining <= remaining && sorted_subset(&sleep_sorted, &e.sleep)));
             entries.push(VisitedEntry {
                 remaining,
-                sleep: canon_sleep,
+                sleep: sleep_sorted,
             });
         }
         let enabled = r.world.enabled_actions();

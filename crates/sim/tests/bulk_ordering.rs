@@ -156,7 +156,7 @@ fn pinned_blind_delivery_fixture_reproduces() {
     );
 }
 
-/// Seeded 4-node bulk run under symmetry reduction: the reduced and
+/// Seeded 4-node bulk run under state-cache reduction: the reduced and
 /// unreduced searches agree on the violation set — both empty on the
 /// real protocol, both the completeness violation under the blind dial —
 /// so merging states with buffered-bulk content (bulk store, dedup
@@ -184,7 +184,7 @@ fn four_node_bulk_reduction_preserves_violation_sets() {
     let unreduced = Explorer::new(mk(Reduction::None, false))
         .run()
         .expect("setup");
-    let reduced = Explorer::new(mk(Reduction::Symmetry, false))
+    let reduced = Explorer::new(mk(Reduction::Hash, false))
         .run()
         .expect("setup");
     assert!(
@@ -211,7 +211,7 @@ fn four_node_bulk_reduction_preserves_violation_sets() {
         .expect("setup")
         .violation
         .expect("unreduced search finds blind delivery");
-    let vr = Explorer::new(mk(Reduction::Symmetry, true))
+    let vr = Explorer::new(mk(Reduction::Hash, true))
         .run()
         .expect("setup")
         .violation

@@ -1,5 +1,5 @@
-//! Soundness tests for the model checker's canonical state cache and
-//! id-permutation symmetry reduction.
+//! Soundness tests for the model checker's canonical state cache
+//! (`Reduction::Hash`; the file keeps its historical name).
 //!
 //! Reduction is only allowed to merge states that genuinely cannot be
 //! distinguished by any future schedule: a reduced exploration must find
@@ -36,7 +36,7 @@ fn reduced_clean_exploration_matches_unreduced() {
     let unreduced = Explorer::new(four_node_cfg(Reduction::None))
         .run()
         .expect("setup");
-    let reduced = Explorer::new(four_node_cfg(Reduction::Symmetry))
+    let reduced = Explorer::new(four_node_cfg(Reduction::Hash))
         .run()
         .expect("setup");
 
@@ -71,11 +71,11 @@ fn reduced_search_finds_the_seeded_fault() {
     let mut cfg_none = four_node_cfg(Reduction::None);
     cfg_none.forge_token = true;
     cfg_none.max_schedules = 60_000;
-    let mut cfg_sym = cfg_none.clone();
-    cfg_sym.reduction = Reduction::Symmetry;
+    let mut cfg_hash = cfg_none.clone();
+    cfg_hash.reduction = Reduction::Hash;
 
     let unreduced = Explorer::new(cfg_none.clone()).run().expect("setup");
-    let reduced = Explorer::new(cfg_sym).run().expect("setup");
+    let reduced = Explorer::new(cfg_hash).run().expect("setup");
 
     let vu = unreduced
         .violation
@@ -103,8 +103,8 @@ fn reduced_search_finds_the_seeded_fault() {
 /// worlds that ran the same schedule except for the fate of one
 /// out-of-band payload frame — delivered (resident in the receiver's
 /// bulk store) vs dropped (gone; only a NACK pull can recover it) —
-/// must never share a fingerprint under any reduction map, and the
-/// digest must stay deterministic for the same fate.
+/// must never share a fingerprint, and the digest must stay
+/// deterministic for the same fate.
 #[test]
 fn digest_separates_bulk_payload_residency() {
     let mut cfg = ModelCheckConfig {
@@ -152,25 +152,23 @@ fn digest_separates_bulk_payload_residency() {
     let delivered_again = run(Action::Deliver { key, dst });
 
     let m = MembershipAuditor::default();
-    for red in [Reduction::Hash, Reduction::Symmetry] {
-        assert_ne!(
-            delivered.fingerprint(red, &m),
-            dropped.fingerprint(red, &m),
-            "resident and lost bulk payload merged under {red:?}"
-        );
-        assert_eq!(
-            delivered.fingerprint(red, &m),
-            delivered_again.fingerprint(red, &m),
-            "same schedule digested differently under {red:?}"
-        );
-    }
+    assert_ne!(
+        delivered.fingerprint(&m),
+        dropped.fingerprint(&m),
+        "resident and lost bulk payload merged"
+    );
+    assert_eq!(
+        delivered.fingerprint(&m),
+        delivered_again.fingerprint(&m),
+        "same schedule digested differently"
+    );
 }
 
 /// 1-minimality survives reduction: dropping any single action from a
-/// schedule shrunk under the symmetry-reduced search breaks the repro.
+/// schedule shrunk under the reduced search breaks the repro.
 #[test]
 fn minimized_schedule_is_one_minimal_under_reduction() {
-    let mut cfg = four_node_cfg(Reduction::Symmetry);
+    let mut cfg = four_node_cfg(Reduction::Hash);
     cfg.forge_token = true;
     cfg.max_schedules = 60_000;
     let report = Explorer::new(cfg.clone()).run().expect("setup");

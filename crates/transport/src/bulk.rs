@@ -115,8 +115,8 @@ impl BulkStore {
 
     /// Feeds the resident-id set (and payload bytes) into a model-checker
     /// state digest: two states differing only in buffered-bulk contents
-    /// must not merge. Origins are canonicalized; the eviction queue is
-    /// deliberately excluded (stale ids in it are unobservable).
+    /// must not merge. The eviction queue is deliberately excluded
+    /// (stale ids in it are unobservable).
     pub fn digest_into(&self, d: &mut StateDigest) {
         d.write_len(self.entries.len());
         for ((origin, seq), payload) in &self.entries {

@@ -67,8 +67,7 @@ impl DedupWindow {
     }
 
     /// Feeds the full window state (watermark + sparse set) into a
-    /// model-checker state digest. Message ids are per-sender counters,
-    /// not node ids, so no canonicalization applies.
+    /// model-checker state digest.
     pub fn digest_into(&self, d: &mut StateDigest) {
         d.write_u64(self.watermark);
         d.write_len(self.above.len());
@@ -115,7 +114,7 @@ impl BulkDedup {
     }
 
     /// Feeds the full per-origin window state into a model-checker state
-    /// digest (origins canonicalized, seqs are plain counters).
+    /// digest.
     pub fn digest_into(&self, d: &mut StateDigest) {
         d.write_len(self.per_origin.len());
         for (origin, w) in &self.per_origin {

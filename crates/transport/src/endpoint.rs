@@ -294,9 +294,8 @@ impl Endpoint {
     /// model-checker state digest.
     ///
     /// `payload_digest` is how upper-layer payload bytes (message
-    /// fragments, reassembly buffers, queued events) enter the digest —
-    /// the caller decides whether to hash them raw or decode them
-    /// structurally for id canonicalization. Deliberately excluded:
+    /// fragments, reassembly buffers, queued events) enter the digest.
+    /// Deliberately excluded:
     /// `cfg`/`class`/`peers` (constant over a model run) and
     /// `stats`/`obs`/`sent_at` (observability only — they never feed back
     /// into protocol behavior).
@@ -330,7 +329,7 @@ impl Endpoint {
             }
         }
         let mut dedup_ids: Vec<NodeId> = self.dedup.keys().copied().collect();
-        dedup_ids.sort_unstable_by(|a, b| d.canon_cmp(*a, *b));
+        dedup_ids.sort_unstable();
         d.write_len(dedup_ids.len());
         for id in dedup_ids {
             let (inc, window) = &self.dedup[&id];
@@ -339,7 +338,7 @@ impl Endpoint {
             window.digest_into(d);
         }
         let mut reasm_keys: Vec<(NodeId, MsgId)> = self.reasm.keys().copied().collect();
-        reasm_keys.sort_unstable_by(|a, b| d.canon_cmp(a.0, b.0).then(a.1.cmp(&b.1)));
+        reasm_keys.sort_unstable();
         d.write_len(reasm_keys.len());
         for key in reasm_keys {
             let r = &self.reasm[&key];

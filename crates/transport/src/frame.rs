@@ -137,8 +137,7 @@ impl FragSet {
         lo.into_iter().chain(self.hi.iter().copied())
     }
 
-    /// Feeds the set into a model-checker state digest. Fragment indices
-    /// are not node ids, so no canonicalization applies.
+    /// Feeds the set into a model-checker state digest.
     pub fn digest_into(&self, d: &mut StateDigest) {
         d.write_len(self.words().count());
         for word in self.words() {

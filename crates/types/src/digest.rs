@@ -1,95 +1,48 @@
-//! Canonical state fingerprints for the bounded model checker.
+//! State fingerprints for the bounded model checker.
 //!
-//! The model checker prunes states it has already explored. Two worlds
-//! that differ only by a permutation of node ids behave identically up to
-//! renaming (nodes are interchangeable: same config, same code), so the
-//! checker hashes a *canonicalized* snapshot: every id-bearing field is
-//! passed through a raw→canonical id map before being fed to the hasher.
-//! With the identity map this degrades to plain state hashing.
+//! The model checker prunes states it has already explored, so it hashes
+//! a *canonical* snapshot of the world: unordered collections are fed in
+//! sorted id order, deadlines relative to the current virtual time, and
+//! observability-only fields not at all. Two worlds merge exactly when
+//! their snapshots are byte-identical.
 //!
-//! Soundness of merging two worlds under a candidate bijection does not
-//! require the map itself to be "right": every derived id-bearing value
-//! (group ids, ring orders, vote sets, dedup windows keyed by peer) is
-//! digested *through the map*, so a candidate map that does not actually
-//! put the two worlds in correspondence produces different digests and no
-//! merge happens. The one deliberate gap is positional state that is not
-//! id-valued (the join-probe cursor into `config.eligible`), which is
-//! digested as a plain number; see DESIGN.md §12 for why this is safe at
-//! model-checking depths and how it is cross-checked.
+//! Ids are hashed as they are: relabelling them under an id-permutation
+//! map first was measured to merge no additional state (DESIGN.md §12.3).
 //!
 //! The fingerprint is 128 bits (two independently salted [`DefaultHasher`]
 //! streams) so that accidental collisions at millions of states are
 //! negligible, and the whole pipeline is allocation-free: digesting writes
 //! straight into the two hashers, no intermediate buffers.
 
-use crate::id::{GroupId, Incarnation, MsgId, NodeId, OriginSeq};
+use crate::id::{NodeId, OriginSeq};
 use crate::membership::Ring;
-use crate::messages::{Attached, AttachedBody, DeliveryMode, SessionMsg, Token, Verdict911};
+use crate::messages::{Attached, AttachedBody, DeliveryMode, Token};
 use crate::time::Time;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 
-/// A 128-bit fingerprint of a canonicalized state snapshot.
+/// A 128-bit fingerprint of a canonical state snapshot.
 pub type Fingerprint = (u64, u64);
 
-/// Incremental canonicalizing hasher.
+/// Incremental state hasher.
 ///
-/// All id-bearing writes go through [`StateDigest::node`] so the raw ids
-/// are replaced by their canonical slots; everything else uses the plain
-/// `write_*` primitives. Times should be digested relative to the current
-/// virtual time ([`StateDigest::time_rel`]) so that two states reached at
-/// different absolute times still merge.
+/// Times should be digested relative to the current virtual time
+/// ([`StateDigest::time_rel`]) so that two states reached at different
+/// absolute times still merge.
 pub struct StateDigest {
     a: DefaultHasher,
     b: DefaultHasher,
-    /// `map[raw_id] = canonical_slot`; `None` means the identity map.
-    map: Option<Vec<u32>>,
 }
 
 impl StateDigest {
-    /// A digest under the identity id map (plain state hashing).
+    /// A fresh digest.
     pub fn identity() -> Self {
-        Self::build(None)
-    }
-
-    /// A digest under an explicit raw→canonical id map. Ids beyond the
-    /// map's length pass through unchanged.
-    pub fn with_map(map: Vec<u32>) -> Self {
-        // An identity vector is the identity map; normalizing here lets
-        // callers use `is_identity` to pick cheap raw-byte digest paths.
-        if map.iter().enumerate().all(|(i, &c)| i as u32 == c) {
-            Self::build(None)
-        } else {
-            Self::build(Some(map))
-        }
-    }
-
-    fn build(map: Option<Vec<u32>>) -> Self {
         let mut a = DefaultHasher::new();
         let mut b = DefaultHasher::new();
         // Distinct salts make the two 64-bit streams independent.
         a.write_u64(0x5261_696e_636f_7265); // "Raincore"
         b.write_u64(0x6469_6765_7374_3262); // "digest2b"
-        StateDigest { a, b, map }
-    }
-
-    /// True when the id map is the identity. Callers may then digest raw
-    /// encoded bytes directly instead of structurally decoding them.
-    pub fn is_identity(&self) -> bool {
-        self.map.is_none()
-    }
-
-    fn canon(&self, raw: u32) -> u32 {
-        match &self.map {
-            Some(m) => m.get(raw as usize).copied().unwrap_or(raw),
-            None => raw,
-        }
-    }
-
-    /// Maps `a` and `b` and compares their canonical slots. Used to sort
-    /// map entries into canonical order without allocating mapped copies.
-    pub fn canon_cmp(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
-        self.canon(a.0).cmp(&self.canon(b.0))
+        StateDigest { a, b }
     }
 
     /// Digests a raw `u64`.
@@ -134,16 +87,9 @@ impl StateDigest {
         self.write_u8(t);
     }
 
-    /// The canonical slot of a raw node id (identity if unmapped). Lets
-    /// callers canonicalize id-bearing values that live *outside* the
-    /// digest, e.g. the model checker's sleep-set actions.
-    pub fn canon_node(&self, n: NodeId) -> NodeId {
-        NodeId(self.canon(n.0))
-    }
-
-    /// Digests a node id through the canonical map.
+    /// Digests a node id.
     pub fn node(&mut self, n: NodeId) {
-        self.write_u32(self.canon(n.0));
+        self.write_u32(n.0);
     }
 
     /// Digests an optional node id.
@@ -171,35 +117,11 @@ impl StateDigest {
     }
 }
 
-/// Types that can feed a canonicalized snapshot of themselves into a
+/// Types that can feed a canonical snapshot of themselves into a
 /// [`StateDigest`].
 pub trait DigestInto {
-    /// Digests `self`, mapping every embedded node id canonically.
+    /// Digests `self`.
     fn digest_into(&self, d: &mut StateDigest);
-}
-
-impl DigestInto for NodeId {
-    fn digest_into(&self, d: &mut StateDigest) {
-        d.node(*self);
-    }
-}
-
-impl DigestInto for GroupId {
-    fn digest_into(&self, d: &mut StateDigest) {
-        d.node(self.0);
-    }
-}
-
-impl DigestInto for Incarnation {
-    fn digest_into(&self, d: &mut StateDigest) {
-        d.write_u32(self.0);
-    }
-}
-
-impl DigestInto for MsgId {
-    fn digest_into(&self, d: &mut StateDigest) {
-        d.write_u64(self.0);
-    }
 }
 
 impl DigestInto for OriginSeq {
@@ -209,11 +131,8 @@ impl DigestInto for OriginSeq {
 }
 
 impl DigestInto for Ring {
-    /// Rings digest as *ordered sequences* of mapped ids. Order is
-    /// semantically meaningful (it is the token's travel order), and
-    /// digesting the order also protects canonical-map soundness: a
-    /// candidate bijection that does not preserve ring correspondence
-    /// yields different digests.
+    /// Rings digest as *ordered sequences* of ids: order is semantically
+    /// meaningful (it is the token's travel order).
     fn digest_into(&self, d: &mut StateDigest) {
         d.write_len(self.len());
         for m in self.iter() {
@@ -265,123 +184,30 @@ impl DigestInto for Token {
     }
 }
 
-impl DigestInto for Verdict911 {
-    fn digest_into(&self, d: &mut StateDigest) {
-        match self {
-            Verdict911::Grant => d.tag(0),
-            Verdict911::Deny { newer_seq } => {
-                d.tag(1);
-                d.write_u64(*newer_seq);
-            }
-        }
-    }
-}
-
-impl DigestInto for SessionMsg {
-    fn digest_into(&self, d: &mut StateDigest) {
-        match self {
-            SessionMsg::Token(t) => {
-                d.tag(0);
-                t.digest_into(d);
-            }
-            SessionMsg::Call911(c) => {
-                d.tag(1);
-                d.node(c.from);
-                d.write_u64(c.last_token_seq);
-                d.write_u64(c.req_id);
-            }
-            SessionMsg::Reply911(r) => {
-                d.tag(2);
-                d.node(r.from);
-                d.write_u64(r.req_id);
-                r.verdict.digest_into(d);
-            }
-            SessionMsg::BodyOdor(b) => {
-                d.tag(3);
-                d.node(b.from);
-                b.group.digest_into(d);
-            }
-            SessionMsg::Open(o) => {
-                d.tag(4);
-                d.node(o.from);
-                o.seq.digest_into(d);
-                d.write_bytes(&o.payload);
-            }
-            SessionMsg::Bulk(b) => {
-                d.tag(5);
-                d.node(b.origin);
-                b.seq.digest_into(d);
-                d.write_bytes(&b.payload);
-            }
-            SessionMsg::BulkNack(n) => {
-                d.tag(6);
-                d.node(n.from);
-                d.node(n.origin);
-                n.seq.digest_into(d);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
 
-    fn fp<F: Fn(&mut StateDigest)>(map: Option<Vec<u32>>, f: F) -> Fingerprint {
-        let mut d = match map {
-            None => StateDigest::identity(),
-            Some(m) => StateDigest::with_map(m),
-        };
+    fn fp<F: Fn(&mut StateDigest)>(f: F) -> Fingerprint {
+        let mut d = StateDigest::identity();
         f(&mut d);
         d.finish()
     }
 
     #[test]
-    fn identity_map_is_transparent() {
-        let a = fp(None, |d| Ring::from([0, 1, 2]).digest_into(d));
-        let b = fp(Some(vec![0, 1, 2]), |d| {
-            Ring::from([0, 1, 2]).digest_into(d)
-        });
-        assert_eq!(a, b, "identity vector normalizes to the identity map");
-        let d = StateDigest::with_map(vec![0, 1, 2]);
-        assert!(d.is_identity());
-    }
-
-    #[test]
-    fn permuted_rings_merge_under_the_right_map() {
-        // Ring [0,2,1] under map 0→0,1→2,2→1 is ring [0,1,2] raw.
-        let a = fp(Some(vec![0, 2, 1]), |d| {
-            Ring::from([0, 2, 1]).digest_into(d)
-        });
-        let b = fp(None, |d| Ring::from([0, 1, 2]).digest_into(d));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn ring_order_is_significant() {
-        let a = fp(None, |d| Ring::from([0, 1, 2]).digest_into(d));
-        let b = fp(None, |d| Ring::from([0, 2, 1]).digest_into(d));
+        let a = fp(|d| Ring::from([0, 1, 2]).digest_into(d));
+        let b = fp(|d| Ring::from([0, 2, 1]).digest_into(d));
         assert_ne!(a, b, "same members, different travel order");
-    }
-
-    #[test]
-    fn wrong_map_does_not_merge() {
-        // Swapping 1↔2 without the state actually being symmetric under
-        // that swap must change the digest.
-        let a = fp(Some(vec![0, 2, 1]), |d| {
-            Ring::from([0, 1, 2]).digest_into(d)
-        });
-        let b = fp(None, |d| Ring::from([0, 1, 2]).digest_into(d));
-        assert_ne!(a, b);
     }
 
     #[test]
     fn time_rel_makes_absolute_time_invisible() {
         let now1 = Time(100);
         let now2 = Time(7777);
-        let a = fp(None, |d| d.time_rel(Time(105), now1));
-        let b = fp(None, |d| d.time_rel(Time(7782), now2));
+        let a = fp(|d| d.time_rel(Time(105), now1));
+        let b = fp(|d| d.time_rel(Time(7782), now2));
         assert_eq!(a, b, "same offset, different absolute time");
     }
 
@@ -395,25 +221,8 @@ mod tests {
             DeliveryMode::Agreed,
             Bytes::from_static(b"x"),
         ));
-        let a = fp(None, |d| t1.digest_into(d));
-        let b = fp(None, |d| t2.digest_into(d));
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn raw_bytes_vs_structural_tagging_do_not_collide_trivially() {
-        // Not a deep guarantee, just a guard that the two entry points
-        // stay distinguishable for a typical payload.
-        let msg = SessionMsg::Call911(crate::messages::Call911 {
-            from: NodeId(1),
-            last_token_seq: 3,
-            req_id: 9,
-        });
-        let a = fp(None, |d| msg.digest_into(d));
-        let b = fp(None, |d| {
-            use crate::wire::WireEncode;
-            d.write_bytes(&msg.encode_to_bytes())
-        });
+        let a = fp(|d| t1.digest_into(d));
+        let b = fp(|d| t2.digest_into(d));
         assert_ne!(a, b);
     }
 }

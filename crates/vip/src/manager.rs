@@ -1,11 +1,10 @@
 //! The replicated VIP assignment table and the gratuitous-ARP model.
 
-use parking_lot::Mutex;
 use raincore_session::{SessionEvent, SessionNode};
 use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
 use raincore_types::{DeliveryMode, NodeId, Result, Time, VipId};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Magic prefix identifying a VIP-manager multicast payload.
 pub const MAGIC: &[u8; 4] = b"RCIP";
@@ -47,22 +46,28 @@ impl SubnetArp {
 
     /// Applies a gratuitous ARP announcement.
     pub fn announce(&self, vip: VipId, owner: NodeId) {
-        self.map.lock().insert(vip, owner);
+        self.table().insert(vip, owner);
     }
 
     /// Resolves a virtual IP to its current owner.
     pub fn resolve(&self, vip: VipId) -> Option<NodeId> {
-        self.map.lock().get(&vip).copied()
+        self.table().get(&vip).copied()
     }
 
     /// Number of resolvable VIPs.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.table().len()
     }
 
     /// True if no VIP is resolvable yet.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
+        self.table().is_empty()
+    }
+
+    /// The table, also after a holder panicked: the only write is a
+    /// single `insert`, so a poisoned lock still guards a valid map.
+    fn table(&self) -> MutexGuard<'_, BTreeMap<VipId, NodeId>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

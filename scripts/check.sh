@@ -38,7 +38,7 @@ cargo run --release -q -p raincore-sim --bin model_check -- \
   --nodes 5 --seeded-check --max-schedules 40000 \
   --stats-out model-check-5node-stats.json
 
-echo "==> model check (symmetry-reduced search >2x smaller at 4 nodes)"
+echo "==> model check (state cache makes the 4-node search >2x smaller)"
 cargo run --release -q -p raincore-sim --bin model_check -- \
   --nodes 4 --depth 10 --max-schedules 2000000 \
   --stats-out model-check-4node-reduced.json
@@ -49,7 +49,7 @@ reduced=$(sed -n 's/.*"states": \([0-9]*\).*/\1/p' model-check-4node-reduced.jso
 unreduced=$(sed -n 's/.*"states": \([0-9]*\).*/\1/p' model-check-4node-unreduced.json)
 echo "    states: unreduced=$unreduced reduced=$reduced"
 if [ "$unreduced" -lt $((2 * reduced)) ]; then
-  echo "symmetry reduction under 2x at 4 nodes ($unreduced vs $reduced states)" >&2
+  echo "state cache under 2x at 4 nodes ($unreduced vs $reduced states)" >&2
   exit 1
 fi
 
@@ -69,15 +69,11 @@ echo "==> chaos (bulk-loss soak: 200 seeds, completeness oracle, non-vacuous dro
 # bulk id without holding its payload (delivery-completeness oracle).
 cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --bulk 512
 
-echo "==> micro-bench (report + <=25% allocation regression vs committed BENCH_5.json)"
+echo "==> micro-bench (report + <=25% allocation regression vs committed BENCH_13.json)"
 # Also asserts, in-process: >=3x packets-per-syscall for the batched I/O
-# engine over the scalar path, and batched throughput above the legacy
-# reader-thread engine (bench_udp_pps / bench_udp_rtt).
+# backend over the scalar one (bench_udp_pps).
 cargo run --release -q -p raincore-bench --bin micro_bench -- \
-  --out BENCH_5.current.json --compare BENCH_5.json
-
-echo "==> bulk macro experiment (sustained out-of-band multicast over the batched engine)"
-cargo run --release -q -p raincore-bench --bin exp_bulk_macro -- 60 1024
+  --out BENCH_13.current.json --compare BENCH_13.json
 
 echo "==> benchmark package (outside the workspace: must still build, test and run)"
 # benchmark/ has its own manifest, so `cargo build --workspace` never sees

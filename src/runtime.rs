@@ -6,8 +6,8 @@
 //! (see [`crate::shard`]): a single pump thread that owns the node's
 //! sockets outright, drains `poll_outgoing()` into `sendmmsg` batches,
 //! blocks in one `poll(2)` across sockets + a wake fd, and feeds
-//! received bursts and wall-clock time straight into the state machine.
-//! No per-socket reader threads, no per-datagram channel hop. The
+//! received bursts and wall-clock time straight into the state machine:
+//! one thread per node, no per-datagram channel hop. The
 //! deterministic simulator (`raincore-sim`) drives the *same* state
 //! machine; nothing protocol-level lives here.
 //!
@@ -202,33 +202,20 @@ pub struct RuntimeNode {
 }
 
 impl RuntimeNode {
-    /// Spawns the driver thread for `node` over `net` with the default
-    /// batched I/O configuration.
+    /// Spawns the driver thread for `node` over the sockets `net` has
+    /// bound, with the default batched I/O configuration.
     ///
     /// `node` should have been constructed with the same local addresses
-    /// that `net` has bound.
-    pub fn spawn(node: SessionNode, net: UdpNet) -> std::io::Result<RuntimeNode> {
-        RuntimeNode::spawn_with(node, net, BatchConfig::default())
-    }
-
-    /// Spawns the driver thread with explicit I/O engine tuning (batch
-    /// size, pool depth, backend choice — see [`BatchConfig`]).
-    ///
-    /// The legacy reader threads inside `net` are stopped and their
-    /// sockets handed to a single [`IoShard`] pump owned by the driver
-    /// thread; any datagrams they had already queued are delivered
-    /// first.
-    pub fn spawn_with(
-        mut node: SessionNode,
-        net: UdpNet,
-        cfg: BatchConfig,
-    ) -> std::io::Result<RuntimeNode> {
+    /// that `net` has bound. The sockets go to a single [`IoShard`] pump
+    /// owned by the driver thread; datagrams that arrived since `bind`
+    /// are read from the kernel socket buffers first.
+    pub fn spawn(mut node: SessionNode, net: UdpNet) -> std::io::Result<RuntimeNode> {
         // Real deployments get real per-stage hop timings and share the
         // process-wide flight recorder ring; both are always on.
         node.obs_mut().set_stage_clock(StageClock::monotonic());
         node.obs_mut()
             .set_recorder(process_flight_recorder().clone());
-        let mut shard = IoShard::new(net.into_batch_io(cfg)?, DEFAULT_OUT_CAP);
+        let mut shard = IoShard::new(net.into_batch_io(BatchConfig::default())?, DEFAULT_OUT_CAP);
         let waker = shard.waker()?;
         let (cmd_tx, cmd_rx) = bounded::<Cmd>(CMD_QUEUE_CAP);
         let (event_tx, event_rx) = unbounded::<SessionEvent>();
