@@ -25,14 +25,23 @@
 //! micro_bench [--out PATH] [--compare BASELINE]
 //! ```
 //!
-//! `--out` writes the JSON report (default `BENCH_13.json` in the
-//! current directory, the committed baseline; `BENCH_5.json` is the
-//! earlier point on the trajectory and keeps the retired legacy rows).
+//! `--out` writes the JSON report (default `BENCH.current.json`, which is
+//! ignored). The committed `BENCH_<pr>.json` files are a trajectory — a PR
+//! adds its row with `--out BENCH_<pr>.json` and the gate compares against
+//! the newest one; `BENCH_5.json`, the first, keeps the retired legacy
+//! rows.
 //! `--compare` additionally loads a committed baseline and exits non-zero
 //! if any of the six gated benches — `bench_token_hop`,
 //! `bench_hop_latency`, `bench_model_check_states`,
 //! `bench_multicast_throughput`, `bench_udp_pps`, `bench_udp_rtt` —
 //! allocates >25% more per op than the baseline records.
+
+// A micro-benchmark measures wall time by design, and its counting
+// allocator keeps statistics that are never used for control flow.
+#![allow(clippy::disallowed_types)]
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use bytes::Bytes;
 use raincore_net::{Addr, BatchConfig, BatchIo, Datagram, IoBackend, PacketClass};
@@ -551,7 +560,7 @@ fn extract(json: &str, bench: &str, field: &str) -> Option<f64> {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_13.json");
+    let mut out_path = String::from("BENCH.current.json");
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {

@@ -18,6 +18,9 @@
 //! Run everything with `--release`; the simulations move hundreds of
 //! thousands of packets.
 
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

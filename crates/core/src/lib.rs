@@ -22,14 +22,34 @@
 //! The central type is [`SessionNode`]; applications drive it through a
 //! simulator or runtime and consume [`SessionEvent`]s.
 
+// The protocol must degrade, never abort (a panic in the token path is a
+// token loss 911 then has to repair), and adding a message variant must
+// be a compile-time event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ctx;
+mod discovery;
 pub mod events;
 pub mod metrics;
+mod multicast;
 pub mod node;
 pub mod obs;
 pub mod open;
+mod recovery;
+mod ring_pass;
 pub mod typestate;
 
 pub use events::{Delivery, SessionEvent};

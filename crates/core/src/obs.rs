@@ -13,7 +13,8 @@
 //! once and thereafter read percentiles without touching the node.
 
 use raincore_obs::{
-    FlightRecorder, Histogram, RecKind, Stage, StageClock, StageHists, TraceJournal, TraceKind,
+    FlightRecorder, Histogram, RecKind, Registry, Stage, StageClock, StageHists, TraceJournal,
+    TraceKind,
 };
 use raincore_types::{DeliveryMode, OriginSeq, Time, TraceCtx};
 use std::collections::HashMap;
@@ -380,5 +381,82 @@ impl NodeObs {
             }
         }
         self.trace(TraceKind::AtomicRetired { seq: seq.0 });
+    }
+}
+
+impl crate::SessionNode {
+    /// Exports this node into `r` under the label `node="<id>"`: session,
+    /// transport and trace-health counters, the point-in-time protocol
+    /// status as gauges (enough for an out-of-process auditor to rebuild
+    /// its view of the node), and every latency histogram the layers
+    /// record natively. This is the one export both drivers — the UDP
+    /// runtime and the simulator — call.
+    ///
+    /// Counters are mirrored by delta, so the same call serves a fresh
+    /// registry and a long-lived one, where they stay monotonic even
+    /// across a node restart (which zeroes the node-local snapshot; the
+    /// delta is then simply 0 for a while). Histograms are attached by
+    /// handle: they share their buckets with the node and are always live.
+    pub fn export_into(&self, r: &Registry) {
+        let node = self.id().0.to_string();
+        let labels: &[(&str, &str)] = &[("node", node.as_str())];
+        let mirror = |name: &str, v: u64| {
+            let c = r.counter(name, labels);
+            c.add(v.saturating_sub(c.get()));
+        };
+        for (name, v) in self.metrics().fields() {
+            mirror(&format!("raincore_session_{name}"), v);
+        }
+        for (name, v) in self.transport_stats().fields() {
+            mirror(&format!("raincore_transport_{name}"), v);
+        }
+        let o = self.obs();
+        // Journal overflow is surfaced, never silent.
+        mirror("raincore_trace_dropped_events", o.journal().dropped());
+
+        r.set_gauge(
+            "raincore_status_group",
+            labels,
+            i64::from(self.group_id().0 .0),
+        );
+        r.set_gauge(
+            "raincore_status_eating",
+            labels,
+            i64::from(self.is_eating()),
+        );
+        r.set_gauge("raincore_status_down", labels, i64::from(self.is_down()));
+        r.set_gauge(
+            "raincore_status_copy_seq",
+            labels,
+            self.last_copy_seq() as i64,
+        );
+
+        let t = self.transport_obs();
+        for (name, h) in [
+            ("raincore_token_rotation_ns", &o.token_rotation),
+            ("raincore_hungry_wait_ns", &o.hungry_wait),
+            ("raincore_911_recovery_ns", &o.recovery_911),
+            ("raincore_token_encode_bytes", &o.token_encode_bytes),
+            ("raincore_transport_rtt_ns", &t.rtt),
+            ("raincore_transport_failure_latency_ns", &t.failure_latency),
+        ] {
+            r.attach_histogram(name, labels, h.clone());
+        }
+        for stage in Stage::ALL {
+            let sl: &[(&str, &str)] = &[("node", node.as_str()), ("stage", stage.label())];
+            r.attach_histogram("raincore_hop_stage_ns", sl, o.hop_stages.get(stage).clone());
+        }
+        for (mode, deliver, atomic) in [
+            (
+                "agreed",
+                &o.submit_to_deliver_agreed,
+                &o.submit_to_atomic_agreed,
+            ),
+            ("safe", &o.submit_to_deliver_safe, &o.submit_to_atomic_safe),
+        ] {
+            let ml: &[(&str, &str)] = &[("node", node.as_str()), ("mode", mode)];
+            r.attach_histogram("raincore_submit_to_deliver_ns", ml, deliver.clone());
+            r.attach_histogram("raincore_submit_to_atomic_ns", ml, atomic.clone());
+        }
     }
 }

@@ -21,9 +21,8 @@
 //! [`crate::node::SessionNode`] can hold "whatever state we are in" while
 //! every actual transition still goes through the typed methods. The state
 //! types' fields are private to this module: no code outside it can
-//! construct a role state or take one apart with a `match` — enforced by
-//! the compiler here, and by `raincore-lint`'s `typestate-escape` rule
-//! against textual regressions (e.g. someone re-adding a raw state enum).
+//! construct a role state or take one apart with a `match` — the compiler
+//! rejects it, so no lint has to.
 //!
 //! ```compile_fail
 //! // ILLEGAL: sending the token while HUNGRY. `Hungry` has no `pass`
@@ -483,7 +482,7 @@ impl Role {
     pub fn hungry_since(&self) -> Option<Time> {
         match self.inner() {
             RoleInner::Hungry(s) => Some(s.since()),
-            _ => None,
+            RoleInner::Eating(_) | RoleInner::Starving(_) | RoleInner::Down(_) => None,
         }
     }
 
@@ -547,7 +546,9 @@ impl Role {
                 let (token, hungry) = s.pass(now);
                 (Role::from(hungry), Some(token))
             }
-            other => (Role { inner: other }, None),
+            other @ (RoleInner::Hungry(_) | RoleInner::Starving(_) | RoleInner::Down(_)) => {
+                (Role { inner: other }, None)
+            }
         })
     }
 
@@ -584,7 +585,7 @@ impl Role {
                     vote: None,
                     retry_at,
                 },
-                other => {
+                other @ (RoleInner::Eating(_) | RoleInner::Down(_)) => {
                     debug_assert!(false, "begin_starving_probe from {other:?}");
                     return (Role { inner: other }, ());
                 }
@@ -606,7 +607,7 @@ impl Role {
                     }),
                     retry_at,
                 },
-                other => {
+                other @ (RoleInner::Eating(_) | RoleInner::Down(_)) => {
                     debug_assert!(false, "begin_starving_vote from {other:?}");
                     return (Role { inner: other }, ());
                 }
@@ -623,7 +624,10 @@ impl Role {
             RoleInner::Starving(Starving { vote: Some(v), .. }) if !v.awaiting.is_empty() => {
                 Some((v.req_id, v.awaiting.iter().copied().collect()))
             }
-            _ => None,
+            RoleInner::Hungry(_)
+            | RoleInner::Eating(_)
+            | RoleInner::Starving(_)
+            | RoleInner::Down(_) => None,
         }
     }
 
@@ -674,7 +678,9 @@ impl Role {
                 let (excluded, hungry) = s.win(now);
                 (Role::from(hungry), Some(excluded))
             }
-            other => (Role { inner: other }, None),
+            other @ (RoleInner::Hungry(_) | RoleInner::Eating(_) | RoleInner::Down(_)) => {
+                (Role { inner: other }, None)
+            }
         })
     }
 

@@ -21,6 +21,21 @@
 //! same deterministic way, so locks owned by crashed nodes free
 //! themselves.
 
+// The protocol must degrade, never abort (a panic in the token path is a
+// token loss 911 then has to repair), and adding a message variant must
+// be a compile-time event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -27,6 +27,10 @@
 //! metric, and per-flush batch sizes feed `raincore_io_batch_size`
 //! histograms (see [`IoMetrics`]).
 
+// The real-socket I/O engine: receive timeouts and flush timing are
+// wall-clock by nature. `SimNet`, beside it, stays on virtual time.
+#![allow(clippy::disallowed_types)]
+
 use crate::addr::{Addr, Datagram};
 use crate::udp::{decode_wire_shared, encode_wire, encode_wire_header, WIRE_HDR_MAX};
 use bytes::Bytes;

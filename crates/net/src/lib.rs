@@ -27,6 +27,9 @@
 // `deny` rather than `forbid` so the one FFI module (`mmsg`, the
 // sendmmsg/recvmmsg/poll bindings) can opt in with a module-level allow;
 // everything else in the crate stays safe code.
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -17,6 +17,9 @@
 //!    before it becomes a `BatchIo` waits in the kernel socket buffer and
 //!    is delivered by the first `recv_batch`, on both backends.
 
+// Real-socket test: deadlines are wall-clock.
+#![allow(clippy::disallowed_types)]
+
 use bytes::Bytes;
 use raincore_net::batch::{BatchConfig, BatchIo, IoBackend};
 use raincore_net::{encode_wire, Addr, Datagram, UdpNet};

@@ -9,6 +9,10 @@
 //! magnitude latency claims the paper's evaluation makes — and min/max are
 //! tracked exactly.
 
+// Lock-free statistics, never read for control flow: the obs layer is where
+// shared atomics live.
+#![allow(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

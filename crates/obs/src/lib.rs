@@ -33,6 +33,10 @@
 //! out-of-process harnesses (the real-socket conformance runner) can
 //! rebuild typed telemetry from exported files.
 
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 mod export;
 mod hist;
 mod metrics;

@@ -5,6 +5,10 @@
 //! A [`Snapshot`] is a stable, sorted copy of everything registered, suitable
 //! for rendering (see `export.rs`) or diffing across virtual-time steps.
 
+// Lock-free statistics, never read for control flow: the obs layer is where
+// shared atomics live.
+#![allow(clippy::disallowed_types)]
+
 use crate::hist::{HistSummary, Histogram};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -110,39 +114,39 @@ impl Registry {
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = MetricKey::new(name, labels);
         let mut map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match map
+        let Metric::Counter(c) = map
             .entry(key)
             .or_insert_with(|| Metric::Counter(Counter::new()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        else {
+            panic!("metric {name:?} already registered with a different type");
+        };
+        c.clone()
     }
 
     /// Get or create the gauge for `name{labels}`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = MetricKey::new(name, labels);
         let mut map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match map
+        let Metric::Gauge(g) = map
             .entry(key)
             .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        else {
+            panic!("metric {name:?} already registered with a different type");
+        };
+        g.clone()
     }
 
     /// Get or create the histogram for `name{labels}`.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let key = MetricKey::new(name, labels);
         let mut map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match map
+        let Metric::Histogram(h) = map
             .entry(key)
             .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        else {
+            panic!("metric {name:?} already registered with a different type");
+        };
+        h.clone()
     }
 
     /// Convenience: set a gauge in one call (sim collection loops use this).

@@ -62,16 +62,17 @@ impl JsonValue {
 
     /// Object field lookup (first occurrence).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        let JsonValue::Obj(fields) = self else {
+            return None;
+        };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     pub fn as_i128(&self) -> Option<i128> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
+        if let JsonValue::Num(n) = self {
+            Some(*n)
+        } else {
+            None
         }
     }
 
@@ -88,23 +89,26 @@ impl JsonValue {
     }
 
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
+        if let JsonValue::Bool(b) = self {
+            Some(*b)
+        } else {
+            None
         }
     }
 
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
+        if let JsonValue::Str(s) = self {
+            Some(s)
+        } else {
+            None
         }
     }
 
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(a) => Some(a),
-            _ => None,
+        if let JsonValue::Arr(a) = self {
+            Some(a)
+        } else {
+            None
         }
     }
 }
@@ -403,17 +407,19 @@ impl Snapshot {
 
     /// Counter value for `name{labels}`, if present (labels in any order).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        match self.find(name, labels)? {
-            SnapshotValue::Counter(v) => Some(*v),
-            _ => None,
+        if let SnapshotValue::Counter(v) = self.find(name, labels)? {
+            Some(*v)
+        } else {
+            None
         }
     }
 
     /// Gauge value for `name{labels}`, if present (labels in any order).
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
-        match self.find(name, labels)? {
-            SnapshotValue::Gauge(v) => Some(*v),
-            _ => None,
+        if let SnapshotValue::Gauge(v) = self.find(name, labels)? {
+            Some(*v)
+        } else {
+            None
         }
     }
 

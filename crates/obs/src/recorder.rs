@@ -18,6 +18,10 @@
 //! invariants), and a rare stale read in a diagnostics dump is
 //! acceptable where a hot-path fence is not.
 
+// Lock-free statistics, never read for control flow: the obs layer is where
+// shared atomics live.
+#![allow(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -21,6 +21,10 @@
 //! for display. This crate stays dependency-free, so the constant is
 //! replicated here and pinned by a test on both sides.
 
+// `StageClock::monotonic` is the real-time stage timer for the runtime and
+// the benches; the simulator and the protocol crates never call it.
+#![allow(clippy::disallowed_types)]
+
 use crate::hist::{fmt_ns, HistSummary, Histogram};
 use crate::trace::{TraceEvent, TraceKind};
 
@@ -103,7 +107,8 @@ impl StageHists {
 
 /// An injectable monotonic nanosecond source for stage stamping.
 ///
-/// The protocol crates are wall-clock-free (enforced by `raincore-lint`),
+/// The protocol crates are wall-clock-free (clippy's `disallowed-types`,
+/// DESIGN.md §6b),
 /// so real stage durations are only measured when a driver that *owns* a
 /// clock — the UDP runtime, the micro-bench harness — injects one. The
 /// deterministic simulator injects none and stage durations read 0 while
@@ -209,6 +214,9 @@ pub fn causal_hops(events: &[TraceEvent]) -> Vec<HopRow> {
 }
 
 /// The `(circ, hop)` pointer a causal-link event carries, if it is one.
+// Filters the four `Cause*` variants; other kinds carry no causal link by
+// construction.
+#[allow(clippy::wildcard_enum_match_arm)]
 fn cause_pointer(kind: &TraceKind) -> Option<(u64, u64)> {
     match *kind {
         TraceKind::CauseStarving { circ, hop }

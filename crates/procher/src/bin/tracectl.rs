@@ -21,6 +21,10 @@
 //! tracectl out/*.export --events          # flat merged event log
 //! ```
 
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 use raincore_obs::{
     circ_label, parse_journal_json, render_events_text, render_waterfall, TraceEvent, TraceKind,
     WaterfallOpts,
@@ -55,9 +59,13 @@ fn resolve_circ(events: &[TraceEvent], arg: &str) -> Result<u64, String> {
     }
     let mut known: Vec<u64> = events
         .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::HopSpan { circ, .. } => Some(circ),
-            _ => None,
+        .filter_map(|e| {
+            // Only hop spans carry a circulation id to resolve.
+            if let TraceKind::HopSpan { circ, .. } = e.kind {
+                Some(circ)
+            } else {
+                None
+            }
         })
         .collect();
     known.sort_unstable();

@@ -17,6 +17,10 @@
 //! paced `workload_period_ms` apart, retried under token backpressure so
 //! every child eventually originates exactly its quota.
 
+// Real-socket harness child: paces exports and workload in wall time, never
+// protocol time.
+#![allow(clippy::disallowed_types)]
+
 use crate::export::render_export;
 use crate::fast_profile;
 use raincore::runtime::{ObsDump, RuntimeNode};

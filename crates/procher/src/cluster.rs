@@ -26,6 +26,10 @@
 //! and those claims would false-positive. The skew-tolerant checks run
 //! instead — see the crate docs and `DESIGN.md` §10.
 
+// Real-socket harness parent: wall-clock ticks over OS processes, never
+// protocol time.
+#![allow(clippy::disallowed_types)]
+
 use crate::child::StartKind;
 use crate::export::{merge_export_journals, ChildExport};
 use crate::proxy::{LossProxy, ProxyDials, ProxyStats};

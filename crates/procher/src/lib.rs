@@ -35,6 +35,9 @@
 //! (on crash-free runs) delivery-order prefix agreement. See
 //! `DESIGN.md` §10 for the full rationale.
 
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -22,6 +22,10 @@
 //! All rolls come from one seeded RNG behind the state mutex, so a run's
 //! packet fate sequence is reproducible up to OS packet timing.
 
+// Real-time UDP proxy: delay injection is wall-clock by design, and its
+// stop/pause flags are shared with the relay threads.
+#![allow(clippy::disallowed_types)]
+
 use raincore_net::{decode_wire, Addr};
 use raincore_types::NodeId;
 use rand::rngs::StdRng;

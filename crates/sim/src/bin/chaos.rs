@@ -17,6 +17,9 @@
 //! binary is a driver, not protocol code, and carries a lint allowlist
 //! entry for it.
 
+// Wall-clock soak throughput reporting only, never protocol time.
+#![allow(clippy::disallowed_types)]
+
 use raincore_sim::chaos::{
     dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, ChaosConfig,
     ChaosEvidence, ChaosScenario,

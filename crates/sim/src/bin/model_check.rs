@@ -15,6 +15,9 @@
 //! `std::time::Instant`; this binary is a driver, not protocol code, and
 //! carries a lint allowlist entry for it.
 
+// Wall-clock throughput reporting only, never protocol time.
+#![allow(clippy::disallowed_types)]
+
 use raincore_sim::explore::{parse_schedule, replay, Reduction};
 use raincore_sim::{Explorer, ModelCheckConfig};
 use std::time::Instant;

@@ -119,6 +119,7 @@ impl ClusterBuilder {
             registry: raincore_obs::Registry::new(),
             flight: raincore_obs::FlightRecorder::default(),
             expected_payloads: BTreeMap::new(),
+            wire_tap: None,
         };
         // The peer table covers every session member with all its NICs.
         let mut table = PeerTable::new();
@@ -162,6 +163,8 @@ impl ClusterBuilder {
     }
 }
 
+type WireTap = Box<dyn FnMut(&Datagram)>;
+
 /// A simulated Raincore cluster. See the crate docs.
 pub struct Cluster {
     now: Time,
@@ -181,6 +184,8 @@ pub struct Cluster {
     /// `(origin, seq)` space restarts from zero, so a reused id that was
     /// multicast with a *different* length can no longer be checked.
     expected_payloads: BTreeMap<(NodeId, OriginSeq), Option<usize>>,
+    /// See [`Cluster::set_wire_tap`].
+    wire_tap: Option<WireTap>,
 }
 
 impl Cluster {
@@ -338,6 +343,9 @@ impl Cluster {
     }
 
     fn route(&mut self, d: Datagram) {
+        if let Some(tap) = &mut self.wire_tap {
+            tap(&d);
+        }
         let id = d.dst.node;
         let now = self.now;
         let Some(slot) = self.slots.get_mut(&id) else {
@@ -649,6 +657,14 @@ impl Cluster {
     /// Direct access to the network model (advanced fault scripting).
     pub fn net_mut(&mut self) -> &mut SimNet {
         &mut self.net
+    }
+
+    /// Installs a wire tap: `tap` sees every datagram the network
+    /// delivers, in delivery order, before it is routed to its
+    /// destination. Lets a test fingerprint the cluster's whole wire
+    /// behaviour, not only what the oracles look at.
+    pub fn set_wire_tap(&mut self, tap: impl FnMut(&Datagram) + 'static) {
+        self.wire_tap = Some(Box::new(tap));
     }
 
     /// True while some pair of live members cannot exchange packets at

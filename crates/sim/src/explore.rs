@@ -653,7 +653,7 @@ impl ModelWorld {
             // differ only in *which* id crashed actually merge.
             if slot.alive {
                 d.write_u64(slot.send_seq);
-                slot.session.digest_into(self.now, d, &digest_wire_payload);
+                slot.session.digest_into(self.now, d);
             }
         }
         let mut keys: Vec<MsgKey> = self.pending.keys().copied().collect();
@@ -669,7 +669,7 @@ impl ModelWorld {
             d.node(p.dgram.dst.node);
             d.write_u8(p.dgram.dst.nic);
             d.write_u8(matches!(p.dgram.class, PacketClass::Data) as u8);
-            digest_wire_payload(&p.dgram.payload, d);
+            d.wire_payload(&p.dgram.payload);
         }
     }
 
@@ -703,13 +703,6 @@ impl ModelWorld {
         }
         out
     }
-}
-
-/// Digests an opaque wire payload: the raw encoded bytes are canonical,
-/// so they are hashed directly — no decode, no allocation.
-fn digest_wire_payload(bytes: &[u8], d: &mut StateDigest) {
-    d.tag(0);
-    d.write_bytes(bytes);
 }
 
 impl AuditView for ModelWorld {

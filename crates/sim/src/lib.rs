@@ -17,6 +17,9 @@
 //!
 //! [`SessionNode`]: raincore_session::SessionNode
 
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -27,7 +30,6 @@ pub mod cluster;
 pub mod explore;
 pub mod obs;
 pub mod open_app;
-pub mod script;
 
 pub use app::{NodeApp, NodeCtl};
 pub use audit::{
@@ -46,4 +48,3 @@ pub use explore::{
 };
 pub use obs::{standard_invariants, InvariantFailure};
 pub use open_app::OpenClientApp;
-pub use script::{Fault, FaultScript};

@@ -1,13 +1,12 @@
 //! Cluster-wide observability.
 //!
 //! The harness owns one [`Registry`](raincore_obs::Registry) per cluster.
-//! [`Cluster::collect_metrics`] refreshes it from every node — counters and
-//! gauges from [`SessionMetrics`](raincore_session::SessionMetrics) /
-//! transport stats, plus the latency histograms the protocol layers record
-//! natively (token rotation, HUNGRY→EATING wait, 911 recovery, RTT,
-//! failure-on-delivery). Because histogram handles share their buckets,
-//! attaching them once per collection costs nothing and survives node
-//! restarts (re-attaching replaces the stale handle).
+//! [`Cluster::collect_metrics`] refreshes it from every node through
+//! [`SessionNode::export_into`](raincore_session::SessionNode::export_into),
+//! the one export shared with the UDP runtime: counters mirrored by
+//! delta (monotonic across node restarts), status gauges, and the latency
+//! histograms the protocol layers record natively, attached by handle
+//! (re-attaching after a restart replaces the stale handle).
 //!
 //! [`Cluster::run_checked`] runs the simulation under an invariant checker
 //! sampled after **every** quantum; on the first violation it renders a
@@ -57,9 +56,9 @@ pub fn standard_invariants(c: &Cluster) -> Result<(), String> {
 }
 
 impl Cluster {
-    /// Refreshes the metric registry from every node: protocol and
-    /// transport counters, cluster/node gauges, and the natively recorded
-    /// latency histograms (attached by handle, so they are always live).
+    /// Refreshes the metric registry: cluster gauges here, everything
+    /// per-node through [`raincore_session::SessionNode::export_into`] — the
+    /// same export the UDP runtime dumps.
     pub fn collect_metrics(&self) {
         let r = self.registry();
         r.set_gauge("raincore_sim_time_ns", &[], self.now().as_nanos() as i64);
@@ -71,66 +70,9 @@ impl Cluster {
         );
         r.set_gauge("raincore_sim_groups", &[], self.groups().len() as i64);
         for id in self.member_ids() {
-            let Some(s) = self.session(id) else { continue };
-            let node = id.0.to_string();
-            let labels: &[(&str, &str)] = &[("node", node.as_str())];
-            r.set_gauge("raincore_node_alive", labels, i64::from(self.is_alive(id)));
-            r.set_gauge("raincore_node_eating", labels, i64::from(s.is_eating()));
-            r.set_gauge("raincore_node_ring_size", labels, s.ring().len() as i64);
-            r.set_gauge("raincore_node_group", labels, i64::from(s.group_id().0 .0));
-            r.set_gauge("raincore_node_copy_seq", labels, s.last_copy_seq() as i64);
-            // Counters are mirrored by delta so they stay monotonic in the
-            // registry even across a node restart (which zeroes the
-            // node-local snapshot; the delta is then simply 0 for a while).
-            for (name, v) in s.metrics().fields() {
-                let c = r.counter(&format!("raincore_session_{name}"), labels);
-                c.add(v.saturating_sub(c.get()));
+            if let Some(s) = self.session(id) {
+                s.export_into(r);
             }
-            let ts = s.transport_stats();
-            for (name, v) in ts.fields() {
-                let c = r.counter(&format!("raincore_transport_{name}"), labels);
-                c.add(v.saturating_sub(c.get()));
-            }
-            let o = s.obs();
-            // Journal overflow is surfaced, never silent: the eviction
-            // count is a first-class counter next to everything else.
-            let dropped = r.counter("raincore_trace_dropped_events", labels);
-            dropped.add(o.journal().dropped().saturating_sub(dropped.get()));
-            for stage in raincore_obs::Stage::ALL {
-                let sl: &[(&str, &str)] = &[("node", node.as_str()), ("stage", stage.label())];
-                r.attach_histogram("raincore_hop_stage_ns", sl, o.hop_stages.get(stage).clone());
-            }
-            r.attach_histogram(
-                "raincore_token_rotation_ns",
-                labels,
-                o.token_rotation.clone(),
-            );
-            r.attach_histogram("raincore_hungry_wait_ns", labels, o.hungry_wait.clone());
-            r.attach_histogram("raincore_911_recovery_ns", labels, o.recovery_911.clone());
-            r.attach_histogram(
-                "raincore_token_encode_bytes",
-                labels,
-                o.token_encode_bytes.clone(),
-            );
-            for (mode, deliver, atomic) in [
-                (
-                    "agreed",
-                    &o.submit_to_deliver_agreed,
-                    &o.submit_to_atomic_agreed,
-                ),
-                ("safe", &o.submit_to_deliver_safe, &o.submit_to_atomic_safe),
-            ] {
-                let ml: &[(&str, &str)] = &[("node", node.as_str()), ("mode", mode)];
-                r.attach_histogram("raincore_submit_to_deliver_ns", ml, deliver.clone());
-                r.attach_histogram("raincore_submit_to_atomic_ns", ml, atomic.clone());
-            }
-            let t = s.transport_obs();
-            r.attach_histogram("raincore_transport_rtt_ns", labels, t.rtt.clone());
-            r.attach_histogram(
-                "raincore_transport_failure_latency_ns",
-                labels,
-                t.failure_latency.clone(),
-            );
         }
     }
 

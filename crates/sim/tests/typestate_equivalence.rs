@@ -183,3 +183,137 @@ fn committed_bench_baseline_holds_alloc_floors() {
         "committed bench_model_check_states allocs/state exceeds the 250 budget: {mc}"
     );
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// What the parent of the session-core split (PR 13's one-`impl`
+/// `SessionNode`) produced for the run in
+/// [`session_core_split_is_inert`]: per node, the FNV-1a of its
+/// `SessionEvent` stream; then the FNV-1a of every datagram the network
+/// delivered, in delivery order. Any behavioural drift — an extra
+/// retransmission, a reordered event, one changed token byte — moves a
+/// hash, whether or not an oracle would have objected.
+const PARENT_EVENT_HASHES: [u64; 5] = [
+    0xbd1d_3c23_6b5f_0927,
+    0x3e76_82e1_ec8b_e799,
+    0xe782_5ade_ba12_75bf,
+    0x077d_43c2_2a11_de87,
+    0xb1d4_e1c8_7d67_0f32,
+];
+const PARENT_WIRE_HASH: u64 = 0x9ad9_2964_4122_babb;
+const PARENT_WIRE_DATAGRAMS: u64 = 15_277;
+
+#[test]
+fn session_core_split_is_inert() {
+    use bytes::Bytes;
+    use raincore_session::StartMode;
+    use raincore_sim::{Cluster, ClusterConfig};
+    use raincore_types::{DeliveryMode, Duration, NodeId};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let mut cfg = ClusterConfig::default();
+    cfg.session.token_hold = Duration::from_millis(2);
+    cfg.session.hungry_timeout = Duration::from_millis(100);
+    cfg.session.starving_retry = Duration::from_millis(40);
+    cfg.session.beacon_period = Duration::from_millis(50);
+    cfg.session.bulk_threshold = 512;
+    cfg.transport.retry_timeout = Duration::from_millis(10);
+    cfg.transport.max_retries = 4;
+    // Light seeded loss so retransmissions, NACK pulls and false alarms
+    // are part of the fingerprint.
+    cfg.net.loss = 0.03;
+    cfg.net.seed = 14;
+    let mut c = Cluster::founding(5, cfg).expect("cluster");
+    let wire = Rc::new(RefCell::new((FNV_OFFSET, 0u64)));
+    let tap = Rc::clone(&wire);
+    c.set_wire_tap(move |d| {
+        let (hash, count) = &mut *tap.borrow_mut();
+        fnv1a(hash, &d.src.node.0.to_le_bytes());
+        fnv1a(hash, &[d.src.nic]);
+        fnv1a(hash, &d.dst.node.0.to_le_bytes());
+        fnv1a(hash, &[d.dst.nic]);
+        fnv1a(hash, &(d.payload.len() as u64).to_le_bytes());
+        fnv1a(hash, &d.payload);
+        *count += 1;
+    });
+
+    // A mixed workload: inline and out-of-band (>= 512 B) payloads,
+    // agreed and safe, from rotating origins.
+    let mut sent = 0u32;
+    let mut burst = |c: &mut Cluster, origins: &[u32], n: u32| {
+        for _ in 0..n {
+            let from = NodeId(origins[(sent as usize) % origins.len()]);
+            let mode = match sent % 3 {
+                0 => DeliveryMode::Safe,
+                _ => DeliveryMode::Agreed,
+            };
+            let len = [24, 1500][(sent % 2) as usize];
+            let payload = Bytes::from(vec![sent as u8; len]);
+            c.multicast(from, mode, payload).expect("multicast");
+            sent += 1;
+        }
+    };
+
+    c.run_for(Duration::from_millis(500));
+    burst(&mut c, &[0, 1, 2, 3, 4], 20);
+    c.run_for(Duration::from_millis(300));
+    // Crash with traffic in flight, then the master lock across the gap.
+    burst(&mut c, &[0, 1, 2, 4], 8);
+    c.run_for(Duration::from_millis(3));
+    c.crash(NodeId(3));
+    c.run_for(Duration::from_secs(1));
+    c.session_mut(NodeId(1))
+        .expect("n1")
+        .request_master()
+        .expect("request");
+    c.run_for(Duration::from_millis(200));
+    let now = c.now();
+    c.session_mut(NodeId(1))
+        .expect("n1")
+        .release_master(now)
+        .expect("release");
+    burst(&mut c, &[0, 1, 2, 4], 8);
+    c.restart(NodeId(3), StartMode::Joining).expect("restart");
+    c.run_for(Duration::from_secs(2));
+    burst(&mut c, &[3, 0], 6);
+    // Partition, traffic on both sides, heal, merge.
+    c.partition(&[&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3), NodeId(4)]]);
+    c.run_for(Duration::from_secs(2));
+    burst(&mut c, &[0, 2, 1, 4], 8);
+    c.run_for(Duration::from_secs(1));
+    c.heal();
+    c.run_for(Duration::from_secs(6));
+    burst(&mut c, &[4, 3, 2, 1, 0], 10);
+    c.run_for(Duration::from_secs(2));
+    assert!(c.membership_converged(), "{}", c.dump_state());
+
+    let event_hashes: Vec<u64> = (0..5)
+        .map(|i| {
+            let mut hash = FNV_OFFSET;
+            for ev in c.take_events(NodeId(i)) {
+                fnv1a(&mut hash, format!("{ev:?}\n").as_bytes());
+            }
+            hash
+        })
+        .collect();
+    let (wire_hash, datagrams) = *wire.borrow();
+    assert_eq!(
+        (event_hashes.as_slice(), wire_hash, datagrams),
+        (
+            PARENT_EVENT_HASHES.as_slice(),
+            PARENT_WIRE_HASH,
+            PARENT_WIRE_DATAGRAMS
+        ),
+        "the session core no longer behaves like its parent: \
+         {event_hashes:#x?} wire {wire_hash:#x} over {datagrams} datagrams"
+    );
+}

@@ -293,18 +293,13 @@ impl Endpoint {
     /// Feeds every behavior-relevant piece of endpoint state into a
     /// model-checker state digest.
     ///
-    /// `payload_digest` is how upper-layer payload bytes (message
-    /// fragments, reassembly buffers, queued events) enter the digest.
+    /// Upper-layer payload bytes (message fragments, reassembly buffers,
+    /// queued events) enter through [`StateDigest::wire_payload`].
     /// Deliberately excluded:
     /// `cfg`/`class`/`peers` (constant over a model run) and
     /// `stats`/`obs`/`sent_at` (observability only — they never feed back
     /// into protocol behavior).
-    pub fn digest_into(
-        &self,
-        now: Time,
-        d: &mut StateDigest,
-        payload_digest: &dyn Fn(&[u8], &mut StateDigest),
-    ) {
+    pub fn digest_into(&self, now: Time, d: &mut StateDigest) {
         d.node(self.id);
         d.write_u64(self.inc.0.into());
         d.write_u64(self.next_msg_id);
@@ -325,7 +320,7 @@ impl Endpoint {
                 d.write_bool(a);
             }
             for f in &p.frags {
-                payload_digest(f, d);
+                d.wire_payload(f);
             }
         }
         let mut dedup_ids: Vec<NodeId> = self.dedup.keys().copied().collect();
@@ -347,13 +342,7 @@ impl Endpoint {
             d.write_len(r.have.len() as usize);
             d.write_len(r.frags.len());
             for f in &r.frags {
-                match f {
-                    Some(b) => {
-                        d.write_bool(true);
-                        payload_digest(b, d);
-                    }
-                    None => d.write_bool(false),
-                }
+                d.opt(f.as_ref(), |d, b| d.wire_payload(b));
             }
         }
         // Owed acks, outbox and event queue are normally drained between
@@ -377,7 +366,7 @@ impl Endpoint {
             d.node(dg.dst.node);
             d.write_u8(dg.dst.nic);
             d.write_u8(matches!(dg.class, PacketClass::Data) as u8);
-            payload_digest(&dg.payload, d);
+            d.wire_payload(&dg.payload);
         }
         d.write_len(self.events.len());
         for ev in &self.events {
@@ -395,7 +384,7 @@ impl Endpoint {
                 TransportEvent::Received { from, payload } => {
                     d.tag(2);
                     d.node(*from);
-                    payload_digest(payload, d);
+                    d.wire_payload(payload);
                 }
             }
         }
@@ -1819,7 +1808,7 @@ mod more_tests {
     fn owed_acks_are_part_of_the_state_digest() {
         let digest = |ep: &Endpoint| {
             let mut d = StateDigest::identity();
-            ep.digest_into(Time::ZERO, &mut d, &|b, d| d.write_bytes(b));
+            ep.digest_into(Time::ZERO, &mut d);
             d.finish()
         };
         let (mut a, mut b) = pair(ten_fragment_cfg());

@@ -81,6 +81,14 @@ impl StateDigest {
         self.b.write(v);
     }
 
+    /// Digests an opaque wire payload (a transport fragment, a queued
+    /// datagram): the encoded bytes are canonical, so they are hashed
+    /// as they are — no decode, no allocation.
+    pub fn wire_payload(&mut self, bytes: &[u8]) {
+        self.tag(0);
+        self.write_bytes(bytes);
+    }
+
     /// Digests a variant/type tag. Callers tag every sum type so that
     /// differently-shaped values can never collide structurally.
     pub fn tag(&mut self, t: u8) {
@@ -92,15 +100,18 @@ impl StateDigest {
         self.write_u32(n.0);
     }
 
+    /// Digests an optional value: a presence byte, then `some` on the
+    /// value if there is one.
+    pub fn opt<T>(&mut self, v: Option<T>, some: impl FnOnce(&mut Self, T)) {
+        self.write_bool(v.is_some());
+        if let Some(v) = v {
+            some(self, v);
+        }
+    }
+
     /// Digests an optional node id.
     pub fn opt_node(&mut self, n: Option<NodeId>) {
-        match n {
-            None => self.tag(0),
-            Some(n) => {
-                self.tag(1);
-                self.node(n);
-            }
-        }
+        self.opt(n, Self::node);
     }
 
     /// Digests an absolute time relative to `now`. Deadlines and

@@ -19,6 +19,9 @@
 //! * [`wire`] — a compact, `unsafe`-free, length-checked binary codec used
 //!   for every message that crosses the (simulated or real) network.
 
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -10,6 +10,9 @@
 //! cargo run --example udp_cluster
 //! ```
 
+// Real-time UDP example driver, not protocol code.
+#![allow(clippy::disallowed_types)]
+
 use bytes::Bytes;
 use raincore::net::udp::UdpNet;
 use raincore::net::Addr;

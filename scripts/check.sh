@@ -14,14 +14,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --quiet
 
-echo "==> raincore-lint (workspace must be clean)"
-cargo run -q -p raincore-lint -- --json lint-report.json
-
-echo "==> raincore-lint (seeded fixture must fail)"
-if cargo run -q -p raincore-lint -- --root crates/lint/fixtures/bad --quiet; then
-  echo "lint did not flag the seeded fixture tree" >&2
+echo "==> clippy (seeded fixture must fail on every protocol rule family)"
+# The protocol rules are clippy lints (DESIGN.md §6b), so the clippy leg
+# above is the lint leg. This one is its non-vacuity gate: a crate
+# outside the workspace with one unwrap, one Instant and one wildcard arm
+# must be rejected for all three.
+if fixture=$(CARGO_TARGET_DIR=target/lint-fixture cargo clippy --quiet \
+  --manifest-path scripts/lint-fixture/Cargo.toml -- -D warnings 2>&1); then
+  echo "clippy accepted the seeded fixture crate" >&2
   exit 1
 fi
+for lint in unwrap_used disallowed_types wildcard_enum_match_arm; do
+  if ! grep -q "#$lint" <<<"$fixture"; then
+    echo "clippy did not flag $lint in the seeded fixture crate" >&2
+    exit 1
+  fi
+done
 
 echo "==> model check (seeded two-token fault must be found)"
 cargo run --release -q -p raincore-sim --bin model_check -- --seeded-check
@@ -69,11 +77,14 @@ echo "==> chaos (bulk-loss soak: 200 seeds, completeness oracle, non-vacuous dro
 # bulk id without holding its payload (delivery-completeness oracle).
 cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --bulk 512
 
-echo "==> micro-bench (report + <=25% allocation regression vs committed BENCH_13.json)"
+# The baseline is the newest committed row of the trajectory, so no PR
+# edits a file name here.
+baseline=$(ls BENCH_[0-9]*.json | grep -v '\.current\.json$' | sort -V | tail -1)
+echo "==> micro-bench (report + <=25% allocation regression vs committed $baseline)"
 # Also asserts, in-process: >=3x packets-per-syscall for the batched I/O
 # backend over the scalar one (bench_udp_pps).
 cargo run --release -q -p raincore-bench --bin micro_bench -- \
-  --out BENCH_13.current.json --compare BENCH_13.json
+  --out "${baseline%.json}.current.json" --compare "$baseline"
 
 echo "==> benchmark package (outside the workspace: must still build, test and run)"
 # benchmark/ has its own manifest, so `cargo build --workspace` never sees
@@ -81,6 +92,10 @@ echo "==> benchmark package (outside the workspace: must still build, test and r
 # surface only at the perf gate. No timing assertion here — the smoke only
 # requires the checker's verdict (exit 0 and "correct": true).
 cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
+# The benchmark may not be edited to carry allow attributes, so it gets the
+# wall-clock half of the rules through its own clippy.toml.
+CLIPPY_CONF_DIR="$PWD/scripts/benchmark-clippy" cargo clippy --offline --quiet \
+  --manifest-path benchmark/Cargo.toml -- -D clippy::disallowed_types
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload udp_bulk --seed 7 --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct": true'
 

@@ -35,6 +35,9 @@
 //! See the repository `README.md` for the architecture overview and
 //! `EXPERIMENTS.md` for the paper-versus-measured record.
 
+// Adding a variant to a protocol or fault enum must be a compile-time
+// event at every dispatch site (DESIGN.md §6b).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![forbid(unsafe_code)]
 
 pub mod runtime;

@@ -22,6 +22,10 @@
 //! See the `udp_cluster` example for a three-node cluster exchanging
 //! multicasts over localhost UDP.
 
+// The real-time UDP runtime driver: mapping the wall clock onto protocol
+// `Time` is its job.
+#![allow(clippy::disallowed_types)]
+
 use crate::shard::{IoShard, DEFAULT_OUT_CAP};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use raincore_net::batch::{BatchConfig, IoMetrics, IoWaker};
@@ -118,57 +122,10 @@ fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsDump {
         .add(io.pool_grown.get());
     r.gauge("raincore_io_syscalls_per_packet_milli", labels)
         .set(io.syscalls_per_packet_milli() as i64);
-    for (name, v) in node.metrics().fields() {
-        r.counter(&format!("raincore_session_{name}"), labels)
-            .add(v);
-    }
-    let ts = node.transport_stats();
-    for (name, v) in ts.fields() {
-        r.counter(&format!("raincore_transport_{name}"), labels)
-            .add(v);
-    }
-    let o = node.obs();
-    r.attach_histogram(
-        "raincore_token_rotation_ns",
-        labels,
-        o.token_rotation.clone(),
-    );
-    r.attach_histogram("raincore_hungry_wait_ns", labels, o.hungry_wait.clone());
-    r.attach_histogram("raincore_911_recovery_ns", labels, o.recovery_911.clone());
-    r.attach_histogram(
-        "raincore_token_encode_bytes",
-        labels,
-        o.token_encode_bytes.clone(),
-    );
-    // Trace health: silent journal overflow becomes a visible counter,
-    // and the per-stage hop latency histograms ride along per stage.
-    r.counter("raincore_trace_dropped_events", labels)
-        .add(o.journal().dropped());
-    for stage in raincore_obs::Stage::ALL {
-        r.attach_histogram(
-            "raincore_hop_stage_ns",
-            &[("node", id.as_str()), ("stage", stage.label())],
-            o.hop_stages.get(stage).clone(),
-        );
-    }
-    let t = node.transport_obs();
-    r.attach_histogram("raincore_transport_rtt_ns", labels, t.rtt.clone());
-    r.attach_histogram(
-        "raincore_transport_failure_latency_ns",
-        labels,
-        t.failure_latency.clone(),
-    );
-    // Point-in-time protocol status as gauges, so an out-of-process
-    // auditor (the real-socket conformance harness) can rebuild an
-    // `AuditView` of this node from the JSON export alone.
-    r.gauge("raincore_status_group", labels)
-        .set(i64::from(node.group_id().0 .0));
-    r.gauge("raincore_status_eating", labels)
-        .set(i64::from(node.is_eating()));
-    r.gauge("raincore_status_down", labels)
-        .set(i64::from(node.is_down()));
-    r.gauge("raincore_status_copy_seq", labels)
-        .set(node.last_copy_seq() as i64);
+    node.export_into(&r);
+    // Ring membership as one gauge per member: an out-of-process auditor
+    // (the real-socket conformance harness) reads *presence*, which is
+    // exact here because the registry is built afresh for every dump.
     for m in node.ring().iter() {
         let member = m.0.to_string();
         r.gauge(
@@ -178,6 +135,7 @@ fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsDump {
         .set(1);
     }
     let snap = r.snapshot();
+    let o = node.obs();
     ObsDump {
         prometheus: snap.to_prometheus(),
         json: snap.to_json(),
@@ -461,6 +419,14 @@ mod tests {
             assert!(dump.prometheus.contains(&line), "{line}");
         }
         assert!(dump.journal_json.starts_with('['));
+        // The per-mode submit latencies — what an application sees on a
+        // real UDP cluster — are exported for both delivery modes.
+        for name in ["submit_to_deliver_ns", "submit_to_atomic_ns"] {
+            for mode in ["agreed", "safe"] {
+                let line = format!("raincore_{name}_count{{mode=\"{mode}\",node=\"2\"}}");
+                assert!(dump.prometheus.contains(&line), "{line}");
+            }
+        }
         // Trace health and the causal hop pipeline are in the same dump:
         // overflow counter, per-stage latency, spans with real timings,
         // and the process-wide flight recorder naming the last hop.

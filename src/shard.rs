@@ -19,6 +19,9 @@
 //! queued here at all, so receive backpressure is the socket buffer —
 //! also the UDP contract.
 
+// The runtime's I/O shard: socket timeouts and flush pacing are wall-clock.
+#![allow(clippy::disallowed_types)]
+
 use raincore_net::batch::{BatchIo, IoBackend, IoMetrics, IoWaker};
 use raincore_net::Datagram;
 use std::time::Duration;

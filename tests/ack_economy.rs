@@ -9,6 +9,9 @@
 //! an ack per *fragment*, or any ack at all for a bulk frame, pushes
 //! datagrams per delivery past 14 and acks past one per reliable message.
 
+// Real-socket test: deadlines are wall-clock.
+#![allow(clippy::disallowed_types)]
+
 use raincore::net::udp::UdpNet;
 use raincore::net::Addr;
 use raincore::obs::Snapshot;

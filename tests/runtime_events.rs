@@ -7,6 +7,9 @@
 //! away, never silently dropped, and an empty queue returns `None` without
 //! waiting out a long timeout.
 
+// Real-socket test: deadlines are wall-clock.
+#![allow(clippy::disallowed_types)]
+
 use raincore::net::udp::UdpNet;
 use raincore::net::Addr;
 use raincore::runtime::RuntimeNode;
