@@ -21,6 +21,10 @@ pub struct SessionMetrics {
     pub tokens_received: u64,
     /// Tokens forwarded to a successor.
     pub tokens_sent: u64,
+    /// Timer-driven passes sooner than `token_hold`: the pacing rule
+    /// found the token full and made it due at once (or, at the ring's
+    /// first member, at its next slot on the loaded pace).
+    pub tokens_passed_early: u64,
     /// Token self-passes (single-member ring rounds).
     pub self_passes: u64,
     /// Tokens discarded as stale (sequence number not newer than the
@@ -78,11 +82,12 @@ pub struct SessionMetrics {
 impl SessionMetrics {
     /// `(field name, value)` view, in declaration order. Single source of
     /// truth for the serde impl, the JSON renderer and metric exporters.
-    pub fn fields(&self) -> [(&'static str, u64); 26] {
+    pub fn fields(&self) -> [(&'static str, u64); 27] {
         [
             ("task_switches", self.task_switches),
             ("tokens_received", self.tokens_received),
             ("tokens_sent", self.tokens_sent),
+            ("tokens_passed_early", self.tokens_passed_early),
             ("self_passes", self.self_passes),
             ("stale_tokens_dropped", self.stale_tokens_dropped),
             ("calls911_sent", self.calls911_sent),
@@ -152,6 +157,6 @@ mod tests {
         assert!(json.contains("\"safe_held_back\":2"));
         assert!(json.contains("\"retransmissions_acted\":1"));
         assert!(json.contains("\"tokens_received\":0"));
-        assert_eq!(json.matches(':').count(), 26, "all fields present once");
+        assert_eq!(json.matches(':').count(), 27, "all fields present once");
     }
 }

@@ -53,11 +53,23 @@ impl PendingDelivery {
     }
 }
 
+/// A multicast queued until we next hold the token: the entry exactly as
+/// it will ride the token, and — for an out-of-band entry, whose manifest
+/// carries only the length — the payload to disseminate beside it.
+#[derive(Debug)]
+struct Queued {
+    entry: Attached,
+    oob_payload: Option<Bytes>,
+}
+
 /// The multicast component.
 #[derive(Debug)]
 pub(crate) struct Multicast {
-    /// Multicasts queued until we next hold the token.
-    outgoing: VecDeque<(OriginSeq, DeliveryMode, Bytes)>,
+    outgoing: VecDeque<Queued>,
+    /// Wire bytes `outgoing` will add to a token (the sum of its entries'
+    /// `wire_len`), kept at submit/attach so the pacing rule reads it in
+    /// O(1).
+    outgoing_bytes: usize,
     next_origin_seq: OriginSeq,
     /// Exactly-once delivery tracking per origin.
     delivered: HashMap<NodeId, DedupWindow>,
@@ -81,6 +93,7 @@ impl Multicast {
     pub(crate) fn new(cfg: &SessionConfig) -> Self {
         Multicast {
             outgoing: VecDeque::new(),
+            outgoing_bytes: 0,
             next_origin_seq: OriginSeq::default(),
             delivered: HashMap::new(),
             open_dedup: HashMap::new(),
@@ -103,10 +116,16 @@ impl Multicast {
         self.holdback.iter_mut().find(|p| p.key() == key)
     }
 
+    /// Wire bytes the queued multicasts will add to a token.
+    pub(crate) fn outgoing_bytes(&self) -> usize {
+        self.outgoing_bytes
+    }
+
     /// Queues `payload` for the next token pass and assigns its origin
     /// sequence number.
     pub(crate) fn submit(
         &mut self,
+        id: NodeId,
         cfg: &SessionConfig,
         obs: &mut NodeObs,
         mode: DeliveryMode,
@@ -121,7 +140,25 @@ impl Multicast {
         let seq = self.next_origin_seq;
         self.next_origin_seq = seq.next();
         obs.submitted(seq, mode);
-        self.outgoing.push_back((seq, mode, payload));
+        // Size-threshold dial (DESIGN.md §13): payloads at or above
+        // `bulk_threshold` are disseminated out-of-band — the token
+        // carries only the id manifest while the payload is unicast to
+        // every member and cached for NACK retransmission until the
+        // manifest entry retires. Small payloads ride the token
+        // (piggyback fallback).
+        let queued = if cfg.bulk_threshold > 0 && payload.len() >= cfg.bulk_threshold {
+            Queued {
+                entry: Attached::new_oob(id, seq, mode, payload.len() as u64),
+                oob_payload: Some(payload),
+            }
+        } else {
+            Queued {
+                entry: Attached::new(id, seq, mode, payload),
+                oob_payload: None,
+            }
+        };
+        self.outgoing_bytes += queued.entry.wire_len();
+        self.outgoing.push_back(queued);
         Ok(seq)
     }
 
@@ -143,7 +180,7 @@ impl Multicast {
         }
         let envelope = crate::open::wrap_open(o.from, o.seq, &o.payload);
         if self
-            .submit(cx.cfg, cx.obs, DeliveryMode::Agreed, envelope)
+            .submit(cx.id, cx.cfg, cx.obs, DeliveryMode::Agreed, envelope)
             .is_ok()
         {
             cx.metrics.open_relayed += 1;
@@ -161,22 +198,18 @@ impl Multicast {
     pub(crate) fn attach_outgoing(&mut self, cx: &mut Ctx<'_>, token: &mut Token) {
         let mut attached_any = false;
         while token.msgs.len() < cx.cfg.max_attached {
-            let Some((seq, mode, payload)) = self.outgoing.pop_front() else {
+            let Some(Queued {
+                entry: a,
+                oob_payload,
+            }) = self.outgoing.pop_front()
+            else {
                 break;
             };
-            // Size-threshold dial (DESIGN.md §13): payloads at or above
-            // `bulk_threshold` are disseminated out-of-band — the token
-            // carries only the id manifest while the payload is unicast
-            // to every member and cached for NACK retransmission until
-            // the manifest entry retires. Small payloads keep riding the
-            // token (piggyback fallback).
-            let a = if cx.cfg.bulk_threshold > 0 && payload.len() >= cx.cfg.bulk_threshold {
-                self.bulk_store.insert((cx.id, seq), payload.clone());
-                self.send_bulk_frames(cx, &token.ring, seq, &payload);
-                Attached::new_oob(cx.id, seq, mode, payload.len() as u64)
-            } else {
-                Attached::new(cx.id, seq, mode, payload)
-            };
+            self.outgoing_bytes -= a.wire_len();
+            if let Some(payload) = oob_payload {
+                self.bulk_store.insert(a.key(), payload.clone());
+                self.send_bulk_frames(cx, &token.ring, a.seq, &payload);
+            }
             self.buffer_message(cx, &a);
             token.msgs.push(a);
             cx.metrics.multicasts_sent += 1;
@@ -479,10 +512,12 @@ impl Multicast {
     /// protocol.
     pub(crate) fn digest_into(&self, now: Time, d: &mut StateDigest) {
         d.write_len(self.outgoing.len());
-        for (seq, mode, payload) in &self.outgoing {
-            seq.digest_into(d);
-            d.tag(matches!(mode, DeliveryMode::Safe) as u8);
-            d.write_bytes(payload);
+        for q in &self.outgoing {
+            q.entry.seq.digest_into(d);
+            d.tag(matches!(q.entry.mode, DeliveryMode::Safe) as u8);
+            if let Some(payload) = q.oob_payload.as_ref().or(q.entry.inline_payload()) {
+                d.write_bytes(payload);
+            }
         }
         self.next_origin_seq.digest_into(d);
         for (label, map) in [(0u8, &self.delivered), (1u8, &self.open_dedup)] {

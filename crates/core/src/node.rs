@@ -45,8 +45,8 @@ use raincore_net::Datagram;
 use raincore_transport::{Endpoint, PeerTable, TransportEvent};
 use raincore_types::wire::WireDecode;
 use raincore_types::{
-    DeliveryMode, DigestInto, Error, GroupId, Incarnation, MsgId, NodeId, OriginSeq, Result, Ring,
-    SessionConfig, SessionMsg, StateDigest, Time, TransportConfig,
+    DeliveryMode, DigestInto, Duration, Error, GroupId, Incarnation, MsgId, NodeId, OriginSeq,
+    Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, TransportConfig,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -79,6 +79,10 @@ pub struct SessionNode {
     /// The typestate protocol core: HUNGRY/EATING/STARVING/DOWN. All
     /// state transitions go through [`crate::typestate`]'s typed edges.
     role: Role,
+    /// When this node's last pass was due. The ring's first member paces
+    /// full tokens from it (DESIGN.md §16.2); `None` until it has passed
+    /// one.
+    pass_slot: Option<Time>,
     /// Local view of the membership, refreshed from each token.
     ring: Ring,
     pass: RingPass,
@@ -141,7 +145,11 @@ impl SessionNode {
             transport,
             inflight: HashMap::new(),
             role: Role::hungry(now),
-            ring: Ring::from_iter([id]),
+            pass_slot: None,
+            ring: match &start {
+                StartMode::Founding(ring) => ring.clone(),
+                StartMode::Joining | StartMode::Isolated => Ring::from_iter([id]),
+            },
             pass: RingPass::default(),
             recovery: Recovery::default(),
             discovery: Discovery::new(now, &cfg),
@@ -159,7 +167,6 @@ impl SessionNode {
                 if !ring.contains(id) {
                     return Err(Error::Config("initial ring must contain the local node"));
                 }
-                node.ring = ring.clone();
                 if ring.group_id() == Some(GroupId(id)) {
                     // Lowest id founds the token.
                     let founded = node.pass.found(ring);
@@ -226,6 +233,12 @@ impl SessionNode {
     pub fn digest_into(&self, now: Time, d: &mut StateDigest) {
         d.node(self.id);
         self.role.digest_into(d, now);
+        // The slot acts through how far the next one lies from `now`, and
+        // one a round or more behind is simply behind (`pass_token`).
+        let round = self.loaded_round();
+        d.opt(self.pass_slot, |d, slot| {
+            d.deadline_rel(slot + round + round, now);
+        });
         self.ring.digest_into(d);
         self.pass.digest_into(d);
         self.mcast.digest_into(now, d);
@@ -318,7 +331,11 @@ impl SessionNode {
         if self.is_down() {
             return Err(Error::ShutDown);
         }
-        self.mcast.submit(&self.cfg, &mut self.obs, mode, payload)
+        let seq = self
+            .mcast
+            .submit(self.id, &self.cfg, &mut self.obs, mode, payload)?;
+        self.release_full_hold();
+        Ok(seq)
     }
 
     /// Requests the master lock (§2.7). The lock is granted the next time
@@ -351,7 +368,8 @@ impl SessionNode {
         self.master_held = false;
         self.events.push_back(SessionEvent::MasterReleased);
         if self.is_eating() {
-            self.pass_token(now);
+            // The lock holder's pass, whatever the pacing rule thought.
+            self.pass_token(now, false);
         }
         Ok(())
     }
@@ -418,7 +436,10 @@ impl SessionNode {
             .role
             .timer(now, self.cfg.hungry_timeout, self.master_held)
         {
-            TimerFired::PassToken => self.pass_token(now),
+            TimerFired::PassToken => {
+                let early = self.role.hold().is_some_and(|h| h < self.cfg.token_hold);
+                self.pass_token(now, early);
+            }
             TimerFired::Starve => {
                 let eat = self.recovery.starve(&mut cx!(self, now), &mut self.pass);
                 self.eat(now, eat);
@@ -527,6 +548,8 @@ impl SessionNode {
             }
         };
         self.eat(now, eat);
+        // An open relay queues a multicast like any local submit.
+        self.release_full_hold();
     }
 
     fn eat(&mut self, now: Time, eat: Option<Eat>) {
@@ -552,21 +575,74 @@ impl SessionNode {
         cx.sync_membership(&token.ring);
         self.mcast.process_attachments(&mut cx, &mut token);
         cx.metrics.tokens_received += 1;
-        cx.role.accept_token(token, now + cx.cfg.token_hold);
+        cx.role.accept_token(token, now, cx.cfg.token_hold);
         self.grant_master_if_eating();
+        self.release_full_hold();
+    }
+
+    /// The pacing rule (DESIGN.md §16), and the one place it lives: never
+    /// hold a full token for `token_hold`. The hold paces a token that
+    /// still has room — waiting lets more multicasts board the datagrams
+    /// the hop pays for anyway. Once the held token plus what is queued to
+    /// attach fills two transport datagrams the wait buys nothing, and the
+    /// token is due at once — except at the ring's first member, which
+    /// keeps the loaded ring's pace: there it is due one
+    /// [`SessionNode::loaded_round`] after that member's last pass was (a
+    /// held master lock still pins the token anywhere). The line sits an
+    /// eighth of a datagram under `2 × mtu`, so the message that crosses
+    /// it does not spill a third datagram. Evaluated wherever the sum
+    /// grows: a token accepted, a multicast queued.
+    fn release_full_hold(&mut self) {
+        let mtu = self.transport.mtu();
+        let line = 2 * mtu - mtu / 8;
+        if self
+            .role
+            .held_wire_len()
+            .is_some_and(|held| held + self.mcast.outgoing_bytes() >= line)
+        {
+            let paces = self.ring.group_id() == Some(GroupId(self.id));
+            let due = match self.pass_slot {
+                Some(slot) if paces => slot + self.loaded_round(),
+                _ => Time::ZERO,
+            };
+            self.role.set_pass_due(due);
+        }
+    }
+
+    /// A round of the loaded ring: half an idle round, half the hold a
+    /// hop. One clock bounds the rate of full tokens, not how fast the
+    /// host turns a hop around, so a saturated ring runs as steadily as
+    /// an idle one (DESIGN.md §16.2).
+    fn loaded_round(&self) -> Duration {
+        self.cfg
+            .token_hold
+            .saturating_mul(self.ring.len() as u64)
+            .div(2)
     }
 
     /// Forwards the token to the next member: attach queued multicasts,
     /// admit pending joiners, hand off a TBM token if a merge is due.
-    fn pass_token(&mut self, now: Time) {
+    /// `early`: the timer fired on a hold the pacing rule cut short.
+    fn pass_token(&mut self, now: Time, early: bool) {
+        let round = self.loaded_round();
         let mut cx = cx!(self, now);
         let Some(mut token) = cx.role.take_token(now) else {
             return;
         };
+        cx.metrics.tokens_passed_early += u64::from(early);
+        // This pass's slot on the pace: a round after the last one, and
+        // within a round of the pass itself. A token that came late does
+        // not move the grid — the next round runs short and makes it up,
+        // so delays do not add up into the rate — and a pause leaves no
+        // backlog of slots to burn through.
+        self.pass_slot = Some(match self.pass_slot {
+            Some(slot) => (slot + round).clamp(now - round, now),
+            None => now,
+        });
         // Stage b3': pass-side work begins. The EATING hold between b3
-        // and here is deliberately not a stage — it measures the
-        // application's token-hold budget, not the pipeline.
-        cx.obs.hop_pass_begin();
+        // and here is deliberately not a stage — it is pacing, not
+        // pipeline — and goes to its own `token_hold` histogram.
+        cx.obs.hop_pass_begin(early);
         self.mcast.attach_outgoing(&mut cx, &mut token);
         let merge_target = self.discovery.take_merge_target();
         let eat = self.pass.forward(&mut cx, token, merge_target);
@@ -650,7 +726,7 @@ pub(crate) mod testkit {
 mod tests {
     use super::testkit::{drain, mk};
     use super::*;
-    use raincore_types::Duration;
+    use raincore_types::{Attached, Duration, Token};
 
     fn cfg(n: u32) -> SessionConfig {
         SessionConfig::for_cluster(n)
@@ -760,6 +836,240 @@ mod tests {
         assert!(!a.holds_master());
         assert_eq!(a.metrics().self_passes, 1, "release forwards the token");
         assert!(a.release_master(Time::ZERO).is_err());
+    }
+
+    /// A 1 000-byte agreed multicast: three of them fill two default-MTU
+    /// datagrams (the pacing line is 2 625 bytes).
+    fn big() -> Bytes {
+        Bytes::from(vec![7u8; 1000])
+    }
+
+    /// A token from node 0 carrying `n` [`big`] messages, for node 1.
+    fn loaded_token(n: u64) -> SessionMsg {
+        token_with(0, 10, 0..n)
+    }
+
+    /// The `k`th full token a member sees: three fresh [`big`] messages
+    /// of `origin`'s.
+    fn full_token(origin: u32, k: u64) -> SessionMsg {
+        token_with(origin, 10 + 3 * k, 3 * k..3 * k + 3)
+    }
+
+    fn token_with(origin: u32, seq: u64, msgs: std::ops::Range<u64>) -> SessionMsg {
+        let mut t = Token::founding(Ring::from([0, 1, 2]));
+        t.seq = seq;
+        t.msgs = msgs
+            .map(|i| Attached::new(NodeId(origin), OriginSeq(i), DeliveryMode::Agreed, big()))
+            .collect();
+        SessionMsg::Token(t)
+    }
+
+    #[test]
+    fn token_with_room_is_held_for_token_hold() {
+        let mut b = mk(1, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        let t0 = Time::ZERO + Duration::from_millis(7);
+        b.on_session_msg(t0, loaded_token(1));
+        assert!(b.is_eating());
+        let due = t0 + b.config().token_hold;
+        assert_eq!(b.next_wakeup(), Some(due));
+        b.on_tick(due - Duration(1));
+        assert!(b.is_eating(), "the hold paces a token that has room");
+        b.on_tick(due);
+        assert!(!b.is_eating());
+        assert_eq!(b.metrics().tokens_sent, 1);
+        assert_eq!(b.metrics().tokens_passed_early, 0);
+    }
+
+    #[test]
+    fn full_token_passes_on_the_next_tick() {
+        let mut b = mk(1, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        let t0 = Time::ZERO + Duration::from_millis(7);
+        b.on_session_msg(t0, loaded_token(3));
+        assert!(b.is_eating());
+        assert_eq!(b.next_wakeup(), Some(t0), "nothing left to wait for");
+        b.on_tick(t0);
+        assert!(!b.is_eating());
+        assert_eq!(b.metrics().tokens_sent, 1);
+        assert_eq!(b.metrics().tokens_passed_early, 1);
+    }
+
+    #[test]
+    fn first_member_paces_full_tokens_on_a_grid_of_half_idle_rounds() {
+        let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        let hold = a.config().token_hold;
+        let round = hold.saturating_mul(3).div(2);
+        let ms = Duration::from_millis;
+        let mut full = (0..).map(|k| full_token(2, k));
+        // The founding token, filled by three submits: the first pass is
+        // at once, and starts the grid.
+        for _ in 0..3 {
+            a.multicast(DeliveryMode::Agreed, big()).unwrap();
+        }
+        let t0 = Time::ZERO + ms(7);
+        a.on_tick(t0);
+        assert_eq!(a.metrics().tokens_sent, 1);
+        // Back inside a round: due at the slot — which may be later than
+        // `token_hold` would have made it, and is never the whole idle
+        // hold on top of the round already spent.
+        let back = t0 + ms(3);
+        a.on_session_msg(back, full.next().unwrap());
+        assert_eq!(a.next_wakeup(), Some(t0 + round));
+        assert!(t0 + round > back + hold);
+        a.on_tick(t0 + round - Duration(1));
+        assert!(a.is_eating(), "a full token is paced too");
+        // The timer fires late; the slot it fired for is what counts.
+        a.on_tick(t0 + round + ms(1));
+        assert_eq!(a.metrics().tokens_sent, 2);
+        a.on_session_msg(t0 + round + ms(9), full.next().unwrap());
+        assert_eq!(a.next_wakeup(), Some(t0 + round + round));
+        a.on_tick(t0 + round + round);
+        assert_eq!(a.metrics().tokens_sent, 3);
+        // A token that comes in behind its slot goes at once, and the
+        // round after it runs short: the grid has not moved.
+        let late = t0 + round.saturating_mul(3) + ms(5);
+        a.on_session_msg(late, full.next().unwrap());
+        assert_eq!(a.next_wakeup(), Some(late));
+        a.on_tick(late);
+        assert_eq!(a.metrics().tokens_sent, 4);
+        a.on_session_msg(late + ms(4), full.next().unwrap());
+        assert_eq!(a.next_wakeup(), Some(t0 + round.saturating_mul(4)));
+        a.on_tick(t0 + round.saturating_mul(4));
+        assert_eq!(a.metrics().tokens_sent, 5);
+        // After a pause there is no backlog of slots to burn through: the
+        // grid restarts a round behind the pass.
+        let pause = t0 + round.saturating_mul(40);
+        a.on_session_msg(pause, full.next().unwrap());
+        a.on_tick(pause);
+        a.on_session_msg(pause + ms(1), full.next().unwrap());
+        a.on_tick(pause + ms(1));
+        assert_eq!(a.metrics().tokens_sent, 7, "one round of credit");
+        a.on_session_msg(pause + ms(2), full.next().unwrap());
+        assert_eq!(a.next_wakeup(), Some(pause + round), "and no more");
+    }
+
+    #[test]
+    fn other_members_never_pace_a_full_token() {
+        let mut b = mk(1, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        let t0 = Time::ZERO + Duration::from_millis(7);
+        for k in 0..4 {
+            let now = t0 + Duration::from_millis(k);
+            b.on_session_msg(now, full_token(0, k));
+            assert_eq!(b.next_wakeup(), Some(now), "the ring has one pace-keeper");
+            b.on_tick(now);
+        }
+        assert_eq!(b.metrics().tokens_sent, 4);
+        assert_eq!(b.metrics().tokens_passed_early, 4);
+    }
+
+    #[test]
+    fn pass_slot_digests_by_what_it_can_still_do() {
+        let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        let round = a.config().token_hold.saturating_mul(3).div(2);
+        let now = Time::ZERO + round.saturating_mul(300);
+        let mut fp = |slot: Option<Time>| {
+            a.pass_slot = slot;
+            let mut d = StateDigest::identity();
+            a.digest_into(now, &mut d);
+            d.finish()
+        };
+        let never = fp(None);
+        let fresh = fp(Some(now));
+        assert_ne!(never, fresh);
+        assert_ne!(fresh, fp(Some(now - round)), "the next slot is now");
+        // Two rounds behind or two hundred, the slot is simply behind.
+        assert_eq!(
+            fp(Some(now - round - round)),
+            fp(Some(now - round.saturating_mul(200)))
+        );
+        assert_ne!(never, fp(Some(now - round - round)));
+    }
+
+    #[test]
+    fn submit_that_fills_the_token_releases_the_hold() {
+        let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        let hold = a.config().token_hold;
+        for _ in 0..2 {
+            a.multicast(DeliveryMode::Agreed, big()).unwrap();
+        }
+        assert_eq!(a.next_wakeup(), Some(Time::ZERO + hold), "still has room");
+        a.multicast(DeliveryMode::Agreed, big()).unwrap();
+        assert_eq!(a.next_wakeup(), Some(Time::ZERO));
+        a.on_tick(Time::ZERO + Duration(1));
+        assert!(!a.is_eating());
+        assert_eq!(a.metrics().multicasts_sent, 3, "all three rode the pass");
+        assert_eq!(a.metrics().tokens_passed_early, 1);
+    }
+
+    #[test]
+    fn open_relay_that_fills_the_token_releases_the_hold() {
+        let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        for seq in 0..3 {
+            let open = raincore_types::messages::OpenSubmit {
+                from: NodeId(9),
+                seq: OriginSeq(seq),
+                payload: big(),
+            };
+            a.on_session_msg(Time::ZERO, SessionMsg::Open(open));
+        }
+        assert_eq!(a.metrics().open_relayed, 3);
+        assert_eq!(a.next_wakeup(), Some(Time::ZERO));
+    }
+
+    #[test]
+    fn master_lock_outranks_a_released_hold() {
+        let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
+        a.request_master().unwrap();
+        assert!(a.holds_master());
+        for _ in 0..3 {
+            a.multicast(DeliveryMode::Agreed, big()).unwrap();
+        }
+        let later = Time::ZERO + Duration::from_secs(1);
+        a.on_tick(later);
+        assert!(a.is_eating(), "the lock pins a full token too");
+        assert_eq!(a.metrics().tokens_sent, 0);
+        a.release_master(later).unwrap();
+        assert!(!a.is_eating());
+        assert_eq!(a.metrics().tokens_sent, 1);
+        assert_eq!(
+            a.metrics().tokens_passed_early,
+            0,
+            "released by the lock holder, not by the rule"
+        );
+    }
+
+    #[test]
+    fn queued_byte_count_is_exact() {
+        let mut a = testkit::mk_with(0, 3, StartMode::Founding(Ring::from([0, 1, 2])), |c| {
+            c.bulk_threshold = 512
+        });
+        let empty = Token::founding(Ring::from([0, 1, 2])).wire_len();
+        assert_eq!(a.role().held_wire_len(), Some(empty));
+        for (mode, len) in [
+            (DeliveryMode::Agreed, 0),
+            (DeliveryMode::Safe, 200),
+            (DeliveryMode::Agreed, 600), // out of band: a manifest entry
+            (DeliveryMode::Agreed, 130),
+        ] {
+            a.multicast(mode, Bytes::from(vec![1u8; len])).unwrap();
+        }
+        let queued = a.mcast.outgoing_bytes();
+        a.on_tick(Time::ZERO + a.config().token_hold);
+        assert_eq!(a.mcast.outgoing_bytes(), 0, "everything boarded");
+        let sent = testkit::outgoing_msgs(&mut a)
+            .into_iter()
+            .find_map(|(_, m)| match m {
+                SessionMsg::Token(t) => Some(t),
+                _ => None,
+            })
+            .expect("the pass");
+        assert_eq!(sent.msgs.len(), 4);
+        assert!(sent.msgs[2].is_oob());
+        assert_eq!(
+            queued,
+            sent.msgs.iter().map(Attached::wire_len).sum::<usize>(),
+            "the running count is the bytes the entries put on the wire"
+        );
+        assert_eq!(sent.wire_len(), empty + queued);
     }
 
     #[test]

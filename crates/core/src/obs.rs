@@ -53,6 +53,10 @@ pub struct NodeObs {
     pub submit_to_atomic_agreed: Histogram,
     /// Multicast submit→atomicity confirmation, safe mode.
     pub submit_to_atomic_safe: Histogram,
+    /// Token accepted → pass begun: how long each token was held. The
+    /// interval the hop stages leave out; `token_hold` when the token had
+    /// room, next to nothing when the pacing rule released it.
+    pub token_hold: Histogram,
     /// Size in bytes of each encoded outgoing token wire image.
     pub token_encode_bytes: Histogram,
     /// Per-stage hop-latency histograms (recv/decode/protocol/encode/send).
@@ -74,6 +78,10 @@ pub struct NodeObs {
     /// Send-side samples: pass-begin and post-encode stamps.
     pass_begin_ns: u64,
     encoded_ns: u64,
+    /// How long the token being passed was held, and whether the pacing
+    /// rule cut that hold short.
+    held_ns: u64,
+    early: bool,
     /// Trace context of the last hop this node accepted — the causal
     /// suspect quoted by STARVING/911/membership events.
     last_ctx: TraceCtx,
@@ -91,6 +99,7 @@ impl NodeObs {
             submit_to_deliver_safe: Histogram::new(),
             submit_to_atomic_agreed: Histogram::new(),
             submit_to_atomic_safe: Histogram::new(),
+            token_hold: Histogram::new(),
             token_encode_bytes: Histogram::new(),
             hop_stages: StageHists::new(),
             clock: now,
@@ -102,6 +111,8 @@ impl NodeObs {
             pending: None,
             pass_begin_ns: 0,
             encoded_ns: 0,
+            held_ns: 0,
+            early: false,
             last_ctx: TraceCtx::default(),
         }
     }
@@ -197,10 +208,16 @@ impl NodeObs {
     }
 
     /// b3': pass-side work begins (the EATING→pass boundary). Hold time
-    /// between b3 and here is deliberately *not* a stage: it measures the
-    /// application, not the pipeline.
-    pub(crate) fn hop_pass_begin(&mut self) {
+    /// between b3 and here is deliberately *not* a stage — it is pacing,
+    /// not pipeline — and is recorded on its own. `early`: the pacing
+    /// rule released this hold (marks the hop's span when it is sent).
+    pub(crate) fn hop_pass_begin(&mut self, early: bool) {
         self.pass_begin_ns = self.stage_ns();
+        self.early = early;
+        self.held_ns = self
+            .last_eating
+            .map_or(0, |at| self.clock.since(at).as_nanos());
+        self.token_hold.record(self.held_ns);
     }
 
     /// b4: the outgoing wire image is encoded.
@@ -243,6 +260,13 @@ impl NodeObs {
             ctx.parent,
             stages.iter().sum(),
         );
+        if std::mem::take(&mut self.early) {
+            self.trace(TraceKind::EarlyPass {
+                circ: ctx.circ,
+                hop: ctx.hop,
+                held_ns: self.held_ns,
+            });
+        }
         self.last_ctx = ctx;
     }
 
@@ -435,6 +459,7 @@ impl crate::SessionNode {
         for (name, h) in [
             ("raincore_token_rotation_ns", &o.token_rotation),
             ("raincore_hungry_wait_ns", &o.hungry_wait),
+            ("raincore_token_hold_ns", &o.token_hold),
             ("raincore_911_recovery_ns", &o.recovery_911),
             ("raincore_token_encode_bytes", &o.token_encode_bytes),
             ("raincore_transport_rtt_ns", &t.rtt),

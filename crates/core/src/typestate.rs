@@ -80,7 +80,12 @@ pub struct Hungry {
 #[derive(Debug)]
 pub struct Eating {
     token: Token,
-    deadline: Time,
+    /// Exact length of `token`'s wire image, so the pacing rule can weigh
+    /// the held token on every submit without walking it.
+    wire_len: usize,
+    accepted: Time,
+    /// The pacing budget: `token_hold`, or what the pacing rule made it.
+    hold: Duration,
 }
 
 /// STARVING: HUNGRY past the timeout — token suspected lost, 911 vote or
@@ -156,7 +161,7 @@ pub trait ProtocolState: sealed::Sealed + Sized {
     /// A token was accepted while in this state (the successor is always
     /// EATING; §2.2's HUNGRY → EATING edge, plus re-accept while EATING
     /// for false-alarm fork absorption).
-    fn on_token_accept(self, token: Token, deadline: Time) -> Eating;
+    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating;
     /// A 911 GRANT verdict for request `req_id` arrived from `from`.
     fn on_grant(self, from: NodeId, req_id: u64) -> (Role, VerdictOutcome);
     /// A 911 DENY verdict for request `req_id` arrived.
@@ -202,8 +207,8 @@ impl Hungry {
 }
 
 impl ProtocolState for Hungry {
-    fn on_token_accept(self, token: Token, deadline: Time) -> Eating {
-        Eating { token, deadline }
+    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
+        Eating::accept(token, now, hold)
     }
     fn on_grant(self, _from: NodeId, _req_id: u64) -> (Role, VerdictOutcome) {
         (Role::from(self), VerdictOutcome::Ignored)
@@ -220,14 +225,24 @@ impl ProtocolState for Hungry {
 }
 
 impl Eating {
+    fn accept(token: Token, now: Time, hold: Duration) -> Eating {
+        Eating {
+            wire_len: token.wire_len(),
+            token,
+            accepted: now,
+            hold,
+        }
+    }
+
     /// The held token.
     pub fn token(&self) -> &Token {
         &self.token
     }
 
-    /// The pass deadline (end of the token-hold budget).
+    /// The pass deadline: the end of the token-hold budget, or where the
+    /// pacing rule put it.
     pub fn deadline(&self) -> Time {
-        self.deadline
+        self.accepted + self.hold
     }
 
     /// EATING → HUNGRY: hand the token out for forwarding. This is the
@@ -256,8 +271,8 @@ impl Eating {
 }
 
 impl ProtocolState for Eating {
-    fn on_token_accept(self, token: Token, deadline: Time) -> Eating {
-        Eating { token, deadline }
+    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
+        Eating::accept(token, now, hold)
     }
     fn on_grant(self, _from: NodeId, _req_id: u64) -> (Role, VerdictOutcome) {
         (Role::from(self), VerdictOutcome::Ignored)
@@ -294,8 +309,8 @@ impl Starving {
 }
 
 impl ProtocolState for Starving {
-    fn on_token_accept(self, token: Token, deadline: Time) -> Eating {
-        Eating { token, deadline }
+    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
+        Eating::accept(token, now, hold)
     }
 
     fn on_grant(mut self, from: NodeId, req_id: u64) -> (Role, VerdictOutcome) {
@@ -352,11 +367,11 @@ impl ProtocolState for Starving {
 }
 
 impl ProtocolState for Down {
-    fn on_token_accept(self, token: Token, deadline: Time) -> Eating {
+    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
         // Unreachable in practice: the node gates every input on
         // `is_down`. Typing it as a transition keeps the trait total; a
         // resurrecting driver would simply start eating.
-        Eating { token, deadline }
+        Eating::accept(token, now, hold)
     }
     fn on_grant(self, _from: NodeId, _req_id: u64) -> (Role, VerdictOutcome) {
         (Role::from(self), VerdictOutcome::Ignored)
@@ -526,16 +541,41 @@ impl Role {
 
     /// Accepts a token: any state → EATING via the per-state
     /// [`ProtocolState::on_token_accept`] handler.
-    pub fn accept_token(&mut self, token: Token, deadline: Time) {
+    pub fn accept_token(&mut self, token: Token, now: Time, hold: Duration) {
         self.step(|cur| {
             let eating = match cur {
-                RoleInner::Hungry(s) => s.on_token_accept(token, deadline),
-                RoleInner::Eating(s) => s.on_token_accept(token, deadline),
-                RoleInner::Starving(s) => s.on_token_accept(token, deadline),
-                RoleInner::Down(s) => s.on_token_accept(token, deadline),
+                RoleInner::Hungry(s) => s.on_token_accept(token, now, hold),
+                RoleInner::Eating(s) => s.on_token_accept(token, now, hold),
+                RoleInner::Starving(s) => s.on_token_accept(token, now, hold),
+                RoleInner::Down(s) => s.on_token_accept(token, now, hold),
             };
             (Role::from(eating), ())
         })
+    }
+
+    /// Wire length of the held token, if EATING.
+    pub fn held_wire_len(&self) -> Option<usize> {
+        match self.inner() {
+            RoleInner::Eating(s) => Some(s.wire_len),
+            RoleInner::Hungry(_) | RoleInner::Starving(_) | RoleInner::Down(_) => None,
+        }
+    }
+
+    /// If EATING, moves the pass deadline to `due` — or, if that is
+    /// before the token was accepted, to then, where it is due at once.
+    pub fn set_pass_due(&mut self, due: Time) {
+        if let RoleInner::Eating(s) = &mut self.inner {
+            s.hold = due.since(s.accepted);
+        }
+    }
+
+    /// The pacing budget of the held token, if EATING: `token_hold` as
+    /// accepted, until [`Role::set_pass_due`] replaces it.
+    pub fn hold(&self) -> Option<Duration> {
+        match self.inner() {
+            RoleInner::Eating(s) => Some(s.hold),
+            RoleInner::Hungry(_) | RoleInner::Starving(_) | RoleInner::Down(_) => None,
+        }
     }
 
     /// EATING → HUNGRY: takes the held token out for forwarding (or for
@@ -565,6 +605,7 @@ impl Role {
     pub fn remove_from_held(&mut self, node: NodeId) {
         if let RoleInner::Eating(s) = &mut self.inner {
             s.token.ring.remove(node);
+            s.wire_len = s.token.wire_len();
         }
     }
 
@@ -720,7 +761,10 @@ impl Role {
                 d.tag(1);
                 use raincore_types::digest::DigestInto;
                 s.token.digest_into(d);
-                d.time_rel(s.deadline, now);
+                // The deadline acts only through `now >= deadline`: once
+                // due (master lock held past it, or a full token due at
+                // once) how long ago does not matter.
+                d.deadline_rel(s.deadline(), now);
             }
             RoleInner::Starving(s) => {
                 d.tag(2);
@@ -763,7 +807,7 @@ mod tests {
     fn typed_pass_is_the_only_token_exit() {
         let mut r = Role::hungry(Time(0));
         assert_eq!(r.take_token(Time(1)), None, "HUNGRY holds no token");
-        r.accept_token(token(), Time(5));
+        r.accept_token(token(), Time(0), Duration(5));
         assert!(r.is_eating());
         let t = r.take_token(Time(5)).expect("EATING hands the token out");
         assert_eq!(t.ring.len(), 3);
@@ -864,7 +908,7 @@ mod tests {
         assert_eq!(r.shut_down(), None);
         assert!(r.is_down());
         let mut r = Role::hungry(Time(0));
-        r.accept_token(token(), Time(5));
+        r.accept_token(token(), Time(0), Duration(5));
         assert!(r.shut_down().is_some());
         assert!(r.is_down());
         assert_eq!(r.shut_down(), None, "already down");
@@ -876,7 +920,8 @@ mod tests {
         let mut r = Role::hungry(Time(0));
         assert_eq!(r.timer(Time(99), ht, false), TimerFired::Idle);
         assert_eq!(r.timer(Time(100), ht, false), TimerFired::Starve);
-        r.accept_token(token(), Time(10));
+        r.accept_token(token(), Time(0), Duration(10));
+        assert_eq!(r.timer(Time(9), ht, false), TimerFired::Idle);
         assert_eq!(r.timer(Time(10), ht, false), TimerFired::PassToken);
         assert_eq!(
             r.timer(Time(10), ht, true),
@@ -907,7 +952,48 @@ mod tests {
             "same hungry age at different absolute times"
         );
         let mut e = Role::hungry(Time(0));
-        e.accept_token(token(), Time(5));
+        e.accept_token(token(), Time(0), Duration(5));
         assert_ne!(fp(&h0, Time(3)), fp(&e, Time(3)));
+    }
+
+    #[test]
+    fn moved_pass_deadline_is_never_before_acceptance_and_digests_ageless() {
+        use raincore_types::StateDigest;
+        let fp = |r: &Role, now: Time| {
+            let mut d = StateDigest::identity();
+            r.digest_into(&mut d, now);
+            d.finish()
+        };
+        let ht = Duration(100);
+        let mut r = Role::hungry(Time(0));
+        assert_eq!(r.hold(), None);
+        r.set_pass_due(Time(0));
+        assert_eq!(r.name(), "HUNGRY", "nothing to pace without a token");
+        r.accept_token(token(), Time(20), Duration(10));
+        assert_eq!(r.held_wire_len(), Some(token().wire_len()));
+        assert_eq!(r.hold(), Some(Duration(10)));
+        let held = fp(&r, Time(22));
+        r.set_pass_due(Time(26));
+        assert_eq!(r.next_deadline(ht, false), Some(Time(26)));
+        assert_eq!(r.timer(Time(25), ht, false), TimerFired::Idle);
+        r.set_pass_due(Time(34));
+        assert_eq!(r.hold(), Some(Duration(14)), "a pace may outlast the hold");
+        r.set_pass_due(Time(3));
+        assert_eq!(r.hold(), Some(Duration::ZERO));
+        assert_eq!(
+            r.next_deadline(ht, false),
+            Some(Time(20)),
+            "not before it came"
+        );
+        assert_eq!(r.timer(Time(22), ht, false), TimerFired::PassToken);
+        assert_eq!(r.timer(Time(22), ht, true), TimerFired::Idle, "lock pins");
+        assert_ne!(held, fp(&r, Time(22)), "due at once is another state");
+        // Due 2 ns or 2 s ago: the same state to the model checker
+        // (wrapping subtraction gave every instant its own fingerprint).
+        assert_eq!(fp(&r, Time(22)), fp(&r, Time(2_000_000_020)));
+        let mut later = Role::hungry(Time(0));
+        later.accept_token(token(), Time(500), Duration(10));
+        later.set_pass_due(Time(0));
+        assert_eq!(fp(&r, Time(22)), fp(&later, Time(500)));
     }
 }

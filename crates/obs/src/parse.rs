@@ -531,6 +531,11 @@ pub fn parse_journal_json(input: &str) -> Result<Vec<TraceEvent>, JsonError> {
                 encode_ns: field_u64(item, "encode_ns", i)?,
                 send_ns: field_u64(item, "send_ns", i)?,
             },
+            "EARLY_PASS" => TraceKind::EarlyPass {
+                circ: field_u64(item, "circ", i)?,
+                hop: field_u64(item, "hop", i)?,
+                held_ns: field_u64(item, "held_ns", i)?,
+            },
             "CAUSE_STARVING" => TraceKind::CauseStarving {
                 circ: field_u64(item, "circ", i)?,
                 hop: field_u64(item, "hop", i)?,
@@ -650,9 +655,18 @@ mod tests {
             },
         );
         j.push(150, 3, TraceKind::Gap { dropped: 42 });
+        j.push(
+            160,
+            3,
+            TraceKind::EarlyPass {
+                circ: 7,
+                hop: 14,
+                held_ns: 35_000,
+            },
+        );
         let exported = j.render_json();
         let events = parse_journal_json(&exported).expect("parse span export");
-        assert_eq!(events.len(), 6);
+        assert_eq!(events.len(), 7);
         assert!(matches!(
             events[0].kind,
             TraceKind::HopSpan {

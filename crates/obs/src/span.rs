@@ -214,15 +214,16 @@ pub fn causal_hops(events: &[TraceEvent]) -> Vec<HopRow> {
 }
 
 /// The `(circ, hop)` pointer a causal-link event carries, if it is one.
-// Filters the four `Cause*` variants; other kinds carry no causal link by
-// construction.
+// Filters the four `Cause*` variants and the early-pass mark; other kinds
+// carry no causal link by construction.
 #[allow(clippy::wildcard_enum_match_arm)]
 fn cause_pointer(kind: &TraceKind) -> Option<(u64, u64)> {
     match *kind {
         TraceKind::CauseStarving { circ, hop }
         | TraceKind::Cause911 { circ, hop, .. }
         | TraceKind::CauseMember { circ, hop, .. }
-        | TraceKind::CauseRegen { circ, hop, .. } => Some((circ, hop)),
+        | TraceKind::CauseRegen { circ, hop, .. }
+        | TraceKind::EarlyPass { circ, hop, .. } => Some((circ, hop)),
         _ => None,
     }
 }
@@ -399,7 +400,20 @@ mod tests {
                 req_id: 5,
             },
         });
+        events.push(TraceEvent {
+            t_ns: 10,
+            node: 0,
+            kind: TraceKind::EarlyPass {
+                circ: 7,
+                hop: 1,
+                held_ns: 40_000,
+            },
+        });
         let text = render_waterfall(&events, &WaterfallOpts::default());
+        // An early pass is marked under its own hop row.
+        let pos_early = text.find("EARLY_PASS").expect("early-pass mark");
+        assert!(text.find("hop      1").unwrap() < pos_early, "{text}");
+        assert!(pos_early < text.find("hop      2").unwrap(), "{text}");
         assert!(text.contains("2 circulation(s)"), "{text}");
         assert!(text.contains("parent hop 2"), "{text}");
         assert!(text.contains("CAUSE_911"), "{text}");

@@ -95,6 +95,10 @@ pub enum TraceKind {
         encode_ns: u64,
         send_ns: u64,
     },
+    /// The pacing rule cut the hold of hop `(circ, hop)` short: the token
+    /// was full, so it left `held_ns` after acceptance instead of waiting
+    /// out `token_hold`.
+    EarlyPass { circ: u64, hop: u64, held_ns: u64 },
     /// STARVING was entered; `(circ, hop)` names the last hop this node
     /// observed before the token went missing — the causal suspect.
     CauseStarving { circ: u64, hop: u64 },
@@ -139,6 +143,7 @@ impl TraceKind {
             TraceKind::PeerFailed { .. } => "PEER_FAILED",
             TraceKind::ShutDown => "SHUTDOWN",
             TraceKind::HopSpan { .. } => "HOP_SPAN",
+            TraceKind::EarlyPass { .. } => "EARLY_PASS",
             TraceKind::CauseStarving { .. } => "CAUSE_STARVING",
             TraceKind::Cause911 { .. } => "CAUSE_911",
             TraceKind::CauseMember { .. } => "CAUSE_MEMBER",
@@ -223,6 +228,9 @@ impl TraceKind {
                     fmt_ns(*encode_ns),
                     fmt_ns(*send_ns),
                 )
+            }
+            TraceKind::EarlyPass { circ, hop, held_ns } => {
+                format!("circ={circ} hop={hop} held={}", fmt_ns(*held_ns))
             }
             TraceKind::CauseStarving { circ, hop } => format!("circ={circ} hop={hop}"),
             TraceKind::Cause911 { circ, hop, req_id } => {
@@ -311,6 +319,9 @@ impl TraceKind {
                 format!(
                     "\"circ\":{circ},\"hop\":{hop},\"parent\":{parent},\"recv_ns\":{recv_ns},\"decode_ns\":{decode_ns},\"protocol_ns\":{protocol_ns},\"encode_ns\":{encode_ns},\"send_ns\":{send_ns}"
                 )
+            }
+            TraceKind::EarlyPass { circ, hop, held_ns } => {
+                format!("\"circ\":{circ},\"hop\":{hop},\"held_ns\":{held_ns}")
             }
             TraceKind::CauseStarving { circ, hop } => format!("\"circ\":{circ},\"hop\":{hop}"),
             TraceKind::Cause911 { circ, hop, req_id } => {

@@ -50,8 +50,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: chaos [--seed N] [--soak N] [--nodes N] [--ticks N] \
          [--fault-period N] [--scenario founding|isolated|split] \
-         [--bulk THRESHOLD] [--seeded-fault] [--replay FILE] [--dump FILE] \
-         [--no-shrink]"
+         [--bulk THRESHOLD] [--pad BYTES] [--seeded-fault] [--replay FILE] \
+         [--dump FILE] [--no-shrink]"
     );
     std::process::exit(2);
 }
@@ -116,6 +116,7 @@ fn main() {
                 pin_scenario = true;
             }
             "--bulk" => base.bulk_threshold = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--pad" => base.payload_pad = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seeded-fault" => base.seeded_fault = true,
             "--replay" => replay_path = Some(next(&mut i)),
             "--dump" => dump_path = next(&mut i),
@@ -138,6 +139,7 @@ fn main() {
     let mut total_ticks = 0u64;
     let mut bulk_drops = 0u64;
     let mut completeness_checked = 0u64;
+    let mut early_passes = 0u64;
     for k in 0..soak {
         let cfg = soak_cfg(&base, k, pin_nodes, pin_scenario);
         let schedule = generate_schedule(&cfg);
@@ -195,6 +197,7 @@ fn main() {
         }
         bulk_drops += report.bulk_drops_injected;
         completeness_checked += report.completeness_checked;
+        early_passes += report.early_passes;
         println!(
             "chaos: seed {} nodes {:2} scenario {:8} OK — {} faults, {} dups, {} reorders, {} bulk drops, {} ticks",
             cfg.seed,
@@ -214,6 +217,15 @@ fn main() {
         );
         if bulk_drops == 0 {
             eprintln!("chaos: FAIL — bulk soak dropped no bulk frames (fault not exercised)");
+            std::process::exit(1);
+        }
+    }
+    if base.payload_pad > 0 {
+        println!("chaos: padded soak — {early_passes} token passes were early");
+        if early_passes == 0 {
+            eprintln!(
+                "chaos: FAIL — padded soak passed no token early (pacing rule not exercised)"
+            );
             std::process::exit(1);
         }
     }

@@ -20,13 +20,15 @@
 
 use raincore_sim::explore::{parse_schedule, replay, Reduction};
 use raincore_sim::{Explorer, ModelCheckConfig};
+use raincore_types::NodeId;
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
         "usage: model_check [--nodes N] [--depth N] [--crashes N] [--drops N] \
          [--max-schedules N] [--min-schedules N] [--dump FILE] [--seeded-check] [--replay FILE] \
-         [--no-reduction] [--stats-out FILE]"
+         [--no-reduction] [--stats-out FILE] [--mtu BYTES] [--multicast ORIGIN:LEN]... \
+         [--min-early-passes N]"
     );
     std::process::exit(2);
 }
@@ -34,6 +36,7 @@ fn usage() -> ! {
 fn main() {
     let mut cfg = ModelCheckConfig::default();
     let mut min_schedules: u64 = 0;
+    let mut min_early_passes: u64 = 0;
     let mut dump_path = String::from("model-check-violation.txt");
     let mut seeded_check = false;
     let mut replay_path: Option<String> = None;
@@ -62,6 +65,19 @@ fn main() {
             // Pure sleep-set DFS (the differential baseline).
             "--no-reduction" => cfg.reduction = Reduction::None,
             "--stats-out" => stats_out = Some(next(&mut i)),
+            // The early-pass leg: a small MTU puts the pacing line
+            // (DESIGN.md §16) within reach of a few seeded multicasts.
+            "--mtu" => cfg.transport.mtu = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--multicast" => {
+                let spec = next(&mut i);
+                let seed = spec
+                    .split_once(':')
+                    .and_then(|(o, l)| Some((NodeId(o.parse().ok()?), l.parse().ok()?)));
+                cfg.seed_bulk.push(seed.unwrap_or_else(|| usage()));
+            }
+            "--min-early-passes" => {
+                min_early_passes = next(&mut i).parse().unwrap_or_else(|_| usage())
+            }
             _ => usage(),
         }
     }
@@ -90,13 +106,14 @@ fn main() {
         cfg.nodes, cfg.max_depth, cfg.crash_budget, cfg.drop_budget, cfg.forge_token, cfg.reduction
     );
     println!(
-        "model-check: {} schedules ({} states, {} sleep-pruned, {} state-pruned, {} actions, deepest {}) in {:.2}s — {:.0} schedules/s{}",
+        "model-check: {} schedules ({} states, {} sleep-pruned, {} state-pruned, {} actions, deepest {}, {} early passes) in {:.2}s — {:.0} schedules/s{}",
         s.schedules,
         s.states,
         s.pruned,
         s.states_pruned,
         s.actions,
         s.deepest,
+        s.early_passes,
         elapsed,
         s.schedules as f64 / elapsed,
         if report.capped { " [capped]" } else { " [exhausted]" },
@@ -166,6 +183,14 @@ fn main() {
             "model-check: FAIL — only {} schedules explored (< {min_schedules}); \
              bounds too tight for a meaningful gate",
             s.schedules
+        );
+        std::process::exit(1);
+    }
+    if s.early_passes < min_early_passes {
+        eprintln!(
+            "model-check: FAIL — at most {} early passes along any schedule \
+             (< {min_early_passes}); the pacing rule was not exercised",
+            s.early_passes
         );
         std::process::exit(1);
     }

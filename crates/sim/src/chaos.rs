@@ -309,6 +309,12 @@ pub struct ChaosConfig {
     /// and the workload alternates payloads large enough to take the
     /// out-of-band path.
     pub bulk_threshold: usize,
+    /// Pads every piggybacked workload payload to this many bytes (0 =
+    /// the one-byte payloads of the calm-ring soaks). Past two transport
+    /// datagrams a single message fills the token, so every hop that
+    /// carries it is an early pass (DESIGN.md §16) of a token fragmented
+    /// three ways — the regime the padded soak puts under fault injection.
+    pub payload_pad: usize,
 }
 
 impl Default for ChaosConfig {
@@ -329,6 +335,7 @@ impl Default for ChaosConfig {
             post_ticks: 100,
             seeded_fault: false,
             bulk_threshold: 0,
+            payload_pad: 0,
         }
     }
 }
@@ -395,7 +402,7 @@ impl ChaosConfig {
         format!(
             "nodes={} nics={} seed={} scenario={} ticks={} tick_us={} warmup={} \
              fault_period={} workload={} grace={} token_bound={} conv_bound={} \
-             post={} seeded_fault={} bulk_threshold={}",
+             post={} seeded_fault={} bulk_threshold={} pad={}",
             self.nodes,
             self.nics,
             self.seed,
@@ -411,6 +418,7 @@ impl ChaosConfig {
             self.post_ticks,
             self.seeded_fault,
             self.bulk_threshold,
+            self.payload_pad,
         )
     }
 
@@ -439,6 +447,7 @@ impl ChaosConfig {
                 "post" => cfg.post_ticks = num()?,
                 "seeded_fault" => cfg.seeded_fault = v == "true",
                 "bulk_threshold" => cfg.bulk_threshold = num()? as usize,
+                "pad" => cfg.payload_pad = num()? as usize,
                 _ => {}
             }
         }
@@ -787,6 +796,11 @@ pub struct ChaosReport {
     pub completeness_checked: u64,
     /// Bulk frames the targeted loss dial actually dropped.
     pub bulk_drops_injected: u64,
+    /// Token passes the pacing rule released early, summed over the
+    /// members as they stand at the end (a restart zeroes a member's
+    /// count, so this is a floor) — padded soaks assert it is nonzero so
+    /// the early-pass path cannot go unexercised.
+    pub early_passes: u64,
     /// Metrics registry with `raincore_chaos_*` counters.
     pub registry: raincore_obs::Registry,
 }
@@ -895,7 +909,7 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
                 let payload = if cfg.bulk_threshold > 0 && workload_turn % 2 == 1 {
                     Bytes::from(vec![byte; cfg.bulk_threshold * 2 + 1])
                 } else {
-                    Bytes::from(vec![byte])
+                    Bytes::from(vec![byte; cfg.payload_pad.max(1)])
                 };
                 // Backpressure (token full) is expected under churn.
                 let _ = cluster.multicast(from, mode, payload);
@@ -977,6 +991,11 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
     }
 
     let converged = violation.is_none() && cluster.membership_converged();
+    let early_passes = cluster
+        .member_ids()
+        .iter()
+        .map(|&id| cluster.metrics(id).tokens_passed_early)
+        .sum();
     let net = cluster.net_mut();
     let dups_injected = net.dups_injected();
     let reorders_injected = net.reorders_injected();
@@ -1001,6 +1020,7 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
         reorders_injected,
         completeness_checked: completeness.checked,
         bulk_drops_injected,
+        early_passes,
         registry,
     })
 }
@@ -1257,6 +1277,7 @@ mod tests {
             scenario: ChaosScenario::Split,
             seeded_fault: true,
             bulk_threshold: 512,
+            payload_pad: 3000,
             ..ChaosConfig::default()
         };
         let violation = ChaosViolation {
@@ -1283,6 +1304,7 @@ mod tests {
         assert_eq!(parsed_cfg.seeded_fault, cfg.seeded_fault);
         assert_eq!(parsed_cfg.tick, cfg.tick);
         assert_eq!(parsed_cfg.bulk_threshold, cfg.bulk_threshold);
+        assert_eq!(parsed_cfg.payload_pad, cfg.payload_pad);
     }
 
     #[test]

@@ -622,6 +622,15 @@ impl ModelWorld {
         self.pending.len()
     }
 
+    /// Token passes so far that the pacing rule released early
+    /// (DESIGN.md §16), over all nodes.
+    pub fn early_passes(&self) -> u64 {
+        self.slots
+            .values()
+            .map(|s| s.session.metrics().tokens_passed_early)
+            .sum()
+    }
+
     /// Digests the complete world state — every node (session + embedded
     /// transport), the in-flight wire, and the fault budgets. Absolute
     /// time is deliberately excluded: every deadline is digested relative
@@ -890,9 +899,9 @@ impl Violation {
         let _ = writeln!(out, "# reason: {}", self.reason);
         let _ = writeln!(
             out,
-            "# scenario: nodes={} crash_budget={} drop_budget={} bulk_drop_budget={} max_delay={:?} forge_token={}",
+            "# scenario: nodes={} crash_budget={} drop_budget={} bulk_drop_budget={} max_delay={:?} forge_token={} mtu={} multicasts={:?}",
             cfg.nodes, cfg.crash_budget, cfg.drop_budget, cfg.bulk_drop_budget, cfg.max_delay,
-            cfg.forge_token
+            cfg.forge_token, cfg.transport.mtu, cfg.seed_bulk
         );
         let _ = writeln!(
             out,
@@ -931,6 +940,10 @@ pub struct ExploreStats {
     pub actions: u64,
     /// Deepest schedule reached.
     pub deepest: usize,
+    /// Most early token passes ([`ModelWorld::early_passes`]) along any
+    /// explored schedule: zero means the search never left the paced
+    /// regime, so it says nothing about the pacing rule.
+    pub early_passes: u64,
 }
 
 /// Result of [`Explorer::run`].
@@ -1040,6 +1053,7 @@ impl Explorer {
         self.stats.states += 1;
         self.stats.actions += r.applied as u64;
         self.stats.deepest = self.stats.deepest.max(prefix.len());
+        self.stats.early_passes = self.stats.early_passes.max(r.world.early_passes());
         if let Some((upto, reason)) = r.violation {
             self.stats.schedules += 1;
             let mut failing = prefix.clone();

@@ -87,6 +87,33 @@ fn chaos_bulk_loss_soak_completeness_holds() {
     }
 }
 
+/// Payloads padded past two transport datagrams fill the token on their
+/// own: every hop that carries one is an early pass (DESIGN.md §16) of a
+/// token fragmented three ways. Crashes, partitions, duplication and
+/// reordering must find nothing there either — and the run must really
+/// have been in that regime.
+#[test]
+fn chaos_padded_soak_passes_early_and_stays_clean() {
+    for seed in 1..=3u64 {
+        let cfg = ChaosConfig {
+            payload_pad: 3000,
+            ..small_cfg(seed, ChaosScenario::Founding)
+        };
+        let report = run_chaos(&cfg, &generate_schedule(&cfg)).expect("setup");
+        assert!(
+            report.violation.is_none(),
+            "seed {seed}: {}",
+            report.violation.unwrap().reason
+        );
+        assert!(report.converged, "seed {seed} did not converge");
+        assert!(report.faults_applied > 0, "seed {seed} injected no fault");
+        assert!(
+            report.early_passes > 0,
+            "seed {seed}: no token pass was early — pacing rule not exercised"
+        );
+    }
+}
+
 /// The deliberately seeded broken heal (belief updated, network still
 /// partitioned) must be caught by the convergence oracle, shrink to a
 /// 1-minimal schedule, and reproduce from its own dump.

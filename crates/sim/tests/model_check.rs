@@ -43,6 +43,44 @@ fn clean_exploration_reports_no_violation() {
     );
 }
 
+/// The early-pass leg (DESIGN.md §16). With a 64-byte MTU the pacing
+/// line is 120 bytes: node 0's two seeded multicasts leave room (its pass
+/// waits out `token_hold`), node 1's queued one pushes the token it
+/// accepts over the line, and node 2 accepts a token that is already
+/// full — paced, released-by-queue and released-by-size hops in one
+/// space, over a token that travels as two or three fragments which the
+/// adversary delivers in any order, drops and cuts short by a crash. The
+/// search must exhaust clean with and without the state cache, and must
+/// have seen early passes.
+#[test]
+fn early_pass_space_exhausts_clean_with_and_without_the_cache() {
+    use raincore_sim::explore::Reduction;
+    use raincore_types::NodeId;
+    let cfg = |reduction| {
+        let mut cfg = ModelCheckConfig {
+            max_depth: 9,
+            max_schedules: 500_000,
+            seed_bulk: vec![(NodeId(0), 30), (NodeId(0), 30), (NodeId(1), 30)],
+            reduction,
+            ..ModelCheckConfig::default()
+        };
+        cfg.transport.mtu = 64;
+        cfg
+    };
+    let cached = Explorer::new(cfg(Reduction::Hash)).run().expect("setup");
+    let plain = Explorer::new(cfg(Reduction::None)).run().expect("setup");
+    for (name, report) in [("Hash", &cached), ("None", &plain)] {
+        assert!(
+            report.violation.is_none(),
+            "{name}: {:?}",
+            report.violation.as_ref().map(|v| &v.reason)
+        );
+        assert!(!report.capped, "{name}: bounds too tight to exhaust");
+        assert_eq!(report.stats.early_passes, 2, "{name}: nodes 1 and 2");
+    }
+    assert!(cached.stats.states < plain.stats.states);
+}
+
 #[test]
 fn seeded_two_token_fault_is_found_minimized_and_replayable() {
     let mut cfg = small_cfg();

@@ -280,6 +280,11 @@ impl Endpoint {
         self.inc
     }
 
+    /// Largest payload one datagram carries; longer messages fragment.
+    pub fn mtu(&self) -> usize {
+        self.cfg.mtu
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> TransportStats {
         self.stats

@@ -78,9 +78,15 @@ impl TransportConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SessionConfig {
-    /// How long a node holds the token (EATING) before passing it on.
-    /// Together with ring size and link latency this sets `L`, the token
-    /// round frequency of §4.1.
+    /// How long a node holds a token *that still has room* (EATING)
+    /// before passing it on, so that more multicasts can board the
+    /// datagrams the hop pays for anyway. A token that already fills two
+    /// transport datagrams — with what it carries plus what is queued to
+    /// attach — is passed at once instead, except by the ring's first
+    /// member, which keeps such a ring to one round per `n × token_hold
+    /// / 2` on its own clock (DESIGN.md §16). Together with ring size and
+    /// link latency this therefore sets `L`, the token round frequency
+    /// of §4.1, for the *idle* ring; a loaded ring turns twice as fast.
     pub token_hold: Duration,
     /// How long a node may stay HUNGRY before it suspects token loss and
     /// enters STARVING (§2.3). Should comfortably exceed one expected
@@ -162,9 +168,12 @@ impl SessionConfig {
         }
     }
 
-    /// Sets the token hold time so that (ignoring network latency) a ring
-    /// of `n` nodes completes about `rounds_per_sec` token round trips per
-    /// second — the paper's `L` parameter (§4.1).
+    /// Sets the token hold time so that (ignoring network latency) an
+    /// idle ring of `n` nodes completes about `rounds_per_sec` token round
+    /// trips per second — the paper's `L` parameter (§4.1). It is the
+    /// idle round rate, and a floor: the hold paces only tokens that have
+    /// room, and a ring whose token is full turns at twice
+    /// `rounds_per_sec` (see [`SessionConfig::token_hold`]).
     pub fn with_token_rate(mut self, n: u32, rounds_per_sec: f64) -> Self {
         let round = Duration::from_secs_f64(1.0 / rounds_per_sec.max(1e-6));
         self.token_hold = round.div(u64::from(n.max(1)));

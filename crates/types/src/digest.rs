@@ -122,6 +122,15 @@ impl StateDigest {
         self.write_u64(t.0.wrapping_sub(now.0));
     }
 
+    /// Digests a deadline that acts only by being due: every deadline at
+    /// or before `now` digests as 0. [`StateDigest::time_rel`] would give
+    /// an overdue deadline a different (wrapped) offset at every instant,
+    /// and states that differ only in *how long ago* it fell due would
+    /// never merge.
+    pub fn deadline_rel(&mut self, t: Time, now: Time) {
+        self.write_u64(t.0.saturating_sub(now.0));
+    }
+
     /// Finalizes both streams into the 128-bit fingerprint.
     pub fn finish(self) -> Fingerprint {
         (self.a.finish(), self.b.finish())

@@ -16,7 +16,7 @@
 
 use crate::id::{GroupId, NodeId, OriginSeq};
 use crate::membership::Ring;
-use crate::wire::{Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
+use crate::wire::{varint_len, Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -224,6 +224,28 @@ impl WireEncode for Attached {
         self.seen.encode(w);
         self.confirmed.encode(w);
         self.body.encode(w);
+    }
+}
+
+impl Attached {
+    /// Exact length of [`WireEncode::encode`]'s output, without encoding:
+    /// what this entry adds to a token's wire image. The pacing rule
+    /// (DESIGN.md §16) sizes tokens with it on every accept and submit.
+    pub fn wire_len(&self) -> usize {
+        let ids = |v: &[NodeId]| {
+            varint_len(v.len() as u64) + v.iter().map(|n| varint_len(n.0.into())).sum::<usize>()
+        };
+        let body = match &self.body {
+            AttachedBody::Inline(p) => varint_len(p.len() as u64) + p.len(),
+            AttachedBody::Oob { len } => varint_len(*len),
+        };
+        // One byte each for the mode and the body tag.
+        varint_len(self.origin.0.into())
+            + varint_len(self.seq.0)
+            + ids(&self.seen)
+            + ids(&self.confirmed)
+            + 2
+            + body
     }
 }
 
@@ -455,6 +477,29 @@ impl WireEncode for Token {
         w.put_varint(self.seq);
         self.trace.encode(w);
         self.encode_body(w);
+    }
+}
+
+impl Token {
+    /// Exact length of the `SessionMsg::Token` wire image of this token
+    /// (tag included), without encoding it.
+    pub fn wire_len(&self) -> usize {
+        let varints = [
+            self.seq,
+            self.trace.circ,
+            self.trace.hop,
+            self.trace.parent,
+            self.ring.len() as u64,
+            self.msgs.len() as u64,
+        ];
+        // One byte each for the `SessionMsg` tag and the tbm flag.
+        2 + varints.into_iter().map(varint_len).sum::<usize>()
+            + self
+                .ring
+                .iter()
+                .map(|n| varint_len(n.0.into()))
+                .sum::<usize>()
+            + self.msgs.iter().map(Attached::wire_len).sum::<usize>()
     }
 }
 

@@ -65,6 +65,12 @@ impl std::error::Error for WireError {}
 /// Result alias for wire decoding.
 pub type WireResult<T> = core::result::Result<T, WireError>;
 
+/// Bytes [`Writer::put_varint`] spends on `v`: the arithmetic behind the
+/// `wire_len` methods, which size a value without encoding it.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Growable encode buffer (a thin wrapper over [`BytesMut`]).
 #[derive(Default, Debug)]
 pub struct Writer {
@@ -397,6 +403,17 @@ mod tests {
             let mut r = Reader::new(&buf);
             assert_eq!(r.get_varint().unwrap(), v);
             r.expect_end().unwrap();
+        }
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoder() {
+        for shift in 0..64 {
+            for v in [(1u64 << shift) - 1, 1 << shift, u64::MAX >> shift] {
+                let mut w = Writer::new();
+                w.put_varint(v);
+                assert_eq!(varint_len(v), w.len(), "{v}");
+            }
         }
     }
 

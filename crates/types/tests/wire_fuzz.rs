@@ -63,8 +63,9 @@ fn arb_attached(rng: &mut Rng) -> Attached {
         } else {
             DeliveryMode::Safe
         },
+        // Ids on both sides of the one-byte varint boundary.
         seen: (0..rng.below(6))
-            .map(|_| NodeId(rng.below(64) as u32))
+            .map(|_| NodeId(rng.below(300) as u32))
             .collect(),
         confirmed: (0..rng.below(6))
             .map(|_| NodeId(rng.below(64) as u32))
@@ -320,6 +321,12 @@ fn patched_header_encode_matches_full_reencode() {
         let patched = enc.encode(&token);
         let full = SessionMsg::Token(token.clone()).encode_to_bytes();
         assert_eq!(patched[..], full[..], "divergence at step {step}");
+        // The pacing rule sizes tokens without encoding them: the
+        // arithmetic must agree with the encoder to the byte.
+        assert_eq!(token.wire_len(), full.len(), "token wire_len at {step}");
+        for m in token.msgs.iter() {
+            assert_eq!(m.wire_len(), m.encode_to_bytes().len(), "entry at {step}");
+        }
         let decoded = SessionMsg::decode_from_bytes(&patched).expect("decodes");
         assert_eq!(decoded, SessionMsg::Token(snapshot));
     }
@@ -394,6 +401,8 @@ fn manifest_round_trip_matches_piggyback_at_delivery() {
 
         let inline_wire = inline.encode_to_bytes();
         let manifest_wire = manifest.encode_to_bytes();
+        assert_eq!(inline.wire_len(), inline_wire.len());
+        assert_eq!(manifest.wire_len(), manifest_wire.len());
         let bulk_wire = SessionMsg::Bulk(BulkData {
             origin,
             seq,

@@ -61,6 +61,23 @@ if [ "$unreduced" -lt $((2 * reduced)) ]; then
   exit 1
 fi
 
+echo "==> model check (early-pass space: 64-byte MTU, exhausts clean with and without the cache)"
+# The pacing rule (DESIGN.md §16) never fires at the default MTU with a
+# handful of seeded messages, so this leg shrinks the datagram: the line
+# is 120 bytes, node 0's pass is paced, node 1's is released by what it
+# has queued, node 2's by the size of the token it accepts, and the token
+# travels as two or three fragments the adversary reorders, drops and
+# cuts short by a crash. Either search mode finding a violation fails the
+# leg (the two violation sets must both be empty), as does a capped
+# search or one that never passed a token early.
+for mode in "" --no-reduction; do
+  out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --mtu 64 --multicast 0:30 --multicast 0:30 --multicast 1:30 \
+    --depth 12 --max-schedules 2000000 --min-early-passes 2 $mode)
+  echo "$out"
+  grep -q '\[exhausted\]' <<<"$out"
+done
+
 echo "==> chaos (seeded broken-heal fault must be found, shrunk and dumped)"
 cargo run --release -q -p raincore-sim --bin chaos -- --seeded-fault --dump chaos-seeded.txt
 
@@ -76,6 +93,12 @@ echo "==> chaos (bulk-loss soak: 200 seeds, completeness oracle, non-vacuous dro
 # actually dropped (vacuity guard) or if any node delivers an ordered
 # bulk id without holding its payload (delivery-completeness oracle).
 cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --bulk 512
+
+echo "==> chaos (padded soak: 200 seeds of full tokens passed early, non-vacuous)"
+# --pad 3000 makes every piggybacked payload fill two datagrams on its
+# own, so the token that carries it is never held and travels as three
+# fragments; the run fails if no pass was early (vacuity guard).
+cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --pad 3000
 
 # The baseline is the newest committed row of the trajectory, so no PR
 # edits a file name here.

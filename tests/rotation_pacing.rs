@@ -1,0 +1,207 @@
+//! Tier-1 smoke of size-gated rotation pacing (DESIGN.md §16) on real
+//! sockets, read from the system's own exports.
+//!
+//! Three `RuntimeNode`s over loopback UDP. Idle, the ring must keep the
+//! paper's round rate: one hop per `token_hold`, no faster. Under a
+//! closed loop that keeps the token full (window 16 per node, 64-byte
+//! payloads: 48 entries, about 3.6 KB on the wire) the ring must turn at
+//! the loaded pace — twice the idle one, kept by its first member's clock
+//! — and still deliver every message exactly once, in one order, at
+//! every member, with nothing dropped and no 911.
+//!
+//! The bounds compare hop *counts* against the wall time the counting
+//! took, with slack in the direction a busy host pushes. An idle ring on
+//! a starved host only hops less. A loaded ring keeps its pace as long
+//! as the host turns the token round within a loaded round, so
+//! `token_hold` is 10 ms here: that leaves 15 ms for three hops, and a
+//! debug build sharing two cores with the other test needs about three.
+//! The share of passes sooner than `token_hold` is a pure count and does
+//! not depend on the host at all.
+
+// Real-socket test: deadlines are wall-clock.
+#![allow(clippy::disallowed_types)]
+
+use raincore::net::udp::UdpNet;
+use raincore::net::Addr;
+use raincore::obs::Snapshot;
+use raincore::runtime::RuntimeNode;
+use raincore::session::{SessionEvent, SessionNode, StartMode};
+use raincore::transport::PeerTable;
+use raincore::types::{
+    DeliveryMode, Duration, Incarnation, NodeId, OriginSeq, Ring, SessionConfig, Time,
+    TransportConfig,
+};
+use std::collections::{HashMap, HashSet};
+use std::net::SocketAddr;
+use std::time::Instant;
+
+const NODES: u32 = 3;
+const WINDOW: usize = 16;
+const TOKEN_HOLD: Duration = Duration::from_millis(10);
+
+fn spawn_cluster() -> Vec<RuntimeNode> {
+    let ids: Vec<NodeId> = (0..NODES).map(NodeId).collect();
+    let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    let mut nets: Vec<UdpNet> = ids
+        .iter()
+        .map(|&id| UdpNet::bind(&[(Addr::primary(id), loopback)], HashMap::new()).unwrap())
+        .collect();
+    let saddrs: Vec<SocketAddr> = ids
+        .iter()
+        .zip(&nets)
+        .map(|(&id, n)| n.local_socket_addr(Addr::primary(id)).unwrap())
+        .collect();
+    for (i, net) in nets.iter_mut().enumerate() {
+        for (j, &peer) in ids.iter().enumerate().filter(|(j, _)| *j != i) {
+            net.add_peer(Addr::primary(peer), saddrs[j]);
+        }
+    }
+    let cfg = SessionConfig {
+        token_hold: TOKEN_HOLD,
+        hungry_timeout: Duration::from_millis(400),
+        ..SessionConfig::for_cluster(NODES)
+    };
+    let ring = Ring::from_iter(ids.iter().copied());
+    ids.iter()
+        .zip(nets)
+        .map(|(&id, net)| {
+            let node = SessionNode::new(
+                id,
+                Incarnation::FIRST,
+                cfg.clone(),
+                TransportConfig::default(),
+                vec![Addr::primary(id)],
+                PeerTable::full_mesh(ids.iter().copied(), 1),
+                StartMode::Founding(ring.clone()),
+                Time::ZERO,
+            )
+            .unwrap();
+            RuntimeNode::spawn(node, net).unwrap()
+        })
+        .collect()
+}
+
+/// A counter summed over every member's export.
+fn total(nodes: &[RuntimeNode], name: &str) -> u64 {
+    nodes
+        .iter()
+        .enumerate()
+        .map(|(id, n)| {
+            let snap = Snapshot::parse_json(&n.obs_dump().expect("obs dump").json).unwrap();
+            snap.counter_value(name, &[("node", id.to_string().as_str())])
+                .unwrap_or_else(|| panic!("{name} missing from node {id}'s export"))
+        })
+        .sum()
+}
+
+/// Hops a ring that waits out `token_hold` at every hop makes in `wall`.
+fn paced_hops(wall: std::time::Duration) -> f64 {
+    wall.as_nanos() as f64 / TOKEN_HOLD.as_nanos() as f64
+}
+
+#[test]
+fn idle_ring_hops_once_per_token_hold() {
+    let nodes = spawn_cluster();
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let started = Instant::now();
+    let before = total(&nodes, "raincore_session_tokens_sent");
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let hops = total(&nodes, "raincore_session_tokens_sent") - before;
+    let wall = started.elapsed();
+    assert!(hops > 10, "the ring is alive: {hops} hops in {wall:?}");
+    assert!(
+        (hops as f64) <= 1.2 * paced_hops(wall),
+        "{hops} hops in {wall:?}: an idle ring must not beat token_hold"
+    );
+    assert_eq!(total(&nodes, "raincore_session_tokens_passed_early"), 0);
+    for n in &nodes {
+        n.leave();
+    }
+}
+
+type Log = Vec<(NodeId, OriginSeq)>;
+
+/// Drains every member's events into its delivery log; with `refill`,
+/// each own multicast that became atomic is replaced by a new one (the
+/// closed loop). Returns the number of refills.
+fn pump(nodes: &[RuntimeNode], logs: &mut [Log], refill: Option<&bytes::Bytes>) -> usize {
+    let mut refills = 0;
+    for (i, n) in nodes.iter().enumerate() {
+        // Block briefly on one member so the caller's loop does not spin.
+        let mut next = match i {
+            0 => n.recv_event(std::time::Duration::from_millis(1)),
+            _ => n.try_recv_event(),
+        };
+        while let Some(ev) = next {
+            match (ev, refill) {
+                (SessionEvent::Delivery(d), _) => logs[i].push((d.origin, d.seq)),
+                (SessionEvent::MulticastAtomic { .. }, Some(payload)) => {
+                    n.multicast(DeliveryMode::Agreed, payload.clone()).unwrap();
+                    refills += 1;
+                }
+                _ => {}
+            }
+            next = n.try_recv_event();
+        }
+    }
+    refills
+}
+
+#[test]
+fn full_token_keeps_the_loaded_pace_and_still_delivers_exactly_once_in_order() {
+    let nodes = spawn_cluster();
+    let payload = bytes::Bytes::from(vec![0x5a; 64]);
+    let mut logs: Vec<Log> = vec![Vec::new(); nodes.len()];
+    for n in &nodes {
+        for _ in 0..WINDOW {
+            n.multicast(DeliveryMode::Agreed, payload.clone()).unwrap();
+        }
+    }
+    let mut submitted = nodes.len() * WINDOW;
+    // Warm-up, then the measured second between two exports.
+    let warm = Instant::now();
+    while warm.elapsed() < std::time::Duration::from_millis(200) {
+        submitted += pump(&nodes, &mut logs, Some(&payload));
+    }
+    let started = Instant::now();
+    let before = total(&nodes, "raincore_session_tokens_sent");
+    let early_before = total(&nodes, "raincore_session_tokens_passed_early");
+    while started.elapsed() < std::time::Duration::from_secs(1) {
+        submitted += pump(&nodes, &mut logs, Some(&payload));
+    }
+    let early = total(&nodes, "raincore_session_tokens_passed_early") - early_before;
+    let hops = total(&nodes, "raincore_session_tokens_sent") - before;
+    let wall = started.elapsed();
+    // Drain: no refills, until every member has every message.
+    let deadline = Instant::now() + std::time::Duration::from_secs(20);
+    while logs.iter().any(|l| l.len() < submitted) && Instant::now() < deadline {
+        pump(&nodes, &mut logs, None);
+    }
+
+    // Twice the idle pace, no more: two members pass at once and the
+    // first passes every half idle round, late wake-ups made up for.
+    assert!(
+        hops as f64 > 1.5 * paced_hops(wall),
+        "{hops} hops in {wall:?}: a full token must not wait out token_hold"
+    );
+    assert!(
+        hops as f64 <= 2.2 * paced_hops(wall),
+        "{hops} hops in {wall:?}: a clock paces the loaded ring, not the host"
+    );
+    // `early` was read first, so it can only undercount against `hops`.
+    assert!(
+        2 * early > hops,
+        "{early} of {hops} passes sooner than token_hold: the token was full throughout"
+    );
+    assert_eq!(total(&nodes, "raincore_io_send_dropped"), 0);
+    assert_eq!(total(&nodes, "raincore_session_regenerations"), 0);
+    for n in &nodes {
+        n.leave();
+    }
+    for (i, log) in logs.iter().enumerate() {
+        assert_eq!(log.len(), submitted, "node {i} delivered every message");
+        assert_eq!(log, &logs[0], "node {i} delivered in node 0's order");
+    }
+    let distinct: HashSet<_> = logs[0].iter().collect();
+    assert_eq!(distinct.len(), submitted, "exactly once");
+}

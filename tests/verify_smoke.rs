@@ -8,7 +8,9 @@
 //! * the seeded `forge_token` fault is found under the cache and its
 //!   minimized schedule reproduces under the uncached replay;
 //! * one seeded chaos run passes every auditor and oracle, with the
-//!   completeness auditor demonstrably engaged.
+//!   completeness auditor demonstrably engaged;
+//! * the early-pass space (64-byte MTU, a token that fills two datagrams)
+//!   exhausts clean and demonstrably contains early passes.
 //!
 //! Bounds are sized for a debug build; the full-depth gates live in
 //! `scripts/check.sh`.
@@ -16,6 +18,7 @@
 use raincore::sim::chaos::{generate_schedule, run_chaos, ChaosConfig};
 use raincore::sim::explore::{replay, Reduction};
 use raincore::sim::{Explorer, ModelCheckConfig};
+use raincore::types::NodeId;
 
 fn three_node_cfg(reduction: Reduction) -> ModelCheckConfig {
     ModelCheckConfig {
@@ -72,6 +75,24 @@ fn seeded_fault_found_under_the_cache_replays_without_it() {
         .violation
         .expect("schedule minimized under the cache must replay without it");
     assert!(reason.contains("token uniqueness"), "{reason}");
+}
+
+#[test]
+fn early_pass_space_is_clean_and_not_vacuous() {
+    let mut cfg = ModelCheckConfig {
+        max_depth: 8,
+        seed_bulk: vec![(NodeId(0), 30), (NodeId(0), 30), (NodeId(1), 30)],
+        ..three_node_cfg(Reduction::Hash)
+    };
+    cfg.transport.mtu = 64;
+    let report = Explorer::new(cfg).run().expect("setup");
+    assert!(
+        report.violation.is_none(),
+        "{:?}",
+        report.violation.as_ref().map(|v| &v.reason)
+    );
+    assert!(!report.capped, "bounds too tight to exhaust");
+    assert!(report.stats.early_passes > 0, "no schedule passed early");
 }
 
 #[test]
