@@ -13,6 +13,7 @@
 //! | `bench_multicast_throughput` | token hop under 64 in-flight 1KiB multicasts: piggyback payloads vs out-of-band id manifests |
 //! | `bench_udp_pps` | loopback packet throughput: batched vs scalar backends of the one I/O engine (≥3x packets-per-syscall asserted) |
 //! | `bench_udp_rtt` | ping round-trip p50/p99 over the batched engine while each ping shares its batch with background load |
+//! | `bench_failure_detect` | two simulated fail-overs with the stock detection timeouts: crash → failure-on-delivery (a skipped hop) and crash → token regenerated (a lost token), in simulated ns that repeat exactly |
 //!
 //! `bytes_per_op` is **heap bytes allocated** per operation (not wire
 //! bytes): together with `allocs_per_op` it is the deterministic,
@@ -322,6 +323,55 @@ fn multicast_throughput() -> u64 {
     2 * LOAD_HOPS
 }
 
+/// Simulated crash → detection spans, captured by [`failure_detect`] for
+/// the report writer.
+static FAILURE_DETECT_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> =
+    std::sync::OnceLock::new();
+
+/// DESIGN.md §17 as two counts: on a warmed-up 4-node simulated ring with
+/// the stock timeouts (`retry_timeout` 50 ms × 3, `hungry_timeout`
+/// 400 ms), how long after a crash the failure-on-delivery of the pass to
+/// the dead member fires, and — when it died holding the token — how long
+/// until a survivor has regenerated it. Simulated time: the spans repeat
+/// to the nanosecond, so a change to either detection rule moves them and
+/// nothing else does. One op is one fail-over.
+fn failure_detect() -> u64 {
+    use raincore_obs::TraceKind;
+    use raincore_sim::{Cluster, ClusterConfig};
+    use raincore_types::{Duration, Time};
+
+    const VICTIM: NodeId = NodeId(3);
+    let span = |holder: NodeId, done: fn(&TraceKind) -> bool| -> f64 {
+        let mut cfg = ClusterConfig::default();
+        cfg.session.token_hold = Duration::from_millis(2);
+        cfg.session.hungry_timeout = Duration::from_millis(400);
+        cfg.session.starving_retry = Duration::from_millis(150);
+        let mut c = Cluster::founding(4, cfg).expect("founding cluster");
+        c.run_until(Time::ZERO + Duration::from_secs(1));
+        while !c.eating_nodes().contains(&holder) {
+            c.run_for(Duration::from_micros(100));
+        }
+        let crashed = c.now();
+        c.crash(VICTIM);
+        c.run_for(Duration::from_secs(1));
+        let journal = c.merged_journal();
+        let at = journal
+            .iter()
+            .find(|e| e.t_ns >= crashed.as_nanos() && done(&e.kind))
+            .expect("the fail-over completed");
+        (at.t_ns - crashed.as_nanos()) as f64
+    };
+    let skip = span(NodeId(0), |k| matches!(k, TraceKind::PeerFailed { .. }));
+    let regen = span(VICTIM, |k| matches!(k, TraceKind::TokenRegenerated { .. }));
+    FAILURE_DETECT_SUMMARIES
+        .set(vec![
+            ("crash_to_delivery_failed_sim_ns".to_string(), skip),
+            ("crash_to_regenerated_sim_ns".to_string(), regen),
+        ])
+        .expect("set once");
+    2
+}
+
 /// One bounded model-check search, normalized per state visited.
 fn model_check_states() -> u64 {
     let cfg = ModelCheckConfig {
@@ -584,6 +634,7 @@ fn main() {
         measure("bench_multicast_throughput", multicast_throughput),
         measure("bench_udp_pps", udp_pps),
         measure("bench_udp_rtt", udp_rtt),
+        measure("bench_failure_detect", failure_detect),
     ];
     if let Some(extras) = HOP_STAGE_SUMMARIES.get() {
         results[4].extras = extras.clone();
@@ -607,6 +658,13 @@ fn main() {
         results[7].extras = extras.clone();
         for (k, v) in extras {
             println!("  bench_udp_rtt {k} = {v:.0}");
+        }
+    }
+
+    if let Some(extras) = FAILURE_DETECT_SUMMARIES.get() {
+        results[8].extras = extras.clone();
+        for (k, v) in extras {
+            println!("  bench_failure_detect {k} = {v:.0}");
         }
     }
 

@@ -58,6 +58,12 @@ pub struct SessionMetrics {
     pub open_relayed: u64,
     /// Failure-on-delivery notifications acted upon (members removed).
     pub failures_detected: u64,
+    /// Members this node evicted on a failure-on-delivery whose
+    /// acknowledgement of that very message still arrived: they had the
+    /// message in the life they were sent it, and were slower than the
+    /// timeouts were patient. A crash or a cut link sends no such
+    /// acknowledgement and is not counted; on a calm ring it must read 0.
+    pub false_suspicions: u64,
     /// Failed sends this node re-routed (token re-sent to the next
     /// successor, or a 911 vote completed without the dead voter).
     pub retransmissions_acted: u64,
@@ -82,7 +88,7 @@ pub struct SessionMetrics {
 impl SessionMetrics {
     /// `(field name, value)` view, in declaration order. Single source of
     /// truth for the serde impl, the JSON renderer and metric exporters.
-    pub fn fields(&self) -> [(&'static str, u64); 27] {
+    pub fn fields(&self) -> [(&'static str, u64); 28] {
         [
             ("task_switches", self.task_switches),
             ("tokens_received", self.tokens_received),
@@ -103,6 +109,7 @@ impl SessionMetrics {
             ("safe_held_back", self.safe_held_back),
             ("open_relayed", self.open_relayed),
             ("failures_detected", self.failures_detected),
+            ("false_suspicions", self.false_suspicions),
             ("retransmissions_acted", self.retransmissions_acted),
             ("token_body_cache_hits", self.token_body_cache_hits),
             ("token_body_cache_misses", self.token_body_cache_misses),
@@ -157,6 +164,6 @@ mod tests {
         assert!(json.contains("\"safe_held_back\":2"));
         assert!(json.contains("\"retransmissions_acted\":1"));
         assert!(json.contains("\"tokens_received\":0"));
-        assert_eq!(json.matches(':').count(), 27, "all fields present once");
+        assert_eq!(json.matches(':').count(), 28, "all fields present once");
     }
 }

@@ -65,6 +65,9 @@ pub enum StartMode {
     Isolated,
 }
 
+/// Evicting sends a late acknowledgement is still matched against.
+const EVICTIONS_REMEMBERED: usize = 8;
+
 /// The Raincore Distributed Session Service endpoint for one node.
 ///
 /// See the crate documentation for the protocol description and the
@@ -76,6 +79,10 @@ pub struct SessionNode {
     transport: Endpoint,
     /// Kind of every in-flight transport send.
     inflight: HashMap<MsgId, SendKind>,
+    /// The last few sends whose failure-on-delivery evicted a member, so
+    /// that an acknowledgement that still arrives for one counts a false
+    /// suspicion (observability only; not part of the state digest).
+    evicted_by: VecDeque<MsgId>,
     /// The typestate protocol core: HUNGRY/EATING/STARVING/DOWN. All
     /// state transitions go through [`crate::typestate`]'s typed edges.
     role: Role,
@@ -144,6 +151,7 @@ impl SessionNode {
             id,
             transport,
             inflight: HashMap::new(),
+            evicted_by: VecDeque::new(),
             role: Role::hungry(now),
             pass_slot: None,
             ring: match &start {
@@ -229,7 +237,7 @@ impl SessionNode {
     /// embedded transport endpoint) into a model-checker state digest:
     /// the composer's own fields here, each component's slice in its own
     /// `digest_into`. Deliberately excluded: `cfg` (constant) and
-    /// `metrics`/`obs` (observability only).
+    /// `metrics`/`obs`/`evicted_by` (observability only).
     pub fn digest_into(&self, now: Time, d: &mut StateDigest) {
         d.node(self.id);
         self.role.digest_into(d, now);
@@ -505,7 +513,14 @@ impl SessionNode {
                     self.inflight.remove(&msg_id);
                     self.pass.on_delivered(msg_id);
                 }
+                TransportEvent::FailureRefuted { msg_id, .. } => {
+                    if let Some(i) = self.evicted_by.iter().position(|&m| m == msg_id) {
+                        self.evicted_by.remove(i);
+                        self.metrics.false_suspicions += 1;
+                    }
+                }
                 TransportEvent::DeliveryFailed { msg_id, to } => {
+                    let was_member = self.ring.contains(to);
                     let mut cx = cx!(self, now);
                     let eat = match cx.inflight.remove(&msg_id) {
                         Some(SendKind::Token) => self.pass.on_pass_failed(&mut cx, msg_id, to),
@@ -515,6 +530,12 @@ impl SessionNode {
                         // Verdicts and beacons are best-effort.
                         Some(SendKind::Reply) | Some(SendKind::Beacon) | None => None,
                     };
+                    if was_member && !self.ring.contains(to) {
+                        if self.evicted_by.len() == EVICTIONS_REMEMBERED {
+                            self.evicted_by.pop_front();
+                        }
+                        self.evicted_by.push_back(msg_id);
+                    }
                     self.eat(now, eat);
                 }
             }

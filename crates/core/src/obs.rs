@@ -13,8 +13,8 @@
 //! once and thereafter read percentiles without touching the node.
 
 use raincore_obs::{
-    FlightRecorder, Histogram, RecKind, Registry, Stage, StageClock, StageHists, TraceJournal,
-    TraceKind,
+    FlightRecorder, Histogram, OutageStage, OutageTracker, RecKind, Registry, Stage, StageClock,
+    StageHists, TraceJournal, TraceKind,
 };
 use raincore_types::{DeliveryMode, OriginSeq, Time, TraceCtx};
 use std::collections::HashMap;
@@ -61,6 +61,13 @@ pub struct NodeObs {
     pub token_encode_bytes: Histogram,
     /// Per-stage hop-latency histograms (recv/decode/protocol/encode/send).
     pub hop_stages: StageHists,
+    /// The fail-over budget: every outage this node repaired (a dead
+    /// successor skipped, a lost token regenerated), one histogram per
+    /// [`OutageStage`] in [`OutageStage::ALL`] order. The stages of one
+    /// outage add up to the gap between deliveries it cost here.
+    pub outage_stages: [Histogram; 5],
+    /// Derives the stages from the events as they are journalled.
+    outage: OutageTracker,
     /// Latest time observed by the node (updated on every tick/datagram),
     /// so paths without a `now` parameter (e.g. `multicast`) can stamp.
     clock: Time,
@@ -102,6 +109,8 @@ impl NodeObs {
             token_hold: Histogram::new(),
             token_encode_bytes: Histogram::new(),
             hop_stages: StageHists::new(),
+            outage_stages: Default::default(),
+            outage: OutageTracker::default(),
             clock: now,
             last_eating: None,
             starving_since: None,
@@ -306,7 +315,13 @@ impl NodeObs {
     }
 
     pub(crate) fn trace(&mut self, kind: TraceKind) {
-        self.journal.push(self.clock.as_nanos(), self.node, kind);
+        let t_ns = self.clock.as_nanos();
+        if let Some(row) = self.outage.on_event(t_ns, self.node, &kind) {
+            for (h, ns) in self.outage_stages.iter().zip(row.stages) {
+                h.record(ns);
+            }
+        }
+        self.journal.push(t_ns, self.node, kind);
     }
 
     /// Token accepted (EATING). Records rotation period and hungry wait.
@@ -463,6 +478,7 @@ impl crate::SessionNode {
             ("raincore_911_recovery_ns", &o.recovery_911),
             ("raincore_token_encode_bytes", &o.token_encode_bytes),
             ("raincore_transport_rtt_ns", &t.rtt),
+            ("raincore_transport_rto_ns", &t.rto),
             ("raincore_transport_failure_latency_ns", &t.failure_latency),
         ] {
             r.attach_histogram(name, labels, h.clone());
@@ -470,6 +486,10 @@ impl crate::SessionNode {
         for stage in Stage::ALL {
             let sl: &[(&str, &str)] = &[("node", node.as_str()), ("stage", stage.label())];
             r.attach_histogram("raincore_hop_stage_ns", sl, o.hop_stages.get(stage).clone());
+        }
+        for (stage, h) in OutageStage::ALL.iter().zip(&o.outage_stages) {
+            let sl: &[(&str, &str)] = &[("node", node.as_str()), ("stage", stage.label())];
+            r.attach_histogram("raincore_outage_stage_ns", sl, h.clone());
         }
         for (mode, deliver, atomic) in [
             (

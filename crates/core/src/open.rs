@@ -175,9 +175,9 @@ impl OpenClient {
                         }
                     }
                 }
-                TransportEvent::Received { .. } => {
-                    // An external client receives nothing but acks.
-                }
+                // An external client receives nothing but acks, and has
+                // moved on to the next member by the time a late one comes.
+                TransportEvent::Received { .. } | TransportEvent::FailureRefuted { .. } => {}
             }
         }
     }

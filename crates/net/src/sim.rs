@@ -112,6 +112,16 @@ impl Ord for InFlight {
     }
 }
 
+/// A one-shot stall of one link (chaos injection): what a peer whose
+/// thread does not get a CPU looks like from outside.
+#[derive(Debug)]
+struct DelaySpike {
+    length: Duration,
+    /// The node pair the next inter-node datagram picked, and when the
+    /// stall ends; `None` while armed and waiting for that datagram.
+    on: Option<((NodeId, NodeId), Time)>,
+}
+
 /// The simulated network. See the module docs for the model.
 #[derive(Debug)]
 pub struct SimNet {
@@ -152,6 +162,7 @@ pub struct SimNet {
     reorders_injected: u64,
     /// Packets dropped by the matched-loss hook so far.
     matched_drops: u64,
+    spike: Option<DelaySpike>,
     stats: NetStats,
 }
 
@@ -178,6 +189,7 @@ impl SimNet {
             dups_injected: 0,
             reorders_injected: 0,
             matched_drops: 0,
+            spike: None,
             stats: NetStats::new(),
         }
     }
@@ -217,6 +229,7 @@ impl SimNet {
             }
         }
         let mut at = self.arrival_time(now, &dgram);
+        at = self.hold_for_spike(now, &dgram, at);
         // Injection hooks draw from the RNG only when enabled, so runs
         // with injection off keep the exact historical draw sequence.
         if self.reorder > 0.0 && self.rng.random::<f64>() < self.reorder {
@@ -275,6 +288,24 @@ impl SimNet {
                 end + lat
             }
         }
+    }
+
+    /// An armed delay spike stalls the link of the next inter-node
+    /// datagram: nothing put on that node pair, either way, arrives
+    /// before the stall ends.
+    fn hold_for_spike(&mut self, now: Time, d: &Datagram, at: Time) -> Time {
+        let (a, b) = (d.src.node, d.dst.node);
+        let Some(spike) = self.spike.as_mut().filter(|_| a != b) else {
+            return at;
+        };
+        let pair = (a.min(b), a.max(b));
+        let (link, until) = *spike.on.get_or_insert((pair, now + spike.length));
+        if now >= until {
+            self.spike = None;
+        } else if link == pair {
+            return at.max(until);
+        }
+        at
     }
 
     fn tx_time(&self, d: &Datagram) -> Duration {
@@ -433,6 +464,14 @@ impl SimNet {
         self.cfg.jitter = jitter;
     }
 
+    /// Arms a one-shot delay spike (chaos injection): the link that
+    /// carries the next inter-node datagram stalls for `length` from that
+    /// datagram on, in both directions, and then delivers what it held.
+    /// A new spike replaces one that is still armed or running.
+    pub fn set_delay_spike(&mut self, length: Duration) {
+        self.spike = (!length.is_zero()).then_some(DelaySpike { length, on: None });
+    }
+
     /// Adjusts the independent per-packet loss probability at runtime.
     pub fn set_loss(&mut self, loss: f64) {
         self.cfg.loss = loss.clamp(0.0, 1.0);
@@ -478,6 +517,33 @@ impl SimNet {
 mod tests {
     use super::*;
     use crate::addr::PacketClass;
+
+    #[test]
+    fn delay_spike_stalls_one_link_once() {
+        let mut net = SimNet::new(SimNetConfig::default());
+        let at = |ms: u64| Time::ZERO + Duration::from_millis(ms);
+        let dgram = |from: u32, to: u32| {
+            Datagram::control(
+                Addr::primary(NodeId(from)),
+                Addr::primary(NodeId(to)),
+                bytes::Bytes::from_static(b"x"),
+            )
+        };
+        net.set_delay_spike(Duration::from_millis(30));
+        // The next datagram picks the link; the stall holds both
+        // directions of it and nothing else.
+        net.send(at(10), dgram(0, 1));
+        net.send(at(20), dgram(1, 0));
+        net.send(at(20), dgram(1, 2));
+        assert_eq!(net.pop_arrivals(at(39)).len(), 1, "1→2 is not stalled");
+        assert_eq!(net.pop_arrivals(at(40)).len(), 2, "released together");
+        // One shot: the link is back to its latency.
+        net.send(at(50), dgram(0, 1));
+        assert_eq!(
+            net.next_arrival(),
+            Some(at(50) + Duration::from_micros(100))
+        );
+    }
     use bytes::Bytes;
 
     fn dg(src: u32, dst: u32, len: usize) -> Datagram {

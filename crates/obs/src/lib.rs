@@ -22,6 +22,9 @@
 //! - Cross-node hop spans: per-stage latency attribution ([`StageHists`])
 //!   and the skew-tolerant causal merge/waterfall over `HopSpan` journal
 //!   events ([`render_waterfall`]).
+//! - The fail-over budget: [`OutageTracker`] cuts the gap in deliveries
+//!   around a dead member into stages (quiet, detect, vote, repair,
+//!   resume) from one node's journal events.
 //! - [`FlightRecorder`]: an always-on lock-free ring of the last ~1k
 //!   protocol moments, dumped automatically when an oracle trips.
 //!
@@ -40,6 +43,7 @@
 mod export;
 mod hist;
 mod metrics;
+mod outage;
 mod parse;
 mod recorder;
 mod span;
@@ -47,6 +51,7 @@ mod trace;
 
 pub use hist::{fmt_ns, HistSummary, Histogram, BUCKETS};
 pub use metrics::{Counter, Gauge, MetricKey, Registry, Snapshot, SnapshotEntry, SnapshotValue};
+pub use outage::{outages, render_outages, OutageMode, OutageRow, OutageStage, OutageTracker};
 pub use parse::{parse_journal_json, JsonError, JsonValue};
 pub use recorder::{FlightRecord, FlightRecorder, RecKind, DEFAULT_FLIGHT_SLOTS};
 pub use span::{

@@ -19,22 +19,29 @@
 //! tracectl node-0.export node-1.export node-2.export
 //! tracectl chaos-violation-journal.json --circ n3@479 --laps 3
 //! tracectl out/*.export --events          # flat merged event log
+//! tracectl outage out/                     # the fail-over budget
 //! ```
+//!
+//! `tracectl outage DIR|FILE...` prints one row per outage some member
+//! repaired — a dead successor skipped, a lost token regenerated — with
+//! the stages of the span as columns (quiet, detect, vote, repair,
+//! resume; DESIGN.md §17.1). Each row is derived from the repairing
+//! node's own events and clock.
 
 // Adding a variant to a protocol or fault enum must be a compile-time
 // event at every dispatch site (DESIGN.md §6b).
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use raincore_obs::{
-    circ_label, parse_journal_json, render_events_text, render_waterfall, TraceEvent, TraceKind,
-    WaterfallOpts,
+    circ_label, outages, parse_journal_json, render_events_text, render_outages, render_waterfall,
+    TraceEvent, TraceKind, WaterfallOpts,
 };
 use raincore_procher::export::{merge_export_journals, ChildExport};
 
 fn usage() -> ! {
     eprintln!(
         "usage: tracectl FILE... [--circ ID|nM@S] [--from-hop N] [--max-hops N] \
-         [--laps K] [--events]"
+         [--laps K] [--events]\n       tracectl outage DIR|FILE..."
     );
     std::process::exit(2);
 }
@@ -86,8 +93,49 @@ fn resolve_circ(events: &[TraceEvent], arg: &str) -> Result<u64, String> {
         })
 }
 
+/// `tracectl outage`: every artifact named, and of a directory every
+/// per-node export and journal in it (in name order; anything else a
+/// run leaves there is not a trace and is passed over).
+fn outage_table(paths: &[String]) -> Result<String, String> {
+    let mut files: Vec<String> = Vec::new();
+    for path in paths {
+        if !std::path::Path::new(path).is_dir() {
+            files.push(path.clone());
+            continue;
+        }
+        let entries = std::fs::read_dir(path).map_err(|e| format!("{path}: {e}"))?;
+        let mut inside: Vec<String> = entries
+            .filter_map(|e| e.ok()?.path().to_str().map(str::to_owned))
+            .filter(|p| p.ends_with(".export") || p.ends_with("journal.json"))
+            .collect();
+        inside.sort();
+        files.append(&mut inside);
+    }
+    if files.is_empty() {
+        return Err("outage: no .export or journal.json files to read".to_string());
+    }
+    let mut events: Vec<TraceEvent> = Vec::new();
+    for path in &files {
+        events.append(&mut load(path)?);
+    }
+    // Per-node order is all the derivation needs; the stable sort keeps
+    // each journal's own order among equal stamps.
+    events.sort_by_key(|e| e.t_ns);
+    Ok(render_outages(&outages(&events)))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "outage") {
+        match outage_table(&args[1..]) {
+            Ok(table) => print!("{table}"),
+            Err(e) => {
+                eprintln!("tracectl: {e}");
+                std::process::exit(2);
+            }
+        }
+        return;
+    }
     let mut files: Vec<String> = Vec::new();
     let mut opts = WaterfallOpts::default();
     let mut circ_arg: Option<String> = None;

@@ -186,7 +186,8 @@ impl Belief {
             | ChaosFault::Duplicate(_)
             | ChaosFault::Reorder(_)
             | ChaosFault::Jitter(_)
-            | ChaosFault::BulkLoss(_) => {}
+            | ChaosFault::BulkLoss(_)
+            | ChaosFault::DelaySpike(_) => {}
         }
     }
 
@@ -527,6 +528,9 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
                     dials.bulk_drop_permille = *p;
                     h.proxy.set_dials(dials);
                 }
+                // Simulator-only: the proxy has no one-shot stall, and no
+                // schedule generated for real sockets carries one.
+                ChaosFault::DelaySpike(_) => {}
             }
             belief.note(fault);
             if matches!(

@@ -164,9 +164,21 @@ fn tracectl_renders_sim_chaos_journal() {
     let mut c = Cluster::founding(4, ccfg).unwrap();
     c.run_until(Time::ZERO + VDuration::from_secs(1));
     let holder = c.eating_nodes().pop().expect("someone is eating");
+    // A delivery on either side of the crash, so the outage has edges.
+    let origin = c.live_members().into_iter().find(|&n| n != holder).unwrap();
+    let payload = || bytes::Bytes::from_static(b"edge");
+    c.multicast(origin, raincore_types::DeliveryMode::Agreed, payload())
+        .unwrap();
+    c.run_for(VDuration::from_millis(100));
+    while !c.eating_nodes().contains(&holder) {
+        c.run_for(VDuration::from_micros(100));
+    }
     c.crash(holder);
     let t = c.now();
     c.run_until(t + VDuration::from_secs(2));
+    c.multicast(origin, raincore_types::DeliveryMode::Agreed, payload())
+        .unwrap();
+    c.run_for(VDuration::from_millis(100));
 
     let dir = out_dir("tracectl-sim");
     std::fs::create_dir_all(&dir).unwrap();
@@ -194,6 +206,39 @@ fn tracectl_renders_sim_chaos_journal() {
     let text = String::from_utf8_lossy(&out.stdout);
     let hop_lines = text.lines().filter(|l| l.starts_with("hop ")).count();
     assert_eq!(hop_lines, 8, "{text}");
+
+    // The fail-over budget of the same run, from the directory: one lost
+    // token, one member that regenerated it, one row whose stage columns
+    // add up to its total.
+    let out = Command::new(tracectl_exe())
+        .args(["outage", dir.to_str().unwrap()])
+        .output()
+        .expect("run tracectl outage");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let mut lines = text.lines();
+    let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+    assert_eq!(
+        header[3..],
+        [
+            "quiet_ms",
+            "detect_ms",
+            "vote_ms",
+            "repair_ms",
+            "resume_ms",
+            "total_ms"
+        ],
+        "{text}"
+    );
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split_whitespace().collect()).collect();
+    assert_eq!(rows.len(), 1, "{text}");
+    assert_eq!(rows[0][2], "regen", "{text}");
+    let ms: Vec<f64> = rows[0][3..].iter().map(|v| v.parse().unwrap()).collect();
+    assert!((ms[..5].iter().sum::<f64>() - ms[5]).abs() < 0.01, "{text}");
+    assert!(
+        ms[1] > 0.0 && ms[2] > 0.0,
+        "detect and vote took time: {text}"
+    );
 }
 
 /// The pinned chaos regression — bootstrap after total token-copy loss,

@@ -50,7 +50,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: chaos [--seed N] [--soak N] [--nodes N] [--ticks N] \
          [--fault-period N] [--scenario founding|isolated|split] \
-         [--bulk THRESHOLD] [--pad BYTES] [--seeded-fault] [--replay FILE] \
+         [--bulk THRESHOLD] [--pad BYTES] [--delay-spike PERCENT] [--seeded-fault] \
+         [--replay FILE] \
          [--dump FILE] [--no-shrink]"
     );
     std::process::exit(2);
@@ -117,6 +118,7 @@ fn main() {
             }
             "--bulk" => base.bulk_threshold = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--pad" => base.payload_pad = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--delay-spike" => base.delay_spike = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seeded-fault" => base.seeded_fault = true,
             "--replay" => replay_path = Some(next(&mut i)),
             "--dump" => dump_path = next(&mut i),
@@ -140,6 +142,8 @@ fn main() {
     let mut bulk_drops = 0u64;
     let mut completeness_checked = 0u64;
     let mut early_passes = 0u64;
+    let mut spike_retransmissions = 0u64;
+    let mut false_suspicions = 0u64;
     for k in 0..soak {
         let cfg = soak_cfg(&base, k, pin_nodes, pin_scenario);
         let schedule = generate_schedule(&cfg);
@@ -198,6 +202,8 @@ fn main() {
         bulk_drops += report.bulk_drops_injected;
         completeness_checked += report.completeness_checked;
         early_passes += report.early_passes;
+        spike_retransmissions += report.spike_retransmissions;
+        false_suspicions += report.false_suspicions;
         println!(
             "chaos: seed {} nodes {:2} scenario {:8} OK — {} faults, {} dups, {} reorders, {} bulk drops, {} ticks",
             cfg.seed,
@@ -226,6 +232,20 @@ fn main() {
             eprintln!(
                 "chaos: FAIL — padded soak passed no token early (pacing rule not exercised)"
             );
+            std::process::exit(1);
+        }
+    }
+    if base.delay_spike > 0 {
+        println!(
+            "chaos: delay-spike soak — {spike_retransmissions} retransmissions under the \
+             give-up budget, {false_suspicions} live members suspected over it"
+        );
+        if spike_retransmissions == 0 {
+            eprintln!("chaos: FAIL — no delay spike crossed an armed timeout (vacuous)");
+            std::process::exit(1);
+        }
+        if false_suspicions == 0 {
+            eprintln!("chaos: FAIL — no delay spike outlasted a give-up budget (vacuous)");
             std::process::exit(1);
         }
     }

@@ -20,7 +20,7 @@
 
 use raincore_sim::explore::{parse_schedule, replay, Reduction};
 use raincore_sim::{Explorer, ModelCheckConfig};
-use raincore_types::NodeId;
+use raincore_types::{Duration, NodeId};
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -28,7 +28,7 @@ fn usage() -> ! {
         "usage: model_check [--nodes N] [--depth N] [--crashes N] [--drops N] \
          [--max-schedules N] [--min-schedules N] [--dump FILE] [--seeded-check] [--replay FILE] \
          [--no-reduction] [--stats-out FILE] [--mtu BYTES] [--multicast ORIGIN:LEN]... \
-         [--min-early-passes N]"
+         [--min-early-passes N] [--retry-ms MS] [--hungry-ms MS]"
     );
     std::process::exit(2);
 }
@@ -77,6 +77,16 @@ fn main() {
             }
             "--min-early-passes" => {
                 min_early_passes = next(&mut i).parse().unwrap_or_else(|_| usage())
+            }
+            // The adaptive-timer leg (DESIGN.md §17.5): timeouts far enough
+            // above what the model measures for the timers to come down.
+            "--retry-ms" => {
+                let ms = next(&mut i).parse().unwrap_or_else(|_| usage());
+                cfg.transport.retry_timeout = Duration::from_millis(ms);
+            }
+            "--hungry-ms" => {
+                let ms = next(&mut i).parse().unwrap_or_else(|_| usage());
+                cfg.session.hungry_timeout = Duration::from_millis(ms);
             }
             _ => usage(),
         }

@@ -82,6 +82,12 @@ pub enum ChaosFault {
     /// the id-without-payload hazard: the token still orders every id
     /// while the payloads racing it get lost.
     BulkLoss(u32),
+    /// Stall one link once, for this many microseconds: the link of the
+    /// next datagram between two nodes holds everything put on it, either
+    /// way, until the stall is over. What a member whose thread does not
+    /// get a CPU looks like to its peers — the fault the adaptive
+    /// detection timers (DESIGN.md §17) must tell from a dead member.
+    DelaySpike(u64),
 }
 
 impl ChaosFault {
@@ -100,6 +106,7 @@ impl ChaosFault {
             ChaosFault::Reorder(_) => "reorder",
             ChaosFault::Jitter(_) => "jitter",
             ChaosFault::BulkLoss(_) => "bulk-loss",
+            ChaosFault::DelaySpike(_) => "delay-spike",
         }
     }
 }
@@ -133,6 +140,7 @@ impl fmt::Display for ChaosFault {
             ChaosFault::Reorder(p) => write!(f, "reorder {p}"),
             ChaosFault::Jitter(us) => write!(f, "jitter {us}"),
             ChaosFault::BulkLoss(p) => write!(f, "bulk-loss {p}"),
+            ChaosFault::DelaySpike(us) => write!(f, "delay-spike {us}"),
         }
     }
 }
@@ -186,6 +194,9 @@ impl FromStr for ChaosFault {
                 it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
             )),
             "bulk-loss" => Ok(ChaosFault::BulkLoss(
+                it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
+            )),
+            "delay-spike" => Ok(ChaosFault::DelaySpike(
                 it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
             )),
             _ => Err(bad()),
@@ -315,6 +326,15 @@ pub struct ChaosConfig {
     /// carries it is an early pass (DESIGN.md §16) of a token fragmented
     /// three ways — the regime the padded soak puts under fault injection.
     pub payload_pad: usize,
+    /// The delay-spike soak (DESIGN.md §17.5). When on, the schedule is
+    /// nothing but [`ChaosFault::DelaySpike`]s and the members run the
+    /// stock detection timeouts (`retry_timeout` 50 ms, `hungry_timeout`
+    /// 400 ms), so their timers come down to what they measure. The first
+    /// half of the run stalls links for less than the members' give-up
+    /// budget, and no member may suspect another; the second half stalls
+    /// them for longer, up to `delay_spike` times the budget in percent,
+    /// and whatever that breaks must heal.
+    pub delay_spike: u64,
 }
 
 impl Default for ChaosConfig {
@@ -336,6 +356,7 @@ impl Default for ChaosConfig {
             seeded_fault: false,
             bulk_threshold: 0,
             payload_pad: 0,
+            delay_spike: 0,
         }
     }
 }
@@ -362,10 +383,25 @@ impl ChaosConfig {
         c.session.starving_retry = Duration::from_millis(40);
         c.session.beacon_period = Duration::from_millis(50);
         c.transport.retry_timeout = Duration::from_millis(10);
+        if self.delay_spike > 0 {
+            c.session.hungry_timeout = Duration::from_millis(400);
+            c.transport.retry_timeout = raincore_types::TransportConfig::default().retry_timeout;
+        }
         c.session.bulk_threshold = self.bulk_threshold;
         c.net.seed = self.seed;
         c.nics = self.nics.max(1);
         c
+    }
+
+    /// The least a member of this cluster waits before failure-on-delivery
+    /// once it has measured its peer: every try on every address at the
+    /// floor of the adaptive timeout.
+    pub fn give_up_floor(&self) -> Duration {
+        let t = self.cluster_config().transport;
+        raincore_transport::MIN_RTO
+            .min(t.retry_timeout)
+            .saturating_mul(u64::from(t.max_retries))
+            .saturating_mul(u64::from(self.nics.max(1)))
     }
 
     fn build_cluster(&self) -> Result<Cluster> {
@@ -402,7 +438,7 @@ impl ChaosConfig {
         format!(
             "nodes={} nics={} seed={} scenario={} ticks={} tick_us={} warmup={} \
              fault_period={} workload={} grace={} token_bound={} conv_bound={} \
-             post={} seeded_fault={} bulk_threshold={} pad={}",
+             post={} seeded_fault={} bulk_threshold={} pad={} delay_spike={}",
             self.nodes,
             self.nics,
             self.seed,
@@ -419,6 +455,7 @@ impl ChaosConfig {
             self.seeded_fault,
             self.bulk_threshold,
             self.payload_pad,
+            self.delay_spike,
         )
     }
 
@@ -448,6 +485,7 @@ impl ChaosConfig {
                 "seeded_fault" => cfg.seeded_fault = v == "true",
                 "bulk_threshold" => cfg.bulk_threshold = num()? as usize,
                 "pad" => cfg.payload_pad = num()? as usize,
+                "delay_spike" => cfg.delay_spike = num()?,
                 _ => {}
             }
         }
@@ -470,6 +508,9 @@ pub fn generate_schedule(cfg: &ChaosConfig) -> Vec<ChaosEvent> {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(u64::from(cfg.nodes)),
     );
+    if cfg.delay_spike > 0 {
+        return generate_spikes(cfg, &mut rng);
+    }
     let n = cfg.nodes;
     let mut crashed: Vec<NodeId> = Vec::new();
     let mut blocked: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
@@ -655,6 +696,42 @@ pub fn generate_schedule(cfg: &ChaosConfig) -> Vec<ChaosEvent> {
     events
 }
 
+/// Margin between a generated stall and the give-up budget it is meant
+/// to stay under or go over: link latency both ways, and the tick.
+const SPIKE_MARGIN: Duration = Duration::from_millis(2);
+
+/// The delay-spike schedule: stalls just over one armed timeout and
+/// safely under the give-up budget in the first half of the run, over the
+/// budget in the second.
+fn generate_spikes(cfg: &ChaosConfig, rng: &mut StdRng) -> Vec<ChaosEvent> {
+    let budget = cfg.give_up_floor().as_nanos() / 1_000;
+    let margin = SPIKE_MARGIN.as_nanos() / 1_000;
+    let one_rto = raincore_transport::MIN_RTO.as_nanos() / 1_000;
+    let over = (budget * cfg.delay_spike / 100).max(budget + 2 * margin);
+    // Two stalls that run into each other add up: keep them a stall and
+    // a give-up apart.
+    let apart = (over + budget) / (cfg.tick.as_nanos() / 1_000).max(1) + 1;
+    let mut events: Vec<ChaosEvent> = Vec::new();
+    for tick in 0..cfg.ticks {
+        if cfg.fault_period == 0
+            || rng.random_range(0..cfg.fault_period) != 0
+            || events.last().is_some_and(|e| tick < e.tick + apart)
+        {
+            continue;
+        }
+        let us = if tick < cfg.ticks / 2 {
+            rng.random_range(one_rto + margin..=budget - margin)
+        } else {
+            rng.random_range(budget + margin..=over)
+        };
+        events.push(ChaosEvent {
+            tick,
+            fault: ChaosFault::DelaySpike(us),
+        });
+    }
+    events
+}
+
 // ----------------------------------------------------------------------
 // Engine
 // ----------------------------------------------------------------------
@@ -741,7 +818,8 @@ impl NetBelief {
             ChaosFault::Duplicate(_)
             | ChaosFault::Reorder(_)
             | ChaosFault::Jitter(_)
-            | ChaosFault::BulkLoss(_) => {}
+            | ChaosFault::BulkLoss(_)
+            | ChaosFault::DelaySpike(_) => {}
         }
     }
 }
@@ -801,6 +879,16 @@ pub struct ChaosReport {
     /// count, so this is a floor) — padded soaks assert it is nonzero so
     /// the early-pass path cannot go unexercised.
     pub early_passes: u64,
+    /// Retransmissions while every delay spike so far was under the
+    /// give-up budget (delay-spike soaks only): a stall crossed an armed
+    /// timeout and the member outwaited it. Soaks assert it is nonzero,
+    /// so "no suspicion under the budget" cannot pass for want of spikes
+    /// that reached a timer.
+    pub spike_retransmissions: u64,
+    /// Evictions of members that were alive all along, summed over the
+    /// members as they stand at the end. Delay-spike soaks assert it is
+    /// nonzero: some stall over the budget must have been believed.
+    pub false_suspicions: u64,
     /// Metrics registry with `raincore_chaos_*` counters.
     pub registry: raincore_obs::Registry,
 }
@@ -862,6 +950,10 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
     let mut violation: Option<ChaosViolation> = None;
     let mut evidence: Option<ChaosEvidence> = None;
     let mut idx = 0usize;
+    // The delay-spike oracle: until a stall outlasts the give-up budget,
+    // nothing may have made any member suspect another.
+    let mut spike_over_budget = false;
+    let mut retx_under_budget = 0u64;
     let horizon = cfg.ticks + cfg.grace_ticks + cfg.convergence_bound_ticks + cfg.post_ticks + 2;
     let mut ticks_run = 0u64;
 
@@ -879,6 +971,16 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
                 | ChaosFault::NicUp(_)
                 | ChaosFault::Partition(_)
                 | ChaosFault::Heal => last_link_fault = Some(tick),
+                // A stall a member can outwait is a dial. One it cannot
+                // is a link that was down for a while: the member behind
+                // it is evicted although it got what it was sent, and the
+                // token may fork until the stale copy is discarded.
+                ChaosFault::DelaySpike(us) => {
+                    if Duration::from_micros(*us) + SPIKE_MARGIN >= cfg.give_up_floor() {
+                        last_link_fault = Some(tick);
+                        spike_over_budget = true;
+                    }
+                }
                 ChaosFault::Duplicate(_)
                 | ChaosFault::Reorder(_)
                 | ChaosFault::Jitter(_)
@@ -942,12 +1044,31 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
             cluster.run_until_with(now, |_| {});
         }
         was_link_calm = link_calm;
+        let mut spike_suspicion = None;
+        if cfg.delay_spike > 0 && !spike_over_budget {
+            let live = cluster.live_members();
+            if live
+                .iter()
+                .any(|&id| cluster.metrics(id).failures_detected > 0)
+            {
+                spike_suspicion = Some(format!(
+                    "false suspicion: a delay spike under the give-up budget ({:?}) \
+                     made a member give up on a peer",
+                    cfg.give_up_floor()
+                ));
+            }
+            retx_under_budget = live
+                .iter()
+                .map(|&id| cluster.transport_stats(id).retransmissions)
+                .sum();
+        }
         completeness.observe(&cluster);
         let quiet = !belief.blocked()
             && last_fault.is_none_or(|lf| tick.saturating_sub(lf) >= cfg.grace_ticks);
         oracles.observe_tick(&cluster, quiet);
 
-        if let Some(reason) = first_violation(&tokens, &nines, &membership, &completeness, &oracles)
+        if let Some(reason) = spike_suspicion
+            .or_else(|| first_violation(&tokens, &nines, &membership, &completeness, &oracles))
         {
             violations_counter.inc();
             // Stamp the violation into the shared flight ring (node
@@ -991,11 +1112,12 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
     }
 
     let converged = violation.is_none() && cluster.membership_converged();
-    let early_passes = cluster
-        .member_ids()
-        .iter()
-        .map(|&id| cluster.metrics(id).tokens_passed_early)
-        .sum();
+    let sum_metric = |f: fn(&raincore_session::SessionMetrics) -> u64| -> u64 {
+        let ids = cluster.member_ids();
+        ids.iter().map(|&id| f(&cluster.metrics(id))).sum()
+    };
+    let early_passes = sum_metric(|m| m.tokens_passed_early);
+    let false_suspicions = sum_metric(|m| m.false_suspicions);
     let net = cluster.net_mut();
     let dups_injected = net.dups_injected();
     let reorders_injected = net.reorders_injected();
@@ -1021,6 +1143,8 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
         completeness_checked: completeness.checked,
         bulk_drops_injected,
         early_passes,
+        spike_retransmissions: retx_under_budget,
+        false_suspicions,
         registry,
     })
 }
@@ -1063,6 +1187,11 @@ fn apply_fault(cluster: &mut Cluster, fault: &ChaosFault, seeded_fault: bool) {
             cluster
                 .net_mut()
                 .set_matched_loss(f64::from(*permille) / 1000.0, crate::explore::is_bulk_frame);
+        }
+        ChaosFault::DelaySpike(us) => {
+            cluster
+                .net_mut()
+                .set_delay_spike(Duration::from_micros(*us));
         }
     }
 }

@@ -201,6 +201,12 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// delivered, in delivery order. Any behavioural drift — an extra
 /// retransmission, a reordered event, one changed token byte — moves a
 /// hash, whether or not an oracle would have objected.
+///
+/// The same constants held through the measured retransmission timeout
+/// (DESIGN.md §17), and that is their second job: the run's
+/// `retry_timeout` of 10 ms is under the floor of the adaptive timeout,
+/// so this is the pin that such a configuration puts the same bytes on
+/// the wire as it did before the timer could adapt.
 const PARENT_EVENT_HASHES: [u64; 5] = [
     0xbd1d_3c23_6b5f_0927,
     0x3e76_82e1_ec8b_e799,

@@ -13,10 +13,8 @@ use bytes::Bytes;
 use raincore_net::{Addr, Datagram, PacketClass};
 use raincore_types::config::SendStrategy;
 use raincore_types::wire::{WireDecode, WireEncode};
-#[cfg(test)]
-use raincore_types::Duration;
 use raincore_types::{
-    Error, Incarnation, MsgId, NodeId, Result, StateDigest, Time, TransportConfig,
+    Duration, Error, Incarnation, MsgId, NodeId, Result, StateDigest, Time, TransportConfig,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -41,6 +39,16 @@ pub enum TransportEvent {
         /// Destination node now suspected failed/disconnected.
         to: NodeId,
     },
+    /// An acknowledgement arrived for a message already reported as
+    /// [`TransportEvent::DeliveryFailed`]: the peer had it all along, and
+    /// was slower than the timeouts were patient. A dead or unreachable
+    /// peer never causes this; it is the proof of a false alarm.
+    FailureRefuted {
+        /// The message whose failure was reported.
+        msg_id: MsgId,
+        /// The peer that was given up on.
+        to: NodeId,
+    },
     /// A complete message arrived from a peer (exactly-once).
     Received {
         /// Originating node.
@@ -50,14 +58,72 @@ pub enum TransportEvent {
     },
 }
 
-/// Addresses of every peer this endpoint may talk to.
+/// The floor of the adaptive retransmission timeout. On a LAN the
+/// estimator reads tens of microseconds; what a timeout must still ride
+/// out there is the peer's thread waiting for a CPU, not the wire: the
+/// worst acknowledgement delay of fifteen loaded runs beside a CPU hog
+/// was 12.1 ms. What it does not ride out is the host taking the whole
+/// process off the CPU for 20–500 ms, which a fixed 50 ms does not
+/// either: over 150 calm runs a side, a retransmission in 5 with this
+/// floor and in 7 without (DESIGN.md §17.2). Everything slower than the
+/// floor is the estimator's.
+pub const MIN_RTO: Duration = Duration::from_millis(16);
+
+/// Messages given up on that a late acknowledgement is still matched
+/// against.
+const GAVE_UP_MEMORY: usize = 32;
+
+/// Smoothed round-trip estimate to one peer: RFC 6298 §2 in integer
+/// nanoseconds, gains 1/8 (srtt) and 1/4 (rttvar).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RttEstimate {
+    srtt: u64,
+    rttvar: u64,
+}
+
+impl RttEstimate {
+    fn first(sample: u64) -> Self {
+        RttEstimate {
+            srtt: sample,
+            rttvar: sample / 2,
+        }
+    }
+
+    fn update(&mut self, sample: u64) {
+        let err = self.srtt.abs_diff(sample);
+        self.rttvar = self.rttvar - self.rttvar / 4 + err / 4;
+        self.srtt = self.srtt - self.srtt / 8 + sample / 8;
+    }
+
+    /// `srtt + 4·rttvar` rounded up to whole milliseconds (the grid the
+    /// drivers' timers run on), before the floor and the ceiling.
+    fn timeout(&self) -> Duration {
+        let ns = self.srtt.saturating_add(self.rttvar.saturating_mul(4));
+        Duration::from_millis(ns.div_ceil(1_000_000))
+    }
+}
+
+#[derive(Clone, Debug, Default)]
+struct Peer {
+    addrs: Vec<Addr>,
+    /// `None` until an acknowledgement of a never-retransmitted message
+    /// has been timed (Karn's rule): a cold peer.
+    rtt: Option<RttEstimate>,
+}
+
+/// Addresses of every peer this endpoint may talk to, and what it has
+/// measured of the way there.
 ///
 /// Each node can expose several physical addresses (§2.1); the order of
 /// the address list is the order the [`SendStrategy::Sequential`] walk
-/// tries them in.
+/// tries them in. The round-trip estimate lives and dies with the entry:
+/// [`PeerTable::set`] and [`PeerTable::remove`] forget it, since a new
+/// address list is a new path. So do a new incarnation of the peer and a
+/// failure-on-delivery to it.
 #[derive(Clone, Debug, Default)]
 pub struct PeerTable {
-    map: HashMap<NodeId, Vec<Addr>>,
+    /// Ordered, so that the state digest walks it as it is.
+    map: BTreeMap<NodeId, Peer>,
 }
 
 impl PeerTable {
@@ -78,7 +144,7 @@ impl PeerTable {
 
     /// Sets (replaces) a peer's address list.
     pub fn set(&mut self, node: NodeId, addrs: Vec<Addr>) {
-        self.map.insert(node, addrs);
+        self.map.insert(node, Peer { addrs, rtt: None });
     }
 
     /// Removes a peer entirely.
@@ -88,7 +154,11 @@ impl PeerTable {
 
     /// The peer's addresses, if known.
     pub fn addrs(&self, node: NodeId) -> Option<&[Addr]> {
-        self.map.get(&node).map(|v| v.as_slice())
+        self.map.get(&node).map(|p| p.addrs.as_slice())
+    }
+
+    fn rtt_mut(&mut self, node: NodeId) -> Option<&mut Option<RttEstimate>> {
+        self.map.get_mut(&node).map(|p| &mut p.rtt)
     }
 
     /// Number of known peers.
@@ -165,8 +235,14 @@ impl TransportStats {
 #[derive(Clone, Debug, Default)]
 pub struct TransportObs {
     /// [`Endpoint::send`] → final fragment acknowledged: the full-message
-    /// round-trip time, including any retransmissions and link failovers.
+    /// completion latency, including any retransmissions and link
+    /// failovers. The retransmission timer is never fed from it — its
+    /// estimator takes only never-retransmitted messages (Karn's rule).
     pub rtt: raincore_obs::Histogram,
+    /// Every retransmission timeout actually armed: the per-peer
+    /// `srtt + 4·rttvar`, no lower than [`MIN_RTO`] and no higher than
+    /// `retry_timeout` — which is also what a cold peer gets.
+    pub rto: raincore_obs::Histogram,
     /// [`Endpoint::send`] → failure-on-delivery notification: how long the
     /// local-view failure detector took to give up on the peer.
     pub failure_latency: raincore_obs::Histogram,
@@ -186,6 +262,14 @@ struct PendingSend {
     /// When [`Endpoint::send`] accepted the message (for RTT/failure
     /// latency histograms).
     sent_at: Time,
+}
+
+impl PendingSend {
+    /// Karn's rule: only the acknowledgement of a message that went out
+    /// exactly once says how long the round trip took.
+    fn samples_rtt(&self) -> bool {
+        self.attempts == 1 && self.addr_index == 0
+    }
 }
 
 #[derive(Debug)]
@@ -231,6 +315,9 @@ pub struct Endpoint {
     /// One entry per (link, sender incarnation, message), in arrival
     /// order; a burst touches a handful of messages, so a scan finds it.
     acks_due: Vec<AckDue>,
+    /// The last few messages given up on, so that an acknowledgement that
+    /// still arrives for one is known for what it is (observability only).
+    gave_up_on: VecDeque<(MsgId, NodeId)>,
     outbox: VecDeque<Datagram>,
     events: VecDeque<TransportEvent>,
     stats: TransportStats,
@@ -263,6 +350,7 @@ impl Endpoint {
             dedup: HashMap::new(),
             reasm: HashMap::new(),
             acks_due: Vec::new(),
+            gave_up_on: VecDeque::new(),
             outbox: VecDeque::new(),
             events: VecDeque::new(),
             stats: TransportStats::default(),
@@ -285,6 +373,25 @@ impl Endpoint {
         self.cfg.mtu
     }
 
+    /// The retransmission timeout of a message to `to`: the peer's
+    /// estimate, no lower than [`MIN_RTO`] and no higher than the
+    /// configured `retry_timeout` — which is also the whole answer for a
+    /// peer nothing has been measured of yet. Every transmission of a
+    /// message waits this long; the retries are not backed off, because a
+    /// detector is sized by their sum and the first of them is what a
+    /// late acknowledgement trips over (DESIGN.md §17.2).
+    fn rto(&self, to: NodeId) -> Duration {
+        let ceiling = self.cfg.retry_timeout;
+        let estimate = self.peers.map.get(&to).and_then(|p| p.rtt);
+        estimate.map_or(ceiling, |e| e.timeout().max(MIN_RTO).min(ceiling))
+    }
+
+    fn arm_rto(&self, to: NodeId) -> Duration {
+        let rto = self.rto(to);
+        self.obs.rto.record(rto.as_nanos());
+        rto
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> TransportStats {
         self.stats
@@ -300,10 +407,13 @@ impl Endpoint {
     ///
     /// Upper-layer payload bytes (message fragments, reassembly buffers,
     /// queued events) enter through [`StateDigest::wire_payload`].
-    /// Deliberately excluded:
-    /// `cfg`/`class`/`peers` (constant over a model run) and
-    /// `stats`/`obs`/`sent_at` (observability only — they never feed back
-    /// into protocol behavior).
+    /// Deliberately excluded: `cfg`/`class`/peer addresses (constant over
+    /// a model run) and `stats`/`obs`/`sent_at`/`gave_up_on` (observability only —
+    /// they never feed back into protocol behavior). The round-trip
+    /// estimates enter as the timeout they arm, which is on a 1 ms grid:
+    /// two states whose estimates differ below that grid arm the same
+    /// timers until further samples tell them apart, and are merged
+    /// (DESIGN.md §17.5).
     pub fn digest_into(&self, now: Time, d: &mut StateDigest) {
         d.node(self.id);
         d.write_u64(self.inc.0.into());
@@ -327,6 +437,9 @@ impl Endpoint {
             for f in &p.frags {
                 d.wire_payload(f);
             }
+        }
+        for &id in self.peers.map.keys() {
+            d.write_u64(self.rto(id).as_millis());
         }
         let mut dedup_ids: Vec<NodeId> = self.dedup.keys().copied().collect();
         dedup_ids.sort_unstable();
@@ -391,6 +504,11 @@ impl Endpoint {
                     d.node(*from);
                     d.wire_payload(payload);
                 }
+                TransportEvent::FailureRefuted { msg_id, to } => {
+                    d.tag(3);
+                    d.write_u64(msg_id.0);
+                    d.node(*to);
+                }
             }
         }
     }
@@ -410,7 +528,8 @@ impl Endpoint {
     /// message id; completion is reported later as
     /// [`TransportEvent::Delivered`] or [`TransportEvent::DeliveryFailed`].
     pub fn send(&mut self, now: Time, to: NodeId, payload: Bytes) -> Result<MsgId> {
-        let (msg_id, p) = self.start_send(now, to, payload, true)?;
+        let (msg_id, mut p) = self.start_send(now, to, payload, true)?;
+        p.next_retry = now + self.arm_rto(to);
         self.stats.msgs_sent += 1;
         self.pending.insert(msg_id, p);
         Ok(msg_id)
@@ -468,7 +587,8 @@ impl Endpoint {
             acked: vec![false; n],
             addr_index: 0,
             attempts: 1,
-            next_retry: now + self.cfg.retry_timeout,
+            // A reliable send arms its timeout; nothing retries the rest.
+            next_retry: now,
             sent_at: now,
         };
         self.transmit_unacked(&p, msg_id, reliable);
@@ -548,6 +668,11 @@ impl Endpoint {
             *entry = (inc, DedupWindow::new());
             self.reasm.retain(|(n, _), _| *n != from);
             self.acks_due.retain(|a| a.from != from);
+            // What was measured of its previous life says nothing of this
+            // one (another process, perhaps another host).
+            if let Some(rtt) = self.peers.rtt_mut(from) {
+                *rtt = None;
+            }
         }
 
         // Reliable current-incarnation data is always acknowledged, even
@@ -662,6 +787,12 @@ impl Endpoint {
             // Already completed (late duplicate ack), aborted, or never
             // awaiting one (fire-and-forget): nothing to mark, nothing kept.
             self.stats.acks_unmatched += 1;
+            if let Some(i) = self.gave_up_on.iter().position(|&(id, _)| id == msg_id) {
+                if let Some((_, to)) = self.gave_up_on.remove(i) {
+                    self.events
+                        .push_back(TransportEvent::FailureRefuted { msg_id, to });
+                }
+            }
             return;
         };
         // The set is the peer's word: only the message's own fragments are
@@ -676,7 +807,16 @@ impl Endpoint {
                 return;
             };
             self.stats.msgs_delivered += 1;
-            self.obs.rtt.record(now.since(p.sent_at).as_nanos());
+            let took = now.since(p.sent_at).as_nanos();
+            self.obs.rtt.record(took);
+            if p.samples_rtt() {
+                if let Some(rtt) = self.peers.rtt_mut(p.to) {
+                    match rtt {
+                        Some(e) => e.update(took),
+                        None => *rtt = Some(RttEstimate::first(took)),
+                    }
+                }
+            }
             self.events
                 .push_back(TransportEvent::Delivered { msg_id, to: p.to });
         }
@@ -717,7 +857,7 @@ impl Endpoint {
             }
             p.attempts += 1;
             self.stats.retransmissions += 1;
-            p.next_retry = now + self.cfg.retry_timeout;
+            p.next_retry = now + self.arm_rto(p.to);
             self.transmit_unacked(&p, msg_id, true);
             self.pending.insert(msg_id, p);
         }
@@ -725,6 +865,16 @@ impl Endpoint {
 
     fn fail(&mut self, now: Time, msg_id: MsgId, to: NodeId, sent_at: Time) {
         self.stats.msgs_failed += 1;
+        // The peer is dead or the way to it broken: what was measured of
+        // it is void, and whatever is sent to it next — beacons, 911
+        // calls — waits out the configured timeout again.
+        if let Some(rtt) = self.peers.rtt_mut(to) {
+            *rtt = None;
+        }
+        if self.gave_up_on.len() == GAVE_UP_MEMORY {
+            self.gave_up_on.pop_front();
+        }
+        self.gave_up_on.push_back((msg_id, to));
         self.obs
             .failure_latency
             .record(now.since(sent_at).as_nanos());
@@ -1841,5 +1991,255 @@ mod more_tests {
             frames += 1;
         }
         assert_eq!(frames, 1);
+    }
+}
+
+#[cfg(test)]
+mod rto_tests {
+    //! The adaptive retransmission timeout: estimator, Karn's rule,
+    //! floor, ceiling, spacing of the retries, and when what was measured
+    //! is forgotten.
+
+    use super::*;
+    use raincore_types::Duration;
+
+    const US: fn(u64) -> Duration = Duration::from_micros;
+    const MS: fn(u64) -> Duration = Duration::from_millis;
+
+    fn pair(cfg: TransportConfig) -> (Endpoint, Endpoint) {
+        let peers = PeerTable::full_mesh([NodeId(0), NodeId(1)], 1);
+        let mk = |id: u32| {
+            Endpoint::new(
+                NodeId(id),
+                Incarnation::FIRST,
+                vec![Addr::primary(NodeId(id))],
+                peers.clone(),
+                cfg.clone(),
+            )
+            .unwrap()
+        };
+        (mk(0), mk(1))
+    }
+
+    fn drain(ep: &mut Endpoint) -> Vec<Datagram> {
+        std::iter::from_fn(|| ep.poll_outgoing()).collect()
+    }
+
+    /// One message from `a` acknowledged by `b` after `rtt`; returns when.
+    fn exchange(a: &mut Endpoint, b: &mut Endpoint, at: Time, rtt: Duration) -> Time {
+        a.send(at, b.id(), Bytes::from_static(b"x")).unwrap();
+        for d in drain(a) {
+            b.on_datagram(at, d);
+        }
+        for d in drain(b) {
+            a.on_datagram(at + rtt, d);
+        }
+        at + rtt
+    }
+
+    /// The timeout `a` arms for a fresh message to node 1 at `at`.
+    fn armed(a: &mut Endpoint, at: Time) -> Duration {
+        let id = a.send(at, NodeId(1), Bytes::from_static(b"probe")).unwrap();
+        drain(a);
+        let due = a.pending[&id].next_retry;
+        a.abort(id);
+        due.since(at)
+    }
+
+    #[test]
+    fn cold_peer_is_armed_with_the_configured_timeout() {
+        let (mut a, _b) = pair(TransportConfig::default());
+        assert_eq!(armed(&mut a, Time::ZERO), MS(50));
+    }
+
+    #[test]
+    fn estimator_converges_on_a_constant_rtt() {
+        let cfg = TransportConfig {
+            retry_timeout: Duration::from_secs(10),
+            ..Default::default()
+        };
+        let (mut a, mut b) = pair(cfg);
+        let mut now = Time::ZERO;
+        now = exchange(&mut a, &mut b, now, MS(40));
+        // RFC 6298 §2.2: the first sample R gives srtt = R, rttvar = R/2.
+        assert_eq!(armed(&mut a, now), MS(40) + MS(20).saturating_mul(4));
+        for _ in 0..60 {
+            now = exchange(&mut a, &mut b, now, MS(40));
+        }
+        let rto = armed(&mut a, now);
+        assert!(
+            rto >= MS(40) && rto <= MS(41),
+            "the variance term decays to nothing on a constant RTT, and \
+             what is left is rounded up to the 1 ms grid: {rto:?}"
+        );
+        // It follows a change of path, and the variance opens up again.
+        now = exchange(&mut a, &mut b, now, MS(80));
+        assert!(armed(&mut a, now) > MS(80));
+    }
+
+    #[test]
+    fn lan_rtt_is_floored_at_min_rto() {
+        let (mut a, mut b) = pair(TransportConfig::default());
+        let now = exchange(&mut a, &mut b, Time::ZERO, US(120));
+        assert_eq!(armed(&mut a, now), MIN_RTO);
+        assert_eq!(a.obs().rto.count(), 2, "every armed timeout is recorded");
+    }
+
+    #[test]
+    fn retries_are_evenly_spaced_between_floor_and_ceiling() {
+        let give_up = |rtt: Duration, ceiling: Duration| {
+            let cfg = TransportConfig {
+                retry_timeout: ceiling,
+                max_retries: 4,
+                ..Default::default()
+            };
+            let (mut a, mut b) = pair(cfg);
+            let t0 = exchange(&mut a, &mut b, Time::ZERO, rtt);
+            a.send(t0, NodeId(1), Bytes::from_static(b"void")).unwrap();
+            let mut due = vec![];
+            while let Some(t) = a.next_wakeup() {
+                due.push(t.since(t0));
+                a.on_tick(t);
+            }
+            assert_eq!(a.stats().retransmissions, 3);
+            assert_eq!(a.stats().msgs_failed, 1);
+            assert_eq!(
+                armed(&mut a, t0 + due[3]),
+                ceiling,
+                "a peer that failed is a peer nothing is known of"
+            );
+            due
+        };
+        // A LAN peer: the floor, four times — no back-off.
+        assert_eq!(give_up(US(120), MS(50)), [MS(16), MS(32), MS(48), MS(64)]);
+        // A slow one: srtt + 4·rttvar = 3·R after the first sample.
+        assert_eq!(give_up(MS(10), MS(50)), [MS(30), MS(60), MS(90), MS(120)]);
+        // The configured timeout is the ceiling.
+        assert_eq!(give_up(MS(10), MS(25)), [MS(25), MS(50), MS(75), MS(100)]);
+        // At or under the floor the configured timeout is all there is.
+        assert_eq!(give_up(US(120), MS(9)), [MS(9), MS(18), MS(27), MS(36)]);
+    }
+
+    #[test]
+    fn ack_of_a_retransmitted_message_moves_nothing() {
+        let (mut a, mut b) = pair(TransportConfig::default());
+        let t0 = exchange(&mut a, &mut b, Time::ZERO, US(120));
+        let before = a.peers.map[&NodeId(1)].rtt;
+        // Karn: the first copy is lost, the retry is acknowledged 30 ms
+        // after the send. Which copy the ack answers cannot be known.
+        a.send(t0, NodeId(1), Bytes::from_static(b"again")).unwrap();
+        drain(&mut a);
+        a.on_tick(t0 + MIN_RTO);
+        for d in drain(&mut a) {
+            b.on_datagram(t0 + MS(30), d);
+        }
+        for d in drain(&mut b) {
+            a.on_datagram(t0 + MS(30), d);
+        }
+        assert_eq!(a.stats().retransmissions, 1);
+        assert_eq!(a.stats().msgs_delivered, 2);
+        assert_eq!(a.peers.map[&NodeId(1)].rtt, before);
+        // The completion-latency histogram still takes it.
+        assert_eq!(a.obs().rtt.count(), 2);
+    }
+
+    #[test]
+    fn acknowledgement_after_the_verdict_refutes_it() {
+        let (mut a, mut b) = pair(TransportConfig::default());
+        let t0 = exchange(&mut a, &mut b, Time::ZERO, US(120));
+        // The peer gets the message at once and is slow to answer: its
+        // acknowledgement is still on the way when the sender gives up.
+        let id = a.send(t0, NodeId(1), Bytes::from_static(b"slow")).unwrap();
+        for d in drain(&mut a) {
+            b.on_datagram(t0, d);
+        }
+        let late = drain(&mut b);
+        while let Some(t) = a.next_wakeup() {
+            a.on_tick(t);
+            drain(&mut a);
+        }
+        let events: Vec<_> = std::iter::from_fn(|| a.poll_event()).collect();
+        assert!(events.contains(&TransportEvent::DeliveryFailed {
+            msg_id: id,
+            to: NodeId(1)
+        }));
+        for d in late.clone() {
+            a.on_datagram(t0 + MS(60), d);
+        }
+        assert_eq!(
+            a.poll_event(),
+            Some(TransportEvent::FailureRefuted {
+                msg_id: id,
+                to: NodeId(1)
+            })
+        );
+        // Once: a duplicate of the late acknowledgement is just unmatched.
+        for d in late {
+            a.on_datagram(t0 + MS(61), d);
+        }
+        assert_eq!(a.poll_event(), None);
+        assert_eq!(a.stats().acks_unmatched, 2);
+    }
+
+    #[test]
+    fn estimate_is_forgotten_with_the_peers_previous_life() {
+        let (mut a, mut b) = pair(TransportConfig::default());
+        exchange(&mut b, &mut a, Time::ZERO, US(120));
+        let now = exchange(&mut a, &mut b, Time::ZERO, US(120));
+        assert_eq!(armed(&mut a, now), MIN_RTO);
+        // Node 1 restarts and speaks.
+        let mut b2 = Endpoint::new(
+            NodeId(1),
+            Incarnation(1),
+            vec![Addr::primary(NodeId(1))],
+            PeerTable::full_mesh([NodeId(0), NodeId(1)], 1),
+            TransportConfig::default(),
+        )
+        .unwrap();
+        b2.send(now, NodeId(0), Bytes::from_static(b"back"))
+            .unwrap();
+        for d in drain(&mut b2) {
+            a.on_datagram(now, d);
+        }
+        assert_eq!(armed(&mut a, now), MS(50), "cold again");
+    }
+
+    #[test]
+    fn estimate_is_forgotten_when_the_peer_is_removed_or_readdressed() {
+        let (mut a, mut b) = pair(TransportConfig::default());
+        let now = exchange(&mut a, &mut b, Time::ZERO, US(120));
+        a.peers_mut().set(NodeId(1), vec![Addr::primary(NodeId(1))]);
+        assert_eq!(armed(&mut a, now), MS(50));
+        let now = exchange(&mut a, &mut b, now, US(120));
+        assert_eq!(armed(&mut a, now), MIN_RTO);
+        a.peers_mut().remove(NodeId(1));
+        a.peers_mut().set(NodeId(1), vec![Addr::primary(NodeId(1))]);
+        assert_eq!(armed(&mut a, now), MS(50));
+    }
+
+    #[test]
+    fn armed_timeouts_are_part_of_the_state_digest() {
+        let digest = |ep: &Endpoint, now: Time| {
+            let mut d = StateDigest::identity();
+            ep.digest_into(now, &mut d);
+            d.finish()
+        };
+        let (mut a, mut b) = pair(TransportConfig::default());
+        let (mut c, mut d) = pair(TransportConfig::default());
+        let t = exchange(&mut a, &mut b, Time::ZERO, US(120));
+        exchange(&mut c, &mut d, Time::ZERO, US(120));
+        assert_eq!(digest(&a, t), digest(&c, t));
+        // Estimates that differ below the 1 ms grid arm the same timers
+        // and are one state; one that arms another timeout is another.
+        exchange(&mut a, &mut b, t, US(120));
+        exchange(&mut c, &mut d, t, US(900));
+        let t2 = t + US(900);
+        assert_ne!(a.peers.map[&NodeId(1)].rtt, c.peers.map[&NodeId(1)].rtt);
+        assert_eq!(a.rto(NodeId(1)), c.rto(NodeId(1)));
+        assert_eq!(digest(&a, t2), digest(&c, t2));
+        exchange(&mut a, &mut b, t2, US(120));
+        exchange(&mut c, &mut d, t2, MS(30));
+        assert!(c.rto(NodeId(1)) > a.rto(NodeId(1)));
+        assert_ne!(digest(&a, t2), digest(&c, t2), "a different timeout");
     }
 }

@@ -19,7 +19,10 @@
 //!    all sending efforts have failed
 //!    ([`TransportEvent::DeliveryFailed`]). The failure-on-delivery
 //!    notification is the local-view failure detector that drives the
-//!    session layer's aggressive membership protocol.
+//!    session layer's aggressive membership protocol. How soon it fires
+//!    is measured, not configured: the retransmission timeout follows a
+//!    per-peer round-trip estimate between [`MIN_RTO`] and the configured
+//!    `retry_timeout` (DESIGN.md §17).
 //!
 //! The implementation is **sans-io**: an [`Endpoint`] consumes datagrams
 //! and virtual time and produces datagrams and events through small
@@ -55,5 +58,5 @@ pub mod frame;
 
 pub use bulk::{BulkId, BulkStore};
 pub use dedup::BulkDedup;
-pub use endpoint::{Endpoint, PeerTable, TransportEvent, TransportObs, TransportStats};
+pub use endpoint::{Endpoint, PeerTable, TransportEvent, TransportObs, TransportStats, MIN_RTO};
 pub use frame::{FragSet, Frame, MAX_FRAGS};

@@ -34,10 +34,22 @@ pub enum DetectionMode {
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransportConfig {
-    /// Time to wait for an acknowledgement before retransmitting.
+    /// The **ceiling** of the retransmission timeout: how long to wait
+    /// for an acknowledgement from a peer nothing has been measured of —
+    /// a cold peer, a peer that just failed, a peer in a new incarnation.
+    /// Once an acknowledgement of a never-retransmitted message has been
+    /// timed, the transport arms `srtt + 4·rttvar` of that peer instead
+    /// (RFC 6298 estimator), no lower than `raincore_transport::MIN_RTO`
+    /// (16 ms) and never above this value. A value at or under that floor
+    /// therefore turns the estimator off: every timeout is exactly this
+    /// (DESIGN.md §17.2).
     pub retry_timeout: Duration,
     /// Number of transmissions (1 original + `max_retries - 1` retries)
-    /// per physical address before moving on / reporting failure.
+    /// per physical address before moving on / reporting failure. The
+    /// retries are evenly spaced, one retransmission timeout apart, so
+    /// failure-on-delivery of a measured LAN peer takes `max_retries ×
+    /// 16 ms` per address, of an unmeasured one `max_retries ×
+    /// retry_timeout`.
     pub max_retries: u32,
     /// Multi-address send strategy.
     pub strategy: SendStrategy,
@@ -90,7 +102,9 @@ pub struct SessionConfig {
     pub token_hold: Duration,
     /// How long a node may stay HUNGRY before it suspects token loss and
     /// enters STARVING (§2.3). Should comfortably exceed one expected
-    /// token round trip.
+    /// token round trip. Fixed: scaling it with the measured rotation was
+    /// tried and refused for the 911 calls it raised on a calm ring whose
+    /// host stalled (DESIGN.md §17.3).
     pub hungry_timeout: Duration,
     /// How long a STARVING node waits for 911 verdicts before giving up
     /// and re-calling 911.

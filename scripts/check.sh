@@ -78,6 +78,21 @@ for mode in "" --no-reduction; do
   grep -q '\[exhausted\]' <<<"$out"
 done
 
+echo "==> model check (adaptive-timer space: stock detection timeouts, 3 and 4 nodes)"
+# Every leg above runs retry_timeout 10 ms — under the floor of the
+# adaptive timeout, where the transport is byte-for-byte the old one
+# (DESIGN.md §17.2) — so their counts are the parent's. This leg raises
+# the two timeouts to the values the benchmark pins, where a member that
+# has timed one acknowledgement arms 16 ms instead of 50 and the armed
+# timeouts are part of the state: 3 nodes exhaust at 3 698 schedules (3 221 with
+# fixed timers), 4 nodes at depth 10 at 542 636 (431 091).
+cargo run --release -q -p raincore-sim --bin model_check -- \
+  --retry-ms 50 --hungry-ms 400 --min-schedules 3500
+out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+  --nodes 4 --depth 10 --max-schedules 2000000 --retry-ms 50 --hungry-ms 400)
+echo "$out"
+grep -q '\[exhausted\]' <<<"$out"
+
 echo "==> chaos (seeded broken-heal fault must be found, shrunk and dumped)"
 cargo run --release -q -p raincore-sim --bin chaos -- --seeded-fault --dump chaos-seeded.txt
 
@@ -99,6 +114,17 @@ echo "==> chaos (padded soak: 200 seeds of full tokens passed early, non-vacuous
 # own, so the token that carries it is never held and travels as three
 # fragments; the run fails if no pass was early (vacuity guard).
 cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --pad 3000
+
+echo "==> chaos (delay-spike soak: 200 seeds of link stalls around the give-up budget, non-vacuous)"
+# --delay-spike 250 replaces the fault stream with one-shot stalls of one
+# link and runs the stock detection timeouts. First half of each run:
+# stalls longer than one armed timeout and shorter than the give-up
+# budget — no member may suspect another, and the soak fails if no stall
+# ever caused a retransmission (vacuity). Second half: stalls of up to
+# 2.5 budgets — the members behind them are evicted though alive, every
+# safety oracle must hold and the group must converge, and the soak fails
+# if no such verdict was refuted by a late acknowledgement (vacuity).
+cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --delay-spike 250
 
 # The baseline is the newest committed row of the trajectory, so no PR
 # edits a file name here.

@@ -56,13 +56,14 @@ enum Cmd {
     ),
     RequestMaster,
     ReleaseMaster,
-    ObsDump(Sender<ObsDump>),
+    ObsDump(Sender<ObsSnapshot>),
     Leave,
 }
 
 /// Point-in-time observability snapshot of a running node: renderable
-/// metric exports plus the structured trace journal, produced on the
-/// driver thread without stopping the protocol.
+/// metric exports plus the structured trace journal. The driver thread
+/// only copies the state out ([`ObsSnapshot`]); the caller's thread
+/// renders it, so that a member being exported keeps acknowledging.
 #[derive(Clone, Debug)]
 pub struct ObsDump {
     /// Prometheus text exposition: session/transport counters and the
@@ -80,8 +81,35 @@ pub struct ObsDump {
     pub flight: String,
 }
 
-/// Builds the node's metric registry and renders the dump.
-fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsDump {
+/// What the driver thread hands to [`RuntimeNode::obs_dump`]: the
+/// metric values and the journal as they were, nothing rendered yet.
+/// Rendering takes milliseconds, and a member that does not answer for
+/// milliseconds is what its peers' retransmission timers are there to
+/// notice (DESIGN.md §17.6).
+struct ObsSnapshot {
+    metrics: raincore_obs::Snapshot,
+    journal: raincore_obs::TraceJournal,
+    recorder: Option<FlightRecorder>,
+}
+
+impl ObsSnapshot {
+    fn render(self) -> ObsDump {
+        ObsDump {
+            prometheus: self.metrics.to_prometheus(),
+            json: self.metrics.to_json(),
+            journal: self.journal.render_text(),
+            journal_json: self.journal.render_json(),
+            flight: self
+                .recorder
+                .as_ref()
+                .map(FlightRecorder::render_text)
+                .unwrap_or_default(),
+        }
+    }
+}
+
+/// Builds the node's metric registry and copies out what a dump renders.
+fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsSnapshot {
     let r = raincore_obs::Registry::new();
     let id = node.id().0.to_string();
     let labels: &[(&str, &str)] = &[("node", id.as_str())];
@@ -134,17 +162,11 @@ fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsDump {
         )
         .set(1);
     }
-    let snap = r.snapshot();
     let o = node.obs();
-    ObsDump {
-        prometheus: snap.to_prometheus(),
-        json: snap.to_json(),
-        journal: o.journal().render_text(),
-        journal_json: o.journal().render_json(),
-        flight: o
-            .recorder()
-            .map(FlightRecorder::render_text)
-            .unwrap_or_default(),
+    ObsSnapshot {
+        metrics: r.snapshot(),
+        journal: o.journal().clone(),
+        recorder: o.recorder().cloned(),
     }
 }
 
@@ -282,12 +304,13 @@ impl RuntimeNode {
     }
 
     /// Snapshots the node's observability state (Prometheus text, JSON
-    /// metrics, trace journal, I/O engine counters) from the driver
-    /// thread. `None` if the node has stopped.
+    /// metrics, trace journal, I/O engine counters): copied out by the
+    /// driver thread, rendered on this one. `None` if the node has
+    /// stopped.
     pub fn obs_dump(&self) -> Option<ObsDump> {
         let (tx, rx) = bounded(1);
         self.send_cmd(Cmd::ObsDump(tx)).ok()?;
-        rx.recv().ok()
+        rx.recv().ok().map(ObsSnapshot::render)
     }
 
     /// Receives the next session event, waiting up to `timeout`.
