@@ -29,8 +29,8 @@
 //! `--out` writes the JSON report (default `BENCH.current.json`, which is
 //! ignored). The committed `BENCH_<pr>.json` files are a trajectory — a PR
 //! adds its row with `--out BENCH_<pr>.json` and the gate compares against
-//! the newest one; `BENCH_5.json`, the first, keeps the retired legacy
-//! rows.
+//! the newest one (the retired legacy rows of the first, PR 5's, are
+//! quoted in EXPERIMENTS.md P1/P2).
 //! `--compare` additionally loads a committed baseline and exits non-zero
 //! if any of the six gated benches — `bench_token_hop`,
 //! `bench_hop_latency`, `bench_model_check_states`,

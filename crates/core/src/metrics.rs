@@ -10,8 +10,6 @@
 //! accounted separately in `raincore-transport`'s stats so the comparison
 //! can be made with or without them.
 
-use serde::ser::SerializeStruct;
-
 /// Counters maintained by every [`crate::SessionNode`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionMetrics {
@@ -87,7 +85,7 @@ pub struct SessionMetrics {
 
 impl SessionMetrics {
     /// `(field name, value)` view, in declaration order. Single source of
-    /// truth for the serde impl, the JSON renderer and metric exporters.
+    /// truth for the JSON renderer and metric exporters.
     pub fn fields(&self) -> [(&'static str, u64); 28] {
         [
             ("task_switches", self.task_switches),
@@ -132,17 +130,6 @@ impl SessionMetrics {
         }
         out.push('}');
         out
-    }
-}
-
-impl serde::Serialize for SessionMetrics {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let fields = self.fields();
-        let mut st = serializer.serialize_struct("SessionMetrics", fields.len())?;
-        for (name, v) in fields {
-            st.serialize_field(name, &v)?;
-        }
-        st.end()
     }
 }
 

@@ -12,9 +12,9 @@
 //!   recorded violation string (time, group and wording included);
 //! * the three `chaos_regression_*` schedules (each a real shrunk
 //!   counterexample from a past soak) still replay clean and converge;
-//! * the committed `BENCH_5.json` allocation counts hold — the
-//!   typestate wrappers must not add a single steady-state allocation
-//!   to the token hop.
+//! * the newest committed `BENCH_<pr>.json` allocation counts hold —
+//!   the typestate wrappers must not add a single steady-state
+//!   allocation to the token hop.
 
 use raincore_sim::chaos::{run_chaos, ChaosConfig, ChaosEvent, ChaosScenario};
 use raincore_sim::explore::{parse_schedule, replay};
@@ -152,13 +152,30 @@ fn chaos_total_copy_loss_schedule_still_clean() {
 /// model-check state cost inside its 250-alloc budget. `micro_bench`
 /// re-measures and gates these in release CI; this test pins the
 /// *committed* numbers so a stale or hand-edited baseline fails fast.
+/// The baseline is the one `scripts/check.sh` compares against: the
+/// highest-numbered `BENCH_<pr>.json` at the repository root.
 #[test]
 fn committed_bench_baseline_holds_alloc_floors() {
-    let json = include_str!("../../../BENCH_5.json");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (pr, path) = std::fs::read_dir(&root)
+        .expect("repository root")
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let name = path.file_name()?.to_str()?;
+            let pr: u32 = name
+                .strip_prefix("BENCH_")?
+                .strip_suffix(".json")?
+                .parse()
+                .ok()?;
+            Some((pr, path))
+        })
+        .max()
+        .expect("a committed BENCH_<pr>.json");
+    let json = std::fs::read_to_string(path).expect("baseline is readable");
     let alloc_of = |bench: &str| -> f64 {
         let obj_start = json
             .find(&format!("\"name\": \"{bench}\""))
-            .unwrap_or_else(|| panic!("BENCH_5.json has {bench}"));
+            .unwrap_or_else(|| panic!("BENCH_{pr}.json has {bench}"));
         let obj = &json[obj_start..];
         let at = obj.find("\"allocs_per_op\":").expect("allocs_per_op field");
         obj[at..]

@@ -29,6 +29,20 @@
 //! queues. The same code runs under the deterministic simulator and the
 //! real UDP runtime.
 //!
+//! # Module map
+//!
+//! [`Endpoint`] (`endpoint`) is a composer: the public API, frame decode
+//! and dispatch, the order of the state digest. What it owns and lends is
+//! `ctx` (identity, peer table, queues, counters; a frame becomes a
+//! datagram there); `sender` fragments, transmits per strategy, retries,
+//! matches acknowledgements and gives up; `receiver` admits a peer's
+//! incarnation, reassembles, hands up exactly once and keeps the ledger
+//! of owed acknowledgements; `peers` is the address table, the round-trip
+//! estimate and the timeout armed from it; `events` the notifications and
+//! counters. [`frame`] is the wire format, [`dedup`] and [`bulk`] the
+//! windows and the payload store the session's out-of-band path shares
+//! (DESIGN.md §5.2 has the rule-by-rule table).
+//!
 //! [`SendStrategy`]: raincore_types::config::SendStrategy
 //! [`SendStrategy::Sequential`]: raincore_types::config::SendStrategy::Sequential
 //! [`SendStrategy::Parallel`]: raincore_types::config::SendStrategy::Parallel
@@ -52,9 +66,16 @@
 #![warn(missing_docs)]
 
 pub mod bulk;
+mod ctx;
 pub mod dedup;
 pub mod endpoint;
+mod events;
 pub mod frame;
+mod peers;
+mod receiver;
+mod sender;
+#[cfg(test)]
+mod testkit;
 
 pub use bulk::{BulkId, BulkStore};
 pub use dedup::BulkDedup;

@@ -9,7 +9,6 @@ use crate::time::Duration;
 /// addresses (redundant links); sends can walk them sequentially or fan
 /// out in parallel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SendStrategy {
     /// Try address 0; on retry exhaustion move to address 1; and so on.
     Sequential,
@@ -19,7 +18,6 @@ pub enum SendStrategy {
 
 /// Failure-detection mode (used by the A4 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DetectionMode {
     /// The paper's aggressive protocol: the *first* failure-on-delivery
     /// notification removes the target from the membership (§2.2).
@@ -32,7 +30,6 @@ pub enum DetectionMode {
 
 /// Configuration of the Raincore Transport Service (§2.1).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransportConfig {
     /// The **ceiling** of the retransmission timeout: how long to wait
     /// for an acknowledgement from a peer nothing has been measured of —
@@ -88,7 +85,6 @@ impl TransportConfig {
 
 /// Configuration of the Raincore Distributed Session Service (§2.2–2.4).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SessionConfig {
     /// How long a node holds a token *that still has room* (EATING)
     /// before passing it on, so that more multicasts can board the

@@ -14,7 +14,6 @@ use core::fmt;
 /// are dense small integers in the simulator, but nothing relies on
 /// density — only on uniqueness and total order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -52,7 +51,6 @@ impl From<u32> for NodeId {
 /// id is *lower* than the receiver's, which is what makes multi-way merges
 /// deadlock-free.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroupId(pub NodeId);
 
 impl GroupId {
@@ -82,7 +80,6 @@ impl fmt::Display for GroupId {
 /// membership entries carry the incarnation so that packets from a node's
 /// previous incarnation are discarded after it crashes and rejoins.
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Incarnation(pub u32);
 
 impl Incarnation {
@@ -108,7 +105,6 @@ impl fmt::Debug for Incarnation {
 /// unicast: each logical message gets a fresh `MsgId`; acknowledgements
 /// echo it and receivers use it for duplicate suppression.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsgId(pub u64);
 
 impl fmt::Debug for MsgId {
@@ -123,7 +119,6 @@ impl fmt::Debug for MsgId {
 /// `(origin, OriginSeq)` uniquely identifies a multicast message and is the
 /// key used for duplicate suppression during token-loss recovery.
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OriginSeq(pub u64);
 
 impl OriginSeq {
@@ -146,7 +141,6 @@ impl fmt::Debug for OriginSeq {
 /// VIP manager assigns them mutually exclusively to healthy members and
 /// moves them (with a gratuitous ARP) when a member fails.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VipId(pub u32);
 
 impl fmt::Debug for VipId {

@@ -26,7 +26,6 @@ use std::sync::Arc;
 /// snapshots, local membership refresh) while membership changes are rare,
 /// so steady-state hops never copy the member vector.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ring {
     members: Arc<Vec<NodeId>>,
 }

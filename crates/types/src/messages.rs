@@ -26,7 +26,6 @@ use std::sync::Arc;
 /// *safe* delivery additionally waits until every member is known to have
 /// received the message, which costs one extra token round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeliveryMode {
     /// Deliver at first sight, in token order. Atomic + totally ordered.
     Agreed,

@@ -15,12 +15,10 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 /// An instant on the (virtual or monotonic) timeline, in nanoseconds since
 /// an arbitrary epoch (simulation start, or runtime start).
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(pub u64);
 
 /// A span of time, in nanoseconds.
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Duration(pub u64);
 
 impl Time {

@@ -14,6 +14,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> shims (every stand-in is somebody's dependency; every feature compiles)"
+# A vendored stand-in nobody depends on, or a cargo feature no build
+# enables, rots unseen: `shims/serde` sat behind a `serde` feature that
+# did not compile until PR 17 deleted both. The workspace table in the
+# root manifest only declares a shim; a user names it in a dependency
+# table of its own (`x.workspace = true`, or a `../shims/x` path).
+for dir in shims/*/; do
+  shim=$(basename "$dir")
+  if ! grep -qE "^$shim(\.workspace *= *true| *= *\{[^}]*(workspace *= *true|path *= *\"\.\./))" \
+    Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml; then
+    echo "shims/$shim is not a dependency of any manifest" >&2
+    exit 1
+  fi
+done
+cargo check --workspace --all-features --offline --quiet
+
 echo "==> clippy (seeded fixture must fail on every protocol rule family)"
 # The protocol rules are clippy lints (DESIGN.md §6b), so the clippy leg
 # above is the lint leg. This one is its non-vacuity gate: a crate

@@ -10,6 +10,10 @@
 //! (One divergence: a zero-capacity rendezvous channel is approximated as
 //! capacity 1; raincore never creates one.)
 
+// `recv_timeout` waits on the wall clock by definition: this is the
+// real-time runtime's channel, never the protocol's (root `clippy.toml`).
+#![allow(clippy::disallowed_types)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
