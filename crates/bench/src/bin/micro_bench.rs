@@ -14,6 +14,7 @@
 //! | `bench_udp_pps` | loopback packet throughput: batched vs scalar backends of the one I/O engine (≥3x packets-per-syscall asserted) |
 //! | `bench_udp_rtt` | ping round-trip p50/p99 over the batched engine while each ping shares its batch with background load |
 //! | `bench_failure_detect` | two simulated fail-overs with the stock detection timeouts: crash → failure-on-delivery (a skipped hop) and crash → token regenerated (a lost token), in simulated ns that repeat exactly |
+//! | `bench_bulk_closed_loop` | one simulated second of the `udp_bulk` shape (3 nodes, node 0 keeps 8 × 8 KiB out-of-band multicasts in flight): deliveries per simulated second, hops per delivery and the share of passes the pacing rule released early — counts that repeat exactly |
 //!
 //! `bytes_per_op` is **heap bytes allocated** per operation (not wire
 //! bytes): together with `allocs_per_op` it is the deterministic,
@@ -372,6 +373,89 @@ fn failure_detect() -> u64 {
     2
 }
 
+/// Rates of the simulated bulk loop, captured by [`bulk_closed_loop`] for
+/// the report writer.
+static BULK_LOOP_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
+
+/// DESIGN.md §16.1 as counts: the `udp_bulk` workload's shape on the
+/// simulator — three members, `token_hold` 2 ms, the first keeping eight
+/// 8 KiB multicasts in flight, every one out of band. The token that
+/// orders them is full by the freight it orders, so the ring turns at
+/// the loaded round (`N·token_hold/2` = 3 ms): 8 multicasts every 3 hops
+/// and 3 ms, two passes in three early. Simulated time, so the counts
+/// repeat exactly. One op is one multicast delivered at every member.
+fn bulk_closed_loop() -> u64 {
+    use raincore_session::{SessionEvent, StartMode};
+    use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig, NodeApp, NodeCtl};
+    use raincore_types::{Duration, Time};
+
+    const NODES: u32 = 3;
+    const WINDOW: usize = 8;
+    const LEN: usize = 8192;
+
+    struct ClosedLoop {
+        unsent: usize,
+    }
+    impl ClosedLoop {
+        fn submit(ctl: &mut NodeCtl<'_>) {
+            if let Some(s) = ctl.session.as_mut() {
+                s.multicast(DeliveryMode::Agreed, Bytes::from(vec![0x5A; LEN]))
+                    .expect("multicast");
+            }
+        }
+    }
+    impl NodeApp for ClosedLoop {
+        fn on_tick(&mut self, ctl: &mut NodeCtl<'_>) {
+            for _ in 0..std::mem::take(&mut self.unsent) {
+                Self::submit(ctl);
+            }
+        }
+        fn on_session_event(&mut self, ctl: &mut NodeCtl<'_>, event: &SessionEvent) {
+            if matches!(event, SessionEvent::MulticastAtomic { .. }) {
+                Self::submit(ctl);
+            }
+        }
+    }
+
+    let mut cfg = ClusterConfig::default();
+    cfg.session.token_hold = Duration::from_millis(2);
+    cfg.session.bulk_threshold = 512;
+    let ring = Ring::from_iter((0..NODES).map(NodeId));
+    let mut b = ClusterBuilder::new(cfg);
+    for i in 0..NODES {
+        b = b.member(NodeId(i), StartMode::Founding(ring.clone()));
+    }
+    b = b.app(NodeId(0), Box::new(ClosedLoop { unsent: WINDOW }));
+    let mut c = b.build().expect("cluster");
+    // (tokens sent, of which early, multicasts delivered at the last member)
+    let totals = |c: &Cluster| {
+        let delivered = c.metrics(NodeId(NODES - 1)).deliveries;
+        (0..NODES).fold((0, 0, delivered), |(sent, early, delivered), i| {
+            let m = c.metrics(NodeId(i));
+            (
+                sent + m.tokens_sent,
+                early + m.tokens_passed_early,
+                delivered,
+            )
+        })
+    };
+    c.run_until(Time::ZERO + Duration::from_millis(200));
+    let before = totals(&c);
+    c.run_until(Time::ZERO + Duration::from_millis(1200));
+    let after = totals(&c);
+    let hops = (after.0 - before.0) as f64;
+    let early = (after.1 - before.1) as f64;
+    let deliveries = after.2 - before.2;
+    BULK_LOOP_SUMMARIES
+        .set(vec![
+            ("deliveries_per_sim_s".to_string(), deliveries as f64),
+            ("hops_per_delivery".to_string(), hops / deliveries as f64),
+            ("early_pass_share".to_string(), early / hops),
+        ])
+        .expect("set once");
+    deliveries
+}
+
 /// One bounded model-check search, normalized per state visited.
 fn model_check_states() -> u64 {
     let cfg = ModelCheckConfig {
@@ -577,7 +661,7 @@ fn to_json(results: &[BenchResult]) -> String {
         let extras: String = r
             .extras
             .iter()
-            .map(|(k, v)| format!(", \"{k}\": {v:.1}"))
+            .map(|(k, v)| format!(", \"{k}\": {v:.3}"))
             .collect();
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"ops\": {}, \"ns_per_op\": {:.1}, \"bytes_per_op\": {:.1}, \"allocs_per_op\": {:.3}{extras}}}{}\n",
@@ -635,6 +719,7 @@ fn main() {
         measure("bench_udp_pps", udp_pps),
         measure("bench_udp_rtt", udp_rtt),
         measure("bench_failure_detect", failure_detect),
+        measure("bench_bulk_closed_loop", bulk_closed_loop),
     ];
     if let Some(extras) = HOP_STAGE_SUMMARIES.get() {
         results[4].extras = extras.clone();
@@ -665,6 +750,13 @@ fn main() {
         results[8].extras = extras.clone();
         for (k, v) in extras {
             println!("  bench_failure_detect {k} = {v:.0}");
+        }
+    }
+
+    if let Some(extras) = BULK_LOOP_SUMMARIES.get() {
+        results[9].extras = extras.clone();
+        for (k, v) in extras {
+            println!("  bench_bulk_closed_loop {k} = {v:.3}");
         }
     }
 

@@ -41,7 +41,20 @@ pub(crate) struct Ctx<'a> {
     pub(crate) obs: &'a mut NodeObs,
 }
 
+/// The pacing rule's line (DESIGN.md §16.4): the freight of a full token,
+/// an eighth of a datagram under two transport datagrams, so the message
+/// that crosses it does not spill a third.
+pub(crate) fn full_line(transport: &Endpoint) -> usize {
+    let mtu = transport.mtu();
+    2 * mtu - mtu / 8
+}
+
 impl Ctx<'_> {
+    /// [`full_line`] of this node's transport.
+    pub(crate) fn full_line(&self) -> usize {
+        full_line(self.transport)
+    }
+
     /// Sends `msg` reliably and remembers what it carried, so the
     /// transport's `Delivered` / `DeliveryFailed` finds its way back.
     pub(crate) fn send_tracked(&mut self, to: NodeId, msg: Bytes, kind: SendKind) -> Result<MsgId> {

@@ -66,9 +66,10 @@ struct Queued {
 #[derive(Debug)]
 pub(crate) struct Multicast {
     outgoing: VecDeque<Queued>,
-    /// Wire bytes `outgoing` will add to a token (the sum of its entries'
-    /// `wire_len`), kept at submit/attach so the pacing rule reads it in
-    /// O(1).
+    /// Freight `outgoing` will put on a token (the sum of its entries'
+    /// `load_len`: wire bytes, plus the out-of-band payloads that are a
+    /// full token's worth by themselves), kept at submit/attach so the
+    /// pacing rule reads it in O(1).
     outgoing_bytes: usize,
     next_origin_seq: OriginSeq,
     /// Exactly-once delivery tracking per origin.
@@ -116,18 +117,20 @@ impl Multicast {
         self.holdback.iter_mut().find(|p| p.key() == key)
     }
 
-    /// Wire bytes the queued multicasts will add to a token.
+    /// Freight the queued multicasts will add to a token.
     pub(crate) fn outgoing_bytes(&self) -> usize {
         self.outgoing_bytes
     }
 
     /// Queues `payload` for the next token pass and assigns its origin
-    /// sequence number.
+    /// sequence number. `full`: the pacing rule's line, which the queued
+    /// entry is weighed against.
     pub(crate) fn submit(
         &mut self,
         id: NodeId,
         cfg: &SessionConfig,
         obs: &mut NodeObs,
+        full: usize,
         mode: DeliveryMode,
         payload: Bytes,
     ) -> Result<OriginSeq> {
@@ -157,7 +160,9 @@ impl Multicast {
                 oob_payload: None,
             }
         };
-        self.outgoing_bytes += queued.entry.wire_len();
+        self.outgoing_bytes = self
+            .outgoing_bytes
+            .saturating_add(queued.entry.load_len(full));
         self.outgoing.push_back(queued);
         Ok(seq)
     }
@@ -179,8 +184,9 @@ impl Multicast {
             return;
         }
         let envelope = crate::open::wrap_open(o.from, o.seq, &o.payload);
+        let full = cx.full_line();
         if self
-            .submit(cx.id, cx.cfg, cx.obs, DeliveryMode::Agreed, envelope)
+            .submit(cx.id, cx.cfg, cx.obs, full, DeliveryMode::Agreed, envelope)
             .is_ok()
         {
             cx.metrics.open_relayed += 1;
@@ -197,6 +203,7 @@ impl Multicast {
     /// bursts).
     pub(crate) fn attach_outgoing(&mut self, cx: &mut Ctx<'_>, token: &mut Token) {
         let mut attached_any = false;
+        let full = cx.full_line();
         while token.msgs.len() < cx.cfg.max_attached {
             let Some(Queued {
                 entry: a,
@@ -205,7 +212,7 @@ impl Multicast {
             else {
                 break;
             };
-            self.outgoing_bytes -= a.wire_len();
+            self.outgoing_bytes = self.outgoing_bytes.saturating_sub(a.load_len(full));
             if let Some(payload) = oob_payload {
                 self.bulk_store.insert(a.key(), payload.clone());
                 self.send_bulk_frames(cx, &token.ring, a.seq, &payload);

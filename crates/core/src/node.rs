@@ -30,7 +30,7 @@
 //! with the token in this node's hands returns it ([`Eat`]), and the one
 //! place a token is eaten is `SessionNode::become_eating`.
 
-use crate::ctx::{Ctx, SendKind};
+use crate::ctx::{full_line, Ctx, SendKind};
 use crate::discovery::Discovery;
 use crate::events::SessionEvent;
 use crate::metrics::SessionMetrics;
@@ -339,9 +339,10 @@ impl SessionNode {
         if self.is_down() {
             return Err(Error::ShutDown);
         }
+        let full = full_line(&self.transport);
         let seq = self
             .mcast
-            .submit(self.id, &self.cfg, &mut self.obs, mode, payload)?;
+            .submit(self.id, &self.cfg, &mut self.obs, full, mode, payload)?;
         self.release_full_hold();
         Ok(seq)
     }
@@ -596,7 +597,8 @@ impl SessionNode {
         cx.sync_membership(&token.ring);
         self.mcast.process_attachments(&mut cx, &mut token);
         cx.metrics.tokens_received += 1;
-        cx.role.accept_token(token, now, cx.cfg.token_hold);
+        let full = cx.full_line();
+        cx.role.accept_token(token, now, cx.cfg.token_hold, full);
         self.grant_master_if_eating();
         self.release_full_hold();
     }
@@ -604,23 +606,20 @@ impl SessionNode {
     /// The pacing rule (DESIGN.md §16), and the one place it lives: never
     /// hold a full token for `token_hold`. The hold paces a token that
     /// still has room — waiting lets more multicasts board the datagrams
-    /// the hop pays for anyway. Once the held token plus what is queued to
-    /// attach fills two transport datagrams the wait buys nothing, and the
-    /// token is due at once — except at the ring's first member, which
-    /// keeps the loaded ring's pace: there it is due one
-    /// [`SessionNode::loaded_round`] after that member's last pass was (a
-    /// held master lock still pins the token anywhere). The line sits an
-    /// eighth of a datagram under `2 × mtu`, so the message that crosses
-    /// it does not spill a third datagram. Evaluated wherever the sum
-    /// grows: a token accepted, a multicast queued.
+    /// the hop pays for anyway. Once the freight of the held token plus
+    /// what is queued to attach fills two transport datagrams
+    /// ([`full_line`]) — on the token or beside it: an out-of-band payload
+    /// that is a full token's worth by itself counts as its bytes, not as
+    /// its manifest entry, a smaller one as the entry it shares the token
+    /// with — the wait buys nothing, and the token is due at once —
+    /// except at the ring's first member, which keeps the loaded ring's
+    /// pace: there it is due one [`SessionNode::loaded_round`] after that
+    /// member's last pass was (a held master lock still pins the token
+    /// anywhere). Evaluated wherever the sum grows: a token accepted, a
+    /// multicast queued.
     fn release_full_hold(&mut self) {
-        let mtu = self.transport.mtu();
-        let line = 2 * mtu - mtu / 8;
-        if self
-            .role
-            .held_wire_len()
-            .is_some_and(|held| held + self.mcast.outgoing_bytes() >= line)
-        {
+        let line = full_line(&self.transport);
+        if self.freight().is_some_and(|freight| freight >= line) {
             let paces = self.ring.group_id() == Some(GroupId(self.id));
             let due = match self.pass_slot {
                 Some(slot) if paces => slot + self.loaded_round(),
@@ -628,6 +627,13 @@ impl SessionNode {
             };
             self.role.set_pass_due(due);
         }
+    }
+
+    /// What the pacing rule weighs, if EATING: the freight the held token
+    /// orders plus the freight queued to board it at the pass.
+    fn freight(&self) -> Option<usize> {
+        let held = self.role.held_load()?;
+        Some(held.saturating_add(self.mcast.outgoing_bytes()))
     }
 
     /// A round of the loaded ring: half an idle round, half the hold a
@@ -646,6 +652,8 @@ impl SessionNode {
     /// `early`: the timer fired on a hold the pacing rule cut short.
     fn pass_token(&mut self, now: Time, early: bool) {
         let round = self.loaded_round();
+        // The freight that released the hold, for the journal.
+        let released_by = self.freight().filter(|_| early);
         let mut cx = cx!(self, now);
         let Some(mut token) = cx.role.take_token(now) else {
             return;
@@ -663,7 +671,7 @@ impl SessionNode {
         // Stage b3': pass-side work begins. The EATING hold between b3
         // and here is deliberately not a stage — it is pacing, not
         // pipeline — and goes to its own `token_hold` histogram.
-        cx.obs.hop_pass_begin(early);
+        cx.obs.hop_pass_begin(released_by);
         self.mcast.attach_outgoing(&mut cx, &mut token);
         let merge_target = self.discovery.take_merge_target();
         let eat = self.pass.forward(&mut cx, token, merge_target);
@@ -747,6 +755,7 @@ pub(crate) mod testkit {
 mod tests {
     use super::testkit::{drain, mk};
     use super::*;
+    use raincore_types::wire::WireEncode;
     use raincore_types::{Attached, Duration, Token};
 
     fn cfg(n: u32) -> SessionConfig {
@@ -877,11 +886,16 @@ mod tests {
     }
 
     fn token_with(origin: u32, seq: u64, msgs: std::ops::Range<u64>) -> SessionMsg {
+        token_of(
+            seq,
+            msgs.map(|i| Attached::new(NodeId(origin), OriginSeq(i), DeliveryMode::Agreed, big())),
+        )
+    }
+
+    fn token_of(seq: u64, msgs: impl IntoIterator<Item = Attached>) -> SessionMsg {
         let mut t = Token::founding(Ring::from([0, 1, 2]));
         t.seq = seq;
-        t.msgs = msgs
-            .map(|i| Attached::new(NodeId(origin), OriginSeq(i), DeliveryMode::Agreed, big()))
-            .collect();
+        t.msgs = msgs.into_iter().collect();
         SessionMsg::Token(t)
     }
 
@@ -1038,59 +1052,214 @@ mod tests {
 
     #[test]
     fn master_lock_outranks_a_released_hold() {
-        let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
-        a.request_master().unwrap();
-        assert!(a.holds_master());
-        for _ in 0..3 {
-            a.multicast(DeliveryMode::Agreed, big()).unwrap();
+        // Three inline kilobytes, or one payload that travels out of band.
+        for (bulk_threshold, count, len) in [(0, 3, 1000), (512, 1, 8192)] {
+            let mut a = mk_bulk(0, bulk_threshold);
+            a.request_master().unwrap();
+            assert!(a.holds_master());
+            for _ in 0..count {
+                a.multicast(DeliveryMode::Agreed, Bytes::from(vec![7u8; len]))
+                    .unwrap();
+            }
+            let later = Time::ZERO + Duration::from_secs(1);
+            a.on_tick(later);
+            assert!(a.is_eating(), "the lock pins a full token too");
+            assert_eq!(a.metrics().tokens_sent, 0);
+            a.release_master(later).unwrap();
+            assert!(!a.is_eating());
+            assert_eq!(a.metrics().tokens_sent, 1);
+            assert_eq!(
+                a.metrics().tokens_passed_early,
+                0,
+                "released by the lock holder, not by the rule"
+            );
         }
-        let later = Time::ZERO + Duration::from_secs(1);
-        a.on_tick(later);
-        assert!(a.is_eating(), "the lock pins a full token too");
-        assert_eq!(a.metrics().tokens_sent, 0);
-        a.release_master(later).unwrap();
-        assert!(!a.is_eating());
-        assert_eq!(a.metrics().tokens_sent, 1);
-        assert_eq!(
-            a.metrics().tokens_passed_early,
-            0,
-            "released by the lock holder, not by the rule"
-        );
+    }
+
+    /// Node `id` of the three, sending payloads of `bulk_threshold` bytes
+    /// and more out of band.
+    fn mk_bulk(id: u32, bulk_threshold: usize) -> SessionNode {
+        testkit::mk_with(id, 3, StartMode::Founding(Ring::from([0, 1, 2])), |c| {
+            c.bulk_threshold = bulk_threshold
+        })
+    }
+
+    /// A manifest entry of `origin`'s ordering `len` out-of-band bytes.
+    fn manifest(origin: u32, seq: u64, len: u64) -> Attached {
+        Attached::new_oob(NodeId(origin), OriginSeq(seq), DeliveryMode::Agreed, len)
+    }
+
+    /// When the held token is due to be passed (the node's other timers —
+    /// retransmissions, NACK pulls — left out).
+    fn pass_due(n: &SessionNode) -> Option<Time> {
+        n.role()
+            .next_deadline(n.config().hungry_timeout, n.holds_master())
+    }
+
+    fn the_pass(n: &mut SessionNode) -> Token {
+        testkit::outgoing_msgs(n)
+            .into_iter()
+            .find_map(|(_, m)| match m {
+                SessionMsg::Token(t) => Some(t),
+                _ => None,
+            })
+            .expect("the pass")
     }
 
     #[test]
     fn queued_byte_count_is_exact() {
-        let mut a = testkit::mk_with(0, 3, StartMode::Founding(Ring::from([0, 1, 2])), |c| {
-            c.bulk_threshold = 512
-        });
+        let mut a = mk_bulk(0, 512);
+        let line = full_line(&a.transport);
         let empty = Token::founding(Ring::from([0, 1, 2])).wire_len();
-        assert_eq!(a.role().held_wire_len(), Some(empty));
+        assert_eq!(a.role().held_load(), Some(empty));
         for (mode, len) in [
             (DeliveryMode::Agreed, 0),
             (DeliveryMode::Safe, 200),
             (DeliveryMode::Agreed, 600), // out of band: a manifest entry
             (DeliveryMode::Agreed, 130),
+            (DeliveryMode::Safe, 4000), // out of band, and past the line
         ] {
             a.multicast(mode, Bytes::from(vec![1u8; len])).unwrap();
         }
         let queued = a.mcast.outgoing_bytes();
         a.on_tick(Time::ZERO + a.config().token_hold);
         assert_eq!(a.mcast.outgoing_bytes(), 0, "everything boarded");
-        let sent = testkit::outgoing_msgs(&mut a)
-            .into_iter()
-            .find_map(|(_, m)| match m {
-                SessionMsg::Token(t) => Some(t),
-                _ => None,
-            })
-            .expect("the pass");
-        assert_eq!(sent.msgs.len(), 4);
-        assert!(sent.msgs[2].is_oob());
+        let sent = the_pass(&mut a);
+        assert_eq!(sent.msgs.len(), 5);
+        assert!(sent.msgs[2].is_oob() && sent.msgs[4].is_oob());
+        let on_the_wire: usize = sent.msgs.iter().map(Attached::wire_len).sum();
+        assert_eq!(sent.wire_len(), empty + on_the_wire);
         assert_eq!(
             queued,
-            sent.msgs.iter().map(Attached::wire_len).sum::<usize>(),
-            "the running count is the bytes the entries put on the wire"
+            on_the_wire + 4000,
+            "the running count is the bytes the entries put on the wire, and \
+             the bytes the one that is a full token's worth sent round it"
         );
-        assert_eq!(sent.wire_len(), empty + queued);
+        assert_eq!(sent.load_len(line), empty + queued);
+    }
+
+    #[test]
+    fn out_of_band_submit_releases_the_hold_by_its_payload() {
+        let ms = Duration::from_millis;
+        let bulk = || Bytes::from(vec![3u8; 8192]);
+        // Any member but the first: due at once.
+        let mut b = mk_bulk(1, 512);
+        let hold = b.config().token_hold;
+        let t0 = Time::ZERO + ms(7);
+        b.on_session_msg(t0, token_of(10, []));
+        assert_eq!(pass_due(&b), Some(t0 + hold), "an empty token has room");
+        b.multicast(DeliveryMode::Agreed, bulk()).unwrap();
+        assert_eq!(pass_due(&b), Some(t0), "8 KiB has left by another road");
+        b.on_tick(t0 + Duration(1));
+        assert!(!b.is_eating());
+        assert_eq!(b.metrics().tokens_passed_early, 1);
+        let sent = the_pass(&mut b);
+        assert!(sent.wire_len() < 64, "the envelope stays a few bytes");
+        assert!(sent.load_len(full_line(&b.transport)) > 8192);
+
+        // The first member: the founding pass at once (it starts the
+        // grid), every later one a loaded round after the last.
+        let mut a = mk_bulk(0, 512);
+        let round = hold.saturating_mul(3).div(2);
+        a.multicast(DeliveryMode::Agreed, bulk()).unwrap();
+        assert_eq!(pass_due(&a), Some(Time::ZERO));
+        a.on_tick(t0);
+        assert_eq!(a.metrics().tokens_sent, 1);
+        let back = t0 + ms(8);
+        a.on_session_msg(back, token_of(10, []));
+        assert_eq!(pass_due(&a), Some(back + hold));
+        a.multicast(DeliveryMode::Agreed, bulk()).unwrap();
+        assert_eq!(pass_due(&a), Some(t0 + round), "pass_slot + loaded_round");
+        a.on_tick(t0 + round - Duration(1));
+        assert!(a.is_eating(), "the pace-keeper paces freight too");
+        a.on_tick(t0 + round);
+        assert_eq!(a.metrics().tokens_sent, 2);
+        assert_eq!(a.metrics().tokens_passed_early, 2);
+    }
+
+    #[test]
+    fn accepted_manifests_weigh_what_they_order_once_that_is_a_full_token() {
+        let mut b = mk_bulk(1, 512);
+        let hold = b.config().token_hold;
+        let line = full_line(&b.transport) as u64;
+        assert_eq!(line, 2625);
+        let ms = Duration::from_millis;
+        // Payloads that could share a token weigh their manifest entries,
+        // however many of them there are ...
+        let t0 = Time::ZERO + ms(7);
+        let small = (0..8).map(|i| manifest(0, i, 2048));
+        b.on_session_msg(t0, token_of(10, small));
+        assert_eq!(pass_due(&b), Some(t0 + hold));
+        b.on_tick(t0 + hold);
+        // ... and so does one a byte short of the line.
+        let t1 = t0 + ms(30);
+        b.on_session_msg(t1, token_of(13, [manifest(0, 8, line - 1)]));
+        assert_eq!(pass_due(&b), Some(t1 + hold));
+        b.on_tick(t1 + hold);
+        assert_eq!(b.metrics().tokens_passed_early, 0);
+        // One that is a full token by itself: due as accepted.
+        let t2 = t1 + ms(30);
+        b.on_session_msg(t2, token_of(16, [manifest(0, 9, line)]));
+        assert_eq!(pass_due(&b), Some(t2));
+        b.on_tick(t2);
+        assert_eq!(b.metrics().tokens_passed_early, 1);
+    }
+
+    #[test]
+    fn retired_freight_gives_the_hold_back() {
+        let mut b = mk_bulk(1, 512);
+        let hold = b.config().token_hold;
+        let t0 = Time::ZERO + Duration::from_millis(7);
+        b.on_session_msg(t0, token_of(10, []));
+        b.multicast(DeliveryMode::Agreed, Bytes::from(vec![3u8; 8192]))
+            .unwrap();
+        b.on_tick(t0);
+        let mut entry = the_pass(&mut b).msgs[0].clone();
+        assert_eq!(entry.key(), (NodeId(1), OriginSeq(0)));
+        // Round the ring and back with everybody's mark: the origin
+        // retires it before the token is weighed.
+        entry.mark_seen(NodeId(2));
+        entry.mark_seen(NodeId(0));
+        let t1 = t0 + Duration::from_millis(3);
+        b.on_session_msg(t1, token_of(13, [entry]));
+        assert!(drain(&mut b).contains(&SessionEvent::MulticastAtomic { seq: OriginSeq(0) }));
+        assert_eq!(
+            pass_due(&b),
+            Some(t1 + hold),
+            "an idle token is paced again"
+        );
+        assert_eq!(b.metrics().tokens_passed_early, 1);
+    }
+
+    #[test]
+    fn forged_manifest_length_can_only_fill_the_token() {
+        // The length is a peer's varint: take it off the wire as the
+        // transport hands it up.
+        let wire =
+            token_of(10, [manifest(0, 0, u64::MAX), manifest(0, 1, u64::MAX)]).encode_to_bytes();
+        let msg = SessionMsg::decode_from_bytes(&wire).unwrap();
+        let mut b = mk_bulk(1, 512);
+        let t0 = Time::ZERO + Duration::from_millis(7);
+        b.on_session_msg(t0, msg);
+        assert_eq!(b.role().held_load(), Some(usize::MAX));
+        assert_eq!(pass_due(&b), Some(t0), "full, and no fuller than full");
+        // More freight on top of a saturated sum neither wraps nor panics.
+        b.multicast(DeliveryMode::Agreed, Bytes::from(vec![3u8; 8192]))
+            .unwrap();
+        assert_eq!(pass_due(&b), Some(t0));
+        b.on_tick(t0);
+        assert!(!b.is_eating());
+        assert_eq!(b.mcast.outgoing_bytes(), 0);
+        // At the pace-keeper the grid still bounds it to a loaded round.
+        let mut a = mk_bulk(0, 512);
+        let round = a.config().token_hold.saturating_mul(3).div(2);
+        a.on_tick(Time::ZERO + a.config().token_hold);
+        let msg = SessionMsg::decode_from_bytes(&wire).unwrap();
+        a.on_session_msg(t0 + Duration::from_millis(4), msg);
+        assert_eq!(
+            pass_due(&a),
+            Some(Time::ZERO + a.config().token_hold + round)
+        );
     }
 
     #[test]

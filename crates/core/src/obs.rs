@@ -85,10 +85,10 @@ pub struct NodeObs {
     /// Send-side samples: pass-begin and post-encode stamps.
     pass_begin_ns: u64,
     encoded_ns: u64,
-    /// How long the token being passed was held, and whether the pacing
-    /// rule cut that hold short.
+    /// How long the token being passed was held, and — if the pacing
+    /// rule cut that hold short — the freight that released it.
     held_ns: u64,
-    early: bool,
+    released_by: Option<usize>,
     /// Trace context of the last hop this node accepted — the causal
     /// suspect quoted by STARVING/911/membership events.
     last_ctx: TraceCtx,
@@ -121,7 +121,7 @@ impl NodeObs {
             pass_begin_ns: 0,
             encoded_ns: 0,
             held_ns: 0,
-            early: false,
+            released_by: None,
             last_ctx: TraceCtx::default(),
         }
     }
@@ -218,11 +218,12 @@ impl NodeObs {
 
     /// b3': pass-side work begins (the EATING→pass boundary). Hold time
     /// between b3 and here is deliberately *not* a stage — it is pacing,
-    /// not pipeline — and is recorded on its own. `early`: the pacing
-    /// rule released this hold (marks the hop's span when it is sent).
-    pub(crate) fn hop_pass_begin(&mut self, early: bool) {
+    /// not pipeline — and is recorded on its own. `released_by`: the
+    /// freight on which the pacing rule released this hold, if it did
+    /// (marks the hop's span when it is sent).
+    pub(crate) fn hop_pass_begin(&mut self, released_by: Option<usize>) {
         self.pass_begin_ns = self.stage_ns();
-        self.early = early;
+        self.released_by = released_by;
         self.held_ns = self
             .last_eating
             .map_or(0, |at| self.clock.since(at).as_nanos());
@@ -269,11 +270,12 @@ impl NodeObs {
             ctx.parent,
             stages.iter().sum(),
         );
-        if std::mem::take(&mut self.early) {
+        if let Some(load) = self.released_by.take() {
             self.trace(TraceKind::EarlyPass {
                 circ: ctx.circ,
                 hop: ctx.hop,
                 held_ns: self.held_ns,
+                load: load as u64,
             });
         }
         self.last_ctx = ctx;

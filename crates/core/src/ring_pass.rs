@@ -382,7 +382,7 @@ impl RingPass {
                     // A stale pass failed after we already moved on:
                     // still treat it as a failure detection of `to`.
                     self.evict(cx, to);
-                    cx.role.remove_from_held(to);
+                    cx.role.remove_from_held(to, cx.full_line());
                 }
                 None
             }

@@ -80,9 +80,11 @@ pub struct Hungry {
 #[derive(Debug)]
 pub struct Eating {
     token: Token,
-    /// Exact length of `token`'s wire image, so the pacing rule can weigh
-    /// the held token on every submit without walking it.
-    wire_len: usize,
+    /// The freight `token` orders ([`Token::load_len`]: wire image plus
+    /// the out-of-band payloads that are a full token's worth by
+    /// themselves), so the pacing rule can weigh the held token on every
+    /// submit without walking it.
+    load: usize,
     accepted: Time,
     /// The pacing budget: `token_hold`, or what the pacing rule made it.
     hold: Duration,
@@ -227,7 +229,7 @@ impl ProtocolState for Hungry {
 impl Eating {
     fn accept(token: Token, now: Time, hold: Duration) -> Eating {
         Eating {
-            wire_len: token.wire_len(),
+            load: token.wire_len(),
             token,
             accepted: now,
             hold,
@@ -237,6 +239,13 @@ impl Eating {
     /// The held token.
     pub fn token(&self) -> &Token {
         &self.token
+    }
+
+    /// Recounts the cached freight against the pacing rule's line `full`:
+    /// an accepted token weighs its wire image until the node, which
+    /// knows the line, says what travels beside it counts.
+    fn weigh(&mut self, full: usize) {
+        self.load = self.token.load_len(full);
     }
 
     /// The pass deadline: the end of the token-hold budget, or where the
@@ -540,23 +549,25 @@ impl Role {
     }
 
     /// Accepts a token: any state → EATING via the per-state
-    /// [`ProtocolState::on_token_accept`] handler.
-    pub fn accept_token(&mut self, token: Token, now: Time, hold: Duration) {
+    /// [`ProtocolState::on_token_accept`] handler, the held token weighed
+    /// against the pacing rule's line `full` ([`Token::load_len`]).
+    pub fn accept_token(&mut self, token: Token, now: Time, hold: Duration, full: usize) {
         self.step(|cur| {
-            let eating = match cur {
+            let mut eating = match cur {
                 RoleInner::Hungry(s) => s.on_token_accept(token, now, hold),
                 RoleInner::Eating(s) => s.on_token_accept(token, now, hold),
                 RoleInner::Starving(s) => s.on_token_accept(token, now, hold),
                 RoleInner::Down(s) => s.on_token_accept(token, now, hold),
             };
+            eating.weigh(full);
             (Role::from(eating), ())
         })
     }
 
-    /// Wire length of the held token, if EATING.
-    pub fn held_wire_len(&self) -> Option<usize> {
+    /// Freight ordered by the held token ([`Token::load_len`]), if EATING.
+    pub fn held_load(&self) -> Option<usize> {
         match self.inner() {
-            RoleInner::Eating(s) => Some(s.wire_len),
+            RoleInner::Eating(s) => Some(s.load),
             RoleInner::Hungry(_) | RoleInner::Starving(_) | RoleInner::Down(_) => None,
         }
     }
@@ -602,10 +613,10 @@ impl Role {
 
     /// If EATING, removes a failed member from the held token's
     /// membership (aggressive failure detection on a stale pass).
-    pub fn remove_from_held(&mut self, node: NodeId) {
+    pub fn remove_from_held(&mut self, node: NodeId, full: usize) {
         if let RoleInner::Eating(s) = &mut self.inner {
             s.token.ring.remove(node);
-            s.wire_len = s.token.wire_len();
+            s.weigh(full);
         }
     }
 
@@ -803,11 +814,14 @@ mod tests {
         Token::founding(Ring::from([0, 1, 2]))
     }
 
+    /// The pacing rule's line at the default `mtu` of 1 400 bytes.
+    const LINE: usize = 2625;
+
     #[test]
     fn typed_pass_is_the_only_token_exit() {
         let mut r = Role::hungry(Time(0));
         assert_eq!(r.take_token(Time(1)), None, "HUNGRY holds no token");
-        r.accept_token(token(), Time(0), Duration(5));
+        r.accept_token(token(), Time(0), Duration(5), LINE);
         assert!(r.is_eating());
         let t = r.take_token(Time(5)).expect("EATING hands the token out");
         assert_eq!(t.ring.len(), 3);
@@ -908,7 +922,7 @@ mod tests {
         assert_eq!(r.shut_down(), None);
         assert!(r.is_down());
         let mut r = Role::hungry(Time(0));
-        r.accept_token(token(), Time(0), Duration(5));
+        r.accept_token(token(), Time(0), Duration(5), LINE);
         assert!(r.shut_down().is_some());
         assert!(r.is_down());
         assert_eq!(r.shut_down(), None, "already down");
@@ -920,7 +934,7 @@ mod tests {
         let mut r = Role::hungry(Time(0));
         assert_eq!(r.timer(Time(99), ht, false), TimerFired::Idle);
         assert_eq!(r.timer(Time(100), ht, false), TimerFired::Starve);
-        r.accept_token(token(), Time(0), Duration(10));
+        r.accept_token(token(), Time(0), Duration(10), LINE);
         assert_eq!(r.timer(Time(9), ht, false), TimerFired::Idle);
         assert_eq!(r.timer(Time(10), ht, false), TimerFired::PassToken);
         assert_eq!(
@@ -952,8 +966,37 @@ mod tests {
             "same hungry age at different absolute times"
         );
         let mut e = Role::hungry(Time(0));
-        e.accept_token(token(), Time(0), Duration(5));
+        e.accept_token(token(), Time(0), Duration(5), LINE);
         assert_ne!(fp(&h0, Time(3)), fp(&e, Time(3)));
+    }
+
+    #[test]
+    fn cached_load_follows_the_held_token() {
+        use raincore_types::{Attached, DeliveryMode, OriginSeq};
+        let oob = |seq, len| Attached::new_oob(NodeId(2), OriginSeq(seq), DeliveryMode::Safe, len);
+        let mut t = token();
+        t.msgs.push(Attached::new(
+            NodeId(0),
+            OriginSeq(0),
+            DeliveryMode::Agreed,
+            bytes::Bytes::from_static(b"inline"),
+        ));
+        // A full token's worth beside the token counts; less does not.
+        t.msgs.push(oob(0, 8192));
+        t.msgs.push(oob(1, LINE as u64 - 1));
+        let mut r = Role::hungry(Time(0));
+        assert_eq!(r.held_load(), None);
+        r.accept_token(t.clone(), Time(0), Duration(5), LINE);
+        assert_eq!(r.held_load(), Some(t.wire_len() + 8192));
+        assert!(t.wire_len() < 64, "three entries, a few bytes each");
+        // A member evicted from the held ring takes its id's byte off the
+        // envelope; the freight is recounted, not patched.
+        r.remove_from_held(NodeId(2), LINE);
+        t.ring.remove(NodeId(2));
+        assert_eq!(r.held_load(), Some(t.load_len(LINE)));
+        assert_eq!(t.load_len(LINE), t.wire_len() + 8192);
+        assert_eq!(r.take_token(Time(1)), Some(t));
+        assert_eq!(r.held_load(), None);
     }
 
     #[test]
@@ -969,8 +1012,8 @@ mod tests {
         assert_eq!(r.hold(), None);
         r.set_pass_due(Time(0));
         assert_eq!(r.name(), "HUNGRY", "nothing to pace without a token");
-        r.accept_token(token(), Time(20), Duration(10));
-        assert_eq!(r.held_wire_len(), Some(token().wire_len()));
+        r.accept_token(token(), Time(20), Duration(10), LINE);
+        assert_eq!(r.held_load(), Some(token().wire_len()));
         assert_eq!(r.hold(), Some(Duration(10)));
         let held = fp(&r, Time(22));
         r.set_pass_due(Time(26));
@@ -992,7 +1035,7 @@ mod tests {
         // (wrapping subtraction gave every instant its own fingerprint).
         assert_eq!(fp(&r, Time(22)), fp(&r, Time(2_000_000_020)));
         let mut later = Role::hungry(Time(0));
-        later.accept_token(token(), Time(500), Duration(10));
+        later.accept_token(token(), Time(500), Duration(10), LINE);
         later.set_pass_due(Time(0));
         assert_eq!(fp(&r, Time(22)), fp(&later, Time(500)));
     }

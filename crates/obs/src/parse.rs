@@ -535,6 +535,7 @@ pub fn parse_journal_json(input: &str) -> Result<Vec<TraceEvent>, JsonError> {
                 circ: field_u64(item, "circ", i)?,
                 hop: field_u64(item, "hop", i)?,
                 held_ns: field_u64(item, "held_ns", i)?,
+                load: field_u64(item, "load", i)?,
             },
             "CAUSE_STARVING" => TraceKind::CauseStarving {
                 circ: field_u64(item, "circ", i)?,
@@ -662,6 +663,7 @@ mod tests {
                 circ: 7,
                 hop: 14,
                 held_ns: 35_000,
+                load: 8_400,
             },
         );
         let exported = j.render_json();

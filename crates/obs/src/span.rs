@@ -407,6 +407,7 @@ mod tests {
                 circ: 7,
                 hop: 1,
                 held_ns: 40_000,
+                load: 8_393,
             },
         });
         let text = render_waterfall(&events, &WaterfallOpts::default());
@@ -414,6 +415,8 @@ mod tests {
         let pos_early = text.find("EARLY_PASS").expect("early-pass mark");
         assert!(text.find("hop      1").unwrap() < pos_early, "{text}");
         assert!(pos_early < text.find("hop      2").unwrap(), "{text}");
+        // ... with how long it was held and the freight that released it.
+        assert!(text.contains("held=40.0µs load=8393B"), "{text}");
         assert!(text.contains("2 circulation(s)"), "{text}");
         assert!(text.contains("parent hop 2"), "{text}");
         assert!(text.contains("CAUSE_911"), "{text}");

@@ -97,8 +97,17 @@ pub enum TraceKind {
     },
     /// The pacing rule cut the hold of hop `(circ, hop)` short: the token
     /// was full, so it left `held_ns` after acceptance instead of waiting
-    /// out `token_hold`.
-    EarlyPass { circ: u64, hop: u64, held_ns: u64 },
+    /// out `token_hold`. `load` is the freight that released it — the
+    /// bytes the held token ordered plus those queued to board, an
+    /// out-of-band entry that is a full token's worth by itself counted
+    /// as its payload (DESIGN.md §16.1) — so a
+    /// 300-byte token that leaves after 40 µs explains itself.
+    EarlyPass {
+        circ: u64,
+        hop: u64,
+        held_ns: u64,
+        load: u64,
+    },
     /// STARVING was entered; `(circ, hop)` names the last hop this node
     /// observed before the token went missing — the causal suspect.
     CauseStarving { circ: u64, hop: u64 },
@@ -229,8 +238,16 @@ impl TraceKind {
                     fmt_ns(*send_ns),
                 )
             }
-            TraceKind::EarlyPass { circ, hop, held_ns } => {
-                format!("circ={circ} hop={hop} held={}", fmt_ns(*held_ns))
+            TraceKind::EarlyPass {
+                circ,
+                hop,
+                held_ns,
+                load,
+            } => {
+                format!(
+                    "circ={circ} hop={hop} held={} load={load}B",
+                    fmt_ns(*held_ns)
+                )
             }
             TraceKind::CauseStarving { circ, hop } => format!("circ={circ} hop={hop}"),
             TraceKind::Cause911 { circ, hop, req_id } => {
@@ -320,8 +337,13 @@ impl TraceKind {
                     "\"circ\":{circ},\"hop\":{hop},\"parent\":{parent},\"recv_ns\":{recv_ns},\"decode_ns\":{decode_ns},\"protocol_ns\":{protocol_ns},\"encode_ns\":{encode_ns},\"send_ns\":{send_ns}"
                 )
             }
-            TraceKind::EarlyPass { circ, hop, held_ns } => {
-                format!("\"circ\":{circ},\"hop\":{hop},\"held_ns\":{held_ns}")
+            TraceKind::EarlyPass {
+                circ,
+                hop,
+                held_ns,
+                load,
+            } => {
+                format!("\"circ\":{circ},\"hop\":{hop},\"held_ns\":{held_ns},\"load\":{load}")
             }
             TraceKind::CauseStarving { circ, hop } => format!("\"circ\":{circ},\"hop\":{hop}"),
             TraceKind::Cause911 { circ, hop, req_id } => {

@@ -225,6 +225,13 @@ fn main() {
             eprintln!("chaos: FAIL — bulk soak dropped no bulk frames (fault not exercised)");
             std::process::exit(1);
         }
+        println!("chaos: bulk soak — {early_passes} token passes were early");
+        if early_passes == 0 {
+            eprintln!(
+                "chaos: FAIL — bulk soak passed no token early (out-of-band freight not weighed)"
+            );
+            std::process::exit(1);
+        }
     }
     if base.payload_pad > 0 {
         println!("chaos: padded soak — {early_passes} token passes were early");

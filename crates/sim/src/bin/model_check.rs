@@ -28,7 +28,8 @@ fn usage() -> ! {
         "usage: model_check [--nodes N] [--depth N] [--crashes N] [--drops N] \
          [--max-schedules N] [--min-schedules N] [--dump FILE] [--seeded-check] [--replay FILE] \
          [--no-reduction] [--stats-out FILE] [--mtu BYTES] [--multicast ORIGIN:LEN]... \
-         [--min-early-passes N] [--retry-ms MS] [--hungry-ms MS]"
+         [--min-early-passes N] [--retry-ms MS] [--hungry-ms MS] \
+         [--bulk-threshold BYTES] [--bulk-drops N]"
     );
     std::process::exit(2);
 }
@@ -77,6 +78,15 @@ fn main() {
             }
             "--min-early-passes" => {
                 min_early_passes = next(&mut i).parse().unwrap_or_else(|_| usage())
+            }
+            // The freight leg (DESIGN.md §16.5): seeded multicasts of at
+            // least this many bytes travel out of band, and the adversary
+            // may drop that many of their payload frames.
+            "--bulk-threshold" => {
+                cfg.session.bulk_threshold = next(&mut i).parse().unwrap_or_else(|_| usage())
+            }
+            "--bulk-drops" => {
+                cfg.bulk_drop_budget = next(&mut i).parse().unwrap_or_else(|_| usage())
             }
             // The adaptive-timer leg (DESIGN.md §17.5): timeouts far enough
             // above what the model measures for the timers to come down.

@@ -1006,10 +1006,15 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
                 };
                 // With the out-of-band path on, every other message is
                 // fat enough to disseminate as a bulk frame the loss dial
-                // can target; odd-sized so truncation cannot alias.
+                // can target; odd-sized so truncation cannot alias. Every
+                // other one of those is eight thresholds long: a full
+                // token's worth of freight by itself, beside a token
+                // that stays a few dozen bytes and is passed early all
+                // the same (§16.1).
                 let byte = (workload_turn & 0xff) as u8;
                 let payload = if cfg.bulk_threshold > 0 && workload_turn % 2 == 1 {
-                    Bytes::from(vec![byte; cfg.bulk_threshold * 2 + 1])
+                    let thresholds = if workload_turn % 4 == 3 { 8 } else { 2 };
+                    Bytes::from(vec![byte; cfg.bulk_threshold * thresholds + 1])
                 } else {
                     Bytes::from(vec![byte; cfg.payload_pad.max(1)])
                 };

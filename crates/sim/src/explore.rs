@@ -170,13 +170,16 @@ fn independent(a: &Action, b: &Action) -> bool {
     }
 }
 
-/// True if an on-wire payload is a single-fragment transport frame
-/// carrying an out-of-band bulk payload ([`SessionMsg::Bulk`]). This is
-/// the targeting predicate for [`Action::DropBulk`] and for the chaos
-/// harness's bulk-loss fault class.
+/// True if an on-wire payload is the transport frame that carries — or,
+/// for a payload of more than one datagram, begins — an out-of-band bulk
+/// payload ([`SessionMsg::Bulk`]). Bulk frames are fire-and-forget, so
+/// losing the first fragment loses the payload. This is the targeting
+/// predicate for [`Action::DropBulk`] and for the chaos harness's
+/// bulk-loss fault class.
 pub fn is_bulk_frame(bytes: &[u8]) -> bool {
     match Frame::decode_from_bytes(bytes) {
         Ok(Frame::Data {
+            frag_index: 0,
             frag_count: 1,
             payload,
             ..
@@ -184,6 +187,11 @@ pub fn is_bulk_frame(bytes: &[u8]) -> bool {
             SessionMsg::decode_from_bytes(&payload),
             Ok(SessionMsg::Bulk(_))
         ),
+        Ok(Frame::Data {
+            frag_index: 0,
+            payload,
+            ..
+        }) => payload.first() == Some(&SessionMsg::TAG_BULK),
         _ => false,
     }
 }

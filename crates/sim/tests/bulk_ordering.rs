@@ -38,28 +38,46 @@ fn bulk_cfg() -> ModelCheckConfig {
     cfg
 }
 
+/// The freight leg's scenario (DESIGN.md §16.5): one 120-byte payload
+/// that a 64-byte MTU cuts into three bulk fragments a member.
+fn fragmented_bulk_cfg() -> ModelCheckConfig {
+    let mut cfg = ModelCheckConfig {
+        bulk_drop_budget: 1,
+        seed_bulk: vec![(NodeId(1), 120)],
+        ..ModelCheckConfig::default()
+    };
+    cfg.transport.mtu = 64;
+    cfg.session.bulk_threshold = 100;
+    cfg
+}
+
 /// The bulk-loss adversary is actually armed: some reachable state
-/// offers a `drop-bulk` action (the search below would be vacuous if
-/// no bulk payload frame ever crossed the model wire).
+/// offers a `drop-bulk` action (the searches over these scenarios would
+/// be vacuous if no bulk payload frame ever crossed the model wire, or
+/// if a payload of several fragments could not be targeted).
 #[test]
 fn drop_bulk_actions_are_reachable() {
-    let cfg = bulk_cfg();
-    let mut world = raincore_sim::ModelWorld::new(&cfg).expect("setup");
-    for _ in 0..50 {
-        if world
-            .enabled_actions()
-            .iter()
-            .any(|a| matches!(a, Action::DropBulk { .. }))
-        {
-            return;
+    'scenario: for cfg in [bulk_cfg(), fragmented_bulk_cfg()] {
+        let mut world = raincore_sim::ModelWorld::new(&cfg).expect("setup");
+        for _ in 0..50 {
+            if world
+                .enabled_actions()
+                .iter()
+                .any(|a| matches!(a, Action::DropBulk { .. }))
+            {
+                continue 'scenario;
+            }
+            let actions = world.enabled_actions();
+            let Some(a) = actions.first().copied() else {
+                break;
+            };
+            world.apply(&a);
         }
-        let actions = world.enabled_actions();
-        let Some(a) = actions.first().copied() else {
-            break;
-        };
-        world.apply(&a);
+        panic!(
+            "no drop-bulk action became enabled within 50 steps: {:?}",
+            cfg.seed_bulk
+        );
     }
-    panic!("no drop-bulk action became enabled within 50 steps");
 }
 
 /// Bounded-exhaustive 3-node search under bulk loss: zero violations.

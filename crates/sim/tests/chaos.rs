@@ -84,6 +84,12 @@ fn chaos_bulk_loss_soak_completeness_holds() {
             report.completeness_checked > 0,
             "seed {seed}: completeness oracle never checked a delivery"
         );
+        // Every other bulk payload is 4 KiB: the token that orders it is
+        // full by that freight alone (DESIGN.md §16.1).
+        assert!(
+            report.early_passes > 0,
+            "seed {seed}: no token pass was early — out-of-band freight not weighed"
+        );
     }
 }
 

@@ -81,6 +81,54 @@ fn early_pass_space_exhausts_clean_with_and_without_the_cache() {
     assert!(cached.stats.states < plain.stats.states);
 }
 
+/// The freight leg (DESIGN.md §16.5). Node 1's one seeded multicast is
+/// 120 bytes against a 100-byte `bulk_threshold`: it travels out of band
+/// as three-fragment bulk payloads, and the token that orders it weighs
+/// some thirty bytes against the 120-byte line — full by the freight it
+/// orders, a full token's worth in one payload, and by nothing else.
+/// Node 1 is released by what it has queued, node 2 by the manifest
+/// entry on the token it accepts. The adversary
+/// reorders and drops the fragments, may lose one bulk payload outright
+/// (`drop-bulk`, armed for a fragmented payload too: `bulk_ordering.rs`)
+/// and crash a member; every auditor, delivery completeness among them,
+/// must hold with and without the state cache.
+#[test]
+fn freight_space_exhausts_clean_with_and_without_the_cache() {
+    use raincore_sim::explore::Reduction;
+    use raincore_types::NodeId;
+    let cfg = |len, reduction| {
+        let mut cfg = ModelCheckConfig {
+            max_depth: 8,
+            max_schedules: 500_000,
+            bulk_drop_budget: 1,
+            seed_bulk: vec![(NodeId(1), len)],
+            reduction,
+            ..ModelCheckConfig::default()
+        };
+        cfg.transport.mtu = 64;
+        cfg.session.bulk_threshold = 100;
+        cfg
+    };
+    let run = |len, reduction| Explorer::new(cfg(len, reduction)).run().expect("setup");
+    let cached = run(120, Reduction::Hash);
+    let plain = run(120, Reduction::None);
+    for (name, report) in [("Hash", &cached), ("None", &plain)] {
+        assert!(
+            report.violation.is_none(),
+            "{name}: {:?}",
+            report.violation.as_ref().map(|v| &v.reason)
+        );
+        assert!(!report.capped, "{name}: bounds too tight to exhaust");
+        assert_eq!(report.stats.early_passes, 2, "{name}: nodes 1 and 2");
+    }
+    assert!(cached.stats.states < plain.stats.states);
+    // A byte less is not a full token's worth: it weighs its manifest
+    // entry, and every schedule waits out the hold.
+    let under = run(119, Reduction::Hash);
+    assert!(under.violation.is_none() && !under.capped);
+    assert_eq!(under.stats.early_passes, 0);
+}
+
 #[test]
 fn seeded_two_token_fault_is_found_minimized_and_replayable() {
     let mut cfg = small_cfg();

@@ -246,6 +246,25 @@ impl Attached {
             + 2
             + body
     }
+
+    /// The freight this entry orders, in bytes: [`Attached::wire_len`]
+    /// plus, for an out-of-band entry whose payload is by itself `full`
+    /// bytes or more — a full token's worth, the pacing rule's line — that
+    /// payload, which travels beside the token. What the pacing rule
+    /// (DESIGN.md §16) weighs: for an inline entry, and for an out-of-band
+    /// one smaller than `full`, the very same integer as `wire_len`.
+    /// Saturating: `len` is an unbounded varint a peer chose.
+    pub fn load_len(&self, full: usize) -> usize {
+        let beside = match self.body {
+            AttachedBody::Inline(_) => 0,
+            AttachedBody::Oob { len } => usize::try_from(len).unwrap_or(usize::MAX),
+        };
+        if beside >= full {
+            self.wire_len().saturating_add(beside)
+        } else {
+            self.wire_len()
+        }
+    }
 }
 
 impl WireDecode for Attached {
@@ -480,9 +499,8 @@ impl WireEncode for Token {
 }
 
 impl Token {
-    /// Exact length of the `SessionMsg::Token` wire image of this token
-    /// (tag included), without encoding it.
-    pub fn wire_len(&self) -> usize {
+    /// Wire length of everything but the piggybacked entries.
+    fn envelope_len(&self) -> usize {
         let varints = [
             self.seq,
             self.trace.circ,
@@ -498,7 +516,22 @@ impl Token {
                 .iter()
                 .map(|n| varint_len(n.0.into()))
                 .sum::<usize>()
-            + self.msgs.iter().map(Attached::wire_len).sum::<usize>()
+    }
+
+    /// Exact length of the `SessionMsg::Token` wire image of this token
+    /// (tag included), without encoding it.
+    pub fn wire_len(&self) -> usize {
+        self.envelope_len() + self.msgs.iter().map(Attached::wire_len).sum::<usize>()
+    }
+
+    /// The freight this token orders: its wire image plus the out-of-band
+    /// payloads of `full` bytes or more that its manifest entries stand
+    /// for ([`Attached::load_len`]). Equal to [`Token::wire_len`] when no
+    /// entry orders such a payload; saturating.
+    pub fn load_len(&self, full: usize) -> usize {
+        self.msgs.iter().fold(self.envelope_len(), |n, m| {
+            n.saturating_add(m.load_len(full))
+        })
     }
 }
 

@@ -276,6 +276,10 @@ fn patched_header_encode_matches_full_reencode() {
     let mut enc = TokenEncoder::new();
     let mut token = Token::founding(arb_ring(&mut rng));
     let mut hits_possible = 0u64;
+    // Where the walk draws the pacing rule's line: half the range its
+    // manifest lengths come from, and how many entries fell on each side.
+    const LINE: u64 = 1 << 19;
+    let mut weighed = [0u32; 2];
     for step in 0..5_000 {
         match rng.below(11) {
             // Steady state dominates: most hops bump seq and the trace
@@ -324,9 +328,29 @@ fn patched_header_encode_matches_full_reencode() {
         // The pacing rule sizes tokens without encoding them: the
         // arithmetic must agree with the encoder to the byte.
         assert_eq!(token.wire_len(), full.len(), "token wire_len at {step}");
+        // ... and weighs freight where it travels: an inline entry is its
+        // wire bytes, and so is a manifest entry for a payload under the
+        // line; one for a payload at or over it, those plus the payload.
+        let mut beside_bytes = 0;
         for m in token.msgs.iter() {
             assert_eq!(m.wire_len(), m.encode_to_bytes().len(), "entry at {step}");
+            let beside = match m.body {
+                AttachedBody::Oob { len } if len >= LINE => len as usize,
+                AttachedBody::Inline(_) | AttachedBody::Oob { .. } => 0,
+            };
+            assert_eq!(
+                m.load_len(LINE as usize),
+                m.wire_len() + beside,
+                "entry load at {step}"
+            );
+            weighed[usize::from(beside > 0)] += u32::from(m.is_oob());
+            beside_bytes += beside;
         }
+        assert_eq!(
+            token.load_len(LINE as usize),
+            full.len() + beside_bytes,
+            "load at {step}"
+        );
         let decoded = SessionMsg::decode_from_bytes(&patched).expect("decodes");
         assert_eq!(decoded, SessionMsg::Token(snapshot));
     }
@@ -337,6 +361,37 @@ fn patched_header_encode_matches_full_reencode() {
         hits_possible
     );
     assert!(enc.cache_misses() > 100, "and the invalidation paths");
+    assert!(weighed.iter().all(|&n| n > 100), "both sides: {weighed:?}");
+}
+
+/// A manifest length is a varint a peer chose, and the pacing rule adds
+/// it up: off the wire, hostile lengths must saturate the sums, never
+/// wrap them (release) or panic (debug). `SessionNode` takes it from
+/// here in `node::tests::forged_manifest_length_can_only_fill_the_token`.
+#[test]
+fn hostile_manifest_length_saturates_the_load() {
+    let forged = |len| Attached::new_oob(NodeId(1), OriginSeq(7), DeliveryMode::Agreed, len);
+    let mut token = Token::founding(Ring::from([0, 1, 2]));
+    for len in [u64::MAX, u64::MAX, u64::MAX - 3, 1 << 63, 8192] {
+        token.msgs.push(forged(len));
+    }
+    let wire = SessionMsg::Token(token.clone()).encode_to_bytes();
+    assert_eq!(
+        token.wire_len(),
+        wire.len(),
+        "ten-byte varints sized exactly"
+    );
+    let SessionMsg::Token(back) = SessionMsg::decode_from_bytes(&wire).expect("decodes") else {
+        panic!("a token decoded to a different variant");
+    };
+    assert_eq!(back, token);
+    const LINE: usize = 2625;
+    assert_eq!(back.msgs[0].load_len(LINE), usize::MAX);
+    assert_eq!(back.msgs[4].load_len(LINE), back.msgs[4].wire_len() + 8192);
+    assert_eq!(back.load_len(LINE), usize::MAX);
+    // One honest entry behind a forged one does not wrap the sum back.
+    token.msgs = [forged(u64::MAX), forged(8192)].into_iter().collect();
+    assert_eq!(token.load_len(LINE), usize::MAX);
 }
 
 #[test]

@@ -94,6 +94,27 @@ for mode in "" --no-reduction; do
   grep -q '\[exhausted\]' <<<"$out"
 done
 
+echo "==> model check (freight space: one out-of-band payload fills a 30-byte token, exhausts clean with and without the cache)"
+# The leg above fills the token with what rides it. Here node 1's one
+# seeded multicast is 120 bytes against a 100-byte bulk threshold and a
+# 120-byte line: the payload travels beside the token as three-fragment
+# bulk frames, is a full token's worth by itself, and the token that
+# orders it is full by that freight alone (DESIGN.md §16.1) —
+# released by what is queued at node 1, by the manifest entry it accepts
+# at node 2. The adversary may also lose one bulk payload outright
+# (--bulk-drops 1), so the NACK pull runs under an early-passed token and
+# the delivery-completeness auditor watches it. Fails like the leg above,
+# and on any tree that weighs the manifest instead of the payload, as
+# this one does for a payload a byte under the line (no schedule passes
+# early there).
+for mode in "" --no-reduction; do
+  out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --mtu 64 --bulk-threshold 100 --bulk-drops 1 --multicast 1:120 \
+    --depth 11 --max-schedules 2000000 --min-early-passes 2 $mode)
+  echo "$out"
+  grep -q '\[exhausted\]' <<<"$out"
+done
+
 echo "==> model check (adaptive-timer space: stock detection timeouts, 3 and 4 nodes)"
 # Every leg above runs retry_timeout 10 ms — under the floor of the
 # adaptive timeout, where the transport is byte-for-byte the old one
@@ -118,11 +139,13 @@ cargo run --release -q -p raincore-sim --bin chaos -- --replay chaos-seeded.txt
 echo "==> chaos (soak must be clean: 50 seeds, all scenarios)"
 cargo run --release -q -p raincore-sim --bin chaos -- --soak 50 --seed 1
 
-echo "==> chaos (bulk-loss soak: 200 seeds, completeness oracle, non-vacuous drops)"
-# --bulk 512 pads half the workload past the out-of-band threshold and
-# arms the bulk-loss fault class; the run fails if no bulk frame was
-# actually dropped (vacuity guard) or if any node delivers an ordered
-# bulk id without holding its payload (delivery-completeness oracle).
+echo "==> chaos (bulk-loss soak: 200 seeds, completeness oracle, non-vacuous drops and early passes)"
+# --bulk 512 pads half the workload past the out-of-band threshold — a
+# quarter of it to 4 KiB, freight that fills the token which orders it —
+# and arms the bulk-loss fault class; the run fails if no bulk frame was
+# actually dropped or no token was passed early (vacuity guards), or if
+# any node delivers an ordered bulk id without holding its payload
+# (delivery-completeness oracle).
 cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --bulk 512
 
 echo "==> chaos (padded soak: 200 seeds of full tokens passed early, non-vacuous)"

@@ -79,20 +79,27 @@ fn seeded_fault_found_under_the_cache_replays_without_it() {
 
 #[test]
 fn early_pass_space_is_clean_and_not_vacuous() {
-    let mut cfg = ModelCheckConfig {
-        max_depth: 8,
-        seed_bulk: vec![(NodeId(0), 30), (NodeId(0), 30), (NodeId(1), 30)],
-        ..three_node_cfg(Reduction::Hash)
-    };
-    cfg.transport.mtu = 64;
-    let report = Explorer::new(cfg).run().expect("setup");
-    assert!(
-        report.violation.is_none(),
-        "{:?}",
-        report.violation.as_ref().map(|v| &v.reason)
-    );
-    assert!(!report.capped, "bounds too tight to exhaust");
-    assert!(report.stats.early_passes > 0, "no schedule passed early");
+    // A token filled by what rides it, and one filled by 120 bytes that
+    // travel beside it (DESIGN.md §16.5).
+    let inline = vec![(NodeId(0), 30), (NodeId(0), 30), (NodeId(1), 30)];
+    for (seed_bulk, bulk_threshold) in [(inline, 0), (vec![(NodeId(1), 120)], 100)] {
+        let mut cfg = ModelCheckConfig {
+            max_depth: 8,
+            seed_bulk,
+            bulk_drop_budget: 1,
+            ..three_node_cfg(Reduction::Hash)
+        };
+        cfg.transport.mtu = 64;
+        cfg.session.bulk_threshold = bulk_threshold;
+        let report = Explorer::new(cfg).run().expect("setup");
+        assert!(
+            report.violation.is_none(),
+            "{:?}",
+            report.violation.as_ref().map(|v| &v.reason)
+        );
+        assert!(!report.capped, "bounds too tight to exhaust");
+        assert!(report.stats.early_passes > 0, "no schedule passed early");
+    }
 }
 
 #[test]
