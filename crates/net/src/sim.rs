@@ -472,11 +472,6 @@ impl SimNet {
         self.spike = (!length.is_zero()).then_some(DelaySpike { length, on: None });
     }
 
-    /// Adjusts the independent per-packet loss probability at runtime.
-    pub fn set_loss(&mut self, loss: f64) {
-        self.cfg.loss = loss.clamp(0.0, 1.0);
-    }
-
     /// Sets a *targeted* loss dial: packets whose payload the `matches`
     /// predicate selects are additionally dropped with probability
     /// `prob`. Non-matching traffic is untouched, and with `prob == 0.0`

@@ -77,11 +77,6 @@ impl Histogram {
         h.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record a `std::time::Duration` as nanoseconds (saturating).
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
     }
@@ -188,22 +183,6 @@ impl HistSummary {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Render assuming the recorded values are nanoseconds,
-    /// e.g. `n=120 p50=1.8ms p90=3.2ms p99=7.1ms max=12.4ms`.
-    pub fn display_ns(&self) -> String {
-        if self.count == 0 {
-            return "n=0 (no samples)".to_string();
-        }
-        format!(
-            "n={} p50={} p90={} p99={} max={}",
-            self.count,
-            fmt_ns(self.p50),
-            fmt_ns(self.p90),
-            fmt_ns(self.p99),
-            fmt_ns(self.max),
-        )
     }
 }
 

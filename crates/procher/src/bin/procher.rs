@@ -150,7 +150,10 @@ fn child_main(mut args: Args) -> Result<i32, String> {
     run_child(&child).map_err(|e| e.to_string())
 }
 
-fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> Result<bool, String> {
+/// Runs `schedule` and prints the outcome. `pinned`: the schedule is a
+/// checked-in regression, which must crash what it restarts — a skipped
+/// restart means it no longer tests the rejoin it was kept for.
+fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent], pinned: bool) -> Result<bool, String> {
     let report = run_cluster(cfg, schedule).map_err(|e| e.to_string())?;
     println!(
         "procher: nodes={} seed={} ticks_run={} faults={} exports={} regenerations={} \
@@ -168,6 +171,16 @@ fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> Result<bool, String
         report.proxy.duplicated,
         report.proxy.delayed,
     );
+    if report.restarts_skipped > 0 {
+        println!(
+            "{} scheduled restart(s) skipped: the child was running",
+            report.restarts_skipped
+        );
+        if pinned {
+            println!("FAILED: a pinned schedule must crash what it restarts");
+            return Ok(false);
+        }
+    }
     match &report.violation {
         Some((tick, reason)) => {
             println!("VIOLATION @tick {tick}: {reason}");
@@ -214,10 +227,10 @@ fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
     Ok(false)
 }
 
-/// The pinned total-copy-loss bootstrap schedule — the exact shrunk
-/// sim regression (`chaos_regression_total_copy_loss_bootstrap`), now
-/// replayed over real sockets: every node holding a token copy dies and
-/// the restarted survivors must found fresh groups and re-merge.
+/// The pinned total-copy-loss bootstrap schedule — the sim regression
+/// (`chaos_regression_total_copy_loss_bootstrap`), now replayed over
+/// real sockets: every node holding a token copy dies and the restarted
+/// survivors must found fresh groups and re-merge.
 fn bootstrap_regression() -> (ProcConfig, Vec<ChaosEvent>) {
     let out = default_out_dir("regression");
     let exe = std::env::current_exe().expect("current exe");
@@ -226,11 +239,11 @@ fn bootstrap_regression() -> (ProcConfig, Vec<ChaosEvent>) {
     cfg.seed = 25;
     cfg.scenario = Scenario::Isolated;
     cfg.tick_ms = 5;
-    cfg.ticks = 2000;
-    cfg.grace_ticks = 300;
-    cfg.token_bound_ticks = 600;
-    cfg.conv_bound_ticks = 3000;
-    cfg.post_ticks = 100;
+    cfg.bounds.ticks = 2000;
+    cfg.bounds.grace_ticks = 300;
+    cfg.bounds.token_bound_ticks = 600;
+    cfg.bounds.convergence_bound_ticks = 3000;
+    cfg.bounds.post_ticks = 100;
     cfg.workload_count = 0;
     let schedule = [
         "@712 crash n3",
@@ -239,8 +252,10 @@ fn bootstrap_regression() -> (ProcConfig, Vec<ChaosEvent>) {
         "@1059 crash n2",
         "@1531 link-down n5 n7",
         "@1582 partition n4,n0,n3,n6|n5,n1,n2,n7",
+        "@1670 crash n0",
         "@1671 restart n0",
         "@1679 crash n1",
+        "@1685 crash n5",
         "@1686 restart n5",
         "@1783 crash n7",
         "@1990 heal",
@@ -257,13 +272,13 @@ fn gate() -> Result<bool, String> {
     let mut cfg = ProcConfig::new(exe.clone(), default_out_dir("gate-soak"));
     cfg.nodes = 3;
     cfg.seed = 7;
-    cfg.ticks = 400;
+    cfg.bounds.ticks = 400;
     cfg.dials.drop_permille = 50;
     let schedule: Vec<ChaosEvent> = ["@100 crash n2", "@200 restart n2"]
         .iter()
         .map(|s| s.parse().expect("gate schedule line"))
         .collect();
-    let soak_ok = soak_report(&cfg, &schedule)?;
+    let soak_ok = soak_report(&cfg, &schedule, true)?;
     // Leg 2: small differential run.
     let diff = DiffConfig {
         nodes: 3,
@@ -332,7 +347,7 @@ fn main() -> ExitCode {
                 return usage("--regression takes the schedule name `bootstrap`");
             }
             let (cfg, schedule) = bootstrap_regression();
-            return match soak_report(&cfg, &schedule) {
+            return match soak_report(&cfg, &schedule, true) {
                 Ok(true) => ExitCode::SUCCESS,
                 Ok(false) => ExitCode::from(EXIT_VIOLATION),
                 Err(e) => usage(&e),
@@ -380,7 +395,7 @@ fn main() -> ExitCode {
         let r = match flag.as_str() {
             "--seed" => args.parse("--seed").map(|v| cfg.seed = v),
             "--nodes" => args.parse("--nodes").map(|v| cfg.nodes = v),
-            "--ticks" => args.parse("--ticks").map(|v| cfg.ticks = v),
+            "--ticks" => args.parse("--ticks").map(|v| cfg.bounds.ticks = v),
             "--tick-ms" => args.parse("--tick-ms").map(|v| cfg.tick_ms = v),
             "--loss" => args
                 .value("--loss")
@@ -424,7 +439,7 @@ fn main() -> ExitCode {
             return usage(&e);
         }
     }
-    match soak_report(&cfg, &schedule) {
+    match soak_report(&cfg, &schedule, false) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(EXIT_VIOLATION),
         Err(e) => usage(&e),

@@ -1,24 +1,25 @@
 //! The parent: spawns real child processes, applies a chaos schedule
 //! through the proxy, and audits merged real-socket telemetry.
 //!
-//! [`run_cluster`] is the real-socket analogue of
-//! [`raincore_sim::run_chaos`]: the same [`raincore_sim::ChaosEvent`]
-//! schedule vocabulary, the same belief-gated quietness rules, and the
-//! same liveness oracles — but the "cluster" is N OS processes over UDP
-//! and the audit view is rebuilt each tick from the children's export
-//! files instead of read out of simulator memory.
+//! [`run_cluster`] runs a [`raincore_sim::ChaosEvent`] schedule through
+//! the [`ScheduleEngine`] that [`raincore_sim::run_chaos`] runs it
+//! through — one set of quietness rules, auditors and liveness oracles —
+//! but the "cluster" is N OS processes over UDP and the audit view is
+//! rebuilt each tick from the children's export files instead of read
+//! out of simulator memory.
 //!
 //! Fault mapping (1 NIC per node):
 //!
 //! | schedule fault        | real-world action                           |
 //! |-----------------------|---------------------------------------------|
 //! | `crash nK`            | `SIGKILL` the child process                 |
-//! | `restart nK`          | respawn as a token-less joiner, +1 incarnation |
+//! | `restart nK`          | respawn as a token-less joiner, +1 incarnation (the engine skips it while `nK` is up) |
 //! | `link-down/up a b`    | pairwise cut in the proxy                   |
-//! | `nic-down/up nK:0`    | whole-node unplug in the proxy              |
+//! | `nic-down/up nK.0`    | whole-node unplug in the proxy (another index is refused) |
 //! | `partition ...`       | group-based cut in the proxy                |
 //! | `heal`                | clear cuts + partition (unplugs persist)    |
-//! | `dup/reorder/jitter`  | proxy injection dials                       |
+//! | `dup/reorder/jitter/bulk-loss` | proxy injection dials              |
+//! | `delay-spike`         | nothing: the proxy has no one-shot stall    |
 //!
 //! Safety auditors quantified over a single instant (token uniqueness,
 //! unique 911 winner) are deliberately *not* run here: per-node exports
@@ -34,11 +35,11 @@ use crate::child::StartKind;
 use crate::export::{merge_export_journals, ChildExport};
 use crate::proxy::{LossProxy, ProxyDials, ProxyStats};
 use raincore_sim::{
-    AuditView, ChaosEvent, ChaosFault, LivenessOracles, MembershipAuditor, NodeStatus,
-    OrderAuditor, StatusView,
+    AuditView, ChaosEvent, ChaosFault, NetBelief, NodeStatus, ScheduleEngine, StatusView,
+    TickBounds,
 };
 use raincore_types::{NodeId, Time};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -65,16 +66,8 @@ pub struct ProcConfig {
     /// Parent tick length in milliseconds (schedule ticks are parent
     /// ticks).
     pub tick_ms: u64,
-    /// Schedule horizon in ticks — the run soaks at least this long.
-    pub ticks: u64,
-    /// Ticks after the last fault before the view counts as quiet.
-    pub grace_ticks: u64,
-    /// Token-progress bound for the liveness oracle, in quiet ticks.
-    pub token_bound_ticks: u64,
-    /// Convergence bound, in quiet ticks.
-    pub conv_bound_ticks: u64,
-    /// Consecutive converged ticks required to finish.
-    pub post_ticks: u64,
+    /// The tick bounds of the run, in parent ticks.
+    pub bounds: TickBounds,
     /// Baseline injection dials (schedule `dup`/`reorder`/`jitter`
     /// faults override individual dials mid-run).
     pub dials: ProxyDials,
@@ -105,11 +98,13 @@ impl ProcConfig {
             seed: 1,
             scenario: Scenario::Founding,
             tick_ms: 10,
-            ticks: 300,
-            grace_ticks: 150,
-            token_bound_ticks: 300,
-            conv_bound_ticks: 1500,
-            post_ticks: 50,
+            bounds: TickBounds {
+                ticks: 300,
+                grace_ticks: 150,
+                token_bound_ticks: 300,
+                convergence_bound_ticks: 1500,
+                post_ticks: 50,
+            },
             dials: ProxyDials::default(),
             workload_count: 3,
             workload_period_ms: 40,
@@ -133,6 +128,8 @@ pub struct ProcReport {
     pub ticks_run: u64,
     /// Faults applied from the schedule.
     pub faults_applied: u64,
+    /// Scheduled restarts skipped because the child was running.
+    pub restarts_skipped: u64,
     /// Export documents parsed.
     pub exports_parsed: u64,
     /// Final per-node status from the last export of each child.
@@ -144,56 +141,6 @@ pub struct ProcReport {
     /// On non-convergence: what blocked the streak on the last tick that
     /// reset it (diagnostic, not an oracle verdict).
     pub last_block: Option<String>,
-}
-
-/// The parent's belief about standing connectivity damage — the
-/// real-socket mirror of the chaos engine's `NetBelief`, specialized to
-/// one NIC per node. Injection dials never count as damage: oracles must
-/// hold *under* loss, not merely after it stops.
-#[derive(Debug, Default)]
-struct Belief {
-    pairs: BTreeSet<(NodeId, NodeId)>,
-    nodes_down: BTreeSet<NodeId>,
-    partitioned: bool,
-}
-
-impl Belief {
-    fn note(&mut self, fault: &ChaosFault) {
-        match fault {
-            ChaosFault::LinkDown(a, b) => {
-                let key = if a <= b { (*a, *b) } else { (*b, *a) };
-                self.pairs.insert(key);
-            }
-            ChaosFault::LinkUp(a, b) => {
-                let key = if a <= b { (*a, *b) } else { (*b, *a) };
-                self.pairs.remove(&key);
-            }
-            ChaosFault::NicDown(addr) => {
-                self.nodes_down.insert(addr.node);
-            }
-            ChaosFault::NicUp(addr) => {
-                self.nodes_down.remove(&addr.node);
-            }
-            ChaosFault::Partition(_) => self.partitioned = true,
-            ChaosFault::Heal => {
-                self.pairs.clear();
-                self.partitioned = false;
-            }
-            // Crashes change the live set, not connectivity; dials never
-            // sever anything.
-            ChaosFault::Crash(_)
-            | ChaosFault::Restart(_)
-            | ChaosFault::Duplicate(_)
-            | ChaosFault::Reorder(_)
-            | ChaosFault::Jitter(_)
-            | ChaosFault::BulkLoss(_)
-            | ChaosFault::DelaySpike(_) => {}
-        }
-    }
-
-    fn blocked(&self) -> bool {
-        self.partitioned || !self.pairs.is_empty() || !self.nodes_down.is_empty()
-    }
 }
 
 struct ChildProc {
@@ -295,6 +242,43 @@ impl Harness<'_> {
             let _ = c.proc.wait();
             c.alive = false;
         }
+    }
+
+    /// Applies one schedule fault to the children and the proxy.
+    fn apply(&mut self, fault: &ChaosFault, dials: &mut ProxyDials) -> std::io::Result<()> {
+        match fault {
+            ChaosFault::Crash(id) => self.kill_child(*id),
+            ChaosFault::Restart(id) => {
+                let next = self.children.get(id).map_or(0, |c| c.incarnation + 1);
+                self.spawn_child(*id, next, StartKind::Joining)?;
+            }
+            ChaosFault::LinkDown(a, b) => self.proxy.set_link(*a, *b, false),
+            ChaosFault::LinkUp(a, b) => self.proxy.set_link(*a, *b, true),
+            ChaosFault::NicDown(addr) => self.proxy.set_node(addr.node, false),
+            ChaosFault::NicUp(addr) => self.proxy.set_node(addr.node, true),
+            ChaosFault::Partition(groups) => self.proxy.partition(groups),
+            ChaosFault::Heal => self.proxy.heal(),
+            ChaosFault::Duplicate(p) => {
+                dials.dup_permille = *p;
+                self.proxy.set_dials(*dials);
+            }
+            ChaosFault::Reorder(p) => {
+                dials.reorder_permille = *p;
+                self.proxy.set_dials(*dials);
+            }
+            ChaosFault::Jitter(us) => {
+                dials.delay_us = *us;
+                self.proxy.set_dials(*dials);
+            }
+            ChaosFault::BulkLoss(p) => {
+                dials.bulk_drop_permille = *p;
+                self.proxy.set_dials(*dials);
+            }
+            // Simulator-only: the proxy has no one-shot stall, and no
+            // schedule generated for real sockets carries one.
+            ChaosFault::DelaySpike(_) => {}
+        }
+        Ok(())
     }
 
     /// Reaps children that exited on their own; returns their ids.
@@ -409,30 +393,20 @@ pub fn write_trace_artifacts(out_dir: &std::path::Path, nodes: u32) -> std::io::
     std::fs::write(out_dir.join("waterfall.txt"), text)
 }
 
-fn first_violation(
-    membership: &MembershipAuditor,
-    order: Option<&OrderAuditor>,
-    oracles: &LivenessOracles,
-) -> Option<String> {
-    if let Some((t, viewer, x)) = membership.violations.first() {
-        return Some(format!(
-            "membership resurrection at {t}: {viewer} saw purged node {x}"
-        ));
-    }
-    if let Some((t, a, b)) = order.and_then(|o| o.violations.first()) {
-        return Some(format!(
-            "delivery order diverged at {t}: nodes {a} and {b} disagree"
-        ));
-    }
-    oracles.first_violation().map(|(_, reason)| reason)
-}
-
 /// Runs `schedule` over a fresh process cluster built from `cfg`.
 ///
 /// Blocks until the run converges, violates, or exhausts its bounded
 /// budget; children are always torn down before returning. Export files
 /// and `report.txt` stay in `cfg.out_dir` as the run's artifacts.
 pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result<ProcReport> {
+    // A child has one NIC. `apply` unplugs the whole node for a NIC
+    // fault, which the one-NIC belief follows only for index 0.
+    let second_nic = |e: &&ChaosEvent| matches!(e.fault, ChaosFault::NicDown(a) | ChaosFault::NicUp(a) if a.nic != 0);
+    if let Some(event) = schedule.iter().find(second_nic) {
+        return Err(std::io::Error::other(format!(
+            "`{event}`: a procher child has one NIC, index 0"
+        )));
+    }
     std::fs::create_dir_all(&cfg.out_dir)?;
     let ids: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
     let proxy = LossProxy::bind(&ids, cfg.seed)?;
@@ -453,174 +427,86 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
         h.spawn_child(id, 0, start_kind)?;
     }
 
-    let mut ordered: Vec<&ChaosEvent> = schedule.iter().collect();
-    ordered.sort_by_key(|e| e.tick);
-    let has_churn = ordered
+    let has_churn = schedule
         .iter()
         .any(|e| matches!(e.fault, ChaosFault::Crash(_) | ChaosFault::Restart(_)));
-    // Per-node delivery logs reset on restart, so cross-node prefix
-    // agreement is only a whole-run claim on churn-free schedules.
-    let mut order = (!has_churn).then(OrderAuditor::new);
-    let mut membership = MembershipAuditor::with_dwell(20);
-    let mut oracles = LivenessOracles::new(cfg.token_bound_ticks, cfg.conv_bound_ticks);
-    let mut belief = Belief::default();
+    // One NIC per node, a stall the proxy cannot produce, and no claim
+    // about one instant.
+    let belief = NetBelief::new(cfg.nodes, 1);
+    let mut engine = ScheduleEngine::new(schedule, cfg.bounds, belief, None, false);
     let mut dials = cfg.dials;
-    let mut last_fault: Option<u64> = None;
-    let mut last_link_fault: Option<u64> = None;
-    let mut was_link_calm = true;
-    let mut faults_applied = 0u64;
-    let mut converged_streak = 0u64;
     let mut last_block: Option<String> = None;
     let mut violation: Option<(u64, String)> = None;
-    let mut idx = 0usize;
     let expect_deliveries = if cfg.workload_count > 0 && !has_churn {
         Some((cfg.nodes as usize) * (cfg.workload_count as usize))
     } else {
         None
     };
-    let horizon = cfg.ticks + cfg.grace_ticks + cfg.conv_bound_ticks + cfg.post_ticks + 2;
     let mut ticks_run = 0u64;
 
-    for tick in 0..horizon {
+    for tick in 0..cfg.bounds.horizon() {
         ticks_run = tick + 1;
-        while idx < ordered.len() && ordered[idx].tick <= tick {
-            let fault = &ordered[idx].fault;
-            match fault {
-                ChaosFault::Crash(id) => {
-                    h.kill_child(*id);
-                    oracles.note_crash(*id);
-                }
-                ChaosFault::Restart(id) => {
-                    // Mirror the simulator: restarting a live node is a
-                    // no-op; a dead one rejoins with a new incarnation.
-                    let next = match h.children.get(id) {
-                        Some(c) if c.alive => None,
-                        Some(c) => Some(c.incarnation + 1),
-                        None => Some(0),
-                    };
-                    if let Some(inc) = next {
-                        oracles.note_crash(*id);
-                        h.spawn_child(*id, inc, StartKind::Joining)?;
-                    }
-                }
-                ChaosFault::LinkDown(a, b) => h.proxy.set_link(*a, *b, false),
-                ChaosFault::LinkUp(a, b) => h.proxy.set_link(*a, *b, true),
-                ChaosFault::NicDown(addr) => h.proxy.set_node(addr.node, false),
-                ChaosFault::NicUp(addr) => h.proxy.set_node(addr.node, true),
-                ChaosFault::Partition(groups) => {
-                    h.proxy
-                        .partition(&groups.iter().map(|g| g.to_vec()).collect::<Vec<_>>());
-                }
-                ChaosFault::Heal => h.proxy.heal(),
-                ChaosFault::Duplicate(p) => {
-                    dials.dup_permille = *p;
-                    h.proxy.set_dials(dials);
-                }
-                ChaosFault::Reorder(p) => {
-                    dials.reorder_permille = *p;
-                    h.proxy.set_dials(dials);
-                }
-                ChaosFault::Jitter(us) => {
-                    dials.delay_us = *us;
-                    h.proxy.set_dials(dials);
-                }
-                ChaosFault::BulkLoss(p) => {
-                    dials.bulk_drop_permille = *p;
-                    h.proxy.set_dials(dials);
-                }
-                // Simulator-only: the proxy has no one-shot stall, and no
-                // schedule generated for real sockets carries one.
-                ChaosFault::DelaySpike(_) => {}
-            }
-            belief.note(fault);
-            if matches!(
-                fault,
-                ChaosFault::LinkDown(..)
-                    | ChaosFault::LinkUp(..)
-                    | ChaosFault::NicDown(_)
-                    | ChaosFault::NicUp(_)
-                    | ChaosFault::Partition(_)
-                    | ChaosFault::Heal
-            ) {
-                last_link_fault = Some(tick);
-            }
-            faults_applied += 1;
-            last_fault = Some(tick);
-            idx += 1;
+        while let Some(fault) = engine.next_due(tick) {
+            h.apply(fault, &mut dials)?;
         }
 
         std::thread::sleep(Duration::from_millis(cfg.tick_ms));
         for id in h.reap() {
-            // A self-exited child counts as crashed for vacuity purposes.
-            oracles.note_crash(id);
+            // A self-exited child counts as crashed.
+            engine.note_crash(id);
         }
 
         let view = h.status_view();
-        let link_calm = !belief.blocked()
-            && last_link_fault.is_none_or(|lf| tick.saturating_sub(lf) >= cfg.grace_ticks);
-        if link_calm {
-            if was_link_calm {
-                membership.observe(&view);
-            } else {
-                membership.rebaseline(&view);
-            }
+        // No reality to ask out of process: belief says what is severed.
+        let link_calm = engine.link_calm(tick, engine.blocked());
+        // Per-node delivery logs reset on restart, so cross-node prefix
+        // agreement is only a whole-run claim on churn-free schedules.
+        if !has_churn {
+            engine.auditors.order.observe(&view);
         }
-        was_link_calm = link_calm;
-        if let Some(o) = order.as_mut() {
-            o.observe(&view);
-        }
-        let quiet = !belief.blocked()
-            && last_fault.is_none_or(|lf| tick.saturating_sub(lf) >= cfg.grace_ticks);
-        oracles.observe_tick(&view, quiet);
-
-        if let Some(reason) = first_violation(&membership, order.as_ref(), &oracles) {
+        if let Some(reason) = engine.observe_tick(&view, tick, link_calm) {
             violation = Some((tick, reason));
             break;
         }
 
-        if idx >= ordered.len() && tick >= cfg.ticks {
-            let deliveries_done = expect_deliveries.is_none_or(|want| {
-                view.nodes
-                    .values()
-                    .all(|n| !n.live || n.deliveries.len() >= want)
-            });
-            if quiet && view.membership_agreed() && deliveries_done {
-                converged_streak += 1;
-                if converged_streak >= cfg.post_ticks {
-                    break;
-                }
+        let deliveries_done = expect_deliveries.is_none_or(|want| {
+            view.nodes()
+                .values()
+                .all(|n| !n.live || n.deliveries.len() >= want)
+        });
+        if engine.settled(tick, &view, deliveries_done) {
+            break;
+        }
+        if engine.in_tail(tick) && engine.streak() == 0 {
+            last_block = Some(if !engine.quiet(tick) {
+                "not yet quiet (standing damage or fault grace)".to_string()
+            } else if !view.membership_agreed() {
+                let groups: Vec<String> = view
+                    .nodes()
+                    .iter()
+                    .map(|(id, n)| {
+                        format!(
+                            "n{}:{}{}",
+                            id.0,
+                            if n.live { "" } else { "dead " },
+                            n.group.map_or("-".to_string(), |g| g.0 .0.to_string()),
+                        )
+                    })
+                    .collect();
+                format!("membership not agreed [{}]", groups.join(" "))
             } else {
-                converged_streak = 0;
-                last_block = Some(if !quiet {
-                    "not yet quiet (standing damage or fault grace)".to_string()
-                } else if !view.membership_agreed() {
-                    let groups: Vec<String> = view
-                        .nodes
-                        .iter()
-                        .map(|(id, n)| {
-                            format!(
-                                "n{}:{}{}",
-                                id.0,
-                                if n.live { "" } else { "dead " },
-                                n.group.map_or("-".to_string(), |g| g.0 .0.to_string()),
-                            )
-                        })
-                        .collect();
-                    format!("membership not agreed [{}]", groups.join(" "))
-                } else {
-                    let lags: Vec<String> = view
-                        .nodes
-                        .iter()
-                        .filter(|(_, n)| n.live)
-                        .map(|(id, n)| format!("n{}:{}", id.0, n.deliveries.len()))
-                        .collect();
-                    format!(
-                        "deliveries incomplete (want {} per node) [{}]",
-                        expect_deliveries.unwrap_or(0),
-                        lags.join(" ")
-                    )
-                });
-            }
+                let lags: Vec<String> = view
+                    .nodes()
+                    .iter()
+                    .filter(|(_, n)| n.live)
+                    .map(|(id, n)| format!("n{}:{}", id.0, n.deliveries.len()))
+                    .collect();
+                format!(
+                    "deliveries incomplete (want {} per node) [{}]",
+                    expect_deliveries.unwrap_or(0),
+                    lags.join(" ")
+                )
+            });
         }
     }
 
@@ -629,14 +515,15 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
     // report should describe the converged cluster, not the teardown.
     let final_view = h.status_view();
     h.shutdown();
-    let per_node: BTreeMap<NodeId, NodeStatus> = final_view.nodes.clone().into_iter().collect();
+    let per_node = final_view.into_nodes();
     let total_regenerations = per_node.values().map(|n| n.regenerations).sum();
-    let converged = violation.is_none() && converged_streak >= cfg.post_ticks;
+    let converged = violation.is_none() && engine.has_settled();
     let report = ProcReport {
         violation,
         converged,
         ticks_run,
-        faults_applied,
+        faults_applied: engine.faults_applied(),
+        restarts_skipped: engine.restarts_skipped,
         exports_parsed: h.exports_parsed,
         per_node,
         total_regenerations,

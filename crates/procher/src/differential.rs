@@ -197,7 +197,7 @@ pub fn run_differential(cfg: &DiffConfig) -> std::io::Result<DiffReport> {
     }
     // No faults, no dials: the schedule horizon only needs to cover the
     // workload; convergence + delivery completeness end the run.
-    pcfg.ticks = (cfg.count as u64 * cfg.period_ms / pcfg.tick_ms).max(50);
+    pcfg.bounds.ticks = (cfg.count as u64 * cfg.period_ms / pcfg.tick_ms).max(50);
     let report = run_cluster(&pcfg, &[])?;
 
     let mut divergences = Vec::new();

@@ -78,6 +78,27 @@ fn procher_smoke_converges_under_loss() {
     assert!(dir.join("node-0.export").exists());
 }
 
+/// A child has one NIC. A fault on a second one is refused before
+/// anything is spawned — not turned into a whole-node unplug that the
+/// engine's one-NIC belief would not see.
+#[test]
+fn procher_refuses_a_fault_on_a_second_nic() {
+    if !spawn_allowed() {
+        eprintln!("skipping: subprocess spawn forbidden here");
+        return;
+    }
+    let out = Command::new(exe())
+        .args(["--fault", "@10 nic-down n1.1"])
+        .output()
+        .expect("run procher");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("`@10 nic-down n1.1`: a procher child has one NIC"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn procher_differential_sim_vs_real_has_zero_divergence() {
     if !spawn_allowed() {

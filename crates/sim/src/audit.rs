@@ -41,21 +41,28 @@
 //!
 //! [`Cluster::run_until_with`]: crate::Cluster::run_until_with
 
-use crate::cluster::Cluster;
 use raincore_types::{GroupId, NodeId, OriginSeq, Ring, Time};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// One delivery as the auditors see it: `(origin, seq, payload length)`.
+pub type Delivered = (NodeId, OriginSeq, Option<usize>);
+
 /// Read-only view of a running cluster that the auditors understand.
 ///
-/// Implemented by the wall-clock-free discrete-event [`Cluster`] harness
-/// and by the model checker's [`ModelWorld`](crate::explore::ModelWorld),
-/// so the same invariant code runs over sampled simulation runs *and*
-/// exhaustively explored schedules.
+/// Implemented by the wall-clock-free discrete-event
+/// [`Cluster`](crate::Cluster) harness,
+/// by the model checker's [`ModelWorld`](crate::explore::ModelWorld) and
+/// by [`StatusView`], so the same invariant code runs over sampled
+/// simulation runs, exhaustively explored schedules and real processes.
+/// Every accessor lends: the model checker observes after every explored
+/// action, and per-observe copies of the member list, the rings and the
+/// delivery logs were the largest avoidable slice of its per-state
+/// allocation budget.
 pub trait AuditView {
     /// Current virtual time.
     fn now(&self) -> Time;
-    /// Ids of all session members (alive or not).
-    fn member_ids(&self) -> Vec<NodeId>;
+    /// Ids of all session members (alive or not), ascending.
+    fn member_ids(&self) -> &[NodeId];
     /// True if the member is alive and not shut down.
     fn is_live(&self, id: NodeId) -> bool;
     /// True if the member currently holds the token (EATING).
@@ -63,38 +70,17 @@ pub trait AuditView {
     /// The member's current group id, if it runs a session.
     fn group_of(&self, id: NodeId) -> Option<GroupId>;
     /// The member's current membership view, if it runs a session.
-    fn ring_of(&self, id: NodeId) -> Option<Ring>;
+    fn ring_of(&self, id: NodeId) -> Option<&Ring>;
     /// Sequence number of the member's last received token copy.
     fn last_copy_seq(&self, id: NodeId) -> u64;
     /// Number of 911 token regenerations this member has won.
     fn regenerations(&self, id: NodeId) -> u64;
-    /// The member's multicast delivery log, in delivery order.
-    fn delivery_log(&self, id: NodeId) -> Vec<(NodeId, OriginSeq)>;
-
-    /// Borrowed view of the member's delivery log, when the
-    /// implementation can lend one without copying. Auditors that
-    /// observe after every explored action fall back on
-    /// [`AuditView::delivery_log`] when this returns `None`.
-    fn delivery_log_ref(&self, _id: NodeId) -> Option<&[(NodeId, OriginSeq)]> {
-        None
-    }
-
-    /// Borrowed view of the member-id set, when the implementation can
-    /// lend one without copying. The auditors observe after every
-    /// explored model-checker action, and each of them starts from the
-    /// member list — per-observe `Vec` copies of it are the largest
-    /// avoidable slice of the per-state allocation budget.
-    fn member_ids_ref(&self) -> Option<&[NodeId]> {
-        None
-    }
-
-    /// Payload length of each delivery, index-aligned with the member's
-    /// delivery log, when the harness records them. `None` disables
-    /// completeness auditing for this view (the other auditors only need
-    /// ids).
-    fn delivery_lens_ref(&self, _id: NodeId) -> Option<&[usize]> {
-        None
-    }
+    /// The member's multicast deliveries from the `from`-th on, in
+    /// delivery order: whose message, which, and — where the harness
+    /// records it — how many payload bytes were handed up (`None` leaves
+    /// the entry out of completeness auditing). Resuming at `from` costs
+    /// nothing: an auditor that keeps a cursor pays for new entries only.
+    fn delivery_log(&self, id: NodeId, from: usize) -> impl Iterator<Item = Delivered> + '_;
 
     /// The payload length every member must observe for a submitted
     /// multicast id, when the harness recorded the submission. `None`
@@ -107,7 +93,8 @@ pub trait AuditView {
     /// Ids of members that are alive and not shut down.
     fn live_member_ids(&self) -> Vec<NodeId> {
         self.member_ids()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&id| self.is_live(id))
             .collect()
     }
@@ -131,8 +118,8 @@ pub trait AuditView {
     }
 
     /// True when every live member agrees on one group whose membership
-    /// is exactly the live set — the convergence target of §2.4/§2.5.
-    /// Mirrors `Cluster::membership_converged` but runs over any view.
+    /// is exactly the live set — the paper's Quiescent-Period agreement
+    /// (§2.5), the convergence target of §2.4.
     fn membership_agreed(&self) -> bool {
         let live = self.live_member_ids();
         let Some(&first) = live.first() else {
@@ -148,7 +135,7 @@ pub trait AuditView {
         live.iter().all(|&id| {
             reference.contains(id)
                 && self.group_of(id) == group
-                && self.ring_of(id).is_some_and(|r| r.same_members(&reference))
+                && self.ring_of(id).is_some_and(|r| r.same_members(reference))
         })
     }
 }
@@ -186,8 +173,9 @@ pub struct NodeStatus {
 pub struct StatusView {
     /// Observation time (the harness's own clock).
     pub now: Time,
-    /// Per-node statuses, keyed by node id.
-    pub nodes: BTreeMap<NodeId, NodeStatus>,
+    /// The keys of `nodes`, kept beside it so the view can lend them.
+    ids: Vec<NodeId>,
+    nodes: BTreeMap<NodeId, NodeStatus>,
 }
 
 impl StatusView {
@@ -195,13 +183,25 @@ impl StatusView {
     pub fn new(now: Time) -> Self {
         StatusView {
             now,
-            nodes: BTreeMap::new(),
+            ..StatusView::default()
         }
     }
 
     /// Inserts (or replaces) one node's status.
     pub fn insert(&mut self, id: NodeId, status: NodeStatus) {
-        self.nodes.insert(id, status);
+        if self.nodes.insert(id, status).is_none() {
+            self.ids.insert(self.ids.partition_point(|&x| x < id), id);
+        }
+    }
+
+    /// Per-node statuses, keyed by node id.
+    pub fn nodes(&self) -> &BTreeMap<NodeId, NodeStatus> {
+        &self.nodes
+    }
+
+    /// Takes the per-node statuses out of the view.
+    pub fn into_nodes(self) -> BTreeMap<NodeId, NodeStatus> {
+        self.nodes
     }
 }
 
@@ -210,8 +210,8 @@ impl AuditView for StatusView {
         self.now
     }
 
-    fn member_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+    fn member_ids(&self) -> &[NodeId] {
+        &self.ids
     }
 
     fn is_live(&self, id: NodeId) -> bool {
@@ -226,8 +226,8 @@ impl AuditView for StatusView {
         self.nodes.get(&id).and_then(|n| n.group)
     }
 
-    fn ring_of(&self, id: NodeId) -> Option<Ring> {
-        self.nodes.get(&id).and_then(|n| n.ring.clone())
+    fn ring_of(&self, id: NodeId) -> Option<&Ring> {
+        self.nodes.get(&id).and_then(|n| n.ring.as_ref())
     }
 
     fn last_copy_seq(&self, id: NodeId) -> u64 {
@@ -238,63 +238,10 @@ impl AuditView for StatusView {
         self.nodes.get(&id).map_or(0, |n| n.regenerations)
     }
 
-    fn delivery_log(&self, id: NodeId) -> Vec<(NodeId, OriginSeq)> {
-        self.nodes
-            .get(&id)
-            .map_or(Vec::new(), |n| n.deliveries.clone())
-    }
-}
-
-impl AuditView for Cluster {
-    fn now(&self) -> Time {
-        Cluster::now(self)
-    }
-
-    fn member_ids(&self) -> Vec<NodeId> {
-        Cluster::member_ids(self)
-    }
-
-    fn is_live(&self, id: NodeId) -> bool {
-        self.is_alive(id)
-    }
-
-    fn is_eating(&self, id: NodeId) -> bool {
-        self.session(id).is_some_and(|s| s.is_eating())
-    }
-
-    fn group_of(&self, id: NodeId) -> Option<GroupId> {
-        self.session(id).map(|s| s.group_id())
-    }
-
-    fn ring_of(&self, id: NodeId) -> Option<Ring> {
-        self.session(id).map(|s| s.ring().clone())
-    }
-
-    fn last_copy_seq(&self, id: NodeId) -> u64 {
-        self.session(id).map_or(0, |s| s.last_copy_seq())
-    }
-
-    fn regenerations(&self, id: NodeId) -> u64 {
-        self.metrics(id).regenerations
-    }
-
-    fn delivery_log(&self, id: NodeId) -> Vec<(NodeId, OriginSeq)> {
-        self.deliveries(id)
-            .iter()
-            .map(|d| (d.origin, d.seq))
-            .collect()
-    }
-
-    fn delivery_log_ref(&self, id: NodeId) -> Option<&[(NodeId, OriginSeq)]> {
-        Some(self.delivery_ids(id))
-    }
-
-    fn delivery_lens_ref(&self, id: NodeId) -> Option<&[usize]> {
-        Some(self.delivery_lens(id))
-    }
-
-    fn expected_payload_len(&self, origin: NodeId, seq: OriginSeq) -> Option<usize> {
-        Cluster::expected_payload_len(self, origin, seq)
+    fn delivery_log(&self, id: NodeId, from: usize) -> impl Iterator<Item = Delivered> + '_ {
+        let log = self.nodes.get(&id).and_then(|n| n.deliveries.get(from..));
+        let log = log.unwrap_or_default();
+        log.iter().map(|&(origin, seq)| (origin, seq, None))
     }
 }
 
@@ -318,15 +265,8 @@ impl TokenAuditor {
     /// Observes the view (call after every quantum / explored action).
     pub fn observe(&mut self, v: &impl AuditView) {
         self.observations += 1;
-        let store;
-        let members: &[NodeId] = match v.member_ids_ref() {
-            Some(s) => s,
-            None => {
-                store = v.member_ids();
-                &store
-            }
-        };
-        let eating = members
+        let eating = v
+            .member_ids()
             .iter()
             .filter(|&&id| v.is_live(id) && v.is_eating(id))
             .count();
@@ -344,6 +284,12 @@ impl TokenAuditor {
     /// True if no violation was ever observed.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// The first violation, rendered for a dump header.
+    pub fn verdict(&self) -> Option<String> {
+        let (t, g) = self.violations.first()?;
+        Some(format!("token uniqueness violated in group {g} at {t}"))
     }
 }
 
@@ -364,37 +310,13 @@ impl OrderAuditor {
 
     /// Observes the view (call after every quantum / explored action).
     pub fn observe(&mut self, v: &impl AuditView) {
-        use std::borrow::Cow;
         self.observations += 1;
-        let store;
-        let members: &[NodeId] = match v.member_ids_ref() {
-            Some(s) => s,
-            None => {
-                store = v.member_ids();
-                &store
-            }
-        };
-        // Borrow the logs where the view can lend them (the model checker
-        // observes after *every* explored action, so per-observe clones
-        // of every delivery log dominate its allocation budget).
-        type SeqLog<'a> = Cow<'a, [(NodeId, OriginSeq)]>;
-        let seqs: Vec<(NodeId, SeqLog<'_>)> = members
-            .iter()
-            .map(|&id| {
-                let log = match v.delivery_log_ref(id) {
-                    Some(s) => Cow::Borrowed(s),
-                    None => Cow::Owned(v.delivery_log(id)),
-                };
-                (id, log)
-            })
-            .collect();
-        for i in 0..seqs.len() {
-            for j in (i + 1)..seqs.len() {
-                let (a, sa) = &seqs[i];
-                let (b, sb) = &seqs[j];
-                let n = sa.len().min(sb.len());
-                if sa[..n] != sb[..n] {
-                    self.violations.push((v.now(), *a, *b));
+        let members = v.member_ids();
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                let mut both = v.delivery_log(a, 0).zip(v.delivery_log(b, 0));
+                if both.any(|(x, y)| (x.0, x.1) != (y.0, y.1)) {
+                    self.violations.push((v.now(), a, b));
                 }
             }
         }
@@ -403,6 +325,14 @@ impl OrderAuditor {
     /// True if no divergence was ever observed.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// The first violation, rendered for a dump header.
+    pub fn verdict(&self) -> Option<String> {
+        let (t, a, b) = self.violations.first()?;
+        Some(format!(
+            "delivery order diverged between {a} and {b} at {t}"
+        ))
     }
 }
 
@@ -414,8 +344,8 @@ impl OrderAuditor {
 /// this auditor compares every delivery's payload length against the
 /// length recorded at submission.
 ///
-/// Views that do not record payload lengths ([`AuditView::delivery_lens_ref`]
-/// returning `None`) or submission sizes are audited vacuously.
+/// Views that do not record payload lengths ([`AuditView::delivery_log`]
+/// yielding `None`) or submission sizes are audited vacuously.
 #[derive(Debug, Default)]
 pub struct CompletenessAuditor {
     /// `(time, deliverer, origin, seq)` of every incomplete delivery.
@@ -439,28 +369,11 @@ impl CompletenessAuditor {
     /// Observes the view (call after every quantum / explored action).
     pub fn observe(&mut self, v: &impl AuditView) {
         self.observations += 1;
-        let store;
-        let members: &[NodeId] = match v.member_ids_ref() {
-            Some(s) => s,
-            None => {
-                store = v.member_ids();
-                &store
-            }
-        };
-        for &id in members {
-            let Some(lens) = v.delivery_lens_ref(id) else {
-                continue;
-            };
-            let Some(log) = v.delivery_log_ref(id) else {
-                continue;
-            };
+        for &id in v.member_ids() {
             let cursor = self.cursors.entry(id).or_insert(0);
-            let upto = log.len().min(lens.len());
-            while *cursor < upto {
-                let (origin, seq) = log[*cursor];
-                let got = lens[*cursor];
+            for (origin, seq, got) in v.delivery_log(id, *cursor) {
                 *cursor += 1;
-                let Some(want) = v.expected_payload_len(origin, seq) else {
+                let (Some(got), Some(want)) = (got, v.expected_payload_len(origin, seq)) else {
                     continue;
                 };
                 self.checked += 1;
@@ -474,6 +387,15 @@ impl CompletenessAuditor {
     /// True if every checked delivery carried its full payload.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// The first violation, rendered for a dump header.
+    pub fn verdict(&self) -> Option<String> {
+        let (t, id, origin, seq) = self.violations.first()?;
+        Some(format!(
+            "delivery completeness violated at {t}: {id} delivered {origin}#{} without its payload",
+            seq.0
+        ))
     }
 }
 
@@ -506,15 +428,7 @@ impl NineElevenAuditor {
     }
 
     fn snapshot(v: &impl AuditView) -> BTreeMap<NodeId, NodeSnap> {
-        let store;
-        let members: &[NodeId] = match v.member_ids_ref() {
-            Some(s) => s,
-            None => {
-                store = v.member_ids();
-                &store
-            }
-        };
-        members
+        v.member_ids()
             .iter()
             .map(|&id| {
                 (
@@ -543,18 +457,11 @@ impl NineElevenAuditor {
     /// Observes the view (call after every quantum / explored action).
     pub fn observe(&mut self, v: &impl AuditView) {
         self.observations += 1;
-        let store;
-        let members: &[NodeId] = match v.member_ids_ref() {
-            Some(s) => s,
-            None => {
-                store = v.member_ids();
-                &store
-            }
-        };
         let snap: BTreeMap<NodeId, NodeSnap> = Self::snapshot(v);
         // Winners since the last observation. A node restart zeroes the
         // metric snapshot, so compare only non-decreasing counters.
-        let winners: Vec<NodeId> = members
+        let winners: Vec<NodeId> = v
+            .member_ids()
             .iter()
             .copied()
             .filter(|id| {
@@ -614,6 +521,12 @@ impl NineElevenAuditor {
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// The first violation, rendered for a dump header.
+    pub fn verdict(&self) -> Option<String> {
+        let (t, w, reason) = self.violations.first()?;
+        Some(format!("911 violation at {t} (winner {w}): {reason}"))
+    }
 }
 
 /// Whole-run check that token membership shrinks monotonically under
@@ -655,27 +568,21 @@ impl MembershipAuditor {
         }
     }
 
+    /// The membership view of every live member that has one.
+    fn live_rings<V: AuditView>(v: &V) -> Vec<(NodeId, &Ring)> {
+        let live = v.member_ids().iter().filter(|&&m| v.is_live(m));
+        live.filter_map(|&m| v.ring_of(m).map(|r| (m, r))).collect()
+    }
+
     /// Observes the view (call after every quantum / explored action).
     pub fn observe(&mut self, v: &impl AuditView) {
         self.observations += 1;
-        let store;
-        let members: &[NodeId] = match v.member_ids_ref() {
-            Some(s) => s,
-            None => {
-                store = v.member_ids();
-                &store
-            }
-        };
-        let live: Vec<NodeId> = members.iter().copied().filter(|&m| v.is_live(m)).collect();
-        let rings: Vec<(NodeId, Ring)> = live
-            .iter()
-            .filter_map(|&m| v.ring_of(m).map(|r| (m, r)))
-            .collect();
+        let rings = Self::live_rings(v);
         // A restarted node is no longer purged.
         self.purged.retain(|&x| !v.is_live(x));
         self.streak.retain(|&x, _| !v.is_live(x));
         // Resurrection check against the standing purged set.
-        for &(viewer, ref ring) in &rings {
+        for &(viewer, ring) in &rings {
             for &x in &self.purged {
                 if ring.contains(x) {
                     self.violations.push((v.now(), viewer, x));
@@ -684,7 +591,7 @@ impl MembershipAuditor {
         }
         // Refresh the purged set: dead nodes absent from every live view
         // for `dwell` consecutive observations.
-        for &x in members {
+        for &x in v.member_ids() {
             if v.is_live(x) {
                 continue;
             }
@@ -732,15 +639,9 @@ impl MembershipAuditor {
     pub fn rebaseline(&mut self, v: &impl AuditView) {
         self.purged.clear();
         self.streak.clear();
-        let members = v.member_ids();
-        let rings: Vec<Ring> = members
-            .iter()
-            .copied()
-            .filter(|&m| v.is_live(m))
-            .filter_map(|m| v.ring_of(m))
-            .collect();
-        for &x in &members {
-            if !v.is_live(x) && rings.iter().all(|r| !r.contains(x)) {
+        let rings = Self::live_rings(v);
+        for &x in v.member_ids() {
+            if !v.is_live(x) && rings.iter().all(|(_, r)| !r.contains(x)) {
                 self.streak.insert(x, 1);
                 if self.dwell <= 1 {
                     self.purged.insert(x);
@@ -752,6 +653,14 @@ impl MembershipAuditor {
     /// True if no violation was ever observed.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// The first violation, rendered for a dump header.
+    pub fn verdict(&self) -> Option<String> {
+        let (t, viewer, x) = self.violations.first()?;
+        Some(format!(
+            "membership resurrection at {t}: {viewer} saw purged node {x}"
+        ))
     }
 }
 
@@ -919,7 +828,7 @@ impl GroupIdOracle {
         let Some(&min_live) = live.iter().min() else {
             return;
         };
-        let min_all = v.member_ids().into_iter().min();
+        let min_all = v.member_ids().iter().copied().min();
         if min_all != Some(min_live) || self.crashed_ever.contains(&min_live) {
             return; // lowest id is dead or has a restarted identity
         }
@@ -938,9 +847,9 @@ impl GroupIdOracle {
     }
 }
 
-/// The three liveness oracles bundled for the chaos engine: one
-/// `observe_tick` fans out to all of them and `first_violation` gives a
-/// human-readable summary of the earliest failure.
+/// The three liveness oracles bundled for the schedule engine
+/// ([`crate::engine`]): one `observe_tick` fans out to all of them and
+/// `verdict` gives a human-readable summary of the earliest failure.
 #[derive(Debug)]
 pub struct LivenessOracles {
     /// Bounded token regeneration.
@@ -979,7 +888,7 @@ impl LivenessOracles {
     }
 
     /// The earliest recorded violation, rendered for a dump header.
-    pub fn first_violation(&self) -> Option<(Time, String)> {
+    pub fn verdict(&self) -> Option<String> {
         let mut best: Option<(Time, String)> = None;
         let mut consider = |t: Time, reason: String| {
             if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
@@ -1001,14 +910,58 @@ impl LivenessOracles {
                 format!("group identity: converged group id {g} != lowest member id {low}"),
             );
         }
-        best
+        best.map(|(_, reason)| reason)
+    }
+}
+
+/// The five safety auditors as one bundle, and the one table of their
+/// verdicts. The model checker feeds all five every explored state
+/// ([`Auditors::observe`]); a tick-driven world feeds the ones whose
+/// claims are sound there (DESIGN.md §10.3) and leaves the rest silent.
+#[derive(Debug, Default)]
+pub struct Auditors {
+    /// §2.2/§2.5 token uniqueness.
+    pub token: TokenAuditor,
+    /// §2.6 agreed delivery order.
+    pub order: OrderAuditor,
+    /// §2.3 unique 911 winner + stale-copy denial.
+    pub nine_eleven: NineElevenAuditor,
+    /// Membership monotonic w.r.t. observed failures.
+    pub membership: MembershipAuditor,
+    /// DESIGN.md §13: no delivery of an id without its payload.
+    pub completeness: CompletenessAuditor,
+}
+
+impl Auditors {
+    /// Creates the bundle.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Observes a state with all five auditors.
+    pub fn observe(&mut self, v: &impl AuditView) {
+        self.token.observe(v);
+        self.order.observe(v);
+        self.nine_eleven.observe(v);
+        self.membership.observe(v);
+        self.completeness.observe(v);
+    }
+
+    /// First violation any auditor has recorded, rendered for humans.
+    pub fn first_violation(&self) -> Option<String> {
+        self.token
+            .verdict()
+            .or_else(|| self.order.verdict())
+            .or_else(|| self.nine_eleven.verdict())
+            .or_else(|| self.membership.verdict())
+            .or_else(|| self.completeness.verdict())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
+    use crate::cluster::{Cluster, ClusterConfig};
     use bytes::Bytes;
     use raincore_session::StartMode;
     use raincore_types::{DeliveryMode, Duration};
@@ -1124,7 +1077,7 @@ mod tests {
             c.run_until_with(t, |_| {});
             oracles.observe_tick(&c, true);
         }
-        assert!(oracles.ok(), "{:?}", oracles.first_violation());
+        assert!(oracles.ok(), "{:?}", oracles.verdict());
         assert!(oracles.group_id.checks > 0, "group-id oracle must engage");
         assert!(oracles.convergence.converged_ticks > 0);
     }
@@ -1254,6 +1207,103 @@ mod tests {
             oracle.observe_tick(&v, true);
         }
         assert!(oracle.ok(), "{:?}", oracle.violations);
+    }
+
+    // The verdict table: tests, fixtures and CI greps match on these
+    // prefixes, so each auditor's rendering is pinned where it is written.
+
+    /// Two live members of group 0 over ring {0, 1}.
+    fn pair_view(eating: [bool; 2], regens: [u64; 2]) -> StatusView {
+        let mut v = StatusView::new(Time::ZERO);
+        for i in 0..2 {
+            let mut st = status(true, eating[i], 0, &[0, 1], 5);
+            st.regenerations = regens[i];
+            v.insert(NodeId(i as u32), st);
+        }
+        v
+    }
+
+    #[test]
+    fn token_verdict_prefix() {
+        let mut a = Auditors::new();
+        assert_eq!(a.first_violation(), None);
+        a.token.observe(&pair_view([true, true], [0, 0]));
+        let verdict = a.first_violation().expect("two eaters");
+        assert!(
+            verdict.starts_with("token uniqueness violated in group g0 at "),
+            "{verdict}"
+        );
+    }
+
+    #[test]
+    fn order_verdict_prefix() {
+        let mut v = StatusView::new(Time::ZERO);
+        let mut st = status(true, false, 0, &[0, 1], 5);
+        st.deliveries = vec![(NodeId(0), OriginSeq(1))];
+        v.insert(NodeId(0), st.clone());
+        st.deliveries = vec![(NodeId(1), OriginSeq(1)), (NodeId(0), OriginSeq(1))];
+        v.insert(NodeId(1), st);
+        let mut a = OrderAuditor::new();
+        a.observe(&v);
+        let verdict = a.verdict().expect("diverging logs");
+        assert!(
+            verdict.starts_with("delivery order diverged between n0 and n1 at "),
+            "{verdict}"
+        );
+    }
+
+    #[test]
+    fn nine_eleven_verdict_prefix() {
+        let mut a = NineElevenAuditor::new();
+        a.observe(&pair_view([false, false], [0, 0]));
+        a.observe(&pair_view([false, false], [1, 1]));
+        let verdict = a.verdict().expect("two winners in one group");
+        assert!(verdict.starts_with("911 violation at "), "{verdict}");
+        assert!(
+            verdict.contains("(winner n0): nodes n0 and n1 both regenerated"),
+            "{verdict}"
+        );
+    }
+
+    #[test]
+    fn membership_verdict_prefix() {
+        let mut a = MembershipAuditor::new();
+        let mut v = StatusView::new(Time::ZERO);
+        v.insert(NodeId(0), status(true, true, 0, &[0], 5));
+        v.insert(NodeId(1), status(false, false, 0, &[0, 1], 5));
+        a.observe(&v); // n1 is dead and in no live view: purged
+        v.insert(NodeId(0), status(true, true, 0, &[0, 1], 6));
+        a.observe(&v);
+        let verdict = a.verdict().expect("a purged node is back in a view");
+        assert!(
+            verdict.starts_with("membership resurrection at "),
+            "{verdict}"
+        );
+        assert!(verdict.ends_with(": n0 saw purged node n1"), "{verdict}");
+    }
+
+    #[test]
+    fn completeness_verdict_prefix() {
+        let mut a = Auditors::new();
+        let at = Time::ZERO + Duration::from_millis(5);
+        a.completeness
+            .violations
+            .push((at, NodeId(2), NodeId(1), OriginSeq(0)));
+        let verdict = a.first_violation().expect("recorded");
+        assert!(
+            verdict.starts_with("delivery completeness violated at "),
+            "{verdict}"
+        );
+        assert!(
+            verdict.ends_with(": n2 delivered n1#0 without its payload"),
+            "{verdict}"
+        );
+        // The table's order: an earlier row speaks first.
+        a.order.violations.push((at, NodeId(0), NodeId(1)));
+        assert!(a
+            .first_violation()
+            .unwrap()
+            .starts_with("delivery order diverged"));
     }
 
     #[test]

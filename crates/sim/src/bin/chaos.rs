@@ -164,12 +164,7 @@ fn main() {
                 cfg.seed, cfg.nodes, cfg.scenario, v.reason
             );
             let events = if shrink {
-                let truncated: Vec<_> = schedule
-                    .iter()
-                    .filter(|e| e.tick <= v.tick)
-                    .cloned()
-                    .collect();
-                match raincore_sim::chaos::minimize(&cfg, &truncated) {
+                match raincore_sim::chaos::shrink(&cfg, &schedule, v.tick) {
                     Ok(m) => {
                         eprintln!("chaos: minimized {} events to {}", schedule.len(), m.len());
                         m
@@ -346,6 +341,12 @@ fn run_replay(path: &str) {
         }
     };
     print_fault_summary(&report.fault_counts);
+    if report.restarts_skipped > 0 {
+        println!(
+            "chaos: {} scheduled restart(s) skipped — the member was up",
+            report.restarts_skipped
+        );
+    }
     match report.violation {
         Some(v) => {
             println!(

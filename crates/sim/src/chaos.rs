@@ -16,15 +16,14 @@
 //!    heals, plus message duplication/reordering and timer-jitter dials
 //!    that feed the injection hooks in `raincore-net`'s [`SimNet`].
 //! 2. [`run_chaos`] replays the schedule tick by tick over a [`Cluster`],
-//!    feeding every simulation quantum to the safety auditors and every
-//!    tick to the liveness oracles. The engine tracks which disturbances
-//!    it *believes* are outstanding; once the schedule ends and the
-//!    believed network is clean, the cluster must reconverge within the
-//!    configured bounds.
-//! 3. On violation, [`minimize`] shrinks the failing schedule with the
-//!    same greedy 1-minimal delta-debugging loop the model checker uses,
-//!    and [`dump_violation`] renders a replayable text dump that
-//!    [`parse_dump`] reads back (`chaos --replay FILE`).
+//!    feeding every simulation quantum to the token auditor and every
+//!    tick to the [`ScheduleEngine`], which holds the rules of the run:
+//!    which disturbances it *believes* are outstanding, when the safety
+//!    auditors may speak, and the bounds within which the cluster must
+//!    reconverge once the schedule ends and the believed network is clean.
+//! 3. On violation, [`shrink`] cuts the failing schedule down to a
+//!    1-minimal one and [`dump_violation`] renders a replayable text dump
+//!    that [`parse_dump`] reads back (`chaos --replay FILE`).
 //!
 //! Determinism contract: `(ChaosConfig, schedule)` fully determines a
 //! run. The schedule generator and the network share nothing but their
@@ -33,10 +32,8 @@
 //!
 //! [`SimNet`]: raincore_net::SimNet
 
-use crate::audit::{
-    CompletenessAuditor, LivenessOracles, MembershipAuditor, NineElevenAuditor, TokenAuditor,
-};
 use crate::cluster::{Cluster, ClusterBuilder, ClusterConfig};
+use crate::engine::{minimize, NetBelief, ScheduleEngine, TickBounds};
 use bytes::Bytes;
 use raincore_net::Addr;
 use raincore_session::StartMode;
@@ -57,7 +54,9 @@ use std::str::FromStr;
 pub enum ChaosFault {
     /// Crash a node (process + all NICs).
     Crash(NodeId),
-    /// Restart a node in [`StartMode::Joining`].
+    /// Restart a crashed node in [`StartMode::Joining`]. Scheduled for a
+    /// member that is up it does nothing, in every world
+    /// ([`ScheduleEngine::next_due`]).
     Restart(NodeId),
     /// Cut one bidirectional node-to-node link.
     LinkDown(NodeId, NodeId),
@@ -90,6 +89,19 @@ pub enum ChaosFault {
     DelaySpike(u64),
 }
 
+/// How a fault bears on what the verifiers may claim while it is fresh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// A member went down or came back: its group identity is no longer
+    /// the founding one ([`crate::audit::GroupIdOracle`]).
+    Churn(NodeId),
+    /// Connectivity changed: the safety auditors' link-calm window closes
+    /// for a grace period ([`ScheduleEngine::link_calm`]).
+    Link,
+    /// An injection dial: the claims hold under it.
+    Dial,
+}
+
 impl ChaosFault {
     /// Stable class name used for obs counters and CLI summaries.
     pub fn class(&self) -> &'static str {
@@ -107,6 +119,34 @@ impl ChaosFault {
             ChaosFault::Jitter(_) => "jitter",
             ChaosFault::BulkLoss(_) => "bulk-loss",
             ChaosFault::DelaySpike(_) => "delay-spike",
+        }
+    }
+
+    /// The fault's [`FaultKind`]. A delay spike a member can outwait is a
+    /// dial. One that reaches `give_up_floor` is a link that was down for
+    /// a while: the member behind it is evicted although it got what it
+    /// was sent, and the token may fork until the stale copy is
+    /// discarded. `None` for a world that cannot stall a link.
+    pub fn kind(&self, give_up_floor: Option<Duration>) -> FaultKind {
+        match self {
+            ChaosFault::Crash(id) | ChaosFault::Restart(id) => FaultKind::Churn(*id),
+            ChaosFault::LinkDown(..)
+            | ChaosFault::LinkUp(..)
+            | ChaosFault::NicDown(_)
+            | ChaosFault::NicUp(_)
+            | ChaosFault::Partition(_)
+            | ChaosFault::Heal => FaultKind::Link,
+            ChaosFault::DelaySpike(us)
+                if give_up_floor
+                    .is_some_and(|floor| Duration::from_micros(*us) + SPIKE_MARGIN >= floor) =>
+            {
+                FaultKind::Link
+            }
+            ChaosFault::Duplicate(_)
+            | ChaosFault::Reorder(_)
+            | ChaosFault::Jitter(_)
+            | ChaosFault::BulkLoss(_)
+            | ChaosFault::DelaySpike(_) => FaultKind::Dial,
         }
     }
 }
@@ -145,7 +185,7 @@ impl fmt::Display for ChaosFault {
     }
 }
 
-fn parse_node(s: &str) -> Option<NodeId> {
+pub(crate) fn parse_node(s: &str) -> Option<NodeId> {
     s.strip_prefix('n')?.parse().ok().map(NodeId)
 }
 
@@ -372,6 +412,17 @@ impl ChaosConfig {
             ticks: 300,
             fault_period: 20,
             ..ChaosConfig::default()
+        }
+    }
+
+    /// The five tick bounds, as the [`ScheduleEngine`] takes them.
+    pub fn bounds(&self) -> TickBounds {
+        TickBounds {
+            ticks: self.ticks,
+            grace_ticks: self.grace_ticks,
+            token_bound_ticks: self.token_bound_ticks,
+            convergence_bound_ticks: self.convergence_bound_ticks,
+            post_ticks: self.post_ticks,
         }
     }
 
@@ -736,94 +787,6 @@ fn generate_spikes(cfg: &ChaosConfig, rng: &mut StdRng) -> Vec<ChaosEvent> {
 // Engine
 // ----------------------------------------------------------------------
 
-/// The engine's belief about outstanding connectivity damage. The seeded
-/// fault drives belief and reality apart: a "broken heal" clears the
-/// belief while the network stays partitioned, which is exactly what the
-/// convergence oracle exists to catch.
-///
-/// Besides link blocks and partitions, complementary standing NIC downs
-/// count as damage: redundant links pair same-index NICs (§2.1), so two
-/// nodes whose remaining NICs share no index cannot exchange packets at
-/// all — connectivity is then non-transitive and neither convergence nor
-/// the safety claims that assume it can be demanded.
-#[derive(Debug, Default)]
-struct NetBelief {
-    pairs: BTreeSet<(NodeId, NodeId)>,
-    partitioned: bool,
-    nics_down: BTreeSet<Addr>,
-    crashed: BTreeSet<NodeId>,
-    nodes: u32,
-    nics: u8,
-}
-
-impl NetBelief {
-    fn new(nodes: u32, nics: u8) -> Self {
-        NetBelief {
-            nodes,
-            nics: nics.max(1),
-            ..NetBelief::default()
-        }
-    }
-
-    fn blocked(&self) -> bool {
-        if self.partitioned || !self.pairs.is_empty() {
-            return true;
-        }
-        if self.nics_down.is_empty() {
-            return false;
-        }
-        let live: Vec<NodeId> = (0..self.nodes)
-            .map(NodeId)
-            .filter(|n| !self.crashed.contains(n))
-            .collect();
-        live.iter().enumerate().any(|(i, &a)| {
-            live[i + 1..].iter().any(|&b| {
-                (0..self.nics).all(|k| {
-                    self.nics_down.contains(&Addr::new(a, k))
-                        || self.nics_down.contains(&Addr::new(b, k))
-                })
-            })
-        })
-    }
-
-    fn note(&mut self, fault: &ChaosFault) {
-        match fault {
-            ChaosFault::LinkDown(a, b) => {
-                self.pairs.insert((*a.min(b), *a.max(b)));
-            }
-            ChaosFault::LinkUp(a, b) => {
-                self.pairs.remove(&(*a.min(b), *a.max(b)));
-            }
-            ChaosFault::NicDown(a) => {
-                self.nics_down.insert(*a);
-            }
-            ChaosFault::NicUp(a) => {
-                self.nics_down.remove(a);
-            }
-            ChaosFault::Crash(id) => {
-                self.crashed.insert(*id);
-            }
-            ChaosFault::Restart(id) => {
-                self.crashed.remove(id);
-            }
-            ChaosFault::Partition(_) => self.partitioned = true,
-            ChaosFault::Heal => {
-                // Heals link blocks only; NIC states are untouched.
-                self.pairs.clear();
-                self.partitioned = false;
-            }
-            // Injection dials never sever connectivity. Bulk loss is a
-            // dial too: it delays bulk payload arrival (NACK recovery
-            // keeps pulling), it never blocks the token path.
-            ChaosFault::Duplicate(_)
-            | ChaosFault::Reorder(_)
-            | ChaosFault::Jitter(_)
-            | ChaosFault::BulkLoss(_)
-            | ChaosFault::DelaySpike(_) => {}
-        }
-    }
-}
-
 /// A liveness or safety violation observed during a chaos run.
 #[derive(Debug, Clone)]
 pub struct ChaosViolation {
@@ -862,6 +825,9 @@ pub struct ChaosReport {
     pub ticks_run: u64,
     /// Faults applied from the schedule.
     pub faults_applied: u64,
+    /// Scheduled restarts the engine skipped because the member was up
+    /// (counted in `faults_applied` all the same).
+    pub restarts_skipped: u64,
     /// Applied fault counts per class (also exported via `registry`).
     pub fault_counts: BTreeMap<&'static str, u64>,
     /// Duplicate copies the network injected.
@@ -893,106 +859,46 @@ pub struct ChaosReport {
     pub registry: raincore_obs::Registry,
 }
 
-/// Runs `schedule` over a fresh cluster built from `cfg`. See the module
-/// docs for the tick loop and quietness rules.
+/// Runs `schedule` over a fresh cluster built from `cfg`. The tick loop
+/// and the quietness rules are the [`ScheduleEngine`]'s; what is written
+/// here is what only the simulator has: faults applied to the `SimNet`,
+/// the seeded workload, virtual time advanced one quantum at a time with
+/// the token auditor watching each, and the delay-spike oracle.
 pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosReport> {
+    Ok(run_and_keep(cfg, schedule)?.0)
+}
+
+/// [`run_chaos`], handing back the cluster as the run left it.
+fn run_and_keep(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<(ChaosReport, Cluster)> {
     let mut cluster = cfg.build_cluster()?;
     let registry = raincore_obs::Registry::new();
     let violations_counter = registry.counter("raincore_chaos_violations_total", &[]);
-
-    let mut ordered: Vec<&ChaosEvent> = schedule.iter().collect();
-    ordered.sort_by_key(|e| e.tick);
-
-    let mut tokens = TokenAuditor::new();
-    let mut nines = NineElevenAuditor::new();
-    // Dwell: a node that restarts, probes and dies again leaves its join
-    // in flight; admission a few token rounds later is delayed join
-    // processing, not a resurrection. 20 calm ticks (200ms virtual)
-    // comfortably covers probe cadence + admission + NIC failover.
-    let mut membership = MembershipAuditor::with_dwell(20);
-    // Delivery completeness (DESIGN.md §13) is a pure safety claim — a
-    // delivered id always carries its full payload, loss or no loss — so
-    // unlike the calm-scoped auditors it observes every tick.
-    let mut completeness = CompletenessAuditor::new();
-    let mut oracles = LivenessOracles::new(cfg.token_bound_ticks, cfg.convergence_bound_ticks);
+    // In process every claim but delivery order is sound (a member's log
+    // runs on across its restarts, and a partition's two sides deliver
+    // different things): the order auditor is never fed.
+    let belief = NetBelief::new(cfg.nodes, cfg.nics);
+    let give_up_floor = cfg.give_up_floor();
+    let mut engine = ScheduleEngine::new(schedule, cfg.bounds(), belief, Some(give_up_floor), true);
 
     let mut now = Time::ZERO;
     for _ in 0..cfg.warmup_ticks {
         now += cfg.tick;
-        cluster.run_until_with(now, |c| tokens.observe(c));
+        cluster.run_until_with(now, |c| engine.auditors.token.observe(c));
     }
 
-    let mut belief = NetBelief::new(cfg.nodes, cfg.nics);
-    let mut last_fault: Option<u64> = None;
-    // Safety auditors (token uniqueness, 911) are scoped to *link-calm*
-    // windows: the paper's fault model (§2.2/§2.3) assumes fail-stop
-    // nodes and transitive connectivity within a component, and both
-    // assumptions break while links are cut. A token handed off across
-    // a link that is cut mid-flight legitimately forks (the ack is
-    // lost, the forwarder re-takes the token, and both sides carry the
-    // same group id until the purge/merge machinery renames them), and
-    // under a standing pairwise cut two mutually-unreachable members
-    // can each win a 911 vote from the voters common to both — the
-    // callers never see each other's calls, so the copy-seq/lowest-id
-    // tie-break cannot run. Uniqueness is therefore only claimed while
-    // the network has no standing severed pair — no link block, and no
-    // complementary NIC downs that strand a pair without a usable
-    // address pair — *and* no link-class fault fired within the grace
-    // window. Reality, not belief, gates this: a seeded broken heal
-    // must not re-arm the safety auditors against a still-partitioned
-    // net.
-    let mut last_link_fault: Option<u64> = None;
-    let mut was_link_calm = true;
-    let mut fault_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut faults_applied = 0u64;
     let mut workload_turn = 0u64;
-    let mut converged_streak = 0u64;
     let mut violation: Option<ChaosViolation> = None;
     let mut evidence: Option<ChaosEvidence> = None;
-    let mut idx = 0usize;
-    // The delay-spike oracle: until a stall outlasts the give-up budget,
-    // nothing may have made any member suspect another.
-    let mut spike_over_budget = false;
+    // The delay-spike oracle: until a stall outlasts the give-up budget
+    // (`ScheduleEngine::spike_over_floor`), nothing may have made any
+    // member suspect another.
     let mut retx_under_budget = 0u64;
-    let horizon = cfg.ticks + cfg.grace_ticks + cfg.convergence_bound_ticks + cfg.post_ticks + 2;
     let mut ticks_run = 0u64;
 
-    for tick in 0..horizon {
+    for tick in 0..cfg.bounds().horizon() {
         ticks_run = tick + 1;
-        while idx < ordered.len() && ordered[idx].tick <= tick {
-            let fault = &ordered[idx].fault;
+        while let Some(fault) = engine.next_due(tick) {
             apply_fault(&mut cluster, fault, cfg.seeded_fault);
-            belief.note(fault);
-            match fault {
-                ChaosFault::Crash(id) | ChaosFault::Restart(id) => oracles.note_crash(*id),
-                ChaosFault::LinkDown(..)
-                | ChaosFault::LinkUp(..)
-                | ChaosFault::NicDown(_)
-                | ChaosFault::NicUp(_)
-                | ChaosFault::Partition(_)
-                | ChaosFault::Heal => last_link_fault = Some(tick),
-                // A stall a member can outwait is a dial. One it cannot
-                // is a link that was down for a while: the member behind
-                // it is evicted although it got what it was sent, and the
-                // token may fork until the stale copy is discarded.
-                ChaosFault::DelaySpike(us) => {
-                    if Duration::from_micros(*us) + SPIKE_MARGIN >= cfg.give_up_floor() {
-                        last_link_fault = Some(tick);
-                        spike_over_budget = true;
-                    }
-                }
-                ChaosFault::Duplicate(_)
-                | ChaosFault::Reorder(_)
-                | ChaosFault::Jitter(_)
-                | ChaosFault::BulkLoss(_) => {}
-            }
-            *fault_counts.entry(fault.class()).or_default() += 1;
-            registry
-                .counter("raincore_chaos_faults_total", &[("class", fault.class())])
-                .inc();
-            faults_applied += 1;
-            last_fault = Some(tick);
-            idx += 1;
         }
 
         if cfg.workload_period > 0 && tick % cfg.workload_period == 0 {
@@ -1025,41 +931,23 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
         }
 
         now += cfg.tick;
-        let link_calm = !cluster.connectivity_severed()
-            && last_link_fault.is_none_or(|lf| tick.saturating_sub(lf) >= cfg.grace_ticks);
+        // Reality, not belief, says whether a pair is severed.
+        let link_calm = engine.link_calm(tick, cluster.connectivity_severed());
         if link_calm {
-            cluster.run_until_with(now, |c| tokens.observe(c));
-            // Membership resurrection is likewise a calm-window claim: a
-            // merge right after a heal legitimately unions a held TBM
-            // token's stale ring back in (§2.4), and failure detection
-            // re-purges the dead entries within the grace window. A
-            // *persistent* resurrection keeps the ring != live-set and
-            // is caught by the convergence oracle instead. Both delta
-            // auditors rebaseline on the first calm tick after a gap —
-            // their claims are continuity claims and the gap broke
-            // continuity.
-            if was_link_calm {
-                nines.observe(&cluster);
-                membership.observe(&cluster);
-            } else {
-                nines.rebaseline(&cluster);
-                membership.rebaseline(&cluster);
-            }
+            cluster.run_until_with(now, |c| engine.auditors.token.observe(c));
         } else {
-            cluster.run_until_with(now, |_| {});
+            cluster.run_until(now);
         }
-        was_link_calm = link_calm;
         let mut spike_suspicion = None;
-        if cfg.delay_spike > 0 && !spike_over_budget {
+        if cfg.delay_spike > 0 && !engine.spike_over_floor() {
             let live = cluster.live_members();
             if live
                 .iter()
                 .any(|&id| cluster.metrics(id).failures_detected > 0)
             {
                 spike_suspicion = Some(format!(
-                    "false suspicion: a delay spike under the give-up budget ({:?}) \
-                     made a member give up on a peer",
-                    cfg.give_up_floor()
+                    "false suspicion: a delay spike under the give-up budget ({give_up_floor:?}) \
+                     made a member give up on a peer"
                 ));
             }
             retx_under_budget = live
@@ -1067,14 +955,9 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
                 .map(|&id| cluster.transport_stats(id).retransmissions)
                 .sum();
         }
-        completeness.observe(&cluster);
-        let quiet = !belief.blocked()
-            && last_fault.is_none_or(|lf| tick.saturating_sub(lf) >= cfg.grace_ticks);
-        oracles.observe_tick(&cluster, quiet);
+        let verdict = engine.observe_tick(&cluster, tick, link_calm);
 
-        if let Some(reason) = spike_suspicion
-            .or_else(|| first_violation(&tokens, &nines, &membership, &completeness, &oracles))
-        {
+        if let Some(reason) = spike_suspicion.or(verdict) {
             violations_counter.inc();
             // Stamp the violation into the shared flight ring (node
             // u32::MAX = the harness itself), then freeze the trace
@@ -1104,15 +987,8 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
             break;
         }
 
-        if idx >= ordered.len() && tick >= cfg.ticks {
-            if quiet && cluster.membership_converged() {
-                converged_streak += 1;
-                if converged_streak >= cfg.post_ticks {
-                    break;
-                }
-            } else {
-                converged_streak = 0;
-            }
+        if engine.settled(tick, &cluster, true) {
+            break;
         }
     }
 
@@ -1127,6 +1003,11 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
     let dups_injected = net.dups_injected();
     let reorders_injected = net.reorders_injected();
     let bulk_drops_injected = net.matched_drops();
+    for (class, count) in &engine.fault_counts {
+        registry
+            .counter("raincore_chaos_faults_total", &[("class", class)])
+            .add(*count);
+    }
     registry
         .counter("raincore_chaos_dups_injected_total", &[])
         .add(dups_injected);
@@ -1136,22 +1017,24 @@ pub fn run_chaos(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<ChaosRepo
     registry
         .counter("raincore_chaos_bulk_drops_injected_total", &[])
         .add(bulk_drops_injected);
-    Ok(ChaosReport {
+    let report = ChaosReport {
         violation,
         evidence,
         converged,
         ticks_run,
-        faults_applied,
-        fault_counts,
+        faults_applied: engine.faults_applied(),
+        restarts_skipped: engine.restarts_skipped,
+        fault_counts: engine.fault_counts,
         dups_injected,
         reorders_injected,
-        completeness_checked: completeness.checked,
+        completeness_checked: engine.auditors.completeness.checked,
         bulk_drops_injected,
         early_passes,
         spike_retransmissions: retx_under_budget,
         false_suspicions,
         registry,
-    })
+    };
+    Ok((report, cluster))
 }
 
 fn apply_fault(cluster: &mut Cluster, fault: &ChaosFault, seeded_fault: bool) {
@@ -1201,60 +1084,16 @@ fn apply_fault(cluster: &mut Cluster, fault: &ChaosFault, seeded_fault: bool) {
     }
 }
 
-fn first_violation(
-    tokens: &TokenAuditor,
-    nines: &NineElevenAuditor,
-    membership: &MembershipAuditor,
-    completeness: &CompletenessAuditor,
-    oracles: &LivenessOracles,
-) -> Option<String> {
-    if let Some((t, g)) = tokens.violations.first() {
-        return Some(format!("token uniqueness violated in group {g} at {t}"));
-    }
-    if let Some((t, w, reason)) = nines.violations.first() {
-        return Some(format!("911 violation at {t} (winner {w}): {reason}"));
-    }
-    if let Some((t, viewer, x)) = membership.violations.first() {
-        return Some(format!(
-            "membership resurrection at {t}: {viewer} saw purged node {x}"
-        ));
-    }
-    if let Some((t, id, origin, seq)) = completeness.violations.first() {
-        return Some(format!(
-            "delivery completeness violated at {t}: {id} delivered {origin}#{} without its payload",
-            seq.0
-        ));
-    }
-    oracles.first_violation().map(|(_, reason)| reason)
-}
-
 // ----------------------------------------------------------------------
 // Shrinking and dumps
 // ----------------------------------------------------------------------
 
-/// Greedy 1-minimal delta debugging over a failing schedule, mirroring
-/// the model checker's `minimize`: repeatedly try dropping single events,
-/// keeping any shorter schedule that still fails, until a fixpoint. The
-/// caller should first truncate the schedule to events at or before the
-/// violation tick.
-pub fn minimize(cfg: &ChaosConfig, failing: &[ChaosEvent]) -> Result<Vec<ChaosEvent>> {
-    let mut schedule = failing.to_vec();
-    loop {
-        let mut shrunk = false;
-        let mut i = schedule.len();
-        while i > 0 {
-            i -= 1;
-            let mut candidate = schedule.clone();
-            candidate.remove(i);
-            if run_chaos(cfg, &candidate)?.violation.is_some() {
-                schedule = candidate;
-                shrunk = true;
-            }
-        }
-        if !shrunk {
-            return Ok(schedule);
-        }
-    }
+/// Truncates a failing `schedule` at the tick of its violation and
+/// shrinks it to a 1-minimal one (`engine::minimize`).
+pub fn shrink(cfg: &ChaosConfig, schedule: &[ChaosEvent], tick: u64) -> Result<Vec<ChaosEvent>> {
+    let upto = schedule.iter().filter(|e| e.tick <= tick);
+    let truncated: Vec<ChaosEvent> = upto.cloned().collect();
+    minimize(&truncated, |s| Ok(run_chaos(cfg, s)?.violation.is_some()))
 }
 
 /// What [`find_and_minimize`] found: the violation, the truncated
@@ -1270,12 +1109,7 @@ pub fn find_and_minimize(cfg: &ChaosConfig) -> Result<Option<FoundViolation>> {
     let Some(violation) = report.violation else {
         return Ok(None);
     };
-    let truncated: Vec<ChaosEvent> = schedule
-        .iter()
-        .filter(|e| e.tick <= violation.tick)
-        .cloned()
-        .collect();
-    let minimized = minimize(cfg, &truncated)?;
+    let minimized = shrink(cfg, &schedule, violation.tick)?;
     Ok(Some((violation, schedule, minimized)))
 }
 
@@ -1471,6 +1305,52 @@ mod tests {
                 .any(|e| e.fault == ChaosFault::BulkLoss(0) && e.tick == bulk.ticks),
             "missing bulk-loss epilogue reset"
         );
+    }
+
+    #[test]
+    fn restart_of_a_member_that_is_up_changes_nothing() {
+        // A 1-minimal dump may lose the `crash` line and keep the
+        // `restart`: it must replay to what it replays to on real sockets,
+        // where nothing restarts a process that is running.
+        // (`ticks` past the grace of a fault at tick 5: both runs then
+        // settle on the same tick.)
+        let cfg = ChaosConfig {
+            nodes: 4,
+            ticks: 200,
+            fault_period: 0,
+            ..ChaosConfig::default()
+        };
+        let stray = vec![ChaosEvent {
+            tick: 5,
+            fault: ChaosFault::Restart(NodeId(0)),
+        }];
+        let (calm, calm_cluster) = run_and_keep(&cfg, &[]).unwrap();
+        let (report, cluster) = run_and_keep(&cfg, &stray).unwrap();
+        assert!(report.violation.is_none(), "{:?}", report.violation);
+        assert!(report.converged);
+        assert_eq!(report.faults_applied, 1, "counted");
+        assert_eq!(report.fault_counts["restart"], 1);
+        assert_eq!(report.restarts_skipped, 1);
+        assert_eq!((calm.faults_applied, calm.ticks_run), (0, report.ticks_run));
+        for id in cluster.member_ids() {
+            assert!(!cluster.deliveries(id).is_empty());
+            assert_eq!(cluster.deliveries(id), calm_cluster.deliveries(id), "{id}");
+            // A new incarnation would have started its counters at zero.
+            assert_eq!(cluster.metrics(id), calm_cluster.metrics(id), "{id}");
+        }
+        // The comparison is not blind: the same line after a crash bites.
+        let mut churn = stray;
+        churn[0].tick = 6;
+        churn.insert(
+            0,
+            ChaosEvent {
+                tick: 5,
+                fault: ChaosFault::Crash(NodeId(0)),
+            },
+        );
+        let (bitten, churned) = run_and_keep(&cfg, &churn).unwrap();
+        assert_eq!(bitten.restarts_skipped, 0);
+        assert_ne!(churned.metrics(NodeId(0)), calm_cluster.metrics(NodeId(0)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The cluster harness: nodes + network + virtual clock.
 
 use crate::app::{NodeApp, NodeCtl};
+use crate::audit::{AuditView, Delivered};
 use bytes::Bytes;
 use raincore_net::{Addr, Datagram, NetStats, PacketClass, SimNet, SimNetConfig};
 use raincore_session::{Delivery, SessionEvent, SessionMetrics, SessionNode, StartMode};
@@ -44,14 +45,51 @@ struct Slot {
     /// The session config this member was built with (used by restart).
     session_cfg: Option<SessionConfig>,
     events: Vec<SessionEvent>,
+    /// Every delivery of every incarnation, in delivery order: the one
+    /// log the tests read and the auditors borrow.
     deliveries: Vec<Delivery>,
-    /// Parallel to `deliveries`: the delivered `(origin, seq)` ids and
-    /// payload lengths, kept as flat vectors so the completeness auditor
-    /// can borrow them without cloning payload bytes. Both are appended
-    /// only where `deliveries` is (in `collect_node_outputs`), so the
-    /// three stay aligned across restarts.
-    delivery_ids: Vec<(NodeId, OriginSeq)>,
-    delivery_lens: Vec<usize>,
+}
+
+impl Slot {
+    fn new(session: Option<SessionNode>, addrs: Vec<Addr>, cfg: Option<SessionConfig>) -> Self {
+        Slot {
+            session,
+            app: None,
+            alive: true,
+            incarnation: Incarnation::FIRST,
+            addrs,
+            session_cfg: cfg,
+            events: Vec::new(),
+            deliveries: Vec::new(),
+        }
+    }
+
+    /// Lets the node's app, if it has one, react through a [`NodeCtl`],
+    /// then puts what it sent on the wire. Returns true if it sent any.
+    fn with_app(
+        &mut self,
+        net: &mut SimNet,
+        now: Time,
+        id: NodeId,
+        react: impl FnOnce(&mut dyn NodeApp, &mut NodeCtl<'_>),
+    ) -> bool {
+        let Some(app) = &mut self.app else {
+            return false;
+        };
+        let mut sends = Vec::new();
+        let mut ctl = NodeCtl {
+            now,
+            id,
+            session: self.session.as_mut(),
+            sends: &mut sends,
+        };
+        react(app.as_mut(), &mut ctl);
+        let moved = !sends.is_empty();
+        for s in sends {
+            net.send(now, s);
+        }
+        moved
+    }
 }
 
 /// Builder for heterogeneous clusters (mixed start modes, plain hosts,
@@ -113,6 +151,7 @@ impl ClusterBuilder {
             now: Time::ZERO,
             net: SimNet::new(self.cfg.net.clone()),
             slots: BTreeMap::new(),
+            members: self.members.iter().map(|(id, _, _)| *id).collect(),
             cfg: self.cfg,
             peer_table: PeerTable::new(),
             steps: 0,
@@ -121,6 +160,7 @@ impl ClusterBuilder {
             expected_payloads: BTreeMap::new(),
             wire_tap: None,
         };
+        cluster.members.sort_unstable();
         // The peer table covers every session member with all its NICs.
         let mut table = PeerTable::new();
         for (id, _, _) in &self.members {
@@ -136,21 +176,8 @@ impl ClusterBuilder {
             cluster.add_member(id, start, session)?;
         }
         for id in self.plain_hosts {
-            cluster.slots.insert(
-                id,
-                Slot {
-                    session: None,
-                    app: None,
-                    alive: true,
-                    incarnation: Incarnation::FIRST,
-                    addrs: vec![Addr::primary(id)],
-                    session_cfg: None,
-                    events: Vec::new(),
-                    deliveries: Vec::new(),
-                    delivery_ids: Vec::new(),
-                    delivery_lens: Vec::new(),
-                },
-            );
+            let slot = Slot::new(None, vec![Addr::primary(id)], None);
+            cluster.slots.insert(id, slot);
         }
         for (id, app) in self.apps {
             cluster
@@ -170,6 +197,8 @@ pub struct Cluster {
     now: Time,
     net: SimNet,
     slots: BTreeMap<NodeId, Slot>,
+    /// Ids of the slots that run a session, ascending. Fixed at build.
+    members: Vec<NodeId>,
     cfg: ClusterConfig,
     peer_table: PeerTable,
     steps: u64,
@@ -220,33 +249,36 @@ impl Cluster {
             .map(|k| Addr::new(id, k))
             .collect();
         let session_cfg = session.unwrap_or_else(|| self.cfg.session.clone());
+        let inc = Incarnation::FIRST;
+        let node = self.spawn_node(id, inc, session_cfg.clone(), addrs.clone(), start)?;
+        let slot = Slot::new(Some(node), addrs, Some(session_cfg));
+        self.slots.insert(id, slot);
+        Ok(())
+    }
+
+    /// One life of a member's session stack, writing into the shared
+    /// flight recorder.
+    fn spawn_node(
+        &self,
+        id: NodeId,
+        inc: Incarnation,
+        session_cfg: SessionConfig,
+        addrs: Vec<Addr>,
+        start: StartMode,
+    ) -> Result<SessionNode> {
+        let (transport, peers) = (self.cfg.transport.clone(), self.peer_table.clone());
         let mut node = SessionNode::new(
             id,
-            Incarnation::FIRST,
-            session_cfg.clone(),
-            self.cfg.transport.clone(),
-            addrs.clone(),
-            self.peer_table.clone(),
+            inc,
+            session_cfg,
+            transport,
+            addrs,
+            peers,
             start,
             self.now,
         )?;
         node.obs_mut().set_recorder(self.flight.clone());
-        self.slots.insert(
-            id,
-            Slot {
-                session: Some(node),
-                app: None,
-                alive: true,
-                incarnation: Incarnation::FIRST,
-                addrs,
-                session_cfg: Some(session_cfg),
-                events: Vec::new(),
-                deliveries: Vec::new(),
-                delivery_ids: Vec::new(),
-                delivery_lens: Vec::new(),
-            },
-        );
-        Ok(())
+        Ok(node)
     }
 
     // ------------------------------------------------------------------
@@ -354,40 +386,15 @@ impl Cluster {
         if !slot.alive {
             return;
         }
-        match d.class {
-            PacketClass::Control => {
-                if let Some(s) = &mut slot.session {
-                    s.on_datagram(now, d);
-                } else if let Some(app) = &mut slot.app {
-                    // A plain host speaking a control protocol directly
-                    // (e.g. an external open-group client).
-                    let mut sends = Vec::new();
-                    let mut ctl = NodeCtl {
-                        now,
-                        id,
-                        session: None,
-                        sends: &mut sends,
-                    };
-                    app.on_control(&mut ctl, d);
-                    for s in sends {
-                        self.net.send(now, s);
-                    }
-                }
+        match (d.class, &mut slot.session) {
+            (PacketClass::Control, Some(s)) => s.on_datagram(now, d),
+            // A plain host speaking a control protocol directly (e.g. an
+            // external open-group client).
+            (PacketClass::Control, None) => {
+                slot.with_app(&mut self.net, now, id, |app, ctl| app.on_control(ctl, d));
             }
-            PacketClass::Data => {
-                let mut sends = Vec::new();
-                if let Some(app) = &mut slot.app {
-                    let mut ctl = NodeCtl {
-                        now,
-                        id,
-                        session: slot.session.as_mut(),
-                        sends: &mut sends,
-                    };
-                    app.on_data(&mut ctl, d);
-                }
-                for s in sends {
-                    self.net.send(now, s);
-                }
+            (PacketClass::Data, _) => {
+                slot.with_app(&mut self.net, now, id, |app, ctl| app.on_data(ctl, d));
             }
         }
         self.collect_node_outputs(id);
@@ -404,19 +411,7 @@ impl Cluster {
             if let Some(s) = &mut slot.session {
                 s.on_tick(now);
             }
-            let mut sends = Vec::new();
-            if let Some(app) = &mut slot.app {
-                let mut ctl = NodeCtl {
-                    now,
-                    id,
-                    session: slot.session.as_mut(),
-                    sends: &mut sends,
-                };
-                app.on_tick(&mut ctl);
-            }
-            for s in sends {
-                self.net.send(now, s);
-            }
+            slot.with_app(&mut self.net, now, id, |app, ctl| app.on_tick(ctl));
             self.collect_node_outputs(id);
         }
     }
@@ -432,25 +427,11 @@ impl Cluster {
             let Some(ev) = s.poll_event() else { break };
             if let SessionEvent::Delivery(d) = &ev {
                 slot.deliveries.push(d.clone());
-                slot.delivery_ids.push((d.origin, d.seq));
-                slot.delivery_lens.push(d.payload.len());
             }
-            let mut sends = Vec::new();
-            if let Some(app) = &mut slot.app {
-                let mut ctl = NodeCtl {
-                    now,
-                    id,
-                    session: slot.session.as_mut(),
-                    sends: &mut sends,
-                };
-                app.on_session_event(&mut ctl, &ev);
-            }
-            let slot = self.slots.get_mut(&id).expect("slot");
+            moved |= slot.with_app(&mut self.net, now, id, |app, ctl| {
+                app.on_session_event(ctl, &ev)
+            });
             slot.events.push(ev);
-            for s in sends {
-                self.net.send(now, s);
-                moved = true;
-            }
         }
         // The app may also have produced outgoing session traffic.
         let slot = self.slots.get_mut(&id).expect("slot");
@@ -480,7 +461,6 @@ impl Cluster {
     /// start mode (typically [`StartMode::Joining`]).
     pub fn restart(&mut self, id: NodeId, start: StartMode) -> Result<()> {
         self.net.set_node(id, true);
-        let now = self.now;
         let (inc, addrs, session_cfg) = {
             let slot = self.slots.get_mut(&id).ok_or(Error::UnknownNode(id))?;
             slot.incarnation = slot.incarnation.next();
@@ -492,17 +472,7 @@ impl Cluster {
                     .unwrap_or_else(|| self.cfg.session.clone()),
             )
         };
-        let mut node = SessionNode::new(
-            id,
-            inc,
-            session_cfg,
-            self.cfg.transport.clone(),
-            addrs,
-            self.peer_table.clone(),
-            start,
-            now,
-        )?;
-        node.obs_mut().set_recorder(self.flight.clone());
+        let node = self.spawn_node(id, inc, session_cfg, addrs, start)?;
         let slot = self.slots.get_mut(&id).expect("slot");
         slot.session = Some(node);
         slot.alive = true;
@@ -599,24 +569,6 @@ impl Cluster {
             .unwrap_or(&[])
     }
 
-    /// Delivered `(origin, seq)` ids at a node (parallel to
-    /// [`Cluster::deliveries`], kept flat for borrowing auditors).
-    pub fn delivery_ids(&self, id: NodeId) -> &[(NodeId, OriginSeq)] {
-        self.slots
-            .get(&id)
-            .map(|s| s.delivery_ids.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Delivered payload lengths at a node (parallel to
-    /// [`Cluster::deliveries`]).
-    pub fn delivery_lens(&self, id: NodeId) -> &[usize] {
-        self.slots
-            .get(&id)
-            .map(|s| s.delivery_lens.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// The payload length [`Cluster::multicast`] promised for a bulk id,
     /// or `None` if the id was never multicast through the cluster API or
     /// became ambiguous through post-restart reuse.
@@ -674,18 +626,9 @@ impl Cluster {
     /// The fault model's transitive-connectivity assumption does not
     /// hold while this is true.
     pub fn connectivity_severed(&self) -> bool {
-        if self.net.has_blocked_links() {
-            return true;
-        }
-        let live = self.live_members();
-        let nics = self.cfg.nics.max(1);
-        live.iter().enumerate().any(|(i, &a)| {
-            live[i + 1..].iter().any(|&b| {
-                (0..nics).all(|k| {
-                    self.net.nic_is_down(Addr::new(a, k)) || self.net.nic_is_down(Addr::new(b, k))
-                })
-            })
-        })
+        let nic_down = |a| self.net.nic_is_down(a);
+        self.net.has_blocked_links()
+            || crate::engine::pair_stranded(&self.live_members(), self.cfg.nics, nic_down)
     }
 
     /// The cluster-wide metric registry (see the `obs` module). Refreshed
@@ -706,11 +649,7 @@ impl Cluster {
 
     /// Ids of all member nodes (alive or not).
     pub fn member_ids(&self) -> Vec<NodeId> {
-        self.slots
-            .iter()
-            .filter(|(_, s)| s.session.is_some())
-            .map(|(id, _)| *id)
-            .collect()
+        self.members.clone()
     }
 
     /// Ids of members that are alive and not shut down.
@@ -739,37 +678,54 @@ impl Cluster {
         out
     }
 
-    /// Invariant check: within each group, at most one member is EATING.
-    /// Returns the violating group if any.
-    pub fn eating_violation(&self) -> Option<GroupId> {
-        let mut count: BTreeMap<GroupId, u32> = BTreeMap::new();
-        for id in self.eating_nodes() {
-            let g = self.session(id).expect("member").group_id();
-            let c = count.entry(g).or_default();
-            *c += 1;
-            if *c > 1 {
-                return Some(g);
-            }
-        }
-        None
+    /// True when every live member agrees on one group whose membership
+    /// is exactly the live members ([`AuditView::membership_agreed`]).
+    pub fn membership_converged(&self) -> bool {
+        self.membership_agreed()
+    }
+}
+
+impl AuditView for Cluster {
+    fn now(&self) -> Time {
+        Cluster::now(self)
     }
 
-    /// True when every live member agrees on one membership containing
-    /// exactly the live members — the paper's Quiescent-Period agreement
-    /// (§2.5).
-    pub fn membership_converged(&self) -> bool {
-        let live = self.live_members();
-        let Some(first) = live.first() else {
-            return true;
-        };
-        let reference = self.session(*first).expect("member").ring().clone();
-        if reference.len() != live.len() {
-            return false;
-        }
-        live.iter().all(|&id| {
-            let s = self.session(id).expect("member");
-            s.ring().same_members(&reference) && reference.contains(id)
-        })
+    fn member_ids(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    fn is_live(&self, id: NodeId) -> bool {
+        self.is_alive(id)
+    }
+
+    fn is_eating(&self, id: NodeId) -> bool {
+        self.session(id).is_some_and(|s| s.is_eating())
+    }
+
+    fn group_of(&self, id: NodeId) -> Option<GroupId> {
+        self.session(id).map(|s| s.group_id())
+    }
+
+    fn ring_of(&self, id: NodeId) -> Option<&Ring> {
+        self.session(id).map(|s| s.ring())
+    }
+
+    fn last_copy_seq(&self, id: NodeId) -> u64 {
+        self.session(id).map_or(0, |s| s.last_copy_seq())
+    }
+
+    fn regenerations(&self, id: NodeId) -> u64 {
+        self.metrics(id).regenerations
+    }
+
+    fn delivery_log(&self, id: NodeId, from: usize) -> impl Iterator<Item = Delivered> + '_ {
+        let handed_up = |d: &Delivery| (d.origin, d.seq, Some(d.payload.len()));
+        let log = self.deliveries(id).get(from..).unwrap_or_default();
+        log.iter().map(handed_up)
+    }
+
+    fn expected_payload_len(&self, origin: NodeId, seq: OriginSeq) -> Option<usize> {
+        Cluster::expected_payload_len(self, origin, seq)
     }
 }
 
@@ -819,7 +775,7 @@ mod tests {
         let mut max_eating = 0;
         c.run_until_with(secs(1), |c| {
             max_eating = max_eating.max(c.eating_nodes().len());
-            assert_eq!(c.eating_violation(), None);
+            assert_eq!(c.eating_violation_group(), None);
         });
         assert_eq!(
             max_eating, 1,

@@ -24,25 +24,21 @@
 //!   (Godefroid-style DPOR): deliveries to different destination nodes
 //!   commute, so only one representative per Mazurkiewicz trace is
 //!   explored.
-//! * Every explored state is fed to the five auditors
-//!   ([`TokenAuditor`], [`OrderAuditor`], [`NineElevenAuditor`],
-//!   [`MembershipAuditor`], [`CompletenessAuditor`]); the first
-//!   violation stops the search, is
-//!   **minimized** (greedy delta-debugging over the failing schedule) and
-//!   rendered as a replayable dump (see [`parse_schedule`] /
-//!   [`replay`]).
+//! * Every explored state is fed to the five [`Auditors`]; the first
+//!   violation stops the search, is **minimized** (greedy delta-debugging
+//!   over the failing schedule) and rendered as a replayable dump (see
+//!   [`parse_schedule`] / [`replay`]).
 //!
 //! The `model_check` binary wraps this for `scripts/check.sh` and CI.
 //!
 //! [`SessionNode`]: raincore_session::SessionNode
 
-use crate::audit::{
-    AuditView, CompletenessAuditor, MembershipAuditor, NineElevenAuditor, OrderAuditor,
-    TokenAuditor,
-};
+use crate::audit::{AuditView, Auditors, Delivered, MembershipAuditor};
+use crate::chaos::parse_node;
+use crate::engine::minimize;
 use bytes::Bytes;
 use raincore_net::{Addr, Datagram, PacketClass};
-use raincore_session::{SessionEvent, SessionNode, StartMode};
+use raincore_session::{Delivery, SessionEvent, SessionNode, StartMode};
 use raincore_transport::{Frame, PeerTable};
 use raincore_types::wire::{WireDecode, WireEncode};
 use raincore_types::{
@@ -99,10 +95,6 @@ impl std::fmt::Display for Action {
             Action::Tick => write!(f, "tick"),
         }
     }
-}
-
-fn parse_node(s: &str) -> Option<NodeId> {
-    s.strip_prefix('n')?.parse().ok().map(NodeId)
 }
 
 fn parse_key(s: &str) -> Option<MsgKey> {
@@ -287,11 +279,10 @@ struct ModelSlot {
     session: SessionNode,
     alive: bool,
     send_seq: u64,
-    deliveries: Vec<(NodeId, OriginSeq)>,
-    /// Payload length of each delivery, index-aligned with `deliveries`
-    /// (the completeness auditor checks these against the submitted
-    /// lengths — a node must never deliver an id whose payload it lacks).
-    delivery_lens: Vec<usize>,
+    /// The delivery log. The completeness auditor checks each payload's
+    /// length against the submitted one — a node must never deliver an
+    /// id whose payload it lacks.
+    deliveries: Vec<Delivery>,
 }
 
 struct PendingWire {
@@ -370,7 +361,6 @@ impl ModelWorld {
                     alive: true,
                     send_seq: 0,
                     deliveries: Vec::new(),
-                    delivery_lens: Vec::new(),
                 },
             );
         }
@@ -399,8 +389,7 @@ impl ModelWorld {
         };
         while let Some(ev) = slot.session.poll_event() {
             if let SessionEvent::Delivery(d) = ev {
-                slot.deliveries.push((d.origin, d.seq));
-                slot.delivery_lens.push(d.payload.len());
+                slot.deliveries.push(d);
             }
         }
         let alive = slot.alive;
@@ -490,14 +479,16 @@ impl ModelWorld {
         }
     }
 
-    /// The earliest instant any live node's protocol timer fires.
+    /// The earliest instant any live node's protocol timer fires — if
+    /// the clock may go there. Bounded delay: it may not advance past a
+    /// pending message's deadline; that message must be delivered or
+    /// dropped first.
     fn tick_target(&self) -> Option<Time> {
-        self.slots
-            .values()
-            .filter(|s| s.alive)
-            .filter_map(|s| s.session.next_wakeup())
-            .min()
-            .map(|t| t.max(self.now))
+        let live = self.slots.values().filter(|s| s.alive);
+        let target = live.filter_map(|s| s.session.next_wakeup()).min()?;
+        let target = target.max(self.now);
+        let blocked = self.pending.values().any(|p| p.deadline < target);
+        (!blocked).then_some(target)
     }
 
     /// All actions enabled in this state, in deterministic order.
@@ -521,13 +512,8 @@ impl ModelWorld {
                 }
             }
         }
-        if let Some(target) = self.tick_target() {
-            // Bounded delay: the clock may not advance past a pending
-            // message's deadline — it must be delivered or dropped first.
-            let blocked = self.pending.values().any(|p| p.deadline < target);
-            if !blocked {
-                out.push(Action::Tick);
-            }
+        if self.tick_target().is_some() {
+            out.push(Action::Tick);
         }
         // Crashes come last: DFS explores actions in this order, and the
         // crash subtrees are by far the largest. Listing protocol
@@ -604,9 +590,6 @@ impl ModelWorld {
                 let Some(target) = self.tick_target() else {
                     return false;
                 };
-                if self.pending.values().any(|p| p.deadline < target) {
-                    return false;
-                }
                 self.now = target;
                 let ids: Vec<NodeId> = self.slots.keys().copied().collect();
                 for id in ids {
@@ -656,10 +639,10 @@ impl ModelWorld {
             d.node(id);
             d.write_bool(slot.alive);
             d.write_len(slot.deliveries.len());
-            for ((origin, seq), len) in slot.deliveries.iter().zip(&slot.delivery_lens) {
-                d.node(*origin);
-                seq.digest_into(d);
-                d.write_u64(*len as u64);
+            for delivery in &slot.deliveries {
+                d.node(delivery.origin);
+                delivery.seq.digest_into(d);
+                d.write_u64(delivery.payload.len() as u64);
             }
             // A crashed slot can never act again — it is not ticked, its
             // queued output is discarded and pending traffic to it is
@@ -700,7 +683,7 @@ impl ModelWorld {
         d.finish()
     }
 
-    /// One-screen diagnostic snapshot (mirrors `Cluster::dump_state`).
+    /// One-screen diagnostic snapshot (same format as `Cluster::dump_state`).
     pub fn dump_state(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -727,12 +710,8 @@ impl AuditView for ModelWorld {
         self.now
     }
 
-    fn member_ids(&self) -> Vec<NodeId> {
-        self.slots.keys().copied().collect()
-    }
-
-    fn member_ids_ref(&self) -> Option<&[NodeId]> {
-        Some(&self.ids)
+    fn member_ids(&self) -> &[NodeId] {
+        &self.ids
     }
 
     fn is_live(&self, id: NodeId) -> bool {
@@ -751,8 +730,8 @@ impl AuditView for ModelWorld {
         self.slots.get(&id).map(|s| s.session.group_id())
     }
 
-    fn ring_of(&self, id: NodeId) -> Option<Ring> {
-        self.slots.get(&id).map(|s| s.session.ring().clone())
+    fn ring_of(&self, id: NodeId) -> Option<&Ring> {
+        self.slots.get(&id).map(|s| s.session.ring())
     }
 
     fn last_copy_seq(&self, id: NodeId) -> u64 {
@@ -765,81 +744,14 @@ impl AuditView for ModelWorld {
             .map_or(0, |s| s.session.metrics().regenerations)
     }
 
-    fn delivery_log(&self, id: NodeId) -> Vec<(NodeId, OriginSeq)> {
-        self.slots
-            .get(&id)
-            .map(|s| s.deliveries.clone())
-            .unwrap_or_default()
-    }
-
-    fn delivery_log_ref(&self, id: NodeId) -> Option<&[(NodeId, OriginSeq)]> {
-        self.slots.get(&id).map(|s| s.deliveries.as_slice())
-    }
-
-    fn delivery_lens_ref(&self, id: NodeId) -> Option<&[usize]> {
-        self.slots.get(&id).map(|s| s.delivery_lens.as_slice())
+    fn delivery_log(&self, id: NodeId, from: usize) -> impl Iterator<Item = Delivered> + '_ {
+        let log = self.slots.get(&id).and_then(|s| s.deliveries.get(from..));
+        let log = log.unwrap_or_default();
+        log.iter().map(|d| (d.origin, d.seq, Some(d.payload.len())))
     }
 
     fn expected_payload_len(&self, origin: NodeId, seq: OriginSeq) -> Option<usize> {
         self.expected.get(&(origin, seq)).copied()
-    }
-}
-
-/// The five auditors run over every explored state.
-#[derive(Debug, Default)]
-pub struct Auditors {
-    /// §2.2/§2.5 token uniqueness.
-    pub token: TokenAuditor,
-    /// §2.6 agreed delivery order.
-    pub order: OrderAuditor,
-    /// §2.3 unique 911 winner + stale-copy denial.
-    pub nine_eleven: NineElevenAuditor,
-    /// Membership monotonic w.r.t. observed failures.
-    pub membership: MembershipAuditor,
-    /// DESIGN.md §13: no delivery of an id without its payload.
-    pub completeness: CompletenessAuditor,
-}
-
-impl Auditors {
-    /// Creates the bundle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observes a state with all five auditors.
-    pub fn observe(&mut self, v: &impl AuditView) {
-        self.token.observe(v);
-        self.order.observe(v);
-        self.nine_eleven.observe(v);
-        self.membership.observe(v);
-        self.completeness.observe(v);
-    }
-
-    /// First violation any auditor has recorded, rendered for humans.
-    pub fn first_violation(&self) -> Option<String> {
-        if let Some((t, g)) = self.token.violations.first() {
-            return Some(format!("token uniqueness violated in group {g} at {t}"));
-        }
-        if let Some((t, a, b)) = self.order.violations.first() {
-            return Some(format!(
-                "delivery order diverged between {a} and {b} at {t}"
-            ));
-        }
-        if let Some((t, _, why)) = self.nine_eleven.violations.first() {
-            return Some(format!("911 violation at {t}: {why}"));
-        }
-        if let Some((t, viewer, x)) = self.membership.violations.first() {
-            return Some(format!(
-                "membership resurrection at {t}: {viewer} re-admitted purged {x}"
-            ));
-        }
-        if let Some((t, node, origin, seq)) = self.completeness.violations.first() {
-            return Some(format!(
-                "delivery completeness violated at {t}: {node} delivered {origin}#{} without its payload",
-                seq.0
-            ));
-        }
-        None
     }
 }
 
@@ -1006,13 +918,6 @@ impl Explorer {
         }
     }
 
-    /// Publishes the search counters into `registry` as
-    /// `raincore_mc_*` metrics (in addition to the explorer's own).
-    pub fn with_registry(mut self, registry: raincore_obs::Registry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// The metric registry holding `raincore_mc_*` counters.
     pub fn registry(&self) -> &raincore_obs::Registry {
         &self.registry
@@ -1066,7 +971,7 @@ impl Explorer {
             self.stats.schedules += 1;
             let mut failing = prefix.clone();
             failing.truncate(upto);
-            let minimized = self.minimize(&failing)?;
+            let minimized = self.shrink(&failing)?;
             self.violation = Some(Violation {
                 reason,
                 schedule: failing,
@@ -1142,28 +1047,15 @@ impl Explorer {
         Ok(false)
     }
 
-    /// Greedy 1-minimal shrink: repeatedly drop any single action whose
-    /// removal keeps the schedule failing.
-    fn minimize(&mut self, schedule: &[Action]) -> Result<Vec<Action>> {
-        let mut s = schedule.to_vec();
-        loop {
-            let mut changed = false;
-            let mut i = s.len();
-            while i > 0 {
-                i -= 1;
-                let mut t = s.clone();
-                t.remove(i);
-                let r = replay(&self.cfg, &t)?;
-                self.stats.actions += r.applied as u64;
-                if r.violation.is_some() {
-                    s = t;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return Ok(s);
-            }
-        }
+    /// 1-minimal shrink of a failing schedule; the replays it takes are
+    /// counted into the stats.
+    fn shrink(&mut self, failing: &[Action]) -> Result<Vec<Action>> {
+        let (cfg, stats) = (&self.cfg, &mut self.stats);
+        minimize(failing, |s| {
+            let r = replay(cfg, s)?;
+            stats.actions += r.applied as u64;
+            Ok(r.violation.is_some())
+        })
     }
 }
 

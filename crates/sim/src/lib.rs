@@ -27,24 +27,25 @@ pub mod app;
 pub mod audit;
 pub mod chaos;
 pub mod cluster;
+pub mod engine;
 pub mod explore;
 pub mod obs;
 pub mod open_app;
 
 pub use app::{NodeApp, NodeCtl};
 pub use audit::{
-    AuditView, CompletenessAuditor, ConvergenceOracle, GroupIdOracle, LivenessOracles,
-    MembershipAuditor, NineElevenAuditor, NodeStatus, OrderAuditor, StatusView, TokenAuditor,
-    TokenLivenessOracle,
+    AuditView, Auditors, CompletenessAuditor, ConvergenceOracle, Delivered, GroupIdOracle,
+    LivenessOracles, MembershipAuditor, NineElevenAuditor, NodeStatus, OrderAuditor, StatusView,
+    TokenAuditor, TokenLivenessOracle,
 };
 pub use chaos::{
-    dump_violation, find_and_minimize, generate_schedule, minimize, parse_dump, run_chaos,
-    ChaosConfig, ChaosEvent, ChaosFault, ChaosReport, ChaosScenario, ChaosViolation,
+    dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, ChaosConfig,
+    ChaosEvent, ChaosFault, ChaosReport, ChaosScenario, ChaosViolation, FaultKind,
 };
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig};
+pub use engine::{NetBelief, ScheduleEngine, TickBounds};
 pub use explore::{
-    is_bulk_frame, Action, Auditors, ExploreReport, Explorer, ModelCheckConfig, ModelWorld,
-    Violation,
+    is_bulk_frame, Action, ExploreReport, Explorer, ModelCheckConfig, ModelWorld, Violation,
 };
 pub use obs::{standard_invariants, InvariantFailure};
 pub use open_app::OpenClientApp;

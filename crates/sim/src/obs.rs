@@ -14,6 +14,7 @@
 //! trace journal of every node — so the token-seq causality leading up to
 //! the incident is on screen, not lost in flat counters.
 
+use crate::audit::AuditView;
 use crate::cluster::Cluster;
 use raincore_obs::{
     merge_journals, render_events_text, render_waterfall, TraceEvent, WaterfallOpts,
@@ -49,7 +50,7 @@ impl std::error::Error for InvariantFailure {}
 /// The harness's standard cross-node invariant: within each group at most
 /// one member is EATING (the paper's mutual-exclusion property, §2.7).
 pub fn standard_invariants(c: &Cluster) -> Result<(), String> {
-    if let Some(g) = c.eating_violation() {
+    if let Some(g) = c.eating_violation_group() {
         return Err(format!("more than one EATING node in group {g}"));
     }
     Ok(())

@@ -4,7 +4,7 @@
 //! the core protocol (see the `chaos_regression_*` tests).
 
 use raincore_sim::chaos::{
-    dump_violation, find_and_minimize, generate_schedule, minimize, parse_dump, run_chaos,
+    dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, shrink,
     ChaosConfig, ChaosEvent, ChaosScenario,
 };
 
@@ -150,12 +150,7 @@ fn chaos_seeded_fault_found_shrunk_and_replayable() {
         violation.reason
     );
 
-    let truncated: Vec<ChaosEvent> = schedule
-        .iter()
-        .filter(|e| e.tick <= violation.tick)
-        .cloned()
-        .collect();
-    let minimized = minimize(&cfg, &truncated).expect("shrink");
+    let minimized = shrink(&cfg, &schedule, violation.tick).expect("shrink");
     assert!(
         minimized.len() < schedule.len(),
         "shrinker removed nothing from a padded schedule"
@@ -244,6 +239,7 @@ fn chaos_regression_crash_restart_911_deadlock() {
         report.violation.unwrap().reason
     );
     assert!(report.converged, "cluster did not reconverge");
+    assert_eq!(report.restarts_skipped, 0);
 }
 
 /// Regression: a restarted joiner whose first NIC was unplugged used to
@@ -252,8 +248,9 @@ fn chaos_regression_crash_restart_911_deadlock() {
 /// caller's starving retry — and the retry used to mint a fresh req id,
 /// discarding the grant in flight, deterministically, every round. The
 /// retry is now a retransmission of the standing vote (same req id), so
-/// late grants count. Exact schedule found and shrunk by the harness at
-/// soak seed 67.
+/// late grants count. Schedule found and shrunk by the harness at soak
+/// seed 67 — plus the `crash n4` the shrinker had dropped while a
+/// `restart` of a member that was up still reincarnated it.
 #[test]
 fn chaos_regression_nic_failover_911_livelock() {
     let cfg = ChaosConfig {
@@ -263,7 +260,7 @@ fn chaos_regression_nic_failover_911_livelock() {
         ticks: 2000,
         ..ChaosConfig::default()
     };
-    let schedule: Vec<ChaosEvent> = ["@188 nic-down n4.0", "@545 restart n4"]
+    let schedule: Vec<ChaosEvent> = ["@188 nic-down n4.0", "@544 crash n4", "@545 restart n4"]
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
@@ -274,6 +271,12 @@ fn chaos_regression_nic_failover_911_livelock() {
         report.violation.unwrap().reason
     );
     assert!(report.converged, "cluster did not reconverge");
+    // n4 did come back as a joiner (a `restart` of a member that is up
+    // is skipped, and this schedule would then test nothing).
+    assert_eq!(
+        (report.fault_counts["restart"], report.restarts_skipped),
+        (1, 0)
+    );
 }
 
 /// Regression: if every node holding a token copy dies, the survivors
@@ -282,8 +285,9 @@ fn chaos_regression_nic_failover_911_livelock() {
 /// nobody remembers. A token-less joiner now founds a fresh singleton
 /// group after `bootstrap_probe_limit` unanswered probes, and discovery
 /// plus merge (§2.4) glue the concurrently founded groups back together.
-/// Exact schedule found and shrunk by the harness at soak seed 25:
-/// n0 and n5 restart into a cluster whose last copy holder (n7) dies.
+/// Schedule found and shrunk by the harness at soak seed 25 (plus the
+/// two `crash` lines it had dropped, see above): n0 and n5 restart into
+/// a cluster whose last copy holder (n7) dies.
 #[test]
 fn chaos_regression_total_copy_loss_bootstrap() {
     let cfg = ChaosConfig {
@@ -300,8 +304,10 @@ fn chaos_regression_total_copy_loss_bootstrap() {
         "@1059 crash n2",
         "@1531 link-down n5 n7",
         "@1582 partition n4,n0,n3,n6|n5,n1,n2,n7",
+        "@1670 crash n0",
         "@1671 restart n0",
         "@1679 crash n1",
+        "@1685 crash n5",
         "@1686 restart n5",
         "@1783 crash n7",
         "@1990 heal",
@@ -316,4 +322,9 @@ fn chaos_regression_total_copy_loss_bootstrap() {
         report.violation.unwrap().reason
     );
     assert!(report.converged, "survivors did not re-form a group");
+    // Both restarts took: n0 and n5 rejoined token-less.
+    assert_eq!(
+        (report.fault_counts["restart"], report.restarts_skipped),
+        (2, 0)
+    );
 }

@@ -99,9 +99,9 @@ fn one_second(nodes: u32, origins: std::ops::Range<u32>, app: Option<ClosedLoop>
     .expect("healthy run");
     let after = totals(&c);
     // One total order, whatever the pace.
-    let reference = c.delivery_ids(NodeId(0)).to_vec();
+    let reference = c.deliveries(NodeId(0));
     for i in 1..nodes {
-        let got = c.delivery_ids(NodeId(i));
+        let got = c.deliveries(NodeId(i));
         let common = got.len().min(reference.len());
         assert_eq!(got[..common], reference[..common], "order at n{i}");
     }

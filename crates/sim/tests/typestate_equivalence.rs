@@ -86,6 +86,7 @@ fn assert_chaos_clean(cfg: ChaosConfig, schedule: &[&str]) {
         report.violation.unwrap().reason
     );
     assert!(report.converged, "cluster did not reconverge");
+    assert_eq!(report.restarts_skipped, 0, "a restart tested nothing");
 }
 
 #[test]
@@ -117,7 +118,7 @@ fn chaos_nic_failover_911_schedule_still_clean() {
             ticks: 2000,
             ..ChaosConfig::default()
         },
-        &["@188 nic-down n4.0", "@545 restart n4"],
+        &["@188 nic-down n4.0", "@544 crash n4", "@545 restart n4"],
     );
 }
 
@@ -138,8 +139,10 @@ fn chaos_total_copy_loss_schedule_still_clean() {
             "@1059 crash n2",
             "@1531 link-down n5 n7",
             "@1582 partition n4,n0,n3,n6|n5,n1,n2,n7",
+            "@1670 crash n0",
             "@1671 restart n0",
             "@1679 crash n1",
+            "@1685 crash n5",
             "@1686 restart n5",
             "@1783 crash n7",
             "@1990 heal",

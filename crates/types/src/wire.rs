@@ -237,22 +237,6 @@ impl<'a> Reader<'a> {
         Ok(Bytes::copy_from_slice(head))
     }
 
-    /// Reads a length-prefixed byte string, borrowing it from the input
-    /// buffer. Used by allocation-sensitive consumers (the model checker's
-    /// state fingerprint) that only need to *look at* the bytes.
-    pub fn get_bytes_ref(&mut self) -> WireResult<&'a [u8]> {
-        let len = self.get_varint()?;
-        if len > self.buf.len() as u64 {
-            return Err(WireError::BadLength {
-                declared: len,
-                remaining: self.buf.len(),
-            });
-        }
-        let (head, tail) = self.buf.split_at(len as usize);
-        self.buf = tail;
-        Ok(head)
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> WireResult<String> {
         let b = self.get_bytes()?;

@@ -351,9 +351,10 @@ impl Drop for RuntimeNode {
     }
 }
 
+/// `n` founding members over loopback UDP, for the tests below: binds
+/// every socket first so every member can learn every address.
 #[cfg(test)]
-mod tests {
-    use super::*;
+fn loopback_ring(n: u32) -> Vec<RuntimeNode> {
     use raincore_net::Addr;
     use raincore_session::StartMode;
     use raincore_transport::PeerTable;
@@ -361,48 +362,53 @@ mod tests {
     use std::collections::HashMap;
     use std::net::SocketAddr;
 
-    fn loopback() -> SocketAddr {
-        "127.0.0.1:0".parse().unwrap()
+    let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
+    let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    let mut nets: Vec<UdpNet> = ids
+        .iter()
+        .map(|&id| UdpNet::bind(&[(Addr::primary(id), loopback)], HashMap::new()).unwrap())
+        .collect();
+    let saddrs: Vec<SocketAddr> = ids
+        .iter()
+        .zip(&nets)
+        .map(|(&id, net)| net.local_socket_addr(Addr::primary(id)).unwrap())
+        .collect();
+    for (i, net) in nets.iter_mut().enumerate() {
+        for (j, &peer) in ids.iter().enumerate().filter(|(j, _)| *j != i) {
+            net.add_peer(Addr::primary(peer), saddrs[j]);
+        }
     }
-
-    #[test]
-    fn three_nodes_form_group_and_multicast_over_udp() {
-        let n = 3u32;
-        let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
-        // Bind all sockets first so every node can learn every address.
-        let nets: Vec<UdpNet> = ids
-            .iter()
-            .map(|&id| UdpNet::bind(&[(Addr::primary(id), loopback())], HashMap::new()).unwrap())
-            .collect();
-        let saddrs: Vec<SocketAddr> = ids
-            .iter()
-            .zip(&nets)
-            .map(|(&id, net)| net.local_socket_addr(Addr::primary(id)).unwrap())
-            .collect();
-        let ring = Ring::from_iter(ids.iter().copied());
-        let mut cfg = SessionConfig::for_cluster(n);
-        cfg.token_hold = Duration::from_millis(5);
-        cfg.hungry_timeout = Duration::from_millis(500);
-        let mut nodes = Vec::new();
-        for (i, mut net) in nets.into_iter().enumerate() {
-            for (j, &s) in saddrs.iter().enumerate() {
-                if i != j {
-                    net.add_peer(Addr::primary(ids[j]), s);
-                }
-            }
+    let ring = Ring::from_iter(ids.iter().copied());
+    let mut cfg = SessionConfig::for_cluster(n);
+    cfg.token_hold = Duration::from_millis(5);
+    cfg.hungry_timeout = Duration::from_millis(500);
+    ids.iter()
+        .zip(nets)
+        .map(|(&id, net)| {
             let node = SessionNode::new(
-                ids[i],
+                id,
                 Incarnation::FIRST,
                 cfg.clone(),
                 TransportConfig::default(),
-                vec![Addr::primary(ids[i])],
+                vec![Addr::primary(id)],
                 PeerTable::full_mesh(ids.iter().copied(), 1),
                 StartMode::Founding(ring.clone()),
                 Time::ZERO,
             )
             .unwrap();
-            nodes.push(RuntimeNode::spawn(node, net).unwrap());
-        }
+            RuntimeNode::spawn(node, net).unwrap()
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use raincore_types::NodeId;
+
+    #[test]
+    fn three_nodes_form_group_and_multicast_over_udp() {
+        let nodes = loopback_ring(3);
         // Multicast from node 1 and expect delivery events on node 2.
         std::thread::sleep(std::time::Duration::from_millis(300));
         nodes[1]
@@ -490,47 +496,10 @@ mod tests {
 #[cfg(test)]
 mod master_lock_udp_tests {
     use super::*;
-    use raincore_net::Addr;
-    use raincore_session::StartMode;
-    use raincore_transport::PeerTable;
-    use raincore_types::{Duration, Incarnation, NodeId, Ring, SessionConfig, TransportConfig};
-    use std::collections::HashMap;
-    use std::net::SocketAddr;
 
     #[test]
     fn master_lock_round_trips_over_udp() {
-        let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let ids = [NodeId(0), NodeId(1)];
-        let nets: Vec<UdpNet> = ids
-            .iter()
-            .map(|&id| UdpNet::bind(&[(Addr::primary(id), loopback)], HashMap::new()).unwrap())
-            .collect();
-        let saddrs: Vec<SocketAddr> = ids
-            .iter()
-            .zip(&nets)
-            .map(|(&id, n)| n.local_socket_addr(Addr::primary(id)).unwrap())
-            .collect();
-        let ring = Ring::from([0, 1]);
-        let mut cfg = SessionConfig::for_cluster(2);
-        cfg.token_hold = Duration::from_millis(5);
-        cfg.hungry_timeout = Duration::from_millis(500);
-        let mut nodes = Vec::new();
-        for (i, mut net) in nets.into_iter().enumerate() {
-            let j = 1 - i;
-            net.add_peer(Addr::primary(ids[j]), saddrs[j]);
-            let node = SessionNode::new(
-                ids[i],
-                Incarnation::FIRST,
-                cfg.clone(),
-                TransportConfig::default(),
-                vec![Addr::primary(ids[i])],
-                PeerTable::full_mesh(ids, 1),
-                StartMode::Founding(ring.clone()),
-                Time::ZERO,
-            )
-            .unwrap();
-            nodes.push(RuntimeNode::spawn(node, net).unwrap());
-        }
+        let nodes = loopback_ring(2);
         std::thread::sleep(std::time::Duration::from_millis(200));
         nodes[1].request_master();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);

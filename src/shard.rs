@@ -67,11 +67,6 @@ impl IoShard {
         self.io.backend()
     }
 
-    /// Direct access to the engine (peer registration, socket addrs).
-    pub fn io_mut(&mut self) -> &mut BatchIo {
-        &mut self.io
-    }
-
     /// Frames currently queued for the next flush.
     pub fn queued(&self) -> usize {
         self.outgoing.len()

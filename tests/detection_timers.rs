@@ -19,15 +19,12 @@
 // Real-socket test: deadlines are wall-clock.
 #![allow(clippy::disallowed_types)]
 
-use raincore::net::udp::UdpNet;
-use raincore::net::Addr;
+mod common;
+
 use raincore::obs::{HistSummary, Snapshot, SnapshotValue};
 use raincore::runtime::RuntimeNode;
-use raincore::session::{SessionNode, StartMode};
-use raincore::transport::{PeerTable, MIN_RTO};
-use raincore::types::{Duration, Incarnation, NodeId, Ring, SessionConfig, Time, TransportConfig};
-use std::collections::HashMap;
-use std::net::SocketAddr;
+use raincore::transport::MIN_RTO;
+use raincore::types::{Duration, SessionConfig, TransportConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,45 +33,12 @@ const NODES: u32 = 3;
 const TOKEN_HOLD: Duration = Duration::from_millis(5);
 
 fn spawn_cluster() -> Vec<RuntimeNode> {
-    let ids: Vec<NodeId> = (0..NODES).map(NodeId).collect();
-    let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let mut nets: Vec<UdpNet> = ids
-        .iter()
-        .map(|&id| UdpNet::bind(&[(Addr::primary(id), loopback)], HashMap::new()).unwrap())
-        .collect();
-    let saddrs: Vec<SocketAddr> = ids
-        .iter()
-        .zip(&nets)
-        .map(|(&id, n)| n.local_socket_addr(Addr::primary(id)).unwrap())
-        .collect();
-    for (i, net) in nets.iter_mut().enumerate() {
-        for (j, &peer) in ids.iter().enumerate().filter(|(j, _)| *j != i) {
-            net.add_peer(Addr::primary(peer), saddrs[j]);
-        }
-    }
     let cfg = SessionConfig {
         token_hold: TOKEN_HOLD,
         hungry_timeout: Duration::from_millis(400),
         ..SessionConfig::for_cluster(NODES)
     };
-    let ring = Ring::from_iter(ids.iter().copied());
-    ids.iter()
-        .zip(nets)
-        .map(|(&id, net)| {
-            let node = SessionNode::new(
-                id,
-                Incarnation::FIRST,
-                cfg.clone(),
-                TransportConfig::default(),
-                vec![Addr::primary(id)],
-                PeerTable::full_mesh(ids.iter().copied(), 1),
-                StartMode::Founding(ring.clone()),
-                Time::ZERO,
-            )
-            .unwrap();
-            RuntimeNode::spawn(node, net).unwrap()
-        })
-        .collect()
+    common::loopback_ring(NODES, cfg, TransportConfig::default())
 }
 
 fn exports(nodes: &[RuntimeNode]) -> Vec<Snapshot> {

@@ -13,7 +13,7 @@
 //! 911 vote discipline, membership resurrection, token/convergence
 //! liveness) and a Safe/Agreed multicast workload, then requires the
 //! cluster to end converged with no violation. Failing seeds shrink to
-//! 1-minimal replayable schedules via `chaos::minimize`.
+//! 1-minimal replayable schedules via `chaos::shrink`.
 
 use proptest::prelude::*;
 use raincore_sim::chaos::{generate_schedule, run_chaos, ChaosConfig};

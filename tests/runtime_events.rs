@@ -10,55 +10,18 @@
 // Real-socket test: deadlines are wall-clock.
 #![allow(clippy::disallowed_types)]
 
-use raincore::net::udp::UdpNet;
-use raincore::net::Addr;
-use raincore::runtime::RuntimeNode;
-use raincore::session::{SessionEvent, SessionNode, StartMode};
-use raincore::transport::PeerTable;
-use raincore::types::{
-    DeliveryMode, Duration, Incarnation, NodeId, Ring, SessionConfig, Time, TransportConfig,
-};
-use std::collections::HashMap;
-use std::net::SocketAddr;
+mod common;
 
-fn loopback() -> SocketAddr {
-    "127.0.0.1:0".parse().unwrap()
-}
+use raincore::runtime::RuntimeNode;
+use raincore::session::SessionEvent;
+use raincore::types::{DeliveryMode, Duration, SessionConfig, TransportConfig};
 
 /// Spawn a pair of founding nodes wired over localhost UDP.
 fn spawn_pair() -> Vec<RuntimeNode> {
-    let ids = [NodeId(0), NodeId(1)];
-    let nets: Vec<UdpNet> = ids
-        .iter()
-        .map(|&id| UdpNet::bind(&[(Addr::primary(id), loopback())], HashMap::new()).unwrap())
-        .collect();
-    let saddrs: Vec<SocketAddr> = ids
-        .iter()
-        .zip(&nets)
-        .map(|(&id, n)| n.local_socket_addr(Addr::primary(id)).unwrap())
-        .collect();
-    let ring = Ring::from_iter(ids);
     let mut cfg = SessionConfig::for_cluster(2);
     cfg.token_hold = Duration::from_millis(5);
     cfg.hungry_timeout = Duration::from_millis(500);
-    let mut nodes = Vec::new();
-    for (i, mut net) in nets.into_iter().enumerate() {
-        let j = 1 - i;
-        net.add_peer(Addr::primary(ids[j]), saddrs[j]);
-        let node = SessionNode::new(
-            ids[i],
-            Incarnation::FIRST,
-            cfg.clone(),
-            TransportConfig::default(),
-            vec![Addr::primary(ids[i])],
-            PeerTable::full_mesh(ids, 1),
-            StartMode::Founding(ring.clone()),
-            Time::ZERO,
-        )
-        .unwrap();
-        nodes.push(RuntimeNode::spawn(node, net).unwrap());
-    }
-    nodes
+    common::loopback_ring(2, cfg, TransportConfig::default())
 }
 
 /// A zero timeout returns a queued event immediately — it never reports
