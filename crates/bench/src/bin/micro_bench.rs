@@ -385,37 +385,13 @@ static BULK_LOOP_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync:
 /// and 3 ms, two passes in three early. Simulated time, so the counts
 /// repeat exactly. One op is one multicast delivered at every member.
 fn bulk_closed_loop() -> u64 {
-    use raincore_session::{SessionEvent, StartMode};
-    use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig, NodeApp, NodeCtl};
+    use raincore_session::StartMode;
+    use raincore_sim::{ClosedLoop, Cluster, ClusterBuilder, ClusterConfig};
     use raincore_types::{Duration, Time};
 
     const NODES: u32 = 3;
     const WINDOW: usize = 8;
     const LEN: usize = 8192;
-
-    struct ClosedLoop {
-        unsent: usize,
-    }
-    impl ClosedLoop {
-        fn submit(ctl: &mut NodeCtl<'_>) {
-            if let Some(s) = ctl.session.as_mut() {
-                s.multicast(DeliveryMode::Agreed, Bytes::from(vec![0x5A; LEN]))
-                    .expect("multicast");
-            }
-        }
-    }
-    impl NodeApp for ClosedLoop {
-        fn on_tick(&mut self, ctl: &mut NodeCtl<'_>) {
-            for _ in 0..std::mem::take(&mut self.unsent) {
-                Self::submit(ctl);
-            }
-        }
-        fn on_session_event(&mut self, ctl: &mut NodeCtl<'_>, event: &SessionEvent) {
-            if matches!(event, SessionEvent::MulticastAtomic { .. }) {
-                Self::submit(ctl);
-            }
-        }
-    }
 
     let mut cfg = ClusterConfig::default();
     cfg.session.token_hold = Duration::from_millis(2);
@@ -425,7 +401,11 @@ fn bulk_closed_loop() -> u64 {
     for i in 0..NODES {
         b = b.member(NodeId(i), StartMode::Founding(ring.clone()));
     }
-    b = b.app(NodeId(0), Box::new(ClosedLoop { unsent: WINDOW }));
+    let app = ClosedLoop {
+        window: WINDOW,
+        len: LEN,
+    };
+    b = b.app(NodeId(0), Box::new(app));
     let mut c = b.build().expect("cluster");
     // (tokens sent, of which early, multicasts delivered at the last member)
     let totals = |c: &Cluster| {

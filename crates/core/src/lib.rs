@@ -19,8 +19,9 @@
 //! * **mutual exclusion** — the EATING state is a fault-tolerant master
 //!   lock (§2.7), on which `raincore-dlm` builds named data locks.
 //!
-//! The central type is [`SessionNode`]; applications drive it through a
-//! simulator or runtime and consume [`SessionEvent`]s.
+//! The central type is [`SessionNode`]; applications are [`SessionApp`]s
+//! hosted beside it by the simulator or the runtime, fed its
+//! [`SessionEvent`]s.
 
 // The protocol must degrade, never abort (a panic in the token path is a
 // token loss 911 then has to repair), and adding a message variant must
@@ -40,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod app;
 mod ctx;
 mod discovery;
 pub mod events;
@@ -52,8 +54,10 @@ mod recovery;
 mod ring_pass;
 pub mod typestate;
 
+pub use app::SessionApp;
 pub use events::{Delivery, SessionEvent};
 pub use metrics::SessionMetrics;
+pub use multicast::{MAX_ATTACHED, MAX_PAYLOAD};
 pub use node::{SessionNode, StartMode};
 pub use obs::NodeObs;
 pub use open::{unwrap_open, wrap_open, OpenClient, OpenOutcome};

@@ -17,10 +17,28 @@ use raincore_transport::{BulkDedup, BulkId, BulkStore};
 use raincore_types::messages::OpenSubmit;
 use raincore_types::wire::WireEncode;
 use raincore_types::{
-    Attached, BulkData, BulkNack, DeliveryMode, DigestInto, Error, MsgId, NodeId, OriginSeq,
-    Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, Token,
+    Attached, BulkData, BulkNack, DeliveryMode, DigestInto, Duration, Error, MsgId, NodeId,
+    OriginSeq, Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, Token,
 };
 use std::collections::{BTreeSet, HashMap, VecDeque};
+
+/// Maximum application payload accepted by `multicast`.
+pub const MAX_PAYLOAD: usize = 60_000;
+
+/// Maximum multicast messages riding the token at once. When the token
+/// is full, locally queued messages wait for a later pass — backpressure
+/// that bounds token size (and hence hop latency) under bursts.
+pub const MAX_ATTACHED: usize = 256;
+
+/// How long a node waits for the out-of-band payload of an
+/// already-ordered manifest id before NACK-pulling it from a holder.
+/// Re-arms on every retry, rotating through known holders.
+const BULK_PULL_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Maximum `(origin, seq) → payload` entries in the bulk store (the
+/// origin's retransmit cache plus buffered not-yet-ordered receives).
+/// Oldest entries are evicted first when full.
+const BULK_CACHE_ENTRIES: usize = 1024;
 
 #[derive(Debug)]
 struct PendingDelivery {
@@ -91,7 +109,7 @@ pub(crate) struct Multicast {
 
 /// Ordering: submit, attach, hold back, deliver, retire.
 impl Multicast {
-    pub(crate) fn new(cfg: &SessionConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Multicast {
             outgoing: VecDeque::new(),
             outgoing_bytes: 0,
@@ -99,7 +117,7 @@ impl Multicast {
             delivered: HashMap::new(),
             open_dedup: HashMap::new(),
             holdback: VecDeque::new(),
-            bulk_store: BulkStore::new(cfg.bulk_cache_entries),
+            bulk_store: BulkStore::new(BULK_CACHE_ENTRIES),
             bulk_dedup: BulkDedup::new(),
         }
     }
@@ -134,10 +152,10 @@ impl Multicast {
         mode: DeliveryMode,
         payload: Bytes,
     ) -> Result<OriginSeq> {
-        if payload.len() > cfg.max_payload {
+        if payload.len() > MAX_PAYLOAD {
             return Err(Error::PayloadTooLarge {
                 size: payload.len(),
-                max: cfg.max_payload,
+                max: MAX_PAYLOAD,
             });
         }
         let seq = self.next_origin_seq;
@@ -204,7 +222,7 @@ impl Multicast {
     pub(crate) fn attach_outgoing(&mut self, cx: &mut Ctx<'_>, token: &mut Token) {
         let mut attached_any = false;
         let full = cx.full_line();
-        while token.msgs.len() < cx.cfg.max_attached {
+        while token.msgs.len() < MAX_ATTACHED {
             let Some(Queued {
                 entry: a,
                 oob_payload,
@@ -337,7 +355,7 @@ impl Multicast {
         };
         let pull_at = match payload {
             Some(_) => None,
-            None => Some(cx.now + cx.cfg.bulk_pull_timeout),
+            None => Some(cx.now + BULK_PULL_TIMEOUT),
         };
         self.holdback.push_back(PendingDelivery {
             origin: m.origin,
@@ -487,7 +505,7 @@ impl Multicast {
             );
             let target = candidates[(p.pull_tries as usize) % candidates.len()];
             p.pull_tries = p.pull_tries.wrapping_add(1);
-            p.pull_at = Some(cx.now + cx.cfg.bulk_pull_timeout);
+            p.pull_at = Some(cx.now + BULK_PULL_TIMEOUT);
             pulls.push((
                 target,
                 BulkNack {

@@ -183,7 +183,7 @@ fn missing_payload_fires_rotating_nack_pulls() {
     t.seq = 10;
     t.msgs = vec![entry].into();
     n.on_session_msg(Time::ZERO, SessionMsg::Token(t));
-    let pull = n.config().bulk_pull_timeout;
+    let pull = super::BULK_PULL_TIMEOUT;
     assert!(
         n.next_wakeup().is_some_and(|w| w <= Time::ZERO + pull),
         "wakeup must cover the pull deadline"

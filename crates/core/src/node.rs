@@ -161,7 +161,7 @@ impl SessionNode {
             pass: RingPass::default(),
             recovery: Recovery::default(),
             discovery: Discovery::new(now, &cfg),
-            mcast: Multicast::new(&cfg),
+            mcast: Multicast::new(),
             master_requested: false,
             master_held: false,
             resources: HashMap::new(),
@@ -839,7 +839,7 @@ mod tests {
     #[test]
     fn payload_size_enforced() {
         let mut a = mk(0, 1, StartMode::Isolated);
-        let huge = Bytes::from(vec![0u8; a.config().max_payload + 1]);
+        let huge = Bytes::from(vec![0u8; crate::multicast::MAX_PAYLOAD + 1]);
         assert!(matches!(
             a.multicast(DeliveryMode::Agreed, huge),
             Err(Error::PayloadTooLarge { .. })

@@ -23,6 +23,13 @@ use raincore_types::{
 };
 use std::collections::BTreeSet;
 
+/// Consecutive unanswered join probes (paced by `starving_retry`) a
+/// token-less joiner tolerates before concluding that every token copy
+/// in the cluster is gone and founding a fresh singleton group;
+/// concurrently founded groups are glued back together by discovery and
+/// merge (§2.4).
+pub(crate) const BOOTSTRAP_PROBE_LIMIT: u32 = 16;
+
 /// The recovery component: what the caller side of 911 remembers between
 /// calls. The handlers that need none of it — verdicts in, verdicts out,
 /// regeneration — are this module's free functions.
@@ -32,7 +39,7 @@ pub(crate) struct Recovery {
     /// Round-robin index over `eligible` for join probes.
     join_probe_idx: usize,
     /// Join probes sent since we last held a token (total-copy-loss
-    /// bootstrap counter, compared against `bootstrap_probe_limit`).
+    /// bootstrap counter, compared against [`BOOTSTRAP_PROBE_LIMIT`]).
     unanswered_probes: u32,
 }
 
@@ -61,8 +68,7 @@ impl Recovery {
             // exactly like `StartMode::Isolated`; survivors that
             // bootstrapped concurrently are glued back together by
             // discovery and merge (§2.4).
-            let limit = cx.cfg.bootstrap_probe_limit;
-            if limit > 0 && self.unanswered_probes >= limit && pass.last_copy().is_none() {
+            if self.unanswered_probes >= BOOTSTRAP_PROBE_LIMIT && pass.last_copy().is_none() {
                 cx.metrics.bootstrap_foundings += 1;
                 return Some(pass.found(Ring::from_iter([cx.id])));
             }

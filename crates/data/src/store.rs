@@ -2,7 +2,7 @@
 
 use crate::ops::{decode_i64, encode_i64, DataOp};
 use bytes::Bytes;
-use raincore_session::{SessionEvent, SessionNode};
+use raincore_session::{SessionApp, SessionEvent, SessionNode};
 use raincore_types::{DeliveryMode, NodeId, Result, Time};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -53,7 +53,8 @@ pub enum DataEvent {
 
 /// One replica of the shared store. Reads are local; writes go through
 /// [`DataStore::put`]/[`cas`](DataStore::cas)/… which multicast ops, and
-/// land when [`DataStore::on_event`] processes the delivery.
+/// land when [`DataStore::on_event`] — the store's [`SessionApp`] feed —
+/// processes the delivery.
 #[derive(Debug)]
 pub struct DataStore {
     me: NodeId,
@@ -201,7 +202,7 @@ impl DataStore {
             }
             _ => {}
         }
-        if self.snapshot_due && self.is_leader(session) {
+        if self.snapshot_due && session.ring().leader() == Some(self.me) {
             self.snapshot_due = false;
             let entries: Vec<(String, u64, Bytes)> = self
                 .entries
@@ -216,10 +217,6 @@ impl DataStore {
                 },
             );
         }
-    }
-
-    fn is_leader(&self, session: &SessionNode) -> bool {
-        session.ring().group_id().map(|g| g.lowest_member()) == Some(self.me)
     }
 
     /// Applies one op to the local table (public so tests and replay
@@ -309,6 +306,12 @@ impl DataStore {
     /// Drains one store event.
     pub fn poll_event(&mut self) -> Option<DataEvent> {
         self.events.pop_front()
+    }
+}
+
+impl SessionApp for DataStore {
+    fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
+        DataStore::on_event(self, now, ev, session);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The replicated lock table.
 
 use crate::ops::LockOp;
-use raincore_session::{SessionEvent, SessionNode};
-use raincore_types::{DeliveryMode, NodeId, Result};
+use raincore_session::{SessionApp, SessionEvent, SessionNode};
+use raincore_types::{DeliveryMode, NodeId, Result, Time};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Events surfaced by the lock manager. Emitted identically (and in the
@@ -47,10 +47,10 @@ pub struct LockTableStats {
     pub forced_releases: u64,
 }
 
-/// A replica of the distributed lock table. One per member, fed with the
-/// member's session events via [`LockManager::apply`]; lock/unlock
-/// requests go out as multicasts via [`LockManager::lock`] /
-/// [`LockManager::unlock`].
+/// A replica of the distributed lock table. One per member, hosted as a
+/// [`SessionApp`] or fed the member's session events via
+/// [`LockManager::apply`]; lock/unlock requests go out as multicasts via
+/// [`LockManager::lock`] / [`LockManager::unlock`].
 #[derive(Debug)]
 pub struct LockManager {
     me: NodeId,
@@ -235,6 +235,12 @@ impl LockManager {
     /// Counter snapshot.
     pub fn stats(&self) -> LockTableStats {
         self.stats
+    }
+}
+
+impl SessionApp for LockManager {
+    fn on_event(&mut self, _now: Time, event: &SessionEvent, _session: &mut SessionNode) {
+        self.apply(event);
     }
 }
 

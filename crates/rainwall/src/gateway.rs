@@ -15,15 +15,12 @@
 use crate::engine::{handler_for, LoadReport, PacketEngine};
 use crate::firewall::{Action, Firewall};
 use crate::packet::{AppPacket, FlowKey};
-use bytes::Bytes;
 use raincore_net::{Addr, Datagram};
 use raincore_session::SessionEvent;
 use raincore_sim::{NodeApp, NodeCtl};
 use raincore_types::wire::{WireDecode, WireEncode};
 use raincore_types::{DeliveryMode, Duration, NodeId, Time, VipId};
-use raincore_vip::{SubnetArp, VipEvent, VipManager};
-use std::cell::RefCell;
-use std::rc::Rc;
+use raincore_vip::{SubnetArp, VipManager};
 use std::sync::Arc;
 
 /// Gateway configuration.
@@ -52,7 +49,7 @@ impl Default for GatewayCfg {
     }
 }
 
-/// Gateway counters (shared handle, observable while the sim runs).
+/// Gateway counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GatewayStats {
     /// Client requests received (on any of our VIPs).
@@ -77,48 +74,45 @@ pub struct GatewayStats {
 pub struct GatewayApp {
     me: NodeId,
     cfg: GatewayCfg,
-    vip: Rc<RefCell<VipManager>>,
-    arp: Arc<SubnetArp>,
+    vip: VipManager,
     firewall: Firewall,
     engine: PacketEngine,
-    stats: Rc<RefCell<GatewayStats>>,
+    stats: GatewayStats,
     server_rr: usize,
     next_report: Time,
     next_gc: Time,
-    next_vip_check: Time,
 }
 
 impl GatewayApp {
-    /// Creates a gateway app. Returns the app plus shared handles to the
-    /// VIP manager and the stats.
-    #[allow(clippy::type_complexity)]
+    /// Creates a gateway app.
     pub fn new(
         me: NodeId,
         cfg: GatewayCfg,
         vip_pool: Vec<VipId>,
         arp: Arc<SubnetArp>,
         firewall: Firewall,
-    ) -> (Self, Rc<RefCell<VipManager>>, Rc<RefCell<GatewayStats>>) {
-        let vip = Rc::new(RefCell::new(VipManager::new(me, vip_pool)));
-        let stats = Rc::new(RefCell::new(GatewayStats::default()));
-        let report_interval = cfg.report_interval;
-        (
-            GatewayApp {
-                me,
-                cfg,
-                vip: vip.clone(),
-                arp,
-                firewall,
-                engine: PacketEngine::new(),
-                stats: stats.clone(),
-                server_rr: 0,
-                next_report: Time::ZERO + report_interval,
-                next_gc: Time::ZERO + Duration::from_secs(1),
-                next_vip_check: Time::ZERO,
-            },
-            vip,
-            stats,
-        )
+    ) -> Self {
+        GatewayApp {
+            me,
+            next_report: Time::ZERO + cfg.report_interval,
+            cfg,
+            vip: VipManager::new(me, vip_pool).announcing(arp),
+            firewall,
+            engine: PacketEngine::new(),
+            stats: GatewayStats::default(),
+            server_rr: 0,
+            next_gc: Time::ZERO + Duration::from_secs(1),
+        }
+    }
+
+    /// What this gateway has filtered, proxied and relayed so far.
+    pub fn stats(&self) -> &GatewayStats {
+        &self.stats
+    }
+
+    /// This gateway's replica of the VIP assignment table.
+    pub fn vip(&self) -> &VipManager {
+        &self.vip
     }
 
     fn my_addr(&self) -> Addr {
@@ -144,22 +138,12 @@ impl GatewayApp {
         self.engine.open(flow, client_addr, vip, ctl.now);
         let server = self.cfg.servers[self.server_rr % self.cfg.servers.len()];
         self.server_rr += 1;
-        self.stats.borrow_mut().proxied += 1;
+        self.stats.proxied += 1;
         self.send_app(
             ctl,
             Addr::primary(server),
             &AppPacket::FetchReq { flow, object_bytes },
         );
-    }
-
-    fn drain_vip_events(&mut self, now: Time) {
-        let mut vip = self.vip.borrow_mut();
-        while let Some(ev) = vip.poll_event() {
-            if let VipEvent::GratuitousArp { vip, owner } = ev {
-                self.arp.announce(vip, owner);
-            }
-            let _ = now;
-        }
     }
 }
 
@@ -174,9 +158,9 @@ impl NodeApp for GatewayApp {
                 vip,
                 object_bytes,
             } => {
-                self.stats.borrow_mut().requests += 1;
+                self.stats.requests += 1;
                 if self.firewall.admit(flow, vip) == Action::Deny {
-                    self.stats.borrow_mut().denied += 1;
+                    self.stats.denied += 1;
                     return;
                 }
                 let handler = if self.cfg.per_connection_balance {
@@ -190,7 +174,7 @@ impl NodeApp for GatewayApp {
                 if handler == self.me {
                     self.proxy(ctl, flow, dgram.src, vip, object_bytes);
                 } else {
-                    self.stats.borrow_mut().handed_off += 1;
+                    self.stats.handed_off += 1;
                     self.send_app(
                         ctl,
                         Addr::primary(handler),
@@ -224,11 +208,8 @@ impl NodeApp for GatewayApp {
                     if last {
                         self.engine.close(flow);
                     }
-                    {
-                        let mut st = self.stats.borrow_mut();
-                        st.chunks_to_clients += 1;
-                        st.bytes_to_clients += fill.len() as u64;
-                    }
+                    self.stats.chunks_to_clients += 1;
+                    self.stats.bytes_to_clients += fill.len() as u64;
                     self.send_app(
                         ctl,
                         dst,
@@ -242,12 +223,9 @@ impl NodeApp for GatewayApp {
                 } else if let Some(dst) = self.engine.lookup_shared(flow) {
                     // Connection handled by a (possibly departed) peer but
                     // known from state sharing: keep it alive (fail-over).
-                    {
-                        let mut st = self.stats.borrow_mut();
-                        st.relayed_shared += 1;
-                        st.chunks_to_clients += 1;
-                        st.bytes_to_clients += fill.len() as u64;
-                    }
+                    self.stats.relayed_shared += 1;
+                    self.stats.chunks_to_clients += 1;
+                    self.stats.bytes_to_clients += fill.len() as u64;
                     self.send_app(
                         ctl,
                         dst,
@@ -260,7 +238,7 @@ impl NodeApp for GatewayApp {
                     );
                 } else {
                     // Stateful filtering: unknown mid-flow packets drop.
-                    self.stats.borrow_mut().dropped_unknown += 1;
+                    self.stats.dropped_unknown += 1;
                 }
             }
             AppPacket::FetchReq { .. } => {
@@ -270,9 +248,9 @@ impl NodeApp for GatewayApp {
     }
 
     fn on_session_event(&mut self, ctl: &mut NodeCtl<'_>, event: &SessionEvent) {
-        if let Some(session) = ctl.session.as_deref_mut() {
-            self.vip.borrow_mut().on_event(ctl.now, event, session);
-        }
+        self.vip.on_session_event(ctl, event);
+        // A simulated gateway has no address to install or drop.
+        while self.vip.poll_event().is_some() {}
         if let SessionEvent::Delivery(d) = event {
             if let Some(rep) = LoadReport::from_payload(&d.payload) {
                 if rep.node != self.me {
@@ -280,18 +258,11 @@ impl NodeApp for GatewayApp {
                 }
             }
         }
-        self.drain_vip_events(ctl.now);
     }
 
     fn on_tick(&mut self, ctl: &mut NodeCtl<'_>) {
         let now = ctl.now;
-        if now >= self.next_vip_check {
-            self.next_vip_check = now + Duration::from_millis(100);
-            if let Some(session) = ctl.session.as_deref_mut() {
-                let _ = self.vip.borrow_mut().kick(session);
-            }
-            self.drain_vip_events(now);
-        }
+        self.vip.on_tick(ctl);
         if now >= self.next_report {
             self.next_report = now + self.cfg.report_interval;
             let report = self.engine.take_report(self.me);
@@ -306,13 +277,9 @@ impl NodeApp for GatewayApp {
     }
 
     fn next_wakeup(&self) -> Option<Time> {
-        Some(self.next_vip_check.min(self.next_report).min(self.next_gc))
+        let mine = self.next_report.min(self.next_gc);
+        Some(self.vip.next_wakeup().map_or(mine, |t| t.min(mine)))
     }
-}
-
-/// Convenience: chunk fill bytes shared across packets.
-pub fn chunk_fill(chunk_payload: usize) -> Bytes {
-    Bytes::from(vec![0u8; chunk_payload])
 }
 
 #[cfg(test)]
@@ -320,11 +287,12 @@ mod tests {
     use super::*;
     use crate::engine::LoadReport;
     use crate::packet::FlowKey;
+    use bytes::Bytes;
     use raincore_session::{Delivery, SessionEvent};
     use raincore_types::OriginSeq;
 
-    fn mk_gateway() -> (GatewayApp, Rc<RefCell<GatewayStats>>) {
-        let (app, _vip, stats) = GatewayApp::new(
+    fn mk_gateway() -> GatewayApp {
+        GatewayApp::new(
             NodeId(0),
             GatewayCfg {
                 servers: vec![NodeId(100)],
@@ -333,8 +301,7 @@ mod tests {
             vec![VipId(0)],
             SubnetArp::shared(),
             Firewall::new(vec![]),
-        );
-        (app, stats)
+        )
     }
 
     fn chunk(flow: FlowKey, last: bool) -> Datagram {
@@ -358,7 +325,7 @@ mod tests {
         // Service." A gateway that never opened a connection can still
         // relay its packets using the shared table learned from a peer's
         // load report — the fail-over path for established connections.
-        let (mut gw, stats) = mk_gateway();
+        let mut gw = mk_gateway();
         let flow = FlowKey {
             client: NodeId(200),
             id: 7,
@@ -394,13 +361,13 @@ mod tests {
         }
         assert_eq!(sends.len(), 1, "relayed via the shared table");
         assert_eq!(sends[0].dst, client_addr);
-        assert_eq!(stats.borrow().relayed_shared, 1);
-        assert_eq!(stats.borrow().dropped_unknown, 0);
+        assert_eq!(gw.stats().relayed_shared, 1);
+        assert_eq!(gw.stats().dropped_unknown, 0);
     }
 
     #[test]
     fn unknown_flows_are_dropped_statefully() {
-        let (mut gw, stats) = mk_gateway();
+        let mut gw = mk_gateway();
         let mut sends = Vec::new();
         {
             let mut ctl = raincore_sim::NodeCtl::detached(Time::ZERO, NodeId(0), None, &mut sends);
@@ -419,12 +386,12 @@ mod tests {
             sends.is_empty(),
             "no connection, no relay: stateful filtering"
         );
-        assert_eq!(stats.borrow().dropped_unknown, 1);
+        assert_eq!(gw.stats().dropped_unknown, 1);
     }
 
     #[test]
     fn own_load_report_is_ignored() {
-        let (mut gw, stats) = mk_gateway();
+        let mut gw = mk_gateway();
         let flow = FlowKey {
             client: NodeId(200),
             id: 1,
@@ -449,6 +416,6 @@ mod tests {
             gw.on_data(&mut ctl, chunk(flow, false));
         }
         assert!(sends.is_empty());
-        assert_eq!(stats.borrow().dropped_unknown, 1, "no self-learning loop");
+        assert_eq!(gw.stats().dropped_unknown, 1, "no self-learning loop");
     }
 }

@@ -9,15 +9,13 @@
 //! [`SimNet`]: raincore_net::SimNet
 
 use crate::firewall::{Firewall, Rule};
-use crate::gateway::{GatewayApp, GatewayCfg, GatewayStats};
+use crate::gateway::{GatewayApp, GatewayCfg};
 use crate::traffic::{ClientApp, ClientStats, ServerApp};
 use raincore_session::StartMode;
 use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig};
 use raincore_types::{Duration, NodeId, Ring, VipId};
-use raincore_vip::{SubnetArp, VipManager};
-use std::cell::RefCell;
+use raincore_vip::SubnetArp;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// First server node id (gateways are `0..gateways`).
@@ -85,20 +83,14 @@ impl Default for ScenarioCfg {
     }
 }
 
-/// Handles into a built scenario.
+/// A built scenario. What its hosts have counted is read off the
+/// applications themselves: [`Scenario::gateway`], [`Scenario::client`],
+/// [`Scenario::served`].
 pub struct Scenario {
     /// The running cluster.
     pub cluster: Cluster,
     /// The shared subnet ARP cache.
     pub arp: Arc<SubnetArp>,
-    /// Per-client stats handles.
-    pub client_stats: BTreeMap<NodeId, Rc<RefCell<ClientStats>>>,
-    /// Per-gateway stats handles.
-    pub gateway_stats: BTreeMap<NodeId, Rc<RefCell<GatewayStats>>>,
-    /// Per-gateway VIP manager handles.
-    pub vip_mgrs: BTreeMap<NodeId, Rc<RefCell<VipManager>>>,
-    /// Per-server served-object counters.
-    pub server_counts: BTreeMap<NodeId, Rc<RefCell<u64>>>,
     /// Gateway node ids.
     pub gateway_ids: Vec<NodeId>,
     /// Client node ids.
@@ -120,8 +112,6 @@ impl Scenario {
         let arp = SubnetArp::shared();
 
         let mut builder = ClusterBuilder::new(cfg.cluster.clone());
-        let mut gateway_stats = BTreeMap::new();
-        let mut vip_mgrs = BTreeMap::new();
         for &g in &gateway_ids {
             builder = builder.member(g, StartMode::Founding(ring.clone()));
             let gcfg = GatewayCfg {
@@ -130,7 +120,7 @@ impl Scenario {
                 conn_idle: Duration::from_secs(5),
                 per_connection_balance: cfg.per_connection_balance,
             };
-            let (app, mgr, stats) = GatewayApp::new(
+            let app = GatewayApp::new(
                 g,
                 gcfg,
                 pool.clone(),
@@ -138,22 +128,16 @@ impl Scenario {
                 Firewall::new(cfg.rules.clone()),
             );
             builder = builder.app(g, Box::new(app));
-            gateway_stats.insert(g, stats);
-            vip_mgrs.insert(g, mgr);
         }
 
-        let mut server_counts = BTreeMap::new();
         for &s in &server_ids {
-            builder = builder.plain_host(s);
-            let (app, served) = ServerApp::new(s, cfg.chunk_payload);
-            builder = builder.app(s, Box::new(app));
-            server_counts.insert(s, served);
+            let app = ServerApp::new(s, cfg.chunk_payload);
+            builder = builder.plain_host(s).app(s, Box::new(app));
         }
 
-        let mut client_stats = BTreeMap::new();
         for &c in &client_ids {
             builder = builder.plain_host(c);
-            let (app, stats) = ClientApp::new(
+            let app = ClientApp::new(
                 c,
                 arp.clone(),
                 pool.clone(),
@@ -163,16 +147,11 @@ impl Scenario {
                 cfg.bucket,
             );
             builder = builder.app(c, Box::new(app));
-            client_stats.insert(c, stats);
         }
 
         Ok(Scenario {
             cluster: builder.build()?,
             arp,
-            client_stats,
-            gateway_stats,
-            vip_mgrs,
-            server_counts,
             gateway_ids,
             client_ids,
             server_ids,
@@ -180,33 +159,52 @@ impl Scenario {
         })
     }
 
+    /// A gateway: its counters and its replica of the VIP table.
+    pub fn gateway(&self, gw: NodeId) -> Option<&GatewayApp> {
+        self.cluster.app(gw)
+    }
+
+    /// What one client has downloaded.
+    pub fn client(&self, client: NodeId) -> Option<&ClientStats> {
+        self.cluster.app(client).map(ClientApp::stats)
+    }
+
+    fn clients(&self) -> impl Iterator<Item = &ClientStats> {
+        self.client_ids.iter().filter_map(|&c| self.client(c))
+    }
+
+    /// Objects the server farm has served.
+    pub fn served(&self) -> u64 {
+        let servers = self.server_ids.iter();
+        servers
+            .filter_map(|&s| self.cluster.app::<ServerApp>(s))
+            .map(|s| s.served)
+            .sum()
+    }
+
     /// Aggregate client goodput in Mbit/s over a window.
     pub fn goodput_mbps(&self, from: raincore_types::Time, to: raincore_types::Time) -> f64 {
-        self.client_stats
-            .values()
-            .map(|s| s.borrow().goodput_mbps(from, to, self.cfg.bucket))
+        self.clients()
+            .map(|s| s.goodput_mbps(from, to, self.cfg.bucket))
             .sum()
     }
 
     /// Total completed downloads across clients.
     pub fn completed(&self) -> u64 {
-        self.client_stats
-            .values()
-            .map(|s| s.borrow().completed)
-            .sum()
+        self.clients().map(|s| s.completed).sum()
     }
 
     /// Total client retries (stalled flows abandoned).
     pub fn retries(&self) -> u64 {
-        self.client_stats.values().map(|s| s.borrow().retries).sum()
+        self.clients().map(|s| s.retries).sum()
     }
 
     /// Aggregate received payload bytes per bucket across clients
     /// (bucket index → bytes) — the fail-over gap is visible here.
     pub fn bucket_series(&self) -> BTreeMap<u64, u64> {
         let mut out: BTreeMap<u64, u64> = BTreeMap::new();
-        for s in self.client_stats.values() {
-            for (&b, &v) in &s.borrow().buckets {
+        for s in self.clients() {
+            for (&b, &v) in &s.buckets {
                 *out.entry(b).or_default() += v;
             }
         }
@@ -253,15 +251,11 @@ mod tests {
         let mut s = Scenario::build(small(2)).unwrap();
         s.cluster.run_until(Time::ZERO + Duration::from_secs(3));
         assert!(s.completed() > 10, "downloads complete: {}", s.completed());
-        let served: u64 = s.server_counts.values().map(|c| *c.borrow()).sum();
-        assert!(served > 0, "servers answered fetches");
+        assert!(s.served() > 0, "servers answered fetches");
         // Both gateways carried traffic (VIPs are spread).
-        for (g, st) in &s.gateway_stats {
-            assert!(
-                st.borrow().requests > 0,
-                "gateway {g} idle: {:?}",
-                st.borrow()
-            );
+        for &g in &s.gateway_ids {
+            let st = s.gateway(g).unwrap().stats();
+            assert!(st.requests > 0, "gateway {g} idle: {st:?}");
         }
         assert_eq!(s.retries(), 0, "no stalls on a healthy cluster");
     }
@@ -312,8 +306,8 @@ mod tests {
         );
         assert!(s.retries() > 0, "the hiccup abandoned some flows");
         // All VIPs ended up on the survivor.
-        let mgr = s.vip_mgrs[&NodeId(0)].borrow();
-        for vip in mgr.pool().to_vec() {
+        let mgr = s.gateway(NodeId(0)).unwrap().vip();
+        for &vip in mgr.pool() {
             assert_eq!(mgr.owner_of(vip), Some(NodeId(0)));
         }
     }
@@ -325,20 +319,12 @@ mod tests {
         cfg.rules = vec![Rule::deny_clients(NodeId(CLIENT_BASE), NodeId(CLIENT_BASE))];
         let mut s = Scenario::build(cfg).unwrap();
         s.cluster.run_until(Time::ZERO + Duration::from_secs(2));
-        let denied_client = &s.client_stats[&NodeId(CLIENT_BASE)];
-        let ok_client = &s.client_stats[&NodeId(CLIENT_BASE + 1)];
-        assert_eq!(
-            denied_client.borrow().completed,
-            0,
-            "denied client got nothing"
-        );
-        assert!(denied_client.borrow().retries > 0, "its requests time out");
-        assert!(
-            ok_client.borrow().completed > 0,
-            "allowed clients unaffected"
-        );
-        let denied: u64 = s.gateway_stats.values().map(|g| g.borrow().denied).sum();
-        assert!(denied > 0);
+        let denied_client = s.client(NodeId(CLIENT_BASE)).unwrap();
+        let ok_client = s.client(NodeId(CLIENT_BASE + 1)).unwrap();
+        assert_eq!(denied_client.completed, 0, "denied client got nothing");
+        assert!(denied_client.retries > 0, "its requests time out");
+        assert!(ok_client.completed > 0, "allowed clients unaffected");
+        assert!(s.gateway(NodeId(0)).unwrap().stats().denied > 0);
     }
 
     #[test]
@@ -349,20 +335,17 @@ mod tests {
         let mut s = Scenario::build(cfg).unwrap();
         s.cluster.run_until(Time::ZERO + Duration::from_secs(3));
         // …yet both gateways proxy connections thanks to the engine.
-        let proxied: Vec<u64> = s
-            .gateway_stats
-            .values()
-            .map(|g| g.borrow().proxied)
-            .collect();
+        let gateways = || {
+            s.gateway_ids
+                .iter()
+                .map(|&g| *s.gateway(g).unwrap().stats())
+        };
+        let proxied: Vec<u64> = gateways().map(|g| g.proxied).collect();
         assert!(
             proxied.iter().all(|&p| p > 0),
             "hand-off balanced: {proxied:?}"
         );
-        let handed: u64 = s
-            .gateway_stats
-            .values()
-            .map(|g| g.borrow().handed_off)
-            .sum();
+        let handed: u64 = gateways().map(|g| g.handed_off).sum();
         assert!(handed > 0, "connections were handed off");
     }
 }

@@ -9,19 +9,16 @@
 //! which is exactly what produces the "2-second hick-up" (not a broken
 //! connection) when a gateway's cable is pulled mid-download (§3.2).
 
-use crate::gateway::chunk_fill;
 use crate::packet::{AppPacket, FlowKey};
 use bytes::Bytes;
 use raincore_net::{Addr, Datagram};
 use raincore_sim::{NodeApp, NodeCtl};
 use raincore_types::{Duration, NodeId, Time, VipId};
 use raincore_vip::SubnetArp;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 use std::sync::Arc;
 
-/// Client counters and goodput time series (shared handle).
+/// Client counters and goodput time series.
 #[derive(Clone, Debug, Default)]
 pub struct ClientStats {
     /// Completed downloads.
@@ -63,12 +60,12 @@ pub struct ClientApp {
     next_flow_id: u64,
     vip_rr: usize,
     active: HashMap<FlowKey, FlowState>,
-    stats: Rc<RefCell<ClientStats>>,
+    stats: ClientStats,
     next_check: Time,
 }
 
 impl ClientApp {
-    /// Creates a client host app and its shared stats handle.
+    /// Creates a client host app.
     pub fn new(
         me: NodeId,
         arp: Arc<SubnetArp>,
@@ -77,25 +74,26 @@ impl ClientApp {
         object_bytes: u32,
         request_timeout: Duration,
         bucket: Duration,
-    ) -> (Self, Rc<RefCell<ClientStats>>) {
-        let stats = Rc::new(RefCell::new(ClientStats::default()));
-        (
-            ClientApp {
-                me,
-                arp,
-                vips,
-                flows_target,
-                object_bytes,
-                request_timeout,
-                bucket,
-                next_flow_id: 0,
-                vip_rr: 0,
-                active: HashMap::new(),
-                stats: stats.clone(),
-                next_check: Time::ZERO,
-            },
-            stats,
-        )
+    ) -> Self {
+        ClientApp {
+            me,
+            arp,
+            vips,
+            flows_target,
+            object_bytes,
+            request_timeout,
+            bucket,
+            next_flow_id: 0,
+            vip_rr: 0,
+            active: HashMap::new(),
+            stats: ClientStats::default(),
+            next_check: Time::ZERO,
+        }
+    }
+
+    /// What this client has downloaded so far.
+    pub fn stats(&self) -> &ClientStats {
+        &self.stats
     }
 
     fn start_flow(&mut self, ctl: &mut NodeCtl<'_>) -> bool {
@@ -141,15 +139,12 @@ impl NodeApp for ClientApp {
             return; // stale chunk from an abandoned flow
         };
         st.last_activity = ctl.now;
-        {
-            let mut s = self.stats.borrow_mut();
-            s.bytes_received += fill.len() as u64;
-            let bucket = ctl.now.as_nanos() / self.bucket.as_nanos().max(1);
-            *s.buckets.entry(bucket).or_default() += fill.len() as u64;
-        }
+        self.stats.bytes_received += fill.len() as u64;
+        let bucket = ctl.now.as_nanos() / self.bucket.as_nanos().max(1);
+        *self.stats.buckets.entry(bucket).or_default() += fill.len() as u64;
         if last {
             self.active.remove(&flow);
-            self.stats.borrow_mut().completed += 1;
+            self.stats.completed += 1;
             // Immediately fetch the next object (closed-loop workload).
             self.start_flow(ctl);
         }
@@ -171,7 +166,7 @@ impl NodeApp for ClientApp {
             .collect();
         for f in stalled {
             self.active.remove(&f);
-            self.stats.borrow_mut().retries += 1;
+            self.stats.retries += 1;
         }
         // Keep the pipeline full.
         while (self.active.len() as u32) < self.flows_target {
@@ -191,23 +186,19 @@ pub struct ServerApp {
     me: NodeId,
     chunk_payload: usize,
     fill: Bytes,
-    /// Objects served (readable through the shared handle).
-    pub served: Rc<RefCell<u64>>,
+    /// Objects served.
+    pub served: u64,
 }
 
 impl ServerApp {
-    /// Creates a server host app and a shared served-objects counter.
-    pub fn new(me: NodeId, chunk_payload: usize) -> (Self, Rc<RefCell<u64>>) {
-        let served = Rc::new(RefCell::new(0u64));
-        (
-            ServerApp {
-                me,
-                chunk_payload,
-                fill: chunk_fill(chunk_payload),
-                served: served.clone(),
-            },
-            served,
-        )
+    /// Creates a server host app.
+    pub fn new(me: NodeId, chunk_payload: usize) -> Self {
+        ServerApp {
+            me,
+            chunk_payload,
+            fill: Bytes::from(vec![0u8; chunk_payload]),
+            served: 0,
+        }
     }
 }
 
@@ -218,7 +209,7 @@ impl NodeApp for ServerApp {
         else {
             return;
         };
-        *self.served.borrow_mut() += 1;
+        self.served += 1;
         let chunk = self.chunk_payload.max(1);
         let n = (object_bytes as usize).div_ceil(chunk).max(1);
         let mut remaining = object_bytes as usize;

@@ -3,12 +3,15 @@
 //! A [`NodeApp`] rides on one simulated host. It sees the host's
 //! data-plane datagrams and (when the host runs a session stack) its
 //! session events, and can send datagrams and drive the session API
-//! through [`NodeCtl`]. The Rainwall packet engine, the virtual-IP
-//! manager glue and the benchmark traffic generators are all `NodeApp`s.
+//! through [`NodeCtl`]. The Rainwall packet engine and the benchmark
+//! traffic generators are `NodeApp`s; an application that needs only the
+//! session service is a [`SessionApp`], the same state machine the
+//! runtime hosts over sockets, and every `SessionApp` is a `NodeApp`.
 
 use raincore_net::Datagram;
-use raincore_session::{SessionEvent, SessionNode};
+use raincore_session::{SessionApp, SessionEvent, SessionNode};
 use raincore_types::{NodeId, Time};
+use std::any::Any;
 
 /// Controlled access to a node's facilities during a callback.
 pub struct NodeCtl<'a> {
@@ -50,7 +53,7 @@ impl<'a> NodeCtl<'a> {
 ///
 /// All methods have empty default implementations so an app only
 /// implements what it needs.
-pub trait NodeApp {
+pub trait NodeApp: Any {
     /// A data-plane datagram addressed to this host arrived.
     fn on_data(&mut self, ctl: &mut NodeCtl<'_>, dgram: Datagram) {
         let _ = (ctl, dgram);
@@ -77,5 +80,27 @@ pub trait NodeApp {
     /// Earliest instant this app needs a tick, if any.
     fn next_wakeup(&self) -> Option<Time> {
         None
+    }
+}
+
+/// The simulator's half of application hosting (DESIGN.md §18): a
+/// [`SessionApp`] rides a member's slot as it is, fed there what the
+/// runtime's pump thread feeds it over sockets, and
+/// [`Cluster::app`](crate::Cluster::app) reads it back by type.
+impl<A: SessionApp> NodeApp for A {
+    fn on_session_event(&mut self, ctl: &mut NodeCtl<'_>, event: &SessionEvent) {
+        if let Some(session) = ctl.session.as_deref_mut() {
+            self.on_event(ctl.now, event, session);
+        }
+    }
+
+    fn on_tick(&mut self, ctl: &mut NodeCtl<'_>) {
+        if let Some(session) = ctl.session.as_deref_mut() {
+            SessionApp::on_tick(self, ctl.now, session);
+        }
+    }
+
+    fn next_wakeup(&self) -> Option<Time> {
+        SessionApp::next_wakeup(self)
     }
 }

@@ -10,6 +10,7 @@ use raincore_types::{
     DeliveryMode, Duration, Error, GroupId, Incarnation, NodeId, OriginSeq, Result, Ring,
     SessionConfig, Time, TransportConfig,
 };
+use std::any::Any;
 use std::collections::BTreeMap;
 
 /// Static configuration of a simulated cluster.
@@ -544,6 +545,25 @@ impl Cluster {
     /// Read access to a member's session stack.
     pub fn session(&self, id: NodeId) -> Option<&SessionNode> {
         self.slots.get(&id).and_then(|s| s.session.as_ref())
+    }
+
+    /// The application on a node, as its concrete type — how a test reads
+    /// a hosted [`SessionApp`](raincore_session::SessionApp)'s tables.
+    pub fn app<T: NodeApp>(&self, id: NodeId) -> Option<&T> {
+        let app: &dyn Any = self.slots.get(&id)?.app.as_deref()?;
+        app.downcast_ref()
+    }
+
+    /// Lends the application on a member and the member's session stack
+    /// to `call` — what a method of the application that multicasts needs.
+    pub fn with_app<T: NodeApp, R>(
+        &mut self,
+        id: NodeId,
+        call: impl FnOnce(&mut T, &mut SessionNode) -> R,
+    ) -> Option<R> {
+        let slot = self.slots.get_mut(&id)?;
+        let app: &mut dyn Any = slot.app.as_deref_mut()?;
+        Some(call(app.downcast_mut()?, slot.session.as_mut()?))
     }
 
     /// True if the node is alive (not crashed / not shut down).
@@ -1225,20 +1245,28 @@ mod backpressure_tests {
 
     #[test]
     fn token_capacity_bounds_burst_but_everything_delivers() {
-        let mut cfg = fast();
-        cfg.session.max_attached = 8;
-        let mut c = Cluster::founding(3, cfg).unwrap();
+        let mut c = Cluster::founding(3, fast()).unwrap();
         c.run_for(Duration::from_secs(1));
         // Burst far beyond the token capacity.
-        for i in 0..100u8 {
-            c.multicast(NodeId(0), DeliveryMode::Agreed, Bytes::from(vec![i]))
+        let burst = 3 * raincore_session::MAX_ATTACHED as u16;
+        for i in 0..burst {
+            let payload = Bytes::copy_from_slice(&i.to_le_bytes());
+            c.multicast(NodeId(0), DeliveryMode::Agreed, payload)
                 .unwrap();
         }
         c.run_for(Duration::from_secs(5));
         for id in c.member_ids() {
-            let got: Vec<u8> = c.deliveries(id).iter().map(|d| d.payload[0]).collect();
-            assert_eq!(got.len(), 100, "node {id} received the whole burst");
-            let want: Vec<u8> = (0..100).collect();
+            let got: Vec<u16> = c
+                .deliveries(id)
+                .iter()
+                .map(|d| u16::from_le_bytes([d.payload[0], d.payload[1]]))
+                .collect();
+            assert_eq!(
+                got.len(),
+                burst as usize,
+                "node {id} received the whole burst"
+            );
+            let want: Vec<u16> = (0..burst).collect();
             assert_eq!(
                 got, want,
                 "node {id}: FIFO order preserved under backpressure"

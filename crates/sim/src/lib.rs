@@ -26,6 +26,7 @@
 pub mod app;
 pub mod audit;
 pub mod chaos;
+pub mod closed_loop;
 pub mod cluster;
 pub mod engine;
 pub mod explore;
@@ -42,6 +43,7 @@ pub use chaos::{
     dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, ChaosConfig,
     ChaosEvent, ChaosFault, ChaosReport, ChaosScenario, ChaosViolation, FaultKind,
 };
+pub use closed_loop::ClosedLoop;
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig};
 pub use engine::{NetBelief, ScheduleEngine, TickBounds};
 pub use explore::{

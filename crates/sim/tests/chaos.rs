@@ -283,7 +283,7 @@ fn chaos_regression_nic_failover_911_livelock() {
 /// used to probe each other forever — no copy means no beacons, no
 /// beacons means no discovery, and a 911 vote cannot regenerate what
 /// nobody remembers. A token-less joiner now founds a fresh singleton
-/// group after `bootstrap_probe_limit` unanswered probes, and discovery
+/// group after `BOOTSTRAP_PROBE_LIMIT` (16) unanswered probes, and discovery
 /// plus merge (§2.4) glue the concurrently founded groups back together.
 /// Schedule found and shrunk by the harness at soak seed 25 (plus the
 /// two `crash` lines it had dropped, see above): n0 and n5 restart into

@@ -5,10 +5,9 @@
 //! whether the freight that fills it rides the token or travels beside
 //! it.
 
-use bytes::Bytes;
-use raincore_session::{SessionEvent, StartMode};
-use raincore_sim::{standard_invariants, Cluster, ClusterBuilder, ClusterConfig, NodeApp, NodeCtl};
-use raincore_types::{DeliveryMode, Duration, NodeId, Ring, Time};
+use raincore_session::StartMode;
+use raincore_sim::{standard_invariants, ClosedLoop, Cluster, ClusterBuilder, ClusterConfig};
+use raincore_types::{Duration, NodeId, Ring, Time};
 
 const NODES: u32 = 4;
 const TOKEN_HOLD: Duration = Duration::from_millis(2);
@@ -22,37 +21,6 @@ fn cfg() -> ClusterConfig {
     c.session.starving_retry = Duration::from_millis(40);
     c.transport.retry_timeout = Duration::from_millis(10);
     c
-}
-
-/// A closed loop: `window` agreed multicasts of `len` bytes outstanding,
-/// one more submitted whenever one becomes atomic.
-#[derive(Clone)]
-struct ClosedLoop {
-    window: usize,
-    len: usize,
-}
-
-impl ClosedLoop {
-    fn submit(&self, ctl: &mut NodeCtl<'_>) {
-        if let Some(s) = ctl.session.as_mut() {
-            s.multicast(DeliveryMode::Agreed, Bytes::from(vec![0x5A; self.len]))
-                .expect("multicast");
-        }
-    }
-}
-
-impl NodeApp for ClosedLoop {
-    fn on_tick(&mut self, ctl: &mut NodeCtl<'_>) {
-        for _ in 0..std::mem::take(&mut self.window) {
-            self.submit(ctl);
-        }
-    }
-
-    fn on_session_event(&mut self, ctl: &mut NodeCtl<'_>, event: &SessionEvent) {
-        if matches!(event, SessionEvent::MulticastAtomic { .. }) {
-            self.submit(ctl);
-        }
-    }
 }
 
 /// One second of a warmed-up ring, summed over its members.

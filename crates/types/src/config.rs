@@ -108,23 +108,9 @@ pub struct SessionConfig {
     /// Period of the BODYODOR discovery beacon (§2.4) — "a small message
     /// sent with a regular, but low frequency".
     pub beacon_period: Duration,
-    /// How many consecutive unanswered join probes a token-less joiner
-    /// tolerates before concluding that every token copy in the cluster
-    /// is gone (total copy loss) and founding a fresh singleton group.
-    /// Concurrently founded groups are glued back together by discovery
-    /// and merge (§2.4). Probes are paced by `starving_retry`. Zero
-    /// disables the bootstrap (a joiner then probes forever).
-    pub bootstrap_probe_limit: u32,
     /// Every node this member may ever form a group with (the Eligible
     /// Membership, §2.4). Must contain the local node.
     pub eligible: Vec<NodeId>,
-    /// Maximum application payload accepted by `multicast`.
-    pub max_payload: usize,
-    /// Maximum multicast messages riding the token at once. When the
-    /// token is full, locally queued messages wait for a later pass —
-    /// backpressure that bounds token size (and hence hop latency) under
-    /// bursts.
-    pub max_attached: usize,
     /// Failure-detection mode (Aggressive is the paper's design).
     pub detection: DetectionMode,
     /// Size threshold (bytes) above which a multicast payload is
@@ -133,14 +119,6 @@ pub struct SessionConfig {
     /// smaller than the threshold ride the token inline as before. `0`
     /// disables the out-of-band path entirely (every payload piggybacks).
     pub bulk_threshold: usize,
-    /// How long a node waits for the out-of-band payload of an
-    /// already-ordered manifest id before NACK-pulling it from a holder.
-    /// Re-arms on every retry, rotating through known holders.
-    pub bulk_pull_timeout: Duration,
-    /// Maximum `(origin, seq) → payload` entries in the bulk store (the
-    /// origin's retransmit cache plus buffered not-yet-ordered receives).
-    /// Oldest entries are evicted first when full.
-    pub bulk_cache_entries: usize,
     /// Test-only fault dial: deliver an ordered manifest id even when the
     /// out-of-band payload has not arrived (an empty payload is delivered
     /// in its place). Exists so the model checker and chaos harness can
@@ -156,14 +134,9 @@ impl Default for SessionConfig {
             hungry_timeout: Duration::from_millis(500),
             starving_retry: Duration::from_millis(200),
             beacon_period: Duration::from_secs(1),
-            bootstrap_probe_limit: 16,
             eligible: Vec::new(),
-            max_payload: 60_000,
-            max_attached: 256,
             detection: DetectionMode::Aggressive,
             bulk_threshold: 0,
-            bulk_pull_timeout: Duration::from_millis(50),
-            bulk_cache_entries: 1024,
             bulk_blind_delivery: false,
         }
     }
@@ -201,20 +174,6 @@ impl SessionConfig {
         }
         if self.starving_retry.is_zero() {
             return Err("starving_retry must be positive");
-        }
-        if self.max_payload == 0 {
-            return Err("max_payload must be positive");
-        }
-        if self.max_attached == 0 {
-            return Err("max_attached must be positive");
-        }
-        if self.bulk_threshold > 0 {
-            if self.bulk_pull_timeout.is_zero() {
-                return Err("bulk_pull_timeout must be positive when bulk dissemination is on");
-            }
-            if self.bulk_cache_entries == 0 {
-                return Err("bulk_cache_entries must be positive when bulk dissemination is on");
-            }
         }
         Ok(())
     }
@@ -263,12 +222,7 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let c = SessionConfig {
-            max_payload: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SessionConfig {
-            max_attached: 0,
+            starving_retry: Duration::ZERO,
             ..Default::default()
         };
         assert!(c.validate().is_err());
@@ -276,32 +230,15 @@ mod tests {
 
     #[test]
     fn bulk_dials_validate_only_when_enabled() {
-        // Disabled (threshold 0): the other bulk dials may be anything.
-        let c = SessionConfig {
-            bulk_threshold: 0,
-            bulk_pull_timeout: Duration::ZERO,
-            bulk_cache_entries: 0,
-            ..Default::default()
-        };
-        c.validate().unwrap();
-        // Enabled: pull timeout and cache bound must be positive.
-        let c = SessionConfig {
-            bulk_threshold: 512,
-            bulk_pull_timeout: Duration::ZERO,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SessionConfig {
-            bulk_threshold: 512,
-            bulk_cache_entries: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SessionConfig {
-            bulk_threshold: 512,
-            ..Default::default()
-        };
-        c.validate().unwrap();
+        // The one bulk dial left is the threshold, and every value of it
+        // is a configuration: 0 keeps every payload on the token.
+        for bulk_threshold in [0, 512] {
+            let c = SessionConfig {
+                bulk_threshold,
+                ..Default::default()
+            };
+            c.validate().unwrap();
+        }
     }
 
     #[test]

@@ -89,6 +89,13 @@ impl Ring {
         self.members.iter().min().copied().map(GroupId)
     }
 
+    /// The member that acts for the group where one must (state transfer
+    /// to a joiner, planning under the master lock): the lowest id, which
+    /// every replica of the same ring computes alike.
+    pub fn leader(&self) -> Option<NodeId> {
+        self.group_id().map(GroupId::lowest_member)
+    }
+
     /// The member after `node` in ring order, wrapping around. For a
     /// single-member ring this is the node itself. `None` if `node` is not
     /// a member or the ring is empty.
@@ -283,6 +290,8 @@ mod tests {
     fn group_id_is_lowest_member() {
         assert_eq!(ring(&[5, 2, 9]).group_id(), Some(GroupId(NodeId(2))));
         assert_eq!(Ring::new().group_id(), None);
+        assert_eq!(ring(&[5, 2, 9]).leader(), Some(NodeId(2)));
+        assert_eq!(Ring::new().leader(), None);
     }
 
     #[test]

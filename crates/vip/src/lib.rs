@@ -17,16 +17,18 @@
 //!   make sure that there is no conflict in the virtual IP address
 //!   assignments";
 //! * when a node acquires a VIP it emits a **gratuitous ARP**
-//!   ([`VipEvent::GratuitousArp`]), which the simulation reflects into a
-//!   shared [`SubnetArp`] cache — the stand-in for refreshing the ARP
-//!   caches of every host and router on the subnet. MAC addresses never
-//!   move; only the VIP→owner mapping changes, exactly as in the paper.
+//!   ([`VipEvent::GratuitousArp`]), which a manager built
+//!   [`VipManager::announcing`] reflects into a shared [`SubnetArp`]
+//!   cache — the stand-in for refreshing the ARP caches of every host and
+//!   router on the subnet. MAC addresses never move; only the VIP→owner
+//!   mapping changes, exactly as in the paper.
+//!
+//! The manager is a [`raincore_session::SessionApp`]: the simulator and
+//! the UDP runtime host the same state machine (DESIGN.md §18).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod app;
 pub mod manager;
 
-pub use app::VipApp;
 pub use manager::{SubnetArp, VipEvent, VipManager};

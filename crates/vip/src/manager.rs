@@ -1,13 +1,16 @@
 //! The replicated VIP assignment table and the gratuitous-ARP model.
 
-use raincore_session::{SessionEvent, SessionNode};
+use raincore_session::{SessionApp, SessionEvent, SessionNode};
 use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
-use raincore_types::{DeliveryMode, NodeId, Result, Time, VipId};
+use raincore_types::{DeliveryMode, Duration, NodeId, Result, Time, VipId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Magic prefix identifying a VIP-manager multicast payload.
 pub const MAGIC: &[u8; 4] = b"RCIP";
+
+/// How often a hosted manager checks for VIPs to (re)assign.
+const CHECK_EVERY: Duration = Duration::from_millis(100);
 
 /// Events surfaced by the VIP manager on one node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,8 +20,9 @@ pub enum VipEvent {
     /// This node no longer owns `vip`.
     Lost(VipId),
     /// This node announced `vip` to the subnet (sent when acquired).
-    /// The simulation applies it to the shared [`SubnetArp`] cache; on a
-    /// real deployment this is where the gratuitous ARP frame goes out.
+    /// A manager built [`VipManager::announcing`] has applied it to the
+    /// shared [`SubnetArp`] cache; on a real deployment this is where
+    /// the gratuitous ARP frame goes out.
     GratuitousArp {
         /// The announced virtual IP.
         vip: VipId,
@@ -114,9 +118,10 @@ impl AssignBatch {
     }
 }
 
-/// The per-member replica of the VIP assignment table. Feed it every
-/// session event via [`VipManager::on_event`] and call
-/// [`VipManager::kick`] periodically; it does the rest.
+/// The per-member replica of the VIP assignment table. Host it as a
+/// [`SessionApp`] — or feed it every session event via
+/// [`VipManager::on_event`] and call [`VipManager::kick`] periodically —
+/// and it does the rest.
 #[derive(Debug)]
 pub struct VipManager {
     me: NodeId,
@@ -127,6 +132,10 @@ pub struct VipManager {
     /// Leader state: a reassignment is wanted and the master lock has
     /// been requested.
     plan_pending: bool,
+    /// When a hosted manager next runs [`VipManager::kick`].
+    next_check: Time,
+    /// The subnet this member's gratuitous ARPs reach, if it models one.
+    arp: Option<Arc<SubnetArp>>,
     events: VecDeque<VipEvent>,
 }
 
@@ -140,8 +149,17 @@ impl VipManager {
             assignment: BTreeMap::new(),
             pinned: std::collections::BTreeSet::new(),
             plan_pending: false,
+            next_check: Time::ZERO,
+            arp: None,
             events: VecDeque::new(),
         }
+    }
+
+    /// Reflects this member's gratuitous ARPs into `arp`, the stand-in
+    /// for the caches of every host and router on the subnet.
+    pub fn announcing(mut self, arp: Arc<SubnetArp>) -> Self {
+        self.arp = Some(arp);
+        self
     }
 
     /// The configured pool.
@@ -171,10 +189,6 @@ impl VipManager {
     /// Drains one VIP event.
     pub fn poll_event(&mut self) -> Option<VipEvent> {
         self.events.pop_front()
-    }
-
-    fn is_leader(&self, session: &SessionNode) -> bool {
-        session.ring().group_id().map(|g| g.lowest_member()) == Some(self.me)
     }
 
     fn needs_plan(&self, session: &SessionNode) -> bool {
@@ -214,7 +228,8 @@ impl VipManager {
     /// Periodic check (call every ~100 ms): the leader requests the
     /// master lock when any VIP is unowned or owned by a departed member.
     pub fn kick(&mut self, session: &mut SessionNode) -> Result<()> {
-        if self.plan_pending || !self.is_leader(session) || !self.needs_plan(session) {
+        let leads = session.ring().leader() == Some(self.me);
+        if self.plan_pending || !leads || !self.needs_plan(session) {
             return Ok(());
         }
         self.plan_pending = true;
@@ -240,7 +255,7 @@ impl VipManager {
                     return; // the application holds the master for its own reasons
                 }
                 self.plan_pending = false;
-                if self.is_leader(session) {
+                if session.ring().leader() == Some(self.me) {
                     if let Some(batch) = self.compute_plan(session) {
                         let _ = session.multicast(DeliveryMode::Agreed, batch.to_payload());
                     }
@@ -252,10 +267,8 @@ impl VipManager {
                     self.apply(&batch);
                 }
             }
-            SessionEvent::MembershipChanged { .. } => {
-                // The next kick() will notice orphaned VIPs. Nothing to do
-                // eagerly — decisions only happen under the master lock.
-            }
+            // A membership change orphans VIPs, and the next kick() will
+            // notice: decisions only happen under the master lock.
             _ => {}
         }
     }
@@ -355,6 +368,9 @@ impl VipManager {
             let old = self.assignment.insert(vip, node);
             if node == self.me && old != Some(self.me) {
                 self.events.push_back(VipEvent::Acquired(vip));
+                if let Some(arp) = &self.arp {
+                    arp.announce(vip, self.me);
+                }
                 self.events.push_back(VipEvent::GratuitousArp {
                     vip,
                     owner: self.me,
@@ -363,6 +379,23 @@ impl VipManager {
                 self.events.push_back(VipEvent::Lost(vip));
             }
         }
+    }
+}
+
+impl SessionApp for VipManager {
+    fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
+        VipManager::on_event(self, now, ev, session);
+    }
+
+    fn on_tick(&mut self, now: Time, session: &mut SessionNode) {
+        if now >= self.next_check {
+            self.next_check = now + CHECK_EVERY;
+            let _ = self.kick(session);
+        }
+    }
+
+    fn next_wakeup(&self) -> Option<Time> {
+        Some(self.next_check)
     }
 }
 

@@ -30,10 +30,8 @@ fn main() {
         s.goodput_mbps(t - Duration::from_secs(2), t),
         s.completed()
     );
-    {
-        let mgr = s.vip_mgrs[&NodeId(0)].borrow();
-        println!("VIP assignment: {:?}", mgr.assignment());
-    }
+    let mgr = s.gateway(NodeId(0)).expect("gateway 0").vip();
+    println!("VIP assignment: {:?}", mgr.assignment());
 
     println!("\n== gateway 1 fails ==");
     s.cluster.crash(NodeId(1));
@@ -46,16 +44,14 @@ fn main() {
         s.goodput_mbps(t - Duration::from_secs(2), t)
     );
     println!("flows retried during the hiccup: {}", s.retries());
-    {
-        let mgr = s.vip_mgrs[&NodeId(0)].borrow();
-        println!("VIP assignment after failover: {:?}", mgr.assignment());
-        assert!(mgr.assignment().values().all(|&n| n == NodeId(0)));
-    }
+    let mgr = s.gateway(NodeId(0)).expect("gateway 0").vip();
+    println!("VIP assignment after failover: {:?}", mgr.assignment());
+    assert!(mgr.assignment().values().all(|&n| n == NodeId(0)));
     println!("\nevery virtual IP now answers from gateway 0 — no client lost its service.");
 
     // Firewall + engine counters.
-    for (g, st) in &s.gateway_stats {
-        let st = st.borrow();
+    for &g in &s.gateway_ids {
+        let st = s.gateway(g).expect("gateway").stats();
         println!(
             "gateway {g}: {} requests, {} proxied, {} handed off, {:.1} MB to clients",
             st.requests,

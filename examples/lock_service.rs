@@ -19,67 +19,69 @@ fn main() {
     cfg.session.token_hold = Duration::from_millis(5);
     cfg.session.hungry_timeout = Duration::from_millis(300);
     let mut cluster = Cluster::founding(3, cfg).expect("cluster");
+    // Every node hosts one replica of the lock table, fed that node's
+    // session events as they happen.
+    for id in cluster.member_ids() {
+        cluster
+            .set_app(id, Box::new(LockManager::new(id)))
+            .expect("member");
+    }
     cluster.run_for(Duration::from_millis(500));
-
-    // One replica of the lock table per node, fed with that node's
-    // session events.
-    let mut lms: Vec<LockManager> = (0..3).map(|i| LockManager::new(NodeId(i))).collect();
-    let feed = |cluster: &mut Cluster, lms: &mut Vec<LockManager>| {
-        for i in 0..3u32 {
-            for ev in cluster.take_events(NodeId(i)) {
-                lms[i as usize].apply(&ev);
-            }
-        }
+    let replica = |cluster: &Cluster, i: u32| -> (Option<NodeId>, Vec<NodeId>) {
+        let lm = cluster.app::<LockManager>(NodeId(i)).expect("hosted");
+        (lm.owner("database"), lm.waiters("database"))
     };
 
     println!("== three nodes race for the lock \"database\" ==");
     for i in [1u32, 2, 0] {
-        let (head, tail) = lms.split_at_mut(i as usize + 1);
-        let lm = &mut head[i as usize];
-        let _ = tail; // (split silences the borrow checker; only lm is used)
-        lm.lock(cluster.session_mut(NodeId(i)).unwrap(), "database")
+        cluster
+            .with_app(NodeId(i), |lm: &mut LockManager, s| lm.lock(s, "database"))
+            .expect("hosted")
             .unwrap();
     }
     cluster.run_for(Duration::from_secs(1));
-    feed(&mut cluster, &mut lms);
-    println!("owner (node 0's replica): {:?}", lms[0].owner("database"));
-    println!("waiters: {:?}", lms[0].waiters("database"));
+    let (owner, waiters) = replica(&cluster, 0);
+    println!("owner (node 0's replica): {owner:?}");
+    println!("waiters: {waiters:?}");
 
     println!("\n== the owner releases; FIFO hand-over ==");
-    let owner = lms[0].owner("database").unwrap();
-    lms[owner.raw() as usize]
-        .unlock(cluster.session_mut(owner).unwrap(), "database")
+    cluster
+        .with_app(owner.unwrap(), |lm: &mut LockManager, s| {
+            lm.unlock(s, "database")
+        })
+        .expect("hosted")
         .unwrap();
     cluster.run_for(Duration::from_secs(1));
-    feed(&mut cluster, &mut lms);
-    println!("owner now: {:?}", lms[0].owner("database"));
+    println!("owner now: {:?}", replica(&cluster, 0).0);
 
     println!("\n== the new owner crashes while holding the lock ==");
-    let owner = lms[0].owner("database").unwrap();
+    let owner = replica(&cluster, 0).0.unwrap();
     cluster.crash(owner);
     cluster.run_for(Duration::from_secs(1));
-    feed(&mut cluster, &mut lms);
     let survivor = if owner == NodeId(0) { 1 } else { 0 };
     println!(
         "owner after forced release (node {survivor}'s replica): {:?}",
-        lms[survivor].owner("database")
+        replica(&cluster, survivor).0
     );
 
     // Every live replica saw the identical grant history.
-    let history = |lm: &mut LockManager| {
-        let mut h = vec![];
-        while let Some(e) = lm.poll_event() {
-            if let LockEvent::Granted { owner, .. } = e {
-                h.push(owner);
-            }
-        }
-        h
+    let mut history = |id: NodeId| {
+        cluster
+            .with_app(id, |lm: &mut LockManager, _| {
+                std::iter::from_fn(|| lm.poll_event())
+                    .filter_map(|e| match e {
+                        LockEvent::Granted { owner, .. } => Some(owner),
+                        LockEvent::Released { .. } => None,
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .expect("hosted")
     };
-    let mut live: Vec<u32> = (0..3u32).filter(|&i| NodeId(i) != owner).collect();
-    let first = history(&mut lms[live.remove(0) as usize]);
+    let mut live = (0..3).map(NodeId).filter(|&id| id != owner);
+    let first = history(live.next().expect("a survivor"));
     println!("\ngrant history: {first:?}");
-    for i in live {
-        assert_eq!(history(&mut lms[i as usize]), first, "replicas agree");
+    for id in live {
+        assert_eq!(history(id), first, "replicas agree");
     }
     println!("all live replicas agree on the grant history.");
 }

@@ -15,37 +15,44 @@ use raincore::data::DataStore;
 use raincore::prelude::*;
 use raincore::sim::ClusterConfig;
 
-fn feed(cluster: &mut Cluster, stores: &mut [DataStore]) {
-    let now = cluster.now();
-    for i in 0..stores.len() as u32 {
-        for ev in cluster.take_events(NodeId(i)) {
-            let session = cluster.session_mut(NodeId(i)).unwrap();
-            stores[i as usize].on_event(now, &ev, session);
-        }
-    }
+/// Node `i`'s replica of the store.
+fn store(cluster: &Cluster, i: u32) -> &DataStore {
+    cluster.app(NodeId(i)).expect("a hosted store")
+}
+
+/// Runs a write of node `i`'s replica, which multicasts through its node.
+fn write(
+    cluster: &mut Cluster,
+    i: u32,
+    op: impl FnOnce(&mut DataStore, &mut SessionNode) -> raincore::types::Result<()>,
+) {
+    cluster
+        .with_app(NodeId(i), op)
+        .expect("a hosted store")
+        .expect("write");
 }
 
 fn main() {
     let mut cfg = ClusterConfig::default();
     cfg.session.token_hold = Duration::from_millis(5);
     let mut cluster = Cluster::founding(3, cfg).expect("cluster");
+    // Every node hosts a replica, fed that node's session events.
+    for id in cluster.member_ids() {
+        cluster
+            .set_app(id, Box::new(DataStore::new(id)))
+            .expect("member");
+    }
     cluster.run_for(Duration::from_millis(500));
-    let mut stores: Vec<DataStore> = (0..3).map(|i| DataStore::new(NodeId(i))).collect();
 
     println!("== every node writes its own status key ==");
     for i in 0..3u32 {
         let key = format!("status/node-{i}");
-        stores[i as usize]
-            .put(
-                cluster.session_mut(NodeId(i)).unwrap(),
-                &key,
-                Bytes::from_static(b"healthy"),
-            )
-            .unwrap();
+        write(&mut cluster, i, |s, node| {
+            s.put(node, &key, Bytes::from_static(b"healthy"))
+        });
     }
     cluster.run_for(Duration::from_secs(1));
-    feed(&mut cluster, &mut stores);
-    for (k, v) in stores[2].iter() {
+    for (k, v) in store(&cluster, 2).iter() {
         println!(
             "  node 2 reads locally: {k} = {:?} (v{})",
             String::from_utf8_lossy(&v.value),
@@ -54,54 +61,39 @@ fn main() {
     }
 
     println!("\n== lock-free leader election with compare-and-swap ==");
-    stores[0]
-        .put(
-            cluster.session_mut(NodeId(0)).unwrap(),
-            "leader",
-            Bytes::from_static(b"-"),
-        )
-        .unwrap();
+    write(&mut cluster, 0, |s, node| {
+        s.put(node, "leader", Bytes::from_static(b"-"))
+    });
     cluster.run_for(Duration::from_secs(1));
-    feed(&mut cluster, &mut stores);
     // All three race from the same observed version; the agreed total
     // order picks exactly one winner.
     for i in 0..3u32 {
         let name = format!("node-{i}");
-        stores[i as usize]
-            .cas(
-                cluster.session_mut(NodeId(i)).unwrap(),
-                "leader",
-                1,
-                Bytes::from(name.into_bytes()),
-            )
-            .unwrap();
+        write(&mut cluster, i, |s, node| {
+            s.cas(node, "leader", 1, Bytes::from(name.into_bytes()))
+        });
     }
     cluster.run_for(Duration::from_secs(1));
-    feed(&mut cluster, &mut stores);
+    let elected = store(&cluster, 0).get("leader");
     println!(
         "  elected: {:?} (every replica agrees: {})",
-        String::from_utf8_lossy(&stores[0].get("leader").unwrap().value),
-        (0..3).all(|i| stores[i].get("leader") == stores[0].get("leader"))
+        String::from_utf8_lossy(&elected.unwrap().value),
+        (0..3).all(|i| store(&cluster, i).get("leader") == elected)
     );
 
     println!("\n== a cluster-wide counter ==");
     for round in 0..4 {
         for i in 0..3u32 {
-            stores[i as usize]
-                .add(
-                    cluster.session_mut(NodeId(i)).unwrap(),
-                    "requests-served",
-                    100 + round,
-                )
-                .unwrap();
+            write(&mut cluster, i, |s, node| {
+                s.add(node, "requests-served", 100 + round)
+            });
         }
     }
     cluster.run_for(Duration::from_secs(1));
-    feed(&mut cluster, &mut stores);
+    let served = |i| store(&cluster, i).get_i64("requests-served");
     println!(
         "  requests-served = {} on every replica: {}",
-        stores[1].get_i64("requests-served"),
-        (0..3)
-            .all(|i| stores[i].get_i64("requests-served") == stores[0].get_i64("requests-served"))
+        served(1),
+        (0..3).all(|i| served(i) == served(0))
     );
 }

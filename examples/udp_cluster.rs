@@ -3,8 +3,11 @@
 //! Same protocol state machines as the simulator examples, driven by the
 //! threaded runtime over `std::net::UdpSocket` — §2.1's "in typical
 //! implementations, it uses UDP as the packet sending and receiving
-//! interface". One node leaves mid-run and the survivors detect it and
-//! heal the membership, in wall-clock time.
+//! interface". Each node hosts a lock manager (§2.7) and a VIP manager
+//! (§3.1) on its driver thread. One node — holding a lock and a third of
+//! the virtual IPs — leaves mid-run; the survivors heal the membership,
+//! hand its lock to the next waiter and move its VIPs, in wall-clock
+//! time.
 //!
 //! ```bash
 //! cargo run --example udp_cluster
@@ -14,16 +17,53 @@
 #![allow(clippy::disallowed_types)]
 
 use bytes::Bytes;
+use raincore::dlm::LockManager;
 use raincore::net::udp::UdpNet;
 use raincore::net::Addr;
 use raincore::runtime::RuntimeNode;
 use raincore::session::{SessionEvent, SessionNode, StartMode};
 use raincore::transport::PeerTable;
 use raincore::types::{
-    DeliveryMode, Duration, Incarnation, NodeId, Ring, SessionConfig, Time, TransportConfig,
+    DeliveryMode, Duration, Incarnation, NodeId, Ring, SessionConfig, Time, TransportConfig, VipId,
 };
+use raincore::vip::{SubnetArp, VipManager};
 use std::collections::HashMap;
 use std::net::SocketAddr;
+
+const LOCK: &str = "config";
+
+/// What every node hosts on its driver thread.
+type Apps = (LockManager, VipManager);
+
+/// Polls `done` for up to five seconds.
+fn await_that(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "never saw {what}");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+/// Who holds the lock, as `node`'s replica of the lock table has it.
+fn lock_owner(node: &RuntimeNode) -> Option<NodeId> {
+    node.with_app(|(lm, _): &mut Apps, _, _| lm.owner(LOCK))
+        .flatten()
+}
+
+fn request_lock(node: &RuntimeNode) {
+    node.with_app(|(lm, _): &mut Apps, session, _| lm.lock(session, LOCK))
+        .expect("a hosted lock manager")
+        .expect("lock request");
+}
+
+/// The VIPs `owner` answers for, as `node`'s replica has them.
+fn vips_of(node: &RuntimeNode, owner: NodeId) -> Vec<VipId> {
+    node.with_app(move |(_, vips): &mut Apps, _, _| {
+        let mine = vips.assignment().iter().filter(|(_, &o)| o == owner);
+        mine.map(|(&v, _)| v).collect()
+    })
+    .unwrap_or_default()
+}
 
 fn main() {
     let n = 3u32;
@@ -49,6 +89,8 @@ fn main() {
     cfg.token_hold = Duration::from_millis(20);
     cfg.hungry_timeout = Duration::from_millis(800);
 
+    // The subnet's ARP caches, refreshed by the VIP managers' gratuitous ARPs.
+    let arp = SubnetArp::shared();
     let mut nodes = Vec::new();
     for (i, mut net) in nets.into_iter().enumerate() {
         for (j, &s) in saddrs.iter().enumerate() {
@@ -67,7 +109,11 @@ fn main() {
             Time::ZERO,
         )
         .unwrap();
-        nodes.push(RuntimeNode::spawn(node, net).unwrap());
+        // The applications ride the node's own thread: fed every session
+        // event there, reached from this thread through `with_app`.
+        let vips = VipManager::new(ids[i], (0..6).map(VipId).collect());
+        let apps: Apps = (LockManager::new(ids[i]), vips.announcing(arp.clone()));
+        nodes.push(RuntimeNode::spawn_hosting(node, net, apps).unwrap());
     }
 
     std::thread::sleep(std::time::Duration::from_millis(300));
@@ -82,8 +128,11 @@ fn main() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     'outer: for (i, node) in nodes.iter().enumerate() {
         while std::time::Instant::now() < deadline {
-            if let Some(SessionEvent::Delivery(d)) =
-                node.recv_event(std::time::Duration::from_millis(200))
+            // The hosted VIP managers multicast on the same ring; theirs
+            // are not the message this thread is waiting for.
+            if let Some(SessionEvent::Delivery(d)) = node
+                .recv_event(std::time::Duration::from_millis(200))
+                .filter(|ev| matches!(ev, SessionEvent::Delivery(d) if d.origin == ids[1]))
             {
                 println!(
                     "node {i} delivered: {:?} from {}",
@@ -109,7 +158,26 @@ fn main() {
         }
     }
 
+    println!("\n== a lock and six virtual IPs, over real UDP ==");
+    await_that("the VIP pool assigned", || arp.len() == 6);
+    await_that("node 2 owning VIPs", || {
+        !vips_of(&nodes[0], ids[2]).is_empty()
+    });
+    for &id in &ids {
+        println!("{id} answers for {:?}", vips_of(&nodes[0], id));
+    }
+    request_lock(&nodes[2]);
+    await_that("node 2 holding the lock", || {
+        nodes.iter().all(|n| lock_owner(n) == Some(ids[2]))
+    });
+    request_lock(&nodes[0]);
+    await_that("node 0 queued behind it", || {
+        nodes[1].with_app(|(lm, _): &mut Apps, _, _| lm.waiters(LOCK)) == Some(vec![ids[0]])
+    });
+    println!("node 2 holds {LOCK:?}; node 0 waits for it");
+
     println!("\n== node 2 leaves; survivors heal the membership ==");
+    let moving = vips_of(&nodes[0], ids[2]);
     nodes[2].leave();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while std::time::Instant::now() < deadline {
@@ -119,6 +187,18 @@ fn main() {
             println!("node 0 sees membership {ring:?} (removed {removed:?})");
             break;
         }
+    }
+    await_that("the lock handed over", || {
+        nodes[..2].iter().all(|n| lock_owner(n) == Some(ids[0]))
+    });
+    println!("lock hand-over: {LOCK:?} passed from the leaver to node 0, the next waiter");
+    await_that("the leaver's VIPs moved", || {
+        nodes[..2].iter().all(|n| vips_of(n, ids[2]).is_empty())
+            && moving.iter().all(|&v| arp.resolve(v) != Some(ids[2]))
+    });
+    for &vip in &moving {
+        let owner = arp.resolve(vip).expect("announced");
+        println!("VIP fail-over: {vip} moved from n2 to {owner}");
     }
     for node in &nodes {
         node.leave();

@@ -33,6 +33,27 @@ leg_lint() {
   done
   cargo check --workspace --all-features --offline --quiet
 
+  echo "==> layering (the application crates do not link the simulator)"
+  # dlm, data and vip are hosted wherever a SessionNode runs (DESIGN.md
+  # §18): the simulator is one host, and may be a dev-dependency of theirs
+  # only. The seeded manifest — crates/vip's before PR 21 — must trip the
+  # same check, or the check checks nothing.
+  links_simulator() {
+    awk '/^\[/ { deps = ($0 == "[dependencies]"); if ($0 == "[dependencies.raincore-sim]") hit = 1 }
+         deps && /^raincore-sim[ .=]/ { hit = 1 }
+         END { exit !hit }' "$1"
+  }
+  if ! links_simulator scripts/layering-fixture.toml; then
+    echo "the layering check accepted the seeded manifest" >&2
+    exit 1
+  fi
+  for crate in dlm data vip; do
+    if links_simulator "crates/$crate/Cargo.toml"; then
+      echo "crates/$crate names raincore-sim under [dependencies]" >&2
+      exit 1
+    fi
+  done
+
   echo "==> clippy (seeded fixture must fail on every protocol rule family)"
   # The protocol rules are clippy lints (DESIGN.md §6b), so the clippy leg
   # above is the lint leg. This one is its non-vacuity gate: a crate

@@ -9,7 +9,9 @@
 //! received bursts and wall-clock time straight into the state machine:
 //! one thread per node, no per-datagram channel hop. The
 //! deterministic simulator (`raincore-sim`) drives the *same* state
-//! machine; nothing protocol-level lives here.
+//! machine; nothing protocol-level lives here. The same thread hosts the
+//! node's application ([`RuntimeNode::spawn_hosting`]), fed each event
+//! with the node lent to it — no command hop between the two.
 //!
 //! Command flow is bounded end to end: the command queue is a bounded
 //! channel (senders block when the driver falls behind — backpressure,
@@ -31,8 +33,9 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use raincore_net::batch::{BatchConfig, IoMetrics, IoWaker};
 use raincore_net::udp::UdpNet;
 use raincore_obs::{FlightRecorder, StageClock};
-use raincore_session::{SessionEvent, SessionNode};
+use raincore_session::{SessionApp, SessionEvent, SessionNode};
 use raincore_types::{DeliveryMode, OriginSeq, Time};
+use std::any::Any;
 use std::sync::OnceLock;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -48,6 +51,10 @@ pub fn process_flight_recorder() -> &'static FlightRecorder {
     FLIGHT.get_or_init(FlightRecorder::default)
 }
 
+/// What [`RuntimeNode::with_app`] runs on the driver thread, against the
+/// node and the application it hosts.
+type AppCall = Box<dyn FnOnce(Time, &mut SessionNode, &mut dyn Any) + Send>;
+
 enum Cmd {
     Multicast(
         DeliveryMode,
@@ -57,6 +64,7 @@ enum Cmd {
     RequestMaster,
     ReleaseMaster,
     ObsDump(Sender<ObsSnapshot>),
+    WithApp(AppCall),
     Leave,
 }
 
@@ -189,7 +197,20 @@ impl RuntimeNode {
     /// that `net` has bound. The sockets go to a single [`IoShard`] pump
     /// owned by the driver thread; datagrams that arrived since `bind`
     /// are read from the kernel socket buffers first.
-    pub fn spawn(mut node: SessionNode, net: UdpNet) -> std::io::Result<RuntimeNode> {
+    pub fn spawn(node: SessionNode, net: UdpNet) -> std::io::Result<RuntimeNode> {
+        RuntimeNode::spawn_hosting(node, net, ())
+    }
+
+    /// [`RuntimeNode::spawn`], hosting `app` (a pair, for two) on the
+    /// driver thread: it is fed every session event, in order, before
+    /// the event goes to [`RuntimeNode::recv_event`], is ticked once per
+    /// loop, and has its `next_wakeup` honoured.
+    /// [`RuntimeNode::with_app`] reaches it.
+    pub fn spawn_hosting<A: SessionApp + Send>(
+        mut node: SessionNode,
+        net: UdpNet,
+        mut app: A,
+    ) -> std::io::Result<RuntimeNode> {
         // Real deployments get real per-stage hop timings and share the
         // process-wide flight recorder ring; both are always on.
         node.obs_mut().set_stage_clock(StageClock::monotonic());
@@ -221,36 +242,35 @@ impl RuntimeNode {
                         Cmd::ObsDump(reply) => {
                             let _ = reply.send(dump_node_obs(&node, shard.metrics()));
                         }
+                        Cmd::WithApp(call) => call(t, &mut node, &mut app),
                         Cmd::Leave => {
                             node.leave(t);
                             leaving = true;
                         }
                     }
                 }
-                // Drive timers, then gather this round's outgoing frames
-                // into one batched flush (the shard auto-flushes if the
-                // protocol produces more than the queue bound).
+                // Drive timers and send what they produced, then the
+                // applications, then the events they were fed.
                 node.on_tick(t);
-                while let Some(d) = node.poll_outgoing() {
-                    shard.enqueue(d);
-                }
-                shard.flush();
+                flush_outgoing(&mut node, &mut shard);
+                app.on_tick(t, &mut node);
                 while let Some(ev) = node.poll_event() {
+                    app.on_event(t, &ev, &mut node);
                     let _ = event_tx.send(ev);
                 }
+                // What the application queued (a master release passes
+                // the token), and the handoff token of a leaver.
+                flush_outgoing(&mut node, &mut shard);
                 if leaving || node.is_down() {
-                    // Flush the handoff token, then stop.
-                    while let Some(d) = node.poll_outgoing() {
-                        shard.enqueue(d);
-                    }
-                    shard.flush();
                     return;
                 }
-                // Block until the next protocol wakeup, a received
-                // burst, or a command poke on the wake socket —
+                // Block until the next protocol or application wakeup, a
+                // received burst, or a command poke on the wake socket —
                 // whichever comes first.
-                let budget = node
-                    .next_wakeup()
+                let budget = [node.next_wakeup(), app.next_wakeup()]
+                    .into_iter()
+                    .flatten()
+                    .min()
                     .map(|w| w.since(now(start)).to_std())
                     .unwrap_or(std::time::Duration::from_millis(50))
                     .min(std::time::Duration::from_millis(50));
@@ -298,6 +318,22 @@ impl RuntimeNode {
         let _ = self.send_cmd(Cmd::ReleaseMaster);
     }
 
+    /// Runs `call` on the driver thread against the hosted application,
+    /// with the node lent to it — how another thread takes a lock or
+    /// reads a table. `None` if what the node hosts is not an `A`, or the
+    /// node has stopped.
+    pub fn with_app<A: SessionApp, R: Send + 'static>(
+        &self,
+        call: impl FnOnce(&mut A, &mut SessionNode, Time) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (tx, rx) = bounded(1);
+        let call: AppCall = Box::new(move |now, node, app| {
+            let _ = tx.send(app.downcast_mut().map(|app| call(app, node, now)));
+        });
+        self.send_cmd(Cmd::WithApp(call)).ok()?;
+        rx.recv().ok()?
+    }
+
     /// Leaves the group gracefully and stops the thread.
     pub fn leave(&self) {
         let _ = self.send_cmd(Cmd::Leave);
@@ -338,6 +374,15 @@ impl RuntimeNode {
     }
 }
 
+/// Gathers the frames the node has queued into one batched flush (the
+/// shard auto-flushes if the protocol produces more than the queue bound).
+fn flush_outgoing(node: &mut SessionNode, shard: &mut IoShard) {
+    while let Some(d) = node.poll_outgoing() {
+        shard.enqueue(d);
+    }
+    shard.flush();
+}
+
 impl Drop for RuntimeNode {
     fn drop(&mut self) {
         // Best effort: ask the node to leave, then join.
@@ -347,184 +392,6 @@ impl Drop for RuntimeNode {
         self.waker.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
-        }
-    }
-}
-
-/// `n` founding members over loopback UDP, for the tests below: binds
-/// every socket first so every member can learn every address.
-#[cfg(test)]
-fn loopback_ring(n: u32) -> Vec<RuntimeNode> {
-    use raincore_net::Addr;
-    use raincore_session::StartMode;
-    use raincore_transport::PeerTable;
-    use raincore_types::{Duration, Incarnation, NodeId, Ring, SessionConfig, TransportConfig};
-    use std::collections::HashMap;
-    use std::net::SocketAddr;
-
-    let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let mut nets: Vec<UdpNet> = ids
-        .iter()
-        .map(|&id| UdpNet::bind(&[(Addr::primary(id), loopback)], HashMap::new()).unwrap())
-        .collect();
-    let saddrs: Vec<SocketAddr> = ids
-        .iter()
-        .zip(&nets)
-        .map(|(&id, net)| net.local_socket_addr(Addr::primary(id)).unwrap())
-        .collect();
-    for (i, net) in nets.iter_mut().enumerate() {
-        for (j, &peer) in ids.iter().enumerate().filter(|(j, _)| *j != i) {
-            net.add_peer(Addr::primary(peer), saddrs[j]);
-        }
-    }
-    let ring = Ring::from_iter(ids.iter().copied());
-    let mut cfg = SessionConfig::for_cluster(n);
-    cfg.token_hold = Duration::from_millis(5);
-    cfg.hungry_timeout = Duration::from_millis(500);
-    ids.iter()
-        .zip(nets)
-        .map(|(&id, net)| {
-            let node = SessionNode::new(
-                id,
-                Incarnation::FIRST,
-                cfg.clone(),
-                TransportConfig::default(),
-                vec![Addr::primary(id)],
-                PeerTable::full_mesh(ids.iter().copied(), 1),
-                StartMode::Founding(ring.clone()),
-                Time::ZERO,
-            )
-            .unwrap();
-            RuntimeNode::spawn(node, net).unwrap()
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use raincore_types::NodeId;
-
-    #[test]
-    fn three_nodes_form_group_and_multicast_over_udp() {
-        let nodes = loopback_ring(3);
-        // Multicast from node 1 and expect delivery events on node 2.
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        nodes[1]
-            .multicast(DeliveryMode::Agreed, bytes::Bytes::from_static(b"over-udp"))
-            .unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut delivered = false;
-        while std::time::Instant::now() < deadline && !delivered {
-            if let Some(SessionEvent::Delivery(d)) =
-                nodes[2].recv_event(std::time::Duration::from_millis(200))
-            {
-                assert_eq!(&d.payload[..], b"over-udp");
-                assert_eq!(d.origin, NodeId(1));
-                delivered = true;
-            }
-        }
-        assert!(delivered, "multicast crossed real UDP sockets");
-        // The running node can be snapshotted without stopping it.
-        let dump = nodes[2].obs_dump().expect("obs dump");
-        assert!(dump
-            .prometheus
-            .contains("raincore_session_tokens_received{node=\"2\"}"));
-        assert!(dump
-            .prometheus
-            .contains("# TYPE raincore_token_rotation_ns histogram"));
-        assert!(dump.journal.contains("TOKEN_RX"), "{}", dump.journal);
-        assert!(dump.json.contains("\"name\":\"raincore_transport_rtt_ns\""));
-        // Every transport counter is exported, the ack ledger included.
-        for name in [
-            "msgs_sent",
-            "data_frames_sent",
-            "acks_sent",
-            "acks_suppressed",
-            "ack_frags_coalesced",
-        ] {
-            let line = format!("raincore_transport_{name}{{node=\"2\"}}");
-            assert!(dump.prometheus.contains(&line), "{line}");
-        }
-        assert!(dump.journal_json.starts_with('['));
-        // The per-mode submit latencies — what an application sees on a
-        // real UDP cluster — are exported for both delivery modes.
-        for name in ["submit_to_deliver_ns", "submit_to_atomic_ns"] {
-            for mode in ["agreed", "safe"] {
-                let line = format!("raincore_{name}_count{{mode=\"{mode}\",node=\"2\"}}");
-                assert!(dump.prometheus.contains(&line), "{line}");
-            }
-        }
-        // Trace health and the causal hop pipeline are in the same dump:
-        // overflow counter, per-stage latency, spans with real timings,
-        // and the process-wide flight recorder naming the last hop.
-        assert!(dump
-            .prometheus
-            .contains("raincore_trace_dropped_events{node=\"2\"} 0"));
-        assert!(dump
-            .prometheus
-            .contains("raincore_hop_stage_ns_count{node=\"2\",stage=\"protocol\"}"));
-        assert!(dump.journal.contains("HOP_SPAN"), "{}", dump.journal);
-        assert!(
-            dump.flight.contains("last hop before dump: circ="),
-            "{}",
-            dump.flight
-        );
-        // The batched I/O engine's instrumentation is in the same dump:
-        // syscalls vs packets per direction, the batch-size histograms,
-        // and the derived syscalls-per-packet gauge.
-        assert!(dump
-            .prometheus
-            .contains("raincore_io_syscalls{node=\"2\",op=\"recv\"}"));
-        assert!(dump
-            .prometheus
-            .contains("raincore_io_packets{node=\"2\",op=\"send\"}"));
-        assert!(dump
-            .prometheus
-            .contains("raincore_io_batch_size_count{dir=\"recv\",node=\"2\"}"));
-        assert!(dump
-            .prometheus
-            .contains("raincore_io_syscalls_per_packet_milli{node=\"2\"}"));
-        assert!(dump.json.contains("\"name\":\"raincore_io_syscalls\""));
-        for n in &nodes {
-            n.leave();
-        }
-    }
-}
-
-#[cfg(test)]
-mod master_lock_udp_tests {
-    use super::*;
-
-    #[test]
-    fn master_lock_round_trips_over_udp() {
-        let nodes = loopback_ring(2);
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        nodes[1].request_master();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut acquired = false;
-        while std::time::Instant::now() < deadline && !acquired {
-            if let Some(SessionEvent::MasterAcquired) =
-                nodes[1].recv_event(std::time::Duration::from_millis(100))
-            {
-                acquired = true;
-            }
-        }
-        assert!(acquired, "master lock acquired over real UDP");
-        nodes[1].release_master();
-        let mut released = false;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while std::time::Instant::now() < deadline && !released {
-            if let Some(SessionEvent::MasterReleased) =
-                nodes[1].recv_event(std::time::Duration::from_millis(100))
-            {
-                released = true;
-            }
-        }
-        assert!(released);
-        for n in &nodes {
-            n.leave();
         }
     }
 }

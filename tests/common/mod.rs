@@ -5,7 +5,7 @@
 use raincore::net::udp::UdpNet;
 use raincore::net::Addr;
 use raincore::runtime::RuntimeNode;
-use raincore::session::{SessionNode, StartMode};
+use raincore::session::{SessionApp, SessionNode, StartMode};
 use raincore::transport::PeerTable;
 use raincore::types::{Incarnation, NodeId, Ring, SessionConfig, Time, TransportConfig};
 use std::collections::HashMap;
@@ -17,6 +17,17 @@ pub fn loopback_ring(
     n: u32,
     session_cfg: SessionConfig,
     transport_cfg: TransportConfig,
+) -> Vec<RuntimeNode> {
+    loopback_ring_hosting(n, session_cfg, transport_cfg, |_| ())
+}
+
+/// [`loopback_ring`], each member hosting the application `app` builds
+/// for it.
+pub fn loopback_ring_hosting<A: SessionApp + Send>(
+    n: u32,
+    session_cfg: SessionConfig,
+    transport_cfg: TransportConfig,
+    app: impl Fn(NodeId) -> A,
 ) -> Vec<RuntimeNode> {
     let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
     let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
@@ -49,7 +60,7 @@ pub fn loopback_ring(
                 Time::ZERO,
             )
             .unwrap();
-            RuntimeNode::spawn(node, net).unwrap()
+            RuntimeNode::spawn_hosting(node, net, app(id)).unwrap()
         })
         .collect()
 }

@@ -6,7 +6,7 @@ use raincore::dlm::LockManager;
 use raincore::prelude::*;
 use raincore::session::{SessionEvent, StartMode};
 use raincore::sim::ClusterConfig;
-use raincore::vip::{SubnetArp, VipApp, VipManager};
+use raincore::vip::{SubnetArp, VipManager};
 use raincore_types::VipId;
 
 fn fast_cfg() -> ClusterConfig {
@@ -21,56 +21,47 @@ fn fast_cfg() -> ClusterConfig {
 
 #[test]
 fn locks_and_vips_coexist_on_one_group() {
-    // VIP apps ride the cluster; lock managers are driven from the same
-    // event streams; both share the one token ring without interfering.
+    // Every member hosts a VIP manager and a lock manager; both share
+    // the one token ring without interfering.
+    type Apps = (VipManager, LockManager);
     let arp = SubnetArp::shared();
     let ring = raincore_types::Ring::from([0, 1, 2]);
     let mut builder = raincore::sim::ClusterBuilder::new(fast_cfg());
-    let mut mgrs = vec![];
-    for i in 0..3u32 {
-        let id = NodeId(i);
-        builder = builder.member(id, StartMode::Founding(ring.clone()));
-        let (app, mgr, _log) = VipApp::new(
-            VipManager::new(id, vec![VipId(0), VipId(1), VipId(2)]),
-            arp.clone(),
-        );
-        builder = builder.app(id, Box::new(app));
-        mgrs.push(mgr);
+    for id in (0..3).map(NodeId) {
+        let vips = VipManager::new(id, vec![VipId(0), VipId(1), VipId(2)]);
+        let apps: Apps = (vips.announcing(arp.clone()), LockManager::new(id));
+        builder = builder
+            .member(id, StartMode::Founding(ring.clone()))
+            .app(id, Box::new(apps));
     }
     let mut cluster = builder.build().unwrap();
     cluster.run_for(Duration::from_secs(1));
 
     // VIPs assigned and unique.
-    let assignment = mgrs[0].borrow().assignment().clone();
+    fn apps(c: &Cluster, i: u32) -> &Apps {
+        c.app(NodeId(i)).unwrap()
+    }
+    let assignment = apps(&cluster, 0).0.assignment().clone();
     assert_eq!(assignment.len(), 3);
 
     // Run a lock protocol on top of the same group.
-    let mut lms: Vec<LockManager> = (0..3).map(|i| LockManager::new(NodeId(i))).collect();
-    lms[0]
-        .lock(cluster.session_mut(NodeId(0)).unwrap(), "config")
-        .unwrap();
-    lms[2]
-        .lock(cluster.session_mut(NodeId(2)).unwrap(), "config")
-        .unwrap();
-    cluster.run_for(Duration::from_secs(1));
-    for i in 0..3u32 {
-        for ev in cluster.take_events(NodeId(i)) {
-            lms[i as usize].apply(&ev);
-        }
+    for id in [NodeId(0), NodeId(2)] {
+        cluster
+            .with_app(id, |(_, lm): &mut Apps, s| lm.lock(s, "config"))
+            .unwrap()
+            .unwrap();
     }
+    cluster.run_for(Duration::from_secs(1));
+    let lm = |i: u32| &apps(&cluster, i).1;
+    assert_eq!(lm(0).owner("config"), Some(NodeId(0)), "first request wins");
     assert_eq!(
-        lms[0].owner("config"),
-        Some(NodeId(0)),
-        "first request wins"
-    );
-    assert_eq!(
-        lms[1].owner("config"),
-        lms[0].owner("config"),
+        lm(1).owner("config"),
+        lm(0).owner("config"),
         "replicas agree"
     );
-    assert_eq!(lms[0].waiters("config"), vec![NodeId(2)]);
+    assert_eq!(lm(0).waiters("config"), vec![NodeId(2)]);
     // And the VIP assignment was untouched by the lock traffic.
-    assert_eq!(*mgrs[0].borrow().assignment(), assignment);
+    assert_eq!(*apps(&cluster, 0).0.assignment(), assignment);
 }
 
 #[test]
