@@ -19,7 +19,10 @@
 //! Fault tolerance: when the membership removes a node, every replica
 //! releases the locks it owned and removes it from waiter queues, in the
 //! same deterministic way, so locks owned by crashed nodes free
-//! themselves.
+//! themselves. A member that joins a running group
+//! ([`LockManager::joining`]) is sent the table by the group and applies
+//! nothing before it arrives, so it cannot grant itself a lock somebody
+//! holds (DESIGN.md §18.3).
 
 // The protocol must degrade, never abort (a panic in the token path is a
 // token loss 911 then has to repair), and adding a message variant must
@@ -43,4 +46,4 @@ pub mod manager;
 pub mod ops;
 
 pub use manager::{LockEvent, LockManager, LockTableStats};
-pub use ops::LockOp;
+pub use ops::{LockOp, TableSnapshot};

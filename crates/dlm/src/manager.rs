@@ -1,8 +1,8 @@
 //! The replicated lock table.
 
-use crate::ops::LockOp;
+use crate::ops::{HeldLock, LockOp, OpId, TableSnapshot};
 use raincore_session::{SessionApp, SessionEvent, SessionNode};
-use raincore_types::{DeliveryMode, NodeId, Result, Time};
+use raincore_types::{DeliveryMode, NodeId, Result, Ring, Time};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Events surfaced by the lock manager. Emitted identically (and in the
@@ -36,6 +36,26 @@ struct LockState {
     waiters: VecDeque<NodeId>,
 }
 
+/// What a joiner holds back until the table reaches it (DESIGN.md §18.3).
+#[derive(Debug, Default)]
+struct Backlog {
+    /// Lock ops delivered since the join, in delivery order.
+    ops: Vec<(OpId, LockOp)>,
+    /// Members removed since the join.
+    gone: Vec<NodeId>,
+}
+
+impl LockState {
+    fn held(lock: HeldLock) -> (String, LockState) {
+        let state = LockState {
+            owner: Some(lock.owner),
+            depth: lock.depth,
+            waiters: lock.waiters.into(),
+        };
+        (lock.lock, state)
+    }
+}
+
 /// Summary counters for tests and monitoring.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LockTableStats {
@@ -57,16 +77,38 @@ pub struct LockManager {
     table: BTreeMap<String, LockState>,
     events: VecDeque<LockEvent>,
     stats: LockTableStats,
+    /// The last lock op applied: where in the agreed order the table stands.
+    last: Option<OpId>,
+    /// A joiner waiting for the table: nothing is applied, so nothing is
+    /// granted, until a transfer that names this member arrives.
+    awaiting: Option<Backlog>,
+    /// Newcomers this replica has yet to send the table to.
+    owes: Vec<NodeId>,
 }
 
 impl LockManager {
-    /// Creates the replica for node `me`.
+    /// Creates the replica for node `me`, a member of the group from its
+    /// founding: the table is empty because no lock was ever taken.
     pub fn new(me: NodeId) -> Self {
         LockManager {
             me,
             table: BTreeMap::new(),
             events: VecDeque::new(),
             stats: LockTableStats::default(),
+            last: None,
+            awaiting: None,
+            owes: Vec::new(),
+        }
+    }
+
+    /// Creates the replica for a node `me` that joins a running group
+    /// (`StartMode::Joining`, a restart): its table is empty because it
+    /// has not been told yet. Hosted as a [`SessionApp`], it applies
+    /// nothing until the group's table transfer reaches it.
+    pub fn joining(me: NodeId) -> Self {
+        LockManager {
+            awaiting: Some(Backlog::default()),
+            ..LockManager::new(me)
         }
     }
 
@@ -100,10 +142,22 @@ impl LockManager {
         match event {
             SessionEvent::Delivery(d) => {
                 if let Some(op) = LockOp::from_payload(&d.payload) {
-                    self.apply_op(&op);
+                    let id = (d.origin, d.seq);
+                    match &mut self.awaiting {
+                        Some(backlog) => backlog.ops.push((id, op)),
+                        None => {
+                            self.last = Some(id);
+                            self.apply_op(&op);
+                        }
+                    }
+                } else if let Some(snapshot) = TableSnapshot::from_payload(&d.payload) {
+                    self.install(snapshot);
                 }
             }
             SessionEvent::MembershipChanged { removed, .. } => {
+                if let Some(backlog) = &mut self.awaiting {
+                    backlog.gone.extend(removed);
+                }
                 for node in removed {
                     self.purge_node(*node);
                 }
@@ -118,6 +172,51 @@ impl LockManager {
             | SessionEvent::Merged { .. }
             | SessionEvent::ShutDown { .. } => {}
         }
+    }
+
+    /// A joiner named by `snapshot` takes the sender's table, then
+    /// applies what the sender had not: every op it was delivered after
+    /// `snapshot.last` — all of them if that op was ordered before it
+    /// joined — and the departures it saw meanwhile.
+    fn install(&mut self, snapshot: TableSnapshot) {
+        if !snapshot.to.contains(&self.me) {
+            return;
+        }
+        let Some(backlog) = self.awaiting.take() else {
+            return;
+        };
+        self.table = snapshot.locks.into_iter().map(LockState::held).collect();
+        self.last = snapshot.last;
+        let applied = backlog
+            .ops
+            .iter()
+            .rposition(|(id, _)| Some(*id) == snapshot.last)
+            .map_or(0, |at| at + 1);
+        for (id, op) in backlog.ops.into_iter().skip(applied) {
+            self.last = Some(id);
+            self.apply_op(&op);
+        }
+        for node in backlog.gone {
+            self.purge_node(node);
+        }
+    }
+
+    /// Multicasts the table to the newcomers this replica owes it to.
+    fn transfer(&mut self, session: &mut SessionNode) {
+        let held = self.table.iter().filter_map(|(lock, st)| {
+            Some(HeldLock {
+                lock: lock.clone(),
+                owner: st.owner?,
+                depth: st.depth,
+                waiters: st.waiters.iter().copied().collect(),
+            })
+        });
+        let snapshot = TableSnapshot {
+            to: std::mem::take(&mut self.owes),
+            last: self.last,
+            locks: held.collect(),
+        };
+        let _ = session.multicast(DeliveryMode::Agreed, snapshot.to_payload());
     }
 
     fn apply_op(&mut self, op: &LockOp) {
@@ -239,8 +338,20 @@ impl LockManager {
 }
 
 impl SessionApp for LockManager {
-    fn on_event(&mut self, _now: Time, event: &SessionEvent, _session: &mut SessionNode) {
+    /// [`LockManager::apply`], plus the one thing a table update cannot
+    /// do: when members join, the lowest of those already there owes them
+    /// the table, and multicasts it as soon as it has it itself.
+    fn on_event(&mut self, _now: Time, event: &SessionEvent, session: &mut SessionNode) {
         self.apply(event);
+        if let SessionEvent::MembershipChanged { ring, added, .. } = event {
+            let elders = Ring::from_iter(ring.iter().filter(|m| !added.contains(m)));
+            if elders.leader() == Some(self.me) {
+                self.owes.extend(added);
+            }
+        }
+        if self.awaiting.is_none() && !self.owes.is_empty() {
+            self.transfer(session);
+        }
     }
 }
 
@@ -368,6 +479,98 @@ mod tests {
         });
         release(&mut lm, "l", 1);
         assert_eq!(lm.owner("l"), Some(NodeId(3)), "skipped the dead waiter");
+    }
+
+    /// The session event that delivers `payload` as `origin`'s `seq`-th.
+    fn delivery(origin: u32, seq: u64, payload: bytes::Bytes) -> SessionEvent {
+        SessionEvent::Delivery(raincore_session::Delivery {
+            origin: NodeId(origin),
+            seq: raincore_types::OriginSeq(seq),
+            mode: DeliveryMode::Agreed,
+            payload,
+        })
+    }
+
+    #[test]
+    fn joiner_replays_only_what_the_transfer_had_not_applied() {
+        let op = |lock: &str, node: u32, release: bool| {
+            let (lock, node) = (lock.to_string(), NodeId(node));
+            match release {
+                false => LockOp::Acquire { lock, node }.to_payload(),
+                true => LockOp::Release { lock, node }.to_payload(),
+            }
+        };
+        let mut lm = LockManager::joining(NodeId(3));
+        // Delivered to the joiner, though the sender had applied it: on
+        // the token when the joiner was added.
+        lm.apply(&delivery(1, 4, op("l", 1, true)));
+        // Ordered after the sender took its snapshot.
+        lm.apply(&delivery(3, 0, op("l", 3, false)));
+        lm.apply(&delivery(2, 9, op("l", 2, true)));
+        assert_eq!(lm.owner("l"), None, "nothing applied before the table");
+        // Not for this member: some other newcomer's transfer.
+        let mut snapshot = TableSnapshot {
+            to: vec![NodeId(4)],
+            last: Some((NodeId(1), raincore_types::OriginSeq(4))),
+            locks: vec![HeldLock {
+                lock: "l".into(),
+                owner: NodeId(2),
+                depth: 1,
+                waiters: vec![],
+            }],
+        };
+        lm.apply(&delivery(0, 1, snapshot.to_payload()));
+        assert_eq!(lm.owner("l"), None);
+        snapshot.to = vec![NodeId(3)];
+        lm.apply(&delivery(0, 2, snapshot.to_payload()));
+        // n1's release was in the table already; the joiner queued behind
+        // n2 and inherited when n2 released.
+        assert_eq!(lm.owner("l"), Some(NodeId(3)));
+        assert_eq!(
+            drain(&mut lm),
+            vec![
+                LockEvent::Released {
+                    lock: "l".into(),
+                    owner: NodeId(2),
+                    forced: false
+                },
+                LockEvent::Granted {
+                    lock: "l".into(),
+                    owner: NodeId(3)
+                },
+            ]
+        );
+        // Synced: a second transfer changes nothing, ops apply at once.
+        lm.apply(&delivery(0, 3, snapshot.to_payload()));
+        assert_eq!(lm.owner("l"), Some(NodeId(3)));
+        lm.apply(&delivery(3, 1, op("l", 3, true)));
+        assert_eq!(lm.owner("l"), None);
+    }
+
+    #[test]
+    fn joiner_purges_who_left_while_it_waited() {
+        let mut lm = LockManager::joining(NodeId(3));
+        lm.apply(&SessionEvent::MembershipChanged {
+            ring: raincore_types::Ring::from([0, 3]),
+            added: vec![],
+            removed: vec![NodeId(2)],
+        });
+        let snapshot = TableSnapshot {
+            to: vec![NodeId(3)],
+            last: None,
+            locks: vec![HeldLock {
+                lock: "l".into(),
+                owner: NodeId(2),
+                depth: 1,
+                waiters: vec![NodeId(0)],
+            }],
+        };
+        lm.apply(&delivery(0, 0, snapshot.to_payload()));
+        assert_eq!(
+            lm.owner("l"),
+            Some(NodeId(0)),
+            "the sender's table predates the crash"
+        );
     }
 
     #[test]
