@@ -45,17 +45,6 @@ struct Backlog {
     gone: Vec<NodeId>,
 }
 
-impl LockState {
-    fn held(lock: HeldLock) -> (String, LockState) {
-        let state = LockState {
-            owner: Some(lock.owner),
-            depth: lock.depth,
-            waiters: lock.waiters.into(),
-        };
-        (lock.lock, state)
-    }
-}
-
 /// Summary counters for tests and monitoring.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LockTableStats {
@@ -185,7 +174,15 @@ impl LockManager {
         let Some(backlog) = self.awaiting.take() else {
             return;
         };
-        self.table = snapshot.locks.into_iter().map(LockState::held).collect();
+        let held = snapshot.locks.into_iter().map(|held| {
+            let state = LockState {
+                owner: Some(held.owner),
+                depth: held.depth,
+                waiters: held.waiters.into(),
+            };
+            (held.lock, state)
+        });
+        self.table = held.collect();
         self.last = snapshot.last;
         let applied = backlog
             .ops
