@@ -51,6 +51,7 @@ pub mod node;
 pub mod obs;
 pub mod open;
 mod recovery;
+pub mod replica;
 mod ring_pass;
 pub mod typestate;
 
@@ -61,4 +62,5 @@ pub use multicast::{MAX_ATTACHED, MAX_PAYLOAD};
 pub use node::{SessionNode, StartMode};
 pub use obs::NodeObs;
 pub use open::{unwrap_open, wrap_open, OpenClient, OpenOutcome};
+pub use replica::{Frame, OpId, Replica, Table};
 pub use typestate::{Role, TimerFired, VerdictOutcome, VoteProgress};

@@ -92,6 +92,8 @@ pub struct SessionNode {
     pass_slot: Option<Time>,
     /// Local view of the membership, refreshed from each token.
     ring: Ring,
+    /// Started with a group of its own, not asking to join one.
+    founded: bool,
     pass: RingPass,
     recovery: Recovery,
     discovery: Discovery,
@@ -158,6 +160,7 @@ impl SessionNode {
                 StartMode::Founding(ring) => ring.clone(),
                 StartMode::Joining | StartMode::Isolated => Ring::from_iter([id]),
             },
+            founded: !matches!(start, StartMode::Joining),
             pass: RingPass::default(),
             recovery: Recovery::default(),
             discovery: Discovery::new(now, &cfg),
@@ -205,6 +208,13 @@ impl SessionNode {
     /// Local view of the group membership.
     pub fn ring(&self) -> &Ring {
         &self.ring
+    }
+
+    /// True if this node started with a group of its own
+    /// ([`StartMode::Founding`], [`StartMode::Isolated`]) rather than by
+    /// asking to join one: what it has seen is then all there was to see.
+    pub fn founded(&self) -> bool {
+        self.founded
     }
 
     /// This node's current group id (lowest member of its view).

@@ -23,9 +23,10 @@
 //!   convenience integer RMW built the same way.)
 //! * Coarser critical sections compose with the `raincore-dlm` lock
 //!   manager: take a data lock, do several puts, release.
-//! * **State transfer**: when members join, the group leader multicasts
-//!   a snapshot; replicas merge it version-wise, so late joiners
-//!   converge to the authoritative state.
+//! * **State transfer**: a member that joins a running group
+//!   ([`DataStore::joining`]) is sent the store — live keys and the
+//!   versions of deleted ones — and applies nothing before it arrives
+//!   (DESIGN.md §18.3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -49,36 +49,6 @@ pub enum DataOp {
         /// Writer (for events).
         by: NodeId,
     },
-    /// Leader-sent state transfer: `(key, version, value)` triples.
-    /// Replicas keep whichever of (local, snapshot) has the higher
-    /// version per key.
-    Snapshot {
-        /// Sending leader.
-        by: NodeId,
-        /// Store contents.
-        entries: Vec<(String, u64, Bytes)>,
-    },
-}
-
-impl DataOp {
-    /// Encodes as a multicast payload.
-    pub fn to_payload(&self) -> Bytes {
-        let mut w = Writer::new();
-        for &b in MAGIC {
-            w.put_u8(b);
-        }
-        self.encode(&mut w);
-        w.finish()
-    }
-
-    /// Decodes a multicast payload; `None` if it is not a data op.
-    pub fn from_payload(payload: &[u8]) -> Option<DataOp> {
-        let rest = payload.strip_prefix(&MAGIC[..])?;
-        let mut r = Reader::new(rest);
-        let op = DataOp::decode(&mut r).ok()?;
-        r.expect_end().ok()?;
-        Some(op)
-    }
 }
 
 fn put_i64(w: &mut Writer, v: i64) {
@@ -123,16 +93,6 @@ impl WireEncode for DataOp {
                 put_i64(w, *delta);
                 by.encode(w);
             }
-            DataOp::Snapshot { by, entries } => {
-                w.put_u8(4);
-                by.encode(w);
-                w.put_varint(entries.len() as u64);
-                for (k, v, val) in entries {
-                    w.put_str(k);
-                    w.put_varint(*v);
-                    w.put_bytes(val);
-                }
-            }
         }
     }
 }
@@ -160,15 +120,6 @@ impl WireDecode for DataOp {
                 delta: get_i64(r)?,
                 by: NodeId::decode(r)?,
             },
-            4 => {
-                let by = NodeId::decode(r)?;
-                let n = r.get_seq_len(3)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push((r.get_str()?, r.get_varint()?, r.get_bytes()?));
-                }
-                DataOp::Snapshot { by, entries }
-            }
             tag => return Err(WireError::BadTag { ty: "DataOp", tag }),
         })
     }
@@ -192,7 +143,16 @@ pub fn decode_i64(buf: &[u8]) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::KvTable;
     use proptest::prelude::*;
+    use raincore_session::Frame;
+
+    fn op_from(payload: &[u8]) -> Option<DataOp> {
+        match Frame::<KvTable>::from_payload(payload)? {
+            Frame::Op(op) => Some(op),
+            Frame::Transfer { .. } => None,
+        }
+    }
 
     #[test]
     fn payload_round_trip_all_variants() {
@@ -217,20 +177,19 @@ mod tests {
                 delta: -42,
                 by: NodeId(3),
             },
-            DataOp::Snapshot {
-                by: NodeId(0),
-                entries: vec![("a".into(), 3, Bytes::from_static(b"x"))],
-            },
         ];
         for op in cases {
-            assert_eq!(DataOp::from_payload(&op.to_payload()), Some(op));
+            assert_eq!(
+                op_from(&Frame::<KvTable>::Op(op.clone()).to_payload()),
+                Some(op)
+            );
         }
     }
 
     #[test]
     fn foreign_payloads_rejected() {
-        assert_eq!(DataOp::from_payload(b"RCLKxx"), None);
-        assert_eq!(DataOp::from_payload(b""), None);
+        assert_eq!(op_from(b"RCLKxx"), None);
+        assert_eq!(op_from(b""), None);
     }
 
     #[test]
@@ -249,7 +208,7 @@ mod tests {
 
         #[test]
         fn prop_garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let _ = DataOp::from_payload(&data);
+            let _ = op_from(&data);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The replicated versioned key-value store.
 
-use crate::ops::{decode_i64, encode_i64, DataOp};
+use crate::ops::{decode_i64, encode_i64, DataOp, MAGIC};
 use bytes::Bytes;
-use raincore_session::{SessionApp, SessionEvent, SessionNode};
-use raincore_types::{DeliveryMode, NodeId, Result, Time};
+use raincore_session::{Replica, SessionApp, SessionEvent, SessionNode, Table};
+use raincore_types::{NodeId, Result, Time};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A value plus its per-key version (monotonically incremented by every
@@ -20,7 +20,7 @@ pub struct VersionedValue {
 /// every replica; filter on `by` for local interest.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DataEvent {
-    /// A key was written (put, successful CAS, add, or snapshot merge).
+    /// A key was written (put, successful CAS or add).
     Updated {
         /// Key.
         key: String,
@@ -51,32 +51,42 @@ pub enum DataEvent {
     },
 }
 
-/// One replica of the shared store. Reads are local; writes go through
-/// [`DataStore::put`]/[`cas`](DataStore::cas)/… which multicast ops, and
-/// land when [`DataStore::on_event`] — the store's [`SessionApp`] feed —
-/// processes the delivery.
-#[derive(Debug)]
-pub struct DataStore {
-    me: NodeId,
+/// The store: live keys, and the last version of deleted ones.
+#[derive(Debug, Default)]
+pub(crate) struct KvTable {
     entries: BTreeMap<String, VersionedValue>,
     /// Last version of deleted keys: a recreated key continues its
     /// version sequence, so a stale CAS can never win against a
     /// delete-and-recreate (no ABA).
     graveyard: BTreeMap<String, u64>,
     events: VecDeque<DataEvent>,
-    /// Leader state-transfer pending (new members appeared).
-    snapshot_due: bool,
+}
+
+/// One replica of the shared store. Reads are local; writes go through
+/// [`DataStore::put`]/[`cas`](DataStore::cas)/… which multicast ops, and
+/// land when [`DataStore::on_event`] — the store's [`SessionApp`] feed —
+/// processes the delivery.
+#[derive(Debug)]
+pub struct DataStore {
+    replica: Replica<KvTable>,
 }
 
 impl DataStore {
-    /// Creates the replica for node `me`.
+    /// Creates the replica for node `me`, a member of the group from its
+    /// founding: the store is empty because nothing was ever written.
     pub fn new(me: NodeId) -> Self {
         DataStore {
-            me,
-            entries: BTreeMap::new(),
-            graveyard: BTreeMap::new(),
-            events: VecDeque::new(),
-            snapshot_due: false,
+            replica: Replica::new(me, KvTable::default()),
+        }
+    }
+
+    /// Creates the replica for a node `me` that joins a running group
+    /// (`StartMode::Joining`, a restart): its store is empty because it
+    /// has not been told yet. It applies nothing until the group's table
+    /// transfer reaches it (DESIGN.md §18.3).
+    pub fn joining(me: NodeId) -> Self {
+        DataStore {
+            replica: Replica::joining(me, KvTable::default()),
         }
     }
 
@@ -86,29 +96,27 @@ impl DataStore {
 
     /// Reads a key (local, no network).
     pub fn get(&self, key: &str) -> Option<&VersionedValue> {
-        self.entries.get(key)
+        self.replica.table.entries.get(key)
     }
 
     /// Reads a counter maintained by [`DataStore::add`] (absent = 0).
     pub fn get_i64(&self, key: &str) -> i64 {
-        self.get(key)
-            .and_then(|v| decode_i64(&v.value))
-            .unwrap_or(0)
+        self.replica.table.get_i64(key)
     }
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.replica.table.entries.len()
     }
 
     /// True if the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.replica.table.entries.is_empty()
     }
 
     /// Iterates over `(key, versioned value)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &VersionedValue)> {
-        self.entries.iter()
+        self.replica.table.entries.iter()
     }
 
     // ------------------------------------------------------------------
@@ -117,23 +125,23 @@ impl DataStore {
 
     /// Unconditional write.
     pub fn put(&mut self, session: &mut SessionNode, key: &str, value: Bytes) -> Result<()> {
-        self.send(
+        self.replica.submit(
             session,
             DataOp::Put {
                 key: key.into(),
                 value,
-                by: self.me,
+                by: self.replica.me(),
             },
         )
     }
 
     /// Unconditional delete.
     pub fn delete(&mut self, session: &mut SessionNode, key: &str) -> Result<()> {
-        self.send(
+        self.replica.submit(
             session,
             DataOp::Delete {
                 key: key.into(),
-                by: self.me,
+                by: self.replica.me(),
             },
         )
     }
@@ -151,13 +159,13 @@ impl DataStore {
         expect_version: u64,
         value: Bytes,
     ) -> Result<()> {
-        self.send(
+        self.replica.submit(
             session,
             DataOp::Cas {
                 key: key.into(),
                 expect_version,
                 value,
-                by: self.me,
+                by: self.replica.me(),
             },
         )
     }
@@ -165,19 +173,14 @@ impl DataStore {
     /// Atomic integer add (read-modify-write arbitrated by the total
     /// order; concurrent adds all apply).
     pub fn add(&mut self, session: &mut SessionNode, key: &str, delta: i64) -> Result<()> {
-        self.send(
+        self.replica.submit(
             session,
             DataOp::Add {
                 key: key.into(),
                 delta,
-                by: self.me,
+                by: self.replica.me(),
             },
         )
-    }
-
-    fn send(&mut self, session: &mut SessionNode, op: DataOp) -> Result<()> {
-        session.multicast(DeliveryMode::Agreed, op.to_payload())?;
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -185,43 +188,37 @@ impl DataStore {
     // ------------------------------------------------------------------
 
     /// Feeds one session event into the replica; call with *every* event
-    /// in order. `now` is used for leader-driven state transfer.
+    /// in order. Hands the store to members that join (DESIGN.md §18.3).
     pub fn on_event(&mut self, _now: Time, ev: &SessionEvent, session: &mut SessionNode) {
-        match ev {
-            SessionEvent::Delivery(d) => {
-                if let Some(op) = DataOp::from_payload(&d.payload) {
-                    self.apply(&op);
-                }
-            }
-            SessionEvent::MembershipChanged { added, .. }
-                if !added.is_empty() && !self.entries.is_empty() =>
-            {
-                // Someone joined without our state; the leader ships a
-                // snapshot so they converge.
-                self.snapshot_due = true;
-            }
-            _ => {}
-        }
-        if self.snapshot_due && session.ring().leader() == Some(self.me) {
-            self.snapshot_due = false;
-            let entries: Vec<(String, u64, Bytes)> = self
-                .entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.version, v.value.clone()))
-                .collect();
-            let _ = self.send(
-                session,
-                DataOp::Snapshot {
-                    by: self.me,
-                    entries,
-                },
-            );
-        }
+        self.replica.on_event(ev, session);
     }
 
     /// Applies one op to the local table (public so tests and replay
     /// tools can drive a replica directly).
     pub fn apply(&mut self, op: &DataOp) {
+        self.replica.table.apply(op);
+    }
+
+    /// Drains one store event.
+    pub fn poll_event(&mut self) -> Option<DataEvent> {
+        self.replica.table.events.pop_front()
+    }
+}
+
+impl SessionApp for DataStore {
+    fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
+        DataStore::on_event(self, now, ev, session);
+    }
+}
+
+impl Table for KvTable {
+    type Op = DataOp;
+    /// `(key, version, value)` of every live key, `(key, last version)`
+    /// of every deleted one.
+    type Image = (Vec<(String, u64, Bytes)>, Vec<(String, u64)>);
+    const MAGIC: &'static [u8; 4] = MAGIC;
+
+    fn apply(&mut self, op: &DataOp) {
         match op {
             DataOp::Put { key, value, by } => self.write(key, value.clone(), *by),
             DataOp::Delete { key, by } => {
@@ -262,27 +259,28 @@ impl DataStore {
                 let current = self.get_i64(key);
                 self.write(key, encode_i64(current + delta), *by);
             }
-            DataOp::Snapshot { by, entries } => {
-                for (key, version, value) in entries {
-                    let newer = self.entries.get(key).is_none_or(|v| v.version < *version);
-                    if newer {
-                        self.entries.insert(
-                            key.clone(),
-                            VersionedValue {
-                                version: *version,
-                                value: value.clone(),
-                            },
-                        );
-                        self.events.push_back(DataEvent::Updated {
-                            key: key.clone(),
-                            version: *version,
-                            value: value.clone(),
-                            by: *by,
-                        });
-                    }
-                }
-            }
         }
+    }
+
+    fn image(&self) -> Self::Image {
+        let live = self.entries.iter();
+        let live = live.map(|(k, v)| (k.clone(), v.version, v.value.clone()));
+        let dead = self.graveyard.iter().map(|(k, v)| (k.clone(), *v));
+        (live.collect(), dead.collect())
+    }
+
+    fn install(&mut self, (live, dead): Self::Image) {
+        let live = live.into_iter();
+        let live = live.map(|(key, version, value)| (key, VersionedValue { version, value }));
+        self.entries = live.collect();
+        self.graveyard = dead.into_iter().collect();
+    }
+}
+
+impl KvTable {
+    fn get_i64(&self, key: &str) -> i64 {
+        let value = self.entries.get(key);
+        value.and_then(|v| decode_i64(&v.value)).unwrap_or(0)
     }
 
     fn write(&mut self, key: &str, value: Bytes, by: NodeId) {
@@ -301,17 +299,6 @@ impl DataStore {
             value,
             by,
         });
-    }
-
-    /// Drains one store event.
-    pub fn poll_event(&mut self) -> Option<DataEvent> {
-        self.events.pop_front()
-    }
-}
-
-impl SessionApp for DataStore {
-    fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
-        DataStore::on_event(self, now, ev, session);
     }
 }
 
@@ -472,41 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merges_by_version() {
-        let mut s = DataStore::new(NodeId(5));
-        // Local has a newer "a", older "b", and no "c".
-        s.apply(&DataOp::Put {
-            key: "a".into(),
-            value: Bytes::from_static(b"l1"),
-            by: NodeId(5),
-        });
-        s.apply(&DataOp::Put {
-            key: "a".into(),
-            value: Bytes::from_static(b"l2"),
-            by: NodeId(5),
-        });
-        s.apply(&DataOp::Put {
-            key: "b".into(),
-            value: Bytes::from_static(b"old"),
-            by: NodeId(5),
-        });
-        drain(&mut s);
-        s.apply(&DataOp::Snapshot {
-            by: NodeId(0),
-            entries: vec![
-                ("a".into(), 1, Bytes::from_static(b"stale")),
-                ("b".into(), 9, Bytes::from_static(b"fresh")),
-                ("c".into(), 4, Bytes::from_static(b"new")),
-            ],
-        });
-        assert_eq!(&s.get("a").unwrap().value[..], b"l2", "local newer wins");
-        assert_eq!(&s.get("b").unwrap().value[..], b"fresh");
-        assert_eq!(s.get("b").unwrap().version, 9);
-        assert_eq!(&s.get("c").unwrap().value[..], b"new");
-        assert_eq!(drain(&mut s).len(), 2, "only merged keys emit events");
-    }
-
-    #[test]
     fn replicas_converge_from_same_op_stream() {
         let ops = vec![
             DataOp::Put {
@@ -607,25 +559,6 @@ mod prop_tests {
             let sa: Vec<_> = a.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             let sb: Vec<_> = b.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             prop_assert_eq!(sa, sb, "replicas diverged");
-        }
-
-        #[test]
-        fn prop_snapshot_merge_is_idempotent(
-            ops in proptest::collection::vec(arb_op(), 0..30)
-        ) {
-            let mut a = DataStore::new(NodeId(0));
-            for op in &ops {
-                a.apply(op);
-            }
-            let snap = DataOp::Snapshot {
-                by: NodeId(0),
-                entries: a.iter().map(|(k, v)| (k.clone(), v.version, v.value.clone())).collect(),
-            };
-            let before: Vec<_> = a.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            a.apply(&snap);
-            a.apply(&snap);
-            let after: Vec<_> = a.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            prop_assert_eq!(before, after, "self-snapshot must be a no-op");
         }
     }
 }

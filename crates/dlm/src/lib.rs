@@ -46,4 +46,4 @@ pub mod manager;
 pub mod ops;
 
 pub use manager::{LockEvent, LockManager, LockTableStats};
-pub use ops::{LockOp, TableSnapshot};
+pub use ops::LockOp;

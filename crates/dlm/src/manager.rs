@@ -1,8 +1,8 @@
 //! The replicated lock table.
 
-use crate::ops::{HeldLock, LockOp, OpId, TableSnapshot};
-use raincore_session::{SessionApp, SessionEvent, SessionNode};
-use raincore_types::{DeliveryMode, NodeId, Result, Ring, Time};
+use crate::ops::{HeldLock, LockOp, MAGIC};
+use raincore_session::{Replica, SessionApp, SessionEvent, SessionNode, Table};
+use raincore_types::{NodeId, Result, Time};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Events surfaced by the lock manager. Emitted identically (and in the
@@ -36,15 +36,6 @@ struct LockState {
     waiters: VecDeque<NodeId>,
 }
 
-/// What a joiner holds back until the table reaches it (DESIGN.md §18.3).
-#[derive(Debug, Default)]
-struct Backlog {
-    /// Lock ops delivered since the join, in delivery order.
-    ops: Vec<(OpId, LockOp)>,
-    /// Members removed since the join.
-    gone: Vec<NodeId>,
-}
-
 /// Summary counters for tests and monitoring.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LockTableStats {
@@ -56,23 +47,22 @@ pub struct LockTableStats {
     pub forced_releases: u64,
 }
 
+/// The lock table: who holds what and who waits, plus what applying the
+/// ops has emitted.
+#[derive(Debug, Default)]
+pub(crate) struct LockTable {
+    locks: BTreeMap<String, LockState>,
+    events: VecDeque<LockEvent>,
+    stats: LockTableStats,
+}
+
 /// A replica of the distributed lock table. One per member, hosted as a
 /// [`SessionApp`] or fed the member's session events via
 /// [`LockManager::apply`]; lock/unlock requests go out as multicasts via
 /// [`LockManager::lock`] / [`LockManager::unlock`].
 #[derive(Debug)]
 pub struct LockManager {
-    me: NodeId,
-    table: BTreeMap<String, LockState>,
-    events: VecDeque<LockEvent>,
-    stats: LockTableStats,
-    /// The last lock op applied: where in the agreed order the table stands.
-    last: Option<OpId>,
-    /// A joiner waiting for the table: nothing is applied, so nothing is
-    /// granted, until a transfer that names this member arrives.
-    awaiting: Option<Backlog>,
-    /// Newcomers this replica has yet to send the table to.
-    owes: Vec<NodeId>,
+    replica: Replica<LockTable>,
 }
 
 impl LockManager {
@@ -80,24 +70,17 @@ impl LockManager {
     /// founding: the table is empty because no lock was ever taken.
     pub fn new(me: NodeId) -> Self {
         LockManager {
-            me,
-            table: BTreeMap::new(),
-            events: VecDeque::new(),
-            stats: LockTableStats::default(),
-            last: None,
-            awaiting: None,
-            owes: Vec::new(),
+            replica: Replica::new(me, LockTable::default()),
         }
     }
 
     /// Creates the replica for a node `me` that joins a running group
     /// (`StartMode::Joining`, a restart): its table is empty because it
-    /// has not been told yet. Hosted as a [`SessionApp`], it applies
-    /// nothing until the group's table transfer reaches it.
+    /// has not been told yet. It applies nothing until the group's table
+    /// transfer reaches it (DESIGN.md §18.3).
     pub fn joining(me: NodeId) -> Self {
         LockManager {
-            awaiting: Some(Backlog::default()),
-            ..LockManager::new(me)
+            replica: Replica::joining(me, LockTable::default()),
         }
     }
 
@@ -107,10 +90,9 @@ impl LockManager {
     pub fn lock(&mut self, session: &mut SessionNode, lock: &str) -> Result<()> {
         let op = LockOp::Acquire {
             lock: lock.to_string(),
-            node: self.me,
+            node: self.replica.me(),
         };
-        session.multicast(DeliveryMode::Agreed, op.to_payload())?;
-        Ok(())
+        self.replica.submit(session, op)
     }
 
     /// Releases `lock`: multicasts a release op. Releasing a lock not
@@ -118,108 +100,65 @@ impl LockManager {
     pub fn unlock(&mut self, session: &mut SessionNode, lock: &str) -> Result<()> {
         let op = LockOp::Release {
             lock: lock.to_string(),
-            node: self.me,
+            node: self.replica.me(),
         };
-        session.multicast(DeliveryMode::Agreed, op.to_payload())?;
-        Ok(())
+        self.replica.submit(session, op)
     }
 
     /// Feeds one session event into the replica. Call this with *every*
     /// event from the session node, in order; non-lock events are either
-    /// membership changes (owner crash handling) or ignored.
+    /// membership changes (owner crash handling) or ignored. Sends
+    /// nothing: only a hosted manager hands the table to a joiner.
     pub fn apply(&mut self, event: &SessionEvent) {
-        match event {
-            SessionEvent::Delivery(d) => {
-                if let Some(op) = LockOp::from_payload(&d.payload) {
-                    let id = (d.origin, d.seq);
-                    match &mut self.awaiting {
-                        Some(backlog) => backlog.ops.push((id, op)),
-                        None => {
-                            self.last = Some(id);
-                            self.apply_op(&op);
-                        }
-                    }
-                } else if let Some(snapshot) = TableSnapshot::from_payload(&d.payload) {
-                    self.install(snapshot);
-                }
-            }
-            SessionEvent::MembershipChanged { removed, .. } => {
-                if let Some(backlog) = &mut self.awaiting {
-                    backlog.gone.extend(removed);
-                }
-                for node in removed {
-                    self.purge_node(*node);
-                }
-            }
-            // Enumerated so a new session event is a compile error here:
-            // every variant must be consciously handled or ignored.
-            SessionEvent::MulticastAtomic { .. }
-            | SessionEvent::MasterAcquired
-            | SessionEvent::MasterReleased
-            | SessionEvent::Starving
-            | SessionEvent::TokenRegenerated { .. }
-            | SessionEvent::Merged { .. }
-            | SessionEvent::ShutDown { .. } => {}
-        }
+        self.replica.apply(event);
     }
 
-    /// A joiner named by `snapshot` takes the sender's table, then
-    /// applies what the sender had not: every op it was delivered after
-    /// `snapshot.last` — all of them if that op was ordered before it
-    /// joined — and the departures it saw meanwhile.
-    fn install(&mut self, snapshot: TableSnapshot) {
-        if !snapshot.to.contains(&self.me) {
-            return;
-        }
-        let Some(backlog) = self.awaiting.take() else {
-            return;
-        };
-        let held = snapshot.locks.into_iter().map(|held| {
-            let state = LockState {
-                owner: Some(held.owner),
-                depth: held.depth,
-                waiters: held.waiters.into(),
-            };
-            (held.lock, state)
-        });
-        self.table = held.collect();
-        self.last = snapshot.last;
-        let applied = backlog
-            .ops
-            .iter()
-            .rposition(|(id, _)| Some(*id) == snapshot.last)
-            .map_or(0, |at| at + 1);
-        for (id, op) in backlog.ops.into_iter().skip(applied) {
-            self.last = Some(id);
-            self.apply_op(&op);
-        }
-        for node in backlog.gone {
-            self.purge_node(node);
-        }
+    /// Current owner of `lock`, if any.
+    pub fn owner(&self, lock: &str) -> Option<NodeId> {
+        self.replica.table.locks.get(lock).and_then(|s| s.owner)
     }
 
-    /// Multicasts the table to the newcomers this replica owes it to.
-    fn transfer(&mut self, session: &mut SessionNode) {
-        let held = self.table.iter().filter_map(|(lock, st)| {
-            Some(HeldLock {
-                lock: lock.clone(),
-                owner: st.owner?,
-                depth: st.depth,
-                waiters: st.waiters.iter().copied().collect(),
-            })
-        });
-        let snapshot = TableSnapshot {
-            to: std::mem::take(&mut self.owes),
-            last: self.last,
-            locks: held.collect(),
-        };
-        let _ = session.multicast(DeliveryMode::Agreed, snapshot.to_payload());
+    /// True if this replica's node holds `lock`.
+    pub fn held_by_me(&self, lock: &str) -> bool {
+        self.owner(lock) == Some(self.replica.me())
     }
 
-    fn apply_op(&mut self, op: &LockOp) {
+    /// Nodes queued behind the owner of `lock`.
+    pub fn waiters(&self, lock: &str) -> Vec<NodeId> {
+        self.replica
+            .table
+            .locks
+            .get(lock)
+            .map(|s| s.waiters.iter().copied().collect())
+            .unwrap_or_default()
+    }
+
+    /// Drains one lock event.
+    pub fn poll_event(&mut self) -> Option<LockEvent> {
+        self.replica.table.events.pop_front()
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> LockTableStats {
+        self.replica.table.stats
+    }
+}
+
+impl SessionApp for LockManager {
+    fn on_event(&mut self, _now: Time, event: &SessionEvent, session: &mut SessionNode) {
+        self.replica.on_event(event, session);
+    }
+}
+
+impl Table for LockTable {
+    type Op = LockOp;
+    type Image = Vec<HeldLock>;
+    const MAGIC: &'static [u8; 4] = MAGIC;
+
+    fn apply(&mut self, op: &LockOp) {
         match op {
             LockOp::Acquire { lock, node } => {
-                let st = self.table.entry(lock.clone()).or_default();
+                let st = self.locks.entry(lock.clone()).or_default();
                 match st.owner {
                     None => {
                         st.owner = Some(*node);
@@ -241,7 +180,7 @@ impl LockManager {
                 }
             }
             LockOp::Release { lock, node } => {
-                let Some(st) = self.table.get_mut(lock) else {
+                let Some(st) = self.locks.get_mut(lock) else {
                     return;
                 };
                 if st.owner != Some(*node) {
@@ -267,10 +206,10 @@ impl LockManager {
 
     /// Forced cleanup when `node` leaves the membership: its locks are
     /// released and it disappears from every waiter queue.
-    fn purge_node(&mut self, node: NodeId) {
-        let names: Vec<String> = self.table.keys().cloned().collect();
+    fn purge(&mut self, node: NodeId) {
+        let names: Vec<String> = self.locks.keys().cloned().collect();
         for lock in names {
-            let Some(st) = self.table.get_mut(&lock) else {
+            let Some(st) = self.locks.get_mut(&lock) else {
                 continue;
             };
             st.waiters.retain(|w| *w != node);
@@ -286,8 +225,37 @@ impl LockManager {
         }
     }
 
+    /// Every lock that has an owner.
+    fn image(&self) -> Vec<HeldLock> {
+        let held = self.locks.iter().filter_map(|(lock, st)| {
+            Some(HeldLock {
+                lock: lock.clone(),
+                owner: st.owner?,
+                depth: st.depth,
+                waiters: st.waiters.iter().copied().collect(),
+            })
+        });
+        held.collect()
+    }
+
+    /// Events are emitted from the replay on, so a joiner's grant
+    /// history is a suffix of the group's.
+    fn install(&mut self, image: Vec<HeldLock>) {
+        let held = image.into_iter().map(|held| {
+            let state = LockState {
+                owner: Some(held.owner),
+                depth: held.depth,
+                waiters: held.waiters.into(),
+            };
+            (held.lock, state)
+        });
+        self.locks = held.collect();
+    }
+}
+
+impl LockTable {
     fn grant_next(&mut self, lock: String) {
-        let Some(st) = self.table.get_mut(&lock) else {
+        let Some(st) = self.locks.get_mut(&lock) else {
             return;
         };
         match st.waiters.pop_front() {
@@ -304,67 +272,22 @@ impl LockManager {
             }
         }
     }
-
-    /// Current owner of `lock`, if any.
-    pub fn owner(&self, lock: &str) -> Option<NodeId> {
-        self.table.get(lock).and_then(|s| s.owner)
-    }
-
-    /// True if this replica's node holds `lock`.
-    pub fn held_by_me(&self, lock: &str) -> bool {
-        self.owner(lock) == Some(self.me)
-    }
-
-    /// Nodes queued behind the owner of `lock`.
-    pub fn waiters(&self, lock: &str) -> Vec<NodeId> {
-        self.table
-            .get(lock)
-            .map(|s| s.waiters.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Drains one lock event.
-    pub fn poll_event(&mut self) -> Option<LockEvent> {
-        self.events.pop_front()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> LockTableStats {
-        self.stats
-    }
-}
-
-impl SessionApp for LockManager {
-    /// [`LockManager::apply`], plus the one thing a table update cannot
-    /// do: when members join, the lowest of those already there owes them
-    /// the table, and multicasts it as soon as it has it itself.
-    fn on_event(&mut self, _now: Time, event: &SessionEvent, session: &mut SessionNode) {
-        self.apply(event);
-        if let SessionEvent::MembershipChanged { ring, added, .. } = event {
-            let elders = Ring::from_iter(ring.iter().filter(|m| !added.contains(m)));
-            if elders.leader() == Some(self.me) {
-                self.owes.extend(added);
-            }
-        }
-        if self.awaiting.is_none() && !self.owes.is_empty() {
-            self.transfer(session);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raincore_session::Frame;
 
     fn acquire(lm: &mut LockManager, lock: &str, node: u32) {
-        lm.apply_op(&LockOp::Acquire {
+        lm.replica.table.apply(&LockOp::Acquire {
             lock: lock.into(),
             node: NodeId(node),
         });
     }
 
     fn release(lm: &mut LockManager, lock: &str, node: u32) {
-        lm.apply_op(&LockOp::Release {
+        lm.replica.table.apply(&LockOp::Release {
             lock: lock.into(),
             node: NodeId(node),
         });
@@ -483,7 +406,7 @@ mod tests {
         SessionEvent::Delivery(raincore_session::Delivery {
             origin: NodeId(origin),
             seq: raincore_types::OriginSeq(seq),
-            mode: DeliveryMode::Agreed,
+            mode: raincore_types::DeliveryMode::Agreed,
             payload,
         })
     }
@@ -492,10 +415,11 @@ mod tests {
     fn joiner_replays_only_what_the_transfer_had_not_applied() {
         let op = |lock: &str, node: u32, release: bool| {
             let (lock, node) = (lock.to_string(), NodeId(node));
-            match release {
-                false => LockOp::Acquire { lock, node }.to_payload(),
-                true => LockOp::Release { lock, node }.to_payload(),
-            }
+            Frame::<LockTable>::Op(match release {
+                false => LockOp::Acquire { lock, node },
+                true => LockOp::Release { lock, node },
+            })
+            .to_payload()
         };
         let mut lm = LockManager::joining(NodeId(3));
         // Delivered to the joiner, though the sender had applied it: on
@@ -506,20 +430,19 @@ mod tests {
         lm.apply(&delivery(2, 9, op("l", 2, true)));
         assert_eq!(lm.owner("l"), None, "nothing applied before the table");
         // Not for this member: some other newcomer's transfer.
-        let mut snapshot = TableSnapshot {
-            to: vec![NodeId(4)],
+        let transfer = |to: u32| Frame::<LockTable>::Transfer {
+            to: vec![NodeId(to)],
             last: Some((NodeId(1), raincore_types::OriginSeq(4))),
-            locks: vec![HeldLock {
+            image: vec![HeldLock {
                 lock: "l".into(),
                 owner: NodeId(2),
                 depth: 1,
                 waiters: vec![],
             }],
         };
-        lm.apply(&delivery(0, 1, snapshot.to_payload()));
+        lm.apply(&delivery(0, 1, transfer(4).to_payload()));
         assert_eq!(lm.owner("l"), None);
-        snapshot.to = vec![NodeId(3)];
-        lm.apply(&delivery(0, 2, snapshot.to_payload()));
+        lm.apply(&delivery(0, 2, transfer(3).to_payload()));
         // n1's release was in the table already; the joiner queued behind
         // n2 and inherited when n2 released.
         assert_eq!(lm.owner("l"), Some(NodeId(3)));
@@ -538,7 +461,7 @@ mod tests {
             ]
         );
         // Synced: a second transfer changes nothing, ops apply at once.
-        lm.apply(&delivery(0, 3, snapshot.to_payload()));
+        lm.apply(&delivery(0, 3, transfer(3).to_payload()));
         assert_eq!(lm.owner("l"), Some(NodeId(3)));
         lm.apply(&delivery(3, 1, op("l", 3, true)));
         assert_eq!(lm.owner("l"), None);
@@ -552,17 +475,17 @@ mod tests {
             added: vec![],
             removed: vec![NodeId(2)],
         });
-        let snapshot = TableSnapshot {
+        let transfer = Frame::<LockTable>::Transfer {
             to: vec![NodeId(3)],
             last: None,
-            locks: vec![HeldLock {
+            image: vec![HeldLock {
                 lock: "l".into(),
                 owner: NodeId(2),
                 depth: 1,
                 waiters: vec![NodeId(0)],
             }],
         };
-        lm.apply(&delivery(0, 0, snapshot.to_payload()));
+        lm.apply(&delivery(0, 0, transfer.to_payload()));
         assert_eq!(
             lm.owner("l"),
             Some(NodeId(0)),
@@ -601,7 +524,7 @@ mod tests {
         let run = |me: u32| {
             let mut lm = LockManager::new(NodeId(me));
             for op in &ops {
-                lm.apply_op(op);
+                lm.replica.table.apply(op);
             }
             let mut evs = vec![];
             while let Some(e) = lm.poll_event() {

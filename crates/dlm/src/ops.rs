@@ -1,19 +1,14 @@
-//! Lock operations and their multicast encoding.
+//! Lock operations and the lock table's image, as multicasts carry them.
 //!
-//! Lock ops travel as ordinary Raincore multicast payloads, tagged with a
-//! magic prefix so they can share the group with application messages.
+//! Both travel as ordinary Raincore multicast payloads behind [`MAGIC`]
+//! (`raincore_session::Frame`), so they can share the group with
+//! application messages.
 
 use raincore_types::wire::{Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
-use raincore_types::{NodeId, OriginSeq};
+use raincore_types::NodeId;
 
 /// Magic prefix identifying a lock-manager payload.
 pub const MAGIC: &[u8; 4] = b"RCLK";
-
-/// Magic prefix identifying a lock-table transfer.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"RCLS";
-
-/// `(origin, seq)` of the multicast that carried a lock op.
-pub type OpId = (NodeId, OriginSeq);
 
 /// One held or contended lock, as a table transfer carries it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,52 +21,6 @@ pub struct HeldLock {
     pub depth: u32,
     /// Nodes queued behind the owner, first in line first.
     pub waiters: Vec<NodeId>,
-}
-
-/// The lock table as the sender had it after applying op `last`, for the
-/// members in `to` that joined without it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TableSnapshot {
-    /// The newcomers this transfer is for.
-    pub to: Vec<NodeId>,
-    /// The last lock op the sender had applied (`None`: never one).
-    pub last: Option<OpId>,
-    /// Every lock that has an owner.
-    pub locks: Vec<HeldLock>,
-}
-
-impl TableSnapshot {
-    /// Encodes the transfer as a multicast payload (magic-prefixed).
-    pub fn to_payload(&self) -> bytes::Bytes {
-        let mut w = Writer::new();
-        w.put_raw(SNAPSHOT_MAGIC);
-        self.to.encode(&mut w);
-        w.put_bool(self.last.is_some());
-        if let Some((origin, seq)) = self.last {
-            origin.encode(&mut w);
-            seq.encode(&mut w);
-        }
-        self.locks.encode(&mut w);
-        w.finish()
-    }
-
-    /// Decodes a multicast payload; `None` if it is not a table transfer.
-    pub fn from_payload(payload: &[u8]) -> Option<TableSnapshot> {
-        let mut r = Reader::new(payload.strip_prefix(&SNAPSHOT_MAGIC[..])?);
-        let snapshot = TableSnapshot {
-            to: Vec::decode(&mut r).ok()?,
-            last: match r.get_bool().ok()? {
-                true => Some((
-                    NodeId::decode(&mut r).ok()?,
-                    OriginSeq::decode(&mut r).ok()?,
-                )),
-                false => None,
-            },
-            locks: Vec::decode(&mut r).ok()?,
-        };
-        r.expect_end().ok()?;
-        Some(snapshot)
-    }
 }
 
 impl WireEncode for HeldLock {
@@ -127,25 +76,6 @@ impl LockOp {
             LockOp::Acquire { node, .. } | LockOp::Release { node, .. } => *node,
         }
     }
-
-    /// Encodes the op as a multicast payload (magic-prefixed).
-    pub fn to_payload(&self) -> bytes::Bytes {
-        let mut w = Writer::new();
-        for &b in MAGIC {
-            w.put_u8(b);
-        }
-        self.encode(&mut w);
-        w.finish()
-    }
-
-    /// Decodes a multicast payload; `None` if it is not a lock op.
-    pub fn from_payload(payload: &[u8]) -> Option<LockOp> {
-        let rest = payload.strip_prefix(&MAGIC[..])?;
-        let mut r = Reader::new(rest);
-        let op = LockOp::decode(&mut r).ok()?;
-        r.expect_end().ok()?;
-        Some(op)
-    }
 }
 
 impl WireEncode for LockOp {
@@ -184,6 +114,19 @@ impl WireDecode for LockOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::LockTable;
+    use raincore_session::Frame;
+
+    fn op_payload(op: &LockOp) -> bytes::Bytes {
+        Frame::<LockTable>::Op(op.clone()).to_payload()
+    }
+
+    fn op_from(payload: &[u8]) -> Option<LockOp> {
+        match Frame::<LockTable>::from_payload(payload)? {
+            Frame::Op(op) => Some(op),
+            Frame::Transfer { .. } => None,
+        }
+    }
 
     #[test]
     fn payload_round_trip() {
@@ -191,57 +134,64 @@ mod tests {
             lock: "table:users".into(),
             node: NodeId(3),
         };
-        let p = op.to_payload();
-        assert_eq!(LockOp::from_payload(&p), Some(op));
+        assert_eq!(op_from(&op_payload(&op)), Some(op));
         let op = LockOp::Release {
             lock: "x".into(),
             node: NodeId(0),
         };
-        assert_eq!(LockOp::from_payload(&op.to_payload()), Some(op));
+        assert_eq!(op_from(&op_payload(&op)), Some(op));
     }
 
     #[test]
     fn foreign_payloads_rejected() {
-        assert_eq!(LockOp::from_payload(b"hello"), None);
-        assert_eq!(LockOp::from_payload(b""), None);
-        assert_eq!(LockOp::from_payload(b"RCLK"), None); // truncated after magic
-                                                         // Magic + trailing garbage after a valid op is also rejected.
-        let mut p = LockOp::Acquire {
+        assert_eq!(op_from(b"hello"), None);
+        assert_eq!(op_from(b""), None);
+        assert_eq!(op_from(b"RCLK"), None); // truncated after magic
+                                            // Magic + trailing garbage after a valid op is also rejected.
+        let mut p = op_payload(&LockOp::Acquire {
             lock: "a".into(),
             node: NodeId(1),
-        }
-        .to_payload()
+        })
         .to_vec();
         p.push(0xff);
-        assert_eq!(LockOp::from_payload(&p), None);
+        assert_eq!(op_from(&p), None);
     }
 
     #[test]
     fn table_snapshot_round_trip() {
-        let snapshot = TableSnapshot {
-            to: vec![NodeId(3)],
-            last: Some((NodeId(1), OriginSeq(7))),
-            locks: vec![HeldLock {
-                lock: "table:users".into(),
-                owner: NodeId(0),
-                depth: 2,
-                waiters: vec![NodeId(2), NodeId(1)],
-            }],
+        let locks = vec![HeldLock {
+            lock: "table:users".into(),
+            owner: NodeId(0),
+            depth: 2,
+            waiters: vec![NodeId(2), NodeId(1)],
+        }];
+        let transfer = |image: Vec<HeldLock>| {
+            Frame::<LockTable>::Transfer {
+                to: vec![NodeId(3)],
+                last: Some((NodeId(1), raincore_types::OriginSeq(7))),
+                image,
+            }
+            .to_payload()
         };
-        let p = snapshot.to_payload();
-        assert_eq!(TableSnapshot::from_payload(&p), Some(snapshot));
-        assert_eq!(LockOp::from_payload(&p), None, "not a lock op");
-        let empty = TableSnapshot {
-            to: vec![],
-            last: None,
-            locks: vec![],
-        };
-        assert_eq!(
-            TableSnapshot::from_payload(&empty.to_payload()),
-            Some(empty)
-        );
-        assert_eq!(TableSnapshot::from_payload(&p[..p.len() - 1]), None);
-        assert_eq!(TableSnapshot::from_payload(b"RCLK"), None);
+        let p = transfer(locks.clone());
+        assert_eq!(op_from(&p), None, "not a lock op");
+        match Frame::<LockTable>::from_payload(&p) {
+            Some(Frame::Transfer { to, last, image }) => {
+                assert_eq!(to, vec![NodeId(3)]);
+                assert_eq!(last, Some((NodeId(1), raincore_types::OriginSeq(7))));
+                assert_eq!(image, locks);
+            }
+            _ => panic!("the transfer did not decode"),
+        }
+        assert!(Frame::<LockTable>::from_payload(&transfer(vec![])).is_some());
+        for cut in 0..p.len() {
+            assert!(Frame::<LockTable>::from_payload(&p[..cut]).is_none());
+        }
+        for bit in 0..p.len() * 8 {
+            let mut flipped = p.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = Frame::<LockTable>::from_payload(&flipped); // must not panic
+        }
     }
 
     #[test]

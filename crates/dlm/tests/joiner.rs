@@ -113,3 +113,48 @@ fn a_replica_that_skips_the_transfer_grants_itself_the_held_lock() {
         owner: JOINER
     }));
 }
+
+/// The member that owes the joiner the table — the lowest of those
+/// already there — dies in the round between the join and its
+/// transfer's delivery. The joiner is still unserved at the next elder,
+/// which sends its own: the joiner syncs, and queues behind the owner.
+#[test]
+fn the_next_elder_sends_the_table_when_the_sender_dies_first() {
+    const SENDER: NodeId = NodeId(0);
+    const HOLDER: NodeId = NodeId(1);
+    let mut cfg = ClusterConfig::default();
+    cfg.session.token_hold = Duration::from_millis(2);
+    cfg.session.hungry_timeout = Duration::from_millis(100);
+    cfg.session.starving_retry = Duration::from_millis(40);
+    cfg.transport.retry_timeout = Duration::from_millis(10);
+    let mut c = Cluster::founding(3, cfg).expect("cluster");
+    for id in MEMBERS {
+        c.set_app(id, Box::new(LockManager::new(id))).expect("app");
+    }
+    c.run_for(Duration::from_millis(500));
+    lock(&mut c, HOLDER);
+    c.run_for(Duration::from_millis(500));
+
+    c.crash(JOINER);
+    c.run_for(Duration::from_secs(1));
+    c.restart(JOINER, StartMode::Joining).expect("restart");
+    c.set_app(JOINER, Box::new(LockManager::joining(JOINER)))
+        .expect("app");
+    lock(&mut c, JOINER);
+    let in_senders_ring =
+        |c: &Cluster| c.session(SENDER).is_some_and(|s| s.ring().contains(JOINER));
+    while !in_senders_ring(&c) {
+        c.run_for(Duration::from_micros(50));
+    }
+    c.crash(SENDER);
+    c.run_for(Duration::from_secs(2));
+    assert!(c.membership_converged(), "{}", c.dump_state());
+    for id in [HOLDER, JOINER] {
+        assert_eq!(replica(&c, id), (Some(HOLDER), vec![JOINER]), "at {id}");
+    }
+    assert_eq!(
+        joiner_events(&mut c),
+        vec![],
+        "nothing granted to the joiner"
+    );
+}

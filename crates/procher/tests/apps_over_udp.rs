@@ -8,7 +8,9 @@
 //! is unplugged the way the benchmark's `udp_failover` unplugs a member
 //! and stopped, which its peers see as a crash: silence. The survivors
 //! force-release its lock to the next waiter and move its VIPs onto
-//! themselves, and every replica tells the same grant history.
+//! themselves; the owner comes back as a new process with empty
+//! replicas, joins, and is sent both tables (DESIGN.md §18.3); and every
+//! replica tells the same grant history.
 
 // Real-socket test: deadlines are wall-clock.
 #![allow(clippy::disallowed_types)]
@@ -35,37 +37,55 @@ const VIPS: u32 = 6;
 /// What every member hosts.
 type Apps = (LockManager, VipManager);
 
-/// Members `0..n` as one founding ring, every peer address the proxy's.
-fn proxied_ring(n: u32, arp: &Arc<SubnetArp>) -> (Vec<RuntimeNode>, LossProxy) {
-    let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
+/// Member `id` of `ids` behind `proxy`: a socket of its own, every peer
+/// address the proxy's.
+fn member(
+    ids: &[NodeId],
+    proxy: &LossProxy,
+    id: NodeId,
+    incarnation: Incarnation,
+    start: StartMode,
+    apps: Apps,
+) -> RuntimeNode {
     let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let proxy = LossProxy::bind(&ids, 21).expect("proxy");
-    let mut cfg = SessionConfig::for_cluster(n);
+    let mut net = UdpNet::bind(&[(Addr::primary(id), loopback)], HashMap::new()).unwrap();
+    proxy.set_dest(id, net.local_socket_addr(Addr::primary(id)).unwrap());
+    for &peer in ids.iter().filter(|&&peer| peer != id) {
+        net.add_peer(Addr::primary(peer), proxy.proxy_addr(peer).unwrap());
+    }
+    let mut cfg = SessionConfig::for_cluster(ids.len() as u32);
     cfg.token_hold = Duration::from_millis(5);
     cfg.hungry_timeout = Duration::from_millis(400);
+    let node = SessionNode::new(
+        id,
+        incarnation,
+        cfg,
+        TransportConfig::default(),
+        vec![Addr::primary(id)],
+        PeerTable::full_mesh(ids.iter().copied(), 1),
+        start,
+        Time::ZERO,
+    )
+    .unwrap();
+    RuntimeNode::spawn_hosting(node, net, apps).unwrap()
+}
+
+fn pool() -> Vec<VipId> {
+    (0..VIPS).map(VipId).collect()
+}
+
+/// Members `0..n` as one founding ring.
+fn proxied_ring(n: u32, arp: &Arc<SubnetArp>) -> (Vec<RuntimeNode>, LossProxy) {
+    let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
+    let proxy = LossProxy::bind(&ids, 21).expect("proxy");
     let ring = Ring::from_iter(ids.iter().copied());
     let nodes = ids
         .iter()
         .map(|&id| {
-            let mut net = UdpNet::bind(&[(Addr::primary(id), loopback)], HashMap::new()).unwrap();
-            proxy.set_dest(id, net.local_socket_addr(Addr::primary(id)).unwrap());
-            for &peer in ids.iter().filter(|&&peer| peer != id) {
-                net.add_peer(Addr::primary(peer), proxy.proxy_addr(peer).unwrap());
-            }
-            let node = SessionNode::new(
-                id,
-                Incarnation::FIRST,
-                cfg.clone(),
-                TransportConfig::default(),
-                vec![Addr::primary(id)],
-                PeerTable::full_mesh(ids.iter().copied(), 1),
-                StartMode::Founding(ring.clone()),
-                Time::ZERO,
-            )
-            .unwrap();
-            let vips = VipManager::new(id, (0..VIPS).map(VipId).collect());
-            let apps: Apps = (LockManager::new(id), vips.announcing(arp.clone()));
-            RuntimeNode::spawn_hosting(node, net, apps).unwrap()
+            let vips = VipManager::new(id, pool()).announcing(arp.clone());
+            let start = StartMode::Founding(ring.clone());
+            let apps = (LockManager::new(id), vips);
+            member(&ids, &proxy, id, Incarnation::FIRST, start, apps)
         })
         .collect();
     (nodes, proxy)
@@ -182,16 +202,54 @@ fn lock_and_vips_survive_their_owner_over_real_sockets() {
             "subnet ARP refreshed for {vip}"
         );
     }
+
+    // The owner comes back while n1 holds the lock and n2 waits for it:
+    // a new process, plugged in again, that joins with empty replicas.
+    lock(2);
+    await_that("n2 is queued behind n1", || {
+        survivors
+            .iter()
+            .all(|node| lock_state(node) == (Some(n(1)), vec![n(2)]))
+    });
+    proxy.set_node(n(0), true);
+    let ids: Vec<NodeId> = (0..3).map(n).collect();
+    let vips = VipManager::joining(n(0), pool()).announcing(arp.clone());
+    let apps = (LockManager::joining(n(0)), vips);
+    let first = Incarnation::FIRST;
+    let back = member(&ids, &proxy, n(0), first.next(), StartMode::Joining, apps);
+    await_that("the joiner is sent the lock table", || {
+        lock_state(&back) == (Some(n(1)), vec![n(2)])
+    });
+    await_that("the joiner is sent the whole pool", || {
+        assignment(&back).len() == VIPS as usize
+    });
+    // The joiner has the lowest id, leads the ring it joined and moves
+    // its share of the pool to itself — a plan its peers take for a
+    // multicast of its previous life and drop (a restarted origin numbers
+    // from 0 again, ROADMAP item 4). So: everything it does not claim for
+    // itself is as an elder has it.
+    let elder = assignment(&nodes[1]);
+    for (vip, owner) in assignment(&back) {
+        assert!(owner == n(0) || owner == elder[&vip], "{vip}: {owner}");
+    }
     unlock(1);
+    await_that("the release hands the lock to n2", || {
+        [&back, &nodes[1], &nodes[2]]
+            .iter()
+            .all(|node| lock_state(node) == (Some(n(2)), vec![]))
+    });
+    unlock(2);
     await_that("the lock is free", || {
         survivors.iter().all(|node| lock_state(node).0.is_none())
     });
 
-    // One history, whoever tells it.
+    // One history, whoever tells it — the joiner from where it came in.
     let history = grants(&nodes[1]);
-    assert_eq!(history, vec![n(2), n(0), n(1)]);
+    assert_eq!(history, vec![n(2), n(0), n(1), n(2)]);
     assert_eq!(grants(&nodes[2]), history);
     assert_eq!(history_at_victim, history[..2]);
+    assert_eq!(grants(&back), history[3..]);
+    back.leave();
     for node in survivors {
         node.leave();
     }

@@ -364,6 +364,39 @@ impl WireDecode for Bytes {
     }
 }
 
+impl WireEncode for String {
+    fn encode(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+}
+
+impl WireDecode for String {
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        r.get_str()
+    }
+}
+
+/// A tuple is its fields, in order.
+macro_rules! impl_wire_tuple {
+    ($($field:ident)+) => {
+        #[allow(non_snake_case)]
+        impl<$($field: WireEncode),+> WireEncode for ($($field,)+) {
+            fn encode(&self, w: &mut Writer) {
+                let ($($field,)+) = self;
+                $($field.encode(w);)+
+            }
+        }
+        impl<$($field: WireDecode),+> WireDecode for ($($field,)+) {
+            fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+                Ok(($($field::decode(r)?,)+))
+            }
+        }
+    };
+}
+
+impl_wire_tuple!(A B);
+impl_wire_tuple!(A B C);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,9 @@
 //! The replicated VIP assignment table and the gratuitous-ARP model.
 
-use raincore_session::{SessionApp, SessionEvent, SessionNode};
-use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
-use raincore_types::{DeliveryMode, Duration, NodeId, Result, Time, VipId};
-use std::collections::{BTreeMap, VecDeque};
+use raincore_session::{Replica, SessionApp, SessionEvent, SessionNode, Table};
+use raincore_types::wire::{Reader, WireDecode, WireEncode, WireResult, Writer};
+use raincore_types::{Duration, NodeId, Result, Time, VipId};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Magic prefix identifying a VIP-manager multicast payload.
@@ -87,35 +87,34 @@ pub struct AssignBatch {
     pub pinned: bool,
 }
 
-impl AssignBatch {
-    /// Encodes the batch as a multicast payload.
-    pub fn to_payload(&self) -> bytes::Bytes {
-        let mut w = Writer::new();
-        for &b in MAGIC {
-            w.put_u8(b);
-        }
+impl WireEncode for AssignBatch {
+    fn encode(&self, w: &mut Writer) {
         w.put_bool(self.pinned);
-        w.put_varint(self.assigns.len() as u64);
-        for (vip, node) in &self.assigns {
-            vip.encode(&mut w);
-            node.encode(&mut w);
-        }
-        w.finish()
+        self.assigns.encode(w);
     }
+}
 
-    /// Decodes a multicast payload; `None` if it is not a VIP batch.
-    pub fn from_payload(payload: &[u8]) -> Option<AssignBatch> {
-        let rest = payload.strip_prefix(&MAGIC[..])?;
-        let mut r = Reader::new(rest);
-        let pinned = r.get_bool().ok()?;
-        let n = r.get_seq_len(2).ok()?;
-        let mut assigns = Vec::with_capacity(n);
-        for _ in 0..n {
-            assigns.push((VipId::decode(&mut r).ok()?, NodeId::decode(&mut r).ok()?));
-        }
-        r.expect_end().ok()?;
-        Some(AssignBatch { assigns, pinned })
+impl WireDecode for AssignBatch {
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        Ok(AssignBatch {
+            pinned: r.get_bool()?,
+            assigns: Vec::decode(r)?,
+        })
     }
+}
+
+/// The assignment table, plus what applying batches to it has emitted
+/// at this member.
+#[derive(Debug)]
+pub(crate) struct VipTable {
+    me: NodeId,
+    pool: Vec<VipId>,
+    assignment: BTreeMap<VipId, NodeId>,
+    /// Operator-pinned VIPs: excluded from automatic rebalancing.
+    pinned: BTreeSet<VipId>,
+    /// The subnet this member's gratuitous ARPs reach, if it models one.
+    arp: Option<Arc<SubnetArp>>,
+    events: VecDeque<VipEvent>,
 }
 
 /// The per-member replica of the VIP assignment table. Host it as a
@@ -124,71 +123,144 @@ impl AssignBatch {
 /// and it does the rest.
 #[derive(Debug)]
 pub struct VipManager {
-    me: NodeId,
-    pool: Vec<VipId>,
-    assignment: BTreeMap<VipId, NodeId>,
-    /// Operator-pinned VIPs: excluded from automatic rebalancing.
-    pinned: std::collections::BTreeSet<VipId>,
+    replica: Replica<VipTable>,
     /// Leader state: a reassignment is wanted and the master lock has
     /// been requested.
     plan_pending: bool,
     /// When a hosted manager next runs [`VipManager::kick`].
     next_check: Time,
-    /// The subnet this member's gratuitous ARPs reach, if it models one.
-    arp: Option<Arc<SubnetArp>>,
-    events: VecDeque<VipEvent>,
 }
 
 impl VipManager {
-    /// Creates the replica for node `me` managing the given VIP pool.
-    /// The pool must be configured identically on every member.
+    /// Creates the replica for node `me`, a member of the group from its
+    /// founding, managing the given VIP pool: nothing is assigned because
+    /// no plan was ever made. The pool must be configured identically on
+    /// every member.
     pub fn new(me: NodeId, pool: Vec<VipId>) -> Self {
+        VipManager::over(Replica::new(me, VipTable::new(me, pool)))
+    }
+
+    /// Creates the replica for a node `me` that joins a running group
+    /// (`StartMode::Joining`, a restart): it knows no assignment because
+    /// it has not been told yet. It applies nothing, and neither asks for
+    /// nor makes a plan, until the group's table transfer reaches it
+    /// (DESIGN.md §18.3).
+    pub fn joining(me: NodeId, pool: Vec<VipId>) -> Self {
+        VipManager::over(Replica::joining(me, VipTable::new(me, pool)))
+    }
+
+    fn over(replica: Replica<VipTable>) -> Self {
         VipManager {
-            me,
-            pool,
-            assignment: BTreeMap::new(),
-            pinned: std::collections::BTreeSet::new(),
+            replica,
             plan_pending: false,
             next_check: Time::ZERO,
-            arp: None,
-            events: VecDeque::new(),
         }
     }
 
     /// Reflects this member's gratuitous ARPs into `arp`, the stand-in
     /// for the caches of every host and router on the subnet.
     pub fn announcing(mut self, arp: Arc<SubnetArp>) -> Self {
-        self.arp = Some(arp);
+        self.replica.table.arp = Some(arp);
         self
     }
 
     /// The configured pool.
     pub fn pool(&self) -> &[VipId] {
-        &self.pool
+        &self.replica.table.pool
     }
 
     /// Current owner of a VIP (as this replica sees it).
     pub fn owner_of(&self, vip: VipId) -> Option<NodeId> {
-        self.assignment.get(&vip).copied()
+        self.assignment().get(&vip).copied()
     }
 
     /// VIPs currently owned by this node.
     pub fn my_vips(&self) -> Vec<VipId> {
-        self.assignment
+        self.assignment()
             .iter()
-            .filter(|(_, &n)| n == self.me)
+            .filter(|(_, &n)| n == self.replica.me())
             .map(|(&v, _)| v)
             .collect()
     }
 
     /// Full assignment snapshot.
     pub fn assignment(&self) -> &BTreeMap<VipId, NodeId> {
-        &self.assignment
+        &self.replica.table.assignment
     }
 
     /// Drains one VIP event.
     pub fn poll_event(&mut self) -> Option<VipEvent> {
-        self.events.pop_front()
+        self.replica.table.events.pop_front()
+    }
+
+    /// Periodic check (call every ~100 ms): the leader requests the
+    /// master lock when any VIP is unowned or owned by a departed member.
+    pub fn kick(&mut self, session: &mut SessionNode) -> Result<()> {
+        let leads = session.ring().leader() == Some(self.replica.me());
+        let table = &self.replica.table;
+        if !self.replica.synced() || self.plan_pending || !leads || !table.needs_plan(session) {
+            return Ok(());
+        }
+        self.plan_pending = true;
+        session.request_master()
+    }
+
+    /// Administratively moves a VIP (load balancing, §3.1: "the virtual
+    /// IPs can also be moved for load balancing or other reasons").
+    pub fn move_vip(&mut self, session: &mut SessionNode, vip: VipId, to: NodeId) -> Result<()> {
+        let batch = AssignBatch {
+            assigns: vec![(vip, to)],
+            pinned: true,
+        };
+        self.replica.submit(session, batch)
+    }
+
+    /// Feeds one session event; call with every event, in order. Hands
+    /// the assignment to members that join (DESIGN.md §18.3).
+    pub fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
+        self.replica.on_event(ev, session);
+        // A membership change orphans VIPs, and the next kick() will
+        // notice: decisions only happen under the master lock. A master
+        // nobody asked for is the application's, held for its own reasons.
+        if matches!(ev, SessionEvent::MasterAcquired) && self.plan_pending {
+            self.plan_pending = false;
+            if session.ring().leader() == Some(self.replica.me()) {
+                if let Some(batch) = self.replica.table.compute_plan(session) {
+                    let _ = self.replica.submit(session, batch);
+                }
+            }
+            let _ = session.release_master(now);
+        }
+    }
+}
+
+impl SessionApp for VipManager {
+    fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
+        VipManager::on_event(self, now, ev, session);
+    }
+
+    fn on_tick(&mut self, now: Time, session: &mut SessionNode) {
+        if now >= self.next_check {
+            self.next_check = now + CHECK_EVERY;
+            let _ = self.kick(session);
+        }
+    }
+
+    fn next_wakeup(&self) -> Option<Time> {
+        Some(self.next_check)
+    }
+}
+
+impl VipTable {
+    fn new(me: NodeId, pool: Vec<VipId>) -> Self {
+        VipTable {
+            me,
+            pool,
+            assignment: BTreeMap::new(),
+            pinned: BTreeSet::new(),
+            arp: None,
+            events: VecDeque::new(),
+        }
     }
 
     fn needs_plan(&self, session: &SessionNode) -> bool {
@@ -223,54 +295,6 @@ impl VipManager {
             }
         }
         load
-    }
-
-    /// Periodic check (call every ~100 ms): the leader requests the
-    /// master lock when any VIP is unowned or owned by a departed member.
-    pub fn kick(&mut self, session: &mut SessionNode) -> Result<()> {
-        let leads = session.ring().leader() == Some(self.me);
-        if self.plan_pending || !leads || !self.needs_plan(session) {
-            return Ok(());
-        }
-        self.plan_pending = true;
-        session.request_master()
-    }
-
-    /// Administratively moves a VIP (load balancing, §3.1: "the virtual
-    /// IPs can also be moved for load balancing or other reasons").
-    pub fn move_vip(&mut self, session: &mut SessionNode, vip: VipId, to: NodeId) -> Result<()> {
-        let batch = AssignBatch {
-            assigns: vec![(vip, to)],
-            pinned: true,
-        };
-        session.multicast(DeliveryMode::Agreed, batch.to_payload())?;
-        Ok(())
-    }
-
-    /// Feeds one session event; call with every event, in order.
-    pub fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
-        match ev {
-            SessionEvent::MasterAcquired => {
-                if !self.plan_pending {
-                    return; // the application holds the master for its own reasons
-                }
-                self.plan_pending = false;
-                if session.ring().leader() == Some(self.me) {
-                    if let Some(batch) = self.compute_plan(session) {
-                        let _ = session.multicast(DeliveryMode::Agreed, batch.to_payload());
-                    }
-                }
-                let _ = session.release_master(now);
-            }
-            SessionEvent::Delivery(d) => {
-                if let Some(batch) = AssignBatch::from_payload(&d.payload) {
-                    self.apply(&batch);
-                }
-            }
-            // A membership change orphans VIPs, and the next kick() will
-            // notice: decisions only happen under the master lock.
-            _ => {}
-        }
     }
 
     /// Leader: distribute unowned/orphaned VIPs over current members,
@@ -354,9 +378,38 @@ impl VipManager {
         }
     }
 
+    /// `node` answers for `vip` from now on; false if the VIP is not in
+    /// the pool.
+    fn assign(&mut self, vip: VipId, node: NodeId) -> bool {
+        if !self.pool.contains(&vip) {
+            return false;
+        }
+        let old = self.assignment.insert(vip, node);
+        if node == self.me && old != Some(self.me) {
+            self.events.push_back(VipEvent::Acquired(vip));
+            if let Some(arp) = &self.arp {
+                arp.announce(vip, self.me);
+            }
+            self.events.push_back(VipEvent::GratuitousArp {
+                vip,
+                owner: self.me,
+            });
+        } else if old == Some(self.me) && node != self.me {
+            self.events.push_back(VipEvent::Lost(vip));
+        }
+        true
+    }
+}
+
+impl Table for VipTable {
+    type Op = AssignBatch;
+    /// The assignment, and the VIPs an operator pinned.
+    type Image = (Vec<(VipId, NodeId)>, Vec<VipId>);
+    const MAGIC: &'static [u8; 4] = MAGIC;
+
     fn apply(&mut self, batch: &AssignBatch) {
         for &(vip, node) in &batch.assigns {
-            if !self.pool.contains(&vip) {
+            if !self.assign(vip, node) {
                 continue;
             }
             if batch.pinned {
@@ -365,43 +418,27 @@ impl VipManager {
                 // An automatic plan touching a vip releases its pin.
                 self.pinned.remove(&vip);
             }
-            let old = self.assignment.insert(vip, node);
-            if node == self.me && old != Some(self.me) {
-                self.events.push_back(VipEvent::Acquired(vip));
-                if let Some(arp) = &self.arp {
-                    arp.announce(vip, self.me);
-                }
-                self.events.push_back(VipEvent::GratuitousArp {
-                    vip,
-                    owner: self.me,
-                });
-            } else if old == Some(self.me) && node != self.me {
-                self.events.push_back(VipEvent::Lost(vip));
-            }
-        }
-    }
-}
-
-impl SessionApp for VipManager {
-    fn on_event(&mut self, now: Time, ev: &SessionEvent, session: &mut SessionNode) {
-        VipManager::on_event(self, now, ev, session);
-    }
-
-    fn on_tick(&mut self, now: Time, session: &mut SessionNode) {
-        if now >= self.next_check {
-            self.next_check = now + CHECK_EVERY;
-            let _ = self.kick(session);
         }
     }
 
-    fn next_wakeup(&self) -> Option<Time> {
-        Some(self.next_check)
+    fn image(&self) -> Self::Image {
+        let owners = self.assignment.iter().map(|(&vip, &node)| (vip, node));
+        (owners.collect(), self.pinned.iter().copied().collect())
+    }
+
+    fn install(&mut self, (owners, pinned): Self::Image) {
+        for (vip, node) in owners {
+            self.assign(vip, node);
+        }
+        let known = pinned.into_iter().filter(|vip| self.pool.contains(vip));
+        self.pinned = known.collect();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raincore_session::Frame;
 
     #[test]
     fn batch_payload_round_trip() {
@@ -409,15 +446,20 @@ mod tests {
             assigns: vec![(VipId(1), NodeId(2)), (VipId(3), NodeId(0))],
             pinned: true,
         };
-        assert_eq!(AssignBatch::from_payload(&b.to_payload()), Some(b));
-        assert_eq!(AssignBatch::from_payload(b"RCLKxxxx"), None);
-        assert_eq!(AssignBatch::from_payload(b""), None);
+        let decoded = |payload: &[u8]| match Frame::<VipTable>::from_payload(payload)? {
+            Frame::Op(batch) => Some(batch),
+            Frame::Transfer { .. } => None,
+        };
+        let payload = Frame::<VipTable>::Op(b.clone()).to_payload();
+        assert_eq!(decoded(&payload), Some(b));
+        assert_eq!(decoded(b"RCLKxxxx"), None);
+        assert_eq!(decoded(b""), None);
     }
 
     #[test]
     fn apply_emits_acquire_lose_and_arp() {
         let mut m = VipManager::new(NodeId(1), vec![VipId(0), VipId(1)]);
-        m.apply(&AssignBatch {
+        m.replica.table.apply(&AssignBatch {
             assigns: vec![(VipId(0), NodeId(1))],
             pinned: false,
         });
@@ -429,7 +471,7 @@ mod tests {
                 owner: NodeId(1)
             })
         );
-        m.apply(&AssignBatch {
+        m.replica.table.apply(&AssignBatch {
             assigns: vec![(VipId(0), NodeId(2))],
             pinned: false,
         });
@@ -441,7 +483,7 @@ mod tests {
     #[test]
     fn unknown_vips_ignored() {
         let mut m = VipManager::new(NodeId(1), vec![VipId(0)]);
-        m.apply(&AssignBatch {
+        m.replica.table.apply(&AssignBatch {
             assigns: vec![(VipId(9), NodeId(1))],
             pinned: false,
         });

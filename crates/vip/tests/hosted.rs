@@ -1,6 +1,6 @@
 //! The VIP manager hosted on simulated members: assignment, fail-over,
-//! rebalancing — and the pin that hosting it through the `SessionApp`
-//! seam put the same bytes on the wire as the glue it replaced.
+//! rebalancing, the table a late joiner is sent — and the pin of what one
+//! such run puts on the wire.
 
 use raincore_session::StartMode;
 use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig};
@@ -19,10 +19,19 @@ fn fast_cfg() -> ClusterConfig {
     c
 }
 
-/// A fresh replica for member `id` over a pool of `k` VIPs `0..k`.
+/// A founding member's replica over a pool of `k` VIPs `0..k`.
 fn replica(id: NodeId, k: u32, arp: &Arc<SubnetArp>) -> Box<VipManager> {
     let pool = (0..k).map(VipId).collect();
     Box::new(VipManager::new(id, pool).announcing(arp.clone()))
+}
+
+/// Restarts crashed member `id` the way a process restart does: a node
+/// that joins, and a replica that waits to be told the assignment.
+fn rejoin(c: &mut Cluster, id: NodeId, k: u32, arp: &Arc<SubnetArp>) {
+    let pool = (0..k).map(VipId).collect();
+    c.restart(id, StartMode::Joining).expect("restart");
+    let joiner = VipManager::joining(id, pool).announcing(arp.clone());
+    c.set_app(id, Box::new(joiner)).expect("app");
 }
 
 fn vip_cluster(n: u32, k_vips: u32) -> (Cluster, Arc<SubnetArp>) {
@@ -136,8 +145,7 @@ fn rejoining_member_regains_its_share() {
     c.run_for(Duration::from_secs(2));
     assert_eq!(mgr(&c, 0).my_vips().len(), 4, "survivor took everything");
     // The restarted process rebuilds its VIP manager from scratch.
-    c.restart(NodeId(1), StartMode::Joining).unwrap();
-    c.set_app(NodeId(1), replica(NodeId(1), 4, &arp)).unwrap();
+    rejoin(&mut c, NodeId(1), 4, &arp);
     c.run_for(Duration::from_secs(3));
     let m0 = mgr(&c, 0);
     assert_eq!(
@@ -152,6 +160,91 @@ fn rejoining_member_regains_its_share() {
     }
 }
 
+/// 3 eligible members and `k` VIPs; the two that are not `late` found
+/// the group and share the pool. (`late` was never up, rather than up
+/// and crashed, so that it never multicast: a restarted origin numbers
+/// its multicasts from 0 again and the members that remember its old
+/// ones drop as many of the new — ROADMAP item 4 — which loses a
+/// rejoining leader's first plan whatever table it plans from.)
+fn two_of_three(late: u32, k: u32) -> (Cluster, Arc<SubnetArp>) {
+    let founders = (0..3).filter(|&id| id != late).map(NodeId);
+    let ring = Ring::from_iter(founders.clone());
+    let arp = SubnetArp::shared();
+    let mut cfg = fast_cfg();
+    cfg.session.eligible = (0..3).map(NodeId).collect();
+    let mut builder = ClusterBuilder::new(cfg).member(NodeId(late), StartMode::Joining);
+    for id in founders {
+        builder = builder
+            .member(id, StartMode::Founding(ring.clone()))
+            .app(id, replica(id, k, &arp));
+    }
+    let mut c = builder.build().unwrap();
+    c.crash(NodeId(late));
+    c.run_for(Duration::from_secs(2));
+    (c, arp)
+}
+
+/// `late` joins; returns a survivor's table from just before.
+fn join_late(c: &mut Cluster, late: u32, k: u32, arp: &Arc<SubnetArp>) -> BTreeMap<VipId, NodeId> {
+    let before = owners(c, 1);
+    assert_eq!(before.len(), k as usize, "{before:?}");
+    rejoin(c, NodeId(late), k, arp);
+    c.run_for(Duration::from_secs(3));
+    assert!(c.membership_converged(), "{}", c.dump_state());
+    before
+}
+
+#[test]
+fn high_id_joiner_is_told_the_whole_assignment() {
+    let (mut c, arp) = two_of_three(2, 6);
+    join_late(&mut c, 2, 6, &arp);
+    let elder = owners(&c, 0);
+    assert_eq!(elder.len(), 6);
+    assert_eq!(owners(&c, 2), elder, "the joiner knows what an elder knows");
+    assert_eq!(owners(&c, 1), elder);
+}
+
+#[test]
+fn lowest_id_joiner_rebalances_the_table_it_was_sent() {
+    // The joiner leads the ring it joins. It must plan from the group's
+    // table — move its fair share, 2 of 6, to itself — not from its own
+    // empty one, which hands out the whole pool a second time.
+    let (mut c, arp) = two_of_three(0, 6);
+    let before = join_late(&mut c, 0, 6, &arp);
+    let after = owners(&c, 1);
+    for id in [0, 2] {
+        assert_eq!(owners(&c, id), after, "n{id}");
+    }
+    let mut claimed: Vec<VipId> = (0..3).flat_map(|id| mgr(&c, id).my_vips()).collect();
+    claimed.sort();
+    let pool: Vec<VipId> = (0..6).map(VipId).collect();
+    assert_eq!(claimed, pool, "every VIP answered for once");
+    let moved: Vec<_> = after.iter().filter(|(v, o)| before[*v] != **o).collect();
+    assert_eq!(moved.len(), 2, "{before:?} -> {after:?}");
+    assert!(moved.iter().all(|(_, o)| **o == NodeId(0)), "{moved:?}");
+}
+
+#[test]
+fn pinned_vips_survive_the_transfer() {
+    // n1 and n2 hold two VIPs each; an operator pins one on each, where
+    // it is. One movable VIP a member is balance: the joiner, told of the
+    // pins, moves nothing. Not told, it would count two movable VIPs on
+    // each elder and take VIP 0 off n1.
+    let (mut c, arp) = two_of_three(0, 4);
+    for vip in [VipId(0), VipId(1)] {
+        let owner = mgr(&c, 1).owner_of(vip).expect("assigned");
+        c.with_app(owner, |m: &mut VipManager, s| m.move_vip(s, vip, owner))
+            .expect("hosted")
+            .unwrap();
+    }
+    c.run_for(Duration::from_secs(1));
+    let before = join_late(&mut c, 0, 4, &arp);
+    assert_ne!(before[&VipId(0)], before[&VipId(1)], "{before:?}");
+    for id in 0..3 {
+        assert_eq!(owners(&c, id), before, "n{id}");
+    }
+}
+
 /// FNV-1a, 64-bit.
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -162,20 +255,24 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// What the parent of the hosting seam — `VipApp`, a `NodeApp` that drove
-/// the manager through shared cells, kept the 100 ms check and reflected
-/// the ARPs itself — produced for the run in [`hosting_is_inert`]: per
-/// member the FNV-1a of its `SessionEvent` stream, then of every datagram
-/// the network delivered, in order.
-const PARENT_EVENT_HASHES: [u64; 3] = [
-    0x0afe_e60e_9889_8f83,
-    0x7d7d_82dd_aa24_315e,
-    0xebf1_3500_3cee_5322,
+/// The run in [`hosting_is_inert`], pinned: per member the FNV-1a of its
+/// `SessionEvent` stream, then of every datagram the network delivered,
+/// in order. Harvested at PR 22 (table transfer, DESIGN.md §18.3). With
+/// `Replica::on_event`'s send removed and the restarted member built
+/// `VipManager::new`, the same build reproduced PR 21's constants —
+/// themselves harvested from `VipApp`, the glue the hosting seam
+/// replaced — bit for bit: the difference from the parent is exactly the
+/// transfer multicast at the rejoin and the joiner installing it. The
+/// datagram count and the subnet's final view did not move.
+const EVENT_HASHES: [u64; 3] = [
+    0xc30e_2279_809a_f248,
+    0xa201_0b01_32cf_ab37,
+    0x1567_d0b9_609e_9184,
 ];
-const PARENT_WIRE_HASH: u64 = 0x7447_88e5_be47_925b;
-const PARENT_WIRE_DATAGRAMS: u64 = 8_440;
+const WIRE_HASH: u64 = 0x5502_fff9_21b7_776b;
+const WIRE_DATAGRAMS: u64 = 8_440;
 /// Who answers for VIPs 0..6 on the subnet when the run ends.
-const PARENT_ARP: [u32; 6] = [2, 2, 1, 2, 1, 1];
+const ARP: [u32; 6] = [2, 2, 1, 2, 1, 1];
 
 #[test]
 fn hosting_is_inert() {
@@ -198,9 +295,7 @@ fn hosting_is_inert() {
     c.run_for(Duration::from_secs(2));
     c.crash(NodeId(2));
     c.run_for(Duration::from_secs(2));
-    c.restart(NodeId(2), StartMode::Joining).expect("restart");
-    c.set_app(NodeId(2), replica(NodeId(2), 6, &arp))
-        .expect("app");
+    rejoin(&mut c, NodeId(2), 6, &arp);
     c.run_for(Duration::from_secs(3));
     c.crash(NodeId(0));
     c.run_for(Duration::from_secs(2));
@@ -219,12 +314,12 @@ fn hosting_is_inert() {
     assert_eq!(
         (event_hashes.as_slice(), wire_hash, datagrams, subnet),
         (
-            PARENT_EVENT_HASHES.as_slice(),
-            PARENT_WIRE_HASH,
-            PARENT_WIRE_DATAGRAMS,
-            PARENT_ARP.map(|n| Some(NodeId(n))).to_vec(),
+            EVENT_HASHES.as_slice(),
+            WIRE_HASH,
+            WIRE_DATAGRAMS,
+            ARP.map(|n| Some(NodeId(n))).to_vec(),
         ),
-        "a hosted VIP manager no longer behaves like the glue it replaced: \
+        "a hosted VIP manager no longer behaves as pinned: \
          {event_hashes:#x?} wire {wire_hash:#x} over {datagrams} datagrams"
     );
 }

@@ -4,7 +4,8 @@
 //! Three nodes share a key-value store: local reads, totally ordered
 //! writes, lock-free compare-and-swap leader election, and cluster-wide
 //! counters — "the ease of developing a multi-thread shared-memory
-//! application on a single processor".
+//! application on a single processor". A node that restarts is sent the
+//! store before it reads or applies anything.
 //!
 //! ```bash
 //! cargo run --example shared_data
@@ -13,6 +14,7 @@
 use bytes::Bytes;
 use raincore::data::DataStore;
 use raincore::prelude::*;
+use raincore::session::StartMode;
 use raincore::sim::ClusterConfig;
 
 /// Node `i`'s replica of the store.
@@ -95,5 +97,24 @@ fn main() {
         "  requests-served = {} on every replica: {}",
         served(1),
         (0..3).all(|i| served(i) == served(0))
+    );
+
+    println!("\n== node 2 restarts with an empty replica ==");
+    cluster.crash(NodeId(2));
+    cluster.run_for(Duration::from_secs(2));
+    cluster
+        .restart(NodeId(2), StartMode::Joining)
+        .expect("restart");
+    // A member that joins a running group is built `joining`: it waits
+    // for the group's table instead of taking its empty one for it.
+    cluster
+        .set_app(NodeId(2), Box::new(DataStore::joining(NodeId(2))))
+        .expect("member");
+    cluster.run_for(Duration::from_secs(2));
+    let (theirs, mine) = (store(&cluster, 0), store(&cluster, 2));
+    println!(
+        "  node 2 was sent {} keys, versions and all: {}",
+        mine.len(),
+        mine.iter().eq(theirs.iter())
     );
 }

@@ -7,7 +7,8 @@
 //! (§3.1) on its driver thread. One node — holding a lock and a third of
 //! the virtual IPs — leaves mid-run; the survivors heal the membership,
 //! hand its lock to the next waiter and move its VIPs, in wall-clock
-//! time.
+//! time. Then it comes back as a new process, joins, and is sent both
+//! tables before it applies anything.
 //!
 //! ```bash
 //! cargo run --example udp_cluster
@@ -91,8 +92,10 @@ fn main() {
 
     // The subnet's ARP caches, refreshed by the VIP managers' gratuitous ARPs.
     let arp = SubnetArp::shared();
-    let mut nodes = Vec::new();
-    for (i, mut net) in nets.into_iter().enumerate() {
+    // Member `i` on `net`: its peers' addresses, its node, and the
+    // applications, which ride the node's own thread — fed every session
+    // event there, reached from this thread through `with_app`.
+    let spawn = |i: usize, mut net: UdpNet, life: Incarnation, start: StartMode, apps: Apps| {
         for (j, &s) in saddrs.iter().enumerate() {
             if i != j {
                 net.add_peer(Addr::primary(ids[j]), s);
@@ -100,20 +103,24 @@ fn main() {
         }
         let node = SessionNode::new(
             ids[i],
-            Incarnation::FIRST,
+            life,
             cfg.clone(),
             TransportConfig::default(),
             vec![Addr::primary(ids[i])],
             PeerTable::full_mesh(ids.iter().copied(), 1),
-            StartMode::Founding(ring.clone()),
+            start,
             Time::ZERO,
         )
         .unwrap();
-        // The applications ride the node's own thread: fed every session
-        // event there, reached from this thread through `with_app`.
-        let vips = VipManager::new(ids[i], (0..6).map(VipId).collect());
-        let apps: Apps = (LockManager::new(ids[i]), vips.announcing(arp.clone()));
-        nodes.push(RuntimeNode::spawn_hosting(node, net, apps).unwrap());
+        RuntimeNode::spawn_hosting(node, net, apps).unwrap()
+    };
+    let pool = || (0..6).map(VipId).collect::<Vec<_>>();
+    let mut nodes = Vec::new();
+    for (i, net) in nets.into_iter().enumerate() {
+        let vips = VipManager::new(ids[i], pool()).announcing(arp.clone());
+        let founding = StartMode::Founding(ring.clone());
+        let apps = (LockManager::new(ids[i]), vips);
+        nodes.push(spawn(i, net, Incarnation::FIRST, founding, apps));
     }
 
     std::thread::sleep(std::time::Duration::from_millis(300));
@@ -200,6 +207,28 @@ fn main() {
         let owner = arp.resolve(vip).expect("announced");
         println!("VIP fail-over: {vip} moved from n2 to {owner}");
     }
+
+    println!("\n== node 2 restarts: a new process, empty replicas, the same address ==");
+    drop(nodes.pop()); // the old process is gone, and its socket with it
+    let net = UdpNet::bind(&[(Addr::primary(ids[2]), saddrs[2])], HashMap::new()).unwrap();
+    // A member that joins a running group waits to be told the tables
+    // (`joining`): its empty ones are not the group's.
+    let vips = VipManager::joining(ids[2], pool()).announcing(arp.clone());
+    let apps = (LockManager::joining(ids[2]), vips);
+    let life = Incarnation::FIRST.next();
+    nodes.push(spawn(2, net, life, StartMode::Joining, apps));
+    await_that("the joiner told who holds the lock", || {
+        lock_owner(&nodes[2]) == Some(ids[0])
+    });
+    await_that("the joiner given its share of the VIPs", || {
+        let share = vips_of(&nodes[2], ids[2]);
+        !share.is_empty() && nodes.iter().all(|n| vips_of(n, ids[2]) == share)
+    });
+    println!(
+        "table transfer: node 2 knows {} holds {LOCK:?} and answers for {:?}",
+        ids[0],
+        vips_of(&nodes[2], ids[2])
+    );
     for node in &nodes {
         node.leave();
     }

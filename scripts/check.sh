@@ -5,8 +5,20 @@
 # runs the named ones. CI's jobs are these legs
 # (.github/workflows/ci.yml calls this script and nothing else), so a
 # green ./scripts/check.sh means a green pipeline.
+#
+# `./scripts/check.sh lines <paths…>` is not a leg: it prints the figure a
+# simplicity PR's line budget is stated in — the lines of each file above
+# its first `#[cfg(test)]`, summed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = lines ]; then
+  shift
+  for path in "$@"; do
+    awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$path"
+  done | awk '{n += $1} END{print n+0}'
+  exit
+fi
 
 legs=(lint test model-check chaos experiments micro-bench benchmark-package procher)
 

@@ -153,7 +153,8 @@ fn joiner_receives_leader_snapshot() {
         .member(NodeId(2), StartMode::Joining)
         .build()
         .unwrap();
-    let mut stores: Vec<DataStore> = (0..3).map(|i| DataStore::new(NodeId(i))).collect();
+    let mut stores: Vec<DataStore> = (0..2).map(|i| DataStore::new(NodeId(i))).collect();
+    stores.push(DataStore::joining(NodeId(2)));
 
     // Give the join a moment to complete, then seed data from node 0.
     cluster.run_for(Duration::from_millis(100));
@@ -167,21 +168,21 @@ fn joiner_receives_leader_snapshot() {
     cluster.run_for(Duration::from_secs(2));
     feed(&mut cluster, &mut stores);
 
-    // Node 2 joined after (or during) the write; whether it saw the
-    // original delivery or the snapshot, it must converge.
+    // Node 2 joined after (or during) the write; whether the write was
+    // in the transferred table or in its backlog, it must converge.
     cluster.run_for(Duration::from_secs(2));
     feed(&mut cluster, &mut stores);
     assert_eq!(
         stores[2].get("config").map(|v| v.value.clone()),
         Some(Bytes::from_static(b"v1")),
-        "joiner converged via delivery or snapshot"
+        "joiner converged via delivery or transfer"
     );
 }
 
 #[test]
 fn joiner_after_quiescence_synced_by_snapshot() {
     // Harder variant: data written long before the joiner appears, so no
-    // multicast is in flight — only the snapshot can sync it.
+    // multicast is in flight — only the table transfer can sync it.
     let mut cluster = Cluster::founding(2, fast_cfg()).unwrap();
     cluster.run_for(Duration::from_secs(1));
     let mut stores: Vec<DataStore> = (0..3).map(|i| DataStore::new(NodeId(i))).collect();
@@ -226,7 +227,7 @@ fn joiner_after_quiescence_synced_by_snapshot() {
     feed(&mut cluster, &mut stores);
 
     cluster.restart(NodeId(2), StartMode::Joining).unwrap();
-    stores[2] = DataStore::new(NodeId(2)); // fresh process, empty replica
+    stores[2] = DataStore::joining(NodeId(2)); // fresh process, empty replica
     cluster.run_for(Duration::from_secs(3));
     feed(&mut cluster, &mut stores);
     cluster.run_for(Duration::from_secs(1));
@@ -234,6 +235,105 @@ fn joiner_after_quiescence_synced_by_snapshot() {
     assert_eq!(
         stores[2].get("ancient").map(|v| v.value.clone()),
         Some(Bytes::from_static(b"truth")),
-        "snapshot state transfer synced the joiner"
+        "the table transfer synced the joiner"
     );
+}
+
+/// Three members host a store each; n1 writes `hits` and writes and
+/// deletes `gone`; `joiner` crashes and restarts `Joining` with an empty
+/// replica, and as it does every member adds to `hits` — ops ordered
+/// around the table transfer, on either side of it. (Only n1 writes
+/// before the crash: a restarted origin numbers its multicasts from 0
+/// again, and the members that remember its old ones drop as many of
+/// the new — ROADMAP item 4.)
+fn rejoin_under_writes(joiner: NodeId) -> Cluster {
+    let mut c = Cluster::founding(3, fast_cfg()).unwrap();
+    for id in c.member_ids() {
+        c.set_app(id, Box::new(DataStore::new(id))).unwrap();
+    }
+    c.run_for(Duration::from_millis(500));
+    write(&mut c, 1, |s, n| s.add(n, "hits", 41));
+    write(&mut c, 1, |s, n| s.put(n, "gone", Bytes::from_static(b"x")));
+    c.run_for(Duration::from_millis(500));
+    write(&mut c, 1, |s, n| s.delete(n, "gone"));
+    c.run_for(Duration::from_millis(500));
+
+    c.crash(joiner);
+    c.run_for(Duration::from_secs(1));
+    c.restart(joiner, StartMode::Joining).unwrap();
+    c.set_app(joiner, Box::new(DataStore::joining(joiner)))
+        .unwrap();
+    // Adds trickle in while the joiner is admitted and the table cut.
+    for round in 0..20 {
+        for id in 0..3 {
+            write(&mut c, id, |s, n| s.add(n, "hits", 1));
+        }
+        c.run_for(Duration::from_millis(if round < 10 { 1 } else { 20 }));
+    }
+    c.run_for(Duration::from_secs(2));
+    assert!(c.membership_converged(), "{}", c.dump_state());
+    c
+}
+
+/// Runs a write of node `id`'s hosted replica.
+fn write(
+    c: &mut Cluster,
+    id: u32,
+    op: impl FnOnce(&mut DataStore, &mut SessionNode) -> raincore::types::Result<()>,
+) {
+    c.with_app(NodeId(id), op)
+        .expect("a hosted store")
+        .expect("write");
+}
+
+fn hosted_state(c: &Cluster, id: u32) -> Vec<(String, u64, Bytes)> {
+    state(c.app::<DataStore>(NodeId(id)).expect("a hosted store"))
+}
+
+/// Every replica holds exactly `hits`, at the version and value the
+/// 41 + 60 adds leave it at.
+fn assert_replicas_equal(c: &Cluster) {
+    let group = hosted_state(c, 1);
+    assert_eq!(group.len(), 1, "{group:?}");
+    assert_eq!(group[0].1, 61, "one version per add");
+    let hits = |id| c.app::<DataStore>(NodeId(id)).unwrap().get_i64("hits");
+    assert_eq!(hits(1), 41 + 60);
+    for id in [0, 2] {
+        assert_eq!(hosted_state(c, id), group, "n{id}");
+    }
+}
+
+#[test]
+fn joiner_equals_the_group_when_adds_race_the_transfer() {
+    assert_replicas_equal(&rejoin_under_writes(NodeId(2)));
+}
+
+/// The joiner leads the new ring, and must still be sent the table
+/// rather than send its own.
+#[test]
+fn lowest_id_joiner_ends_with_the_groups_table() {
+    assert_replicas_equal(&rejoin_under_writes(NodeId(0)));
+}
+
+#[test]
+fn stale_cas_on_a_key_deleted_before_the_join_loses_at_the_joiner_too() {
+    let mut c = rejoin_under_writes(NodeId(2));
+    // `gone` was at version 1 when it was deleted: it is not "never written".
+    write(&mut c, 0, |s, n| {
+        s.cas(n, "gone", 0, Bytes::from_static(b"stale"))
+    });
+    c.run_for(Duration::from_secs(1));
+    for id in 0..3 {
+        let store = c.app::<DataStore>(NodeId(id)).unwrap();
+        assert_eq!(store.get("gone"), None, "n{id} let the stale CAS through");
+    }
+    // Recreated, it continues its version sequence everywhere.
+    write(&mut c, 2, |s, n| {
+        s.put(n, "gone", Bytes::from_static(b"back"))
+    });
+    c.run_for(Duration::from_secs(1));
+    for id in 0..3 {
+        let store = c.app::<DataStore>(NodeId(id)).unwrap();
+        assert_eq!(store.get("gone").map(|v| v.version), Some(2), "n{id}");
+    }
 }

@@ -10,15 +10,22 @@
 //! * one seeded chaos run passes every auditor and oracle, with the
 //!   completeness auditor demonstrably engaged;
 //! * the early-pass space (64-byte MTU, a token that fills two datagrams)
-//!   exhausts clean and demonstrably contains early passes.
+//!   exhausts clean and demonstrably contains early passes;
+//! * the application oracle: three members hosting the lock, data and
+//!   VIP managers keep equal tables through a crash and a `Joining`
+//!   restart under load (DESIGN.md §18.3).
 //!
 //! Bounds are sized for a debug build; the full-depth gates live in
 //! `scripts/check.sh`.
 
+use raincore::data::DataStore;
+use raincore::dlm::LockManager;
+use raincore::session::StartMode;
 use raincore::sim::chaos::{generate_schedule, run_chaos, ChaosConfig};
 use raincore::sim::explore::{replay, Reduction};
-use raincore::sim::{Explorer, ModelCheckConfig};
-use raincore::types::NodeId;
+use raincore::sim::{Cluster, ClusterConfig, Explorer, ModelCheckConfig};
+use raincore::types::{Duration, NodeId, VipId};
+use raincore::vip::VipManager;
 
 fn three_node_cfg(reduction: Reduction) -> ModelCheckConfig {
     ModelCheckConfig {
@@ -124,4 +131,90 @@ fn seeded_chaos_run_passes_every_auditor() {
         report.completeness_checked > 0,
         "completeness auditor never checked a delivery"
     );
+}
+
+/// What every member hosts: all three replicated tables.
+type Apps = (LockManager, (DataStore, VipManager));
+
+/// One round of load at `id`: count a hit, and take a turn at the lock —
+/// release it if held, else ask for it unless already in line.
+fn load(c: &mut Cluster, id: NodeId) {
+    c.with_app(id, |(locks, (store, _)): &mut Apps, session| {
+        store.add(session, "hits", 1).expect("add");
+        if locks.held_by_me("l") {
+            locks.unlock(session, "l").expect("unlock");
+        } else if !locks.waiters("l").contains(&id) {
+            locks.lock(session, "l").expect("lock");
+        }
+    })
+    .expect("hosted applications");
+}
+
+#[test]
+fn replicated_tables_stay_equal_through_a_crash_and_a_joining_restart() {
+    let pool = || (0..6).map(VipId).collect();
+    let mut cfg = ClusterConfig::default();
+    cfg.session.token_hold = Duration::from_millis(2);
+    cfg.session.hungry_timeout = Duration::from_millis(100);
+    cfg.session.starving_retry = Duration::from_millis(40);
+    cfg.transport.retry_timeout = Duration::from_millis(10);
+    let mut c = Cluster::founding(3, cfg).expect("cluster");
+    for id in c.member_ids() {
+        let apps: Apps = (
+            LockManager::new(id),
+            (DataStore::new(id), VipManager::new(id, pool())),
+        );
+        c.set_app(id, Box::new(apps)).expect("app");
+    }
+    c.run_for(Duration::from_millis(300));
+    // The victim submits nothing before it dies: a restarted origin
+    // numbers its multicasts from 0 again, and its peers would take as
+    // many of the new ones for the old (ROADMAP item 4).
+    let victim = NodeId(2);
+    for round in 0..70 {
+        match round {
+            15 => c.crash(victim),
+            40 => {
+                c.restart(victim, StartMode::Joining).expect("restart");
+                let apps: Apps = (
+                    LockManager::joining(victim),
+                    (
+                        DataStore::joining(victim),
+                        VipManager::joining(victim, pool()),
+                    ),
+                );
+                c.set_app(victim, Box::new(apps)).expect("app");
+            }
+            _ => {}
+        }
+        let loading = if round < 40 { 2 } else { 3 };
+        for id in (0..loading).map(NodeId) {
+            load(&mut c, id);
+        }
+        c.run_for(Duration::from_millis(10));
+    }
+    c.run_for(Duration::from_secs(1));
+    assert!(c.membership_converged(), "{}", c.dump_state());
+
+    let tables = |id: u32| {
+        let (locks, (store, vips)): &Apps = c.app(NodeId(id)).expect("hosted applications");
+        let kv: Vec<_> = store.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        (
+            (locks.owner("l"), locks.waiters("l")),
+            kv,
+            vips.assignment().clone(),
+        )
+    };
+    let group = tables(0);
+    assert_eq!(group.1.len(), 1, "{:?}", group.1);
+    assert_eq!(group.1[0].1.version, 2 * 40 + 3 * 30, "an add was lost");
+    assert_eq!(group.2.len(), 6, "a VIP is unassigned: {:?}", group.2);
+    assert!(
+        group.2.values().any(|&owner| owner == victim),
+        "the restarted member was rebalanced nothing: {:?}",
+        group.2
+    );
+    for id in 1..3 {
+        assert_eq!(tables(id), group, "n{id}'s tables are not the group's");
+    }
 }
