@@ -14,6 +14,7 @@
 //! | `bench_udp_pps` | loopback packet throughput: batched vs scalar backends of the one I/O engine (≥3x packets-per-syscall asserted) |
 //! | `bench_udp_rtt` | ping round-trip p50/p99 over the batched engine while each ping shares its batch with background load |
 //! | `bench_failure_detect` | two simulated fail-overs with the stock detection timeouts: crash → failure-on-delivery (a skipped hop) and crash → token regenerated (a lost token), in simulated ns that repeat exactly |
+//! | `bench_lost_token_outage` | `sim_core`'s fail-over on its own: eight simulated members, stock timeouts, the EATING member crashes — the repairer's outage stages (wait for the successor probe, its give-up, the vote) in simulated ns, probes sent and 911 callers; counts that repeat exactly |
 //! | `bench_bulk_closed_loop` | one simulated second of the `udp_bulk` shape (3 nodes, node 0 keeps 8 × 8 KiB out-of-band multicasts in flight): deliveries per simulated second, hops per delivery and the share of passes the pacing rule released early — counts that repeat exactly |
 //!
 //! `bytes_per_op` is **heap bytes allocated** per operation (not wire
@@ -373,6 +374,69 @@ fn failure_detect() -> u64 {
     2
 }
 
+/// The lost-token budget, captured by [`lost_token_outage`] for the
+/// report writer.
+static LOST_TOKEN_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
+
+/// DESIGN.md §17.3 as simulated time: the ring of the end-to-end
+/// benchmark's `sim_core` (eight members, `token_hold` 2 ms, stock
+/// timeouts) loses its token with the member that is EATING. That
+/// member's predecessor waits `4·rotation + 2·give-up`, asks it, hears
+/// nothing for one give-up and regenerates with the dead member already
+/// out of the ballot. The stages are the repairer's own
+/// (`raincore_obs::OutageTracker`), a delivery either side of the outage
+/// giving it edges; they repeat to the nanosecond. One op is the
+/// fail-over.
+fn lost_token_outage() -> u64 {
+    use raincore_sim::{Cluster, ClusterConfig};
+    use raincore_types::{Duration, Time};
+
+    const NODES: u32 = 8;
+    const VICTIM: NodeId = NodeId(5);
+    let mut cfg = ClusterConfig::default();
+    cfg.session.token_hold = Duration::from_millis(2);
+    cfg.session.hungry_timeout = Duration::from_millis(400);
+    cfg.session.starving_retry = Duration::from_millis(150);
+    let mut c = Cluster::founding(NODES, cfg).expect("founding cluster");
+    let edge = |c: &mut Cluster| {
+        c.multicast(NodeId(0), DeliveryMode::Agreed, Bytes::from_static(b"edge"))
+            .expect("multicast");
+    };
+    c.run_until(Time::ZERO + Duration::from_secs(1));
+    edge(&mut c);
+    c.run_for(Duration::from_millis(100));
+    while !c.eating_nodes().contains(&VICTIM) {
+        c.run_for(Duration::from_micros(100));
+    }
+    c.crash(VICTIM);
+    c.run_for(Duration::from_secs(1));
+    edge(&mut c);
+    c.run_for(Duration::from_millis(100));
+    let rows = raincore_obs::outages(&c.merged_journal());
+    assert_eq!(rows.len(), 1, "one outage, one repairer: {rows:?}");
+    let [_, wait, detect, vote, repair, _] = rows[0].stages;
+    let live = c.live_members();
+    let sum = |f: fn(&raincore_session::SessionMetrics) -> u64| -> f64 {
+        live.iter().map(|&id| f(&c.metrics(id))).sum::<u64>() as f64
+    };
+    let callers = live.iter().filter(|&&id| c.metrics(id).calls911_sent > 0);
+    LOST_TOKEN_SUMMARIES
+        .set(vec![
+            ("wait_sim_ns".to_string(), wait as f64),
+            ("detect_sim_ns".to_string(), detect as f64),
+            ("vote_sim_ns".to_string(), vote as f64),
+            (
+                "let_go_to_regenerated_sim_ns".to_string(),
+                (wait + detect + vote + repair) as f64,
+            ),
+            ("probes_sent".to_string(), sum(|m| m.probes_sent)),
+            ("probes_failed".to_string(), sum(|m| m.probes_failed)),
+            ("callers_911".to_string(), callers.count() as f64),
+        ])
+        .expect("set once");
+    1
+}
+
 /// Rates of the simulated bulk loop, captured by [`bulk_closed_loop`] for
 /// the report writer.
 static BULK_LOOP_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
@@ -700,6 +764,7 @@ fn main() {
         measure("bench_udp_rtt", udp_rtt),
         measure("bench_failure_detect", failure_detect),
         measure("bench_bulk_closed_loop", bulk_closed_loop),
+        measure("bench_lost_token_outage", lost_token_outage),
     ];
     if let Some(extras) = HOP_STAGE_SUMMARIES.get() {
         results[4].extras = extras.clone();
@@ -737,6 +802,13 @@ fn main() {
         results[9].extras = extras.clone();
         for (k, v) in extras {
             println!("  bench_bulk_closed_loop {k} = {v:.3}");
+        }
+    }
+
+    if let Some(extras) = LOST_TOKEN_SUMMARIES.get() {
+        results[10].extras = extras.clone();
+        for (k, v) in extras {
+            println!("  bench_lost_token_outage {k} = {v:.0}");
         }
     }
 

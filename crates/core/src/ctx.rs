@@ -25,6 +25,7 @@ pub(crate) enum SendKind {
     Call911 { req_id: u64 },
     Reply,
     Beacon,
+    Probe,
 }
 
 /// The composer's own state, lent to a component for one call.

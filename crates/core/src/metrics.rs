@@ -62,6 +62,12 @@ pub struct SessionMetrics {
     /// timeouts were patient. A crash or a cut link sends no such
     /// acknowledgement and is not counted; on a calm ring it must read 0.
     pub false_suspicions: u64,
+    /// Successor probes sent: HUNGRY past the probe limit, this node
+    /// asked the member its last pass went to whether it is there.
+    pub probes_sent: u64,
+    /// Successor probes that failed on delivery; each began a starvation
+    /// ahead of the hungry timeout.
+    pub probes_failed: u64,
     /// Failed sends this node re-routed (token re-sent to the next
     /// successor, or a 911 vote completed without the dead voter).
     pub retransmissions_acted: u64,
@@ -86,7 +92,7 @@ pub struct SessionMetrics {
 impl SessionMetrics {
     /// `(field name, value)` view, in declaration order. Single source of
     /// truth for the JSON renderer and metric exporters.
-    pub fn fields(&self) -> [(&'static str, u64); 28] {
+    pub fn fields(&self) -> [(&'static str, u64); 30] {
         [
             ("task_switches", self.task_switches),
             ("tokens_received", self.tokens_received),
@@ -108,6 +114,8 @@ impl SessionMetrics {
             ("open_relayed", self.open_relayed),
             ("failures_detected", self.failures_detected),
             ("false_suspicions", self.false_suspicions),
+            ("probes_sent", self.probes_sent),
+            ("probes_failed", self.probes_failed),
             ("retransmissions_acted", self.retransmissions_acted),
             ("token_body_cache_hits", self.token_body_cache_hits),
             ("token_body_cache_misses", self.token_body_cache_misses),
@@ -151,6 +159,6 @@ mod tests {
         assert!(json.contains("\"safe_held_back\":2"));
         assert!(json.contains("\"retransmissions_acted\":1"));
         assert!(json.contains("\"tokens_received\":0"));
-        assert_eq!(json.matches(':').count(), 28, "all fields present once");
+        assert_eq!(json.matches(':').count(), 30, "all fields present once");
     }
 }

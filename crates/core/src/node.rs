@@ -42,6 +42,7 @@ use crate::typestate::{Role, TimerFired};
 use bytes::Bytes;
 use raincore_net::Addr;
 use raincore_net::Datagram;
+use raincore_obs::TraceKind;
 use raincore_transport::{Endpoint, PeerTable, TransportEvent};
 use raincore_types::wire::WireDecode;
 use raincore_types::{
@@ -274,6 +275,7 @@ impl SessionNode {
                 }
                 SendKind::Reply => d.tag(2),
                 SendKind::Beacon => d.tag(3),
+                SendKind::Probe => d.tag(4),
             }
         }
         self.recovery.digest_into(d);
@@ -459,6 +461,7 @@ impl SessionNode {
                 let early = self.role.hold().is_some_and(|h| h < self.cfg.token_hold);
                 self.pass_token(now, early);
             }
+            TimerFired::Probe => recovery::ask_successor(&mut cx!(self, now), &self.pass),
             TimerFired::Starve => {
                 let eat = self.recovery.starve(&mut cx!(self, now), &mut self.pass);
                 self.eat(now, eat);
@@ -520,8 +523,11 @@ impl SessionNode {
                         self.on_session_msg(now, msg);
                     }
                 }
-                TransportEvent::Delivered { msg_id, .. } => {
-                    self.inflight.remove(&msg_id);
+                TransportEvent::Delivered { msg_id, to } => {
+                    if self.inflight.remove(&msg_id) == Some(SendKind::Probe) {
+                        // Alive: stalled and woke, or keeping the lock.
+                        self.obs.trace(TraceKind::ProbeAcked { to: to.0 });
+                    }
                     self.pass.on_delivered(msg_id);
                 }
                 TransportEvent::FailureRefuted { msg_id, .. } => {
@@ -537,6 +543,9 @@ impl SessionNode {
                         Some(SendKind::Token) => self.pass.on_pass_failed(&mut cx, msg_id, to),
                         Some(SendKind::Call911 { .. }) => {
                             recovery::on_call_failed(&mut cx, &mut self.pass, to)
+                        }
+                        Some(SendKind::Probe) => {
+                            self.recovery.on_probe_failed(&mut cx, &mut self.pass, to)
                         }
                         // Verdicts and beacons are best-effort.
                         Some(SendKind::Reply) | Some(SendKind::Beacon) | None => None,
@@ -578,6 +587,8 @@ impl SessionNode {
                 self.mcast.on_bulk_nack(&mut cx, n);
                 None
             }
+            // The transport has acknowledged it; that was the answer.
+            SessionMsg::Probe => None,
         };
         self.eat(now, eat);
         // An open relay queues a multicast like any local submit.
@@ -598,6 +609,7 @@ impl SessionNode {
         let mut cx = cx!(self, now);
         cx.obs.tick(now);
         self.recovery.token_in_hand();
+        self.pass.note_accept(now);
         let mut token = self.pass.absorb_held_tbm(&mut cx, token);
         let hungry_since = cx.role.hungry_since();
         let hop = token.ring.iter().position(|n| n == cx.id).unwrap_or(0) as u64;

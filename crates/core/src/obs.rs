@@ -65,7 +65,7 @@ pub struct NodeObs {
     /// successor skipped, a lost token regenerated), one histogram per
     /// [`OutageStage`] in [`OutageStage::ALL`] order. The stages of one
     /// outage add up to the gap between deliveries it cost here.
-    pub outage_stages: [Histogram; 5],
+    pub outage_stages: [Histogram; 6],
     /// Derives the stages from the events as they are journalled.
     outage: OutageTracker,
     /// Latest time observed by the node (updated on every tick/datagram),

@@ -11,6 +11,13 @@
 //! * **Regeneration jumps the seq by copy+2** — the regenerated token
 //!   must out-rank the acceptance mark on every live node, and a node
 //!   that *sent* the lost token has its mark at `copy_seq + 1`.
+//!
+//! When starvation begins is the hungry timeout's to say — or, sooner,
+//! the successor probe's (DESIGN.md §17.3): a HUNGRY member first asks
+//! the member its last pass went to whether it is there
+//! ([`ask_successor`]), and starves at once if the transport cannot
+//! deliver the question ([`Recovery::on_probe_failed`]). The probe moves
+//! only *when*; everything that keeps a regeneration safe is below.
 
 use crate::ctx::{Ctx, SendKind};
 use crate::events::SessionEvent;
@@ -54,21 +61,25 @@ impl Recovery {
         self.req_counter
     }
 
-    /// HUNGRY past the timeout: call 911 on the membership, or — with no
-    /// membership to poll — probe the eligible list for a group to join.
+    /// HUNGRY past the timeout, or refused an answer by the member that has
+    /// the token: call 911 on the membership, or — with no membership to
+    /// poll and no copy — probe the eligible list for a group to join.
     pub(crate) fn starve(&mut self, cx: &mut Ctx<'_>, pass: &mut RingPass) -> Option<Eat> {
         cx.events.push_back(SessionEvent::Starving);
         cx.obs.starving();
-        if cx.ring.len() <= 1 {
-            // If a whole round-robin sweep (and then some) of probes has
-            // gone unanswered and we hold no token copy, every copy in
-            // the cluster may be gone — e.g. all copy holders crashed
-            // while this node was down. No 911 vote can regenerate what
-            // nobody remembers, so found a fresh singleton group instead,
-            // exactly like `StartMode::Isolated`; survivors that
-            // bootstrapped concurrently are glued back together by
-            // discovery and merge (§2.4).
-            if self.unanswered_probes >= BOOTSTRAP_PROBE_LIMIT && pass.last_copy().is_none() {
+        if cx.ring.len() <= 1 && pass.last_copy().is_none() {
+            // Nobody to poll and no copy to regenerate from: a joiner.
+            // (Alone *with* a copy — the only other member just failed a
+            // probe — is a vote with nobody to ask, below.) If a whole
+            // round-robin sweep (and then some) of probes has gone
+            // unanswered, every copy in the cluster may be gone — e.g.
+            // all copy holders crashed while this node was down. No 911
+            // vote can regenerate what nobody remembers, so found a fresh
+            // singleton group instead, exactly like
+            // `StartMode::Isolated`; survivors that bootstrapped
+            // concurrently are glued back together by discovery and
+            // merge (§2.4).
+            if self.unanswered_probes >= BOOTSTRAP_PROBE_LIMIT {
                 cx.metrics.bootstrap_foundings += 1;
                 return Some(pass.found(Ring::from_iter([cx.id])));
             }
@@ -90,6 +101,29 @@ impl Recovery {
             return regenerate(cx, pass);
         }
         None
+    }
+
+    /// The successor probe to `to` failed on delivery: a failure detection
+    /// of `to` like any other, and — `to` being where the token went — of
+    /// the token. A member still HUNGRY since that pass starves now, with
+    /// the dead member already out of the ring the ballot is drawn from.
+    pub(crate) fn on_probe_failed(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        pass: &mut RingPass,
+        to: NodeId,
+    ) -> Option<Eat> {
+        cx.metrics.probes_failed += 1;
+        cx.metrics.failures_detected += 1;
+        let eat = on_call_failed(cx, pass, to);
+        if cx.evicts_on_failure() {
+            cx.role.remove_from_held(to, cx.full_line());
+        }
+        let still_waiting = cx.role.hungry_since().is_some() && pass.probe_target() == Some(to);
+        if eat.is_none() && still_waiting {
+            return self.starve(cx, pass);
+        }
+        eat
     }
 
     /// The STARVING retry fired. Re-calling 911 while a vote is standing
@@ -138,6 +172,25 @@ impl Recovery {
         d.write_u64(self.req_counter);
         d.write_len(self.join_probe_idx);
         d.write_u32(self.unanswered_probes);
+    }
+}
+
+/// HUNGRY past the probe limit: before anyone starves, ask the member the
+/// token was passed to whether it is there. The transport's
+/// acknowledgement is the whole answer (a stalled holder that woke, or
+/// one keeping the master lock, acknowledges; a dead one cannot), so the
+/// message is a header and the receiver does nothing. The next is due a
+/// probe interval from now either way, and that interval is two give-ups
+/// at least: this one is answered or failed by then.
+pub(crate) fn ask_successor(cx: &mut Ctx<'_>, pass: &RingPass) {
+    cx.role.probe_asked(cx.now);
+    let Some(to) = pass.probe_target() else {
+        return; // the pass is still in flight: its retries are the probe
+    };
+    let probe = SessionMsg::Probe.encode_to_bytes();
+    if cx.send_tracked(to, probe, SendKind::Probe).is_ok() {
+        cx.metrics.probes_sent += 1;
+        cx.obs.trace(TraceKind::ProbeTx { to: to.0 });
     }
 }
 

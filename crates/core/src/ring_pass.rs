@@ -25,7 +25,8 @@ use crate::events::SessionEvent;
 use bytes::Bytes;
 use raincore_obs::TraceKind;
 use raincore_types::{
-    DigestInto, GroupId, MsgId, NodeId, Ring, StateDigest, Token, TokenEncoder, TraceCtx,
+    DigestInto, Duration, GroupId, MsgId, NodeId, Ring, StateDigest, Time, Token, TokenEncoder,
+    TraceCtx,
 };
 
 /// A token this node must now accept. Every ring-pass and recovery path
@@ -38,7 +39,40 @@ pub(crate) struct Eat(pub(crate) Token);
 #[derive(Debug)]
 struct Forwarding {
     msg_id: MsgId,
+    to: NodeId,
     token: Token,
+}
+
+/// Accept-to-accept intervals a member must have seen before its rotation
+/// estimate times anything.
+const ROTATIONS_SEEN: u32 = 4;
+
+/// This member's accept-to-accept interval, smoothed with gain 1/8.
+#[derive(Debug, Default)]
+struct Rotation {
+    last_accept: Option<Time>,
+    ewma_ns: u64,
+    seen: u32,
+}
+
+impl Rotation {
+    fn on_accept(&mut self, now: Time) {
+        if let Some(prev) = self.last_accept.replace(now) {
+            let sample = now.since(prev).as_nanos();
+            self.ewma_ns = match self.seen {
+                0 => sample,
+                _ => self.ewma_ns - self.ewma_ns / 8 + sample / 8,
+            };
+            self.seen = self.seen.saturating_add(1);
+        }
+    }
+
+    /// The estimate, rounded up to the 1 ms grid the drivers' timers run
+    /// on, once [`ROTATIONS_SEEN`] intervals went into it.
+    fn estimate(&self) -> Option<Duration> {
+        (self.seen >= ROTATIONS_SEEN)
+            .then(|| Duration::from_millis(self.ewma_ns.div_ceil(1_000_000)))
+    }
 }
 
 /// One more hop: the next sequence number under the same circulation.
@@ -95,6 +129,10 @@ pub(crate) struct RingPass {
     last_seen_seq: u64,
     /// Token currently in flight to a successor, until acknowledged.
     forwarding: Option<Forwarding>,
+    /// The member our last *acknowledged* pass went to: the one a HUNGRY
+    /// node asks before it starves ([`RingPass::probe_target`]).
+    passed_to: Option<NodeId>,
+    rotation: Rotation,
     /// Patch-per-hop token wire encoder: pooled scratch buffer + cached
     /// body, so quiescent hops re-encode only the seq header.
     codec: TokenEncoder,
@@ -122,6 +160,33 @@ impl RingPass {
     /// Is a pass still waiting for its acknowledgement?
     pub(crate) fn is_forwarding(&self) -> bool {
         self.forwarding.is_some()
+    }
+
+    /// A token is being eaten at `now`: one more accept-to-accept
+    /// interval for the rotation estimate.
+    pub(crate) fn note_accept(&mut self, now: Time) {
+        self.rotation.on_accept(now);
+    }
+
+    /// Whom a HUNGRY node asks whether the token is merely late: the
+    /// member that acknowledged our last pass — unless a pass is still in
+    /// flight, whose own retransmissions are the question.
+    pub(crate) fn probe_target(&self) -> Option<NodeId> {
+        self.passed_to.filter(|_| !self.is_forwarding())
+    }
+
+    /// How long a hunger that begins with a pass to `to` may last before
+    /// `to` is asked if it is there (DESIGN.md §17.3): four rotations and
+    /// two of the transport's give-up budgets for that peer, both as
+    /// measured now. `None` — the hungry timeout is all there is — until
+    /// four rotation intervals have been seen, where that sum is no
+    /// shorter than the hungry timeout, and where a failure evicts
+    /// nobody.
+    fn probe_after(&self, cx: &Ctx<'_>, to: NodeId) -> Option<Duration> {
+        let rotations = self.rotation.estimate()?.saturating_mul(4);
+        let give_ups = cx.transport.give_up_budget(to).saturating_mul(2);
+        let limit = Duration(rotations.as_nanos().saturating_add(give_ups.as_nanos()));
+        (limit < cx.cfg.hungry_timeout && cx.evicts_on_failure()).then_some(limit)
     }
 
     fn install_copy(&mut self, token: &Token) {
@@ -301,9 +366,9 @@ impl RingPass {
                 // Stage b5: the hop is complete — emit its span under the
                 // outgoing header (hop seq as sent).
                 cx.obs.hop_sent(token.trace);
-                self.forwarding = Some(Forwarding { msg_id, token });
+                self.forwarding = Some(Forwarding { msg_id, to, token });
                 cx.metrics.tokens_sent += 1;
-                cx.role.rearm_hungry(cx.now);
+                cx.role.rearm_hungry(cx.now, self.probe_after(cx, to));
                 None
             }
             Err(_) => {
@@ -359,8 +424,8 @@ impl RingPass {
 
     /// The transport acknowledged `msg_id`.
     pub(crate) fn on_delivered(&mut self, msg_id: MsgId) {
-        if self.forwarding.as_ref().is_some_and(|f| f.msg_id == msg_id) {
-            self.forwarding = None;
+        if let Some(f) = self.forwarding.take_if(|f| f.msg_id == msg_id) {
+            self.passed_to = Some(f.to);
         }
     }
 
@@ -419,6 +484,15 @@ impl RingPass {
         d.opt(self.forwarding.as_ref(), |d, f| {
             d.write_u64(f.msg_id.0);
             f.token.digest_into(d);
+        });
+        // The rotation estimate enters as the term it arms, on the 1 ms
+        // grid and only once it arms one: two states whose estimates
+        // differ below that arm the same probes until further rotations
+        // tell them apart, and are merged (as the armed timeouts are,
+        // DESIGN.md §17.5). `passed_to` acts with it or not at all.
+        d.opt(self.rotation.estimate(), |d, rotation| {
+            d.write_u64(rotation.as_millis());
+            d.opt_node(self.passed_to);
         });
         d.opt(self.held_tbm.as_ref(), |d, t| t.digest_into(d));
         // Join order matters (it is the ring insertion order), so digest

@@ -74,6 +74,17 @@ struct Vote911 {
 #[derive(Debug)]
 pub struct Hungry {
     since: Time,
+    /// When to ask the member the token was passed to whether it is
+    /// there, and how long after one question the next is due. Worked out
+    /// once, by the pass that made the node hungry; `None` where no pass
+    /// did, or none that knew its limit.
+    probe: Option<(Time, Duration)>,
+}
+
+impl Hungry {
+    fn new(since: Time) -> Hungry {
+        Hungry { since, probe: None }
+    }
 }
 
 /// EATING: the node holds the token (§2.2).
@@ -145,6 +156,8 @@ pub enum VoteProgress {
 pub enum TimerFired {
     /// EATING past the token-hold deadline: pass the token.
     PassToken,
+    /// HUNGRY past the probe limit: ask the successor if it is there.
+    Probe,
     /// HUNGRY past the hungry timeout: enter STARVING.
     Starve,
     /// STARVING past the retry deadline: re-call 911.
@@ -257,7 +270,7 @@ impl Eating {
     /// EATING → HUNGRY: hand the token out for forwarding. This is the
     /// *only* way to obtain the token for a send — no other state has it.
     pub fn pass(self, now: Time) -> (Token, Hungry) {
-        (self.token, Hungry { since: now })
+        (self.token, Hungry::new(now))
     }
 
     /// EATING → DOWN: shutdown surrenders the held token so the caller
@@ -308,7 +321,7 @@ impl Starving {
     /// regenerates the token without the dead voters.
     pub fn win(self, now: Time) -> (Vec<NodeId>, Hungry) {
         let excluded = self.vote.map(|v| v.excluded).unwrap_or_default();
-        (excluded, Hungry { since: now })
+        (excluded, Hungry::new(now))
     }
 
     /// STARVING → DOWN.
@@ -346,7 +359,7 @@ impl ProtocolState for Starving {
                 // Someone has a newer copy or the token itself; it (or
                 // its holder) will keep the ring alive. Back to HUNGRY
                 // with a fresh timeout.
-                (Role::from(Hungry { since: now }), VerdictOutcome::Denied)
+                (Role::from(Hungry::new(now)), VerdictOutcome::Denied)
             }
             _ => (Role::from(self), VerdictOutcome::Ignored),
         }
@@ -451,7 +464,7 @@ impl From<Down> for Role {
 impl Role {
     /// A fresh HUNGRY role (the initial state of every node).
     pub fn hungry(now: Time) -> Role {
-        Role::from(Hungry { since: now })
+        Role::from(Hungry::new(now))
     }
 
     fn inner(&self) -> &RoleInner {
@@ -523,6 +536,8 @@ impl Role {
             RoleInner::Hungry(s) => {
                 if now.since(s.since()) >= hungry_timeout {
                     TimerFired::Starve
+                } else if s.probe.is_some_and(|(due, _)| now >= due) {
+                    TimerFired::Probe
                 } else {
                     TimerFired::Idle
                 }
@@ -542,7 +557,10 @@ impl Role {
     pub fn next_deadline(&self, hungry_timeout: Duration, master_held: bool) -> Option<Time> {
         match self.inner() {
             RoleInner::Eating(s) => (!master_held).then(|| s.deadline()),
-            RoleInner::Hungry(s) => Some(s.since() + hungry_timeout),
+            RoleInner::Hungry(s) => {
+                let starve = s.since() + hungry_timeout;
+                Some(s.probe.map_or(starve, |(due, _)| due.min(starve)))
+            }
             RoleInner::Starving(s) => Some(s.retry_at()),
             RoleInner::Down(_) => None,
         }
@@ -623,9 +641,25 @@ impl Role {
     /// Re-arms HUNGRY with a fresh `since`. Used after handing the token
     /// to the transport (the pass is in flight) and on the
     /// failure-on-delivery resend path, where a node that had already
-    /// moved to STARVING reclaims forwarding responsibility.
-    pub fn rearm_hungry(&mut self, now: Time) {
-        self.step(|_| (Role::hungry(now), ()));
+    /// moved to STARVING reclaims forwarding responsibility. `probe_after`
+    /// is how long this hunger may last before the successor is asked
+    /// whether it is there ([`TimerFired::Probe`]), and again that long
+    /// after each question; `None` leaves the hungry timeout alone.
+    pub fn rearm_hungry(&mut self, now: Time, probe_after: Option<Duration>) {
+        let probe = probe_after.map(|every| (now + every, every));
+        self.step(|_| (Role::from(Hungry { since: now, probe }), ()));
+    }
+
+    /// The probe timer fired and was acted on: the next question is due a
+    /// probe interval from `now`.
+    pub fn probe_asked(&mut self, now: Time) {
+        if let RoleInner::Hungry(Hungry {
+            probe: Some((due, every)),
+            ..
+        }) = &mut self.inner
+        {
+            *due = now + *every;
+        }
     }
 
     /// HUNGRY/STARVING → STARVING with no vote (join probing).
@@ -767,6 +801,10 @@ impl Role {
             RoleInner::Hungry(s) => {
                 d.tag(0);
                 d.time_rel(s.since, now);
+                d.opt(s.probe, |d, (due, every)| {
+                    d.deadline_rel(due, now);
+                    d.write_u64(every.as_nanos());
+                });
             }
             RoleInner::Eating(s) => {
                 d.tag(1);
@@ -948,6 +986,40 @@ mod tests {
         r.begin_starving_probe(Time(50));
         assert_eq!(r.timer(Time(49), ht, false), TimerFired::Idle);
         assert_eq!(r.timer(Time(50), ht, false), TimerFired::Retry911);
+    }
+
+    #[test]
+    fn probe_timer_asks_before_the_hungry_timeout_and_re_arms() {
+        let ht = Duration(100);
+        let mut r = Role::hungry(Time(0));
+        assert_eq!(r.next_deadline(ht, false), Some(Time(100)), "no pass yet");
+        r.rearm_hungry(Time(10), Some(Duration(30)));
+        assert_eq!(r.hungry_since(), Some(Time(10)));
+        assert_eq!(r.next_deadline(ht, false), Some(Time(40)));
+        assert_eq!(r.timer(Time(39), ht, false), TimerFired::Idle);
+        assert_eq!(r.timer(Time(40), ht, false), TimerFired::Probe);
+        r.probe_asked(Time(41));
+        assert_eq!(r.timer(Time(41), ht, false), TimerFired::Idle);
+        assert_eq!(r.next_deadline(ht, false), Some(Time(71)));
+        r.probe_asked(Time(71));
+        assert_eq!(
+            r.next_deadline(ht, false),
+            Some(Time(101)),
+            "the probe re-arms; the hunger does not"
+        );
+        r.probe_asked(Time(101));
+        assert_eq!(r.next_deadline(ht, false), Some(Time(110)), "the backstop");
+        assert_eq!(r.timer(Time(131), ht, false), TimerFired::Starve);
+        // A denied vote, a won one and a fresh start arm no probe.
+        r.begin_starving_vote(1, BTreeSet::from([NodeId(1)]), Time(200));
+        let _ = r.on_verdict(NodeId(1), 1, &Verdict911::Deny { newer_seq: 2 }, Time(140));
+        assert_eq!(r.next_deadline(ht, false), Some(Time(240)));
+        r.probe_asked(Time(150));
+        assert_eq!(
+            r.next_deadline(ht, false),
+            Some(Time(240)),
+            "nothing to re-arm"
+        );
     }
 
     #[test]

@@ -8,14 +8,19 @@
 //! and its own journal holds every mark of the span:
 //!
 //! ```text
-//! last delivery ─quiet─▶ suspect ─detect─▶ failed / starving ─vote─▶
-//!     votes in ─repair─▶ skipped / regenerated ─resume─▶ first delivery
+//! last delivery ─quiet─▶ suspect ─wait─▶ probe sent ─detect─▶ failed /
+//!     starving ─vote─▶ votes in ─repair─▶ skipped / regenerated
+//!     ─resume─▶ first delivery
 //! ```
 //!
 //! *Suspect* is the pass that was never acknowledged (skip) or the moment
-//! this member last let go of the token (regeneration). The journal has
-//! no retransmission event, so `detect` is not split further here; its
-//! parts are the armed timeouts of `raincore_transport_rto_ns`.
+//! this member last let go of the token (regeneration). *Wait* is the
+//! hunger before the successor probe that failed went out; it is zero
+//! when the pass itself failed, and when the starvation was the
+//! `hungry_timeout` backstop's (no probe in flight), which is all
+//! `detect`. The journal has no retransmission event, so `detect` is not
+//! split further here; its parts are the armed timeouts of
+//! `raincore_transport_rto_ns`.
 //!
 //! [`OutageTracker`] is fed one node's events in journal order — live, by
 //! the node's observability side-car, or after the fact, by `tracectl
@@ -30,8 +35,11 @@ use crate::trace::{TraceEvent, TraceKind};
 pub enum OutageStage {
     /// Last delivery → suspect: the ring still turning, or already idle.
     Quiet,
-    /// Suspect → failure-on-delivery (skip) or STARVING (regeneration):
-    /// the detection timers.
+    /// Suspect → the successor probe that was to fail went out. Zero
+    /// when no probe was in flight at the verdict.
+    Wait,
+    /// Probe sent (or suspect) → failure-on-delivery (skip, failed probe)
+    /// or STARVING (the backstop): the detection timers.
     Detect,
     /// STARVING → the last 911 verdict or failed voter is in. Zero when
     /// the successor was skipped.
@@ -45,8 +53,9 @@ pub enum OutageStage {
 
 impl OutageStage {
     /// Every stage, in order.
-    pub const ALL: [OutageStage; 5] = [
+    pub const ALL: [OutageStage; 6] = [
         OutageStage::Quiet,
+        OutageStage::Wait,
         OutageStage::Detect,
         OutageStage::Vote,
         OutageStage::Repair,
@@ -57,6 +66,7 @@ impl OutageStage {
     pub fn label(&self) -> &'static str {
         match self {
             OutageStage::Quiet => "quiet",
+            OutageStage::Wait => "wait",
             OutageStage::Detect => "detect",
             OutageStage::Vote => "vote",
             OutageStage::Repair => "repair",
@@ -85,7 +95,7 @@ pub struct OutageRow {
     pub mode: OutageMode,
     /// Nanoseconds per stage, indexed like [`OutageStage::ALL`]; they add
     /// up to the gap between the two deliveries.
-    pub stages: [u64; 5],
+    pub stages: [u64; 6],
 }
 
 impl OutageRow {
@@ -100,6 +110,7 @@ struct Open {
     mode: OutageMode,
     began: u64,
     suspect: u64,
+    probed: u64,
     detected: u64,
     votes_in: u64,
     repaired: Option<u64>,
@@ -111,6 +122,8 @@ pub struct OutageTracker {
     last_delivery: Option<u64>,
     /// The pass in flight: when, and to whom.
     last_tx: Option<(u64, u32)>,
+    /// The successor probe in flight: when it went out.
+    probe: Option<u64>,
     open: Option<Open>,
 }
 
@@ -129,7 +142,8 @@ impl OutageTracker {
                         mode: o.mode,
                         stages: [
                             d(o.began, o.suspect),
-                            d(o.suspect, o.detected),
+                            d(o.suspect, o.probed),
+                            d(o.probed, o.detected),
                             d(o.detected, o.votes_in),
                             d(o.votes_in, repaired),
                             d(repaired, t),
@@ -146,10 +160,23 @@ impl OutageTracker {
                     }
                 }
                 self.last_tx = Some((t, to));
+                self.probe = None;
+                None
+            }
+            TraceKind::ProbeTx { .. } => {
+                self.probe = Some(t);
+                None
+            }
+            TraceKind::ProbeAcked { .. } => {
+                self.probe = None;
                 None
             }
             TraceKind::PeerFailed { peer } => {
                 match (&mut self.open, self.last_tx) {
+                    // The probe failing, not a pass (an acknowledged
+                    // pass cannot): the starvation it sets off in the
+                    // same instant opens the row.
+                    (None, _) if self.probe.is_some() => {}
                     // A voter is unreachable: one fewer to wait for.
                     (Some(o), _) if o.mode == OutageMode::Regen && o.repaired.is_none() => {
                         o.votes_in = t;
@@ -159,6 +186,7 @@ impl OutageTracker {
                             mode: OutageMode::Skip,
                             began: self.last_delivery.unwrap_or(sent).min(sent),
                             suspect: sent,
+                            probed: sent,
                             detected: t,
                             votes_in: t,
                             repaired: None,
@@ -175,6 +203,7 @@ impl OutageTracker {
                         mode: OutageMode::Regen,
                         began: self.last_delivery.unwrap_or(suspect).min(suspect),
                         suspect,
+                        probed: self.probe.take().map_or(suspect, |p| p.max(suspect)),
                         detected: t,
                         votes_in: t,
                         repaired: None,
@@ -204,6 +233,7 @@ impl OutageTracker {
                 if self.open.is_some_and(|o| o.repaired.is_none()) {
                     self.open = None;
                 }
+                self.probe = None;
                 None
             }
             TraceKind::TokenStale { .. }
@@ -312,7 +342,7 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let r = rows[0];
         assert_eq!((r.node, r.mode), (2, OutageMode::Skip));
-        assert_eq!(r.stages.map(|ns| ns / 1_000_000), [2, 35, 0, 0, 8]);
+        assert_eq!(r.stages.map(|ns| ns / 1_000_000), [2, 0, 35, 0, 0, 8]);
         assert_eq!(r.total_ns(), 45_000_000, "the gap between deliveries");
     }
 
@@ -339,12 +369,64 @@ mod tests {
         assert_eq!(rows[0].mode, OutageMode::Regen);
         assert_eq!(
             rows[0].stages.map(|ns| ns / 1_000_000),
-            [1, 102, 35, 0, 8],
-            "quiet, hungry timeout, the dead voter's give-up, regen, resume"
+            [1, 0, 102, 35, 0, 8],
+            "quiet, no probe, hungry timeout, the dead voter's give-up, regen, resume"
         );
         let table = render_outages(&rows);
         assert!(table.lines().next().unwrap().contains("detect_ms"));
         assert!(table.lines().nth(1).unwrap().starts_with("n2"));
+    }
+
+    #[test]
+    fn failed_probe_splits_the_hunger_into_wait_and_detect() {
+        let events = [
+            ev(10, delivered()),
+            ev(11, TraceKind::TokenTx { seq: 4, to: 3 }),
+            // A first probe is answered: the holder was busy, not dead.
+            ev(60, TraceKind::ProbeTx { to: 3 }),
+            ev(61, TraceKind::ProbeAcked { to: 3 }),
+            ev(109, TraceKind::ProbeTx { to: 3 }),
+            ev(157, TraceKind::PeerFailed { peer: 3 }),
+            ev(157, TraceKind::CauseStarving { circ: 0, hop: 0 }),
+            ev(
+                158,
+                TraceKind::Verdict911Rx {
+                    from: 0,
+                    granted: true,
+                },
+            ),
+            ev(158, TraceKind::TokenRegenerated { seq: 7 }),
+            ev(159, TraceKind::TokenTx { seq: 8, to: 0 }),
+            ev(166, delivered()),
+        ];
+        let rows = outages(&events);
+        assert_eq!(rows.len(), 1, "the failed probe opens no skip row");
+        assert_eq!(rows[0].mode, OutageMode::Regen);
+        assert_eq!(
+            rows[0].stages.map(|ns| ns / 1_000_000),
+            [1, 98, 48, 1, 0, 8],
+            "quiet, wait, the probe's give-up, a vote nobody dead sits in, regen, resume"
+        );
+        assert_eq!(rows[0].total_ns(), 156_000_000);
+        assert!(render_outages(&rows).contains("wait_ms"));
+    }
+
+    #[test]
+    fn an_answered_probe_leaves_the_backstop_all_detect() {
+        let events = [
+            ev(10, delivered()),
+            ev(11, TraceKind::TokenTx { seq: 4, to: 3 }),
+            ev(60, TraceKind::ProbeTx { to: 3 }),
+            ev(61, TraceKind::ProbeAcked { to: 3 }),
+            ev(411, TraceKind::CauseStarving { circ: 0, hop: 0 }),
+            ev(412, TraceKind::TokenRegenerated { seq: 7 }),
+            ev(420, delivered()),
+        ];
+        let rows = outages(&events);
+        assert_eq!(
+            rows[0].stages.map(|ns| ns / 1_000_000),
+            [1, 0, 400, 0, 1, 8]
+        );
     }
 
     #[test]

@@ -520,6 +520,12 @@ pub fn parse_journal_json(input: &str) -> Result<Vec<TraceEvent>, JsonError> {
             "PEER_FAILED" => TraceKind::PeerFailed {
                 peer: field_u32(item, "peer", i)?,
             },
+            "PROBE_TX" => TraceKind::ProbeTx {
+                to: field_u32(item, "to", i)?,
+            },
+            "PROBE_ACKED" => TraceKind::ProbeAcked {
+                to: field_u32(item, "to", i)?,
+            },
             "SHUTDOWN" => TraceKind::ShutDown,
             "HOP_SPAN" => TraceKind::HopSpan {
                 circ: field_u64(item, "circ", i)?,

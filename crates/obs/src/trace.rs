@@ -79,6 +79,11 @@ pub enum TraceKind {
     AtomicRetired { seq: u64 },
     /// Transport reported failure-on-delivery for `peer`.
     PeerFailed { peer: u32 },
+    /// HUNGRY past the probe limit: asked `to`, the member our last
+    /// acknowledged pass went to, whether it is there.
+    ProbeTx { to: u32 },
+    /// `to` acknowledged the probe: alive, the token merely late.
+    ProbeAcked { to: u32 },
     /// Node shut down.
     ShutDown,
     /// One complete token hop as a cross-node span: the wire-level trace
@@ -150,6 +155,8 @@ impl TraceKind {
             TraceKind::SafeHeld { .. } => "SAFE_HELD",
             TraceKind::AtomicRetired { .. } => "ATOMIC",
             TraceKind::PeerFailed { .. } => "PEER_FAILED",
+            TraceKind::ProbeTx { .. } => "PROBE_TX",
+            TraceKind::ProbeAcked { .. } => "PROBE_ACKED",
             TraceKind::ShutDown => "SHUTDOWN",
             TraceKind::HopSpan { .. } => "HOP_SPAN",
             TraceKind::EarlyPass { .. } => "EARLY_PASS",
@@ -218,6 +225,7 @@ impl TraceKind {
             TraceKind::SafeHeld { origin, seq } => format!("origin=n{origin} seq={seq}"),
             TraceKind::AtomicRetired { seq } => format!("seq={seq}"),
             TraceKind::PeerFailed { peer } => format!("peer=n{peer}"),
+            TraceKind::ProbeTx { to } | TraceKind::ProbeAcked { to } => format!("to=n{to}"),
             TraceKind::ShutDown => String::new(),
             TraceKind::HopSpan {
                 circ,
@@ -322,6 +330,7 @@ impl TraceKind {
             TraceKind::SafeHeld { origin, seq } => format!("\"origin\":{origin},\"seq\":{seq}"),
             TraceKind::AtomicRetired { seq } => format!("\"seq\":{seq}"),
             TraceKind::PeerFailed { peer } => format!("\"peer\":{peer}"),
+            TraceKind::ProbeTx { to } | TraceKind::ProbeAcked { to } => format!("\"to\":{to}"),
             TraceKind::ShutDown => String::new(),
             TraceKind::HopSpan {
                 circ,

@@ -154,6 +154,8 @@ fn journal_json_round_trip_equals_journal() {
         TraceKind::SafeHeld { origin: 4, seq: 18 },
         TraceKind::AtomicRetired { seq: 6 },
         TraceKind::PeerFailed { peer: 5 },
+        TraceKind::ProbeTx { to: 5 },
+        TraceKind::ProbeAcked { to: 5 },
         TraceKind::ShutDown,
     ];
     for (i, kind) in all_kinds.iter().enumerate() {

@@ -13,14 +13,15 @@
 //!   bootstrap schedule (sim regression `@712 crash n3 ... @1990 heal`)
 //!   on real sockets.
 //! * `--gate` — the bounded CI smoke: a short lossy soak with a
-//!   crash/restart plus a small differential run.
+//!   crash/restart, two small differential runs, and the holder case (the
+//!   member holding the token stalled, then killed).
 //! * `--child` / `--probe` — internal (child process body; spawn probe).
 //!
 //! Exit codes: `0` pass, `1` violation or divergence, `2` usage error,
 //! `77` subprocess spawning forbidden by the environment (skip).
 
 use raincore_procher::child::{run_child, ChildArgs, StartKind};
-use raincore_procher::cluster::{run_cluster, ProcConfig, Scenario};
+use raincore_procher::cluster::{run_cluster, run_holder_case, ProcConfig, Scenario};
 use raincore_procher::differential::{run_differential, DiffConfig};
 use raincore_sim::ChaosEvent;
 use raincore_types::NodeId;
@@ -157,7 +158,8 @@ fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent], pinned: bool) -> Resul
     let report = run_cluster(cfg, schedule).map_err(|e| e.to_string())?;
     println!(
         "procher: nodes={} seed={} ticks_run={} faults={} exports={} regenerations={} \
-         proxy(forwarded={} dropped_loss={} dropped_bulk={} dropped_blocked={} dup={} delayed={})",
+         proxy(forwarded={} dropped_loss={} dropped_bulk={} dropped_blocked={} dup={} delayed={} \
+         stalled={})",
         cfg.nodes,
         cfg.seed,
         report.ticks_run,
@@ -170,6 +172,7 @@ fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent], pinned: bool) -> Resul
         report.proxy.dropped_blocked,
         report.proxy.duplicated,
         report.proxy.delayed,
+        report.proxy.stalled,
     );
     if report.restarts_skipped > 0 {
         println!(
@@ -225,6 +228,51 @@ fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
     }
     println!("artifacts: {}", cfg.out_dir.display());
     Ok(false)
+}
+
+/// The holder case (DESIGN.md §17.5) and its verdict: a member that is
+/// kept off the CPU for 100 ms while it holds the token raises no alarm
+/// anywhere, and when it dies holding it the token is regenerated, by
+/// its predecessor alone, inside 300 ms of that member's own clock —
+/// the successor probe at work, where `hungry_timeout` is 400 ms.
+fn holder_report(cfg: &ProcConfig) -> Result<bool, String> {
+    use raincore_obs::OutageMode;
+    let stall = std::time::Duration::from_millis(100);
+    let report = run_holder_case(cfg, NodeId(2), stall).map_err(|e| e.to_string())?;
+    // Let-go to regenerated: every stage but the deliveries either side.
+    let repaired_ms = |stages: &[u64; 6]| stages[1..5].iter().sum::<u64>() as f64 / 1e6;
+    let rows: Vec<String> = report
+        .outages
+        .iter()
+        .map(|r| format!("n{} {:?} {:.1} ms", r.node, r.mode, repaired_ms(&r.stages)))
+        .collect();
+    println!(
+        "holder: nodes={} alarms_after_stall={} outages=[{}] callers={} regenerations={} \
+         false_suspicions={} probes_sent={}",
+        cfg.nodes,
+        report.alarms_after_stall,
+        rows.join(", "),
+        report.callers,
+        report.regenerations,
+        report.false_suspicions,
+        report.probes_sent,
+    );
+    let repaired = matches!(&report.outages[..],
+        [r] if r.mode == OutageMode::Regen && repaired_ms(&r.stages) < 300.0);
+    let ok = report.alarms_after_stall == 0
+        && repaired
+        && (
+            report.callers,
+            report.regenerations,
+            report.false_suspicions,
+        ) == (1, 1, 0);
+    if ok {
+        println!("ok: the stall evicted nobody, the crash was repaired by one caller");
+    } else {
+        println!("FAILED: holder case");
+        println!("artifacts: {}", cfg.out_dir.display());
+    }
+    Ok(ok)
 }
 
 /// The pinned total-copy-loss bootstrap schedule — the sim regression
@@ -300,10 +348,15 @@ fn gate() -> Result<bool, String> {
         period_ms: 30,
         bulk_threshold: 512,
         out_dir: default_out_dir("gate-bulk-diff"),
-        child_exe: exe,
+        child_exe: exe.clone(),
     };
     let bulk_ok = diff_report(&bulk_diff)?;
-    Ok(soak_ok && diff_ok && bulk_ok)
+    // Leg 4: the holder of the token stalled, then killed, under load.
+    let mut holder = ProcConfig::new(exe, default_out_dir("gate-holder"));
+    holder.workload_count = 600;
+    holder.workload_period_ms = 5;
+    let holder_ok = holder_report(&holder)?;
+    Ok(soak_ok && diff_ok && bulk_ok && holder_ok)
 }
 
 fn main() -> ExitCode {

@@ -11,7 +11,10 @@
 //!   `export_ms`: metrics snapshot, trace journal and the unbounded
 //!   delivery log (see [`crate::export`]);
 //! * **the ctl file** — the parent writes `leave` to request a graceful
-//!   leave; crashes are injected by killing the process outright.
+//!   leave; crashes are injected by killing the process outright. Two
+//!   more words are aimed at the token ([`HolderCmd`]): `stall <ms>` takes
+//!   the node's driver thread off the CPU the next time it holds the
+//!   token, `die` ends the process there.
 //!
 //! The child also drives the workload: `workload_count` agreed multicasts
 //! paced `workload_period_ms` apart, retried under token backpressure so
@@ -97,6 +100,49 @@ pub fn workload_payload(node: NodeId, j: u32, bulk_threshold: usize) -> bytes::B
     bytes::Bytes::from(body)
 }
 
+/// A ctl word carried out the next time the node is EATING, halfway
+/// through its hold — the pass that fed it is acknowledged by then, so
+/// what its peers see is a holder gone quiet, not a pass that failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HolderCmd {
+    /// The driver thread sleeps this long: a host that does not run it.
+    Stall(Duration),
+    /// The process exits: the token dies with its holder.
+    Die,
+}
+
+impl std::str::FromStr for HolderCmd {
+    type Err = ();
+    fn from_str(s: &str) -> Result<HolderCmd, ()> {
+        let mut words = s.split_whitespace();
+        match (words.next(), words.next()) {
+            (Some("stall"), Some(ms)) => {
+                let ms = ms.parse().map_err(|_| ())?;
+                Ok(HolderCmd::Stall(Duration::from_millis(ms)))
+            }
+            (Some("die"), None) => Ok(HolderCmd::Die),
+            _ => Err(()),
+        }
+    }
+}
+
+/// Carries `cmd` out on the driver thread; false if the node is not the
+/// holder right now (the caller tries again).
+fn try_holder_cmd(rt: &RuntimeNode, cmd: HolderCmd) -> bool {
+    let done = rt.with_app(move |_: &mut (), node: &mut SessionNode, now| {
+        let halfway = now + node.config().token_hold.div(2);
+        if !node.is_eating() || node.next_wakeup().is_none_or(|w| w > halfway) {
+            return false;
+        }
+        match cmd {
+            HolderCmd::Stall(length) => std::thread::sleep(length),
+            HolderCmd::Die => std::process::exit(3),
+        }
+        true
+    });
+    done != Some(false)
+}
+
 fn io_err(e: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::other(e.to_string())
 }
@@ -157,6 +203,9 @@ pub fn run_child(args: &ChildArgs) -> std::io::Result<i32> {
     let mut next_send = started + workload_period;
     let mut sent = 0u32;
     let mut ctl_check = Instant::now();
+    // The ctl text last acted on, and the holder command still to do.
+    let mut ctl_seen = String::new();
+    let mut holder_cmd: Option<HolderCmd> = None;
 
     let drain = |rt: &RuntimeNode, deliveries: &mut Vec<(NodeId, OriginSeq)>| {
         while let Some(ev) = rt.try_recv_event() {
@@ -219,12 +268,18 @@ pub fn run_child(args: &ChildArgs) -> std::io::Result<i32> {
             next_export += export_period;
         }
 
+        if holder_cmd.is_some_and(|cmd| try_holder_cmd(&rt, cmd)) {
+            holder_cmd = None;
+        }
+
         if ctl_check.elapsed() >= Duration::from_millis(20) {
             ctl_check = Instant::now();
-            let leave_requested = std::fs::read_to_string(&args.ctl_path)
-                .map(|s| s.contains("leave"))
-                .unwrap_or(false);
-            if leave_requested {
+            let ctl = std::fs::read_to_string(&args.ctl_path).unwrap_or_default();
+            if ctl != ctl_seen {
+                holder_cmd = ctl.parse().ok().or(holder_cmd);
+                ctl_seen.clone_from(&ctl);
+            }
+            if ctl.contains("leave") {
                 let final_dump = rt.obs_dump().or(last_dump);
                 rt.leave();
                 let deadline = Instant::now() + Duration::from_secs(3);

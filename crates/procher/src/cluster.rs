@@ -19,7 +19,7 @@
 //! | `partition ...`       | group-based cut in the proxy                |
 //! | `heal`                | clear cuts + partition (unplugs persist)    |
 //! | `dup/reorder/jitter/bulk-loss` | proxy injection dials              |
-//! | `delay-spike`         | nothing: the proxy has no one-shot stall    |
+//! | `delay-spike`         | one-shot proxy stall of the next datagram's sender (a node stands in for the simulator's link) |
 //!
 //! Safety auditors quantified over a single instant (token uniqueness,
 //! unique 911 winner) are deliberately *not* run here: per-node exports
@@ -160,7 +160,27 @@ struct Harness<'a> {
     started: Instant,
 }
 
-impl Harness<'_> {
+impl<'a> Harness<'a> {
+    /// Binds the proxy and spawns every member of `cfg`'s cluster.
+    fn launch(cfg: &'a ProcConfig, start: StartKind) -> std::io::Result<Harness<'a>> {
+        std::fs::create_dir_all(&cfg.out_dir)?;
+        let ids: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
+        let proxy = LossProxy::bind(&ids, cfg.seed)?;
+        proxy.set_dials(cfg.dials);
+        let mut h = Harness {
+            cfg,
+            proxy,
+            children: BTreeMap::new(),
+            cache: HashMap::new(),
+            exports_parsed: 0,
+            started: Instant::now(),
+        };
+        for id in ids {
+            h.spawn_child(id, 0, start)?;
+        }
+        Ok(h)
+    }
+
     fn export_path(&self, id: NodeId) -> PathBuf {
         self.cfg.out_dir.join(format!("node-{}.export", id.0))
     }
@@ -274,9 +294,7 @@ impl Harness<'_> {
                 dials.bulk_drop_permille = *p;
                 self.proxy.set_dials(*dials);
             }
-            // Simulator-only: the proxy has no one-shot stall, and no
-            // schedule generated for real sockets carries one.
-            ChaosFault::DelaySpike(_) => {}
+            ChaosFault::DelaySpike(us) => self.proxy.stall_next(Duration::from_micros(*us)),
         }
         Ok(())
     }
@@ -364,6 +382,85 @@ impl Drop for Harness<'_> {
     }
 }
 
+/// What [`run_holder_case`] read from the children's exports.
+#[derive(Debug)]
+pub struct HolderReport {
+    /// Membership changes, 911 calls and failed sends any member had
+    /// recorded after the holder's stall and before its crash.
+    pub alarms_after_stall: u64,
+    /// Every outage a survivor repaired after the crash.
+    pub outages: Vec<raincore_obs::OutageRow>,
+    /// Survivors that called 911.
+    pub callers: usize,
+    /// Tokens the survivors regenerated.
+    pub regenerations: u64,
+    /// Verdicts of theirs a late acknowledgement refuted.
+    pub false_suspicions: u64,
+    /// Successor probes they sent.
+    pub probes_sent: u64,
+}
+
+/// The holder case (DESIGN.md §17.5): a founding cluster under load whose
+/// member `victim` is first kept off the CPU for `stall` while it holds
+/// the token, then killed holding it. Reads what the children exported
+/// in between and after; judging it is the caller's.
+pub fn run_holder_case(
+    cfg: &ProcConfig,
+    victim: NodeId,
+    stall: Duration,
+) -> std::io::Result<HolderReport> {
+    let mut h = Harness::launch(cfg, StartKind::Founding)?;
+    let ids: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
+    let settle = Duration::from_millis(10 * cfg.export_ms.max(50));
+    let exports = |h: &Harness<'_>| -> Vec<ChildExport> {
+        let read = |&id: &NodeId| std::fs::read_to_string(h.export_path(id)).ok();
+        let survivors = ids.iter().filter(|&&id| id != victim);
+        let parsed = survivors
+            .filter_map(read)
+            .map(|raw| ChildExport::parse(&raw));
+        parsed.filter_map(Result::ok).collect()
+    };
+    let sum = |exports: &[ChildExport], name: &str| -> u64 {
+        let own = |e: &ChildExport| {
+            let node = e.node.0.to_string();
+            e.snapshot.counter_value(name, &[("node", node.as_str())])
+        };
+        exports.iter().filter_map(own).sum()
+    };
+    const ALARMS: [&str; 4] = [
+        "raincore_session_failures_detected",
+        "raincore_session_calls911_sent",
+        "raincore_session_probes_failed",
+        "raincore_transport_msgs_failed",
+    ];
+
+    // Four rotations and then some, so every probe limit is armed.
+    std::thread::sleep(settle);
+    std::fs::write(h.ctl_path(victim), format!("stall {}", stall.as_millis()))?;
+    std::thread::sleep(stall + settle);
+    let calm = exports(&h);
+    let alarms_after_stall = ALARMS.iter().map(|name| sum(&calm, name)).sum();
+
+    std::fs::write(h.ctl_path(victim), "die")?;
+    std::thread::sleep(2 * settle);
+    let after = exports(&h);
+    let outages = after
+        .iter()
+        .flat_map(|e| raincore_obs::outages(&e.journal))
+        .collect();
+    let called = |e: &&ChildExport| sum(std::slice::from_ref(*e), ALARMS[1]) > 0;
+    let report = HolderReport {
+        alarms_after_stall,
+        outages,
+        callers: after.iter().filter(called).count(),
+        regenerations: sum(&after, "raincore_session_regenerations"),
+        false_suspicions: sum(&after, "raincore_session_false_suspicions"),
+        probes_sent: sum(&after, "raincore_session_probes_sent"),
+    };
+    h.shutdown();
+    Ok(report)
+}
+
 /// Writes the merged cross-node trace artifacts into `out_dir` from
 /// whatever export/flight files the children left behind:
 /// `journal.json` (the `tracectl` input format) and `waterfall.txt`
@@ -407,33 +504,21 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
             "`{event}`: a procher child has one NIC, index 0"
         )));
     }
-    std::fs::create_dir_all(&cfg.out_dir)?;
-    let ids: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
-    let proxy = LossProxy::bind(&ids, cfg.seed)?;
-    proxy.set_dials(cfg.dials);
-    let mut h = Harness {
-        cfg,
-        proxy,
-        children: BTreeMap::new(),
-        cache: HashMap::new(),
-        exports_parsed: 0,
-        started: Instant::now(),
-    };
     let start_kind = match cfg.scenario {
         Scenario::Founding => StartKind::Founding,
         Scenario::Isolated => StartKind::Isolated,
     };
-    for &id in &ids {
-        h.spawn_child(id, 0, start_kind)?;
-    }
+    let mut h = Harness::launch(cfg, start_kind)?;
 
     let has_churn = schedule
         .iter()
         .any(|e| matches!(e.fault, ChaosFault::Crash(_) | ChaosFault::Restart(_)));
-    // One NIC per node, a stall the proxy cannot produce, and no claim
-    // about one instant.
+    // One NIC per node, stalls measured against what a child that has
+    // timed its peer waits (stock transport: three tries at the floor),
+    // and no claim about one instant.
     let belief = NetBelief::new(cfg.nodes, 1);
-    let mut engine = ScheduleEngine::new(schedule, cfg.bounds, belief, None, false);
+    let give_up = raincore::transport::MIN_RTO.saturating_mul(3);
+    let mut engine = ScheduleEngine::new(schedule, cfg.bounds, belief, Some(give_up), false);
     let mut dials = cfg.dials;
     let mut last_block: Option<String> = None;
     let mut violation: Option<(u64, String)> = None;

@@ -17,7 +17,12 @@
 //!   unplugs ([`LossProxy::set_node`], the 1-NIC equivalent of the §2.1
 //!   cable pull) and full partitions ([`LossProxy::partition`]);
 //! * **heal** — restores every pairwise cut and partition but *not*
-//!   unplugged nodes, matching `ChaosFault::Heal` semantics.
+//!   unplugged nodes, matching `ChaosFault::Heal` semantics;
+//! * **stall** — one shot: every datagram to and from one node is held
+//!   for a while and then released in the order it came
+//!   ([`LossProxy::stall`]; [`LossProxy::stall_next`] picks the node as
+//!   `ChaosFault::DelaySpike` picks its link, by the next datagram). An
+//!   unplug loses what a stall only keeps waiting.
 //!
 //! All rolls come from one seeded RNG behind the state mutex, so a run's
 //! packet fate sequence is reproducible up to OS packet timing.
@@ -75,6 +80,8 @@ pub struct ProxyStats {
     pub duplicated: u64,
     /// Packets held back by the reorder/delay dials.
     pub delayed: u64,
+    /// Packets held by a one-shot stall of their sender or receiver.
+    pub stalled: u64,
     /// Datagrams that did not decode as Raincore wire traffic.
     pub undecodable: u64,
 }
@@ -84,6 +91,10 @@ struct State {
     pairs_down: BTreeSet<(NodeId, NodeId)>,
     nodes_down: BTreeSet<NodeId>,
     partition: Option<Vec<BTreeSet<NodeId>>>,
+    /// Nodes whose traffic is held, and until when.
+    stalls: HashMap<NodeId, Instant>,
+    /// A stall waiting for the next datagram to name its node.
+    stall_next: Option<Duration>,
     dials: ProxyDials,
     rng: StdRng,
     stats: ProxyStats,
@@ -155,6 +166,8 @@ impl LossProxy {
             pairs_down: BTreeSet::new(),
             nodes_down: BTreeSet::new(),
             partition: None,
+            stalls: HashMap::new(),
+            stall_next: None,
             dials: ProxyDials::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x70726F_63686572), // "procher"
             stats: ProxyStats::default(),
@@ -242,6 +255,23 @@ impl LossProxy {
         s.partition = None;
     }
 
+    /// Holds every datagram to and from `id` until `length` from now,
+    /// then releases them in the order they came: what the peers of a
+    /// node whose host stopped running it see, where [`Self::set_node`]
+    /// is a pulled cable. One shot; a new stall of `id` replaces one
+    /// still running.
+    pub fn stall(&self, id: NodeId, length: Duration) {
+        let mut s = self.state.lock().unwrap();
+        s.stalls.insert(id, Instant::now() + length);
+    }
+
+    /// Arms a [`Self::stall`] of whichever node sends the next datagram
+    /// — `ChaosFault::DelaySpike` on real sockets, the node standing in
+    /// for the link the simulator stalls.
+    pub fn stall_next(&self, length: Duration) {
+        self.state.lock().unwrap().stall_next = Some(length);
+    }
+
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> ProxyStats {
         self.state.lock().unwrap().stats
@@ -266,6 +296,8 @@ enum Fate {
         to: SocketAddr,
         copies: u32,
         delay: Duration,
+        /// A stall holds the packet until then; `delay` counts from it.
+        not_before: Option<Instant>,
     },
 }
 
@@ -304,8 +336,21 @@ fn decide(state: &mut State, src: NodeId, dst: NodeId, is_bulk: bool) -> Fate {
     if !delay.is_zero() {
         state.stats.delayed += 1;
     }
+    let now = Instant::now();
+    if let Some(length) = state.stall_next.take() {
+        state.stalls.insert(src, now + length);
+    }
+    state.stalls.retain(|_, until| *until > now);
+    let held = |n: &NodeId| state.stalls.get(n).copied();
+    let not_before = held(&src).max(held(&dst));
+    state.stats.stalled += u64::from(not_before.is_some());
     state.stats.forwarded += u64::from(copies);
-    Fate::Forward { to, copies, delay }
+    Fate::Forward {
+        to,
+        copies,
+        delay,
+        not_before,
+    }
 }
 
 fn spawn_reader(
@@ -345,17 +390,25 @@ fn spawn_reader(
                         }
                     }
                 };
-                let Fate::Forward { to, copies, delay } = fate else {
+                let Fate::Forward {
+                    to,
+                    copies,
+                    delay,
+                    not_before,
+                } = fate
+                else {
                     continue;
                 };
                 for _ in 0..copies {
-                    if delay.is_zero() {
+                    if delay.is_zero() && not_before.is_none() {
                         let _ = out.send_to(&buf[..n], to);
                     } else {
+                        // Everything a stall holds for this node falls due
+                        // at one instant, and leaves in `seq` order.
                         seq += 1;
                         let mut q = delay_q.0.lock().unwrap();
                         q.push(Delayed {
-                            due: Instant::now() + delay,
+                            due: not_before.unwrap_or_else(Instant::now) + delay,
                             seq,
                             buf: buf[..n].to_vec(),
                             to,
@@ -550,6 +603,50 @@ mod tests {
         let stats = proxy.stats();
         assert_eq!(stats.forwarded, 1);
         assert_eq!(stats.dropped_loss, 0);
+    }
+
+    #[test]
+    fn stall_holds_one_nodes_traffic_and_releases_it_in_order() {
+        let ids = [NodeId(0), NodeId(1), NodeId(2)];
+        let proxy = LossProxy::bind(&ids, 7).expect("bind proxy");
+        let dests: Vec<UdpSocket> = ids
+            .iter()
+            .map(|&id| {
+                let sock = UdpSocket::bind("127.0.0.1:0").expect("bind dest");
+                proxy.set_dest(id, sock.local_addr().unwrap());
+                sock
+            })
+            .collect();
+        let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
+        let to = |id: u32| proxy.proxy_addr(NodeId(id)).unwrap();
+        const PKTS: [&[u8]; 3] = [b"first", b"second", b"third"];
+
+        let start = Instant::now();
+        proxy.stall(NodeId(1), Duration::from_millis(60));
+        for payload in PKTS {
+            sender.send_to(&wire(0, payload), to(1)).unwrap(); // to the stalled node
+        }
+        sender.send_to(&wire(1, b"from"), to(2)).unwrap(); // from it
+        sender.send_to(&wire(0, b"past"), to(2)).unwrap(); // past it
+        assert_eq!(recv_on(&dests[2]), Some(wire(0, b"past")), "not held");
+        assert!(start.elapsed() < Duration::from_millis(50));
+        for payload in PKTS {
+            assert_eq!(recv_on(&dests[1]), Some(wire(0, payload)), "in order");
+        }
+        assert!(start.elapsed() >= Duration::from_millis(60));
+        assert_eq!(recv_on(&dests[2]), Some(wire(1, b"from")));
+        assert_eq!(proxy.stats().stalled, 4);
+        // One shot: the node's traffic flows again.
+        sender.send_to(&wire(0, b"after"), to(1)).unwrap();
+        assert_eq!(recv_on(&dests[1]), Some(wire(0, b"after")));
+
+        // Armed for whoever sends next: node 2 it is.
+        proxy.stall_next(Duration::from_millis(40));
+        let start = Instant::now();
+        sender.send_to(&wire(2, b"picks"), to(0)).unwrap();
+        assert_eq!(recv_on(&dests[0]), Some(wire(2, b"picks")));
+        assert!(start.elapsed() >= Duration::from_millis(40));
+        assert_eq!(proxy.stats().stalled, 5);
     }
 
     #[test]

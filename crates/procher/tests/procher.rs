@@ -243,6 +243,7 @@ fn tracectl_renders_sim_chaos_journal() {
         header[3..],
         [
             "quiet_ms",
+            "wait_ms",
             "detect_ms",
             "vote_ms",
             "repair_ms",
@@ -255,10 +256,10 @@ fn tracectl_renders_sim_chaos_journal() {
     assert_eq!(rows.len(), 1, "{text}");
     assert_eq!(rows[0][2], "regen", "{text}");
     let ms: Vec<f64> = rows[0][3..].iter().map(|v| v.parse().unwrap()).collect();
-    assert!((ms[..5].iter().sum::<f64>() - ms[5]).abs() < 0.01, "{text}");
+    assert!((ms[..6].iter().sum::<f64>() - ms[6]).abs() < 0.01, "{text}");
     assert!(
-        ms[1] > 0.0 && ms[2] > 0.0,
-        "detect and vote took time: {text}"
+        ms[1] > 0.0 && ms[2] > 0.0 && ms[3] > 0.0,
+        "wait, detect and vote took time: {text}"
     );
 }
 

@@ -144,6 +144,7 @@ fn main() {
     let mut early_passes = 0u64;
     let mut spike_retransmissions = 0u64;
     let mut false_suspicions = 0u64;
+    let mut probes_sent = 0u64;
     for k in 0..soak {
         let cfg = soak_cfg(&base, k, pin_nodes, pin_scenario);
         let schedule = generate_schedule(&cfg);
@@ -199,6 +200,7 @@ fn main() {
         early_passes += report.early_passes;
         spike_retransmissions += report.spike_retransmissions;
         false_suspicions += report.false_suspicions;
+        probes_sent += report.probes_sent;
         println!(
             "chaos: seed {} nodes {:2} scenario {:8} OK — {} faults, {} dups, {} reorders, {} bulk drops, {} ticks",
             cfg.seed,
@@ -248,6 +250,11 @@ fn main() {
         }
         if false_suspicions == 0 {
             eprintln!("chaos: FAIL — no delay spike outlasted a give-up budget (vacuous)");
+            std::process::exit(1);
+        }
+        println!("chaos: delay-spike soak — {probes_sent} successor probes sent");
+        if probes_sent == 0 {
+            eprintln!("chaos: FAIL — no member was hungry past its probe limit (vacuous)");
             std::process::exit(1);
         }
     }

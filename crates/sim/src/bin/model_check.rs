@@ -28,7 +28,7 @@ fn usage() -> ! {
         "usage: model_check [--nodes N] [--depth N] [--crashes N] [--drops N] \
          [--max-schedules N] [--min-schedules N] [--dump FILE] [--seeded-check] [--replay FILE] \
          [--no-reduction] [--stats-out FILE] [--mtu BYTES] [--multicast ORIGIN:LEN]... \
-         [--min-early-passes N] [--retry-ms MS] [--hungry-ms MS] \
+         [--min-early-passes N] [--min-probes N] [--retry-ms MS] [--hungry-ms MS] \
          [--bulk-threshold BYTES] [--bulk-drops N]"
     );
     std::process::exit(2);
@@ -38,6 +38,7 @@ fn main() {
     let mut cfg = ModelCheckConfig::default();
     let mut min_schedules: u64 = 0;
     let mut min_early_passes: u64 = 0;
+    let mut min_probes: u64 = 0;
     let mut dump_path = String::from("model-check-violation.txt");
     let mut seeded_check = false;
     let mut replay_path: Option<String> = None;
@@ -78,6 +79,14 @@ fn main() {
             }
             "--min-early-passes" => {
                 min_early_passes = next(&mut i).parse().unwrap_or_else(|_| usage())
+            }
+            // The lost-token leg (DESIGN.md §17.5): the adversary moves on
+            // a ring that has turned four times, so that every member's
+            // probe limit is armed, and the run fails unless some
+            // schedule sent this many probes.
+            "--min-probes" => {
+                min_probes = next(&mut i).parse().unwrap_or_else(|_| usage());
+                cfg.warm_rotations = 4;
             }
             // The freight leg (DESIGN.md §16.5): seeded multicasts of at
             // least this many bytes travel out of band, and the adversary
@@ -126,7 +135,7 @@ fn main() {
         cfg.nodes, cfg.max_depth, cfg.crash_budget, cfg.drop_budget, cfg.forge_token, cfg.reduction
     );
     println!(
-        "model-check: {} schedules ({} states, {} sleep-pruned, {} state-pruned, {} actions, deepest {}, {} early passes) in {:.2}s — {:.0} schedules/s{}",
+        "model-check: {} schedules ({} states, {} sleep-pruned, {} state-pruned, {} actions, deepest {}, {} early passes, {} probes) in {:.2}s — {:.0} schedules/s{}",
         s.schedules,
         s.states,
         s.pruned,
@@ -134,6 +143,7 @@ fn main() {
         s.actions,
         s.deepest,
         s.early_passes,
+        s.probes,
         elapsed,
         s.schedules as f64 / elapsed,
         if report.capped { " [capped]" } else { " [exhausted]" },
@@ -214,6 +224,14 @@ fn main() {
         );
         std::process::exit(1);
     }
+    if s.probes < min_probes {
+        eprintln!(
+            "model-check: FAIL — at most {} successor probes along any schedule \
+             (< {min_probes}); no member was hungry past its probe limit",
+            s.probes
+        );
+        std::process::exit(1);
+    }
     println!("model-check: OK — no invariant violations");
 }
 
@@ -236,6 +254,10 @@ fn run_replay(cfg: &ModelCheckConfig, path: &str) {
     let mut cfg = cfg.clone();
     if text.contains("forge_token=true") {
         cfg.forge_token = true;
+    }
+    if let Some(warm) = text.split("warm_rotations=").nth(1) {
+        let digits: String = warm.chars().take_while(char::is_ascii_digit).collect();
+        cfg.warm_rotations = digits.parse().unwrap_or(cfg.warm_rotations);
     }
     let r = match replay(&cfg, &schedule) {
         Ok(r) => r,

@@ -855,6 +855,11 @@ pub struct ChaosReport {
     /// members as they stand at the end. Delay-spike soaks assert it is
     /// nonzero: some stall over the budget must have been believed.
     pub false_suspicions: u64,
+    /// Successor probes sent (DESIGN.md §17.3), summed like
+    /// `early_passes`. Delay-spike soaks — the ones that run the stock
+    /// timeouts, under which the probe limit is armed — assert it is
+    /// nonzero: some member was hungry for long enough to ask.
+    pub probes_sent: u64,
     /// Metrics registry with `raincore_chaos_*` counters.
     pub registry: raincore_obs::Registry,
 }
@@ -999,6 +1004,7 @@ fn run_and_keep(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<(ChaosRepo
     };
     let early_passes = sum_metric(|m| m.tokens_passed_early);
     let false_suspicions = sum_metric(|m| m.false_suspicions);
+    let probes_sent = sum_metric(|m| m.probes_sent);
     let net = cluster.net_mut();
     let dups_injected = net.dups_injected();
     let reorders_injected = net.reorders_injected();
@@ -1032,6 +1038,7 @@ fn run_and_keep(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<(ChaosRepo
         early_passes,
         spike_retransmissions: retx_under_budget,
         false_suspicions,
+        probes_sent,
         registry,
     };
     Ok((report, cluster))

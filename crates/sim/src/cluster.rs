@@ -41,6 +41,9 @@ struct Slot {
     session: Option<SessionNode>,
     app: Option<Box<dyn NodeApp>>,
     alive: bool,
+    /// Off the CPU until then ([`Cluster::stall`]), and what arrived
+    /// meanwhile, in order.
+    stalled: Option<(Time, Vec<Datagram>)>,
     incarnation: Incarnation,
     addrs: Vec<Addr>,
     /// The session config this member was built with (used by restart).
@@ -57,6 +60,7 @@ impl Slot {
             session,
             app: None,
             alive: true,
+            stalled: None,
             incarnation: Incarnation::FIRST,
             addrs,
             session_cfg: cfg,
@@ -329,6 +333,10 @@ impl Cluster {
                 if !slot.alive {
                     continue;
                 }
+                if let Some((until, _)) = &slot.stalled {
+                    next = min_opt(next, Some(*until));
+                    continue;
+                }
                 let w = match (&slot.session, &slot.app) {
                     (Some(s), Some(a)) => min_opt(s.next_wakeup(), a.next_wakeup()),
                     (Some(s), None) => s.next_wakeup(),
@@ -387,6 +395,10 @@ impl Cluster {
         if !slot.alive {
             return;
         }
+        if let Some((_, held)) = &mut slot.stalled {
+            held.push(d);
+            return;
+        }
         match (d.class, &mut slot.session) {
             (PacketClass::Control, Some(s)) => s.on_datagram(now, d),
             // A plain host speaking a control protocol directly (e.g. an
@@ -407,6 +419,16 @@ impl Cluster {
         for id in ids {
             let slot = self.slots.get_mut(&id).expect("slot");
             if !slot.alive {
+                continue;
+            }
+            if let Some((_, held)) = slot.stalled.take_if(|(until, _)| *until <= now) {
+                // Back on the CPU: the socket buffer first, then the timers.
+                for d in held {
+                    self.route(d);
+                }
+            }
+            let slot = self.slots.get_mut(&id).expect("slot");
+            if slot.stalled.is_some() {
                 continue;
             }
             if let Some(s) = &mut slot.session {
@@ -454,8 +476,19 @@ impl Cluster {
     pub fn crash(&mut self, id: NodeId) {
         if let Some(slot) = self.slots.get_mut(&id) {
             slot.alive = false;
+            slot.stalled = None;
         }
         self.net.set_node(id, false);
+    }
+
+    /// Takes a live node off the CPU for `d`: it handles no datagram and
+    /// no timer until then, what arrives for it waits in order (its
+    /// socket buffer), and it picks up where it was — a member whose
+    /// thread the host does not run, as distinct from a crashed one.
+    pub fn stall(&mut self, id: NodeId, d: Duration) {
+        if let Some(slot) = self.slots.get_mut(&id).filter(|s| s.alive) {
+            slot.stalled = Some((self.now + d, Vec::new()));
+        }
     }
 
     /// Restarts a crashed node with a fresh incarnation in the given

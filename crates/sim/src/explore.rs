@@ -238,6 +238,11 @@ pub struct ModelCheckConfig {
     /// State-space reduction mode (the visited-state cache) layered
     /// over sleep-set pruning.
     pub reduction: Reduction,
+    /// Accept-to-accept intervals every member sees, undisturbed, before
+    /// the adversary's first move (0: it moves from the founding). Four
+    /// arm the successor probe (DESIGN.md §17.3), which no bounded depth
+    /// reaches from a cold ring.
+    pub warm_rotations: u32,
     /// Session-layer timers.
     pub session: SessionConfig,
     /// Transport-layer timers.
@@ -269,6 +274,7 @@ impl Default for ModelCheckConfig {
             max_schedules: 12_000,
             forge_token: false,
             reduction: Reduction::default(),
+            warm_rotations: 0,
             session,
             transport,
         }
@@ -377,7 +383,31 @@ impl ModelWorld {
             world.drain(id);
         }
         world.maybe_forge();
+        world.warm_up(cfg.warm_rotations);
         Ok(world)
+    }
+
+    /// Turns the ring undisturbed — the oldest pending message first, the
+    /// clock when none is — until every member has seen `rotations`
+    /// accept-to-accept intervals.
+    fn warm_up(&mut self, rotations: u32) {
+        let accepted = |w: &ModelWorld| {
+            let accepts = w
+                .slots
+                .values()
+                .map(|s| s.session.metrics().tokens_received);
+            accepts.min().unwrap_or(u64::MAX)
+        };
+        while rotations > 0 && accepted(self) <= u64::from(rotations) {
+            let next = self.pending.iter().next();
+            let action = next.map_or(Action::Tick, |(&key, p)| Action::Deliver {
+                key,
+                dst: p.dgram.dst.node,
+            });
+            if !self.apply(&action) {
+                return;
+            }
+        }
     }
 
     /// Drains a node's outgoing datagrams onto the model wire and its
@@ -622,6 +652,12 @@ impl ModelWorld {
             .sum()
     }
 
+    /// Successor probes sent so far (DESIGN.md §17.3), over all nodes.
+    pub fn probes(&self) -> u64 {
+        let sent = self.slots.values().map(|s| s.session.metrics().probes_sent);
+        sent.sum()
+    }
+
     /// Digests the complete world state — every node (session + embedded
     /// transport), the in-flight wire, and the fault budgets. Absolute
     /// time is deliberately excluded: every deadline is digested relative
@@ -819,9 +855,9 @@ impl Violation {
         let _ = writeln!(out, "# reason: {}", self.reason);
         let _ = writeln!(
             out,
-            "# scenario: nodes={} crash_budget={} drop_budget={} bulk_drop_budget={} max_delay={:?} forge_token={} mtu={} multicasts={:?}",
+            "# scenario: nodes={} crash_budget={} drop_budget={} bulk_drop_budget={} max_delay={:?} forge_token={} mtu={} multicasts={:?} warm_rotations={}",
             cfg.nodes, cfg.crash_budget, cfg.drop_budget, cfg.bulk_drop_budget, cfg.max_delay,
-            cfg.forge_token, cfg.transport.mtu, cfg.seed_bulk
+            cfg.forge_token, cfg.transport.mtu, cfg.seed_bulk, cfg.warm_rotations
         );
         let _ = writeln!(
             out,
@@ -864,6 +900,10 @@ pub struct ExploreStats {
     /// explored schedule: zero means the search never left the paced
     /// regime, so it says nothing about the pacing rule.
     pub early_passes: u64,
+    /// Most successor probes ([`ModelWorld::probes`]) along any explored
+    /// schedule: zero means no member was ever hungry past its probe
+    /// limit, so the search says nothing about the probe.
+    pub probes: u64,
 }
 
 /// Result of [`Explorer::run`].
@@ -967,6 +1007,7 @@ impl Explorer {
         self.stats.actions += r.applied as u64;
         self.stats.deepest = self.stats.deepest.max(prefix.len());
         self.stats.early_passes = self.stats.early_passes.max(r.world.early_passes());
+        self.stats.probes = self.stats.probes.max(r.world.probes());
         if let Some((upto, reason)) = r.violation {
             self.stats.schedules += 1;
             let mut failing = prefix.clone();

@@ -129,6 +129,68 @@ fn freight_space_exhausts_clean_with_and_without_the_cache() {
     assert_eq!(under.stats.early_passes, 0);
 }
 
+/// The lost-token leg (DESIGN.md §17.5). The adversary moves on a ring
+/// that has turned four times, so every member's probe limit (24 ms of
+/// rotation + two 30 ms give-ups, under the 100 ms `hungry_timeout`) is
+/// armed: a crash of the EATING member is then found by its predecessor's
+/// probe, not by the backstop. Exhausts clean either way, and from a cold
+/// ring — the space every other leg explores — nobody ever asks.
+#[test]
+fn lost_token_space_exhausts_clean_and_asks_before_it_starves() {
+    use raincore_sim::explore::Reduction;
+    let cfg = |warm_rotations, reduction| ModelCheckConfig {
+        max_depth: 10,
+        max_schedules: 500_000,
+        warm_rotations,
+        reduction,
+        ..ModelCheckConfig::default()
+    };
+    let run = |warm, reduction| Explorer::new(cfg(warm, reduction)).run().expect("setup");
+    let cached = run(4, Reduction::Hash);
+    let plain = run(4, Reduction::None);
+    for (name, report) in [("Hash", &cached), ("None", &plain)] {
+        assert!(
+            report.violation.is_none(),
+            "{name}: {:?}",
+            report.violation.as_ref().map(|v| &v.reason)
+        );
+        assert!(!report.capped, "{name}: bounds too tight to exhaust");
+        assert_eq!(report.stats.probes, 2, "{name}: one answered, one not");
+    }
+    assert!(cached.stats.states < plain.stats.states);
+    assert_eq!(run(0, Reduction::Hash).stats.probes, 0);
+}
+
+/// One schedule of that space, by hand: the holder dies with the token,
+/// everything else is delivered in order. Its predecessor's probe fails,
+/// it alone calls 911 and regenerates, and the ring of two turns again.
+#[test]
+fn failed_probe_regenerates_once_in_the_model_world() {
+    use raincore_sim::explore::{Action, ModelWorld};
+    use raincore_sim::AuditView;
+    use raincore_types::NodeId;
+    let cfg = ModelCheckConfig {
+        warm_rotations: 4,
+        ..ModelCheckConfig::default()
+    };
+    let mut world = ModelWorld::new(&cfg).expect("setup");
+    let holder = NodeId(2);
+    assert!(world.is_eating(holder), "{}", world.dump_state());
+    assert!(world.apply(&Action::Crash(holder)));
+    let regens = |w: &ModelWorld| [0, 1].map(|i| w.regenerations(NodeId(i)));
+    for _ in 0..40 {
+        let enabled = world.enabled_actions();
+        let deliver = enabled.iter().find(|a| matches!(a, Action::Deliver { .. }));
+        assert!(world.apply(deliver.unwrap_or(&Action::Tick)));
+        if regens(&world) != [0, 0] {
+            break;
+        }
+    }
+    assert_eq!(regens(&world), [0, 1], "{}", world.dump_state());
+    assert_eq!(world.probes(), 2, "node 0 asked node 1, node 1 the dead");
+    assert_eq!(world.ring_of(NodeId(1)).map(|r| r.len()), Some(2));
+}
+
 #[test]
 fn seeded_two_token_fault_is_found_minimized_and_replayable() {
     let mut cfg = small_cfg();

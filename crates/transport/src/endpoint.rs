@@ -20,9 +20,10 @@ use crate::receiver::Receiver;
 use crate::sender::Sender;
 use bytes::Bytes;
 use raincore_net::{Addr, Datagram, PacketClass};
+use raincore_types::config::SendStrategy;
 use raincore_types::wire::WireDecode;
 use raincore_types::{
-    Error, Incarnation, MsgId, NodeId, Result, StateDigest, Time, TransportConfig,
+    Duration, Error, Incarnation, MsgId, NodeId, Result, StateDigest, Time, TransportConfig,
 };
 use std::collections::VecDeque;
 
@@ -81,6 +82,21 @@ impl Endpoint {
     /// Largest payload one datagram carries; longer messages fragment.
     pub fn mtu(&self) -> usize {
         self.cx.cfg.mtu
+    }
+
+    /// How long a message sent to `peer` now would be tried before the
+    /// failure-on-delivery verdict: the timeout armed for that peer, once
+    /// per try, on every address the strategy walks.
+    pub fn give_up_budget(&self, peer: NodeId) -> Duration {
+        let cfg = &self.cx.cfg;
+        let walked = match cfg.strategy {
+            SendStrategy::Sequential => self.cx.peers.addrs(peer).map_or(1, <[Addr]>::len),
+            SendStrategy::Parallel => 1,
+        };
+        self.cx
+            .peers
+            .rto(peer, cfg.retry_timeout)
+            .saturating_mul(u64::from(cfg.max_retries) * walked.max(1) as u64)
     }
 
     /// Counter snapshot.

@@ -68,6 +68,7 @@ fn retries_are_evenly_spaced_between_floor_and_ceiling() {
         };
         let (mut a, mut b) = pair(cfg, 1);
         let t0 = exchange(&mut a, &mut b, Time::ZERO, rtt);
+        let budget = a.give_up_budget(NodeId(1));
         a.send(t0, NodeId(1), Bytes::from_static(b"void")).unwrap();
         let mut due = vec![];
         while let Some(t) = a.next_wakeup() {
@@ -76,6 +77,7 @@ fn retries_are_evenly_spaced_between_floor_and_ceiling() {
         }
         assert_eq!(a.stats().retransmissions, 3);
         assert_eq!(a.stats().msgs_failed, 1);
+        assert_eq!(due[3], budget, "the budget is when the verdict falls");
         assert_eq!(
             armed(&mut a, t0 + due[3]),
             ceiling,
@@ -91,6 +93,25 @@ fn retries_are_evenly_spaced_between_floor_and_ceiling() {
     assert_eq!(give_up(MS(10), MS(25)), [MS(25), MS(50), MS(75), MS(100)]);
     // At or under the floor the configured timeout is all there is.
     assert_eq!(give_up(US(120), MS(9)), [MS(9), MS(18), MS(27), MS(36)]);
+}
+
+#[test]
+fn give_up_budget_counts_every_address_the_strategy_walks() {
+    use raincore_types::config::SendStrategy;
+    let budget = |strategy, nics| {
+        let cfg = TransportConfig {
+            strategy,
+            ..Default::default()
+        };
+        let (mut a, mut b) = pair(cfg, nics);
+        let cold = a.give_up_budget(NodeId(1));
+        exchange(&mut a, &mut b, Time::ZERO, US(120));
+        assert_eq!(a.obs().rto.count(), 1, "asking arms nothing");
+        (cold, a.give_up_budget(NodeId(1)))
+    };
+    assert_eq!(budget(SendStrategy::Sequential, 1), (MS(150), MS(48)));
+    assert_eq!(budget(SendStrategy::Sequential, 2), (MS(300), MS(96)));
+    assert_eq!(budget(SendStrategy::Parallel, 2), (MS(150), MS(48)));
 }
 
 #[test]

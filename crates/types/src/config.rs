@@ -96,11 +96,16 @@ pub struct SessionConfig {
     /// link latency this therefore sets `L`, the token round frequency
     /// of §4.1, for the *idle* ring; a loaded ring turns twice as fast.
     pub token_hold: Duration,
-    /// How long a node may stay HUNGRY before it suspects token loss and
-    /// enters STARVING (§2.3). Should comfortably exceed one expected
-    /// token round trip. Fixed: scaling it with the measured rotation was
-    /// tried and refused for the 911 calls it raised on a calm ring whose
-    /// host stalled (DESIGN.md §17.3).
+    /// The longest a node stays HUNGRY before it suspects token loss and
+    /// enters STARVING (§2.3) whatever it has heard: the backstop. A node
+    /// that has seen four rotations asks the member it passed the token
+    /// to after `4·rotation + 2·give-up` (the transport's budget for that
+    /// peer), and starves as soon as that question fails on delivery
+    /// (DESIGN.md §17.3); this timeout is what fires before then, on a
+    /// ring where that sum is no shorter, for a node no pass made hungry
+    /// and under [`DetectionMode::TimeoutOnly`]. Should comfortably exceed
+    /// one expected token round trip, and how long a member may keep the
+    /// master lock.
     pub hungry_timeout: Duration,
     /// How long a STARVING node waits for 911 verdicts before giving up
     /// and re-calling 911.

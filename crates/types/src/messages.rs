@@ -791,6 +791,10 @@ pub enum SessionMsg {
     Bulk(BulkData),
     /// Request to retransmit a missing bulk payload.
     BulkNack(BulkNack),
+    /// "Are you there?" from a HUNGRY member to the member it last passed
+    /// the token to. Header only: the transport's acknowledgement is the
+    /// whole answer, and the receiver does nothing.
+    Probe,
 }
 
 impl SessionMsg {
@@ -811,6 +815,8 @@ impl SessionMsg {
     pub const TAG_BULK: u8 = 5;
     /// Wire tag of [`SessionMsg::BulkNack`].
     pub const TAG_BULK_NACK: u8 = 6;
+    /// Wire tag of [`SessionMsg::Probe`].
+    pub const TAG_PROBE: u8 = 7;
 
     /// Short human-readable kind name (for traces).
     pub fn kind(&self) -> &'static str {
@@ -822,6 +828,7 @@ impl SessionMsg {
             SessionMsg::Open(_) => "OPEN",
             SessionMsg::Bulk(_) => "BULK",
             SessionMsg::BulkNack(_) => "BULK-NACK",
+            SessionMsg::Probe => "PROBE",
         }
     }
 }
@@ -857,6 +864,7 @@ impl WireEncode for SessionMsg {
                 w.put_u8(Self::TAG_BULK_NACK);
                 n.encode(w);
             }
+            SessionMsg::Probe => w.put_u8(Self::TAG_PROBE),
         }
     }
 }
@@ -871,6 +879,7 @@ impl WireDecode for SessionMsg {
             Self::TAG_OPEN => Ok(SessionMsg::Open(OpenSubmit::decode(r)?)),
             Self::TAG_BULK => Ok(SessionMsg::Bulk(BulkData::decode(r)?)),
             Self::TAG_BULK_NACK => Ok(SessionMsg::BulkNack(BulkNack::decode(r)?)),
+            Self::TAG_PROBE => Ok(SessionMsg::Probe),
             tag => Err(WireError::BadTag {
                 ty: "SessionMsg",
                 tag,
@@ -1063,6 +1072,7 @@ mod tests {
             .kind(),
             "BULK-NACK"
         );
+        assert_eq!(SessionMsg::Probe.kind(), "PROBE");
     }
 
     #[test]
@@ -1120,11 +1130,13 @@ mod tests {
                 origin: NodeId(2),
                 seq: OriginSeq(7),
             }),
+            SessionMsg::Probe,
         ];
         for msg in cases {
             let buf = msg.encode_to_bytes();
             assert_eq!(SessionMsg::decode_from_bytes(&buf).unwrap(), msg);
         }
+        assert_eq!(SessionMsg::Probe.encode_to_bytes().len(), 1, "header only");
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn arb_attached(rng: &mut Rng) -> Attached {
 }
 
 fn arb_msg(rng: &mut Rng) -> SessionMsg {
-    match rng.below(8) {
+    match rng.below(9) {
         0 => SessionMsg::Token(Token {
             seq: rng.next(),
             trace: TraceCtx::mint(NodeId(rng.below(64) as u32), rng.next(), rng.next()),
@@ -129,11 +129,13 @@ fn arb_msg(rng: &mut Rng) -> SessionMsg {
                 Bytes::from(rng.bytes(n))
             },
         }),
-        _ => SessionMsg::BulkNack(BulkNack {
+        7 => SessionMsg::BulkNack(BulkNack {
             from: NodeId(rng.below(64) as u32),
             origin: NodeId(rng.below(64) as u32),
             seq: OriginSeq(rng.below(100_000)),
         }),
+        // Header only: the mutations below append to it and flip its tag.
+        _ => SessionMsg::Probe,
     }
 }
 
@@ -397,7 +399,7 @@ fn hostile_manifest_length_saturates_the_load() {
 #[test]
 fn all_variants_round_trip() {
     let mut rng = Rng::new(0x5EED);
-    let mut seen_tags = [false; 7];
+    let mut seen_tags = [false; 8];
     for _ in 0..5_000 {
         let msg = arb_msg(&mut rng);
         let tag = match &msg {
@@ -408,6 +410,7 @@ fn all_variants_round_trip() {
             SessionMsg::Open(_) => 4,
             SessionMsg::Bulk(_) => 5,
             SessionMsg::BulkNack(_) => 6,
+            SessionMsg::Probe => 7,
         };
         seen_tags[tag] = true;
         let buf = msg.encode_to_bytes();

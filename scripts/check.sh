@@ -172,6 +172,39 @@ leg_model_check() {
     --nodes 4 --depth 10 --max-schedules 2000000 --retry-ms 50 --hungry-ms 400)
   echo "$out"
   grep -q '\[exhausted\]' <<<"$out"
+
+  echo "==> model check (lost-token space: the adversary moves on a ring that has turned four times; exhausts clean, with and without the cache, and asks before it starves)"
+  # No bounded depth reaches the successor probe (DESIGN.md §17.3) from a
+  # cold ring — a member must see four rotations first, which is why every
+  # leg above prints the parent's counts. --min-probes turns the ring four
+  # times undisturbed before the adversary's first move, so every member's
+  # probe limit is armed (3 nodes: 4 x 6 ms + 2 x 30 ms = 84 ms, under the
+  # 100 ms hungry_timeout), and fails the run unless some schedule sent
+  # that many probes: a crash of the EATING member is found by its
+  # predecessor's probe (one answered by a live successor, one not), a
+  # dropped probe is retransmitted, and every auditor watches the 911 round
+  # a failed probe starts. 2 521 schedules with the cache, 64 756 without;
+  # at the stock timeouts of the adaptive-timer leg the limit is 24 ms +
+  # 2 x 48 ms, measured; four nodes send three.
+  for mode in "" --no-reduction; do
+    out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+      --depth 14 --max-schedules 2000000 --min-probes 2 $mode)
+    echo "$out"
+    grep -q '\[exhausted\]' <<<"$out"
+  done
+  cargo run --release -q -p raincore-sim --bin model_check -- \
+    --depth 16 --retry-ms 50 --hungry-ms 400 --min-probes 2
+  cargo run --release -q -p raincore-sim --bin model_check -- \
+    --nodes 4 --depth 14 --max-schedules 2000000 --min-probes 3
+  # The guard's own guard: under a hungry_timeout no longer than the limit
+  # no probe is armed (the tree before the probe, in effect), and the same
+  # leg must trip on it.
+  if out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --depth 14 --hungry-ms 80 --min-probes 2 2>&1); then
+    echo "--min-probes passed a space in which nobody can ask" >&2
+    exit 1
+  fi
+  grep -q 'at most 0 successor probes' <<<"$out"
 }
 
 leg_chaos() {
@@ -207,7 +240,9 @@ leg_chaos() {
   # ever caused a retransmission (vacuity). Second half: stalls of up to
   # 2.5 budgets — the members behind them are evicted though alive, every
   # safety oracle must hold and the group must converge, and the soak fails
-  # if no such verdict was refuted by a late acknowledgement (vacuity).
+  # if no such verdict was refuted by a late acknowledgement, or if no
+  # member ever sent a successor probe (vacuity: this is the one soak whose
+  # timeouts arm it, DESIGN.md §17.3).
   cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --ticks 2000 --delay-spike 250
 }
 
