@@ -263,14 +263,18 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// themselves harvested from `VipApp`, the glue the hosting seam
 /// replaced — bit for bit: the difference from the parent is exactly the
 /// transfer multicast at the rejoin and the joiner installing it. The
-/// datagram count and the subnet's final view did not move.
+/// datagram count and the subnet's final view did not move. The wire
+/// half re-harvested at PR 23: this run's probe limit (`4·7 + 2·30` ms)
+/// is under its 100 ms `hungry_timeout`, so a member left hungry by a
+/// crash asks its successor (DESIGN.md §17.3) — 14 more datagrams, the
+/// same events at every member, the same subnet.
 const EVENT_HASHES: [u64; 3] = [
     0xc30e_2279_809a_f248,
     0xa201_0b01_32cf_ab37,
     0x1567_d0b9_609e_9184,
 ];
-const WIRE_HASH: u64 = 0x5502_fff9_21b7_776b;
-const WIRE_DATAGRAMS: u64 = 8_440;
+const WIRE_HASH: u64 = 0x3b57_52e2_cdf4_1937;
+const WIRE_DATAGRAMS: u64 = 8_454;
 /// Who answers for VIPs 0..6 on the subnet when the run ends.
 const ARP: [u32; 6] = [2, 2, 1, 2, 1, 1];
 
