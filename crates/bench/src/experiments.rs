@@ -5,7 +5,7 @@ use raincore_broadcast::{BroadcastCluster, Mode};
 use raincore_net::{Addr, MediumKind, PacketClass, SimNetConfig};
 use raincore_obs::{HistSummary, Histogram};
 use raincore_rainwall::{Scenario, ScenarioCfg};
-use raincore_sim::{Cluster, ClusterConfig};
+use raincore_sim::{AuditView, Cluster, ClusterConfig};
 use raincore_types::{DeliveryMode, Duration, NodeId, Time};
 
 /// Merges a per-node histogram (picked off each member's observability
@@ -505,7 +505,7 @@ pub fn redundant_links(nics: u8) -> RedundantRow {
     RedundantRow {
         nics,
         membership_changes: changes,
-        full_membership: c.membership_converged()
+        full_membership: c.membership_agreed()
             && c.live_members().len() == 4
             && c.session(NodeId(0)).unwrap().ring().len() == 4,
     }
@@ -537,7 +537,7 @@ pub fn detection(mode: raincore_types::config::DetectionMode) -> DetectionRow {
     let t_crash = c.now();
     let mut converged_at: Option<Time> = None;
     c.run_until_with(t_crash + Duration::from_secs(10), |c| {
-        if converged_at.is_none() && c.live_members().len() == 3 && c.membership_converged() {
+        if converged_at.is_none() && c.live_members().len() == 3 && c.membership_agreed() {
             converged_at = Some(c.now());
         }
     });
@@ -588,7 +588,7 @@ pub fn quiescent(n: u32, crashes: u32) -> QuiescentRow {
     c.run_until_with(t0 + Duration::from_secs(10), |c| {
         if shrink.is_none()
             && c.live_members().len() == (n - crashes) as usize
-            && c.membership_converged()
+            && c.membership_agreed()
         {
             shrink = Some(c.now().since(t0));
         }
@@ -601,7 +601,7 @@ pub fn quiescent(n: u32, crashes: u32) -> QuiescentRow {
     let t1 = c.now();
     let mut rejoin = None;
     c.run_until_with(t1 + Duration::from_secs(20), |c| {
-        if rejoin.is_none() && c.live_members().len() == n as usize && c.membership_converged() {
+        if rejoin.is_none() && c.live_members().len() == n as usize && c.membership_agreed() {
             rejoin = Some(c.now().since(t1));
         }
     });

@@ -17,7 +17,7 @@ use raincore_transport::{BulkDedup, BulkId, BulkStore};
 use raincore_types::messages::OpenSubmit;
 use raincore_types::wire::WireEncode;
 use raincore_types::{
-    Attached, BulkData, BulkNack, DeliveryMode, DigestInto, Duration, Error, MsgId, NodeId,
+    Attached, BulkData, BulkNack, DeliveryMode, DigestInto, Duration, Error, IdList, MsgId, NodeId,
     OriginSeq, Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, Token,
 };
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -62,7 +62,7 @@ struct PendingDelivery {
     /// Members known to hold the payload (the manifest entry's seen set,
     /// which is payload-gated for out-of-band entries), refreshed at each
     /// token pass. Positional order is the ring traversal order.
-    holders: Vec<NodeId>,
+    holders: IdList,
 }
 
 impl PendingDelivery {
@@ -222,6 +222,8 @@ impl Multicast {
     pub(crate) fn attach_outgoing(&mut self, cx: &mut Ctx<'_>, token: &mut Token) {
         let mut attached_any = false;
         let full = cx.full_line();
+        let room = MAX_ATTACHED.saturating_sub(token.msgs.len());
+        token.msgs.reserve(self.outgoing.len().min(room));
         while token.msgs.len() < MAX_ATTACHED {
             let Some(Queued {
                 entry: a,
@@ -293,7 +295,6 @@ impl Multicast {
         // Retire completed messages. The *originator* retires its own
         // (and emits the atomicity confirmation); anyone may retire a
         // message whose originator has left the membership.
-        let mut retired: Vec<OriginSeq> = Vec::new();
         let my_id = cx.id;
         token.msgs.retain(|m| {
             let done = match m.mode {
@@ -301,19 +302,13 @@ impl Multicast {
                 DeliveryMode::Safe => m.confirmed_by_all(&ring),
             };
             let responsible = m.origin == my_id || !ring.contains(m.origin);
-            if done && responsible {
-                if m.origin == my_id {
-                    retired.push(m.seq);
-                }
-                false
-            } else {
-                true
+            if done && responsible && m.origin == my_id {
+                cx.obs.own_atomic(m.seq);
+                cx.events
+                    .push_back(SessionEvent::MulticastAtomic { seq: m.seq });
             }
+            !(done && responsible)
         });
-        for seq in retired {
-            cx.obs.own_atomic(seq);
-            cx.events.push_back(SessionEvent::MulticastAtomic { seq });
-        }
         // Release bulk payloads whose manifest entries have retired: an
         // entry retires only once every member marked it seen, and an
         // out-of-band entry is marked seen only with the payload in hand,
@@ -565,10 +560,7 @@ impl Multicast {
             d.opt(p.pull_at, |d, t| d.time_rel(t, now));
             d.write_u32(p.pull_tries);
             // Holder order is the rotation order — positional.
-            d.write_len(p.holders.len());
-            for &h in &p.holders {
-                d.node(h);
-            }
+            p.holders.digest_into(d);
         }
         // Buffered-bulk state: two states differing only in which
         // payloads are resident (or which bulk ids were accepted) behave

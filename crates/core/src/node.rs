@@ -521,7 +521,7 @@ impl SessionNode {
             match ev {
                 TransportEvent::Received { payload, .. } => {
                     self.obs.hop_payload(); // stage b1: about to decode
-                    if let Ok(msg) = SessionMsg::decode_from_bytes(&payload) {
+                    if let Ok(msg) = SessionMsg::decode_from_shared(&payload) {
                         self.metrics.task_switches += 1;
                         self.on_session_msg(now, msg);
                     }

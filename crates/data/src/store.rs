@@ -283,16 +283,25 @@ impl KvTable {
         value.and_then(|v| decode_i64(&v.value)).unwrap_or(0)
     }
 
+    /// Bumps a live key in place; only a key that is new (or back from
+    /// the graveyard) is allocated for the table.
     fn write(&mut self, key: &str, value: Bytes, by: NodeId) {
-        let floor = self.graveyard.get(key).copied().unwrap_or(0);
-        let version = self.entries.get(key).map_or(floor, |v| v.version) + 1;
-        self.entries.insert(
-            key.to_string(),
-            VersionedValue {
-                version,
-                value: value.clone(),
-            },
-        );
+        let version = match self.entries.get_mut(key) {
+            Some(entry) => {
+                entry.version += 1;
+                entry.value = value.clone();
+                entry.version
+            }
+            None => {
+                let version = self.graveyard.get(key).copied().unwrap_or(0) + 1;
+                let entry = VersionedValue {
+                    version,
+                    value: value.clone(),
+                };
+                self.entries.insert(key.to_string(), entry);
+                version
+            }
+        };
         self.events.push_back(DataEvent::Updated {
             key: key.to_string(),
             version,

@@ -158,7 +158,13 @@ impl Table for LockTable {
     fn apply(&mut self, op: &LockOp) {
         match op {
             LockOp::Acquire { lock, node } => {
-                let st = self.locks.entry(lock.clone()).or_default();
+                // The name is cloned for the table only when the lock is new.
+                if !self.locks.contains_key(lock) {
+                    self.locks.insert(lock.clone(), LockState::default());
+                }
+                let Some(st) = self.locks.get_mut(lock) else {
+                    return;
+                };
                 match st.owner {
                     None => {
                         st.owner = Some(*node);

@@ -4,7 +4,7 @@
 
 use raincore_dlm::{LockEvent, LockManager};
 use raincore_session::StartMode;
-use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig};
+use raincore_sim::{AuditView, Cluster, ClusterBuilder, ClusterConfig};
 use raincore_types::{Duration, NodeId, Ring};
 
 const LOCK: &str = "config";
@@ -60,7 +60,7 @@ fn contend_after_restart(restarted: fn(NodeId) -> LockManager) -> Cluster {
     c.set_app(JOINER, Box::new(restarted(JOINER))).expect("app");
     lock(&mut c, JOINER);
     c.run_for(Duration::from_secs(2));
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
     for id in [OWNER, NodeId(1)] {
         assert_eq!(replica(&c, id), (Some(OWNER), vec![JOINER]), "at {id}");
     }
@@ -148,7 +148,7 @@ fn the_next_elder_sends_the_table_when_the_sender_dies_first() {
     }
     c.crash(SENDER);
     c.run_for(Duration::from_secs(2));
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
     for id in [HOLDER, JOINER] {
         assert_eq!(replica(&c, id), (Some(HOLDER), vec![JOINER]), "at {id}");
     }

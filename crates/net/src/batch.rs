@@ -1,8 +1,8 @@
 //! Batched-syscall UDP I/O engine with buffer pooling.
 //!
-//! The protocol hot path costs 6 allocations per hop; crossing the kernel
-//! one `sendto`/`recvfrom` at a time would dominate it. [`BatchIo`] is the
-//! only socket path of the runtime:
+//! The protocol hot path costs a handful of allocations per hop;
+//! crossing the kernel one `sendto`/`recvfrom` at a time would dominate
+//! it. [`BatchIo`] is the only socket path of the runtime:
 //!
 //! - **Receive** with `recvmmsg` into a reusable pool of pinned blocks.
 //!   Each received datagram is a zero-copy [`Bytes`] slice of a pooled

@@ -341,18 +341,16 @@ impl SimNet {
         self.in_flight.len()
     }
 
-    /// Removes and returns every datagram whose arrival time is `<= now`,
-    /// in deterministic (time, enqueue) order. Packets whose destination
-    /// node or NIC went down while they were in flight are dropped here.
-    pub fn pop_arrivals(&mut self, now: Time) -> Vec<Datagram> {
-        let mut out = Vec::new();
-        while let Some(Reverse(f)) = self.in_flight.peek() {
-            if f.at > now {
-                break;
-            }
-            let Some(Reverse(f)) = self.in_flight.pop() else {
-                break;
-            };
+    /// Removes and returns the next datagram whose arrival time is
+    /// `<= now`, in deterministic (time, enqueue) order. Packets whose
+    /// destination node or NIC went down while they were in flight are
+    /// dropped here. A datagram sent while the caller drains arrives no
+    /// earlier than `now` plus the link latency (loopback: 1 µs), so with a
+    /// non-zero latency draining one at a time pops the same set as
+    /// [`SimNet::pop_arrivals`] would have at the start.
+    pub fn pop_arrival(&mut self, now: Time) -> Option<Datagram> {
+        while self.in_flight.peek().is_some_and(|Reverse(f)| f.at <= now) {
+            let Reverse(f) = self.in_flight.pop()?;
             if self.down_nodes.contains(&f.dgram.dst.node)
                 || self.down_nics.contains(&f.dgram.dst)
                 || self.is_blocked(f.dgram.src.node, f.dgram.dst.node)
@@ -361,9 +359,14 @@ impl SimNet {
                 continue;
             }
             self.stats.record_recv(&f.dgram);
-            out.push(f.dgram);
+            return Some(f.dgram);
         }
-        out
+        None
+    }
+
+    /// Every datagram [`SimNet::pop_arrival`] would return at `now`.
+    pub fn pop_arrivals(&mut self, now: Time) -> Vec<Datagram> {
+        std::iter::from_fn(|| self.pop_arrival(now)).collect()
     }
 
     fn is_blocked(&self, from: NodeId, to: NodeId) -> bool {

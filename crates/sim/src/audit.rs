@@ -1036,7 +1036,7 @@ mod tests {
         c.run_until_with(t + Duration::from_secs(4), |c| {
             orders.observe(c);
         });
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
         assert!(tokens.ok(), "{:?}", tokens.violations);
         assert!(orders.ok(), "{:?}", orders.violations);
         assert!(nines.ok(), "{:?}", nines.violations);
@@ -1319,7 +1319,7 @@ mod tests {
         c.restart(NodeId(2), StartMode::Joining).unwrap();
         let t = c.now();
         c.run_until_with(t + Duration::from_secs(2), |c| membership.observe(c));
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
         assert_eq!(c.live_members().len(), 3);
         assert!(membership.ok(), "{:?}", membership.violations);
     }

@@ -32,6 +32,7 @@
 //!
 //! [`SimNet`]: raincore_net::SimNet
 
+use crate::audit::AuditView;
 use crate::cluster::{Cluster, ClusterBuilder, ClusterConfig};
 use crate::engine::{minimize, NetBelief, ScheduleEngine, TickBounds};
 use bytes::Bytes;
@@ -1012,7 +1013,7 @@ fn run_and_keep(
         }
     }
 
-    let converged = violation.is_none() && cluster.membership_converged();
+    let converged = violation.is_none() && cluster.membership_agreed();
     let sum_metric = |f: fn(&raincore_session::SessionMetrics) -> u64| -> u64 {
         let ids = cluster.member_ids();
         ids.iter().map(|&id| f(&cluster.metrics(id))).sum()

@@ -426,9 +426,9 @@ impl Cluster {
         loop {
             self.steps += 1;
             let moved = reached && self.flush_all();
-            let arrivals = self.net.pop_arrivals(self.now);
-            let had_arrivals = !arrivals.is_empty();
-            for d in arrivals {
+            let mut had_arrivals = false;
+            while let Some(d) = self.net.pop_arrival(self.now) {
+                had_arrivals = true;
                 self.route(d);
             }
             if moved || had_arrivals {
@@ -840,12 +840,6 @@ impl Cluster {
         }
         out
     }
-
-    /// True when every live member agrees on one group whose membership
-    /// is exactly the live members ([`AuditView::membership_agreed`]).
-    pub fn membership_converged(&self) -> bool {
-        self.membership_agreed()
-    }
 }
 
 impl AuditView for Cluster {
@@ -923,7 +917,7 @@ mod tests {
     fn token_circulates_and_membership_converges() {
         let mut c = Cluster::founding(4, fast_cfg()).unwrap();
         c.run_until(secs(1));
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
         for id in c.member_ids() {
             let m = c.metrics(id);
             assert!(m.tokens_received > 50, "{id}: {m:?}");
@@ -1075,7 +1069,7 @@ mod tests {
         c.crash(victim);
         let t_crash = c.now();
         c.run_until(t_crash + Duration::from_secs(1));
-        assert!(c.membership_converged(), "membership healed");
+        assert!(c.membership_agreed(), "membership healed");
         assert_eq!(c.live_members().len(), 3);
         for id in c.live_members() {
             assert!(!c.session(id).unwrap().ring().contains(victim));
@@ -1091,7 +1085,7 @@ mod tests {
         let t_crash = c.now();
         c.run_until(t_crash + Duration::from_secs(2));
         assert!(
-            c.membership_converged(),
+            c.membership_agreed(),
             "membership healed after holder crash"
         );
         assert_eq!(c.live_members().len(), 3);
@@ -1150,7 +1144,7 @@ mod tests {
         assert_eq!(c.live_members().len(), 2);
         c.restart(NodeId(2), StartMode::Joining).unwrap();
         c.run_for(Duration::from_secs(2));
-        assert!(c.membership_converged(), "rejoined");
+        assert!(c.membership_agreed(), "rejoined");
         assert_eq!(c.live_members().len(), 3);
     }
 
@@ -1163,7 +1157,7 @@ mod tests {
         c.run_until(secs(1));
         c.set_link(NodeId(0), NodeId(1), false);
         c.run_for(Duration::from_secs(3));
-        assert!(c.membership_converged(), "B rejoined despite the dead link");
+        assert!(c.membership_agreed(), "B rejoined despite the dead link");
         assert_eq!(c.live_members().len(), 4);
         // The ring no longer requires the 0↔1 hop.
         let ring = c.session(NodeId(0)).unwrap().ring().clone();
@@ -1201,7 +1195,7 @@ mod tests {
         c.heal();
         c.run_for(Duration::from_secs(5));
         assert_eq!(c.groups().len(), 1, "merged back into one group");
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
     }
 
     #[test]
@@ -1218,7 +1212,7 @@ mod tests {
         c.heal();
         c.run_for(Duration::from_secs(10));
         assert_eq!(c.groups().len(), 1, "all three sub-groups merged");
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
     }
 
     #[test]
@@ -1226,7 +1220,7 @@ mod tests {
         let mut c = Cluster::isolated(4, fast_cfg()).unwrap();
         c.run_for(Duration::from_secs(10));
         assert_eq!(c.groups().len(), 1, "{:?}", c.groups());
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
         assert_eq!(
             c.session(NodeId(3)).unwrap().group_id(),
             GroupId(NodeId(0)),
@@ -1250,7 +1244,7 @@ mod tests {
         }
         let mut c = b.member(NodeId(3), StartMode::Joining).build().unwrap();
         c.run_for(Duration::from_secs(3));
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
         assert_eq!(c.live_members().len(), 4);
     }
 
@@ -1336,7 +1330,7 @@ mod tests {
         }
         c.run_for(Duration::from_secs(1));
         assert!(!c.is_alive(NodeId(1)), "node shut itself down");
-        assert!(c.membership_converged());
+        assert!(c.membership_agreed());
         assert_eq!(c.live_members(), vec![NodeId(0), NodeId(2)]);
     }
 

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use raincore_session::StartMode;
-use raincore_sim::{Cluster, ClusterConfig};
+use raincore_sim::{AuditView, Cluster, ClusterConfig};
 use raincore_types::{DeliveryMode, Duration, NodeId};
 
 /// Five founding members on fast timers, with light seeded loss so
@@ -73,5 +73,5 @@ pub fn drive_five_nodes(c: &mut Cluster) {
     c.run_for(Duration::from_secs(6));
     burst(c, &[4, 3, 2, 1, 0], 10);
     c.run_for(Duration::from_secs(2));
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
 }

@@ -11,7 +11,7 @@ mod common;
 use raincore_rainwall::scenario::{Scenario, ScenarioCfg};
 use raincore_session::StartMode;
 use raincore_sim::chaos::{generate_schedule, run_chaos_with, ChaosConfig, ChaosScenario};
-use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig};
+use raincore_sim::{AuditView, Cluster, ClusterBuilder, ClusterConfig};
 use raincore_types::{Duration, NodeId, Ring, Time, VipId};
 use raincore_vip::{SubnetArp, VipManager};
 
@@ -72,7 +72,7 @@ fn hosted_vip_managers() {
     c.run_for(Duration::from_secs(3));
     c.crash(NodeId(0));
     c.run_for(Duration::from_secs(2));
-    assert!(c.membership_converged());
+    assert!(c.membership_agreed());
 }
 
 #[test]

@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use raincore_obs::{OutageMode, OutageStage, TraceKind};
 use raincore_session::StartMode;
-use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig, NodeApp, NodeCtl};
+use raincore_sim::{AuditView, Cluster, ClusterBuilder, ClusterConfig, NodeApp, NodeCtl};
 use raincore_types::{DeliveryMode, Duration, NodeId, Ring, Time, TransportConfig};
 
 const NODES: u32 = 4;
@@ -68,7 +68,7 @@ fn warmed_up() -> Cluster {
     }
     let mut c = b.build().expect("cluster");
     c.run_for(Duration::from_secs(1));
-    assert!(c.membership_converged());
+    assert!(c.membership_agreed());
     c
 }
 
@@ -135,7 +135,7 @@ fn skipped_hop_costs_three_measured_timeouts() {
         "no detector is faster than its own timeouts: {outage:?}"
     );
     assert_no_false_suspicion(&c);
-    assert!(c.membership_converged());
+    assert!(c.membership_agreed());
     assert!(!c.session(OBSERVER).unwrap().ring().contains(VICTIM));
     assert_eq!(
         sum_over(&c, |m| m.regenerations),
@@ -206,7 +206,7 @@ fn assert_asked_and_nothing_else(c: &mut Cluster) {
     assert_eq!(sum_over(c, |m| m.failures_detected), 0);
     assert_no_false_suspicion(c);
     assert_eq!(membership_changes(c), 0);
-    assert!(c.membership_converged());
+    assert!(c.membership_agreed());
     assert_eq!(c.session(OBSERVER).unwrap().ring().len(), NODES as usize);
 }
 
@@ -218,7 +218,7 @@ fn lost_token_costs_a_probe_limit_and_one_measured_give_up() {
         "lost-token outage {outage:?}"
     );
     assert_no_false_suspicion(&c);
-    assert!(c.membership_converged());
+    assert!(c.membership_agreed());
     assert_eq!(sum_over(&c, |m| m.regenerations), 1);
 
     // The budget, read from the program. The predecessor waited four
@@ -325,7 +325,7 @@ fn a_holder_stalled_past_limit_and_give_up_is_one_false_suspicion_and_a_rejoin()
     // acknowledged late, the member that gave the verdict knows it was
     // false, the stale token lost to the regenerated one, and the victim
     // is back in.
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
     assert_eq!(c.session(OBSERVER).unwrap().ring().len(), NODES as usize);
     assert_eq!(c.metrics(OBSERVER).false_suspicions, 1);
     assert_eq!(sum_over(&c, |m| m.false_suspicions), 1);
@@ -349,7 +349,7 @@ fn a_member_slower_than_the_timeouts_is_a_false_suspicion_and_is_counted() {
     // The victim had the token all along and acknowledged it, late: the
     // member that had given up on it knows its verdict was false. The
     // fork that made is healed, and the victim is back in.
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
     assert_eq!(c.session(OBSERVER).unwrap().ring().len(), NODES as usize);
     assert_eq!(c.metrics(OBSERVER).false_suspicions, 1);
     let elsewhere: u64 = [0, 1, 3]
@@ -373,7 +373,7 @@ fn a_member_behind_a_cut_link_is_not_a_false_suspicion() {
     assert!(!c.session(OBSERVER).unwrap().ring().contains(VICTIM));
     c.set_link(OBSERVER, VICTIM, true);
     c.run_for(Duration::from_secs(2));
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
     assert_eq!(c.session(OBSERVER).unwrap().ring().len(), NODES as usize);
     // Nothing the observer sent arrived, so nothing was acknowledged: the
     // verdict — unreachable — was true.

@@ -153,7 +153,7 @@ fn chaos_total_copy_loss_schedule_still_clean() {
 }
 
 /// The committed benchmark baseline must keep recording the hot-path
-/// allocation floor: 6 allocations per steady-state token hop, and the
+/// allocation floor: 4 allocations per steady-state token hop, and the
 /// model-check state cost inside its 250-alloc budget. `micro_bench`
 /// re-measures and gates these in release CI; this test pins the
 /// *committed* numbers so a stale or hand-edited baseline fails fast.
@@ -196,7 +196,7 @@ fn committed_bench_baseline_holds_alloc_floors() {
     };
     let hop = alloc_of("bench_token_hop");
     assert!(
-        hop <= 6.01,
+        hop <= 4.01,
         "committed bench_token_hop allocs/hop drifted above the floor: {hop}"
     );
     let mc = alloc_of("bench_model_check_states");

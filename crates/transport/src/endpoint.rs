@@ -191,7 +191,9 @@ impl Endpoint {
     }
 
     /// Feeds a received datagram into the endpoint. Undecodable payloads
-    /// are dropped silently (like garbage on a UDP port).
+    /// are dropped silently (like garbage on a UDP port). The fragment is
+    /// copied out, never shared: a datagram may be a slice of a receive
+    /// pool block, which nothing above the transport may keep alive.
     pub fn on_datagram(&mut self, now: Time, dgram: Datagram) {
         let Ok(frame) = Frame::decode_from_bytes(&dgram.payload) else {
             return;

@@ -121,8 +121,14 @@ impl Receiver {
         let key = (from, msg_id);
         let delivered = |(_, seen): &(Incarnation, DedupWindow)| seen.contains(msg_id);
         let duplicate = self.dedup.get(&from).is_some_and(delivered);
+        // A whole message in one datagram that no reassembly claims goes up
+        // as it came, without a reassembly buffer or a copy.
+        let mut whole = None;
         let complete = if duplicate {
             cx.stats.duplicates_dropped += 1;
+            true
+        } else if frag_count == 1 && !self.reasm.contains_key(&key) {
+            whole = Some(payload);
             true
         } else {
             match self.store(key, frag_index, frag_count, payload) {
@@ -159,7 +165,10 @@ impl Receiver {
         }
 
         if complete && !duplicate {
-            self.hand_up(cx, key);
+            let whole = whole.or_else(|| self.reassemble(key));
+            if let Some(payload) = whole {
+                self.hand_up(cx, key, payload);
+            }
         }
     }
 
@@ -209,11 +218,10 @@ impl Receiver {
         Some(r.have.len() == count)
     }
 
-    /// Hands the complete message `key` to the upper layer, exactly once.
-    fn hand_up(&mut self, cx: &mut Ctx, key: (NodeId, MsgId)) {
-        let Some(r) = self.reasm.remove(&key) else {
-            return;
-        };
+    /// Joins the fragments of the complete message `key`, leaving the
+    /// reassembly table.
+    fn reassemble(&mut self, key: (NodeId, MsgId)) -> Option<Bytes> {
+        let r = self.reasm.remove(&key)?;
         let total: usize = r
             .frags
             .iter()
@@ -223,12 +231,16 @@ impl Receiver {
         for f in r.frags.into_iter().flatten() {
             whole.extend_from_slice(&f);
         }
+        Some(Bytes::from(whole))
+    }
+
+    /// Hands the complete message `key` to the upper layer, exactly once.
+    fn hand_up(&mut self, cx: &mut Ctx, key: (NodeId, MsgId), payload: Bytes) {
         let (from, msg_id) = key;
         if let Some(entry) = self.dedup.get_mut(&from) {
             entry.1.insert(msg_id);
         }
         cx.stats.msgs_received += 1;
-        let payload = Bytes::from(whole);
         cx.events
             .push_back(TransportEvent::Received { from, payload });
     }

@@ -169,14 +169,8 @@ impl DigestInto for Attached {
             DeliveryMode::Agreed => 0,
             DeliveryMode::Safe => 1,
         });
-        d.write_len(self.seen.len());
-        for n in &self.seen {
-            d.node(*n);
-        }
-        d.write_len(self.confirmed.len());
-        for n in &self.confirmed {
-            d.node(*n);
-        }
+        self.seen.digest_into(d);
+        self.confirmed.digest_into(d);
         match &self.body {
             AttachedBody::Inline(payload) => {
                 d.tag(0);

@@ -16,6 +16,8 @@
 //! * [`SessionMsg`] — every session-layer datagram: `TOKEN`, `911`
 //!   request/verdict, and `BODYODOR` discovery beacons (§2.3–2.4).
 //! * [`Ring`] — the ordered logical ring of the group membership.
+//! * [`IdList`] — the short id lists a multicast carries on the token
+//!   (who has received it, who has confirmed it), kept inline.
 //! * [`wire`] — a compact, `unsafe`-free, length-checked binary codec used
 //!   for every message that crosses the (simulated or real) network.
 
@@ -29,6 +31,7 @@ pub mod config;
 pub mod digest;
 pub mod error;
 pub mod id;
+pub mod id_list;
 pub mod membership;
 pub mod messages;
 pub mod time;
@@ -39,6 +42,7 @@ pub use config::{SessionConfig, TransportConfig};
 pub use digest::{DigestInto, Fingerprint, StateDigest};
 pub use error::{Error, Result};
 pub use id::{GroupId, Incarnation, MsgId, NodeId, OriginSeq, VipId};
+pub use id_list::IdList;
 pub use membership::Ring;
 pub use messages::{
     Attached, AttachedBody, BodyOdor, BulkData, BulkNack, Call911, DeliveryMode, MsgList,

@@ -205,18 +205,35 @@ impl WireEncode for Ring {
 }
 
 impl WireDecode for Ring {
+    /// The member vector is decoded once and kept: two allocations, the
+    /// vector and its `Arc`. Duplicate ids on the wire indicate corruption.
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
         let members = Vec::<NodeId>::decode(r)?;
-        let ring = Ring::from_iter(members.iter().copied());
-        if ring.len() != members.len() {
-            // Duplicate member ids on the wire indicate corruption.
+        if has_duplicates(&members) {
             return Err(crate::wire::WireError::BadTag {
                 ty: "Ring(dup)",
                 tag: 0,
             });
         }
-        Ok(ring)
+        Ok(Ring {
+            members: Arc::new(members),
+        })
     }
+}
+
+/// Rings up to this size are checked for duplicates by a scan of the
+/// members before each; larger ones by sorting a copy.
+const DUP_SCAN_MAX: usize = 32;
+
+/// True if some id occurs twice. Linearithmic: a ring is whatever the
+/// datagram that carried it says, and a forged one can be 10⁵ ids long.
+fn has_duplicates(ids: &[NodeId]) -> bool {
+    if ids.len() <= DUP_SCAN_MAX {
+        return ids.iter().enumerate().any(|(i, id)| ids[..i].contains(id));
+    }
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).any(|w| w[0] == w[1])
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //!   non-members, carrying the sender's node id and current group id.
 
 use crate::id::{GroupId, NodeId, OriginSeq};
+use crate::id_list::IdList;
 use crate::membership::Ring;
 use crate::wire::{varint_len, Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
 use bytes::Bytes;
@@ -128,10 +129,10 @@ pub struct Attached {
     /// Requested consistency level.
     pub mode: DeliveryMode,
     /// Members that have received the payload so far.
-    pub seen: Vec<NodeId>,
+    pub seen: IdList,
     /// Members that have observed `seen` cover the membership (safe mode's
     /// second round); unused (empty) for agreed mode.
-    pub confirmed: Vec<NodeId>,
+    pub confirmed: IdList,
     /// Application payload, inline or as an out-of-band manifest entry.
     pub body: AttachedBody,
 }
@@ -144,8 +145,8 @@ impl Attached {
             origin,
             seq,
             mode,
-            seen: vec![origin],
-            confirmed: Vec::new(),
+            seen: IdList::from_iter([origin]),
+            confirmed: IdList::new(),
             body: AttachedBody::Inline(payload),
         }
     }
@@ -158,8 +159,8 @@ impl Attached {
             origin,
             seq,
             mode,
-            seen: vec![origin],
-            confirmed: Vec::new(),
+            seen: IdList::from_iter([origin]),
+            confirmed: IdList::new(),
             body: AttachedBody::Oob { len },
         }
     }
@@ -273,8 +274,8 @@ impl WireDecode for Attached {
             origin: NodeId::decode(r)?,
             seq: OriginSeq::decode(r)?,
             mode: DeliveryMode::decode(r)?,
-            seen: Vec::decode(r)?,
-            confirmed: Vec::decode(r)?,
+            seen: IdList::decode(r)?,
+            confirmed: IdList::decode(r)?,
             body: AttachedBody::decode(r)?,
         })
     }
@@ -307,6 +308,12 @@ impl MsgList {
     /// Appends a message.
     pub fn push(&mut self, m: Attached) {
         self.items_mut().push(m);
+    }
+
+    /// Makes room for `additional` more messages at once (unshares the
+    /// list first).
+    pub fn reserve(&mut self, additional: usize) {
+        self.items_mut().reserve(additional);
     }
 
     /// Mutable iteration (unshares the list first).
@@ -905,10 +912,10 @@ mod tests {
             DeliveryMode::Agreed,
             Bytes::from_static(b"x"),
         );
-        assert_eq!(a.seen, vec![NodeId(1)]);
+        assert_eq!(a.seen[..], [NodeId(1)]);
         a.mark_seen(NodeId(2));
         a.mark_seen(NodeId(2));
-        assert_eq!(a.seen, vec![NodeId(1), NodeId(2)]);
+        assert_eq!(a.seen[..], [NodeId(1), NodeId(2)]);
         assert!(!a.seen_by_all(&ring(&[1, 2, 3])));
         a.mark_seen(NodeId(3));
         assert!(a.seen_by_all(&ring(&[1, 2, 3])));
@@ -986,7 +993,7 @@ mod tests {
         assert_eq!(oob.payload_len(), 1024);
         assert!(inline.inline_payload().is_some());
         assert!(oob.inline_payload().is_none());
-        assert_eq!(oob.seen, vec![NodeId(1)], "originator holds the payload");
+        assert_eq!(oob.seen[..], [NodeId(1)], "originator holds the payload");
         // Only inline bytes count as token freight.
         let mut t = Token::founding(ring(&[1]));
         t.msgs.push(inline);
@@ -1013,8 +1020,8 @@ mod tests {
             m.mark_seen(NodeId(2));
         }
         assert_ne!(a.as_ptr(), b.as_ptr());
-        assert_eq!(a[0].seen, vec![NodeId(1)]);
-        assert_eq!(b[0].seen, vec![NodeId(1), NodeId(2)]);
+        assert_eq!(a[0].seen[..], [NodeId(1)]);
+        assert_eq!(b[0].seen[..], [NodeId(1), NodeId(2)]);
         // take_all drains a shared list without disturbing the other copy.
         let drained = b.take_all();
         assert_eq!(drained.len(), 1);
@@ -1084,8 +1091,8 @@ mod tests {
             origin: NodeId(2),
             seq: OriginSeq(7),
             mode: DeliveryMode::Safe,
-            seen: vec![NodeId(2), NodeId(3)],
-            confirmed: vec![NodeId(2)],
+            seen: [NodeId(2), NodeId(3)].into_iter().collect(),
+            confirmed: [NodeId(2)].into_iter().collect(),
             body: AttachedBody::Inline(Bytes::from_static(b"payload")),
         });
         token.msgs.push(Attached::new_oob(

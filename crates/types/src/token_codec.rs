@@ -244,7 +244,7 @@ mod tests {
         t.seq += 1;
         assert_eq!(enc.encode(&t)[..], full(&t)[..]); // miss
                                                       // ...and once it retires the old quiescent body serves again
-                                                      // without re-encoding: the 6-alloc steady-state floor is intact.
+                                                      // without re-encoding: the steady-state floor is intact.
         t.msgs.retain(|_| false);
         t.seq += 1;
         assert_eq!(enc.encode(&t)[..], full(&t)[..]); // hit

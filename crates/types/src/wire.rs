@@ -170,12 +170,25 @@ impl Writer {
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
+    /// The buffer `buf` is a view of, if the caller has one: byte strings
+    /// are then slices of it, not copies.
+    shared: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader over `buf`.
+    /// Creates a reader over `buf`; [`Reader::get_bytes`] copies.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
+        Reader { buf, shared: None }
+    }
+
+    /// Creates a reader over `buf` whose [`Reader::get_bytes`] shares
+    /// `buf`'s allocation instead of copying: what it returns keeps all
+    /// of `buf` alive.
+    pub fn shared(buf: &'a Bytes) -> Self {
+        Reader {
+            buf,
+            shared: Some(buf),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -223,8 +236,8 @@ impl<'a> Reader<'a> {
         Ok(self.get_u8()? != 0)
     }
 
-    /// Reads a length-prefixed byte string, copying it into a fresh buffer.
-    pub fn get_bytes(&mut self) -> WireResult<Bytes> {
+    /// Reads a length prefix and borrows that many bytes of the input.
+    fn get_prefixed(&mut self) -> WireResult<&'a [u8]> {
         let len = self.get_varint()?;
         if len > self.buf.len() as u64 {
             return Err(WireError::BadLength {
@@ -234,13 +247,29 @@ impl<'a> Reader<'a> {
         }
         let (head, tail) = self.buf.split_at(len as usize);
         self.buf = tail;
-        Ok(Bytes::copy_from_slice(head))
+        Ok(head)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a length-prefixed byte string: a slice of the shared buffer
+    /// ([`Reader::shared`]), else a copy into a fresh one.
+    pub fn get_bytes(&mut self) -> WireResult<Bytes> {
+        let head = self.get_prefixed()?;
+        Ok(match self.shared {
+            Some(whole) => {
+                let start = head.as_ptr() as usize - whole.as_ptr() as usize;
+                whole.slice(start..start + head.len())
+            }
+            None => Bytes::copy_from_slice(head),
+        })
+    }
+
+    /// Reads a length-prefixed UTF-8 string: checked in place, then copied
+    /// once into the `String`.
     pub fn get_str(&mut self) -> WireResult<String> {
-        let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| WireError::BadTag { ty: "utf8", tag: 0 })
+        let b = self.get_prefixed()?;
+        core::str::from_utf8(b)
+            .map(str::to_owned)
+            .map_err(|_| WireError::BadTag { ty: "utf8", tag: 0 })
     }
 
     /// Reads a sequence length prefix, sanity-checking it against the
@@ -278,11 +307,21 @@ pub trait WireDecode: Sized {
 
     /// Convenience: decodes a value that must occupy the whole buffer.
     fn decode_from_bytes(buf: &[u8]) -> WireResult<Self> {
-        let mut r = Reader::new(buf);
-        let v = Self::decode(&mut r)?;
-        r.expect_end()?;
-        Ok(v)
+        decode_whole(Reader::new(buf))
     }
+
+    /// As [`WireDecode::decode_from_bytes`], with the byte strings in the
+    /// value sharing `buf` ([`Reader::shared`]) instead of copied out.
+    fn decode_from_shared(buf: &Bytes) -> WireResult<Self> {
+        decode_whole(Reader::shared(buf))
+    }
+}
+
+/// Decodes a value that must occupy all of `r`.
+fn decode_whole<T: WireDecode>(mut r: Reader<'_>) -> WireResult<T> {
+    let v = T::decode(&mut r)?;
+    r.expect_end()?;
+    Ok(v)
 }
 
 macro_rules! impl_wire_varint_newtype {
@@ -471,6 +510,21 @@ mod tests {
             r.get_bytes(),
             Err(WireError::BadLength { declared: 100, .. })
         ));
+    }
+
+    #[test]
+    fn shared_reader_slices_instead_of_copying() {
+        let mut w = Writer::new();
+        w.put_varint(300);
+        w.put_bytes(b"payload");
+        let buf = w.finish();
+        let back = <(u64, Bytes)>::decode_from_shared(&buf).unwrap();
+        assert_eq!(back, (300, Bytes::from_static(b"payload")));
+        // The same bytes of the same allocation, three bytes in.
+        assert_eq!(back.1.as_ptr(), buf[3..].as_ptr());
+        let copied = <(u64, Bytes)>::decode_from_bytes(&buf).unwrap();
+        assert_eq!(copied, back);
+        assert_ne!(copied.1.as_ptr(), back.1.as_ptr());
     }
 
     #[test]

@@ -12,15 +12,23 @@
 //! 3. randomized instances of every [`SessionMsg`] variant — and of both
 //!    flavours of transport `DATA` frame and both forms of `ACK` — must
 //!    round-trip encode→decode exactly.
+//!
+//! The one proptest here pins [`IdList`], the inline id list of every
+//! token entry, to the `Vec<NodeId>` it replaced.
 
 use bytes::Bytes;
+use proptest::prelude::*;
 use raincore_transport::{FragSet, Frame, MAX_FRAGS};
+use raincore_types::id_list::INLINE_IDS;
 use raincore_types::messages::{
     Attached, AttachedBody, BodyOdor, BulkData, BulkNack, Call911, DeliveryMode, OpenSubmit,
     Reply911, SessionMsg, Token, TraceCtx, Verdict911,
 };
-use raincore_types::wire::{WireDecode, WireEncode};
-use raincore_types::{GroupId, Incarnation, MsgId, NodeId, OriginSeq, Ring, TokenEncoder};
+use raincore_types::wire::{WireDecode, WireEncode, WireError, Writer};
+use raincore_types::{
+    DigestInto, GroupId, IdList, Incarnation, MsgId, NodeId, OriginSeq, Ring, StateDigest,
+    TokenEncoder,
+};
 
 /// Minimal xorshift64* PRNG: deterministic, dependency-free, good enough
 /// for byte fuzzing.
@@ -500,4 +508,67 @@ fn manifest_round_trip_matches_piggyback_at_delivery() {
             );
         }
     }
+}
+
+proptest! {
+    /// From empty through the spill to three times the inline room, an
+    /// [`IdList`] is the `Vec<NodeId>` it replaced: the same bytes on the
+    /// wire, the same list back, the same positional digest; and a count
+    /// that claims more ids than bytes remain is refused by the length
+    /// check, before a single id is stored.
+    #[test]
+    fn id_list_is_a_vec_of_node_ids(
+        raw in proptest::collection::vec(0u32..100_000, 0..=3 * INLINE_IDS),
+    ) {
+        let ids: Vec<NodeId> = raw.into_iter().map(NodeId).collect();
+        let list: IdList = ids.iter().copied().collect();
+        let wire = list.encode_to_bytes();
+        prop_assert_eq!(&wire[..], &ids.encode_to_bytes()[..]);
+
+        let back = IdList::decode_from_bytes(&wire).expect("decodes");
+        prop_assert_eq!(&back[..], &ids[..]);
+        prop_assert_eq!(&back, &list);
+
+        let digest = |f: &dyn Fn(&mut StateDigest)| {
+            let mut d = StateDigest::identity();
+            f(&mut d);
+            d.finish()
+        };
+        let as_vec = digest(&|d| {
+            d.write_len(ids.len());
+            for &n in &ids {
+                d.node(n);
+            }
+        });
+        prop_assert_eq!(digest(&|d| list.digest_into(d)), as_vec);
+        prop_assert_eq!(digest(&|d| back.digest_into(d)), as_vec);
+
+        // The ids' bytes after a count one larger than those bytes.
+        let id_bytes: usize = ids.iter().map(|n| n.encode_to_bytes().len()).sum();
+        let body = &wire[wire.len() - id_bytes..];
+        let mut forged = Writer::new();
+        forged.put_varint(body.len() as u64 + 1);
+        forged.put_raw(body);
+        let refused = IdList::decode_from_bytes(forged.as_slice());
+        prop_assert!(
+            matches!(refused, Err(WireError::BadLength { .. })),
+            "{refused:?}"
+        );
+    }
+}
+
+/// A count no datagram could back is refused without reserving room for
+/// it: `Vec::with_capacity` of this many ids would abort the process.
+#[test]
+fn id_list_refuses_a_count_beyond_the_datagram() {
+    let mut w = Writer::new();
+    w.put_varint(1 << 60);
+    w.put_raw(&[1, 2, 3]);
+    assert_eq!(
+        IdList::decode_from_bytes(w.as_slice()),
+        Err(WireError::BadLength {
+            declared: 1 << 60,
+            remaining: 3
+        })
+    );
 }

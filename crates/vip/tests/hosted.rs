@@ -3,7 +3,7 @@
 //! such run puts on the wire.
 
 use raincore_session::StartMode;
-use raincore_sim::{Cluster, ClusterBuilder, ClusterConfig};
+use raincore_sim::{AuditView, Cluster, ClusterBuilder, ClusterConfig};
 use raincore_types::{Duration, NodeId, Ring, VipId};
 use raincore_vip::{SubnetArp, VipManager};
 use std::collections::BTreeMap;
@@ -190,7 +190,7 @@ fn join_late(c: &mut Cluster, late: u32, k: u32, arp: &Arc<SubnetArp>) -> BTreeM
     assert_eq!(before.len(), k as usize, "{before:?}");
     rejoin(c, NodeId(late), k, arp);
     c.run_for(Duration::from_secs(3));
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
     before
 }
 

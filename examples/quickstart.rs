@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use raincore::prelude::*;
 use raincore::session::StartMode;
-use raincore::sim::ClusterConfig;
+use raincore::sim::{AuditView, ClusterConfig};
 
 fn main() {
     // A cluster of four members (node 0 founds the token), default
@@ -27,7 +27,7 @@ fn main() {
     println!(
         "membership at node 0: {:?} (converged: {})",
         cluster.session(NodeId(0)).unwrap().ring(),
-        cluster.membership_converged()
+        cluster.membership_agreed()
     );
 
     println!("\n== reliable multicast with agreed total ordering ==");
@@ -69,7 +69,7 @@ fn main() {
     println!(
         "membership at node 0: {:?} (converged: {})",
         cluster.session(NodeId(0)).unwrap().ring(),
-        cluster.membership_converged()
+        cluster.membership_agreed()
     );
 
     println!("\n== node 2 restarts and rejoins via the 911 protocol ==");
@@ -80,7 +80,7 @@ fn main() {
     println!(
         "membership at node 0: {:?} (converged: {})",
         cluster.session(NodeId(0)).unwrap().ring(),
-        cluster.membership_converged()
+        cluster.membership_agreed()
     );
 
     let m = cluster.metrics(NodeId(0));

@@ -12,7 +12,7 @@
 
 use bytes::Bytes;
 use raincore::prelude::*;
-use raincore::sim::ClusterConfig;
+use raincore::sim::{AuditView, ClusterConfig};
 
 fn main() {
     let mut cfg = ClusterConfig::default();
@@ -68,7 +68,7 @@ fn main() {
     cluster.heal();
     cluster.run_for(Duration::from_secs(4));
     println!("groups after merge: {:?}", cluster.groups());
-    println!("membership converged: {}", cluster.membership_converged());
+    println!("membership converged: {}", cluster.membership_agreed());
 
     let merges: u64 = cluster
         .member_ids()

@@ -6,7 +6,7 @@ use bytes::Bytes;
 use raincore::data::{DataEvent, DataStore};
 use raincore::prelude::*;
 use raincore::session::StartMode;
-use raincore::sim::ClusterConfig;
+use raincore::sim::{AuditView, ClusterConfig};
 
 fn fast_cfg() -> ClusterConfig {
     let mut c = ClusterConfig::default();
@@ -271,7 +271,7 @@ fn rejoin_under_writes(joiner: NodeId) -> Cluster {
         c.run_for(Duration::from_millis(if round < 10 { 1 } else { 20 }));
     }
     c.run_for(Duration::from_secs(2));
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
     c
 }
 

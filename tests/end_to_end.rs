@@ -5,7 +5,7 @@ use bytes::Bytes;
 use raincore::dlm::LockManager;
 use raincore::prelude::*;
 use raincore::session::{SessionEvent, StartMode};
-use raincore::sim::ClusterConfig;
+use raincore::sim::{AuditView, ClusterConfig};
 use raincore::vip::{SubnetArp, VipManager};
 use raincore_types::VipId;
 
@@ -73,14 +73,14 @@ fn repeated_crash_restart_cycles_stay_consistent() {
         cluster.crash(victim);
         cluster.run_for(Duration::from_secs(1));
         assert!(
-            cluster.membership_converged(),
+            cluster.membership_agreed(),
             "round {round}: shrink converged"
         );
         assert_eq!(cluster.live_members().len(), 3);
         cluster.restart(victim, StartMode::Joining).unwrap();
         cluster.run_for(Duration::from_secs(2));
         assert!(
-            cluster.membership_converged(),
+            cluster.membership_agreed(),
             "round {round}: rejoin converged"
         );
         assert_eq!(cluster.live_members().len(), 4);
@@ -133,7 +133,7 @@ fn cascade_down_to_singleton_and_back() {
         cluster.restart(NodeId(victim), StartMode::Joining).unwrap();
     }
     cluster.run_for(Duration::from_secs(3));
-    assert!(cluster.membership_converged());
+    assert!(cluster.membership_agreed());
     assert_eq!(cluster.live_members().len(), 4);
 }
 
@@ -147,7 +147,7 @@ fn graceful_leave_hands_over_without_911() {
     cluster.session_mut(holder).unwrap().leave(now);
     cluster.run_for(Duration::from_secs(1));
     assert_eq!(cluster.live_members().len(), 2);
-    assert!(cluster.membership_converged());
+    assert!(cluster.membership_agreed());
     // No 911 was needed: the token was handed over, not lost.
     let regens: u64 = cluster
         .live_members()
@@ -177,7 +177,7 @@ fn master_lock_survives_holder_crash() {
     cluster.run_for(Duration::from_secs(2));
     // 911 regenerated the token; the survivors' ring works again.
     assert_eq!(cluster.live_members().len(), 2);
-    assert!(cluster.membership_converged());
+    assert!(cluster.membership_agreed());
     cluster
         .session_mut(NodeId(2))
         .unwrap()

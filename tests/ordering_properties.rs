@@ -14,7 +14,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use raincore::prelude::*;
-use raincore::sim::ClusterConfig;
+use raincore::sim::{AuditView, ClusterConfig};
 use raincore_types::OriginSeq;
 
 fn cfg(loss: f64, seed: u64) -> ClusterConfig {
@@ -104,7 +104,7 @@ proptest! {
         cluster.crash(NodeId(victim));
         cluster.run_for(Duration::from_secs(8));
 
-        prop_assert!(cluster.membership_converged());
+        prop_assert!(cluster.membership_agreed());
         let live: Vec<NodeId> = cluster.live_members();
         prop_assert_eq!(live.len(), 3);
         let reference = delivery_keys(&cluster, live[0]);

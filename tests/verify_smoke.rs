@@ -23,7 +23,7 @@ use raincore::dlm::LockManager;
 use raincore::session::StartMode;
 use raincore::sim::chaos::{generate_schedule, run_chaos, ChaosConfig};
 use raincore::sim::explore::{replay, Reduction};
-use raincore::sim::{Cluster, ClusterConfig, Explorer, ModelCheckConfig};
+use raincore::sim::{AuditView, Cluster, ClusterConfig, Explorer, ModelCheckConfig};
 use raincore::types::{Duration, NodeId, VipId};
 use raincore::vip::VipManager;
 
@@ -194,7 +194,7 @@ fn replicated_tables_stay_equal_through_a_crash_and_a_joining_restart() {
         c.run_for(Duration::from_millis(10));
     }
     c.run_for(Duration::from_secs(1));
-    assert!(c.membership_converged(), "{}", c.dump_state());
+    assert!(c.membership_agreed(), "{}", c.dump_state());
 
     let tables = |id: u32| {
         let (locks, (store, vips)): &Apps = c.app(NodeId(id)).expect("hosted applications");
