@@ -6,7 +6,7 @@
 //!
 //! | name | kernel |
 //! |---|---|
-//! | `bench_token_hop` | steady-state token hop: decode → CoW `last_copy` snapshot → seq bump → patch-per-hop encode ([`TokenEncoder`]) |
+//! | `bench_token_hop` | steady-state token hop: decode → CoW `last_copy` snapshot → seq bump → pooled encode ([`TokenEncoder`]) |
 //! | `bench_wire_codec` | encode+decode round-trip of a message-laden token |
 //! | `bench_chaos_tick` | one seeded chaos run, normalized per engine tick |
 //! | `bench_model_check_states` | one bounded model-check search, normalized per state visited |
@@ -103,18 +103,22 @@ struct BenchResult {
     ns_per_op: f64,
     bytes_per_op: f64,
     allocs_per_op: f64,
-    /// Extra report-only fields (`name → value`), e.g. the per-stage
-    /// hop-latency percentiles. Never gated: timings are machine noise.
-    extras: Vec<(String, f64)>,
+    /// Extra report-only fields, e.g. the per-stage hop-latency
+    /// percentiles. Never gated: timings are machine noise.
+    extras: Extras,
 }
 
-/// Runs `f` once (it loops internally and returns its op count) with the
-/// allocator counters and a wall timer around it.
-fn measure(name: &'static str, f: impl FnOnce() -> u64) -> BenchResult {
+/// Report-only `name → value` fields a kernel returns beside its op count.
+type Extras = Vec<(String, f64)>;
+
+/// Runs `f` once (it loops internally and returns its op count and
+/// extras) with the allocator counters and a wall timer around it.
+fn measure(name: &'static str, f: impl FnOnce() -> (u64, Extras)) -> BenchResult {
     let a0 = ALLOC_CALLS.load(Ordering::Relaxed);
     let b0 = ALLOC_BYTES.load(Ordering::Relaxed);
     let t0 = Instant::now();
-    let ops = f().max(1);
+    let (ops, extras) = f();
+    let ops = ops.max(1);
     let ns = t0.elapsed().as_nanos() as f64;
     let allocs = (ALLOC_CALLS.load(Ordering::Relaxed) - a0) as f64;
     let bytes = (ALLOC_BYTES.load(Ordering::Relaxed) - b0) as f64;
@@ -124,12 +128,15 @@ fn measure(name: &'static str, f: impl FnOnce() -> u64) -> BenchResult {
         ns_per_op: ns / ops as f64,
         bytes_per_op: bytes / ops as f64,
         allocs_per_op: allocs / ops as f64,
-        extras: Vec::new(),
+        extras,
     };
     println!(
         "{:28} {:>10} ops  {:>12.1} ns/op  {:>10.1} B/op  {:>8.2} allocs/op",
         r.name, r.ops, r.ns_per_op, r.bytes_per_op, r.allocs_per_op
     );
+    for (k, v) in &r.extras {
+        println!("  {name} {k} = {v:.3}");
+    }
     r
 }
 
@@ -152,9 +159,8 @@ const LOADED_HOP_ALLOCS: f64 = 8.0;
 
 /// The steady-state hop: decode the incoming wire image as a node does
 /// (sharing its buffer), take the CoW `last_copy` snapshot (an `Arc`
-/// bump), bump `seq`, and encode through the pooled patch-per-hop
-/// encoder.
-fn token_hop() -> u64 {
+/// bump), bump `seq`, and encode through the pooled encoder.
+fn token_hop() -> (u64, Extras) {
     let mut enc = TokenEncoder::new();
     let mut wire = enc.encode(&quiescent_token(8));
     let mut last_copy = None;
@@ -169,16 +175,12 @@ fn token_hop() -> u64 {
         black_box(&wire);
     }
     black_box(&last_copy);
-    assert!(
-        enc.cache_hits() >= HOPS - 1,
-        "steady-state hops must hit the body cache"
-    );
-    HOPS
+    (HOPS, Vec::new())
 }
 
-/// Encode+decode round-trip of a token carrying piggybacked multicasts —
-/// the non-quiescent codec cost the body cache cannot help with.
-fn wire_codec() -> u64 {
+/// Encode+decode round-trip of a token carrying piggybacked multicasts:
+/// the codec cost of a loaded token.
+fn wire_codec() -> (u64, Extras) {
     const OPS: u64 = 20_000;
     let mut t = quiescent_token(8);
     for i in 0..4u64 {
@@ -197,13 +199,13 @@ fn wire_codec() -> u64 {
         let back = SessionMsg::decode_from_bytes(&wire).expect("round-trips");
         black_box(&back);
     }
-    OPS
+    (OPS, Vec::new())
 }
 
 /// One seeded chaos run (schedule generation + engine + oracles),
 /// normalized per engine tick — the end-to-end cost of a simulated
 /// protocol instant.
-fn chaos_tick() -> u64 {
+fn chaos_tick() -> (u64, Extras) {
     let cfg = ChaosConfig {
         nodes: 4,
         seed: 5,
@@ -213,19 +215,15 @@ fn chaos_tick() -> u64 {
     let schedule = generate_schedule(&cfg);
     let report = run_chaos(&cfg, &schedule).expect("chaos run");
     assert!(report.violation.is_none(), "seed 5 is a known-clean run");
-    report.ticks_run
+    (report.ticks_run, Vec::new())
 }
-
-/// Per-stage hop-latency percentiles, captured by [`hop_latency`] for
-/// the report writer (the harness closure can only return an op count).
-static HOP_STAGE_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
 
 /// A 4-node simulated ring driven with a *real* monotonic stage clock:
 /// virtual time schedules the protocol, the wall clock times each hop's
 /// recv → decode → protocol → encode → send pipeline. One op is one
 /// completed hop span; the per-stage p50/p99 land in the report as
 /// extra (never-gated) fields, while allocs/op rides the standard gate.
-fn hop_latency() -> u64 {
+fn hop_latency() -> (u64, Extras) {
     use raincore_obs::{Stage, StageClock, StageHists};
     use raincore_sim::{Cluster, ClusterConfig};
     use raincore_types::{Duration, Time};
@@ -254,14 +252,8 @@ fn hop_latency() -> u64 {
         extras.push((format!("{}_p50_ns", stage.label()), s.p50 as f64));
         extras.push((format!("{}_p99_ns", stage.label()), s.p99 as f64));
     }
-    let ops = agg.get(Stage::Send).count();
-    HOP_STAGE_SUMMARIES.set(extras).expect("set once");
-    ops
+    (agg.get(Stage::Send).count(), extras)
 }
-
-/// Per-mode token-load bytes and the piggyback→OOB reduction factor,
-/// captured by [`multicast_throughput`] for the report writer.
-static MULTICAST_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
 
 /// DESIGN.md §13 measured at the wire: a token carrying 64 in-flight
 /// 1KiB agreed multicasts hops the ring twice over — once with every
@@ -269,13 +261,13 @@ static MULTICAST_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync:
 /// out-of-band id manifests (the payloads travel as bulk frames, so the
 /// token carries only `(origin, seq, len)` plus the seen-set watermark).
 /// One op is one hop (decode, sharing the wire image as a node does →
-/// seq bump → patch-per-hop encode); the *token-load* bytes per hop —
+/// seq bump → pooled encode); the *token-load* bytes per hop —
 /// wire size beyond the quiescent token — land in the report per mode
 /// together with their ratio, and the ≥5x dissemination/ordering split
 /// win is asserted in-process. So is the rule that a hop allocates per
 /// hop, not per entry aboard (DESIGN.md §9): with 64 entries on the
 /// token, either half allocates at most [`LOADED_HOP_ALLOCS`] times a hop.
-fn multicast_throughput() -> u64 {
+fn multicast_throughput() -> (u64, Extras) {
     const MSGS: u64 = 64;
     const PAYLOAD: usize = 1024;
     const LOAD_HOPS: u64 = 2_000;
@@ -337,22 +329,15 @@ fn multicast_throughput() -> u64 {
          1KiB multicasts: piggyback {piggyback:.0} B/hop vs oob {oob:.0} B/hop \
          ({reduction:.1}x)"
     );
-    MULTICAST_SUMMARIES
-        .set(vec![
-            ("piggyback_load_bytes_per_hop".to_string(), piggyback),
-            ("oob_load_bytes_per_hop".to_string(), oob),
-            ("payload_bytes_reduction_x".to_string(), reduction),
-            ("piggyback_allocs_per_hop".to_string(), piggyback_allocs),
-            ("oob_allocs_per_hop".to_string(), oob_allocs),
-        ])
-        .expect("set once");
-    2 * LOAD_HOPS
+    let extras = vec![
+        ("piggyback_load_bytes_per_hop".to_string(), piggyback),
+        ("oob_load_bytes_per_hop".to_string(), oob),
+        ("payload_bytes_reduction_x".to_string(), reduction),
+        ("piggyback_allocs_per_hop".to_string(), piggyback_allocs),
+        ("oob_allocs_per_hop".to_string(), oob_allocs),
+    ];
+    (2 * LOAD_HOPS, extras)
 }
-
-/// Simulated crash → detection spans, captured by [`failure_detect`] for
-/// the report writer.
-static FAILURE_DETECT_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> =
-    std::sync::OnceLock::new();
 
 /// DESIGN.md §17 as two counts: on a warmed-up 4-node simulated ring with
 /// the stock timeouts (`retry_timeout` 50 ms × 3, `hungry_timeout`
@@ -361,7 +346,7 @@ static FAILURE_DETECT_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> =
 /// until a survivor has regenerated it. Simulated time: the spans repeat
 /// to the nanosecond, so a change to either detection rule moves them and
 /// nothing else does. One op is one fail-over.
-fn failure_detect() -> u64 {
+fn failure_detect() -> (u64, Extras) {
     use raincore_obs::TraceKind;
     use raincore_sim::{Cluster, ClusterConfig};
     use raincore_types::{Duration, Time};
@@ -389,18 +374,12 @@ fn failure_detect() -> u64 {
     };
     let skip = span(NodeId(0), |k| matches!(k, TraceKind::PeerFailed { .. }));
     let regen = span(VICTIM, |k| matches!(k, TraceKind::TokenRegenerated { .. }));
-    FAILURE_DETECT_SUMMARIES
-        .set(vec![
-            ("crash_to_delivery_failed_sim_ns".to_string(), skip),
-            ("crash_to_regenerated_sim_ns".to_string(), regen),
-        ])
-        .expect("set once");
-    2
+    let extras = vec![
+        ("crash_to_delivery_failed_sim_ns".to_string(), skip),
+        ("crash_to_regenerated_sim_ns".to_string(), regen),
+    ];
+    (2, extras)
 }
-
-/// The lost-token budget, captured by [`lost_token_outage`] for the
-/// report writer.
-static LOST_TOKEN_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
 
 /// DESIGN.md §17.3 as simulated time: the ring of the end-to-end
 /// benchmark's `sim_core` (eight members, `token_hold` 2 ms, stock
@@ -411,7 +390,7 @@ static LOST_TOKEN_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync
 /// (`raincore_obs::OutageTracker`), a delivery either side of the outage
 /// giving it edges; they repeat to the nanosecond. One op is the
 /// fail-over.
-fn lost_token_outage() -> u64 {
+fn lost_token_outage() -> (u64, Extras) {
     use raincore_sim::{Cluster, ClusterConfig};
     use raincore_types::{Duration, Time};
 
@@ -444,26 +423,20 @@ fn lost_token_outage() -> u64 {
         live.iter().map(|&id| f(&c.metrics(id))).sum::<u64>() as f64
     };
     let callers = live.iter().filter(|&&id| c.metrics(id).calls911_sent > 0);
-    LOST_TOKEN_SUMMARIES
-        .set(vec![
-            ("wait_sim_ns".to_string(), wait as f64),
-            ("detect_sim_ns".to_string(), detect as f64),
-            ("vote_sim_ns".to_string(), vote as f64),
-            (
-                "let_go_to_regenerated_sim_ns".to_string(),
-                (wait + detect + vote + repair) as f64,
-            ),
-            ("probes_sent".to_string(), sum(|m| m.probes_sent)),
-            ("probes_failed".to_string(), sum(|m| m.probes_failed)),
-            ("callers_911".to_string(), callers.count() as f64),
-        ])
-        .expect("set once");
-    1
+    let extras = vec![
+        ("wait_sim_ns".to_string(), wait as f64),
+        ("detect_sim_ns".to_string(), detect as f64),
+        ("vote_sim_ns".to_string(), vote as f64),
+        (
+            "let_go_to_regenerated_sim_ns".to_string(),
+            (wait + detect + vote + repair) as f64,
+        ),
+        ("probes_sent".to_string(), sum(|m| m.probes_sent)),
+        ("probes_failed".to_string(), sum(|m| m.probes_failed)),
+        ("callers_911".to_string(), callers.count() as f64),
+    ];
+    (1, extras)
 }
-
-/// Rates of the simulated bulk loop, captured by [`bulk_closed_loop`] for
-/// the report writer.
-static BULK_LOOP_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
 
 /// DESIGN.md §16.1 as counts: the `udp_bulk` workload's shape on the
 /// simulator — three members, `token_hold` 2 ms, the first keeping eight
@@ -472,7 +445,7 @@ static BULK_LOOP_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync:
 /// the loaded round (`N·token_hold/2` = 3 ms): 8 multicasts every 3 hops
 /// and 3 ms, two passes in three early. Simulated time, so the counts
 /// repeat exactly. One op is one multicast delivered at every member.
-fn bulk_closed_loop() -> u64 {
+fn bulk_closed_loop() -> (u64, Extras) {
     use raincore_session::StartMode;
     use raincore_sim::{ClosedLoop, Cluster, ClusterBuilder, ClusterConfig};
     use raincore_types::{Duration, Time};
@@ -514,18 +487,16 @@ fn bulk_closed_loop() -> u64 {
     let hops = (after.0 - before.0) as f64;
     let early = (after.1 - before.1) as f64;
     let deliveries = after.2 - before.2;
-    BULK_LOOP_SUMMARIES
-        .set(vec![
-            ("deliveries_per_sim_s".to_string(), deliveries as f64),
-            ("hops_per_delivery".to_string(), hops / deliveries as f64),
-            ("early_pass_share".to_string(), early / hops),
-        ])
-        .expect("set once");
-    deliveries
+    let extras = vec![
+        ("deliveries_per_sim_s".to_string(), deliveries as f64),
+        ("hops_per_delivery".to_string(), hops / deliveries as f64),
+        ("early_pass_share".to_string(), early / hops),
+    ];
+    (deliveries, extras)
 }
 
 /// One bounded model-check search, normalized per state visited.
-fn model_check_states() -> u64 {
+fn model_check_states() -> (u64, Extras) {
     let cfg = ModelCheckConfig {
         nodes: 3,
         max_depth: 8,
@@ -537,7 +508,7 @@ fn model_check_states() -> u64 {
         report.violation.is_none(),
         "bounded space is violation-free"
     );
-    report.stats.states
+    (report.stats.states, Vec::new())
 }
 
 /// A connected pair of batched UDP endpoints on loopback.
@@ -551,10 +522,6 @@ fn udp_pair(cfg: BatchConfig) -> (BatchIo, BatchIo, Addr, Addr) {
     b.add_peer(a_addr, a.local_socket_addr(a_addr).expect("a bound"));
     (a, b, a_addr, b_addr)
 }
-
-/// Per-backend packet rates and the batching speedup, captured by
-/// [`udp_pps`] for the report writer.
-static UDP_PPS_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
 
 /// The I/O engine measured at the syscall boundary: the same
 /// send-burst → drain workload over loopback UDP through both backends —
@@ -576,7 +543,7 @@ static UDP_PPS_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::O
 /// receiving reuses blocks instead of allocating. The gated allocs/op
 /// figure locks that in — an accidental per-frame allocation on the
 /// batched path trips the compare gate.
-fn udp_pps() -> u64 {
+fn udp_pps() -> (u64, Extras) {
     const FRAMES: u64 = 48_000;
     const BURST: usize = 32;
 
@@ -625,20 +592,15 @@ fn udp_pps() -> u64 {
              {scalar_spk:.0} syscalls/kpacket ({syscall_reduction:.1}x)"
         );
     }
-    UDP_PPS_SUMMARIES
-        .set(vec![
-            ("batched_pps".to_string(), batched_pps),
-            ("scalar_pps".to_string(), scalar_pps),
-            ("batched_syscalls_per_kpacket".to_string(), batched_spk),
-            ("scalar_syscalls_per_kpacket".to_string(), scalar_spk),
-            ("syscall_reduction_x".to_string(), syscall_reduction),
-        ])
-        .expect("set once");
-    2 * FRAMES
+    let extras = vec![
+        ("batched_pps".to_string(), batched_pps),
+        ("scalar_pps".to_string(), scalar_pps),
+        ("batched_syscalls_per_kpacket".to_string(), batched_spk),
+        ("scalar_syscalls_per_kpacket".to_string(), scalar_spk),
+        ("syscall_reduction_x".to_string(), syscall_reduction),
+    ];
+    (2 * FRAMES, extras)
 }
-
-/// Round-trip percentiles captured by [`udp_rtt`] for the report writer.
-static UDP_RTT_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
 
 /// Ping round-trip latency over the batched engine *under load*: every
 /// ping shares its `sendmmsg` batch with background data frames, so the
@@ -646,7 +608,7 @@ static UDP_RTT_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::O
 /// rides a flush alongside bulk traffic. One op is one completed round
 /// trip; the percentiles land in the report as extras (never gated —
 /// timings are machine noise), allocs/op rides the standard gate.
-fn udp_rtt() -> u64 {
+fn udp_rtt() -> (u64, Extras) {
     const PINGS: u64 = 2_000;
     const LOAD: usize = 15;
 
@@ -702,13 +664,11 @@ fn udp_rtt() -> u64 {
     }
     let s = hist.summary();
     assert_eq!(s.count, PINGS);
-    UDP_RTT_SUMMARIES
-        .set(vec![
-            ("rtt_p50_ns".to_string(), s.p50 as f64),
-            ("rtt_p99_ns".to_string(), s.p99 as f64),
-        ])
-        .expect("set once");
-    PINGS
+    let extras = vec![
+        ("rtt_p50_ns".to_string(), s.p50 as f64),
+        ("rtt_p99_ns".to_string(), s.p99 as f64),
+    ];
+    (PINGS, extras)
 }
 
 // ----------------------------------------------------------------------
@@ -777,7 +737,7 @@ fn main() {
     }
 
     println!("raincore micro-benchmarks (allocation-counting harness)\n");
-    let mut results = [
+    let results = [
         measure("bench_token_hop", token_hop),
         measure("bench_wire_codec", wire_codec),
         measure("bench_chaos_tick", chaos_tick),
@@ -790,51 +750,6 @@ fn main() {
         measure("bench_bulk_closed_loop", bulk_closed_loop),
         measure("bench_lost_token_outage", lost_token_outage),
     ];
-    if let Some(extras) = HOP_STAGE_SUMMARIES.get() {
-        results[4].extras = extras.clone();
-        for (k, v) in extras {
-            println!("  bench_hop_latency {k:>16} = {v:.0}");
-        }
-    }
-    if let Some(extras) = MULTICAST_SUMMARIES.get() {
-        results[5].extras = extras.clone();
-        for (k, v) in extras {
-            println!("  bench_multicast_throughput {k} = {v:.1}");
-        }
-    }
-    if let Some(extras) = UDP_PPS_SUMMARIES.get() {
-        results[6].extras = extras.clone();
-        for (k, v) in extras {
-            println!("  bench_udp_pps {k} = {v:.1}");
-        }
-    }
-    if let Some(extras) = UDP_RTT_SUMMARIES.get() {
-        results[7].extras = extras.clone();
-        for (k, v) in extras {
-            println!("  bench_udp_rtt {k} = {v:.0}");
-        }
-    }
-
-    if let Some(extras) = FAILURE_DETECT_SUMMARIES.get() {
-        results[8].extras = extras.clone();
-        for (k, v) in extras {
-            println!("  bench_failure_detect {k} = {v:.0}");
-        }
-    }
-
-    if let Some(extras) = BULK_LOOP_SUMMARIES.get() {
-        results[9].extras = extras.clone();
-        for (k, v) in extras {
-            println!("  bench_bulk_closed_loop {k} = {v:.3}");
-        }
-    }
-
-    if let Some(extras) = LOST_TOKEN_SUMMARIES.get() {
-        results[10].extras = extras.clone();
-        for (k, v) in extras {
-            println!("  bench_lost_token_outage {k} = {v:.0}");
-        }
-    }
 
     let new_hop = &results[0];
     // The steady-state hop's floor: the decoded ring (its members and

@@ -71,12 +71,6 @@ pub struct SessionMetrics {
     /// Failed sends this node re-routed (token re-sent to the next
     /// successor, or a 911 vote completed without the dead voter).
     pub retransmissions_acted: u64,
-    /// Outgoing token encodes served from the patch-per-hop body cache
-    /// (only the seq header was re-encoded).
-    pub token_body_cache_hits: u64,
-    /// Outgoing token encodes that re-encoded the body (membership or
-    /// message-list change, or cold cache).
-    pub token_body_cache_misses: u64,
     /// Out-of-band bulk payload frames unicast to members (origin side).
     pub bulk_frames_sent: u64,
     /// Out-of-band bulk payload frames received.
@@ -90,9 +84,9 @@ pub struct SessionMetrics {
 }
 
 impl SessionMetrics {
-    /// `(field name, value)` view, in declaration order. Single source of
-    /// truth for the JSON renderer and metric exporters.
-    pub fn fields(&self) -> [(&'static str, u64); 30] {
+    /// `(field name, value)` view, in declaration order: what the metric
+    /// export ([`crate::SessionNode::export_into`]) publishes.
+    pub fn fields(&self) -> [(&'static str, u64); 28] {
         [
             ("task_switches", self.task_switches),
             ("tokens_received", self.tokens_received),
@@ -117,48 +111,11 @@ impl SessionMetrics {
             ("probes_sent", self.probes_sent),
             ("probes_failed", self.probes_failed),
             ("retransmissions_acted", self.retransmissions_acted),
-            ("token_body_cache_hits", self.token_body_cache_hits),
-            ("token_body_cache_misses", self.token_body_cache_misses),
             ("bulk_frames_sent", self.bulk_frames_sent),
             ("bulk_frames_received", self.bulk_frames_received),
             ("bulk_duplicates", self.bulk_duplicates),
             ("bulk_nacks_sent", self.bulk_nacks_sent),
             ("bulk_nacks_served", self.bulk_nacks_served),
         ]
-    }
-
-    /// Renders the counters as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push('}');
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_includes_every_counter() {
-        let m = SessionMetrics {
-            denials_911: 3,
-            safe_held_back: 2,
-            retransmissions_acted: 1,
-            ..SessionMetrics::default()
-        };
-        let json = m.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"denials_911\":3"));
-        assert!(json.contains("\"safe_held_back\":2"));
-        assert!(json.contains("\"retransmissions_acted\":1"));
-        assert!(json.contains("\"tokens_received\":0"));
-        assert_eq!(json.matches(':').count(), 30, "all fields present once");
     }
 }

@@ -84,8 +84,8 @@ pub struct SessionNode {
     /// that an acknowledgement that still arrives for one counts a false
     /// suspicion (observability only; not part of the state digest).
     evicted_by: VecDeque<MsgId>,
-    /// The typestate protocol core: HUNGRY/EATING/STARVING/DOWN. All
-    /// state transitions go through [`crate::typestate`]'s typed edges.
+    /// The role core: HUNGRY/EATING/STARVING/DOWN. Its state is private
+    /// to [`crate::typestate`]; every transition is a [`Role`] method.
     role: Role,
     /// When this node's last pass was due. The ring's first member paces
     /// full tokens from it (DESIGN.md §16.2); `None` until it has passed
@@ -238,8 +238,8 @@ impl SessionNode {
         self.role.name()
     }
 
-    /// The typestate protocol core (read-only: state fingerprinting and
-    /// assertions; all mutation goes through the session logic).
+    /// The role core (read-only: state fingerprinting and assertions;
+    /// all mutation goes through the session logic).
     pub fn role(&self) -> &Role {
         &self.role
     }

@@ -342,7 +342,7 @@ pub(crate) fn on_call911(cx: &mut Ctx<'_>, pass: &mut RingPass, call: Call911) {
 /// copies always have distinct seqs).
 fn vote(cx: &Ctx<'_>, pass: &RingPass, call: &Call911) -> Verdict911 {
     let my_copy = pass.last_copy_seq();
-    if cx.role.holds_token() || pass.is_forwarding() {
+    if cx.role.is_eating() || pass.is_forwarding() {
         Verdict911::Deny {
             newer_seq: pass.last_seen_seq(),
         }

@@ -133,8 +133,8 @@ pub(crate) struct RingPass {
     /// node asks before it starves ([`RingPass::probe_target`]).
     passed_to: Option<NodeId>,
     rotation: Rotation,
-    /// Patch-per-hop token wire encoder: pooled scratch buffer + cached
-    /// body, so quiescent hops re-encode only the seq header.
+    /// Token wire encoder: a pooled scratch buffer, so an encode
+    /// allocates only its output.
     codec: TokenEncoder,
     /// TBM token held while waiting for our own group's token (§2.4).
     held_tbm: Option<Token>,
@@ -337,12 +337,9 @@ impl RingPass {
         self.last_seen_seq = self.last_seen_seq.max(token.seq);
     }
 
-    /// Encodes the token wire image via the patch-per-hop codec,
-    /// recording the encode size and body-cache counters.
+    /// Encodes the token wire image, recording the encode size.
     fn encode_token(&mut self, cx: &mut Ctx<'_>, token: &Token) -> Bytes {
         let bytes = self.codec.encode(token);
-        cx.metrics.token_body_cache_hits = self.codec.cache_hits();
-        cx.metrics.token_body_cache_misses = self.codec.cache_misses();
         cx.obs.token_encode_bytes.record(bytes.len() as u64);
         cx.obs.hop_encoded(); // stage b4: wire image ready
         bytes
@@ -353,8 +350,8 @@ impl RingPass {
         // multicasts we just attached, and if the receiver dies with the
         // only post-attach copy, regeneration must not lose them. One
         // snapshot feeds both the copy (a CoW share) and the wire image
-        // (patch-per-hop encoder), so a quiescent hop allocates only the
-        // output buffer.
+        // (the pooled encoder), so the encode allocates only the output
+        // buffer.
         let bytes = self.encode_token(cx, &token);
         self.last_copy = Some(token.clone());
         match cx.send_tracked(to, bytes, SendKind::Token) {

@@ -1,35 +1,28 @@
-//! Typestate protocol core: HUNGRY / EATING / STARVING as types.
+//! The role core: §2.2's HUNGRY / EATING / STARVING machine, and DOWN.
 //!
-//! §2.2 of the paper defines the per-node protocol state machine. This
-//! module encodes each role state as its own type — [`Hungry`],
-//! [`Eating`], [`Starving`], [`Down`] — whose transition methods *consume*
-//! `self` and return the only legal successor states. The compiler now
-//! proves what used to be a lint rule or a model-check counterexample:
+//! [`Role`] holds one private `enum State` whose variants carry exactly
+//! what their state needs: only EATING has a token, only STARVING a 911
+//! ballot. Every method matches that enum directly, so the guarantees
+//! live in the data layout and the compiler checks them:
 //!
-//! * a node that does not hold the token cannot send it — there is no
-//!   `pass` method on [`Hungry`] or [`Starving`], so "send the token
-//!   while HUNGRY" is a type error, not a runtime bug;
-//! * every protocol message has a handler in every state *by
-//!   construction* — the sealed [`ProtocolState`] trait requires
-//!   `on_token_accept`, `on_grant`, `on_deny`, `on_peer_failed` and
-//!   `holds_token` of each state type, so an unhandled 911 verdict or
-//!   membership-change notification in some state fails `cargo build`;
+//! * a node that does not hold the token cannot send it — the token is
+//!   reachable only through [`Role::take_token`] and [`Role::shut_down`],
+//!   which find it in the EATING variant or answer `None`;
+//! * every `match` over the state is exhaustive, and
+//!   `clippy::wildcard_enum_match_arm` is denied at the crate root, so a
+//!   new state that some method does not handle fails the build;
 //! * verdict outcomes are `#[must_use]`: ignoring a 911 grant while
 //!   STARVING is rejected under `deny(unused_must_use)`.
 //!
-//! The driver layer ([`Role`]) wraps the typed states in a private enum so
-//! [`crate::node::SessionNode`] can hold "whatever state we are in" while
-//! every actual transition still goes through the typed methods. The state
-//! types' fields are private to this module: no code outside it can
-//! construct a role state or take one apart with a `match` — the compiler
-//! rejects it, so no lint has to.
+//! The state is private to this module: no code outside it can construct
+//! a role state or take one apart — the compiler rejects it, so no lint
+//! has to.
 //!
 //! ```compile_fail
-//! // ILLEGAL: sending the token while HUNGRY. `Hungry` has no `pass`
-//! // method — only `Eating` can hand the token on — so this is a
-//! // compile error, not a protocol violation at runtime.
-//! fn illegal(h: raincore_session::typestate::Hungry) {
-//!     let _ = h.pass(raincore_types::Time(0));
+//! // ILLEGAL: reaching into the role's state from outside the module.
+//! // Only `Role`'s methods may read or change it.
+//! fn illegal(r: &raincore_session::typestate::Role) {
+//!     let _ = &r.state;
 //! }
 //! ```
 //!
@@ -47,20 +40,11 @@
 //! }
 //! ```
 
-use raincore_types::digest::StateDigest;
+use raincore_types::digest::{DigestInto, StateDigest};
 use raincore_types::{Duration, NodeId, Time, Token, Verdict911};
 use std::collections::BTreeSet;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::Hungry {}
-    impl Sealed for super::Eating {}
-    impl Sealed for super::Starving {}
-    impl Sealed for super::Down {}
-}
-
-/// A standing 911 vote (private to the typestate core: only a
-/// [`Starving`] node votes, and only its handlers may touch the ballot).
+/// A standing 911 vote (only a STARVING node votes).
 #[derive(Debug)]
 struct Vote911 {
     req_id: u64,
@@ -70,51 +54,47 @@ struct Vote911 {
     excluded: Vec<NodeId>,
 }
 
-/// HUNGRY: the node does not hold the token (§2.2).
+/// The role states (§2.2), each with what it needs and nothing else.
 #[derive(Debug)]
-pub struct Hungry {
-    since: Time,
-    /// When to ask the member the token was passed to whether it is
-    /// there, and how long after one question the next is due. Worked out
-    /// once, by the pass that made the node hungry; `None` where no pass
-    /// did, or none that knew its limit.
-    probe: Option<(Time, Duration)>,
+enum State {
+    /// The node does not hold the token.
+    Hungry {
+        since: Time,
+        /// When to ask the member the token was passed to whether it is
+        /// there, and how long after one question the next is due. Worked
+        /// out once, by the pass that made the node hungry; `None` where
+        /// no pass did, or none that knew its limit.
+        probe: Option<(Time, Duration)>,
+    },
+    /// The node holds the token.
+    Eating {
+        token: Token,
+        /// The freight `token` orders ([`Token::load_len`]: wire image
+        /// plus the out-of-band payloads that are a full token's worth by
+        /// themselves), so the pacing rule can weigh the held token on
+        /// every submit without walking it.
+        load: usize,
+        accepted: Time,
+        /// The pacing budget: `token_hold`, or what the pacing rule made
+        /// it.
+        hold: Duration,
+    },
+    /// HUNGRY past the timeout — token suspected lost, 911 vote or join
+    /// probing in progress (§2.3).
+    Starving {
+        /// `None` while the node has no membership to poll (a fresh
+        /// joiner probing the group with join-911s).
+        vote: Option<Vote911>,
+        retry_at: Time,
+    },
+    /// Terminal: the node shut itself down (§2.4) and handles nothing.
+    Down,
 }
 
-impl Hungry {
-    fn new(since: Time) -> Hungry {
-        Hungry { since, probe: None }
+impl State {
+    fn hungry(since: Time) -> State {
+        State::Hungry { since, probe: None }
     }
-}
-
-/// EATING: the node holds the token (§2.2).
-#[derive(Debug)]
-pub struct Eating {
-    token: Token,
-    /// The freight `token` orders ([`Token::load_len`]: wire image plus
-    /// the out-of-band payloads that are a full token's worth by
-    /// themselves), so the pacing rule can weigh the held token on every
-    /// submit without walking it.
-    load: usize,
-    accepted: Time,
-    /// The pacing budget: `token_hold`, or what the pacing rule made it.
-    hold: Duration,
-}
-
-/// STARVING: HUNGRY past the timeout — token suspected lost, 911 vote or
-/// join probing in progress (§2.3).
-#[derive(Debug)]
-pub struct Starving {
-    /// `None` while the node has no membership to poll (a fresh joiner
-    /// probing the group with join-911s).
-    vote: Option<Vote911>,
-    retry_at: Time,
-}
-
-/// DOWN: terminal. The node shut itself down (§2.4) and handles nothing.
-#[derive(Debug)]
-pub struct Down {
-    _sealed: (),
 }
 
 /// What a 911 verdict did to the role state. `#[must_use]`: a STARVING
@@ -166,475 +146,152 @@ pub enum TimerFired {
     Idle,
 }
 
-/// Message handlers every role state must provide *by construction*.
-///
-/// The trait is sealed: exactly the four role states implement it, and a
-/// new state cannot be added without answering every protocol message —
-/// an unhandled 911 verdict or membership change in some state is a
-/// missing-method compile error, not a runtime fall-through.
-pub trait ProtocolState: sealed::Sealed + Sized {
-    /// A token was accepted while in this state (the successor is always
-    /// EATING; §2.2's HUNGRY → EATING edge, plus re-accept while EATING
-    /// for false-alarm fork absorption).
-    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating;
-    /// A 911 GRANT verdict for request `req_id` arrived from `from`.
-    fn on_grant(self, from: NodeId, req_id: u64) -> (Role, VerdictOutcome);
-    /// A 911 DENY verdict for request `req_id` arrived.
-    fn on_deny(self, req_id: u64, now: Time) -> (Role, VerdictOutcome);
-    /// Failure-on-delivery of a 911 call to `to` — a failure detection of
-    /// that member (§2.2) and thus a membership change for the vote.
-    fn on_peer_failed(self, to: NodeId) -> (Role, VoteProgress);
-    /// Does this state demonstrably hold the token? (Grounds for denying
-    /// someone else's 911, §2.3.)
-    fn holds_token(&self) -> bool;
-}
-
-impl Hungry {
-    /// When the node went hungry.
-    pub fn since(&self) -> Time {
-        self.since
-    }
-
-    /// HUNGRY → STARVING with no membership to poll (join probing).
-    pub fn starve_probe(self, retry_at: Time) -> Starving {
-        Starving {
-            vote: None,
-            retry_at,
-        }
-    }
-
-    /// HUNGRY → STARVING with a standing 911 vote over `awaiting`.
-    pub fn starve_vote(self, req_id: u64, awaiting: BTreeSet<NodeId>, retry_at: Time) -> Starving {
-        Starving {
-            vote: Some(Vote911 {
-                req_id,
-                awaiting,
-                excluded: Vec::new(),
-            }),
-            retry_at,
-        }
-    }
-
-    /// HUNGRY → DOWN (shutdown without a token to hand off).
-    pub fn shut_down(self) -> Down {
-        Down { _sealed: () }
-    }
-}
-
-impl ProtocolState for Hungry {
-    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
-        Eating::accept(token, now, hold)
-    }
-    fn on_grant(self, _from: NodeId, _req_id: u64) -> (Role, VerdictOutcome) {
-        (Role::from(self), VerdictOutcome::Ignored)
-    }
-    fn on_deny(self, _req_id: u64, _now: Time) -> (Role, VerdictOutcome) {
-        (Role::from(self), VerdictOutcome::Ignored)
-    }
-    fn on_peer_failed(self, _to: NodeId) -> (Role, VoteProgress) {
-        (Role::from(self), VoteProgress::NotVoting)
-    }
-    fn holds_token(&self) -> bool {
-        false
-    }
-}
-
-impl Eating {
-    fn accept(token: Token, now: Time, hold: Duration) -> Eating {
-        Eating {
-            load: token.wire_len(),
-            token,
-            accepted: now,
-            hold,
-        }
-    }
-
-    /// The held token.
-    pub fn token(&self) -> &Token {
-        &self.token
-    }
-
-    /// Recounts the cached freight against the pacing rule's line `full`:
-    /// an accepted token weighs its wire image until the node, which
-    /// knows the line, says what travels beside it counts.
-    fn weigh(&mut self, full: usize) {
-        self.load = self.token.load_len(full);
-    }
-
-    /// The pass deadline: the end of the token-hold budget, or where the
-    /// pacing rule put it.
-    pub fn deadline(&self) -> Time {
-        self.accepted + self.hold
-    }
-
-    /// EATING → HUNGRY: hand the token out for forwarding. This is the
-    /// *only* way to obtain the token for a send — no other state has it.
-    pub fn pass(self, now: Time) -> (Token, Hungry) {
-        (self.token, Hungry::new(now))
-    }
-
-    /// EATING → DOWN: shutdown surrenders the held token so the caller
-    /// can hand it off cleanly before going dark.
-    pub fn shut_down(self) -> (Token, Down) {
-        (self.token, Down { _sealed: () })
-    }
-
-    /// False-alarm fork absorption (module docs of `node`): a second
-    /// token converged on us; preserve any messages only our held copy
-    /// had by moving them into `incoming` (dedup by key). Leaves the held
-    /// message list empty — the caller re-accepts `incoming` right after.
-    pub fn absorb_fork(&mut self, incoming: &mut Token) {
-        for m in self.token.msgs.take_all() {
-            if !incoming.msgs.iter().any(|x| x.key() == m.key()) {
-                incoming.msgs.push(m);
-            }
-        }
-    }
-}
-
-impl ProtocolState for Eating {
-    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
-        Eating::accept(token, now, hold)
-    }
-    fn on_grant(self, _from: NodeId, _req_id: u64) -> (Role, VerdictOutcome) {
-        (Role::from(self), VerdictOutcome::Ignored)
-    }
-    fn on_deny(self, _req_id: u64, _now: Time) -> (Role, VerdictOutcome) {
-        (Role::from(self), VerdictOutcome::Ignored)
-    }
-    fn on_peer_failed(self, _to: NodeId) -> (Role, VoteProgress) {
-        (Role::from(self), VoteProgress::NotVoting)
-    }
-    fn holds_token(&self) -> bool {
-        true
-    }
-}
-
-impl Starving {
-    /// The retry deadline.
-    pub fn retry_at(&self) -> Time {
-        self.retry_at
-    }
-
-    /// STARVING → HUNGRY: the vote was won (or is being force-completed
-    /// by failure detections); surrender the exclusion list so the caller
-    /// regenerates the token without the dead voters.
-    pub fn win(self, now: Time) -> (Vec<NodeId>, Hungry) {
-        let excluded = self.vote.map(|v| v.excluded).unwrap_or_default();
-        (excluded, Hungry::new(now))
-    }
-
-    /// STARVING → DOWN.
-    pub fn shut_down(self) -> Down {
-        Down { _sealed: () }
-    }
-}
-
-impl ProtocolState for Starving {
-    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
-        Eating::accept(token, now, hold)
-    }
-
-    fn on_grant(mut self, from: NodeId, req_id: u64) -> (Role, VerdictOutcome) {
-        let Some(v) = self.vote.as_mut() else {
-            // Join probing: replies are ignored, the join completes via
-            // token delivery.
-            return (Role::from(self), VerdictOutcome::Ignored);
-        };
-        if req_id != v.req_id {
-            return (Role::from(self), VerdictOutcome::Ignored);
-        }
-        v.awaiting.remove(&from);
-        let outcome = if v.awaiting.is_empty() {
-            VerdictOutcome::Won
-        } else {
-            VerdictOutcome::Waiting
-        };
-        (Role::from(self), outcome)
-    }
-
-    fn on_deny(self, req_id: u64, now: Time) -> (Role, VerdictOutcome) {
-        match &self.vote {
-            Some(v) if v.req_id == req_id => {
-                // Someone has a newer copy or the token itself; it (or
-                // its holder) will keep the ring alive. Back to HUNGRY
-                // with a fresh timeout.
-                (Role::from(Hungry::new(now)), VerdictOutcome::Denied)
-            }
-            _ => (Role::from(self), VerdictOutcome::Ignored),
-        }
-    }
-
-    fn on_peer_failed(mut self, to: NodeId) -> (Role, VoteProgress) {
-        let Some(v) = self.vote.as_mut() else {
-            return (Role::from(self), VoteProgress::NotVoting);
-        };
-        let was_awaiting = v.awaiting.remove(&to);
-        if !v.excluded.contains(&to) {
-            v.excluded.push(to);
-        }
-        let vote_complete = v.awaiting.is_empty();
-        (
-            Role::from(self),
-            VoteProgress::Recorded {
-                was_awaiting,
-                vote_complete,
-            },
-        )
-    }
-
-    fn holds_token(&self) -> bool {
-        false
-    }
-}
-
-impl ProtocolState for Down {
-    fn on_token_accept(self, token: Token, now: Time, hold: Duration) -> Eating {
-        // Unreachable in practice: the node gates every input on
-        // `is_down`. Typing it as a transition keeps the trait total; a
-        // resurrecting driver would simply start eating.
-        Eating::accept(token, now, hold)
-    }
-    fn on_grant(self, _from: NodeId, _req_id: u64) -> (Role, VerdictOutcome) {
-        (Role::from(self), VerdictOutcome::Ignored)
-    }
-    fn on_deny(self, _req_id: u64, _now: Time) -> (Role, VerdictOutcome) {
-        (Role::from(self), VerdictOutcome::Ignored)
-    }
-    fn on_peer_failed(self, _to: NodeId) -> (Role, VoteProgress) {
-        (Role::from(self), VoteProgress::NotVoting)
-    }
-    fn holds_token(&self) -> bool {
-        false
-    }
-}
-
-/// The four role states, erased for storage in [`crate::node::SessionNode`].
-///
-/// Private on purpose: pattern-matching raw states outside this module is
-/// exactly the ad-hoc dispatch the typestate refactor retired.
-#[derive(Debug)]
-enum RoleInner {
-    Hungry(Hungry),
-    Eating(Eating),
-    Starving(Starving),
-    Down(Down),
-}
-
-/// Driver-facing wrapper over the typed role states.
-///
-/// [`crate::node::SessionNode`] needs to hold "whichever state the node is
-/// in"; `Role` stores that erased, but every mutation routes through the
-/// consuming typed transitions, so the set of reachable state changes is
-/// exactly the typed edges.
+/// The node's role state, held by [`crate::node::SessionNode`]; every
+/// transition is one of its methods.
 #[derive(Debug)]
 pub struct Role {
-    inner: RoleInner,
-}
-
-impl From<Hungry> for Role {
-    fn from(s: Hungry) -> Role {
-        Role {
-            inner: RoleInner::Hungry(s),
-        }
-    }
-}
-impl From<Eating> for Role {
-    fn from(s: Eating) -> Role {
-        Role {
-            inner: RoleInner::Eating(s),
-        }
-    }
-}
-impl From<Starving> for Role {
-    fn from(s: Starving) -> Role {
-        Role {
-            inner: RoleInner::Starving(s),
-        }
-    }
-}
-impl From<Down> for Role {
-    fn from(s: Down) -> Role {
-        Role {
-            inner: RoleInner::Down(s),
-        }
-    }
+    state: State,
 }
 
 impl Role {
     /// A fresh HUNGRY role (the initial state of every node).
     pub fn hungry(now: Time) -> Role {
-        Role::from(Hungry::new(now))
-    }
-
-    fn inner(&self) -> &RoleInner {
-        &self.inner
-    }
-
-    /// Applies a typed transition to the current state, storing whatever
-    /// role it returns. The inert DOWN state stands in while the
-    /// transition runs (no `Option`, no unwrap); the successor replaces
-    /// it before returning, and a panic inside `f` leaves the role
-    /// safely DOWN rather than poisoned.
-    fn step<T>(&mut self, f: impl FnOnce(RoleInner) -> (Role, T)) -> T {
-        let cur = std::mem::replace(&mut self.inner, RoleInner::Down(Down { _sealed: () }));
-        let (next, out) = f(cur);
-        self.inner = next.inner;
-        out
+        Role {
+            state: State::hungry(now),
+        }
     }
 
     /// Current state name, for traces and tests.
     pub fn name(&self) -> &'static str {
-        match self.inner() {
-            RoleInner::Hungry(_) => "HUNGRY",
-            RoleInner::Eating(_) => "EATING",
-            RoleInner::Starving(_) => "STARVING",
-            RoleInner::Down(_) => "DOWN",
+        match self.state {
+            State::Hungry { .. } => "HUNGRY",
+            State::Eating { .. } => "EATING",
+            State::Starving { .. } => "STARVING",
+            State::Down => "DOWN",
         }
     }
 
     /// True while the node holds the token (EATING, §2.2).
     pub fn is_eating(&self) -> bool {
-        matches!(self.inner(), RoleInner::Eating(_))
+        matches!(self.state, State::Eating { .. })
     }
 
     /// True once the node has shut itself down.
     pub fn is_down(&self) -> bool {
-        matches!(self.inner(), RoleInner::Down(_))
-    }
-
-    /// Does the current state demonstrably hold the token? (Dispatches
-    /// the per-state [`ProtocolState::holds_token`] handler.)
-    pub fn holds_token(&self) -> bool {
-        match self.inner() {
-            RoleInner::Hungry(s) => s.holds_token(),
-            RoleInner::Eating(s) => s.holds_token(),
-            RoleInner::Starving(s) => s.holds_token(),
-            RoleInner::Down(s) => s.holds_token(),
-        }
+        matches!(self.state, State::Down)
     }
 
     /// When the node went hungry, if it is HUNGRY (feeds the hungry-wait
     /// histogram on token acceptance).
     pub fn hungry_since(&self) -> Option<Time> {
-        match self.inner() {
-            RoleInner::Hungry(s) => Some(s.since()),
-            RoleInner::Eating(_) | RoleInner::Starving(_) | RoleInner::Down(_) => None,
+        match self.state {
+            State::Hungry { since, .. } => Some(since),
+            State::Eating { .. } | State::Starving { .. } | State::Down => None,
         }
     }
 
     /// Which protocol timer fired at `now`, if any.
     pub fn timer(&self, now: Time, hungry_timeout: Duration, master_held: bool) -> TimerFired {
-        match self.inner() {
-            RoleInner::Eating(s) => {
-                if now >= s.deadline() && !master_held {
-                    TimerFired::PassToken
-                } else {
-                    TimerFired::Idle
-                }
+        match self.state {
+            State::Eating { accepted, hold, .. } if now >= accepted + hold && !master_held => {
+                TimerFired::PassToken
             }
-            RoleInner::Hungry(s) => {
-                if now.since(s.since()) >= hungry_timeout {
-                    TimerFired::Starve
-                } else if s.probe.is_some_and(|(due, _)| now >= due) {
-                    TimerFired::Probe
-                } else {
-                    TimerFired::Idle
-                }
+            State::Hungry { since, .. } if now.since(since) >= hungry_timeout => TimerFired::Starve,
+            State::Hungry {
+                probe: Some((due, _)),
+                ..
+            } if now >= due => TimerFired::Probe,
+            State::Starving { retry_at, .. } if now >= retry_at => TimerFired::Retry911,
+            State::Eating { .. } | State::Hungry { .. } | State::Starving { .. } | State::Down => {
+                TimerFired::Idle
             }
-            RoleInner::Starving(s) => {
-                if now >= s.retry_at() {
-                    TimerFired::Retry911
-                } else {
-                    TimerFired::Idle
-                }
-            }
-            RoleInner::Down(_) => TimerFired::Idle,
         }
     }
 
     /// The next protocol deadline of the current state, if any.
     pub fn next_deadline(&self, hungry_timeout: Duration, master_held: bool) -> Option<Time> {
-        match self.inner() {
-            RoleInner::Eating(s) => (!master_held).then(|| s.deadline()),
-            RoleInner::Hungry(s) => {
-                let starve = s.since() + hungry_timeout;
-                Some(s.probe.map_or(starve, |(due, _)| due.min(starve)))
+        match self.state {
+            State::Eating { accepted, hold, .. } => (!master_held).then(|| accepted + hold),
+            State::Hungry { since, probe } => {
+                let starve = since + hungry_timeout;
+                Some(probe.map_or(starve, |(due, _)| due.min(starve)))
             }
-            RoleInner::Starving(s) => Some(s.retry_at()),
-            RoleInner::Down(_) => None,
+            State::Starving { retry_at, .. } => Some(retry_at),
+            State::Down => None,
         }
     }
 
-    /// Accepts a token: any state → EATING via the per-state
-    /// [`ProtocolState::on_token_accept`] handler, the held token weighed
-    /// against the pacing rule's line `full` ([`Token::load_len`]).
+    /// Accepts a token: any state → EATING (§2.2's HUNGRY → EATING edge,
+    /// plus re-accept while EATING for false-alarm fork absorption), the
+    /// held token weighed against the pacing rule's line `full`
+    /// ([`Token::load_len`]).
     pub fn accept_token(&mut self, token: Token, now: Time, hold: Duration, full: usize) {
-        self.step(|cur| {
-            let mut eating = match cur {
-                RoleInner::Hungry(s) => s.on_token_accept(token, now, hold),
-                RoleInner::Eating(s) => s.on_token_accept(token, now, hold),
-                RoleInner::Starving(s) => s.on_token_accept(token, now, hold),
-                RoleInner::Down(s) => s.on_token_accept(token, now, hold),
-            };
-            eating.weigh(full);
-            (Role::from(eating), ())
-        })
+        self.state = State::Eating {
+            load: token.load_len(full),
+            token,
+            accepted: now,
+            hold,
+        };
     }
 
     /// Freight ordered by the held token ([`Token::load_len`]), if EATING.
     pub fn held_load(&self) -> Option<usize> {
-        match self.inner() {
-            RoleInner::Eating(s) => Some(s.load),
-            RoleInner::Hungry(_) | RoleInner::Starving(_) | RoleInner::Down(_) => None,
+        match self.state {
+            State::Eating { load, .. } => Some(load),
+            State::Hungry { .. } | State::Starving { .. } | State::Down => None,
         }
     }
 
     /// If EATING, moves the pass deadline to `due` — or, if that is
     /// before the token was accepted, to then, where it is due at once.
     pub fn set_pass_due(&mut self, due: Time) {
-        if let RoleInner::Eating(s) = &mut self.inner {
-            s.hold = due.since(s.accepted);
+        if let State::Eating { accepted, hold, .. } = &mut self.state {
+            *hold = due.since(*accepted);
         }
     }
 
     /// The pacing budget of the held token, if EATING: `token_hold` as
     /// accepted, until [`Role::set_pass_due`] replaces it.
     pub fn hold(&self) -> Option<Duration> {
-        match self.inner() {
-            RoleInner::Eating(s) => Some(s.hold),
-            RoleInner::Hungry(_) | RoleInner::Starving(_) | RoleInner::Down(_) => None,
+        match self.state {
+            State::Eating { hold, .. } => Some(hold),
+            State::Hungry { .. } | State::Starving { .. } | State::Down => None,
         }
     }
 
     /// EATING → HUNGRY: takes the held token out for forwarding (or for
-    /// an immediate merge). `None` — and no state change — otherwise.
+    /// an immediate merge). This is the only way to obtain the token for
+    /// a send. `None` — and no state change — otherwise.
     pub fn take_token(&mut self, now: Time) -> Option<Token> {
-        self.step(|cur| match cur {
-            RoleInner::Eating(s) => {
-                let (token, hungry) = s.pass(now);
-                (Role::from(hungry), Some(token))
+        match std::mem::replace(&mut self.state, State::hungry(now)) {
+            State::Eating { token, .. } => Some(token),
+            other @ (State::Hungry { .. } | State::Starving { .. } | State::Down) => {
+                self.state = other;
+                None
             }
-            other @ (RoleInner::Hungry(_) | RoleInner::Starving(_) | RoleInner::Down(_)) => {
-                (Role { inner: other }, None)
-            }
-        })
+        }
     }
 
-    /// If EATING, absorbs a false-alarm fork: moves messages only the
-    /// held token had into `incoming` (see [`Eating::absorb_fork`]).
+    /// If EATING, absorbs a false-alarm fork (module docs of `node`): a
+    /// second token converged on us; any messages only our held copy had
+    /// move into `incoming` (dedup by key). Leaves the held message list
+    /// empty — the caller re-accepts `incoming` right after.
     pub fn absorb_fork(&mut self, incoming: &mut Token) {
-        if let RoleInner::Eating(s) = &mut self.inner {
-            s.absorb_fork(incoming);
+        if let State::Eating { token, .. } = &mut self.state {
+            for m in token.msgs.take_all() {
+                if !incoming.msgs.iter().any(|x| x.key() == m.key()) {
+                    incoming.msgs.push(m);
+                }
+            }
         }
     }
 
     /// If EATING, removes a failed member from the held token's
     /// membership (aggressive failure detection on a stale pass).
     pub fn remove_from_held(&mut self, node: NodeId, full: usize) {
-        if let RoleInner::Eating(s) = &mut self.inner {
-            s.token.ring.remove(node);
-            s.weigh(full);
+        if let State::Eating { token, load, .. } = &mut self.state {
+            token.ring.remove(node);
+            *load = token.load_len(full);
         }
     }
 
@@ -646,17 +303,19 @@ impl Role {
     /// whether it is there ([`TimerFired::Probe`]), and again that long
     /// after each question; `None` leaves the hungry timeout alone.
     pub fn rearm_hungry(&mut self, now: Time, probe_after: Option<Duration>) {
-        let probe = probe_after.map(|every| (now + every, every));
-        self.step(|_| (Role::from(Hungry { since: now, probe }), ()));
+        self.state = State::Hungry {
+            since: now,
+            probe: probe_after.map(|every| (now + every, every)),
+        };
     }
 
     /// The probe timer fired and was acted on: the next question is due a
     /// probe interval from `now`.
     pub fn probe_asked(&mut self, now: Time) {
-        if let RoleInner::Hungry(Hungry {
+        if let State::Hungry {
             probe: Some((due, every)),
             ..
-        }) = &mut self.inner
+        } = &mut self.state
         {
             *due = now + *every;
         }
@@ -664,67 +323,54 @@ impl Role {
 
     /// HUNGRY/STARVING → STARVING with no vote (join probing).
     pub fn begin_starving_probe(&mut self, retry_at: Time) {
-        self.step(|cur| {
-            let s = match cur {
-                RoleInner::Hungry(h) => h.starve_probe(retry_at),
-                RoleInner::Starving(_) => Starving {
-                    vote: None,
-                    retry_at,
-                },
-                other @ (RoleInner::Eating(_) | RoleInner::Down(_)) => {
-                    debug_assert!(false, "begin_starving_probe from {other:?}");
-                    return (Role { inner: other }, ());
-                }
-            };
-            (Role::from(s), ())
-        })
+        self.starve(None, retry_at);
     }
 
     /// HUNGRY/STARVING → STARVING with a standing vote over `awaiting`.
     pub fn begin_starving_vote(&mut self, req_id: u64, awaiting: BTreeSet<NodeId>, retry_at: Time) {
-        self.step(|cur| {
-            let s = match cur {
-                RoleInner::Hungry(h) => h.starve_vote(req_id, awaiting, retry_at),
-                RoleInner::Starving(_) => Starving {
-                    vote: Some(Vote911 {
-                        req_id,
-                        awaiting,
-                        excluded: Vec::new(),
-                    }),
-                    retry_at,
-                },
-                other @ (RoleInner::Eating(_) | RoleInner::Down(_)) => {
-                    debug_assert!(false, "begin_starving_vote from {other:?}");
-                    return (Role { inner: other }, ());
-                }
-            };
-            (Role::from(s), ())
-        })
+        let vote = Vote911 {
+            req_id,
+            awaiting,
+            excluded: Vec::new(),
+        };
+        self.starve(Some(vote), retry_at);
+    }
+
+    fn starve(&mut self, vote: Option<Vote911>, retry_at: Time) {
+        match self.state {
+            State::Hungry { .. } | State::Starving { .. } => {
+                self.state = State::Starving { vote, retry_at };
+            }
+            State::Eating { .. } | State::Down => {
+                debug_assert!(false, "starving from {}", self.name());
+            }
+        }
     }
 
     /// The standing vote's request id and still-awaiting voters, if the
     /// node is STARVING with an unanswered ballot (drives the 911
     /// retransmission path).
     pub fn standing_vote(&self) -> Option<(u64, Vec<NodeId>)> {
-        match self.inner() {
-            RoleInner::Starving(Starving { vote: Some(v), .. }) if !v.awaiting.is_empty() => {
+        match &self.state {
+            State::Starving { vote: Some(v), .. } if !v.awaiting.is_empty() => {
                 Some((v.req_id, v.awaiting.iter().copied().collect()))
             }
-            RoleInner::Hungry(_)
-            | RoleInner::Eating(_)
-            | RoleInner::Starving(_)
-            | RoleInner::Down(_) => None,
+            State::Hungry { .. } | State::Eating { .. } | State::Starving { .. } | State::Down => {
+                None
+            }
         }
     }
 
     /// Pushes the STARVING retry deadline (after a retransmission).
     pub fn rearm_starving(&mut self, retry_at: Time) {
-        if let RoleInner::Starving(s) = &mut self.inner {
-            s.retry_at = retry_at;
+        if let State::Starving { retry_at: due, .. } = &mut self.state {
+            *due = retry_at;
         }
     }
 
-    /// Routes a 911 verdict to the current state's handler.
+    /// Records a 911 verdict. Only a STARVING node with a ballot for
+    /// `req_id` acts on one; a join prober ignores replies (the join
+    /// completes by token delivery).
     pub fn on_verdict(
         &mut self,
         from: NodeId,
@@ -732,93 +378,102 @@ impl Role {
         verdict: &Verdict911,
         now: Time,
     ) -> VerdictOutcome {
-        self.step(|cur| match (cur, verdict) {
-            (RoleInner::Hungry(s), Verdict911::Grant) => s.on_grant(from, req_id),
-            (RoleInner::Hungry(s), Verdict911::Deny { .. }) => s.on_deny(req_id, now),
-            (RoleInner::Eating(s), Verdict911::Grant) => s.on_grant(from, req_id),
-            (RoleInner::Eating(s), Verdict911::Deny { .. }) => s.on_deny(req_id, now),
-            (RoleInner::Starving(s), Verdict911::Grant) => s.on_grant(from, req_id),
-            (RoleInner::Starving(s), Verdict911::Deny { .. }) => s.on_deny(req_id, now),
-            (RoleInner::Down(s), Verdict911::Grant) => s.on_grant(from, req_id),
-            (RoleInner::Down(s), Verdict911::Deny { .. }) => s.on_deny(req_id, now),
-        })
+        let State::Starving { vote: Some(v), .. } = &mut self.state else {
+            return VerdictOutcome::Ignored;
+        };
+        if v.req_id != req_id {
+            return VerdictOutcome::Ignored;
+        }
+        match verdict {
+            Verdict911::Grant => {
+                v.awaiting.remove(&from);
+                if v.awaiting.is_empty() {
+                    VerdictOutcome::Won
+                } else {
+                    VerdictOutcome::Waiting
+                }
+            }
+            Verdict911::Deny { .. } => {
+                // Someone has a newer copy or the token itself; it (or its
+                // holder) will keep the ring alive. Back to HUNGRY with a
+                // fresh timeout.
+                self.state = State::hungry(now);
+                VerdictOutcome::Denied
+            }
+        }
     }
 
-    /// Routes a failure-on-delivery of a 911 call to the current state's
-    /// handler.
+    /// Records a failure-on-delivery of a 911 call to `to` — a failure
+    /// detection of that member (§2.2), and so a membership change for
+    /// the vote.
     pub fn vote_peer_failed(&mut self, to: NodeId) -> VoteProgress {
-        self.step(|cur| match cur {
-            RoleInner::Hungry(s) => s.on_peer_failed(to),
-            RoleInner::Eating(s) => s.on_peer_failed(to),
-            RoleInner::Starving(s) => s.on_peer_failed(to),
-            RoleInner::Down(s) => s.on_peer_failed(to),
-        })
+        let State::Starving { vote: Some(v), .. } = &mut self.state else {
+            return VoteProgress::NotVoting;
+        };
+        let was_awaiting = v.awaiting.remove(&to);
+        if !v.excluded.contains(&to) {
+            v.excluded.push(to);
+        }
+        VoteProgress::Recorded {
+            was_awaiting,
+            vote_complete: v.awaiting.is_empty(),
+        }
     }
 
-    /// STARVING → HUNGRY: the vote was won; returns the members excluded
-    /// by failure detections during the vote. `None` — and no state
-    /// change — if the node is not STARVING.
+    /// STARVING → HUNGRY: the vote was won (or is being force-completed
+    /// by failure detections); returns the members excluded by failure
+    /// detections during the vote, so the caller regenerates the token
+    /// without them. `None` — and no state change — if the node is not
+    /// STARVING.
     pub fn win_vote(&mut self, now: Time) -> Option<Vec<NodeId>> {
-        self.step(|cur| match cur {
-            RoleInner::Starving(s) => {
-                let (excluded, hungry) = s.win(now);
-                (Role::from(hungry), Some(excluded))
+        match std::mem::replace(&mut self.state, State::hungry(now)) {
+            State::Starving { vote, .. } => Some(vote.map(|v| v.excluded).unwrap_or_default()),
+            other @ (State::Hungry { .. } | State::Eating { .. } | State::Down) => {
+                self.state = other;
+                None
             }
-            other @ (RoleInner::Hungry(_) | RoleInner::Eating(_) | RoleInner::Down(_)) => {
-                (Role { inner: other }, None)
-            }
-        })
+        }
     }
 
     /// Any state → DOWN. Returns the held token if the node was EATING so
     /// the caller can hand it off cleanly before going dark.
     pub fn shut_down(&mut self) -> Option<Token> {
-        self.step(|cur| {
-            let token = match cur {
-                RoleInner::Eating(s) => {
-                    let (token, _down) = s.shut_down();
-                    Some(token)
-                }
-                RoleInner::Hungry(s) => {
-                    let _ = s.shut_down();
-                    None
-                }
-                RoleInner::Starving(s) => {
-                    let _ = s.shut_down();
-                    None
-                }
-                RoleInner::Down(_) => None,
-            };
-            (Role::from(Down { _sealed: () }), token)
-        })
+        match std::mem::replace(&mut self.state, State::Down) {
+            State::Eating { token, .. } => Some(token),
+            State::Hungry { .. } | State::Starving { .. } | State::Down => None,
+        }
     }
 
     /// Digests the role state for the model checker's canonical state
     /// fingerprint. Times are digested relative to `now`; the vote's
     /// member sets are digested in id order.
     pub fn digest_into(&self, d: &mut StateDigest, now: Time) {
-        match self.inner() {
-            RoleInner::Hungry(s) => {
+        match &self.state {
+            State::Hungry { since, probe } => {
                 d.tag(0);
-                d.time_rel(s.since, now);
-                d.opt(s.probe, |d, (due, every)| {
+                d.time_rel(*since, now);
+                d.opt(*probe, |d, (due, every)| {
                     d.deadline_rel(due, now);
                     d.write_u64(every.as_nanos());
                 });
             }
-            RoleInner::Eating(s) => {
+            State::Eating {
+                token,
+                accepted,
+                hold,
+                ..
+            } => {
                 d.tag(1);
-                use raincore_types::digest::DigestInto;
-                s.token.digest_into(d);
+                token.digest_into(d);
                 // The deadline acts only through `now >= deadline`: once
                 // due (master lock held past it, or a full token due at
                 // once) how long ago does not matter.
-                d.deadline_rel(s.deadline(), now);
+                d.deadline_rel(*accepted + *hold, now);
             }
-            RoleInner::Starving(s) => {
+            State::Starving { vote, retry_at } => {
                 d.tag(2);
-                d.time_rel(s.retry_at, now);
-                match &s.vote {
+                d.time_rel(*retry_at, now);
+                match vote {
                     None => d.tag(0),
                     Some(v) => {
                         d.tag(1);
@@ -838,7 +493,7 @@ impl Role {
                     }
                 }
             }
-            RoleInner::Down(_) => d.tag(3),
+            State::Down => d.tag(3),
         }
     }
 }
@@ -1110,5 +765,38 @@ mod tests {
         later.accept_token(token(), Time(500), Duration(10), LINE);
         later.set_pass_due(Time(0));
         assert_eq!(fp(&r, Time(22)), fp(&later, Time(500)));
+    }
+
+    #[test]
+    fn a_denial_of_an_earlier_call_leaves_the_ballot_standing() {
+        let mut r = Role::hungry(Time(0));
+        r.begin_starving_vote(6, BTreeSet::from([NodeId(1), NodeId(2)]), Time(40));
+        let ballot = r.standing_vote();
+        assert_eq!(ballot, Some((6, vec![NodeId(1), NodeId(2)])));
+        assert_eq!(
+            r.on_verdict(NodeId(1), 5, &Verdict911::Deny { newer_seq: 9 }, Time(3)),
+            VerdictOutcome::Ignored,
+            "the denial answers call 5; the ballot is call 6"
+        );
+        assert_eq!(r.name(), "STARVING");
+        assert_eq!(r.standing_vote(), ballot);
+        assert_eq!(r.next_deadline(Duration(100), false), Some(Time(40)));
+    }
+
+    #[test]
+    fn a_denial_while_join_probing_is_ignored() {
+        let mut r = Role::hungry(Time(0));
+        r.begin_starving_probe(Time(10));
+        assert_eq!(
+            r.on_verdict(NodeId(1), 0, &Verdict911::Deny { newer_seq: 3 }, Time(2)),
+            VerdictOutcome::Ignored,
+            "no ballot to deny"
+        );
+        assert_eq!(r.name(), "STARVING");
+        assert_eq!(r.standing_vote(), None);
+        assert_eq!(
+            r.timer(Time(10), Duration(100), false),
+            TimerFired::Retry911
+        );
     }
 }

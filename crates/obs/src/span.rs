@@ -37,7 +37,7 @@ pub enum Stage {
     Decode,
     /// Protocol processing: acceptance, membership sync, attachments.
     Protocol,
-    /// Wire image build at pass time (patch-per-hop encoder).
+    /// Wire image build at pass time (the pooled token encoder).
     Encode,
     /// Transport send of the forwarded token.
     Send,

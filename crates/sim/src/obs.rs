@@ -196,8 +196,6 @@ mod tests {
         assert!(text.contains("raincore_session_tokens_received{node=\"1\"}"));
         assert!(text.contains("raincore_transport_rtt_ns_count{node=\"1\"}"));
         assert!(text.contains("raincore_submit_to_deliver_ns_count{mode=\"agreed\",node=\"0\"}"));
-        assert!(text.contains("raincore_session_token_body_cache_hits{node=\"0\"}"));
-        assert!(text.contains("raincore_session_token_body_cache_misses{node=\"0\"}"));
         assert!(text.contains("raincore_token_encode_bytes_count{node=\"1\"}"));
         assert!(text.contains("raincore_sim_live_members 3"));
         let json = c.json_snapshot();

@@ -485,23 +485,15 @@ impl Token {
             .map(|m| m.inline_payload().map_or(0, Bytes::len))
             .sum()
     }
-
-    /// Encodes the slow-changing *body* of the wire image — ring, tbm and
-    /// piggybacked messages: everything after the per-hop `seq`. The
-    /// patch-per-hop encoder ([`crate::token_codec::TokenEncoder`]) caches
-    /// exactly these bytes between hops.
-    pub fn encode_body(&self, w: &mut Writer) {
-        self.ring.encode(w);
-        w.put_bool(self.tbm);
-        self.msgs.encode(w);
-    }
 }
 
 impl WireEncode for Token {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.seq);
         self.trace.encode(w);
-        self.encode_body(w);
+        self.ring.encode(w);
+        w.put_bool(self.tbm);
+        self.msgs.encode(w);
     }
 }
 
@@ -805,10 +797,9 @@ pub enum SessionMsg {
 }
 
 impl SessionMsg {
-    /// Wire tag of the [`SessionMsg::Token`] variant. Shared with the
-    /// patch-per-hop [`crate::token_codec::TokenEncoder`], which writes
-    /// the tag itself so its output stays byte-identical to
-    /// [`WireEncode::encode`].
+    /// Wire tag of the [`SessionMsg::Token`] variant. Shared with
+    /// [`crate::token_codec::TokenEncoder`], which writes the tag itself
+    /// so its output stays byte-identical to [`WireEncode::encode`].
     pub const TAG_TOKEN: u8 = 0;
     /// Wire tag of [`SessionMsg::Call911`].
     pub const TAG_CALL911: u8 = 1;

@@ -124,9 +124,8 @@ impl Writer {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Appends raw, already-encoded bytes (no length prefix). Used by the
-    /// patch-per-hop token encoder to splice a cached body after a freshly
-    /// written header.
+    /// Appends raw, already-encoded bytes (no length prefix), e.g. a
+    /// fixed magic prefix.
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
     }

@@ -274,18 +274,17 @@ fn transport_frames_round_trip_and_survive_mutation() {
     assert!(seen_tags.iter().all(|&s| s), "{seen_tags:?}");
 }
 
-/// The patch-per-hop [`TokenEncoder`] must be byte-identical to a fresh
-/// full encode at every step of a long mutation walk: seq bumps
-/// (cache-hit regime), membership joins/leaves, tbm flips, messages
-/// boarding and retiring, and CoW clones standing in for `last_copy`
-/// snapshots. One persistent encoder across the whole walk, so every
-/// cache transition (cold→primed→hit→invalidated→re-primed) is covered.
+/// The pooled [`TokenEncoder`] must be byte-identical to a fresh full
+/// encode at every step of a long mutation walk: seq bumps, membership
+/// joins/leaves, tbm flips, messages (inline and manifest) boarding and
+/// retiring, and CoW clones standing in for `last_copy` snapshots. One
+/// persistent encoder across the whole walk, so nothing a previous
+/// encode left in its scratch buffer can leak into the next.
 #[test]
 fn patched_header_encode_matches_full_reencode() {
     let mut rng = Rng::new(0x70_4B_3E);
     let mut enc = TokenEncoder::new();
     let mut token = Token::founding(arb_ring(&mut rng));
-    let mut hits_possible = 0u64;
     // Where the walk draws the pacing rule's line: half the range its
     // manifest lengths come from, and how many entries fell on each side.
     const LINE: u64 = 1 << 19;
@@ -293,8 +292,7 @@ fn patched_header_encode_matches_full_reencode() {
     for step in 0..5_000 {
         match rng.below(11) {
             // Steady state dominates: most hops bump seq and the trace
-            // hop counter together — the whole mutable header changes
-            // while the body stays cached.
+            // hop counter together and change nothing else.
             0..=5 => {
                 token.seq = token.seq.wrapping_add(1 + rng.below(3));
                 token.trace.hop = token.trace.hop.wrapping_add(1 + rng.below(3));
@@ -329,12 +327,9 @@ fn patched_header_encode_matches_full_reencode() {
             fork.ring.push(NodeId(99));
             fork.msgs.push(arb_attached(&mut rng));
         }
-        if token.msgs.is_empty() {
-            hits_possible += 1;
-        }
-        let patched = enc.encode(&token);
+        let pooled = enc.encode(&token);
         let full = SessionMsg::Token(token.clone()).encode_to_bytes();
-        assert_eq!(patched[..], full[..], "divergence at step {step}");
+        assert_eq!(pooled[..], full[..], "divergence at step {step}");
         // The pacing rule sizes tokens without encoding them: the
         // arithmetic must agree with the encoder to the byte.
         assert_eq!(token.wire_len(), full.len(), "token wire_len at {step}");
@@ -361,16 +356,9 @@ fn patched_header_encode_matches_full_reencode() {
             full.len() + beside_bytes,
             "load at {step}"
         );
-        let decoded = SessionMsg::decode_from_bytes(&patched).expect("decodes");
+        let decoded = SessionMsg::decode_from_bytes(&pooled).expect("decodes");
         assert_eq!(decoded, SessionMsg::Token(snapshot));
     }
-    assert!(
-        enc.cache_hits() > hits_possible / 2,
-        "the walk must actually exercise the cache-hit path: {} hits of {} quiescent encodes",
-        enc.cache_hits(),
-        hits_possible
-    );
-    assert!(enc.cache_misses() > 100, "and the invalidation paths");
     assert!(weighed.iter().all(|&n| n > 100), "both sides: {weighed:?}");
 }
 
