@@ -14,8 +14,8 @@ use crate::typestate::Role;
 use bytes::Bytes;
 use raincore_transport::Endpoint;
 use raincore_types::config::DetectionMode;
-use raincore_types::{GroupId, MsgId, NodeId, Result, Ring, SessionConfig, Time};
-use std::collections::{HashMap, VecDeque};
+use raincore_types::{GroupId, IdMap, MsgId, NodeId, Result, Ring, SessionConfig, Time};
+use std::collections::VecDeque;
 
 /// What an in-flight transport send was carrying, so completion and
 /// failure notifications can be routed to the component that sent it.
@@ -34,7 +34,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) now: Time,
     pub(crate) cfg: &'a SessionConfig,
     pub(crate) transport: &'a mut Endpoint,
-    pub(crate) inflight: &'a mut HashMap<MsgId, SendKind>,
+    pub(crate) inflight: &'a mut IdMap<MsgId, SendKind>,
     pub(crate) role: &'a mut Role,
     pub(crate) ring: &'a mut Ring,
     pub(crate) events: &'a mut VecDeque<SessionEvent>,

@@ -20,7 +20,7 @@ use raincore_types::{
     Attached, BulkData, BulkNack, DeliveryMode, DigestInto, Duration, Error, IdList, MsgId, NodeId,
     OriginSeq, Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, Token,
 };
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Maximum application payload accepted by `multicast`.
 pub const MAX_PAYLOAD: usize = 60_000;
@@ -90,10 +90,11 @@ pub(crate) struct Multicast {
     /// pacing rule reads it in O(1).
     outgoing_bytes: usize,
     next_origin_seq: OriginSeq,
-    /// Exactly-once delivery tracking per origin.
-    delivered: HashMap<NodeId, DedupWindow>,
+    /// Exactly-once delivery tracking per origin. Origins are chosen by
+    /// peers, so these are ordered maps, not hash maps.
+    delivered: BTreeMap<NodeId, DedupWindow>,
     /// Relay-side deduplication of open-group submissions (§2.6).
-    open_dedup: HashMap<NodeId, DedupWindow>,
+    open_dedup: BTreeMap<NodeId, DedupWindow>,
     /// Hold-back queue: messages seen but not yet delivered, in token
     /// order. The front blocks the rest until it is deliverable, which
     /// keeps the total order consistent across delivery modes.
@@ -114,8 +115,8 @@ impl Multicast {
             outgoing: VecDeque::new(),
             outgoing_bytes: 0,
             next_origin_seq: OriginSeq::default(),
-            delivered: HashMap::new(),
-            open_dedup: HashMap::new(),
+            delivered: BTreeMap::new(),
+            open_dedup: BTreeMap::new(),
             holdback: VecDeque::new(),
             bulk_store: BulkStore::new(BULK_CACHE_ENTRIES),
             bulk_dedup: BulkDedup::new(),
@@ -542,12 +543,10 @@ impl Multicast {
         self.next_origin_seq.digest_into(d);
         for (label, map) in [(0u8, &self.delivered), (1u8, &self.open_dedup)] {
             d.tag(label);
-            let mut ids: Vec<NodeId> = map.keys().copied().collect();
-            ids.sort_unstable();
-            d.write_len(ids.len());
-            for id in ids {
+            d.write_len(map.len());
+            for (&id, window) in map {
                 d.node(id);
-                map[&id].digest_into(d);
+                window.digest_into(d);
             }
         }
         d.write_len(self.holdback.len());

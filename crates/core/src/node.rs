@@ -46,8 +46,8 @@ use raincore_obs::TraceKind;
 use raincore_transport::{Endpoint, PeerTable, TransportEvent};
 use raincore_types::wire::WireDecode;
 use raincore_types::{
-    DeliveryMode, DigestInto, Duration, Error, GroupId, Incarnation, MsgId, NodeId, OriginSeq,
-    Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, TransportConfig,
+    DeliveryMode, DigestInto, Duration, Error, GroupId, IdMap, Incarnation, MsgId, NodeId,
+    OriginSeq, Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, TransportConfig,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -79,7 +79,7 @@ pub struct SessionNode {
     cfg: SessionConfig,
     transport: Endpoint,
     /// Kind of every in-flight transport send.
-    inflight: HashMap<MsgId, SendKind>,
+    inflight: IdMap<MsgId, SendKind>,
     /// The last few sends whose failure-on-delivery evicted a member, so
     /// that an acknowledgement that still arrives for one counts a false
     /// suspicion (observability only; not part of the state digest).
@@ -153,7 +153,7 @@ impl SessionNode {
         let mut node = SessionNode {
             id,
             transport,
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             evicted_by: VecDeque::new(),
             role: Role::hungry(now),
             pass_slot: None,

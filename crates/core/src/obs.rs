@@ -16,8 +16,7 @@ use raincore_obs::{
     FlightRecorder, Histogram, OutageStage, OutageTracker, RecKind, Registry, Stage, StageClock,
     StageHists, TraceJournal, TraceKind,
 };
-use raincore_types::{DeliveryMode, OriginSeq, Time, TraceCtx};
-use std::collections::HashMap;
+use raincore_types::{DeliveryMode, IdMap, OriginSeq, Time, TraceCtx};
 
 /// Stage timestamps of the hop currently moving through the node.
 ///
@@ -74,7 +73,7 @@ pub struct NodeObs {
     last_eating: Option<Time>,
     starving_since: Option<Time>,
     /// Submission times of this node's own in-flight multicasts.
-    submits: HashMap<OriginSeq, (DeliveryMode, Time)>,
+    submits: IdMap<OriginSeq, (DeliveryMode, Time)>,
     /// Injected monotonic stage clock (`None` in the deterministic sim:
     /// stage durations read 0, causal structure stays complete).
     stage_clock: Option<StageClock>,
@@ -114,7 +113,7 @@ impl NodeObs {
             clock: now,
             last_eating: None,
             starving_since: None,
-            submits: HashMap::new(),
+            submits: IdMap::default(),
             stage_clock: None,
             recorder: None,
             pending: None,

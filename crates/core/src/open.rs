@@ -21,9 +21,9 @@ use raincore_transport::{Endpoint, PeerTable, TransportEvent};
 use raincore_types::messages::OpenSubmit;
 use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
 use raincore_types::{
-    Error, Incarnation, MsgId, NodeId, OriginSeq, Result, SessionMsg, Time, TransportConfig,
+    Error, IdMap, Incarnation, MsgId, NodeId, OriginSeq, Result, SessionMsg, Time, TransportConfig,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Magic prefix of an open-group envelope inside a multicast payload.
 pub const OPEN_MAGIC: &[u8; 4] = b"RCOP";
@@ -86,7 +86,7 @@ pub struct OpenClient {
     transport: Endpoint,
     members: Vec<NodeId>,
     next_seq: OriginSeq,
-    inflight: HashMap<MsgId, PendingSubmit>,
+    inflight: IdMap<MsgId, PendingSubmit>,
     outcomes: VecDeque<OpenOutcome>,
 }
 
@@ -107,7 +107,7 @@ impl OpenClient {
             transport: Endpoint::new(id, Incarnation::FIRST, local_addrs, peers, tcfg)?,
             members,
             next_seq: OriginSeq::default(),
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             outcomes: VecDeque::new(),
         })
     }

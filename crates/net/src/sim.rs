@@ -20,11 +20,11 @@
 
 use crate::addr::{Addr, Datagram};
 use crate::stats::NetStats;
-use raincore_types::{Duration, NodeId, Time};
+use raincore_types::{Duration, IdMap, NodeId, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 /// Which physical medium connects the cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,9 +130,9 @@ pub struct SimNet {
     seq: u64,
     in_flight: BinaryHeap<Reverse<InFlight>>,
     /// Per-NIC transmit-side busy horizon (switch mode).
-    tx_busy: HashMap<Addr, Time>,
+    tx_busy: IdMap<Addr, Time>,
     /// Per-NIC receive-side (egress-queue) busy horizon (switch mode).
-    rx_busy: HashMap<Addr, Time>,
+    rx_busy: IdMap<Addr, Time>,
     /// Shared-medium busy horizon (hub mode).
     medium_busy: Time,
     /// Directed node pairs whose packets are dropped (link failures and
@@ -175,8 +175,8 @@ impl SimNet {
             rng,
             seq: 0,
             in_flight: BinaryHeap::new(),
-            tx_busy: HashMap::new(),
-            rx_busy: HashMap::new(),
+            tx_busy: IdMap::default(),
+            rx_busy: IdMap::default(),
             medium_busy: Time::ZERO,
             blocked: HashSet::new(),
             down_nics: HashSet::new(),

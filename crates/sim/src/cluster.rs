@@ -48,10 +48,16 @@ struct Slot {
     addrs: Vec<Addr>,
     /// The session config this member was built with (used by restart).
     session_cfg: Option<SessionConfig>,
-    events: Vec<SessionEvent>,
     /// Every delivery of every incarnation, in delivery order: the one
-    /// log the tests read and the auditors borrow.
+    /// log the tests read and the auditors borrow, and the only record of
+    /// a delivery.
     deliveries: Vec<Delivery>,
+    /// The other events not yet taken, each with the number of
+    /// deliveries that came before it ([`Cluster::take_events`]
+    /// interleaves the two logs).
+    events: Vec<(usize, SessionEvent)>,
+    /// Deliveries already handed out by [`Cluster::take_events`].
+    deliveries_taken: usize,
     /// [`Slot::next_wakeup`] as last evaluated; stale while `touched`.
     wakeup: Option<Time>,
     /// Something may have changed this member since its wakeup was last
@@ -70,8 +76,9 @@ impl Slot {
             incarnation: Incarnation::FIRST,
             addrs,
             session_cfg: cfg,
-            events: Vec::new(),
             deliveries: Vec::new(),
+            events: Vec::new(),
+            deliveries_taken: 0,
             wakeup: None,
             touched: true,
         }
@@ -148,11 +155,12 @@ impl Slot {
     fn collect_outputs(&mut self, net: &mut SimNet, now: Time, id: NodeId) -> bool {
         let mut moved = false;
         while let Some(ev) = self.session.as_mut().and_then(SessionNode::poll_event) {
-            if let SessionEvent::Delivery(d) = &ev {
-                self.deliveries.push(d.clone());
-            }
             moved |= self.with_app(net, now, id, |app, ctl| app.on_session_event(ctl, &ev));
-            self.events.push(ev);
+            if let SessionEvent::Delivery(d) = ev {
+                self.deliveries.push(d);
+            } else {
+                self.events.push((self.deliveries.len(), ev));
+            }
         }
         // The app may also have produced outgoing session traffic.
         if let Some(s) = &mut self.session {
@@ -650,12 +658,28 @@ impl Cluster {
             .is_some_and(|s| s.alive && s.session.as_ref().is_none_or(|n| !n.is_down()))
     }
 
-    /// Takes (drains) the accumulated session events of a node.
+    /// Takes (drains) the accumulated session events of a node, in the
+    /// order the node emitted them; its [`Cluster::deliveries`] stay.
     pub fn take_events(&mut self, id: NodeId) -> Vec<SessionEvent> {
-        self.slots
-            .get_mut(&id)
-            .map(|s| std::mem::take(&mut s.events))
-            .unwrap_or_default()
+        let Some(Slot {
+            deliveries,
+            events,
+            deliveries_taken: taken,
+            ..
+        }) = self.slots.get_mut(&id)
+        else {
+            return Vec::new();
+        };
+        let delivery = |d: &Delivery| SessionEvent::Delivery(d.clone());
+        let mut out = Vec::with_capacity(deliveries.len() - *taken + events.len());
+        for (before, ev) in events.drain(..) {
+            out.extend(deliveries[*taken..before].iter().map(delivery));
+            *taken = before;
+            out.push(ev);
+        }
+        out.extend(deliveries[*taken..].iter().map(delivery));
+        *taken = deliveries.len();
+        out
     }
 
     /// All multicast deliveries observed at a node, in delivery order.
@@ -970,6 +994,66 @@ mod tests {
                 .filter(|e| matches!(e, SessionEvent::MulticastAtomic { .. }))
                 .count();
             assert_eq!(n_atomic, n_own, "{id}");
+        }
+    }
+
+    /// Keeps every event its host's session emits, in emission order.
+    #[derive(Default)]
+    struct Recorder(Vec<SessionEvent>);
+
+    impl NodeApp for Recorder {
+        fn on_session_event(&mut self, _: &mut NodeCtl<'_>, event: &SessionEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
+    #[test]
+    fn take_events_returns_the_emission_order_across_a_restart() {
+        let mut c = Cluster::founding(3, fast_cfg()).unwrap();
+        let (n1, n2) = (NodeId(1), NodeId(2));
+        c.set_app(n2, Box::<Recorder>::default()).unwrap();
+        let burst = |c: &mut Cluster, tag: u8| {
+            for i in 0..3 {
+                c.multicast(n1, DeliveryMode::Agreed, Bytes::from(vec![tag, i]))
+                    .unwrap();
+            }
+            c.run_for(Duration::from_millis(300));
+        };
+        c.run_until(secs(1));
+        burst(&mut c, 0);
+        c.session_mut(n2).unwrap().request_master().unwrap();
+        c.run_for(Duration::from_millis(300));
+        let now = c.now();
+        c.session_mut(n2).unwrap().release_master(now).unwrap();
+        burst(&mut c, 1);
+        let first = c.take_events(n2);
+        // A run of deliveries, the master lock, another run.
+        let is_delivery = |e: &SessionEvent| matches!(e, SessionEvent::Delivery(_));
+        let acquired = first
+            .iter()
+            .position(|e| *e == SessionEvent::MasterAcquired)
+            .expect("n2 took the master lock");
+        assert!(first[..acquired].iter().filter(|e| is_delivery(e)).count() >= 3);
+        assert!(first[acquired..].iter().filter(|e| is_delivery(e)).count() >= 3);
+
+        c.crash(n2);
+        c.run_for(Duration::from_secs(1));
+        c.restart(n2, StartMode::Joining).unwrap();
+        c.run_for(Duration::from_secs(2));
+        burst(&mut c, 2);
+        let logged = c.deliveries(n2).to_vec();
+        let second = c.take_events(n2);
+        assert!(second.iter().any(is_delivery), "{second:?}");
+        assert!(second.iter().any(|e| !is_delivery(e)), "{second:?}");
+        assert!(c.take_events(n2).is_empty(), "everything was taken");
+
+        let emitted = &c.app::<Recorder>(n2).unwrap().0;
+        assert_eq!([first, second].concat(), *emitted);
+        assert_eq!(c.deliveries(n2), logged, "taking events leaves the log");
+        let delivered: Vec<&SessionEvent> = emitted.iter().filter(|e| is_delivery(e)).collect();
+        assert_eq!(delivered.len(), logged.len());
+        for (ev, d) in delivered.into_iter().zip(&logged) {
+            assert_eq!(*ev, SessionEvent::Delivery(d.clone()));
         }
     }
 

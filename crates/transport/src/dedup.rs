@@ -45,15 +45,19 @@ impl DedupWindow {
     /// Records `id` as delivered. Returns `true` if it was new (the caller
     /// should deliver), `false` if it was a duplicate.
     pub fn insert(&mut self, id: MsgId) -> bool {
-        if self.contains(id) {
-            return false;
-        }
-        self.above.insert(id.0);
-        // Compact: slide the watermark over any now-contiguous prefix.
-        while self.above.remove(&self.watermark) {
+        // The watermark is never in `above`, so an id equal to it is new,
+        // and only an id equal to it can make a prefix contiguous: the
+        // in-order case, nearly every id, never touches the tree.
+        if id.0 == self.watermark {
             self.watermark += 1;
+            if !self.above.is_empty() {
+                while self.above.remove(&self.watermark) {
+                    self.watermark += 1;
+                }
+            }
+            return true;
         }
-        true
+        id.0 > self.watermark && self.above.insert(id.0)
     }
 
     /// Number of ids tracked above the watermark (diagnostics / tests).
@@ -164,6 +168,23 @@ mod tests {
         assert_eq!(w.sparse_len(), 0);
     }
 
+    #[test]
+    fn id_at_the_watermark_slides_over_a_run_and_stops_at_the_next_gap() {
+        let mut w = DedupWindow::new();
+        for i in [1u64, 2, 3, 6] {
+            assert!(w.insert(MsgId(i)));
+        }
+        assert_eq!((w.watermark(), w.sparse_len()), (0, 4));
+        assert!(w.insert(MsgId(0)), "the id at the watermark is new");
+        assert_eq!((w.watermark(), w.sparse_len()), (4, 1));
+        assert!(!w.insert(MsgId(3)), "below the watermark: a duplicate");
+        assert!(!w.insert(MsgId(6)), "above it: still remembered");
+        assert!(w.insert(MsgId(4)));
+        assert_eq!((w.watermark(), w.sparse_len()), (5, 1));
+        assert!(w.insert(MsgId(5)));
+        assert_eq!((w.watermark(), w.sparse_len()), (7, 0));
+    }
+
     /// Pins the bulk-retransmission double-delivery fix: a retransmitted
     /// bulk payload arrives as a fresh transport message (fresh wire
     /// `MsgId`), so the per-peer wire-seq window happily accepts it —
@@ -223,6 +244,12 @@ mod tests {
                 let fresh = w.insert(MsgId(id));
                 prop_assert_eq!(fresh, delivered.insert(id),
                     "tracker and reference disagree on id {}", id);
+                // What the window reports follows from the set alone: the
+                // least id not delivered, and how many lie above it.
+                let watermark = (0..).find(|i| !delivered.contains(i)).unwrap();
+                let above = delivered.iter().filter(|&&i| i > watermark).count();
+                prop_assert_eq!(w.watermark(), watermark, "after id {}", id);
+                prop_assert_eq!(w.sparse_len(), above, "after id {}", id);
             }
             // Everything reported delivered is contained.
             for &id in &delivered {

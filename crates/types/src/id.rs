@@ -6,6 +6,8 @@
 //! [`NodeId`] among its members.
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 
 /// Identity of a cluster member node.
 ///
@@ -143,6 +145,44 @@ impl fmt::Debug for OriginSeq {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VipId(pub u32);
 
+/// Hasher for maps keyed by identifiers the local node mints itself: its
+/// own [`MsgId`]s and [`OriginSeq`]s, the simulator's NIC addresses. One
+/// multiply per word and no per-map key, where the default SipHash costs
+/// a keyed round per lookup. A map keyed by something a peer chooses does
+/// not use it, since a peer could pick keys that collide; such a map is a
+/// `BTreeMap`.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+/// A `HashMap` keyed by locally minted identifiers, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.write_u64(u64::from(byte));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u8(b));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl fmt::Debug for VipId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "vip{}", self.0)
@@ -183,6 +223,21 @@ mod tests {
     #[test]
     fn origin_seq_next_increments() {
         assert_eq!(OriginSeq::default().next(), OriginSeq(1));
+    }
+
+    #[test]
+    fn id_hasher_spreads_sequential_ids_over_every_bucket() {
+        use core::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        // An odd multiplier is a bijection modulo any power of two, so a
+        // run of ids fills a table's low-bit buckets without a collision.
+        let buckets: std::collections::BTreeSet<u64> = (0..1024u64)
+            .map(|i| build.hash_one(MsgId(i)) % 1024)
+            .collect();
+        assert_eq!(buckets.len(), 1024);
+        let mut map: IdMap<OriginSeq, u64> = IdMap::default();
+        map.insert(OriginSeq(7), 1);
+        assert_eq!(map.get(&OriginSeq(7)), Some(&1));
     }
 
     #[test]

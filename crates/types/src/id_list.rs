@@ -40,6 +40,7 @@ impl IdList {
     }
 
     /// Appends `id`, spilling to the heap when the inline room is full.
+    #[inline]
     pub fn push(&mut self, id: NodeId) {
         match &mut self.0 {
             Repr::Inline { len, ids } if usize::from(*len) < INLINE_IDS => {
@@ -66,6 +67,7 @@ impl Default for IdList {
 impl Deref for IdList {
     type Target = [NodeId];
 
+    #[inline]
     fn deref(&self) -> &[NodeId] {
         match &self.0 {
             Repr::Inline { len, ids } => &ids[..usize::from(*len)],
@@ -112,15 +114,21 @@ impl WireDecode for IdList {
         // An id takes at least one byte, so the count is checked against
         // what is left before anything is stored.
         let len = r.get_seq_len(1)?;
-        let mut list = if len > INLINE_IDS {
-            IdList(Repr::Heap(Vec::with_capacity(len)))
-        } else {
-            IdList::new()
-        };
-        for _ in 0..len {
-            list.push(NodeId::decode(r)?);
+        if len > INLINE_IDS {
+            let mut ids = Vec::with_capacity(len);
+            for _ in 0..len {
+                ids.push(NodeId::decode(r)?);
+            }
+            return Ok(IdList(Repr::Heap(ids)));
         }
-        Ok(list)
+        let mut ids = [NodeId(0); INLINE_IDS];
+        for id in &mut ids[..len] {
+            *id = NodeId::decode(r)?;
+        }
+        Ok(IdList(Repr::Inline {
+            len: len as u8,
+            ids,
+        }))
     }
 }
 
@@ -147,6 +155,21 @@ mod tests {
         }
         assert!(list.iter().map(|n| n.0).eq(0..3 * INLINE_IDS as u32));
         assert!(matches!(list.0, Repr::Heap(_)));
+    }
+
+    #[test]
+    fn decode_round_trips_inline_and_spilled_lists() {
+        for n in 0..=2 * INLINE_IDS as u32 {
+            let list: IdList = (0..n).map(|i| NodeId(i * 1000)).collect();
+            let back = IdList::decode_from_bytes(&list.encode_to_bytes()).unwrap();
+            assert_eq!(back, list);
+            assert_eq!(
+                matches!(back.0, Repr::Inline { .. }),
+                n as usize <= INLINE_IDS
+            );
+        }
+        // A count the rest of the datagram cannot hold is refused.
+        assert!(IdList::decode_from_bytes(&[3, 1, 2]).is_err());
     }
 
     #[test]

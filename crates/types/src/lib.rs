@@ -41,7 +41,7 @@ pub mod wire;
 pub use config::{SessionConfig, TransportConfig};
 pub use digest::{DigestInto, Fingerprint, StateDigest};
 pub use error::{Error, Result};
-pub use id::{GroupId, Incarnation, MsgId, NodeId, OriginSeq, VipId};
+pub use id::{GroupId, IdHasher, IdMap, Incarnation, MsgId, NodeId, OriginSeq, VipId};
 pub use id_list::IdList;
 pub use membership::Ring;
 pub use messages::{

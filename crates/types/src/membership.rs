@@ -64,6 +64,7 @@ impl Ring {
     }
 
     /// True if `node` is a member.
+    #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
         self.members.contains(&node)
     }

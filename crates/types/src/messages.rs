@@ -192,6 +192,7 @@ impl Attached {
     }
 
     /// Records that `node` has received the payload. Idempotent.
+    #[inline]
     pub fn mark_seen(&mut self, node: NodeId) {
         if !self.seen.contains(&node) {
             self.seen.push(node);
@@ -206,6 +207,7 @@ impl Attached {
     }
 
     /// True if every member of `ring` has received the payload.
+    #[inline]
     pub fn seen_by_all(&self, ring: &Ring) -> bool {
         ring.iter().all(|m| self.seen.contains(&m))
     }

@@ -98,12 +98,21 @@ leg_model_check() {
   echo "==> model check (seeded two-token fault must be found)"
   cargo run --release -q -p raincore-sim --bin model_check -- --seeded-check
 
-  echo "==> model check (bounded exploration must be clean)"
-  # The canonical state cache collapses the 3-node space: it now exhausts
-  # at ~3.3k schedules (previously >10k explored the same states many
-  # times over), so the floor guards against *accidentally* tightened
-  # bounds, not against the cache doing its job.
-  cargo run --release -q -p raincore-sim --bin model_check -- --min-schedules 3000
+  echo "==> model check (bounded exploration must be clean, and exactly the pinned space)"
+  # The default 3-node space is the inertness pin (DESIGN.md §17.5): a
+  # change to the session core or the transport that means to leave the
+  # protocol alone must reproduce its counts exactly, and one that moves
+  # them on purpose says so where the constants live — here.
+  pinned="3298 5296 1543" # schedules, states, state-pruned
+  out=$(cargo run --release -q -p raincore-sim --bin model_check --)
+  echo "$out"
+  grep -q '\[exhausted\]' <<<"$out"
+  counts=$(sed -n 's/^model-check: \([0-9]*\) schedules (\([0-9]*\) states, [0-9]* sleep-pruned, \([0-9]*\) state-pruned.*/\1 \2 \3/p' <<<"$out")
+  if [ "$counts" != "$pinned" ]; then
+    echo "the default model-check space moved: schedules, states, state-pruned = ${counts:-?} (pinned $pinned)." >&2
+    echo "A PR that moves them updates the constants in scripts/check.sh and DESIGN.md §17.5, and gives its reason in the commit that moves them." >&2
+    exit 1
+  fi
 
   echo "==> model check (5-node seeded fault found inside the state budget)"
   cargo run --release -q -p raincore-sim --bin model_check -- \

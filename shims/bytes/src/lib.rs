@@ -4,9 +4,13 @@
 //! the small slice of the `bytes` API that raincore actually uses: cheaply
 //! clonable immutable [`Bytes`] (reference-counted, zero-copy slicing), a
 //! growable [`BytesMut`] builder, and the [`Buf`]/[`BufMut`] traits.
-//! Semantics match the real crate for this subset; performance characteristics
-//! are close enough (slicing is O(1) and clone is an `Arc` bump; the one
-//! difference is that `from_static` copies once into an allocation).
+//! Semantics match the real crate for this subset. Performance matches it
+//! where the codec and the payload paths lean on it — slicing is O(1), clone
+//! is an `Arc` bump, and the one-line leaf methods are `#[inline]`, as the
+//! real crate's are, so an encode's per-byte `put_u8` is not a call across
+//! the crate boundary — with one difference: `from_static`, `freeze` and
+//! `From<Vec<u8>>` copy once into a fresh allocation, where the real crate
+//! borrows or takes over the buffer.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -63,14 +67,17 @@ impl Bytes {
         }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -145,18 +152,21 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Bytes {
+    #[inline]
     fn borrow(&self) -> &[u8] {
         self.as_slice()
     }
@@ -312,45 +322,55 @@ pub struct BytesMut {
 }
 
 impl BytesMut {
+    #[inline]
     pub fn new() -> Self {
         BytesMut { inner: Vec::new() }
     }
 
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             inner: Vec::with_capacity(cap),
         }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
 
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.inner.capacity()
     }
 
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.inner.reserve(additional);
     }
 
+    #[inline]
     pub fn clear(&mut self) {
         self.inner.clear();
     }
 
+    #[inline]
     pub fn truncate(&mut self, len: usize) {
         self.inner.truncate(len);
     }
 
+    #[inline]
     pub fn extend_from_slice(&mut self, s: &[u8]) {
         self.inner.extend_from_slice(s);
     }
 
-    /// Convert into an immutable [`Bytes`] without copying.
+    /// Convert into an immutable [`Bytes`] (the shim copies once; see the
+    /// crate docs).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.inner)
     }
@@ -358,18 +378,21 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.inner
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.inner
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.inner
     }
@@ -393,6 +416,7 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
     fn advance(&mut self, cnt: usize);
 
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
@@ -415,21 +439,26 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         *self = &self[cnt..];
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
@@ -444,30 +473,37 @@ pub trait BufMut {
     fn put_u8(&mut self, v: u8);
     fn put_slice(&mut self, s: &[u8]);
 
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.push(v);
     }
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.inner.push(v);
     }
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.inner.extend_from_slice(s);
     }
