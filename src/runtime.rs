@@ -32,7 +32,7 @@ use crate::shard::{IoShard, DEFAULT_OUT_CAP};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use raincore_net::batch::{BatchConfig, IoMetrics, IoWaker};
 use raincore_net::udp::UdpNet;
-use raincore_obs::{FlightRecorder, StageClock};
+use raincore_obs::{FlightRecorder, Histogram, StageClock};
 use raincore_session::{SessionApp, SessionEvent, SessionNode};
 use raincore_types::{DeliveryMode, OriginSeq, Time};
 use std::any::Any;
@@ -117,7 +117,9 @@ impl ObsSnapshot {
 }
 
 /// Builds the node's metric registry and copies out what a dump renders.
-fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsSnapshot {
+/// `wake_late` is the driver's own lateness: how far past the wakeup it
+/// asked the pump for it got the CPU back.
+fn dump_node_obs(node: &SessionNode, io: &IoMetrics, wake_late: &Histogram) -> ObsSnapshot {
     let r = raincore_obs::Registry::new();
     let id = node.id().0.to_string();
     let labels: &[(&str, &str)] = &[("node", id.as_str())];
@@ -158,6 +160,7 @@ fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsSnapshot {
         .add(io.pool_grown.get());
     r.gauge("raincore_io_syscalls_per_packet_milli", labels)
         .set(io.syscalls_per_packet_milli() as i64);
+    r.attach_histogram("raincore_runtime_wake_late_ns", labels, wake_late.clone());
     node.export_into(&r);
     // Ring membership as one gauge per member: an out-of-process auditor
     // (the real-socket conformance harness) reads *presence*, which is
@@ -224,6 +227,7 @@ impl RuntimeNode {
         let handle = std::thread::Builder::new().name(name).spawn(move || {
             let start = Instant::now();
             let now = |start: Instant| Time(start.elapsed().as_nanos() as u64);
+            let wake_late = Histogram::new();
             loop {
                 let t = now(start);
                 // Process commands.
@@ -240,7 +244,7 @@ impl RuntimeNode {
                             let _ = node.release_master(t);
                         }
                         Cmd::ObsDump(reply) => {
-                            let _ = reply.send(dump_node_obs(&node, shard.metrics()));
+                            let _ = reply.send(dump_node_obs(&node, shard.metrics(), &wake_late));
                         }
                         Cmd::WithApp(call) => call(t, &mut node, &mut app),
                         Cmd::Leave => {
@@ -266,15 +270,22 @@ impl RuntimeNode {
                 }
                 // Block until the next protocol or application wakeup, a
                 // received burst, or a command poke on the wake socket —
-                // whichever comes first.
+                // whichever comes first. A pump that returns at or past that
+                // wakeup records how late the host ran this thread.
+                let asked = now(start);
                 let budget = [node.next_wakeup(), app.next_wakeup()]
                     .into_iter()
                     .flatten()
                     .min()
-                    .map(|w| w.since(now(start)).to_std())
+                    .map(|w| w.since(asked).to_std())
                     .unwrap_or(std::time::Duration::from_millis(50))
                     .min(std::time::Duration::from_millis(50));
-                for d in shard.pump_recv(budget) {
+                let wakeup = asked.as_nanos() + budget.as_nanos() as u64;
+                let burst = shard.pump_recv(budget);
+                if let Some(late) = now(start).as_nanos().checked_sub(wakeup) {
+                    wake_late.record(late);
+                }
+                for d in burst {
                     node.on_datagram(now(start), d);
                 }
             }

@@ -112,6 +112,13 @@ fn three_nodes_form_group_and_multicast_over_udp() {
         .prometheus
         .contains("raincore_io_syscalls_per_packet_milli{node=\"2\"}"));
     assert!(dump.json.contains("\"name\":\"raincore_io_syscalls\""));
+    // How late the driver's own wake-ups were, in both renderings.
+    assert!(dump
+        .prometheus
+        .contains("raincore_runtime_wake_late_ns_count{node=\"2\"}"));
+    assert!(dump
+        .json
+        .contains("\"name\":\"raincore_runtime_wake_late_ns\""));
     for n in &nodes {
         n.leave();
     }
