@@ -384,7 +384,7 @@ fn failure_detect() -> (u64, Extras) {
 /// DESIGN.md §17.3 as simulated time: the ring of the end-to-end
 /// benchmark's `sim_core` (eight members, `token_hold` 2 ms, stock
 /// timeouts) loses its token with the member that is EATING. That
-/// member's predecessor waits `4·rotation + 2·give-up`, asks it, hears
+/// member's predecessor waits `2·rotation + 1·give-up`, asks it, hears
 /// nothing for one give-up and regenerates with the dead member already
 /// out of the ballot. The stages are the repairer's own
 /// (`raincore_obs::OutageTracker`), a delivery either side of the outage

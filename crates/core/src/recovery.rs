@@ -180,8 +180,9 @@ impl Recovery {
 /// acknowledgement is the whole answer (a stalled holder that woke, or
 /// one keeping the master lock, acknowledges; a dead one cannot), so the
 /// message is a header and the receiver does nothing. The next is due a
-/// probe interval from now either way, and that interval is two give-ups
-/// at least: this one is answered or failed by then.
+/// probe interval from now either way, and that interval is one give-up
+/// and two rotations: longer than a probe's own give-up, so this one is
+/// answered or failed by then.
 pub(crate) fn ask_successor(cx: &mut Ctx<'_>, pass: &RingPass) {
     cx.role.probe_asked(cx.now);
     let Some(to) = pass.probe_target() else {
@@ -383,9 +384,109 @@ fn regenerate(cx: &mut Ctx<'_>, pass: &mut RingPass) -> Option<Eat> {
 
 #[cfg(test)]
 mod tests {
-    use crate::node::testkit::{drain, first_msg, mk};
-    use crate::{SessionEvent, StartMode};
+    use crate::node::testkit::{drain, first_msg, mk, mk_with};
+    use crate::{SessionEvent, SessionNode, StartMode};
+    use raincore_transport::{Frame, MIN_RTO};
+    use raincore_types::wire::WireDecode;
     use raincore_types::*;
+
+    /// Node 0's probes as they crossed the wire.
+    #[derive(Default)]
+    struct ProbeLog {
+        /// Every probe node 0 sent, by message id.
+        sent: Vec<MsgId>,
+        /// The one sent and not yet acknowledged.
+        unresolved: Option<MsgId>,
+        acked: usize,
+    }
+
+    /// Runs a ring of two until `until` on a 100 µs tick, delivering every
+    /// datagram at once — except the first copy of each probe, which is
+    /// lost, so every question stays unresolved for one retransmission
+    /// timeout (longer than the two rotations of a 1 ms ring).
+    fn run_pair(nodes: &mut [SessionNode; 2], now: &mut Time, until: Time, log: &mut ProbeLog) {
+        while *now < until {
+            *now += Duration::from_micros(100);
+            for n in nodes.iter_mut() {
+                n.on_tick(*now);
+            }
+            let mut moved = true;
+            while moved {
+                moved = false;
+                for from in 0..2 {
+                    while let Some(d) = nodes[from].poll_outgoing() {
+                        moved = true;
+                        match Frame::decode_from_bytes(&d.payload) {
+                            Ok(Frame::Data {
+                                msg_id, payload, ..
+                            }) if SessionMsg::decode_from_bytes(&payload)
+                                == Ok(SessionMsg::Probe) =>
+                            {
+                                if !log.sent.contains(&msg_id) {
+                                    assert_eq!(
+                                        log.unresolved, None,
+                                        "a probe sent at {now:?} while the last is unresolved"
+                                    );
+                                    log.sent.push(msg_id);
+                                    log.unresolved = Some(msg_id);
+                                    continue; // the first copy is lost
+                                }
+                            }
+                            Ok(Frame::Ack { msg_id, .. }) if log.unresolved == Some(msg_id) => {
+                                log.unresolved = None;
+                                log.acked += 1;
+                            }
+                            _ => {}
+                        }
+                        let to = d.dst.node.0 as usize;
+                        nodes[to].on_datagram(*now, d);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_probe_at_a_time_while_the_successor_keeps_the_master_lock() {
+        let ring = Ring::from([0, 1]);
+        let mk2 = |id| {
+            mk_with(id, 2, StartMode::Founding(ring.clone()), |c| {
+                c.token_hold = Duration::from_micros(500);
+                c.hungry_timeout = Duration::from_secs(2);
+            })
+        };
+        let mut nodes = [mk2(0), mk2(1)];
+        let (mut now, mut log) = (Time::ZERO, ProbeLog::default());
+        // A ring of two 500 µs holds turns in 1 ms: warm it up until every
+        // limit is armed and node 0 has measured node 1.
+        run_pair(
+            &mut nodes,
+            &mut now,
+            Time::ZERO + Duration::from_millis(100),
+            &mut log,
+        );
+        assert!(log.sent.is_empty(), "a turning ring asks nobody");
+        nodes[1].request_master().unwrap();
+        while !nodes[1].holds_master() {
+            let next = now + Duration::from_micros(100);
+            run_pair(&mut nodes, &mut now, next, &mut log);
+        }
+        // Ten probe intervals of two rotations and a give-up at the floor.
+        let interval = Duration::from_millis(2) + MIN_RTO.saturating_mul(3);
+        let release = now + interval.saturating_mul(10);
+        run_pair(&mut nodes, &mut now, release, &mut log);
+        assert!(nodes[1].holds_master());
+        nodes[1].release_master(now).unwrap();
+        let end = now + Duration::from_millis(100);
+        run_pair(&mut nodes, &mut now, end, &mut log);
+
+        let m = nodes[0].metrics();
+        assert!(log.sent.len() >= 9, "asked {} times", log.sent.len());
+        assert_eq!(m.probes_sent, log.sent.len() as u64);
+        assert_eq!((log.acked, log.unresolved), (log.sent.len(), None));
+        assert_eq!((m.probes_failed, m.calls911_sent), (0, 0), "{m:?}");
+        assert_eq!(nodes[0].ring().len(), 2);
+    }
 
     #[test]
     fn hungry_node_starves_and_regenerates_alone() {

@@ -176,16 +176,16 @@ impl RingPass {
     }
 
     /// How long a hunger that begins with a pass to `to` may last before
-    /// `to` is asked if it is there (DESIGN.md §17.3): four rotations and
-    /// two of the transport's give-up budgets for that peer, both as
+    /// `to` is asked if it is there (DESIGN.md §17.3): two rotations and
+    /// one of the transport's give-up budgets for that peer, both as
     /// measured now. `None` — the hungry timeout is all there is — until
     /// four rotation intervals have been seen, where that sum is no
     /// shorter than the hungry timeout, and where a failure evicts
     /// nobody.
     fn probe_after(&self, cx: &Ctx<'_>, to: NodeId) -> Option<Duration> {
-        let rotations = self.rotation.estimate()?.saturating_mul(4);
-        let give_ups = cx.transport.give_up_budget(to).saturating_mul(2);
-        let limit = Duration(rotations.as_nanos().saturating_add(give_ups.as_nanos()));
+        let rotations = self.rotation.estimate()?.saturating_mul(2);
+        let give_up = cx.transport.give_up_budget(to);
+        let limit = Duration(rotations.as_nanos().saturating_add(give_up.as_nanos()));
         (limit < cx.cfg.hungry_timeout && cx.evicts_on_failure()).then_some(limit)
     }
 

@@ -235,15 +235,21 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// ring no longer re-arms its BODYODOR timer on every tick, so after the
 /// crash and the partition its beacons keep their own phase — 15 277 →
 /// 15 149 datagrams. Ticking only the members that are due moved nothing.
+/// Re-harvested a second time when the probe limit became `2·rotation +
+/// 1·give-up` (DESIGN.md §17.3): a probe is now armed wherever that is
+/// under `hungry_timeout`, and here it is (`2·11 + 40` = 62 ms against
+/// 100; the old `4·11 + 2·40` = 124 ms armed nothing). Seven probes are
+/// sent, two of them to crashed members, which then starve their
+/// senders before the backstop would — 15 149 → 15 164 datagrams.
 const PARENT_EVENT_HASHES: [u64; 5] = [
-    0x2f94_1f9e_5430_ee73,
-    0x43a9_b405_8386_4aa3,
-    0xc47c_8d31_0eb2_c721,
-    0xff92_8de8_ea93_c427,
-    0xb329_d7e7_8935_ddab,
+    0xe4cd_15e4_094e_ed71,
+    0xa992_2a00_7c50_1ddd,
+    0xc53d_04c6_4285_d1f9,
+    0x348e_1eba_ed7b_efb4,
+    0x5b56_aa25_ae98_2321,
 ];
-const PARENT_WIRE_HASH: u64 = 0x3d1f_c8d8_ad90_6bbe;
-const PARENT_WIRE_DATAGRAMS: u64 = 15_149;
+const PARENT_WIRE_HASH: u64 = 0x440b_80a9_c69e_a184;
+const PARENT_WIRE_DATAGRAMS: u64 = 15_164;
 
 #[test]
 fn session_core_split_is_inert() {

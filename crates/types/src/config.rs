@@ -99,7 +99,7 @@ pub struct SessionConfig {
     /// The longest a node stays HUNGRY before it suspects token loss and
     /// enters STARVING (§2.3) whatever it has heard: the backstop. A node
     /// that has seen four rotations asks the member it passed the token
-    /// to after `4·rotation + 2·give-up` (the transport's budget for that
+    /// to after `2·rotation + 1·give-up` (the transport's budget for that
     /// peer), and starves as soon as that question fails on delivery
     /// (DESIGN.md §17.3); this timeout is what fires before then, on a
     /// ring where that sum is no shorter, for a node no pass made hungry

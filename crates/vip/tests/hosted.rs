@@ -270,14 +270,22 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// same events at every member, the same subnet. And once more when an
 /// idle beacon timer stopped moving (DESIGN.md §2.4): the survivors'
 /// beacons to a crashed member keep their own phase — 4 fewer datagrams,
-/// the same events, the same subnet.
+/// the same events, the same subnet. Both halves re-harvested when the
+/// probe limit became `2·rotation + 1·give-up` (§17.3): `2·7 + 30` = 44 ms
+/// is asked and failed at 74 ms, before the 100 ms backstop, where the
+/// old limit's probe would have failed at 118 ms and both survivors
+/// starved at 100. After the first crash one member starves where two
+/// did; the ring is then at another phase when the leader crashes, and
+/// it dies holding the token (a probe and a regeneration, not a skipped
+/// pass) — 8 450 → 8 452 datagrams, the restarted member's events and
+/// the subnet unmoved.
 const EVENT_HASHES: [u64; 3] = [
-    0xc30e_2279_809a_f248,
-    0xa201_0b01_32cf_ab37,
+    0x5142_d80e_f886_31fc,
+    0xc336_17af_2404_2f2c,
     0x1567_d0b9_609e_9184,
 ];
-const WIRE_HASH: u64 = 0xaa9e_157d_cde8_07db;
-const WIRE_DATAGRAMS: u64 = 8_450;
+const WIRE_HASH: u64 = 0xa520_4793_a3e9_dace;
+const WIRE_DATAGRAMS: u64 = 8_452;
 /// Who answers for VIPs 0..6 on the subnet when the run ends.
 const ARP: [u32; 6] = [2, 2, 1, 2, 1, 1];
 

@@ -94,6 +94,18 @@ leg_test() {
   cargo test --workspace --quiet
 }
 
+# pin_counts WHAT EXPECTED OUTPUT: fails unless the model-check run in
+# OUTPUT explored exactly EXPECTED = "schedules states state-pruned".
+pin_counts() {
+  local counts
+  counts=$(sed -n 's/^model-check: \([0-9]*\) schedules (\([0-9]*\) states, [0-9]* sleep-pruned, \([0-9]*\) state-pruned.*/\1 \2 \3/p' <<<"$3")
+  if [ "$counts" != "$2" ]; then
+    echo "the $1 moved: schedules, states, state-pruned = ${counts:-?} (pinned $2)." >&2
+    echo "A PR that moves them updates the constants in scripts/check.sh and DESIGN.md §17.5, and gives its reason in the commit that moves them." >&2
+    exit 1
+  fi
+}
+
 leg_model_check() {
   echo "==> model check (seeded two-token fault must be found)"
   cargo run --release -q -p raincore-sim --bin model_check -- --seeded-check
@@ -103,16 +115,10 @@ leg_model_check() {
   # change to the session core or the transport that means to leave the
   # protocol alone must reproduce its counts exactly, and one that moves
   # them on purpose says so where the constants live — here.
-  pinned="3298 5296 1543" # schedules, states, state-pruned
   out=$(cargo run --release -q -p raincore-sim --bin model_check --)
   echo "$out"
   grep -q '\[exhausted\]' <<<"$out"
-  counts=$(sed -n 's/^model-check: \([0-9]*\) schedules (\([0-9]*\) states, [0-9]* sleep-pruned, \([0-9]*\) state-pruned.*/\1 \2 \3/p' <<<"$out")
-  if [ "$counts" != "$pinned" ]; then
-    echo "the default model-check space moved: schedules, states, state-pruned = ${counts:-?} (pinned $pinned)." >&2
-    echo "A PR that moves them updates the constants in scripts/check.sh and DESIGN.md §17.5, and gives its reason in the commit that moves them." >&2
-    exit 1
-  fi
+  pin_counts "default model-check space" "3298 5296 1543" "$out"
 
   echo "==> model check (5-node seeded fault found inside the state budget)"
   cargo run --release -q -p raincore-sim --bin model_check -- \
@@ -187,34 +193,42 @@ leg_model_check() {
   echo "$out"
   grep -q '\[exhausted\]' <<<"$out"
 
-  echo "==> model check (lost-token space: the adversary moves on a ring that has turned four times; exhausts clean, with and without the cache, and asks before it starves)"
+  echo "==> model check (lost-token space: the adversary moves on a ring that has turned four times; exhausts clean, with and without the cache, asks before it starves, and is exactly the pinned space)"
   # No bounded depth reaches the successor probe (DESIGN.md §17.3) from a
   # cold ring — a member must see four rotations first, which is why every
   # leg above prints the parent's counts. --min-probes turns the ring four
   # times undisturbed before the adversary's first move, so every member's
-  # probe limit is armed (3 nodes: 4 x 6 ms + 2 x 30 ms = 84 ms, under the
+  # probe limit is armed (3 nodes: 2 x 6 ms + 30 ms = 42 ms, under the
   # 100 ms hungry_timeout), and fails the run unless some schedule sent
   # that many probes: a crash of the EATING member is found by its
   # predecessor's probe (one answered by a live successor, one not), a
   # dropped probe is retransmitted, and every auditor watches the 911 round
-  # a failed probe starts. 2 453 schedules with the cache, 63 664 without;
-  # at the stock timeouts of the adaptive-timer leg the limit is 24 ms +
-  # 2 x 48 ms, measured; four nodes send three.
-  for mode in "" --no-reduction; do
-    out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
-      --depth 14 --max-schedules 2000000 --min-probes 2 $mode)
-    echo "$out"
-    grep -q '\[exhausted\]' <<<"$out"
-  done
-  cargo run --release -q -p raincore-sim --bin model_check -- \
-    --depth 16 --retry-ms 50 --hungry-ms 400 --min-probes 2
-  cargo run --release -q -p raincore-sim --bin model_check -- \
-    --nodes 4 --depth 14 --max-schedules 2000000 --min-probes 3
+  # a failed probe starts. At the stock timeouts of the adaptive-timer leg
+  # the limit is 12 ms + 48 ms, measured; four nodes send three. The four
+  # runs' counts are pinned like the default leg's.
+  out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --depth 14 --max-schedules 2000000 --min-probes 2)
+  echo "$out"
+  grep -q '\[exhausted\]' <<<"$out"
+  pin_counts "lost-token space" "1878 3385 1054" "$out"
+  out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --depth 14 --max-schedules 2000000 --min-probes 2 --no-reduction)
+  echo "$out"
+  grep -q '\[exhausted\]' <<<"$out"
+  pin_counts "lost-token space without the cache" "57893 122767 0" "$out"
+  out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --depth 16 --retry-ms 50 --hungry-ms 400 --min-probes 2)
+  echo "$out"
+  pin_counts "lost-token space at the stock timeouts" "2239 4243 1397" "$out"
+  out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --nodes 4 --depth 14 --max-schedules 2000000 --min-probes 3)
+  echo "$out"
+  pin_counts "4-node lost-token space" "2685 4661 1649" "$out"
   # The guard's own guard: under a hungry_timeout no longer than the limit
-  # no probe is armed (the tree before the probe, in effect), and the same
-  # leg must trip on it.
+  # (40 ms against 42) no probe is armed (the tree before the probe, in
+  # effect), and the same leg must trip on it.
   if out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
-    --depth 14 --hungry-ms 80 --min-probes 2 2>&1); then
+    --depth 14 --hungry-ms 40 --min-probes 2 2>&1); then
     echo "--min-probes passed a space in which nobody can ask" >&2
     exit 1
   fi
