@@ -420,17 +420,16 @@ mod tests {
                             Ok(Frame::Data {
                                 msg_id, payload, ..
                             }) if SessionMsg::decode_from_bytes(&payload)
-                                == Ok(SessionMsg::Probe) =>
+                                == Ok(SessionMsg::Probe)
+                                && !log.sent.contains(&msg_id) =>
                             {
-                                if !log.sent.contains(&msg_id) {
-                                    assert_eq!(
-                                        log.unresolved, None,
-                                        "a probe sent at {now:?} while the last is unresolved"
-                                    );
-                                    log.sent.push(msg_id);
-                                    log.unresolved = Some(msg_id);
-                                    continue; // the first copy is lost
-                                }
+                                assert_eq!(
+                                    log.unresolved, None,
+                                    "a probe sent at {now:?} while the last is unresolved"
+                                );
+                                log.sent.push(msg_id);
+                                log.unresolved = Some(msg_id);
+                                continue; // the first copy is lost
                             }
                             Ok(Frame::Ack { msg_id, .. }) if log.unresolved == Some(msg_id) => {
                                 log.unresolved = None;

@@ -59,13 +59,8 @@ impl NodeApp for Paced {
     }
 }
 
-/// A ring that has turned for a second under load.
-fn warmed_up() -> Cluster {
-    warmed_up_ring(NODES)
-}
-
 /// A ring of `nodes` members that has turned for a second under load.
-fn warmed_up_ring(nodes: u32) -> Cluster {
+fn warmed_up(nodes: u32) -> Cluster {
     let ring = Ring::from_iter((0..nodes).map(NodeId));
     let mut b = ClusterBuilder::new(cfg());
     for i in 0..nodes {
@@ -80,11 +75,6 @@ fn warmed_up_ring(nodes: u32) -> Cluster {
     c
 }
 
-/// Runs until `holder` is EATING, then crashes the victim.
-fn crash_victim_while(c: &mut Cluster, holder: NodeId) -> Time {
-    crash_while(c, VICTIM, holder)
-}
-
 /// Runs until `holder` is EATING, then crashes `victim`.
 fn crash_while(c: &mut Cluster, victim: NodeId, holder: NodeId) -> Time {
     while !c.eating_nodes().contains(&holder) {
@@ -92,11 +82,6 @@ fn crash_while(c: &mut Cluster, victim: NodeId, holder: NodeId) -> Time {
     }
     c.crash(victim);
     c.now()
-}
-
-/// The longest gap between deliveries at the observer from `since` on.
-fn outage_at_observer(c: &Cluster, since: Time) -> Duration {
-    outage_at(c, OBSERVER, since)
 }
 
 /// The longest gap between deliveries at `observer` from `since` on.
@@ -137,13 +122,13 @@ fn repaired_outage(c: &Cluster) -> (NodeId, [u64; 6]) {
 
 #[test]
 fn skipped_hop_costs_three_measured_timeouts() {
-    let mut c = warmed_up();
+    let mut c = warmed_up(NODES);
     // The token is two hops from the victim: its predecessor will find it
     // dead on the next pass.
-    let crashed = crash_victim_while(&mut c, NodeId(0));
+    let crashed = crash_while(&mut c, VICTIM, NodeId(0));
     c.run_for(Duration::from_millis(500));
 
-    let outage = outage_at_observer(&c, crashed);
+    let outage = outage_at(&c, OBSERVER, crashed);
     assert!(
         outage <= Duration::from_millis(60),
         "skipped-hop outage {outage:?}"
@@ -189,7 +174,7 @@ fn skipped_hop_asks_nobody_on_an_eight_node_ring() {
     // and a give-up.
     const EIGHT: u32 = 8;
     let (victim, observer) = (NodeId(EIGHT - 1), NodeId(EIGHT - 2));
-    let mut c = warmed_up_ring(EIGHT);
+    let mut c = warmed_up(EIGHT);
     let crashed = crash_while(&mut c, victim, NodeId(0));
     c.run_for(Duration::from_millis(500));
 
@@ -210,10 +195,10 @@ fn skipped_hop_asks_nobody_on_an_eight_node_ring() {
 /// The lost-token outage as its repairer (the dead holder's predecessor)
 /// lived it, and the gap the observer saw.
 fn lose_the_token() -> (Cluster, [u64; 6], Duration) {
-    let mut c = warmed_up();
-    let crashed = crash_victim_while(&mut c, VICTIM);
+    let mut c = warmed_up(NODES);
+    let crashed = crash_while(&mut c, VICTIM, VICTIM);
     c.run_for(Duration::from_millis(800));
-    let outage = outage_at_observer(&c, crashed);
+    let outage = outage_at(&c, OBSERVER, crashed);
     let rows = raincore_obs::outages(&c.merged_journal());
     assert_eq!(rows.len(), 1, "{rows:?}");
     assert_eq!(
@@ -314,7 +299,7 @@ fn last_survivor_of_a_ring_of_two_regenerates_with_nobody_to_ask() {
 
 #[test]
 fn a_holder_keeping_the_master_lock_is_asked_and_left_alone() {
-    let mut c = warmed_up();
+    let mut c = warmed_up(NODES);
     c.session_mut(VICTIM).unwrap().request_master().unwrap();
     while !c.session(VICTIM).unwrap().holds_master() {
         c.run_for(Duration::from_micros(100));
@@ -337,7 +322,7 @@ fn a_holder_keeping_the_master_lock_is_asked_and_left_alone() {
 #[test]
 fn a_holder_stalled_for_less_than_limit_and_give_up_is_asked_and_left_alone() {
     let stall = probe_limit() + GIVE_UP - Duration::from_millis(10);
-    let mut c = warmed_up();
+    let mut c = warmed_up(NODES);
     while !c.eating_nodes().contains(&VICTIM) {
         c.run_for(Duration::from_micros(100));
     }
@@ -351,7 +336,7 @@ fn a_holder_stalled_for_less_than_limit_and_give_up_is_asked_and_left_alone() {
 #[test]
 fn a_holder_stalled_past_limit_and_give_up_is_one_false_suspicion_and_a_rejoin() {
     let stall = probe_limit() + GIVE_UP + Duration::from_millis(20);
-    let mut c = warmed_up();
+    let mut c = warmed_up(NODES);
     while !c.eating_nodes().contains(&VICTIM) {
         c.run_for(Duration::from_micros(100));
     }
@@ -375,7 +360,7 @@ fn a_holder_stalled_past_limit_and_give_up_is_one_false_suspicion_and_a_rejoin()
 
 #[test]
 fn a_member_slower_than_the_timeouts_is_a_false_suspicion_and_is_counted() {
-    let mut c = warmed_up();
+    let mut c = warmed_up(NODES);
     while !c.eating_nodes().contains(&OBSERVER) {
         c.run_for(Duration::from_micros(100));
     }
@@ -405,7 +390,7 @@ fn a_member_slower_than_the_timeouts_is_a_false_suspicion_and_is_counted() {
 
 #[test]
 fn a_member_behind_a_cut_link_is_not_a_false_suspicion() {
-    let mut c = warmed_up();
+    let mut c = warmed_up(NODES);
     while !c.eating_nodes().contains(&NodeId(0)) {
         c.run_for(Duration::from_micros(100));
     }
