@@ -272,7 +272,6 @@ fn token_lost_with_a_stopped_holder_is_regenerated_by_one_caller_inside_300_ms()
     assert_eq!(sum("raincore_session_false_suspicions"), 0);
     // 2 × 8 ms of rotation + 48 ms, a give-up of 48 ms, a vote and a
     // round: 125 ms on a host that runs its threads.
-    eprintln!("lost-token outage {outage:?}, the load thread overslept {host_stall:?} at most");
     assert!(outage > GIVE_UP.to_std(), "{outage:?}");
     if host_stall < MIN_RTO.to_std() {
         assert!(
