@@ -148,13 +148,17 @@ leg_model_check() {
   # travels as two or three fragments the adversary reorders, drops and
   # cuts short by a crash. Either search mode finding a violation fails the
   # leg (the two violation sets must both be empty), as does a capped
-  # search or one that never passed a token early.
-  for mode in "" --no-reduction; do
+  # search, one that never passed a token early, or one that is not
+  # exactly the pinned space. `pass_slot` is in the digest, so these pins
+  # are what says a change to the loaded round moved no state.
+  for run in ":30756 37358 10022" "--no-reduction:308117 401578 0"; do
+    mode=${run%%:*}
     out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
       --mtu 64 --multicast 0:30 --multicast 0:30 --multicast 1:30 \
       --depth 12 --max-schedules 2000000 --min-early-passes 2 $mode)
     echo "$out"
     grep -q '\[exhausted\]' <<<"$out"
+    pin_counts "early-pass space${mode:+ without the cache}" "${run#*:}" "$out"
   done
 
   echo "==> model check (freight space: one out-of-band payload fills a 30-byte token, exhausts clean with and without the cache)"
@@ -170,12 +174,14 @@ leg_model_check() {
   # and on any tree that weighs the manifest instead of the payload, as
   # this one does for a payload a byte under the line (no schedule passes
   # early there).
-  for mode in "" --no-reduction; do
+  for run in ":33520 41110 16899" "--no-reduction:732460 999551 0"; do
+    mode=${run%%:*}
     out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
       --mtu 64 --bulk-threshold 100 --bulk-drops 1 --multicast 1:120 \
       --depth 11 --max-schedules 2000000 --min-early-passes 2 $mode)
     echo "$out"
     grep -q '\[exhausted\]' <<<"$out"
+    pin_counts "freight space${mode:+ without the cache}" "${run#*:}" "$out"
   done
 
   echo "==> model check (adaptive-timer space: stock detection timeouts, 3 and 4 nodes)"
@@ -185,13 +191,17 @@ leg_model_check() {
   # the two timeouts to the values the benchmark pins, where a member that
   # has timed one acknowledgement arms 16 ms instead of 50 and the armed
   # timeouts are part of the state: 3 nodes exhaust at 3 636 schedules, 4 nodes
-  # at depth 10 at 542 629 (431 091 with fixed timers).
-  cargo run --release -q -p raincore-sim --bin model_check -- \
-    --retry-ms 50 --hungry-ms 400 --min-schedules 3500
+  # at depth 10 at 542 629 (431 091 with fixed timers). Both are pinned.
+  out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
+    --retry-ms 50 --hungry-ms 400)
+  echo "$out"
+  grep -q '\[exhausted\]' <<<"$out"
+  pin_counts "adaptive-timer space" "3636 5845 1587" "$out"
   out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
     --nodes 4 --depth 10 --max-schedules 2000000 --retry-ms 50 --hungry-ms 400)
   echo "$out"
   grep -q '\[exhausted\]' <<<"$out"
+  pin_counts "4-node adaptive-timer space" "542629 590262 22209" "$out"
 
   echo "==> model check (lost-token space: the adversary moves on a ring that has turned four times; exhausts clean, with and without the cache, asks before it starves, and is exactly the pinned space)"
   # No bounded depth reaches the successor probe (DESIGN.md §17.3) from a
