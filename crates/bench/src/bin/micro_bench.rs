@@ -442,8 +442,8 @@ fn lost_token_outage() -> (u64, Extras) {
 /// simulator — three members, `token_hold` 2 ms, the first keeping eight
 /// 8 KiB multicasts in flight, every one out of band. The token that
 /// orders them is full by the freight it orders, so the ring turns at
-/// the loaded round (`N·token_hold/2` = 3 ms): 8 multicasts every 3 hops
-/// and 3 ms, two passes in three early. Simulated time, so the counts
+/// the loaded round (`N·token_hold/3` = 2 ms): 8 multicasts every 3 hops
+/// and 2 ms, two passes in three early. Simulated time, so the counts
 /// repeat exactly. One op is one multicast delivered at every member.
 fn bulk_closed_loop() -> (u64, Extras) {
     use raincore_session::StartMode;

@@ -661,15 +661,15 @@ impl SessionNode {
         Some(held.saturating_add(self.mcast.outgoing_bytes()))
     }
 
-    /// A round of the loaded ring: half an idle round, half the hold a
-    /// hop. One clock bounds the rate of full tokens, not how fast the
-    /// host turns a hop around, so a saturated ring runs as steadily as
-    /// an idle one (DESIGN.md §16.2).
+    /// A round of the loaded ring: a third of an idle round, a third of
+    /// the hold a hop. One clock bounds the rate of full tokens, not how
+    /// fast the host turns a hop around, so a saturated ring runs as
+    /// steadily as an idle one (DESIGN.md §16.2).
     fn loaded_round(&self) -> Duration {
         self.cfg
             .token_hold
             .saturating_mul(self.ring.len() as u64)
-            .div(2)
+            .div(3)
     }
 
     /// Forwards the token to the next member: attach queued multicasts,
@@ -954,10 +954,10 @@ mod tests {
     }
 
     #[test]
-    fn first_member_paces_full_tokens_on_a_grid_of_half_idle_rounds() {
+    fn first_member_paces_full_tokens_on_a_grid_of_third_idle_rounds() {
         let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
         let hold = a.config().token_hold;
-        let round = hold.saturating_mul(3).div(2);
+        let round = hold.saturating_mul(3).div(3);
         let ms = Duration::from_millis;
         let mut full = (0..).map(|k| full_token(2, k));
         // The founding token, filled by three submits: the first pass is
@@ -968,13 +968,12 @@ mod tests {
         let t0 = Time::ZERO + ms(7);
         a.on_tick(t0);
         assert_eq!(a.metrics().tokens_sent, 1);
-        // Back inside a round: due at the slot — which may be later than
-        // `token_hold` would have made it, and is never the whole idle
+        // Back inside a round: due at the slot — never the whole idle
         // hold on top of the round already spent.
         let back = t0 + ms(3);
         a.on_session_msg(back, full.next().unwrap());
         assert_eq!(a.next_wakeup(), Some(t0 + round));
-        assert!(t0 + round > back + hold);
+        assert!(t0 + round < back + hold);
         a.on_tick(t0 + round - Duration(1));
         assert!(a.is_eating(), "a full token is paced too");
         // The timer fires late; the slot it fired for is what counts.
@@ -1024,7 +1023,7 @@ mod tests {
     #[test]
     fn pass_slot_digests_by_what_it_can_still_do() {
         let mut a = mk(0, 3, StartMode::Founding(Ring::from([0, 1, 2])));
-        let round = a.config().token_hold.saturating_mul(3).div(2);
+        let round = a.config().token_hold.saturating_mul(3).div(3);
         let now = Time::ZERO + round.saturating_mul(300);
         let mut fp = |slot: Option<Time>| {
             a.pass_slot = slot;
@@ -1185,7 +1184,7 @@ mod tests {
         // The first member: the founding pass at once (it starts the
         // grid), every later one a loaded round after the last.
         let mut a = mk_bulk(0, 512);
-        let round = hold.saturating_mul(3).div(2);
+        let round = hold.saturating_mul(3).div(3);
         a.multicast(DeliveryMode::Agreed, bulk()).unwrap();
         assert_eq!(pass_due(&a), Some(Time::ZERO));
         a.on_tick(t0);
@@ -1277,7 +1276,7 @@ mod tests {
         assert_eq!(b.mcast.outgoing_bytes(), 0);
         // At the pace-keeper the grid still bounds it to a loaded round.
         let mut a = mk_bulk(0, 512);
-        let round = a.config().token_hold.saturating_mul(3).div(2);
+        let round = a.config().token_hold.saturating_mul(3).div(3);
         a.on_tick(Time::ZERO + a.config().token_hold);
         let msg = SessionMsg::decode_from_bytes(&wire).unwrap();
         a.on_session_msg(t0 + Duration::from_millis(4), msg);

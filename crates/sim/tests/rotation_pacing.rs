@@ -1,9 +1,10 @@
 //! Size-gated rotation pacing (DESIGN.md §16) at cluster scale: a ring
 //! with nothing to carry keeps the paper's idle round rate — `token_hold`
 //! per hop, so the idle packet budget is what it always was — and a ring
-//! whose token is full turns twice as fast, on one member's clock,
+//! whose token is full turns three times as fast, on one member's clock,
 //! whether the freight that fills it rides the token or travels beside
-//! it.
+//! it. The loaded round is `N·token_hold/3`: it grows with the ring, the
+//! hop rate does not.
 
 use raincore_session::StartMode;
 use raincore_sim::{standard_invariants, ClosedLoop, Cluster, ClusterBuilder, ClusterConfig};
@@ -13,6 +14,9 @@ const NODES: u32 = 4;
 const TOKEN_HOLD: Duration = Duration::from_millis(2);
 /// Hops per second of a ring that waits out `token_hold` at every hop.
 const PACED_HOPS_PER_S: u64 = Duration::from_secs(1).0 / TOKEN_HOLD.0;
+/// Hops per second of a ring whose token is full: `N` hops every
+/// `N·token_hold/3`, whatever `N` is.
+const LOADED_HOPS_PER_S: u64 = 3 * PACED_HOPS_PER_S;
 
 fn cfg() -> ClusterConfig {
     let mut c = ClusterConfig::default();
@@ -23,8 +27,8 @@ fn cfg() -> ClusterConfig {
     c
 }
 
-/// One second of a warmed-up ring, summed over its members.
-struct Second {
+/// Whole seconds of a warmed-up ring, summed over its members.
+struct Counts {
     /// Tokens sent, and how many of them sooner than `token_hold`.
     hops: u64,
     early: u64,
@@ -33,8 +37,9 @@ struct Second {
 }
 
 /// Runs a `nodes`-member ring whose `origins` each run `app` (64-byte
-/// payloads ride the token, anything from 512 bytes travels beside it).
-fn one_second(nodes: u32, origins: std::ops::Range<u32>, app: Option<ClosedLoop>) -> Second {
+/// payloads ride the token, anything from 512 bytes travels beside it)
+/// and counts `seconds` of it.
+fn run(seconds: u64, nodes: u32, origins: std::ops::Range<u32>, app: Option<ClosedLoop>) -> Counts {
     let ring = Ring::from_iter((0..nodes).map(NodeId));
     let mut cfg = cfg();
     cfg.session.bulk_threshold = 512;
@@ -61,7 +66,7 @@ fn one_second(nodes: u32, origins: std::ops::Range<u32>, app: Option<ClosedLoop>
     c.run_until(Time::ZERO + Duration::from_millis(200));
     let before = totals(&c);
     c.run_checked(
-        Time::ZERO + Duration::from_millis(1200),
+        Time::ZERO + Duration::from_millis(200 + 1000 * seconds),
         standard_invariants,
     )
     .expect("healthy run");
@@ -77,7 +82,7 @@ fn one_second(nodes: u32, origins: std::ops::Range<u32>, app: Option<ClosedLoop>
         assert!(reference.len() > 1000, "{} deliveries", reference.len());
     }
     let [hops, early, deliveries, nacks] = std::array::from_fn(|k| after[k] - before[k]);
-    Second {
+    Counts {
         hops,
         early,
         deliveries,
@@ -85,19 +90,24 @@ fn one_second(nodes: u32, origins: std::ops::Range<u32>, app: Option<ClosedLoop>
     }
 }
 
-/// Every member of a [`NODES`]-ring keeps `window` 64-byte multicasts in
-/// flight.
-fn small(window: usize) -> Second {
-    one_second(NODES, 0..NODES, Some(ClosedLoop { window, len: 64 }))
+/// For `seconds`, every member of a `nodes`-ring keeps `window` 64-byte
+/// multicasts in flight.
+fn small(seconds: u64, nodes: u32, window: usize) -> Counts {
+    run(
+        seconds,
+        nodes,
+        0..nodes,
+        Some(ClosedLoop { window, len: 64 }),
+    )
 }
 
-// The simulator is deterministic and none of the three cases below
+// The simulator is deterministic and none of the four cases below
 // carries an out-of-band entry, so their hop counts are pinned: weighing
 // freight (§16.1) must compute the same integers there.
 
 #[test]
 fn idle_ring_keeps_the_idle_packet_budget() {
-    let Second { hops, early, .. } = one_second(NODES, 0..0, None);
+    let Counts { hops, early, .. } = run(1, NODES, 0..0, None);
     assert_eq!(early, 0, "an empty token is never full");
     assert!(
         hops <= PACED_HOPS_PER_S,
@@ -109,23 +119,38 @@ fn idle_ring_keeps_the_idle_packet_budget() {
 #[test]
 fn light_load_is_still_paced() {
     // 4 × 4 messages of ~75 wire bytes: far below two datagrams.
-    let Second { hops, early, .. } = small(4);
+    let Counts { hops, early, .. } = small(1, NODES, 4);
     assert_eq!(early, 0);
     assert_eq!(hops, 476);
 }
 
 #[test]
-fn saturated_ring_turns_at_twice_the_idle_pace() {
+fn saturated_ring_turns_at_three_times_the_idle_pace() {
     // 4 × 16 messages of ~75 wire bytes: well past two datagrams. Three
-    // members pass at once, the first keeps the loaded round — half an
-    // idle one — on its own clock, so the rate is that clock's.
-    let Second { hops, early, .. } = small(16);
-    assert_eq!(hops, 2 * PACED_HOPS_PER_S);
+    // members pass at once, the first keeps the loaded round — a third of
+    // an idle one — on its own clock, so the rate is that clock's.
+    let Counts { hops, early, .. } = small(1, NODES, 16);
+    assert_eq!(hops, LOADED_HOPS_PER_S);
     assert!(early * 2 > hops, "{early} of {hops} passes early");
 }
 
 #[test]
-fn bulk_ring_turns_at_twice_the_idle_pace_on_freight_the_token_never_carries() {
+fn saturated_ring_makes_the_loaded_hop_rate_at_any_size() {
+    // Five and eight members: the round is 3.3 and 5.3 ms, N hops each,
+    // and every member but the first passes at once. Two seconds are a
+    // whole number of rounds at both sizes (600 and 375).
+    for nodes in [5, 8] {
+        let Counts { hops, early, .. } = small(2, nodes, 16);
+        assert_eq!(hops, 2 * LOADED_HOPS_PER_S, "{nodes} members");
+        assert!(
+            early * nodes as u64 >= hops * (nodes as u64 - 1) - nodes as u64,
+            "{early} of {hops} passes early at {nodes} members"
+        );
+    }
+}
+
+#[test]
+fn bulk_ring_turns_at_three_times_the_idle_pace_on_freight_the_token_never_carries() {
     // The `udp_bulk` shape: three members, the first keeps eight 8 KiB
     // multicasts in flight. The token that orders them weighs ~200 bytes
     // and is full all the same — 64 KiB has left by another road — so
@@ -135,22 +160,20 @@ fn bulk_ring_turns_at_twice_the_idle_pace_on_freight_the_token_never_carries() {
         window: 8,
         len: 8192,
     };
-    let Second {
+    let Counts {
         hops,
         early,
         deliveries,
         nacks,
-    } = one_second(3, 0..1, Some(app));
-    let loaded = 2 * PACED_HOPS_PER_S;
+    } = run(1, 3, 0..1, Some(app));
+    let loaded = LOADED_HOPS_PER_S;
     assert!(
         hops > loaded - loaded / 50 && hops <= loaded + 3,
         "{hops} hops/s from a ring full of out-of-band freight, loaded pace {loaded}"
     );
-    // Two passes in three: all of node 1's and node 2's, none of node 0's.
-    assert!(
-        early * 3 >= hops * 2 - 3 && early * 3 <= hops * 2 + 3,
-        "{early} of {hops} passes early"
-    );
+    // Every pass: node 1's and node 2's at once, node 0's after what is
+    // left of a round that, at three members, is one `token_hold` long.
+    assert_eq!(early, hops, "{early} of {hops} passes early");
     // 3 hops order 8 multicasts, each delivered at 3 members: 0.375 hops
     // per multicast, give or take the round the second cuts in two.
     let multicasts = deliveries / 3;

@@ -92,9 +92,10 @@ pub struct SessionConfig {
     /// transport datagrams — with what it carries plus what is queued to
     /// attach — is passed at once instead, except by the ring's first
     /// member, which keeps such a ring to one round per `n × token_hold
-    /// / 2` on its own clock (DESIGN.md §16). Together with ring size and
+    /// / 3` on its own clock (DESIGN.md §16). Together with ring size and
     /// link latency this therefore sets `L`, the token round frequency
-    /// of §4.1, for the *idle* ring; a loaded ring turns twice as fast.
+    /// of §4.1, for the *idle* ring; a loaded ring turns three times as
+    /// fast.
     pub token_hold: Duration,
     /// The longest a node stays HUNGRY before it suspects token loss and
     /// enters STARVING (§2.3) whatever it has heard: the backstop. A node
