@@ -161,7 +161,7 @@ impl SessionConfig {
     /// idle ring of `n` nodes completes about `rounds_per_sec` token round
     /// trips per second — the paper's `L` parameter (§4.1). It is the
     /// idle round rate, and a floor: the hold paces only tokens that have
-    /// room, and a ring whose token is full turns at twice
+    /// room, and a ring whose token is full turns at three times
     /// `rounds_per_sec` (see [`SessionConfig::token_hold`]).
     pub fn with_token_rate(mut self, n: u32, rounds_per_sec: f64) -> Self {
         let round = Duration::from_secs_f64(1.0 / rounds_per_sec.max(1e-6));
