@@ -443,7 +443,9 @@ fn lost_token_outage() -> (u64, Extras) {
 /// 8 KiB multicasts in flight, every one out of band. The token that
 /// orders them is full by the freight it orders, so the ring turns at
 /// the loaded round (`N·token_hold/3` = 2 ms): 8 multicasts every 3 hops
-/// and 2 ms, two passes in three early. Simulated time, so the counts
+/// and 2 ms, every pass early (a round of three members is one
+/// `token_hold`, so even the pace-keeper's hold is cut short). Simulated
+/// time, so the counts
 /// repeat exactly. One op is one multicast delivered at every member.
 fn bulk_closed_loop() -> (u64, Extras) {
     use raincore_session::StartMode;

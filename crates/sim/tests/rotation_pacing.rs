@@ -101,7 +101,7 @@ fn small(seconds: u64, nodes: u32, window: usize) -> Counts {
     )
 }
 
-// The simulator is deterministic and none of the four cases below
+// The simulator is deterministic and none of the three cases below
 // carries an out-of-band entry, so their hop counts are pinned: weighing
 // freight (§16.1) must compute the same integers there.
 
@@ -125,25 +125,18 @@ fn light_load_is_still_paced() {
 }
 
 #[test]
-fn saturated_ring_turns_at_three_times_the_idle_pace() {
-    // 4 × 16 messages of ~75 wire bytes: well past two datagrams. Three
-    // members pass at once, the first keeps the loaded round — a third of
-    // an idle one — on its own clock, so the rate is that clock's.
-    let Counts { hops, early, .. } = small(1, NODES, 16);
-    assert_eq!(hops, LOADED_HOPS_PER_S);
-    assert!(early * 2 > hops, "{early} of {hops} passes early");
-}
-
-#[test]
-fn saturated_ring_makes_the_loaded_hop_rate_at_any_size() {
-    // Five and eight members: the round is 3.3 and 5.3 ms, N hops each,
-    // and every member but the first passes at once. Two seconds are a
-    // whole number of rounds at both sizes (600 and 375).
-    for nodes in [5, 8] {
+fn saturated_ring_turns_at_three_times_the_idle_pace_at_any_size() {
+    // N × 16 messages of ~75 wire bytes: well past two datagrams. Every
+    // member but the first passes at once, the first keeps the loaded
+    // round — a third of an idle one — on its own clock, so the rate is
+    // that clock's: N hops a round of 2.7, 3.3 and 5.3 ms. Two seconds are
+    // a whole number of rounds at each size (750, 600 and 375).
+    for nodes in [NODES, 5, 8] {
         let Counts { hops, early, .. } = small(2, nodes, 16);
         assert_eq!(hops, 2 * LOADED_HOPS_PER_S, "{nodes} members");
+        let n = u64::from(nodes);
         assert!(
-            early * nodes as u64 >= hops * (nodes as u64 - 1) - nodes as u64,
+            early * n >= hops * (n - 1) - n,
             "{early} of {hops} passes early at {nodes} members"
         );
     }
