@@ -8,8 +8,9 @@
 //! * `--seeded-check` — inject the forged two-token fault and exit
 //!   non-zero unless the explorer *finds* the violation (proves the
 //!   search actually searches);
-//! * `--replay FILE` — re-run a schedule dump and report whether the
-//!   violation reproduces.
+//! * `--replay FILE` — re-run a schedule dump in the world its
+//!   `# scenario:` header describes and report whether the violation
+//!   reproduces.
 //!
 //! Wall-clock throughput (schedules/sec) is measured with
 //! `std::time::Instant`; this binary is a driver, not protocol code, and
@@ -250,14 +251,11 @@ fn run_replay(cfg: &ModelCheckConfig, path: &str) {
             std::process::exit(2);
         }
     };
-    // A dump produced with the seeded fault needs the fault re-armed.
+    // The dump's own scenario header says which world it was found in.
     let mut cfg = cfg.clone();
-    if text.contains("forge_token=true") {
-        cfg.forge_token = true;
-    }
-    if let Some(warm) = text.split("warm_rotations=").nth(1) {
-        let digits: String = warm.chars().take_while(char::is_ascii_digit).collect();
-        cfg.warm_rotations = digits.parse().unwrap_or(cfg.warm_rotations);
+    if let Err(e) = cfg.read_scenario(&text) {
+        eprintln!("model-check: bad scenario in {path}: {e}");
+        std::process::exit(2);
     }
     let r = match replay(&cfg, &schedule) {
         Ok(r) => r,

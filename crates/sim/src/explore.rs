@@ -281,6 +281,127 @@ impl Default for ModelCheckConfig {
     }
 }
 
+impl ModelCheckConfig {
+    /// The fields of a dump's `# scenario:` header ([`Violation::dump`]):
+    /// every field the `model_check` CLI sets, and the delay bound, as
+    /// `key=value` words. [`ModelCheckConfig::read_scenario`] is its
+    /// inverse, so a dump replays in the world it was found in.
+    pub fn scenario(&self) -> String {
+        let multicasts: Vec<String> = self
+            .seed_bulk
+            .iter()
+            .map(|(origin, len)| format!("{}:{len}", origin.0))
+            .collect();
+        format!(
+            "nodes={} depth={} crash_budget={} drop_budget={} bulk_drop_budget={} \
+             max_delay={} max_schedules={} forge_token={} reduction={:?} mtu={} \
+             multicasts={} bulk_threshold={} warm_rotations={} retry_timeout={} \
+             hungry_timeout={}",
+            self.nodes,
+            self.max_depth,
+            self.crash_budget,
+            self.drop_budget,
+            self.bulk_drop_budget,
+            exact(self.max_delay),
+            self.max_schedules,
+            self.forge_token,
+            self.reduction,
+            self.transport.mtu,
+            multicasts.join(","),
+            self.session.bulk_threshold,
+            self.warm_rotations,
+            exact(self.transport.retry_timeout),
+            exact(self.session.hungry_timeout),
+        )
+    }
+
+    /// Sets every field the `# scenario:` header of `dump` names, read
+    /// as [`ModelCheckConfig::scenario`] writes it. A field the header
+    /// does not name (a dump from an older build) keeps its value, and a
+    /// dump without the header changes nothing.
+    pub fn read_scenario(&mut self, dump: &str) -> std::result::Result<(), String> {
+        let Some(line) = dump.lines().find_map(|l| l.strip_prefix("# scenario:")) else {
+            return Ok(());
+        };
+        for word in line.split_whitespace() {
+            let (key, v) = word
+                .split_once('=')
+                .ok_or_else(|| format!("scenario word without a value: {word:?}"))?;
+            let bad = || format!("bad scenario value: {word:?}");
+            let num = |v: &str| v.parse::<u64>().map_err(|_| bad());
+            let small = |v: &str| v.parse::<u32>().map_err(|_| bad());
+            let time = |v: &str| parse_exact(v).ok_or_else(bad);
+            match key {
+                "nodes" => self.nodes = small(v)?,
+                "depth" => self.max_depth = v.parse().map_err(|_| bad())?,
+                "crash_budget" => self.crash_budget = small(v)?,
+                "drop_budget" => self.drop_budget = small(v)?,
+                "bulk_drop_budget" => self.bulk_drop_budget = small(v)?,
+                "max_delay" => self.max_delay = time(v)?,
+                "max_schedules" => self.max_schedules = num(v)?,
+                "forge_token" => self.forge_token = v.parse().map_err(|_| bad())?,
+                "reduction" => {
+                    self.reduction = match v {
+                        "None" => Reduction::None,
+                        "Hash" => Reduction::Hash,
+                        _ => return Err(bad()),
+                    }
+                }
+                "mtu" => self.transport.mtu = v.parse().map_err(|_| bad())?,
+                "multicasts" => {
+                    self.seed_bulk = v
+                        .split(',')
+                        .filter(|m| !m.is_empty())
+                        .map(|m| {
+                            let (origin, len) = m.split_once(':')?;
+                            Some((NodeId(origin.parse().ok()?), len.parse().ok()?))
+                        })
+                        .collect::<Option<_>>()
+                        .ok_or_else(bad)?;
+                }
+                "bulk_threshold" => {
+                    self.session.bulk_threshold = v.parse().map_err(|_| bad())?;
+                }
+                "warm_rotations" => self.warm_rotations = small(v)?,
+                "retry_timeout" => self.transport.retry_timeout = time(v)?,
+                "hungry_timeout" => self.session.hungry_timeout = time(v)?,
+                _ => return Err(format!("unknown scenario field: {key:?}")),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `d` in the largest of ms, us and ns that states it whole.
+fn exact(d: Duration) -> String {
+    match d.as_nanos() {
+        ns if ns % 1_000_000 == 0 => format!("{}ms", ns / 1_000_000),
+        ns if ns % 1_000 == 0 => format!("{}us", ns / 1_000),
+        ns => format!("{ns}ns"),
+    }
+}
+
+/// Reads what [`exact`] writes, and the decimal form of `Duration`'s
+/// `Debug` (`5.000ms`) that older dumps carry, to the nanosecond.
+fn parse_exact(v: &str) -> Option<Duration> {
+    let (number, unit) = v.split_at(v.find(|c: char| c.is_ascii_alphabetic())?);
+    let scale: u64 = match unit {
+        "s" => 1_000_000_000,
+        "ms" => 1_000_000,
+        "us" => 1_000,
+        "ns" => 1,
+        _ => return None,
+    };
+    let (whole, fraction) = number.split_once('.').unwrap_or((number, ""));
+    let mut ns = whole.parse::<u64>().ok()?.checked_mul(scale)?;
+    let mut place = scale;
+    for digit in fraction.chars() {
+        place /= 10;
+        ns = ns.checked_add(u64::from(digit.to_digit(10)?) * place)?;
+    }
+    Some(Duration::from_nanos(ns))
+}
+
 struct ModelSlot {
     session: SessionNode,
     alive: bool,
@@ -855,12 +976,7 @@ impl Violation {
         let mut out = String::new();
         let _ = writeln!(out, "# raincore model-check failing schedule");
         let _ = writeln!(out, "# reason: {}", self.reason);
-        let _ = writeln!(
-            out,
-            "# scenario: nodes={} crash_budget={} drop_budget={} bulk_drop_budget={} max_delay={:?} forge_token={} mtu={} multicasts={:?} warm_rotations={}",
-            cfg.nodes, cfg.crash_budget, cfg.drop_budget, cfg.bulk_drop_budget, cfg.max_delay,
-            cfg.forge_token, cfg.transport.mtu, cfg.seed_bulk, cfg.warm_rotations
-        );
+        let _ = writeln!(out, "# scenario: {}", cfg.scenario());
         let _ = writeln!(
             out,
             "# replay: cargo run -p raincore-sim --bin model_check -- --replay <this file>"

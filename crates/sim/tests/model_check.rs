@@ -1,9 +1,12 @@
 //! Regression tests for the bounded model checker: a clean bounded
 //! exploration must report no violations, and the deliberately seeded
-//! two-token fault must be found, minimized, dumped and replayable.
+//! two-token fault must be found, minimized, dumped and replayable —
+//! also through the `model_check` binary, from the dump alone.
 
-use raincore_sim::explore::{parse_schedule, replay};
+use raincore_sim::explore::{parse_schedule, replay, Reduction};
 use raincore_sim::{Explorer, ModelCheckConfig};
+use raincore_types::{Duration, NodeId};
+use std::process::Command;
 
 fn small_cfg() -> ModelCheckConfig {
     ModelCheckConfig {
@@ -244,4 +247,92 @@ fn replay_skips_disabled_actions() {
     let rep = replay(&cfg, &schedule).expect("setup");
     assert_eq!(rep.applied, 0);
     assert!(rep.violation.is_none());
+}
+
+#[test]
+fn scenario_header_reads_back_every_field() {
+    let mut cfg = ModelCheckConfig {
+        nodes: 4,
+        max_depth: 17,
+        crash_budget: 2,
+        drop_budget: 3,
+        bulk_drop_budget: 1,
+        seed_bulk: vec![(NodeId(0), 30), (NodeId(2), 120)],
+        max_delay: Duration::from_micros(2_500),
+        max_schedules: 77,
+        forge_token: true,
+        reduction: Reduction::None,
+        warm_rotations: 4,
+        ..ModelCheckConfig::default()
+    };
+    cfg.transport.mtu = 64;
+    cfg.transport.retry_timeout = Duration::from_millis(50);
+    cfg.session.bulk_threshold = 100;
+    cfg.session.hungry_timeout = Duration::from_nanos(400_000_001);
+    let header = format!("# scenario: {}\n", cfg.scenario());
+    let mut read = ModelCheckConfig::default();
+    read.read_scenario(&header).expect("header parses");
+    assert_eq!(read.scenario(), cfg.scenario());
+    assert_eq!(read.seed_bulk, cfg.seed_bulk);
+    assert_eq!(read.session.hungry_timeout, cfg.session.hungry_timeout);
+
+    // The header an older build wrote: the fields it names, a `Debug`
+    // duration among them; the rest keep their value.
+    let mut old = ModelCheckConfig::default();
+    old.read_scenario("# scenario: nodes=4 crash_budget=0 max_delay=5.000ms forge_token=true")
+        .expect("old header parses");
+    assert_eq!((old.nodes, old.crash_budget, old.forge_token), (4, 0, true));
+    assert_eq!(old.max_delay, Duration::from_millis(5));
+    assert_eq!(old.transport.mtu, ModelCheckConfig::default().transport.mtu);
+    assert!(old.read_scenario("# scenario: colour=blue").is_err());
+}
+
+/// Runs the `model_check` binary; returns its exit code and stdout.
+fn model_check(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_model_check"))
+        .args(args)
+        .output()
+        .expect("model_check runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into(),
+    )
+}
+
+#[test]
+fn a_dump_replays_from_its_own_header_alone() {
+    // Found in a world unlike the default one: a 64-byte MTU, so the
+    // token fragments, and three seeded multicasts riding it.
+    let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fragmented-dump.txt");
+    let dump = dump.to_str().expect("utf-8 path");
+    let (code, _) = model_check(&[
+        "--seeded-check",
+        "--mtu",
+        "64",
+        "--multicast",
+        "0:30",
+        "--multicast",
+        "0:30",
+        "--multicast",
+        "1:30",
+        "--dump",
+        dump,
+    ]);
+    assert_eq!(code, Some(0), "the seeded fault is found");
+    let text = std::fs::read_to_string(dump).expect("dump written");
+    assert!(
+        text.contains("mtu=64") && text.contains("multicasts=0:30,0:30,1:30"),
+        "{text}"
+    );
+    // The printed replay command, nothing else: the world comes from the
+    // header, so every action applies and the violation reproduces.
+    let (code, out) = model_check(&["--replay", dump]);
+    assert_eq!(code, Some(0), "{out}");
+    let steps = parse_schedule(&text).expect("dump parses").len();
+    assert!(
+        out.contains(&format!(
+            "violation reproduced after {steps} of {steps} actions"
+        )),
+        "{out}"
+    );
 }
