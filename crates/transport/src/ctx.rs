@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 /// One physical path between this endpoint and a peer. A frame leaves on
 /// the link its answer is expected on, and an acknowledgement returns on
 /// the link its data arrived on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Link {
     /// Our address (the NIC).
     pub(crate) ours: Addr,

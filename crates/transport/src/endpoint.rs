@@ -218,18 +218,14 @@ impl Endpoint {
         self.sender.next_wakeup()
     }
 
-    /// Drains one outgoing datagram, if any. The first call after
-    /// datagrams were fed in also releases the acknowledgements they are
-    /// owed: one per message and link, however many fragments arrived.
+    /// Drains one outgoing datagram, if any.
     pub fn poll_outgoing(&mut self) -> Option<Datagram> {
-        self.receiver.acks.release(&mut self.cx);
         self.cx.outbox.pop_front()
     }
 
-    /// True while [`Endpoint::poll_outgoing`] has a datagram to hand out:
-    /// one queued, or an acknowledgement owed.
+    /// True while [`Endpoint::poll_outgoing`] has a datagram to hand out.
     pub fn has_outgoing(&self) -> bool {
-        !self.cx.outbox.is_empty() || self.receiver.acks.is_owed()
+        !self.cx.outbox.is_empty()
     }
 
     /// Drains one upper-layer event, if any.

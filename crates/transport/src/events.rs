@@ -88,11 +88,11 @@ pub struct TransportStats {
     pub acks_sent: u64,
     /// Fire-and-forget DATA frames received, none of which is acknowledged.
     pub acks_suppressed: u64,
-    /// Reliable DATA frames that shared an ACK with an earlier frame of
-    /// their message instead of getting a datagram of their own.
+    /// Reliable DATA frames that drew no ACK of their own: every fragment
+    /// that arrives before the one completing its message.
     pub ack_frags_coalesced: u64,
-    /// ACKs that matched no in-flight message: late duplicates, and acks
-    /// nobody asked for.
+    /// ACKs that completed no in-flight message: late duplicates, acks
+    /// nobody asked for, and sets that do not name the whole message.
     pub acks_unmatched: u64,
     /// DATA frame retransmissions.
     pub retransmissions: u64,

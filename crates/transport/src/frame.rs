@@ -5,8 +5,9 @@
 //! frame says whether its sender wants an acknowledgement at all:
 //! fire-and-forget frames ([`Endpoint::send_unreliable`]) clear the
 //! reliability bit and are never acknowledged. An `ACK` names a *set* of
-//! fragments ([`FragSet`]), so the fragments of one receive burst share
-//! one acknowledgement datagram instead of costing one each.
+//! fragments ([`FragSet`]); a receiver sends one only when it holds the
+//! whole message, naming every fragment, so a message of any size costs
+//! one acknowledgement, not one per fragment.
 //!
 //! The incarnation field lets receivers discard ghosts of a peer's
 //! previous life and lets senders discard acknowledgements addressed to
@@ -188,7 +189,8 @@ pub enum Frame {
         inc: Incarnation,
         /// Message id being acknowledged.
         msg_id: MsgId,
-        /// Every fragment of the message the receiver holds so far.
+        /// The fragments of the message the receiver holds: every one of
+        /// them, since a receiver acknowledges only a whole message.
         frags: FragSet,
     },
 }

@@ -36,12 +36,12 @@
 //! `ctx` (identity, peer table, queues, counters; a frame becomes a
 //! datagram there); `sender` fragments, transmits per strategy, retries,
 //! matches acknowledgements and gives up; `receiver` admits a peer's
-//! incarnation, reassembles, hands up exactly once and keeps the ledger
-//! of owed acknowledgements; `peers` is the address table, the round-trip
-//! estimate and the timeout armed from it; `events` the notifications and
-//! counters. [`frame`] is the wire format, [`dedup`] and [`bulk`] the
-//! windows and the payload store the session's out-of-band path shares
-//! (DESIGN.md §5.2 has the rule-by-rule table).
+//! incarnation, reassembles, hands up exactly once and acknowledges a
+//! message once it holds the whole of it; `peers` is the address table,
+//! the round-trip estimate and the timeout armed from it; `events` the
+//! notifications and counters. [`frame`] is the wire format, [`dedup`]
+//! and [`bulk`] the windows and the payload store the session's
+//! out-of-band path shares (DESIGN.md §5.2 has the rule-by-rule table).
 //!
 //! [`SendStrategy`]: raincore_types::config::SendStrategy
 //! [`SendStrategy::Sequential`]: raincore_types::config::SendStrategy::Sequential

@@ -1,8 +1,8 @@
 //! The receiving half of the transport (§2.1): which life of a peer is
-//! listened to, reassembly, exactly-once hand-up, and the
-//! acknowledgements owed for what arrived.
+//! listened to, reassembly, exactly-once hand-up, and the one
+//! acknowledgement a whole message draws.
 
-use crate::ctx::{digest_addr, Ctx, Link};
+use crate::ctx::{Ctx, Link};
 use crate::dedup::DedupWindow;
 use crate::events::TransportEvent;
 use crate::frame::{FragSet, Frame, MAX_FRAGS};
@@ -13,87 +13,17 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 struct Reassembly {
     frags: Vec<Option<Bytes>>,
-    /// The indices of the `Some` slots of `frags`: what an ack names.
-    have: FragSet,
+    /// How many slots of `frags` are `Some`.
+    have: u32,
 }
 
-/// An acknowledgement owed to a reliable message.
-#[derive(Debug)]
-struct AckDue {
-    /// The link the data arrived on, which is the link the ack returns on.
-    link: Link,
-    from: NodeId,
-    /// The sender's incarnation, echoed back.
-    inc: Incarnation,
-    msg_id: MsgId,
-    /// Every fragment of the message held when its latest frame arrived.
-    frags: FragSet,
-    /// DATA frames this ack answers (statistics only).
-    answers: u64,
-}
-
-impl AckDue {
-    fn send(self, cx: &mut Ctx) {
-        let ack = Frame::Ack {
-            from: cx.id,
-            inc: self.inc,
-            msg_id: self.msg_id,
-            frags: self.frags,
-        };
-        cx.put(self.link, &ack);
-    }
-}
-
-/// The acknowledgements owed to multi-fragment messages. They wait for
-/// the driver's next drain, so every fragment fed in before that drain
-/// shares one ACK datagram.
-#[derive(Debug, Default)]
-pub(crate) struct AckLedger {
-    /// One entry per (link, sender incarnation, message), in arrival
-    /// order; a burst touches a handful of messages, so a scan finds it.
-    due: Vec<AckDue>,
-}
-
-impl AckLedger {
-    /// Parks `ack`, or folds it into the one already owed to the same
-    /// message on the same link.
-    fn park(&mut self, ack: AckDue) {
-        let owed = self
-            .due
-            .iter_mut()
-            .find(|a| a.msg_id == ack.msg_id && a.from == ack.from && a.link == ack.link);
-        match owed {
-            Some(owed) => {
-                owed.frags = ack.frags;
-                owed.answers += 1;
-            }
-            None => self.due.push(ack),
-        }
-    }
-
-    /// True while an acknowledgement waits for [`AckLedger::release`].
-    pub(crate) fn is_owed(&self) -> bool {
-        !self.due.is_empty()
-    }
-
-    /// Puts every owed acknowledgement on the wire: one per message and
-    /// link, however many fragments arrived.
-    pub(crate) fn release(&mut self, cx: &mut Ctx) {
-        for a in self.due.drain(..) {
-            cx.stats.ack_frags_coalesced += a.answers - 1;
-            a.send(cx);
-        }
-    }
-}
-
-/// Everything this endpoint has heard and not yet handed up or answered.
+/// Everything this endpoint has heard and not yet handed up.
 #[derive(Debug, Default)]
 pub(crate) struct Receiver {
     /// Latest known incarnation and dedup window per peer. Ordered, like
     /// `reasm`, so that the state digest walks them as they are.
     dedup: BTreeMap<NodeId, (Incarnation, DedupWindow)>,
     reasm: BTreeMap<(NodeId, MsgId), Reassembly>,
-    pub(crate) acks: AckLedger,
 }
 
 impl Receiver {
@@ -137,31 +67,24 @@ impl Receiver {
             }
         };
 
-        // Reliable current-incarnation data is always acknowledged, even
-        // duplicates: our previous ack may have been lost. The ack names
-        // every fragment of the message held so far and returns on the
-        // link the data arrived on.
-        if reliable {
-            let ack = AckDue {
-                link,
-                from,
+        // An ack says "I hold the whole message", once, at once: for the
+        // fragment that completes a reliable message, and again for any
+        // fragment of one already delivered (our previous ack may have
+        // been lost). It names every fragment and returns on the link the
+        // data arrived on. A fragment of an incomplete message draws
+        // nothing.
+        if !reliable {
+            cx.stats.acks_suppressed += 1;
+        } else if complete {
+            let ack = Frame::Ack {
+                from: cx.id,
                 inc,
                 msg_id,
-                frags: match self.reasm.get(&key) {
-                    Some(r) if !complete => r.have.clone(),
-                    _ => FragSet::first_n(frag_count),
-                },
-                answers: 1,
+                frags: FragSet::first_n(frag_count),
             };
-            if frag_count == 1 {
-                // A whole message in one datagram (every token that fits
-                // the MTU): nothing to wait for, acknowledge at once.
-                ack.send(cx);
-            } else {
-                self.acks.park(ack);
-            }
+            cx.put(link, &ack);
         } else {
-            cx.stats.acks_suppressed += 1;
+            cx.stats.ack_frags_coalesced += 1;
         }
 
         if complete && !duplicate {
@@ -184,11 +107,10 @@ impl Receiver {
             return false; // ghost of the peer's previous life — no ack
         }
         if inc > entry.0 {
-            // Peer restarted: fresh dedup state, discard partial
-            // reassemblies and the acks its previous life was owed.
+            // Peer restarted: fresh dedup state, discard the partial
+            // reassemblies of its previous life.
             *entry = (inc, DedupWindow::new());
             self.reasm.retain(|(n, _), _| *n != from);
-            self.acks.due.retain(|a| a.from != from);
             cx.peers.forget(from);
         }
         true
@@ -205,7 +127,7 @@ impl Receiver {
     ) -> Option<bool> {
         let r = self.reasm.entry(key).or_insert_with(|| Reassembly {
             frags: vec![None; count as usize],
-            have: FragSet::new(),
+            have: 0,
         });
         if r.frags.len() != count as usize {
             return None;
@@ -213,9 +135,9 @@ impl Receiver {
         let slot = &mut r.frags[index as usize];
         if slot.is_none() {
             *slot = Some(payload);
-            r.have.insert(index);
+            r.have += 1;
         }
-        Some(r.have.len() == count)
+        Some(r.have == count)
     }
 
     /// Joins the fragments of the complete message `key`, leaving the
@@ -246,9 +168,6 @@ impl Receiver {
     }
 
     /// Reassembly buffers enter through [`StateDigest::wire_payload`].
-    /// Owed acks are normally released between model-checker steps, but
-    /// are digested fully so an undrained ledger can never merge two
-    /// genuinely different states.
     pub(crate) fn digest_into(&self, d: &mut StateDigest) {
         d.write_len(self.dedup.len());
         for (id, (inc, window)) in &self.dedup {
@@ -260,20 +179,11 @@ impl Receiver {
         for ((from, msg_id), r) in &self.reasm {
             d.node(*from);
             d.write_u64(msg_id.0);
-            d.write_len(r.have.len() as usize);
+            d.write_len(r.have as usize);
             d.write_len(r.frags.len());
             for f in &r.frags {
                 d.opt(f.as_ref(), |d, b| d.wire_payload(b));
             }
-        }
-        d.write_len(self.acks.due.len());
-        for a in &self.acks.due {
-            digest_addr(a.link.ours, d);
-            digest_addr(a.link.theirs, d);
-            d.node(a.from);
-            d.write_u64(a.inc.0.into());
-            d.write_u64(a.msg_id.0);
-            a.frags.digest_into(d);
         }
     }
 }

@@ -19,7 +19,6 @@ const GAVE_UP_MEMORY: usize = 32;
 struct PendingSend {
     to: NodeId,
     frags: Vec<Bytes>,
-    acked: Vec<bool>,
     /// Index into the peer's address list (sequential strategy).
     addr_index: usize,
     /// Transmissions performed at the current address (sequential) or in
@@ -38,17 +37,11 @@ impl PendingSend {
         self.attempts == 1 && self.addr_index == 0
     }
 
-    /// Marks the fragments `named` by an acknowledgement; true once every
-    /// fragment is acknowledged. The set is the peer's word: only the
-    /// message's own fragments are looked up in it, so indices it does
-    /// not have are never touched.
-    fn acknowledge(&mut self, named: &FragSet) -> bool {
-        let mut all_acked = true;
-        for (i, acked) in self.acked.iter_mut().enumerate() {
-            *acked |= named.contains(i as u32);
-            all_acked &= *acked;
-        }
-        all_acked
+    /// True if an acknowledgement naming `named` says the peer holds the
+    /// whole message: every fragment of it is in the set. The set is the
+    /// peer's word, so only the message's own fragments are looked up.
+    fn is_whole(&self, named: &FragSet) -> bool {
+        (0..self.frags.len() as u32).all(|i| named.contains(i))
     }
 
     /// Moves on to the next transmission once a timeout has passed
@@ -75,7 +68,7 @@ impl PendingSend {
         true
     }
 
-    /// Puts every un-acked fragment on the wire: to the current address
+    /// Puts every fragment on the wire: to the current address
     /// (sequential) or to all of them (parallel).
     fn transmit(&self, cx: &mut Ctx, msg_id: MsgId, reliable: bool) {
         let n_addrs = cx.peers.addrs(self.to).map_or(0, <[Addr]>::len);
@@ -92,9 +85,6 @@ impl PendingSend {
                 return; // no such peer any more
             };
             for (i, frag) in self.frags.iter().enumerate() {
-                if self.acked[i] {
-                    continue;
-                }
                 let frame = Frame::Data {
                     from: cx.id,
                     inc: cx.inc,
@@ -151,7 +141,6 @@ impl Sender {
         };
         let mut p = PendingSend {
             to,
-            acked: vec![false; frags.len()],
             frags,
             addr_index: 0,
             attempts: 1,
@@ -180,8 +169,9 @@ impl Sender {
 
     /// An acknowledgement arrived: `from` says it holds `frags` of the
     /// message `msg_id` sent by our incarnation `inc`. Only the node the
-    /// message was sent to is believed. (`ack` is the decoded
-    /// [`Frame::Ack`]; the endpoint dispatches nothing else here.)
+    /// message was sent to is believed, and only when the set names the
+    /// whole message. (`ack` is the decoded [`Frame::Ack`]; the endpoint
+    /// dispatches nothing else here.)
     pub(crate) fn on_ack(&mut self, cx: &mut Ctx, now: Time, ack: Frame) {
         let Frame::Ack {
             from,
@@ -196,10 +186,10 @@ impl Sender {
             cx.stats.stale_dropped += 1;
             return; // ack for a previous life of this node
         }
-        let Some(p) = self.pending.get_mut(&msg_id).filter(|p| p.to == from) else {
+        let Some(p) = self.pending.get(&msg_id).filter(|p| p.to == from) else {
             // Already completed (late duplicate ack), aborted, never
             // awaiting one (fire-and-forget) or not this node's to give:
-            // nothing to mark, nothing kept.
+            // nothing to complete, nothing kept.
             cx.stats.acks_unmatched += 1;
             let gave_up = self.gave_up_on.iter().position(|&m| m == (msg_id, from));
             if gave_up.and_then(|i| self.gave_up_on.remove(i)).is_some() {
@@ -209,8 +199,9 @@ impl Sender {
             }
             return;
         };
-        if !p.acknowledge(&frags) {
-            return;
+        if !p.is_whole(&frags) {
+            cx.stats.acks_unmatched += 1;
+            return; // a part of the message completes nothing
         }
         let Some(p) = self.pending.remove(&msg_id) else {
             return;
@@ -278,10 +269,7 @@ impl Sender {
             d.write_len(p.addr_index);
             d.write_u32(p.attempts);
             d.time_rel(p.next_retry, now);
-            d.write_len(p.acked.len());
-            for &a in &p.acked {
-                d.write_bool(a);
-            }
+            d.write_len(p.frags.len());
             for f in &p.frags {
                 d.wire_payload(f);
             }

@@ -427,3 +427,38 @@ fn only_the_addressee_is_believed() {
     );
     assert_eq!(a.stats().acks_unmatched, 4);
 }
+
+#[test]
+fn a_partial_set_completes_nothing_and_the_retry_resends_every_fragment() {
+    let (mut a, _b) = pair(ten_fragment_cfg(), 1);
+    let id = a
+        .send(Time::ZERO, NodeId(1), Bytes::from(vec![4u8; 300]))
+        .unwrap();
+    assert_eq!(drain(&mut a).len(), 3);
+    // A peer that names two of the three fragments holds a part of the
+    // message, which says nothing: the send stays pending, unmarked.
+    let mut two = FragSet::single(0);
+    two.insert(1);
+    a.on_datagram(Time::ZERO, ack_dgram(1, Incarnation::FIRST, id.0, two));
+    assert_eq!((a.in_flight(), a.stats().acks_unmatched), (1, 1));
+    assert_eq!(a.poll_event(), None);
+    a.on_tick(Time::ZERO + MS(10));
+    assert_eq!(
+        drain(&mut a).len(),
+        3,
+        "the retry resends the whole message"
+    );
+    // The whole set completes it.
+    a.on_datagram(
+        Time::ZERO + MS(11),
+        ack_dgram(1, Incarnation::FIRST, id.0, FragSet::first_n(3)),
+    );
+    assert_eq!(
+        a.poll_event(),
+        Some(TransportEvent::Delivered {
+            msg_id: id,
+            to: NodeId(1)
+        })
+    );
+    assert_eq!(a.obs().rtt.count(), 1);
+}

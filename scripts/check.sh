@@ -150,8 +150,11 @@ leg_model_check() {
   # leg (the two violation sets must both be empty), as does a capped
   # search, one that never passed a token early, or one that is not
   # exactly the pinned space. `pass_slot` is in the digest, so these pins
-  # are what says a change to the loaded round moved no state.
-  for run in ":30756 37358 10022" "--no-reduction:308117 401578 0"; do
+  # are what says a change to the loaded round moved no state. They moved
+  # once on purpose (from 30756 37358 10022 and 308117 401578 0) when a
+  # receiver stopped acknowledging the part of a token it held: with one
+  # ack per whole message the adversary has fewer ack frames to order.
+  for run in ":3092 4551 1460" "--no-reduction:38103 62550 0"; do
     mode=${run%%:*}
     out=$(cargo run --release -q -p raincore-sim --bin model_check -- \
       --mtu 64 --multicast 0:30 --multicast 0:30 --multicast 1:30 \

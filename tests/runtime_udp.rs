@@ -61,7 +61,7 @@ fn three_nodes_form_group_and_multicast_over_udp() {
         .contains("# TYPE raincore_token_rotation_ns histogram"));
     assert!(dump.journal.contains("TOKEN_RX"), "{}", dump.journal);
     assert!(dump.json.contains("\"name\":\"raincore_transport_rtt_ns\""));
-    // Every transport counter is exported, the ack ledger included.
+    // Every transport counter is exported, the ack counters included.
     for name in [
         "msgs_sent",
         "data_frames_sent",
