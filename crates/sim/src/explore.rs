@@ -320,6 +320,9 @@ impl ModelCheckConfig {
     /// does not name (a dump from an older build) keeps its value, and a
     /// dump without the header changes nothing.
     pub fn read_scenario(&mut self, dump: &str) -> std::result::Result<(), String> {
+        fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
+            v.parse().ok()
+        }
         let Some(line) = dump.lines().find_map(|l| l.strip_prefix("# scenario:")) else {
             return Ok(());
         };
@@ -328,18 +331,16 @@ impl ModelCheckConfig {
                 .split_once('=')
                 .ok_or_else(|| format!("scenario word without a value: {word:?}"))?;
             let bad = || format!("bad scenario value: {word:?}");
-            let num = |v: &str| v.parse::<u64>().map_err(|_| bad());
-            let small = |v: &str| v.parse::<u32>().map_err(|_| bad());
             let time = |v: &str| parse_exact(v).ok_or_else(bad);
             match key {
-                "nodes" => self.nodes = small(v)?,
-                "depth" => self.max_depth = v.parse().map_err(|_| bad())?,
-                "crash_budget" => self.crash_budget = small(v)?,
-                "drop_budget" => self.drop_budget = small(v)?,
-                "bulk_drop_budget" => self.bulk_drop_budget = small(v)?,
+                "nodes" => self.nodes = num(v).ok_or_else(bad)?,
+                "depth" => self.max_depth = num(v).ok_or_else(bad)?,
+                "crash_budget" => self.crash_budget = num(v).ok_or_else(bad)?,
+                "drop_budget" => self.drop_budget = num(v).ok_or_else(bad)?,
+                "bulk_drop_budget" => self.bulk_drop_budget = num(v).ok_or_else(bad)?,
                 "max_delay" => self.max_delay = time(v)?,
-                "max_schedules" => self.max_schedules = num(v)?,
-                "forge_token" => self.forge_token = v.parse().map_err(|_| bad())?,
+                "max_schedules" => self.max_schedules = num(v).ok_or_else(bad)?,
+                "forge_token" => self.forge_token = num(v).ok_or_else(bad)?,
                 "reduction" => {
                     self.reduction = match v {
                         "None" => Reduction::None,
@@ -347,22 +348,20 @@ impl ModelCheckConfig {
                         _ => return Err(bad()),
                     }
                 }
-                "mtu" => self.transport.mtu = v.parse().map_err(|_| bad())?,
+                "mtu" => self.transport.mtu = num(v).ok_or_else(bad)?,
                 "multicasts" => {
                     self.seed_bulk = v
                         .split(',')
                         .filter(|m| !m.is_empty())
                         .map(|m| {
                             let (origin, len) = m.split_once(':')?;
-                            Some((NodeId(origin.parse().ok()?), len.parse().ok()?))
+                            Some((NodeId(num(origin)?), num(len)?))
                         })
                         .collect::<Option<_>>()
                         .ok_or_else(bad)?;
                 }
-                "bulk_threshold" => {
-                    self.session.bulk_threshold = v.parse().map_err(|_| bad())?;
-                }
-                "warm_rotations" => self.warm_rotations = small(v)?,
+                "bulk_threshold" => self.session.bulk_threshold = num(v).ok_or_else(bad)?,
+                "warm_rotations" => self.warm_rotations = num(v).ok_or_else(bad)?,
                 "retry_timeout" => self.transport.retry_timeout = time(v)?,
                 "hungry_timeout" => self.session.hungry_timeout = time(v)?,
                 _ => return Err(format!("unknown scenario field: {key:?}")),
