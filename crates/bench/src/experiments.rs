@@ -512,50 +512,6 @@ pub fn redundant_links(nics: u8) -> RedundantRow {
 }
 
 // ======================================================================
-// A4 — failure-detection ablation
-// ======================================================================
-
-/// Outcome of a member crash under a given detection mode.
-#[derive(Clone, Debug)]
-pub struct DetectionRow {
-    /// Mode label.
-    pub mode: &'static str,
-    /// Time from crash to converged (N-1) membership; `None` = did not
-    /// converge within the 10 s budget.
-    pub convergence: Option<Duration>,
-    /// Token rounds/s at node 0 in the 2 s after the crash.
-    pub rounds_after: f64,
-}
-
-/// §2.2 ablation: aggressive failure detection vs timeout-only.
-pub fn detection(mode: raincore_types::config::DetectionMode) -> DetectionRow {
-    let mut cfg = proto_cfg(4, 10.0);
-    cfg.session.detection = mode;
-    let mut c = Cluster::founding(4, cfg).expect("cluster");
-    c.run_for(Duration::from_secs(1));
-    c.crash(NodeId(2));
-    let t_crash = c.now();
-    let mut converged_at: Option<Time> = None;
-    c.run_until_with(t_crash + Duration::from_secs(10), |c| {
-        if converged_at.is_none() && c.live_members().len() == 3 && c.membership_agreed() {
-            converged_at = Some(c.now());
-        }
-    });
-    // Token round rate in the 2 s window after the crash.
-    let t0 = c.metrics(NodeId(0)).tokens_received;
-    c.run_for(Duration::from_secs(2));
-    let rounds_after = (c.metrics(NodeId(0)).tokens_received - t0) as f64 / 2.0;
-    DetectionRow {
-        mode: match mode {
-            raincore_types::config::DetectionMode::Aggressive => "aggressive",
-            raincore_types::config::DetectionMode::TimeoutOnly => "timeout-only",
-        },
-        convergence: converged_at.map(|t| t.since(t_crash)),
-        rounds_after,
-    }
-}
-
-// ======================================================================
 // E6 — §2.5 quiescent-period membership agreement
 // ======================================================================
 
@@ -613,34 +569,25 @@ pub fn quiescent(n: u32, crashes: u32) -> QuiescentRow {
 }
 
 // ======================================================================
-// A5 — hierarchical scalability ablation (§5 future work)
+// A5 — how far one ring goes
 // ======================================================================
 
-/// One row of the flat-vs-hierarchical comparison at total size `n`.
+/// One row of the flat ring's size sweep.
 #[derive(Clone, Debug)]
-pub struct HierRow {
-    /// Total member count.
+pub struct RingSizeRow {
+    /// Member count.
     pub n: u32,
-    /// Flat ring: mean multicast latency to the farthest member (s).
-    pub flat_latency: f64,
-    /// Flat ring: task switches per second per node.
-    pub flat_switches: f64,
-    /// Hierarchy (`groups × group_size`): global multicast latency (s).
-    pub hier_latency: f64,
-    /// Hierarchy: task switches per second per *non-leader* member.
-    pub hier_switches: f64,
-    /// Hierarchy: task switches per second for a *leader* (both stacks).
-    pub hier_leader_switches: f64,
+    /// Mean multicast latency from node 0 to the farthest member (s).
+    pub latency: f64,
+    /// Task switches per second per node.
+    pub switches: f64,
 }
 
-/// Compares a flat ring of `n` members with a `groups × group_size`
-/// hierarchy (same token hold time in every ring).
-pub fn hier_vs_flat(groups: u32, group_size: u32, samples: u32) -> HierRow {
-    use raincore_hier::{HierCluster, HierConfig};
-    let n = groups * group_size;
+/// A flat ring of `n` members at a 2 ms token hold: mean Agreed latency
+/// from node 0 to the member half a ring away over `samples` multicasts,
+/// and the wake-up rate that hold costs every node.
+pub fn flat_ring(n: u32, samples: u32) -> RingSizeRow {
     let hold = Duration::from_millis(2);
-
-    // --- Flat ring ---
     let mut cfg = ClusterConfig {
         session: raincore_types::SessionConfig::for_cluster(n),
         ..Default::default()
@@ -650,67 +597,28 @@ pub fn hier_vs_flat(groups: u32, group_size: u32, samples: u32) -> HierRow {
         .saturating_mul(u64::from(n) * 8)
         .max(Duration::from_millis(200));
     cfg.transport.retry_timeout = Duration::from_millis(10);
-    let mut flat = Cluster::founding(n, cfg).expect("cluster");
-    flat.run_for(Duration::from_secs(1));
+    let mut c = Cluster::founding(n, cfg).expect("cluster");
+    c.run_for(Duration::from_secs(1));
     let probe = NodeId(n / 2); // roughly farthest from node 0 on the ring
     let mut total = Duration::ZERO;
     for k in 0..samples {
-        let sent = flat.now();
-        flat.multicast(NodeId(0), DeliveryMode::Agreed, Bytes::from(vec![k as u8]))
+        let sent = c.now();
+        c.multicast(NodeId(0), DeliveryMode::Agreed, Bytes::from(vec![k as u8]))
             .unwrap();
-        let before = flat.deliveries(probe).len();
+        let before = c.deliveries(probe).len();
         let mut at = None;
-        flat.run_until_with(sent + Duration::from_secs(10), |c| {
+        c.run_until_with(sent + Duration::from_secs(10), |c| {
             if at.is_none() && c.deliveries(probe).len() > before {
                 at = Some(c.now());
             }
         });
         total += at.expect("delivered").since(sent);
     }
-    let flat_latency = total.as_secs_f64() / f64::from(samples);
-    let elapsed = flat.now().since(Time::ZERO).as_secs_f64();
-    let flat_switches = flat.metrics(NodeId(1)).task_switches as f64 / elapsed;
-
-    // --- Hierarchy ---
-    let mut h = HierCluster::new(HierConfig {
-        groups,
-        group_size,
-        token_hold: hold,
-        ..Default::default()
-    })
-    .expect("hier");
-    h.run_for(Duration::from_secs(1));
-    // Probe in a *different* group from the origin.
-    let probe = NodeId(group_size + 1);
-    let mut total = Duration::ZERO;
-    for k in 0..samples {
-        let sent = h.now();
-        h.multicast_global(NodeId(0), Bytes::from(vec![k as u8]))
-            .unwrap();
-        let before = h.global_deliveries(probe).len();
-        loop {
-            h.run_for(Duration::from_millis(1));
-            if h.global_deliveries(probe).len() > before {
-                break;
-            }
-            if h.now().since(sent) > Duration::from_secs(10) {
-                panic!("hier delivery timed out");
-            }
-        }
-        total += h.now().since(sent);
-    }
-    let hier_latency = total.as_secs_f64() / f64::from(samples);
-    let elapsed = h.now().since(Time::ZERO).as_secs_f64();
-    let hier_switches = h.task_switches(NodeId(1)) as f64 / elapsed;
-    let hier_leader_switches = h.task_switches(NodeId(0)) as f64 / elapsed;
-
-    HierRow {
+    let elapsed = c.now().since(Time::ZERO).as_secs_f64();
+    RingSizeRow {
         n,
-        flat_latency,
-        flat_switches,
-        hier_latency,
-        hier_switches,
-        hier_leader_switches,
+        latency: total.as_secs_f64() / f64::from(samples),
+        switches: c.metrics(NodeId(1)).task_switches as f64 / elapsed,
     }
 }
 
@@ -781,26 +689,6 @@ mod tests {
         assert!(
             single.membership_changes > 0,
             "single-link cluster must churn: {single:?}"
-        );
-    }
-
-    #[test]
-    fn aggressive_detection_converges_timeout_only_does_not() {
-        use raincore_types::config::DetectionMode;
-        let fast = detection(DetectionMode::Aggressive);
-        assert!(fast.convergence.is_some(), "{fast:?}");
-        assert!(
-            fast.convergence.unwrap() < Duration::from_secs(1),
-            "{fast:?}"
-        );
-        let slow = detection(DetectionMode::TimeoutOnly);
-        assert!(
-            slow.convergence.is_none(),
-            "timeout-only never edits membership: {slow:?}"
-        );
-        assert!(
-            slow.rounds_after < fast.rounds_after,
-            "rounds degrade: {slow:?} vs {fast:?}"
         );
     }
 }

@@ -13,7 +13,8 @@
 //! | `exp_ablation_tokenfreq` | token rate L vs task switches & multicast latency |
 //! | `exp_ablation_safe` | agreed vs safe delivery latency (§2.6's extra round) |
 //! | `exp_ablation_redundant` | redundant links vs membership stability (§2.1) |
-//! | `exp_ablation_detection` | aggressive vs timeout-only failure detection (§2.2) |
+//! | `exp_quiescent` | §2.5: membership agreement after a burst of crashes |
+//! | `exp_ring_size` | one flat ring at N = 8…64: latency and wake-up rate |
 //!
 //! Run everything with `--release`; the simulations move hundreds of
 //! thousands of packets.

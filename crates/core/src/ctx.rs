@@ -4,8 +4,8 @@
 //! the [`Role`], the ring view, the event queue and the counters; a
 //! component sees them for the duration of one call through [`Ctx`] and
 //! owns everything else it needs. Rules about that shared state — who is
-//! a member, which sends are tracked for failure-on-delivery, whether a
-//! failure evicts — are written here once.
+//! a member, which sends are tracked for failure-on-delivery — are
+//! written here once.
 
 use crate::events::SessionEvent;
 use crate::metrics::SessionMetrics;
@@ -13,7 +13,6 @@ use crate::obs::NodeObs;
 use crate::typestate::Role;
 use bytes::Bytes;
 use raincore_transport::Endpoint;
-use raincore_types::config::DetectionMode;
 use raincore_types::{GroupId, IdMap, MsgId, NodeId, Result, Ring, SessionConfig, Time};
 use std::collections::VecDeque;
 
@@ -67,12 +66,6 @@ impl Ctx<'_> {
     /// This node's current group id (lowest member of its view).
     pub(crate) fn group_id(&self) -> GroupId {
         self.ring.group_id().unwrap_or(GroupId(self.id))
-    }
-
-    /// Does a failure-on-delivery remove its target from the membership
-    /// (§2.2's aggressive detection), or merely skip it for this pass?
-    pub(crate) fn evicts_on_failure(&self) -> bool {
-        self.cfg.detection == DetectionMode::Aggressive
     }
 
     /// Drops `node` from the local ring view. (The ring-pass component

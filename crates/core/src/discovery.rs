@@ -134,6 +134,30 @@ mod tests {
     }
 
     #[test]
+    fn beacon_from_outside_eligible_membership_is_not_a_merge() {
+        // Node 2's Eligible Membership is {2, 3} (§2.4): node 0 belongs to
+        // another group however low its id, so its beacon is no join
+        // request and the next pass is an ordinary self-pass.
+        let mut c = mk_with(2, 4, StartMode::Isolated, |cfg| {
+            cfg.eligible = vec![NodeId(2), NodeId(3)];
+        });
+        c.on_session_msg(
+            Time::ZERO,
+            SessionMsg::BodyOdor(BodyOdor {
+                from: NodeId(0),
+                group: GroupId(NodeId(0)),
+            }),
+        );
+        c.on_tick(Time::ZERO + c.config().token_hold);
+        assert!(outgoing_msgs(&mut c)
+            .iter()
+            .all(|(_, m)| !matches!(m, SessionMsg::Token(_))));
+        assert!(c.is_eating());
+        assert_eq!(c.metrics().self_passes, 1);
+        assert!(!c.ring().contains(NodeId(0)));
+    }
+
+    #[test]
     fn beacon_from_higher_group_ignored() {
         let mut a = mk(0, 4, StartMode::Isolated);
         a.on_session_msg(

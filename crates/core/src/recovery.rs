@@ -116,9 +116,7 @@ impl Recovery {
         cx.metrics.probes_failed += 1;
         cx.metrics.failures_detected += 1;
         let eat = on_call_failed(cx, pass, to);
-        if cx.evicts_on_failure() {
-            cx.role.remove_from_held(to, cx.full_line());
-        }
+        cx.role.remove_from_held(to, cx.full_line());
         let still_waiting = cx.role.hungry_since().is_some() && pass.probe_target() == Some(to);
         if eat.is_none() && still_waiting {
             return self.starve(cx, pass);
@@ -287,9 +285,7 @@ pub(crate) fn on_reply911(cx: &mut Ctx<'_>, pass: &mut RingPass, reply: Reply911
 /// and must still count against the current vote.
 pub(crate) fn on_call_failed(cx: &mut Ctx<'_>, pass: &mut RingPass, to: NodeId) -> Option<Eat> {
     cx.obs.trace(TraceKind::PeerFailed { peer: to.0 });
-    if cx.evicts_on_failure() {
-        pass.evict(cx, to);
-    }
+    pass.evict(cx, to);
     match cx.role.vote_peer_failed(to) {
         VoteProgress::NotVoting => None,
         VoteProgress::Recorded {

@@ -179,14 +179,13 @@ impl RingPass {
     /// `to` is asked if it is there (DESIGN.md §17.3): two rotations and
     /// one of the transport's give-up budgets for that peer, both as
     /// measured now. `None` — the hungry timeout is all there is — until
-    /// four rotation intervals have been seen, where that sum is no
-    /// shorter than the hungry timeout, and where a failure evicts
-    /// nobody.
+    /// four rotation intervals have been seen, and where that sum is no
+    /// shorter than the hungry timeout.
     fn probe_after(&self, cx: &Ctx<'_>, to: NodeId) -> Option<Duration> {
         let rotations = self.rotation.estimate()?.saturating_mul(2);
         let give_up = cx.transport.give_up_budget(to);
         let limit = Duration(rotations.as_nanos().saturating_add(give_up.as_nanos()));
-        (limit < cx.cfg.hungry_timeout && cx.evicts_on_failure()).then_some(limit)
+        (limit < cx.cfg.hungry_timeout).then_some(limit)
     }
 
     fn install_copy(&mut self, token: &Token) {
@@ -377,42 +376,20 @@ impl RingPass {
         }
     }
 
-    /// The pass to `failed` did not get through: skip the dead successor
-    /// and hand the token onward (§2.2).
+    /// The pass to `failed` did not get through: remove the dead
+    /// successor and hand the token onward (§2.2). With nobody else
+    /// reachable we are now a singleton group.
     fn skip_failed(&mut self, cx: &mut Ctx<'_>, mut token: Token, failed: NodeId) -> Option<Eat> {
-        if cx.evicts_on_failure() {
-            token.ring.remove(failed);
-            self.evict(cx, failed);
-        }
-        self.resend_token(cx, token, failed)
-    }
-
-    /// Re-sends the token after a failed pass, walking successors.
-    fn resend_token(&mut self, cx: &mut Ctx<'_>, mut token: Token, failed: NodeId) -> Option<Eat> {
+        token.ring.remove(failed);
+        self.evict(cx, failed);
         cx.metrics.retransmissions_acted += 1;
         // If the failed pass was a TBM handoff the merge is aborted: the
         // token must not reach a normal successor still flagged TBM.
         token.tbm = false;
-        let evicts = cx.evicts_on_failure();
-        let next = if evicts {
-            token.ring.next_after(cx.id)
-        } else {
-            // Timeout-only mode keeps the dead member in the ring and
-            // merely skips it for this pass.
-            cx.ring
-                .successors_of(cx.id)
-                .into_iter()
-                .find(|&n| n != failed && token.ring.contains(n))
-        };
-        match next {
+        match token.ring.next_after(cx.id) {
             Some(n) if n != cx.id => self.send_token(cx, token, n),
             _ => {
-                // Nobody else reachable. Under aggressive detection we
-                // are now a singleton group; under timeout-only we keep
-                // the membership and retry on the next pass.
-                if evicts {
-                    token.ring = Ring::from_iter([cx.id]);
-                }
+                token.ring = Ring::from_iter([cx.id]);
                 cx.sync_membership(&token.ring);
                 Some(self.eat_own_pass(token))
             }
@@ -440,12 +417,10 @@ impl RingPass {
             Some(f) if f.msg_id == msg_id => self.skip_failed(cx, f.token, to),
             other => {
                 self.forwarding = other;
-                if cx.evicts_on_failure() {
-                    // A stale pass failed after we already moved on:
-                    // still treat it as a failure detection of `to`.
-                    self.evict(cx, to);
-                    cx.role.remove_from_held(to, cx.full_line());
-                }
+                // A stale pass failed after we already moved on: still
+                // treat it as a failure detection of `to`.
+                self.evict(cx, to);
+                cx.role.remove_from_held(to, cx.full_line());
                 None
             }
         }

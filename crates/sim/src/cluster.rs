@@ -46,8 +46,6 @@ struct Slot {
     stalled: Option<(Time, Vec<Datagram>)>,
     incarnation: Incarnation,
     addrs: Vec<Addr>,
-    /// The session config this member was built with (used by restart).
-    session_cfg: Option<SessionConfig>,
     /// Every delivery of every incarnation, in delivery order: the one
     /// log the tests read and the auditors borrow, and the only record of
     /// a delivery.
@@ -67,7 +65,7 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(session: Option<SessionNode>, addrs: Vec<Addr>, cfg: Option<SessionConfig>) -> Self {
+    fn new(session: Option<SessionNode>, addrs: Vec<Addr>) -> Self {
         Slot {
             session,
             app: None,
@@ -75,7 +73,6 @@ impl Slot {
             stalled: None,
             incarnation: Incarnation::FIRST,
             addrs,
-            session_cfg: cfg,
             deliveries: Vec::new(),
             events: Vec::new(),
             deliveries_taken: 0,
@@ -204,7 +201,7 @@ impl Slot {
 /// per-node apps).
 pub struct ClusterBuilder {
     cfg: ClusterConfig,
-    members: Vec<(NodeId, StartMode, Option<SessionConfig>)>,
+    members: Vec<(NodeId, StartMode)>,
     plain_hosts: Vec<NodeId>,
     apps: Vec<(NodeId, Box<dyn NodeApp>)>,
 }
@@ -222,15 +219,7 @@ impl ClusterBuilder {
 
     /// Adds a session-running member with the given start mode.
     pub fn member(mut self, id: NodeId, start: StartMode) -> Self {
-        self.members.push((id, start, None));
-        self
-    }
-
-    /// Adds a member with its own session configuration (overriding the
-    /// cluster-wide one) — e.g. a restricted eligible membership so that
-    /// hierarchical leaf groups never merge with each other.
-    pub fn member_with(mut self, id: NodeId, start: StartMode, session: SessionConfig) -> Self {
-        self.members.push((id, start, Some(session)));
+        self.members.push((id, start));
         self
     }
 
@@ -253,13 +242,13 @@ impl ClusterBuilder {
     /// cluster.
     pub fn build(mut self) -> Result<Cluster> {
         if self.cfg.session.eligible.is_empty() {
-            self.cfg.session.eligible = self.members.iter().map(|(id, _, _)| *id).collect();
+            self.cfg.session.eligible = self.members.iter().map(|(id, _)| *id).collect();
         }
         let mut cluster = Cluster {
             now: Time::ZERO,
             net: SimNet::new(self.cfg.net.clone()),
             slots: BTreeMap::new(),
-            members: self.members.iter().map(|(id, _, _)| *id).collect(),
+            members: self.members.iter().map(|(id, _)| *id).collect(),
             cfg: self.cfg,
             peer_table: PeerTable::new(),
             steps: 0,
@@ -272,7 +261,7 @@ impl ClusterBuilder {
         cluster.members.sort_unstable();
         // The peer table covers every session member with all its NICs.
         let mut table = PeerTable::new();
-        for (id, _, _) in &self.members {
+        for (id, _) in &self.members {
             table.set(
                 *id,
                 (0..cluster.cfg.nics.max(1))
@@ -281,11 +270,11 @@ impl ClusterBuilder {
             );
         }
         cluster.peer_table = table;
-        for (id, start, session) in self.members {
-            cluster.add_member(id, start, session)?;
+        for (id, start) in self.members {
+            cluster.add_member(id, start)?;
         }
         for id in self.plain_hosts {
-            let slot = Slot::new(None, vec![Addr::primary(id)], None);
+            let slot = Slot::new(None, vec![Addr::primary(id)]);
             cluster.slots.insert(id, slot);
         }
         for (id, app) in self.apps {
@@ -351,30 +340,22 @@ impl Cluster {
         b.build()
     }
 
-    fn add_member(
-        &mut self,
-        id: NodeId,
-        start: StartMode,
-        session: Option<SessionConfig>,
-    ) -> Result<()> {
+    fn add_member(&mut self, id: NodeId, start: StartMode) -> Result<()> {
         let addrs: Vec<Addr> = (0..self.cfg.nics.max(1))
             .map(|k| Addr::new(id, k))
             .collect();
-        let session_cfg = session.unwrap_or_else(|| self.cfg.session.clone());
-        let inc = Incarnation::FIRST;
-        let node = self.spawn_node(id, inc, session_cfg.clone(), addrs.clone(), start)?;
-        let slot = Slot::new(Some(node), addrs, Some(session_cfg));
+        let node = self.spawn_node(id, Incarnation::FIRST, addrs.clone(), start)?;
+        let slot = Slot::new(Some(node), addrs);
         self.slots.insert(id, slot);
         Ok(())
     }
 
-    /// One life of a member's session stack, writing into the shared
-    /// flight recorder.
+    /// One life of a member's session stack, built with the cluster's
+    /// session config and writing into the shared flight recorder.
     fn spawn_node(
         &self,
         id: NodeId,
         inc: Incarnation,
-        session_cfg: SessionConfig,
         addrs: Vec<Addr>,
         start: StartMode,
     ) -> Result<SessionNode> {
@@ -382,7 +363,7 @@ impl Cluster {
         let mut node = SessionNode::new(
             id,
             inc,
-            session_cfg,
+            self.cfg.session.clone(),
             transport,
             addrs,
             peers,
@@ -547,18 +528,12 @@ impl Cluster {
     /// start mode (typically [`StartMode::Joining`]).
     pub fn restart(&mut self, id: NodeId, start: StartMode) -> Result<()> {
         self.net.set_node(id, true);
-        let (inc, addrs, session_cfg) = {
+        let (inc, addrs) = {
             let slot = self.slots.get_mut(&id).ok_or(Error::UnknownNode(id))?;
             slot.incarnation = slot.incarnation.next();
-            (
-                slot.incarnation,
-                slot.addrs.clone(),
-                slot.session_cfg
-                    .clone()
-                    .unwrap_or_else(|| self.cfg.session.clone()),
-            )
+            (slot.incarnation, slot.addrs.clone())
         };
-        let node = self.spawn_node(id, inc, session_cfg, addrs, start)?;
+        let node = self.spawn_node(id, inc, addrs, start)?;
         let slot = self.slots.get_mut(&id).expect("slot");
         slot.session = Some(node);
         slot.alive = true;

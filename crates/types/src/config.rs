@@ -16,18 +16,6 @@ pub enum SendStrategy {
     Parallel,
 }
 
-/// Failure-detection mode (used by the A4 ablation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetectionMode {
-    /// The paper's aggressive protocol: the *first* failure-on-delivery
-    /// notification removes the target from the membership (§2.2).
-    Aggressive,
-    /// Conservative variant: only the 911/HUNGRY timeout machinery reacts;
-    /// failure-on-delivery merely retries through successors without
-    /// eagerly editing the membership. Used as an ablation baseline.
-    TimeoutOnly,
-}
-
 /// Configuration of the Raincore Transport Service (§2.1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportConfig {
@@ -103,10 +91,9 @@ pub struct SessionConfig {
     /// to after `2·rotation + 1·give-up` (the transport's budget for that
     /// peer), and starves as soon as that question fails on delivery
     /// (DESIGN.md §17.3); this timeout is what fires before then, on a
-    /// ring where that sum is no shorter, for a node no pass made hungry
-    /// and under [`DetectionMode::TimeoutOnly`]. Should comfortably exceed
-    /// one expected token round trip, and how long a member may keep the
-    /// master lock.
+    /// ring where that sum is no shorter and for a node no pass made
+    /// hungry. Should comfortably exceed one expected token round trip,
+    /// and how long a member may keep the master lock.
     pub hungry_timeout: Duration,
     /// How long a STARVING node waits for 911 verdicts before giving up
     /// and re-calling 911.
@@ -117,8 +104,6 @@ pub struct SessionConfig {
     /// Every node this member may ever form a group with (the Eligible
     /// Membership, §2.4). Must contain the local node.
     pub eligible: Vec<NodeId>,
-    /// Failure-detection mode (Aggressive is the paper's design).
-    pub detection: DetectionMode,
     /// Size threshold (bytes) above which a multicast payload is
     /// disseminated out of band as bulk frames while the token carries
     /// only an id-manifest entry (Ring Paxos split). Payloads strictly
@@ -141,7 +126,6 @@ impl Default for SessionConfig {
             starving_retry: Duration::from_millis(200),
             beacon_period: Duration::from_secs(1),
             eligible: Vec::new(),
-            detection: DetectionMode::Aggressive,
             bulk_threshold: 0,
             bulk_blind_delivery: false,
         }
@@ -180,6 +164,9 @@ impl SessionConfig {
         }
         if self.starving_retry.is_zero() {
             return Err("starving_retry must be positive");
+        }
+        if self.beacon_period.is_zero() {
+            return Err("beacon_period must be positive");
         }
         Ok(())
     }
@@ -229,6 +216,13 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SessionConfig {
             starving_retry: Duration::ZERO,
+            ..Default::default()
+        };
+        assert!(c.validate().is_err());
+        // A zero period would re-arm the beacon at `now` forever while
+        // an eligible member is absent.
+        let c = SessionConfig {
+            beacon_period: Duration::ZERO,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -77,10 +77,11 @@ impl fmt::Display for GroupId {
 
 /// Incarnation number of a node.
 ///
-/// Incremented every time a node (re)starts. It distinguishes a rejoining
-/// node from a stale ghost of its previous life: transport-level frames and
-/// membership entries carry the incarnation so that packets from a node's
-/// previous incarnation are discarded after it crashes and rejoins.
+/// Incremented every time a node (re)starts. Only the transport tells a
+/// node's lives apart: its frames carry the incarnation, so packets from a
+/// node's previous life are discarded after it crashes and rejoins. Above
+/// the transport a life is not named — a `Ring` holds node ids only, and
+/// the session keys an origin's messages by id (ROADMAP item 1).
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Incarnation(pub u32);
 

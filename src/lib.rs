@@ -46,7 +46,6 @@ pub mod shard;
 pub use raincore_broadcast as broadcast;
 pub use raincore_data as data;
 pub use raincore_dlm as dlm;
-pub use raincore_hier as hier;
 pub use raincore_net as net;
 pub use raincore_obs as obs;
 pub use raincore_rainwall as rainwall;
