@@ -2,7 +2,7 @@
 //!
 //! The protocol hot path costs a handful of allocations per hop;
 //! crossing the kernel one `sendto`/`recvfrom` at a time would dominate
-//! it. [`BatchIo`] is the only socket path of the runtime:
+//! it. [`BatchIo`] is the only socket path in the tree:
 //!
 //! - **Receive** with `recvmmsg` into a reusable pool of pinned blocks.
 //!   Each received datagram is a zero-copy [`Bytes`] slice of a pooled
@@ -30,6 +30,8 @@
 // The real-socket I/O engine: receive timeouts and flush timing are
 // wall-clock by nature. `SimNet`, beside it, stays on virtual time.
 #![allow(clippy::disallowed_types)]
+// The one socket path: the engine binds its own wake sockets.
+#![allow(clippy::disallowed_methods)]
 
 use crate::addr::{Addr, Datagram};
 use crate::udp::{decode_wire_shared, encode_wire, encode_wire_header, WIRE_HDR_MAX};

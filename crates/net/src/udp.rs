@@ -15,6 +15,9 @@
 //! the *logical* source address and traffic class:
 //! `varint(src.node) · u8(src.nic) · u8(class) · payload`.
 
+// The one socket path: `UdpNet::bind` is where every node's socket is bound.
+#![allow(clippy::disallowed_methods)]
+
 use crate::addr::{Addr, Datagram, PacketClass};
 use bytes::Bytes;
 use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
@@ -24,10 +27,10 @@ use std::net::{SocketAddr, UdpSocket};
 /// Encode a datagram into its on-the-wire form:
 /// `varint(src.node) · u8(src.nic) · u8(class) · payload`.
 ///
-/// Public so out-of-process tooling (the loss-injecting conformance proxy)
-/// can decode the logical source of a packet in flight and re-emit the
-/// bytes unchanged — the destination never travels on the wire, it is the
-/// receiving socket.
+/// The destination never travels on the wire: it is the receiving socket.
+/// Public so tests that play a foreign peer on a plain socket
+/// (`tests/batch_equivalence.rs`, the loss proxy's unit tests) can build
+/// the bytes a node would send.
 pub fn encode_wire(d: &Datagram) -> Bytes {
     let mut w = Writer::with_capacity(d.payload.len() + 8);
     d.src.encode(&mut w);
@@ -38,6 +41,10 @@ pub fn encode_wire(d: &Datagram) -> Bytes {
 
 /// Decode an on-the-wire datagram received on the socket bound to `dst`.
 /// Returns `None` on any malformed input (foreign traffic on the port).
+///
+/// The I/O engine decodes with [`decode_wire_shared`]; this copying form
+/// is the plain reference it must agree with
+/// (`decode_wire_shared_agrees_with_decode_wire`).
 pub fn decode_wire(buf: &[u8], dst: Addr) -> Option<Datagram> {
     let mut r = Reader::new(buf);
     let src = Addr::decode(&mut r).ok()?;

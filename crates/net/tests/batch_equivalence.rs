@@ -19,6 +19,9 @@
 
 // Real-socket test: deadlines are wall-clock.
 #![allow(clippy::disallowed_types)]
+// The test plays a foreign peer that sends raw bytes, and a sink that
+// reads the engine's, on plain sockets.
+#![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
 use raincore_net::batch::{BatchConfig, BatchIo, IoBackend};

@@ -9,7 +9,10 @@
 //! routes every packet through a userspace [`proxy::LossProxy`] that
 //! injects seeded drops, duplication, reordering, delay and per-link
 //! partitions — the same fault vocabulary as the simulator's chaos
-//! harness ([`raincore_sim::ChaosFault`]).
+//! harness ([`raincore_sim::ChaosFault`]). The proxy is one thread over
+//! the same batched socket engine the nodes run
+//! ([`raincore_net::BatchIo`]), so every packet of a run, proxied or not,
+//! takes one socket path.
 //!
 //! Children periodically serialize their observability state (metrics
 //! snapshot JSON + trace journal + delivery log) to per-node export

@@ -2,11 +2,18 @@
 //!
 //! Every harness child is told that peer `N` lives at the proxy's socket
 //! for `N`; the proxy receives each packet, consults its fault state, and
-//! forwards the bytes unchanged to the *real* socket of `N`. No header
-//! rewriting is needed: the wire format carries the logical source
-//! in-band and the destination is the receiving socket
-//! ([`raincore_net::decode_wire`]), so a forwarded datagram is
-//! indistinguishable from a direct one.
+//! forwards it to the *real* socket of `N`. No header rewriting is
+//! needed: the wire format carries the logical source in-band and the
+//! destination is the receiving socket ([`raincore_net::decode_wire`]).
+//! A forwarded datagram is re-encoded from what was decoded — byte for
+//! byte what its sender sent — and leaves from the proxy's socket for its
+//! source, so it is indistinguishable from a direct one.
+//!
+//! One thread does all of it, over the [`BatchIo`] engine every runtime
+//! node runs: it waits for a packet or for the earliest held datagram to
+//! fall due, decides each packet's fate, and sends whatever is due in one
+//! batch. When nothing is held it sleeps until a packet or
+//! [`LossProxy`]'s drop wakes it.
 //!
 //! Fault state mirrors the simulator's chaos vocabulary
 //! ([`raincore_sim::ChaosFault`]):
@@ -27,24 +34,26 @@
 //! All rolls come from one seeded RNG behind the state mutex, so a run's
 //! packet fate sequence is reproducible up to OS packet timing.
 
-// Real-time UDP proxy: delay injection is wall-clock by design, and its
-// stop/pause flags are shared with the relay threads.
+// Real-time UDP proxy: delay injection and stalls are wall-clock by design.
 #![allow(clippy::disallowed_types)]
 
-use raincore_net::{decode_wire, Addr};
+use bytes::Bytes;
+use raincore_net::{Addr, BatchConfig, BatchIo, Datagram, IoMetrics, IoWaker, UdpNet};
 use raincore_types::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-const MAX_DGRAM: usize = 65_536;
-const READ_TIMEOUT: Duration = Duration::from_millis(20);
+const LOOPBACK: SocketAddr =
+    SocketAddr::new(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST), 0);
+/// How long the pump waits when it holds nothing: in effect, until a
+/// packet or a wake.
+const IDLE_WAIT: Duration = Duration::from_secs(3600);
 
 /// Per-packet injection probabilities (permille) and added delay.
 #[derive(Clone, Copy, Debug, Default)]
@@ -98,6 +107,8 @@ struct State {
     dials: ProxyDials,
     rng: StdRng,
     stats: ProxyStats,
+    /// Set by [`LossProxy`]'s drop; the pump returns when it sees it.
+    stop: bool,
 }
 
 impl State {
@@ -121,46 +132,30 @@ impl State {
     }
 }
 
-struct Delayed {
-    due: Instant,
-    seq: u64,
-    buf: Vec<u8>,
-    to: SocketAddr,
-}
-
-// Min-heap on (due, seq): BinaryHeap is a max-heap, so order is reversed.
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// The proxy: one inbound socket per logical node, a shared outbound
-/// socket, reader threads and a delay pump.
+/// The proxy: one stand-in socket per logical node, all of them driven by
+/// one pump thread.
 pub struct LossProxy {
     addrs: HashMap<NodeId, SocketAddr>,
     state: Arc<Mutex<State>>,
-    delay_q: Arc<(Mutex<BinaryHeap<Delayed>>, Condvar)>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    metrics: IoMetrics,
+    waker: IoWaker,
+    pump: Option<JoinHandle<()>>,
 }
 
 impl LossProxy {
-    /// Binds one loopback socket per node in `ids` plus the shared
-    /// outbound socket, and starts the forwarding threads. `seed` fixes
-    /// the packet-fate RNG.
+    /// Binds one loopback socket per node in `ids` and starts the pump
+    /// thread. `seed` fixes the packet-fate RNG.
     pub fn bind(ids: &[NodeId], seed: u64) -> std::io::Result<LossProxy> {
+        let stand_ins: Vec<Addr> = ids.iter().map(|&id| Addr::primary(id)).collect();
+        let local: Vec<(Addr, SocketAddr)> = stand_ins.iter().map(|&a| (a, LOOPBACK)).collect();
+        let io = UdpNet::bind(&local, HashMap::new())?.into_batch_io(BatchConfig::default())?;
+        let mut addrs = HashMap::new();
+        for &addr in &stand_ins {
+            let saddr = io
+                .local_socket_addr(addr)
+                .ok_or(std::io::ErrorKind::AddrNotAvailable)?;
+            addrs.insert(addr.node, saddr);
+        }
         let state = Arc::new(Mutex::new(State {
             dests: HashMap::new(),
             pairs_down: BTreeSet::new(),
@@ -171,33 +166,27 @@ impl LossProxy {
             dials: ProxyDials::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x70726F_63686572), // "procher"
             stats: ProxyStats::default(),
+            stop: false,
         }));
-        let delay_q: Arc<(Mutex<BinaryHeap<Delayed>>, Condvar)> =
-            Arc::new((Mutex::new(BinaryHeap::new()), Condvar::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let out = Arc::new(UdpSocket::bind("127.0.0.1:0")?);
-        let mut addrs = HashMap::new();
-        let mut threads = Vec::new();
-        for &id in ids {
-            let sock = UdpSocket::bind("127.0.0.1:0")?;
-            sock.set_read_timeout(Some(READ_TIMEOUT))?;
-            addrs.insert(id, sock.local_addr()?);
-            threads.push(spawn_reader(
-                sock,
-                id,
-                state.clone(),
-                delay_q.clone(),
-                out.clone(),
-                stop.clone(),
-            ));
-        }
-        threads.push(spawn_pump(delay_q.clone(), out, stop.clone()));
+        let metrics = io.metrics().clone();
+        let waker = io.waker()?;
+        let pump = Pump {
+            io,
+            stand_ins,
+            foreign: HashMap::new(),
+            held: BTreeMap::new(),
+            seq: 0,
+        };
+        let shared = state.clone();
+        let pump = std::thread::Builder::new()
+            .name("procher-proxy".to_string())
+            .spawn(move || pump.run(&shared))?;
         Ok(LossProxy {
             addrs,
             state,
-            delay_q,
-            stop,
-            threads,
+            metrics,
+            waker,
+            pump: Some(pump),
         })
     }
 
@@ -274,22 +263,26 @@ impl LossProxy {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> ProxyStats {
-        self.state.lock().unwrap().stats
+        ProxyStats {
+            undecodable: self.metrics.decode_dropped.get(),
+            ..self.state.lock().unwrap().stats
+        }
     }
 }
 
 impl Drop for LossProxy {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.delay_q.1.notify_all();
-        for h in self.threads.drain(..) {
-            let _ = h.join();
+        if let Ok(mut s) = self.state.lock() {
+            s.stop = true;
+        }
+        self.waker.wake();
+        if let Some(pump) = self.pump.take() {
+            let _ = pump.join();
         }
     }
 }
 
-/// The forwarding decision for one received packet, computed under the
-/// state lock and executed outside it.
+/// The forwarding decision for one received packet.
 enum Fate {
     Drop,
     Forward {
@@ -353,113 +346,115 @@ fn decide(state: &mut State, src: NodeId, dst: NodeId, is_bulk: bool) -> Fate {
     }
 }
 
-fn spawn_reader(
-    sock: UdpSocket,
-    dst: NodeId,
-    state: Arc<Mutex<State>>,
-    delay_q: Arc<(Mutex<BinaryHeap<Delayed>>, Condvar)>,
-    out: Arc<UdpSocket>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("procher-proxy-{dst}"))
-        .spawn(move || {
-            let mut buf = vec![0u8; MAX_DGRAM];
-            let mut seq = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                let n = match sock.recv_from(&mut buf) {
-                    Ok((n, _)) => n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => return,
-                };
-                let fate = {
-                    let mut s = state.lock().unwrap();
-                    match decode_wire(&buf[..n], Addr::primary(dst)) {
-                        None => {
-                            s.stats.undecodable += 1;
-                            Fate::Drop
-                        }
-                        Some(d) => {
-                            let is_bulk = raincore_sim::is_bulk_frame(&d.payload);
-                            decide(&mut s, d.src.node, dst, is_bulk)
-                        }
-                    }
-                };
-                let Fate::Forward {
-                    to,
-                    copies,
-                    delay,
-                    not_before,
-                } = fate
-                else {
-                    continue;
-                };
-                for _ in 0..copies {
-                    if delay.is_zero() && not_before.is_none() {
-                        let _ = out.send_to(&buf[..n], to);
-                    } else {
-                        // Everything a stall holds for this node falls due
-                        // at one instant, and leaves in `seq` order.
-                        seq += 1;
-                        let mut q = delay_q.0.lock().unwrap();
-                        q.push(Delayed {
-                            due: not_before.unwrap_or_else(Instant::now) + delay,
-                            seq,
-                            buf: buf[..n].to_vec(),
-                            to,
-                        });
-                        delay_q.1.notify_one();
-                    }
-                }
-            }
-        })
-        .expect("spawn proxy reader thread")
+/// What the pump thread owns: the stand-in sockets and what it holds back.
+struct Pump {
+    io: BatchIo,
+    stand_ins: Vec<Addr>,
+    /// Send-only sockets for in-band sources with no stand-in (a peer
+    /// outside `ids`, as in the unit tests), bound on first sight.
+    foreign: HashMap<Addr, BatchIo>,
+    /// Datagrams held by a delay, a reorder or a stall, in the order they
+    /// fall due.
+    held: BTreeMap<(Instant, u64), Datagram>,
+    seq: u64,
 }
 
-fn spawn_pump(
-    delay_q: Arc<(Mutex<BinaryHeap<Delayed>>, Condvar)>,
-    out: Arc<UdpSocket>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("procher-proxy-pump".to_string())
-        .spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                let mut due: Vec<Delayed> = Vec::new();
-                {
-                    let mut q = delay_q.0.lock().unwrap();
-                    let now = Instant::now();
-                    while q.peek().is_some_and(|d| d.due <= now) {
-                        due.push(q.pop().expect("peeked"));
-                    }
-                    if due.is_empty() {
-                        let wait = q
-                            .peek()
-                            .map(|d| d.due.saturating_duration_since(now))
-                            .unwrap_or(Duration::from_millis(5))
-                            .min(Duration::from_millis(5));
-                        let _ = delay_q.1.wait_timeout(q, wait);
-                    }
+impl Pump {
+    fn run(mut self, state: &Mutex<State>) {
+        let (mut inbox, mut out) = (Vec::new(), Vec::new());
+        loop {
+            let wait = self.held.keys().next().map_or(IDLE_WAIT, |&(due, _)| {
+                due.saturating_duration_since(Instant::now())
+            });
+            self.io.recv_batch(&mut inbox, wait);
+            {
+                let mut s = state.lock().expect("a proxy control call panicked");
+                if s.stop {
+                    return;
                 }
-                for d in due {
-                    // Already counted as forwarded when queued.
-                    let _ = out.send_to(&d.buf, d.to);
+                for d in inbox.drain(..) {
+                    self.route(&mut s, d, &mut out);
                 }
             }
-        })
-        .expect("spawn proxy pump thread")
+            let now = Instant::now();
+            while let Some(due) = self.held.first_entry().filter(|e| e.key().0 <= now) {
+                out.push(due.remove());
+            }
+            self.send(&mut out);
+        }
+    }
+
+    /// Decides one received datagram's fate: into `out` now, held, or
+    /// dropped.
+    fn route(&mut self, s: &mut State, d: Datagram, out: &mut Vec<Datagram>) {
+        let Some(io) = self.engine(d.src) else {
+            s.stats.dropped_blocked += 1;
+            return;
+        };
+        let is_bulk = raincore_sim::is_bulk_frame(&d.payload);
+        let Fate::Forward {
+            to,
+            copies,
+            delay,
+            not_before,
+        } = decide(s, d.src.node, d.dst.node, is_bulk)
+        else {
+            return;
+        };
+        io.add_peer(d.dst, to);
+        if delay.is_zero() && not_before.is_none() {
+            out.extend(std::iter::repeat_n(d, copies as usize));
+            return;
+        }
+        // A held datagram owns its bytes, so it pins no receive block.
+        let d = Datagram {
+            payload: Bytes::copy_from_slice(&d.payload),
+            ..d
+        };
+        // Everything a stall holds for this node falls due at one instant,
+        // and leaves in `seq` order.
+        let due = not_before.unwrap_or_else(Instant::now) + delay;
+        for _ in 0..copies {
+            self.seq += 1;
+            self.held.insert((due, self.seq), d.clone());
+        }
+    }
+
+    /// The engine whose socket sends as `src`.
+    fn engine(&mut self, src: Addr) -> Option<&mut BatchIo> {
+        if self.stand_ins.contains(&src) {
+            return Some(&mut self.io);
+        }
+        match self.foreign.entry(src) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(e) => {
+                let net = UdpNet::bind(&[(src, LOOPBACK)], HashMap::new()).ok()?;
+                Some(e.insert(net.into_batch_io(BatchConfig::default()).ok()?))
+            }
+        }
+    }
+
+    /// Sends and empties `out`, each datagram from its source's socket.
+    fn send(&mut self, out: &mut Vec<Datagram>) {
+        out.retain(|d| match self.foreign.get_mut(&d.src) {
+            Some(io) => {
+                io.send_batch(std::slice::from_ref(d));
+                false
+            }
+            None => true,
+        });
+        self.io.send_batch(out);
+        out.clear();
+    }
 }
 
 #[cfg(test)]
+// The tests play the nodes on either side of the proxy, on plain sockets.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use raincore_net::{encode_wire, Datagram};
+    use raincore_net::encode_wire;
+    use std::net::UdpSocket;
 
     fn wire(src: u32, payload: &'static [u8]) -> Vec<u8> {
         encode_wire(&Datagram::control(

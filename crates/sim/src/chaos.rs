@@ -512,33 +512,38 @@ impl ChaosConfig {
     }
 
     /// Parses a `key=value` config line produced by [`Self::header_line`].
-    /// Unknown keys are ignored; missing keys keep their defaults.
+    /// Missing keys keep their defaults; an unknown key, a `seeded_fault`
+    /// other than `true`/`false` or a number that does not fit its field
+    /// is an error, so a replay never runs a different world than the
+    /// dump recorded.
     pub fn from_header_line(line: &str) -> std::result::Result<Self, String> {
+        fn num<T: FromStr>(pair: &str, v: &str) -> std::result::Result<T, String> {
+            v.parse().map_err(|_| format!("bad value: {pair:?}"))
+        }
         let mut cfg = ChaosConfig::default();
         for pair in line.split_whitespace() {
             let Some((k, v)) = pair.split_once('=') else {
                 return Err(format!("malformed config pair: {pair:?}"));
             };
-            let num = || v.parse::<u64>().map_err(|_| format!("bad value: {pair:?}"));
             match k {
-                "nodes" => cfg.nodes = num()? as u32,
-                "nics" => cfg.nics = num()? as u8,
-                "seed" => cfg.seed = num()?,
+                "nodes" => cfg.nodes = num(pair, v)?,
+                "nics" => cfg.nics = num(pair, v)?,
+                "seed" => cfg.seed = num(pair, v)?,
                 "scenario" => cfg.scenario = v.parse()?,
-                "ticks" => cfg.ticks = num()?,
-                "tick_us" => cfg.tick = Duration::from_micros(num()?),
-                "warmup" => cfg.warmup_ticks = num()?,
-                "fault_period" => cfg.fault_period = num()?,
-                "workload" => cfg.workload_period = num()?,
-                "grace" => cfg.grace_ticks = num()?,
-                "token_bound" => cfg.token_bound_ticks = num()?,
-                "conv_bound" => cfg.convergence_bound_ticks = num()?,
-                "post" => cfg.post_ticks = num()?,
-                "seeded_fault" => cfg.seeded_fault = v == "true",
-                "bulk_threshold" => cfg.bulk_threshold = num()? as usize,
-                "pad" => cfg.payload_pad = num()? as usize,
-                "delay_spike" => cfg.delay_spike = num()?,
-                _ => {}
+                "ticks" => cfg.ticks = num(pair, v)?,
+                "tick_us" => cfg.tick = Duration::from_micros(num(pair, v)?),
+                "warmup" => cfg.warmup_ticks = num(pair, v)?,
+                "fault_period" => cfg.fault_period = num(pair, v)?,
+                "workload" => cfg.workload_period = num(pair, v)?,
+                "grace" => cfg.grace_ticks = num(pair, v)?,
+                "token_bound" => cfg.token_bound_ticks = num(pair, v)?,
+                "conv_bound" => cfg.convergence_bound_ticks = num(pair, v)?,
+                "post" => cfg.post_ticks = num(pair, v)?,
+                "seeded_fault" => cfg.seeded_fault = num(pair, v)?,
+                "bulk_threshold" => cfg.bulk_threshold = num(pair, v)?,
+                "pad" => cfg.payload_pad = num(pair, v)?,
+                "delay_spike" => cfg.delay_spike = num(pair, v)?,
+                _ => return Err(format!("unknown config key: {pair:?}")),
             }
         }
         Ok(cfg)
@@ -1257,6 +1262,30 @@ mod tests {
             let text = e.to_string();
             let back: ChaosEvent = text.parse().unwrap_or_else(|err| panic!("{text}: {err}"));
             assert_eq!(&back, e, "{text}");
+        }
+    }
+
+    #[test]
+    fn header_line_rejects_what_it_cannot_replay_exactly() {
+        let line = ChaosConfig::default().header_line();
+        assert!(ChaosConfig::from_header_line(&line).is_ok());
+        for (bad, why) in [
+            (format!("{line} jitter=3"), "an unknown key"),
+            (
+                line.replace("seeded_fault=false", "seeded_fault=yes"),
+                "a flag that is not true/false",
+            ),
+            (line.replace("nics=2", "nics=300"), "a NIC count past u8"),
+            (
+                line.replace("nodes=5", "nodes=4294967301"),
+                "a node count past u32",
+            ),
+        ] {
+            assert_ne!(bad, line, "{why}: the default line changed");
+            assert!(
+                ChaosConfig::from_header_line(&bad).is_err(),
+                "{why} was accepted: {bad}"
+            );
         }
     }
 

@@ -74,14 +74,14 @@ leg_lint() {
   echo "==> clippy (seeded fixture must fail on every protocol rule family)"
   # The protocol rules are clippy lints (DESIGN.md §6b), so the clippy leg
   # above is the lint leg. This one is its non-vacuity gate: a crate
-  # outside the workspace with one unwrap, one Instant and one wildcard arm
-  # must be rejected for all three.
+  # outside the workspace with one unwrap, one Instant, one wildcard arm
+  # and one UdpSocket::bind must be rejected for all four.
   if fixture=$(CARGO_TARGET_DIR=target/lint-fixture cargo clippy --quiet \
     --manifest-path scripts/lint-fixture/Cargo.toml -- -D warnings 2>&1); then
     echo "clippy accepted the seeded fixture crate" >&2
     exit 1
   fi
-  for lint in unwrap_used disallowed_types wildcard_enum_match_arm; do
+  for lint in unwrap_used disallowed_types wildcard_enum_match_arm disallowed_methods; do
     if ! grep -q "#$lint" <<<"$fixture"; then
       echo "clippy did not flag $lint in the seeded fixture crate" >&2
       exit 1

@@ -13,6 +13,15 @@ use raincore::session::SessionEvent;
 use raincore::types::{DeliveryMode, Duration, NodeId, SessionConfig, TransportConfig};
 use std::time::{Duration as Wall, Instant};
 
+// A node is shared by reference across scoped threads
+// (`benchmark/src/drive.rs`, `tests/detection_timers.rs`), so it must stay
+// `Send + Sync`. A `std::sync::mpsc::Receiver` inside it is `!Sync`; this
+// fails to compile if one gets in unguarded.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<RuntimeNode>();
+};
+
 fn cfg(n: u32) -> SessionConfig {
     let mut cfg = SessionConfig::for_cluster(n);
     cfg.token_hold = Duration::from_millis(5);
