@@ -8,7 +8,13 @@
 //! hand-rolled JSON reader scoped to exactly the documents `export.rs` and
 //! `trace.rs` emit: objects, arrays, strings with the escapes `json_escape`
 //! produces, booleans, `null`, and *integer* numbers (nothing in our
-//! exports is fractional).
+//! exports is fractional). Nesting is bounded (`MAX_DEPTH`), so any file
+//! handed to `tracectl` fails with a [`JsonError`], never a stack overflow.
+//!
+//! Every typed field is read by one function, `field`. A journal event's
+//! fields are not listed here: [`parse_journal_json`] reads the
+//! `t_ns`/`node`/`event` header and hands the rest to the reader the
+//! event table in `trace.rs` generates, from the same row as the writer.
 //!
 //! [`TraceJournal::render_json`]: crate::TraceJournal::render_json
 
@@ -50,6 +56,7 @@ impl JsonValue {
         let mut p = Parser {
             b: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -113,9 +120,16 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest. Our deepest export nests 4
+/// (`{"metrics":[{"labels":{}}]}`); the bound keeps a hostile file from
+/// overflowing the stack of the recursive reader.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -157,8 +171,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.eat_lit("true").map(|()| JsonValue::Bool(true)),
             Some(b'f') => self.eat_lit("false").map(|()| JsonValue::Bool(false)),
@@ -166,6 +180,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nest too deeply"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -309,25 +338,40 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn field_u64(obj: &JsonValue, key: &str, pos: usize) -> Result<u64, JsonError> {
-    obj.get(key).and_then(JsonValue::as_u64).ok_or(JsonError {
-        pos,
-        msg: format!("missing or non-integer field {key:?}"),
-    })
+/// A scalar an export field holds: the one typed field reader
+/// ([`field`]) reads any of them.
+pub(crate) trait Scalar: Sized {
+    /// What the error names when a field is missing or of another type.
+    const WHAT: &'static str;
+    fn from_json(v: &JsonValue) -> Option<Self>;
 }
 
-fn field_u32(obj: &JsonValue, key: &str, pos: usize) -> Result<u32, JsonError> {
-    obj.get(key).and_then(JsonValue::as_u32).ok_or(JsonError {
-        pos,
-        msg: format!("missing or non-integer field {key:?}"),
-    })
+macro_rules! scalars {
+    ($($ty:ty: $what:literal $get:ident),*) => {$(
+        impl Scalar for $ty {
+            const WHAT: &'static str = $what;
+            fn from_json(v: &JsonValue) -> Option<Self> {
+                v.$get()
+            }
+        }
+    )*};
 }
 
-fn field_bool(obj: &JsonValue, key: &str, pos: usize) -> Result<bool, JsonError> {
-    obj.get(key).and_then(JsonValue::as_bool).ok_or(JsonError {
-        pos,
-        msg: format!("missing or non-boolean field {key:?}"),
-    })
+scalars!(
+    u64: "integer" as_u64,
+    u32: "integer" as_u32,
+    i64: "integer" as_i64,
+    bool: "boolean" as_bool
+);
+
+/// Field `key` of object `obj` as a `T`; `pos` locates the error.
+pub(crate) fn field<T: Scalar>(obj: &JsonValue, key: &str, pos: usize) -> Result<T, JsonError> {
+    obj.get(key)
+        .and_then(T::from_json)
+        .ok_or_else(|| JsonError {
+            pos,
+            msg: format!("missing or non-{} field {key:?}", T::WHAT),
+        })
 }
 
 impl Snapshot {
@@ -371,22 +415,17 @@ impl Snapshot {
                 msg: "metric entry missing \"type\"".to_string(),
             })?;
             let value = match kind {
-                "counter" => SnapshotValue::Counter(field_u64(m, "value", 0)?),
-                "gauge" => SnapshotValue::Gauge(m.get("value").and_then(JsonValue::as_i64).ok_or(
-                    JsonError {
-                        pos: 0,
-                        msg: "gauge missing integer \"value\"".to_string(),
-                    },
-                )?),
+                "counter" => SnapshotValue::Counter(field(m, "value", 0)?),
+                "gauge" => SnapshotValue::Gauge(field(m, "value", 0)?),
                 "histogram" => SnapshotValue::Histogram {
                     summary: HistSummary {
-                        count: field_u64(m, "count", 0)?,
-                        sum: field_u64(m, "sum", 0)?,
-                        min: field_u64(m, "min", 0)?,
-                        max: field_u64(m, "max", 0)?,
-                        p50: field_u64(m, "p50", 0)?,
-                        p90: field_u64(m, "p90", 0)?,
-                        p99: field_u64(m, "p99", 0)?,
+                        count: field(m, "count", 0)?,
+                        sum: field(m, "sum", 0)?,
+                        min: field(m, "min", 0)?,
+                        max: field(m, "max", 0)?,
+                        p50: field(m, "p50", 0)?,
+                        p90: field(m, "p90", 0)?,
+                        p99: field(m, "p99", 0)?,
                     },
                     buckets: Vec::new(),
                 },
@@ -443,8 +482,8 @@ pub fn parse_journal_json(input: &str) -> Result<Vec<TraceEvent>, JsonError> {
     })?;
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let t_ns = field_u64(item, "t_ns", i)?;
-        let node = field_u32(item, "node", i)?;
+        let t_ns = field(item, "t_ns", i)?;
+        let node = field(item, "node", i)?;
         let label = item
             .get("event")
             .and_then(JsonValue::as_str)
@@ -452,127 +491,7 @@ pub fn parse_journal_json(input: &str) -> Result<Vec<TraceEvent>, JsonError> {
                 pos: i,
                 msg: "journal event missing \"event\" label".to_string(),
             })?;
-        let kind = match label {
-            "TOKEN_RX" => TraceKind::TokenRx {
-                seq: field_u64(item, "seq", i)?,
-                hop: field_u64(item, "hop", i)?,
-                members: field_u64(item, "members", i)?,
-                waited_ns: field_u64(item, "waited_ns", i)?,
-            },
-            "TOKEN_TX" => TraceKind::TokenTx {
-                seq: field_u64(item, "seq", i)?,
-                to: field_u32(item, "to", i)?,
-            },
-            "TOKEN_STALE" => TraceKind::TokenStale {
-                seq: field_u64(item, "seq", i)?,
-                newest: field_u64(item, "newest", i)?,
-            },
-            "TOKEN_REGEN" => TraceKind::TokenRegenerated {
-                seq: field_u64(item, "seq", i)?,
-            },
-            "CALL911_TX" => TraceKind::Call911Tx {
-                req_id: field_u64(item, "req_id", i)?,
-                last_seq: field_u64(item, "last_seq", i)?,
-                polled: field_u64(item, "polled", i)?,
-            },
-            "CALL911_RX" => TraceKind::Call911Rx {
-                from: field_u32(item, "from", i)?,
-                last_seq: field_u64(item, "last_seq", i)?,
-            },
-            "VERDICT_TX" => TraceKind::Verdict911Tx {
-                to: field_u32(item, "to", i)?,
-                granted: field_bool(item, "granted", i)?,
-                newer_seq: field_u64(item, "newer_seq", i)?,
-            },
-            "VERDICT_RX" => TraceKind::Verdict911Rx {
-                from: field_u32(item, "from", i)?,
-                granted: field_bool(item, "granted", i)?,
-            },
-            "RECOVERED911" => TraceKind::Recovered911 {
-                duration_ns: field_u64(item, "duration_ns", i)?,
-                seq: field_u64(item, "seq", i)?,
-            },
-            "JOIN_REQ" => TraceKind::JoinRequest {
-                from: field_u32(item, "from", i)?,
-            },
-            "BEACON_RX" => TraceKind::BeaconRx {
-                from: field_u32(item, "from", i)?,
-                group: field_u32(item, "group", i)?,
-            },
-            "MERGE_HANDOFF" => TraceKind::MergeHandoff {
-                to: field_u32(item, "to", i)?,
-            },
-            "MERGED" => TraceKind::Merged {
-                absorbed_group: field_u32(item, "absorbed_group", i)?,
-            },
-            "DELIVER" => TraceKind::Delivered {
-                origin: field_u32(item, "origin", i)?,
-                seq: field_u64(item, "seq", i)?,
-                safe: field_bool(item, "safe", i)?,
-            },
-            "SAFE_HELD" => TraceKind::SafeHeld {
-                origin: field_u32(item, "origin", i)?,
-                seq: field_u64(item, "seq", i)?,
-            },
-            "ATOMIC" => TraceKind::AtomicRetired {
-                seq: field_u64(item, "seq", i)?,
-            },
-            "PEER_FAILED" => TraceKind::PeerFailed {
-                peer: field_u32(item, "peer", i)?,
-            },
-            "PROBE_TX" => TraceKind::ProbeTx {
-                to: field_u32(item, "to", i)?,
-            },
-            "PROBE_ACKED" => TraceKind::ProbeAcked {
-                to: field_u32(item, "to", i)?,
-            },
-            "SHUTDOWN" => TraceKind::ShutDown,
-            "HOP_SPAN" => TraceKind::HopSpan {
-                circ: field_u64(item, "circ", i)?,
-                hop: field_u64(item, "hop", i)?,
-                parent: field_u64(item, "parent", i)?,
-                recv_ns: field_u64(item, "recv_ns", i)?,
-                decode_ns: field_u64(item, "decode_ns", i)?,
-                protocol_ns: field_u64(item, "protocol_ns", i)?,
-                encode_ns: field_u64(item, "encode_ns", i)?,
-                send_ns: field_u64(item, "send_ns", i)?,
-            },
-            "EARLY_PASS" => TraceKind::EarlyPass {
-                circ: field_u64(item, "circ", i)?,
-                hop: field_u64(item, "hop", i)?,
-                held_ns: field_u64(item, "held_ns", i)?,
-                load: field_u64(item, "load", i)?,
-            },
-            "CAUSE_STARVING" => TraceKind::CauseStarving {
-                circ: field_u64(item, "circ", i)?,
-                hop: field_u64(item, "hop", i)?,
-            },
-            "CAUSE_911" => TraceKind::Cause911 {
-                circ: field_u64(item, "circ", i)?,
-                hop: field_u64(item, "hop", i)?,
-                req_id: field_u64(item, "req_id", i)?,
-            },
-            "CAUSE_MEMBER" => TraceKind::CauseMember {
-                circ: field_u64(item, "circ", i)?,
-                hop: field_u64(item, "hop", i)?,
-                member: field_u32(item, "member", i)?,
-                added: field_bool(item, "added", i)?,
-            },
-            "CAUSE_REGEN" => TraceKind::CauseRegen {
-                circ: field_u64(item, "circ", i)?,
-                hop: field_u64(item, "hop", i)?,
-                new_circ: field_u64(item, "new_circ", i)?,
-            },
-            "GAP" => TraceKind::Gap {
-                dropped: field_u64(item, "dropped", i)?,
-            },
-            other => {
-                return Err(JsonError {
-                    pos: i,
-                    msg: format!("unknown journal event label {other:?}"),
-                })
-            }
-        };
+        let kind = TraceKind::read_json(label, item, i)?;
         out.push(TraceEvent { t_ns, node, kind });
     }
     Ok(out)
@@ -686,6 +605,16 @@ mod tests {
         ));
         // Re-export must be byte-identical: the parser loses nothing.
         assert_eq!(render_events_json(&events), exported);
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let err = JsonValue::parse(&"[".repeat(1_000_000)).expect_err("a million open arrays");
+        assert!(err.msg.contains("nest too deeply"), "{err}");
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_bound).is_ok());
+        assert!(JsonValue::parse(&format!("[{at_bound}]")).is_err());
+        assert!(JsonValue::parse(r#"{"metrics":[{"labels":{}}]}"#).is_ok());
     }
 
     #[test]

@@ -25,67 +25,53 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What a flight record captures. One byte on the wire-side packing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecKind {
+/// Declares [`RecKind`] and its one ordered table of labels: a row's
+/// position is its discriminant, the byte a slot stores.
+macro_rules! rec_kinds {
+    ($($(#[$doc:meta])* $kind:ident $label:literal,)*) => {
+        /// What a flight record captures. One byte on the wire-side packing.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum RecKind {
+            $($(#[$doc])* $kind,)*
+        }
+
+        /// Every kind with its dump label, in discriminant order.
+        const KINDS: &[(RecKind, &str)] = &[$((RecKind::$kind, $label),)*];
+    };
+}
+
+rec_kinds! {
     /// Token hop accepted (a=token seq, b=members).
-    HopRecv,
+    HopRecv "HOP_RECV",
     /// Token hop passed onward (a=token seq, b=stage total ns).
-    HopSend,
+    HopSend "HOP_SEND",
     /// Node entered STARVING (a=ticks hungry, b=0).
-    Starving,
+    Starving "STARVING",
     /// 911 regeneration request sent (a=req id, b=last seen seq).
-    Call911,
+    Call911 "CALL_911",
     /// Token regenerated (a=new circ, b=new seq).
-    Regen,
+    Regen "REGEN",
     /// Membership changed (a=member id, b=1 added / 0 removed).
-    Member,
+    Member "MEMBER",
     /// Node shut down or was killed (a=b=0).
-    Shutdown,
+    Shutdown "SHUTDOWN",
     /// An oracle / invariant violation was raised (a=b=0).
-    Violation,
+    Violation "VIOLATION",
 }
 
 impl RecKind {
     /// Stable uppercase label for dumps.
     pub fn label(&self) -> &'static str {
-        match self {
-            RecKind::HopRecv => "HOP_RECV",
-            RecKind::HopSend => "HOP_SEND",
-            RecKind::Starving => "STARVING",
-            RecKind::Call911 => "CALL_911",
-            RecKind::Regen => "REGEN",
-            RecKind::Member => "MEMBER",
-            RecKind::Shutdown => "SHUTDOWN",
-            RecKind::Violation => "VIOLATION",
-        }
+        KINDS[*self as usize].1
     }
 
     fn to_u8(self) -> u8 {
-        match self {
-            RecKind::HopRecv => 0,
-            RecKind::HopSend => 1,
-            RecKind::Starving => 2,
-            RecKind::Call911 => 3,
-            RecKind::Regen => 4,
-            RecKind::Member => 5,
-            RecKind::Shutdown => 6,
-            RecKind::Violation => 7,
-        }
+        self as u8
     }
 
     fn from_u8(v: u8) -> Option<RecKind> {
-        Some(match v {
-            0 => RecKind::HopRecv,
-            1 => RecKind::HopSend,
-            2 => RecKind::Starving,
-            3 => RecKind::Call911,
-            4 => RecKind::Regen,
-            5 => RecKind::Member,
-            6 => RecKind::Shutdown,
-            7 => RecKind::Violation,
-            _ => return None,
-        })
+        KINDS.get(usize::from(v)).map(|&(kind, _)| kind)
     }
 }
 

@@ -10,8 +10,19 @@
 //! Journals are deliberately cheap: pushing is a `VecDeque` append with no
 //! allocation beyond the event itself, and old events are dropped (counted)
 //! rather than blocking. Renderers produce a pretty text table or JSON.
+//!
+//! Each event kind is declared once, as one row of the `trace_kinds!`
+//! table below: its rustdoc, variant name, uppercase label and typed
+//! fields. The enum, the label, the JSON writer and the JSON reader
+//! ([`parse_journal_json`](crate::parse_journal_json)) all come from that
+//! row, and every JSON key is its field's name, so no kind can be written
+//! one way and read another. Only the human text line (`detail`) is
+//! written by hand, one exhaustive arm per kind.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
+
+use crate::parse::{field, JsonError, JsonValue};
 
 /// One structured protocol event, stamped with node id and time.
 ///
@@ -25,149 +36,147 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// What happened. Variants carry the token-seq / peer causality needed to
-/// reconstruct an incident post-mortem.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Accepted a token and entered EATING. `hop` is this node's position in
-    /// the ring; `waited_ns` the HUNGRY→EATING wait (0 when the token
-    /// arrived outside a hungry period, e.g. a regeneration).
-    TokenRx {
-        seq: u64,
-        hop: u64,
-        members: u64,
-        waited_ns: u64,
-    },
-    /// Forwarded the token to `to`.
-    TokenTx { seq: u64, to: u32 },
-    /// Dropped a stale token (duplicate-token elimination).
-    TokenStale { seq: u64, newest: u64 },
-    /// Regenerated the token from the local copy after winning a 911 vote.
-    TokenRegenerated { seq: u64 },
-    /// Sent a 911 call to `polled` members, quoting our last copy's seq.
-    Call911Tx {
-        req_id: u64,
-        last_seq: u64,
-        polled: u64,
-    },
-    /// Received a 911 call from a member.
-    Call911Rx { from: u32, last_seq: u64 },
-    /// Voted on a 911 call. `newer_seq` is the evidence quoted on a denial.
-    Verdict911Tx {
-        to: u32,
-        granted: bool,
-        newer_seq: u64,
-    },
-    /// Received a 911 verdict.
-    Verdict911Rx { from: u32, granted: bool },
-    /// Completed a 911 recovery: starvation began `duration_ns` ago, the
-    /// regenerated token carries `seq`.
-    Recovered911 { duration_ns: u64, seq: u64 },
-    /// A non-member's 911 interpreted as a join request.
-    JoinRequest { from: u32 },
-    /// Received a discovery beacon (BODYODOR) from another group.
-    BeaconRx { from: u32, group: u32 },
-    /// Handed our token (flagged TBM) to a lower group for merging.
-    MergeHandoff { to: u32 },
-    /// Absorbed another group's token into ours.
-    Merged { absorbed_group: u32 },
-    /// Delivered a multicast to the application, in token order.
-    Delivered { origin: u32, seq: u64, safe: bool },
-    /// A safe-mode message entered the hold-back queue not yet deliverable.
-    SafeHeld { origin: u32, seq: u64 },
-    /// Our own multicast became atomic (retired from the token).
-    AtomicRetired { seq: u64 },
-    /// Transport reported failure-on-delivery for `peer`.
-    PeerFailed { peer: u32 },
-    /// HUNGRY past the probe limit: asked `to`, the member our last
-    /// acknowledged pass went to, whether it is there.
-    ProbeTx { to: u32 },
-    /// `to` acknowledged the probe: alive, the token merely late.
-    ProbeAcked { to: u32 },
-    /// Node shut down.
-    ShutDown,
-    /// One complete token hop as a cross-node span: the wire-level trace
-    /// context (`circ`/`hop`/`parent`) plus the five pipeline stage
-    /// durations. Stage values are 0 when no stage clock is injected
-    /// (the deterministic simulator); causality is always populated.
-    HopSpan {
-        circ: u64,
-        hop: u64,
-        parent: u64,
-        recv_ns: u64,
-        decode_ns: u64,
-        protocol_ns: u64,
-        encode_ns: u64,
-        send_ns: u64,
-    },
-    /// The pacing rule cut the hold of hop `(circ, hop)` short: the token
-    /// was full, so it left `held_ns` after acceptance instead of waiting
-    /// out `token_hold`. `load` is the freight that released it — the
-    /// bytes the held token ordered plus those queued to board, an
-    /// out-of-band entry that is a full token's worth by itself counted
-    /// as its payload (DESIGN.md §16.1) — so a
-    /// 300-byte token that leaves after 40 µs explains itself.
-    EarlyPass {
-        circ: u64,
-        hop: u64,
-        held_ns: u64,
-        load: u64,
-    },
-    /// STARVING was entered; `(circ, hop)` names the last hop this node
-    /// observed before the token went missing — the causal suspect.
-    CauseStarving { circ: u64, hop: u64 },
-    /// A 911 call was raised; `(circ, hop)` is the hop whose
-    /// non-arrival triggered it, `req_id` links to the `Call911Tx`.
-    Cause911 { circ: u64, hop: u64, req_id: u64 },
-    /// Membership changed; `(circ, hop)` is the hop that carried the
-    /// change. `added` distinguishes join from removal.
-    CauseMember {
-        circ: u64,
-        hop: u64,
-        member: u32,
-        added: bool,
-    },
-    /// A regeneration/merge minted circulation `new_circ`; `(circ, hop)`
-    /// is the parent lineage's last observed hop.
-    CauseRegen { circ: u64, hop: u64, new_circ: u64 },
-    /// Synthetic marker: `dropped` earlier events were evicted from a
-    /// bounded journal before this point — the record has a hole here.
-    Gap { dropped: u64 },
+/// Declares the journal's event enum from one table. A row is a variant's
+/// rustdoc, name, label and fields (each a `u64`, `u32` or `bool`); from it
+/// come the variant, its `label`, its `"field":value` JSON writer and the
+/// matching arm of the crate-private reader `read_json`.
+macro_rules! trace_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$doc:meta])* $kind:ident $label:literal $({ $($field:ident: $ty:ty),* })?,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$doc])* $kind $({ $($field: $ty),* })?,)*
+        }
+
+        impl $name {
+            fn label(&self) -> &'static str {
+                match self {
+                    $($name::$kind { .. } => $label,)*
+                }
+            }
+
+            /// Appends `,"field":value` for every field, in declaration order.
+            fn write_json_fields(&self, out: &mut String) {
+                match self {
+                    $($name::$kind $({ $($field),* })? => {
+                        $($(
+                            let key = concat!(",\"", stringify!($field), "\":");
+                            let _ = write!(out, "{key}{}", $field);
+                        )*)?
+                    })*
+                }
+            }
+
+            /// Rebuilds the kind labelled `label` from the fields of journal
+            /// object `obj`; `pos` (the object's index) locates an error.
+            pub(crate) fn read_json(
+                label: &str,
+                obj: &JsonValue,
+                pos: usize,
+            ) -> Result<$name, JsonError> {
+                Ok(match label {
+                    $($label => $name::$kind $({
+                        $($field: field(obj, stringify!($field), pos)?),*
+                    })?,)*
+                    other => {
+                        let msg = format!("unknown journal event label {other:?}");
+                        return Err(JsonError { pos, msg });
+                    }
+                })
+            }
+        }
+    };
+}
+
+trace_kinds! {
+    /// What happened. Variants carry the token-seq / peer causality needed to
+    /// reconstruct an incident post-mortem.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum TraceKind {
+        /// Accepted a token and entered EATING. `hop` is this node's position in
+        /// the ring; `waited_ns` the HUNGRY→EATING wait (0 when the token
+        /// arrived outside a hungry period, e.g. a regeneration).
+        TokenRx "TOKEN_RX" { seq: u64, hop: u64, members: u64, waited_ns: u64 },
+        /// Forwarded the token to `to`.
+        TokenTx "TOKEN_TX" { seq: u64, to: u32 },
+        /// Dropped a stale token (duplicate-token elimination).
+        TokenStale "TOKEN_STALE" { seq: u64, newest: u64 },
+        /// Regenerated the token from the local copy after winning a 911 vote.
+        TokenRegenerated "TOKEN_REGEN" { seq: u64 },
+        /// Sent a 911 call to `polled` members, quoting our last copy's seq.
+        Call911Tx "CALL911_TX" { req_id: u64, last_seq: u64, polled: u64 },
+        /// Received a 911 call from a member.
+        Call911Rx "CALL911_RX" { from: u32, last_seq: u64 },
+        /// Voted on a 911 call. `newer_seq` is the evidence quoted on a denial.
+        Verdict911Tx "VERDICT_TX" { to: u32, granted: bool, newer_seq: u64 },
+        /// Received a 911 verdict.
+        Verdict911Rx "VERDICT_RX" { from: u32, granted: bool },
+        /// Completed a 911 recovery: starvation began `duration_ns` ago, the
+        /// regenerated token carries `seq`.
+        Recovered911 "RECOVERED911" { duration_ns: u64, seq: u64 },
+        /// A non-member's 911 interpreted as a join request.
+        JoinRequest "JOIN_REQ" { from: u32 },
+        /// Received a discovery beacon (BODYODOR) from another group.
+        BeaconRx "BEACON_RX" { from: u32, group: u32 },
+        /// Handed our token (flagged TBM) to a lower group for merging.
+        MergeHandoff "MERGE_HANDOFF" { to: u32 },
+        /// Absorbed another group's token into ours.
+        Merged "MERGED" { absorbed_group: u32 },
+        /// Delivered a multicast to the application, in token order.
+        Delivered "DELIVER" { origin: u32, seq: u64, safe: bool },
+        /// A safe-mode message entered the hold-back queue not yet deliverable.
+        SafeHeld "SAFE_HELD" { origin: u32, seq: u64 },
+        /// Our own multicast became atomic (retired from the token).
+        AtomicRetired "ATOMIC" { seq: u64 },
+        /// Transport reported failure-on-delivery for `peer`.
+        PeerFailed "PEER_FAILED" { peer: u32 },
+        /// HUNGRY past the probe limit: asked `to`, the member our last
+        /// acknowledged pass went to, whether it is there.
+        ProbeTx "PROBE_TX" { to: u32 },
+        /// `to` acknowledged the probe: alive, the token merely late.
+        ProbeAcked "PROBE_ACKED" { to: u32 },
+        /// Node shut down.
+        ShutDown "SHUTDOWN",
+        /// One complete token hop as a cross-node span: the wire-level trace
+        /// context (`circ`/`hop`/`parent`) plus the five pipeline stage
+        /// durations. Stage values are 0 when no stage clock is injected
+        /// (the deterministic simulator); causality is always populated.
+        HopSpan "HOP_SPAN" {
+            circ: u64, hop: u64, parent: u64,
+            recv_ns: u64, decode_ns: u64, protocol_ns: u64, encode_ns: u64, send_ns: u64
+        },
+        /// The pacing rule cut the hold of hop `(circ, hop)` short: the token
+        /// was full, so it left `held_ns` after acceptance instead of waiting
+        /// out `token_hold`. `load` is the freight that released it — the
+        /// bytes the held token ordered plus those queued to board, an
+        /// out-of-band entry that is a full token's worth by itself counted
+        /// as its payload (DESIGN.md §16.1) — so a
+        /// 300-byte token that leaves after 40 µs explains itself.
+        EarlyPass "EARLY_PASS" { circ: u64, hop: u64, held_ns: u64, load: u64 },
+        /// STARVING was entered; `(circ, hop)` names the last hop this node
+        /// observed before the token went missing — the causal suspect.
+        CauseStarving "CAUSE_STARVING" { circ: u64, hop: u64 },
+        /// A 911 call was raised; `(circ, hop)` is the hop whose
+        /// non-arrival triggered it, `req_id` links to the `Call911Tx`.
+        Cause911 "CAUSE_911" { circ: u64, hop: u64, req_id: u64 },
+        /// Membership changed; `(circ, hop)` is the hop that carried the
+        /// change. `added` distinguishes join from removal.
+        CauseMember "CAUSE_MEMBER" { circ: u64, hop: u64, member: u32, added: bool },
+        /// A regeneration/merge minted circulation `new_circ`; `(circ, hop)`
+        /// is the parent lineage's last observed hop.
+        CauseRegen "CAUSE_REGEN" { circ: u64, hop: u64, new_circ: u64 },
+        /// Synthetic marker: `dropped` earlier events were evicted from a
+        /// bounded journal before this point — the record has a hole here.
+        Gap "GAP" { dropped: u64 },
+    }
 }
 
 impl TraceKind {
-    fn label(&self) -> &'static str {
-        match self {
-            TraceKind::TokenRx { .. } => "TOKEN_RX",
-            TraceKind::TokenTx { .. } => "TOKEN_TX",
-            TraceKind::TokenStale { .. } => "TOKEN_STALE",
-            TraceKind::TokenRegenerated { .. } => "TOKEN_REGEN",
-            TraceKind::Call911Tx { .. } => "CALL911_TX",
-            TraceKind::Call911Rx { .. } => "CALL911_RX",
-            TraceKind::Verdict911Tx { .. } => "VERDICT_TX",
-            TraceKind::Verdict911Rx { .. } => "VERDICT_RX",
-            TraceKind::Recovered911 { .. } => "RECOVERED911",
-            TraceKind::JoinRequest { .. } => "JOIN_REQ",
-            TraceKind::BeaconRx { .. } => "BEACON_RX",
-            TraceKind::MergeHandoff { .. } => "MERGE_HANDOFF",
-            TraceKind::Merged { .. } => "MERGED",
-            TraceKind::Delivered { .. } => "DELIVER",
-            TraceKind::SafeHeld { .. } => "SAFE_HELD",
-            TraceKind::AtomicRetired { .. } => "ATOMIC",
-            TraceKind::PeerFailed { .. } => "PEER_FAILED",
-            TraceKind::ProbeTx { .. } => "PROBE_TX",
-            TraceKind::ProbeAcked { .. } => "PROBE_ACKED",
-            TraceKind::ShutDown => "SHUTDOWN",
-            TraceKind::HopSpan { .. } => "HOP_SPAN",
-            TraceKind::EarlyPass { .. } => "EARLY_PASS",
-            TraceKind::CauseStarving { .. } => "CAUSE_STARVING",
-            TraceKind::Cause911 { .. } => "CAUSE_911",
-            TraceKind::CauseMember { .. } => "CAUSE_MEMBER",
-            TraceKind::CauseRegen { .. } => "CAUSE_REGEN",
-            TraceKind::Gap { .. } => "GAP",
-        }
-    }
-
+    /// The human text after the label: its shape differs per kind by design.
     fn detail(&self) -> String {
         use crate::hist::fmt_ns;
         match self {
@@ -280,102 +289,6 @@ impl TraceKind {
             TraceKind::Gap { dropped } => format!("dropped={dropped}"),
         }
     }
-
-    fn json_fields(&self) -> String {
-        // Hand-rolled: every field is numeric or boolean, no escaping needed.
-        match self {
-            TraceKind::TokenRx {
-                seq,
-                hop,
-                members,
-                waited_ns,
-            } => {
-                format!(
-                    "\"seq\":{seq},\"hop\":{hop},\"members\":{members},\"waited_ns\":{waited_ns}"
-                )
-            }
-            TraceKind::TokenTx { seq, to } => format!("\"seq\":{seq},\"to\":{to}"),
-            TraceKind::TokenStale { seq, newest } => format!("\"seq\":{seq},\"newest\":{newest}"),
-            TraceKind::TokenRegenerated { seq } => format!("\"seq\":{seq}"),
-            TraceKind::Call911Tx {
-                req_id,
-                last_seq,
-                polled,
-            } => {
-                format!("\"req_id\":{req_id},\"last_seq\":{last_seq},\"polled\":{polled}")
-            }
-            TraceKind::Call911Rx { from, last_seq } => {
-                format!("\"from\":{from},\"last_seq\":{last_seq}")
-            }
-            TraceKind::Verdict911Tx {
-                to,
-                granted,
-                newer_seq,
-            } => {
-                format!("\"to\":{to},\"granted\":{granted},\"newer_seq\":{newer_seq}")
-            }
-            TraceKind::Verdict911Rx { from, granted } => {
-                format!("\"from\":{from},\"granted\":{granted}")
-            }
-            TraceKind::Recovered911 { duration_ns, seq } => {
-                format!("\"duration_ns\":{duration_ns},\"seq\":{seq}")
-            }
-            TraceKind::JoinRequest { from } => format!("\"from\":{from}"),
-            TraceKind::BeaconRx { from, group } => format!("\"from\":{from},\"group\":{group}"),
-            TraceKind::MergeHandoff { to } => format!("\"to\":{to}"),
-            TraceKind::Merged { absorbed_group } => format!("\"absorbed_group\":{absorbed_group}"),
-            TraceKind::Delivered { origin, seq, safe } => {
-                format!("\"origin\":{origin},\"seq\":{seq},\"safe\":{safe}")
-            }
-            TraceKind::SafeHeld { origin, seq } => format!("\"origin\":{origin},\"seq\":{seq}"),
-            TraceKind::AtomicRetired { seq } => format!("\"seq\":{seq}"),
-            TraceKind::PeerFailed { peer } => format!("\"peer\":{peer}"),
-            TraceKind::ProbeTx { to } | TraceKind::ProbeAcked { to } => format!("\"to\":{to}"),
-            TraceKind::ShutDown => String::new(),
-            TraceKind::HopSpan {
-                circ,
-                hop,
-                parent,
-                recv_ns,
-                decode_ns,
-                protocol_ns,
-                encode_ns,
-                send_ns,
-            } => {
-                format!(
-                    "\"circ\":{circ},\"hop\":{hop},\"parent\":{parent},\"recv_ns\":{recv_ns},\"decode_ns\":{decode_ns},\"protocol_ns\":{protocol_ns},\"encode_ns\":{encode_ns},\"send_ns\":{send_ns}"
-                )
-            }
-            TraceKind::EarlyPass {
-                circ,
-                hop,
-                held_ns,
-                load,
-            } => {
-                format!("\"circ\":{circ},\"hop\":{hop},\"held_ns\":{held_ns},\"load\":{load}")
-            }
-            TraceKind::CauseStarving { circ, hop } => format!("\"circ\":{circ},\"hop\":{hop}"),
-            TraceKind::Cause911 { circ, hop, req_id } => {
-                format!("\"circ\":{circ},\"hop\":{hop},\"req_id\":{req_id}")
-            }
-            TraceKind::CauseMember {
-                circ,
-                hop,
-                member,
-                added,
-            } => {
-                format!("\"circ\":{circ},\"hop\":{hop},\"member\":{member},\"added\":{added}")
-            }
-            TraceKind::CauseRegen {
-                circ,
-                hop,
-                new_circ,
-            } => {
-                format!("\"circ\":{circ},\"hop\":{hop},\"new_circ\":{new_circ}")
-            }
-            TraceKind::Gap { dropped } => format!("\"dropped\":{dropped}"),
-        }
-    }
 }
 
 impl TraceEvent {
@@ -393,14 +306,21 @@ impl TraceEvent {
 
     /// One JSON object.
     pub fn to_json(&self) -> String {
-        let fields = self.kind.json_fields();
-        let sep = if fields.is_empty() { "" } else { "," };
-        format!(
-            "{{\"t_ns\":{},\"node\":{},\"event\":\"{}\"{sep}{fields}}}",
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"t_ns\":{},\"node\":{},\"event\":\"{}\"",
             self.t_ns,
             self.node,
             self.kind.label(),
-        )
+        );
+        self.kind.write_json_fields(out);
+        out.push('}');
     }
 }
 
@@ -477,21 +397,7 @@ impl TraceJournal {
     /// marker, so consumers of the export can tell "nothing happened"
     /// from "the record has a hole" — silent overflow is not an option.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        if let Some(gap) = self.gap_marker() {
-            out.push_str(&gap.to_json());
-            first = false;
-        }
-        for ev in &self.buf {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&ev.to_json());
-        }
-        out.push(']');
-        out
+        json_array(self.gap_marker().iter().chain(&self.buf))
     }
 
     /// The synthetic gap event a lossy journal leads with: stamped at the
@@ -545,12 +451,17 @@ pub fn render_events_text(events: &[TraceEvent]) -> String {
 /// JSON array rendering of an already merged event list (the same shape
 /// [`TraceJournal::render_json`] produces, so one parser reads both).
 pub fn render_events_json(events: &[TraceEvent]) -> String {
+    json_array(events)
+}
+
+/// The one JSON array writer: `[` events `,`-separated `]`.
+fn json_array<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
     let mut out = String::from("[");
-    for (i, ev) in events.iter().enumerate() {
+    for (i, ev) in events.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&ev.to_json());
+        ev.write_json(&mut out);
     }
     out.push(']');
     out

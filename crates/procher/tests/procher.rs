@@ -263,6 +263,29 @@ fn tracectl_renders_sim_chaos_journal() {
     );
 }
 
+/// A hostile file — a megabyte of `[` — is refused with an error and
+/// exit status 2; the reader's nesting bound keeps it from overflowing
+/// the stack and killing `tracectl` with a signal.
+#[test]
+fn tracectl_refuses_a_deeply_nested_file() {
+    if !spawn_allowed() {
+        eprintln!("skipping: subprocess spawn forbidden here");
+        return;
+    }
+    let dir = out_dir("tracectl-hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(1 << 20)).unwrap();
+    let out = Command::new(tracectl_exe())
+        .arg(path.display().to_string())
+        .output()
+        .expect("run tracectl");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nest too deeply"), "{stderr}");
+}
+
 /// The pinned chaos regression — bootstrap after total token-copy loss,
 /// shrunk by the sim harness (`chaos_regression_total_copy_loss_bootstrap`)
 /// — replayed over real sockets. Every node holding a token copy dies;
