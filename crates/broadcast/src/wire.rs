@@ -1,170 +1,63 @@
 //! Wire format of the broadcast baselines.
 
 use bytes::Bytes;
-use raincore_types::wire::{Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
-use raincore_types::{NodeId, OriginSeq};
+use raincore_types::{wire_enum, NodeId, OriginSeq};
 
-/// A baseline protocol message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BMsg {
-    /// Data fan-out (unreliable and reliable modes).
-    Pub {
-        /// Originating node.
-        origin: NodeId,
-        /// Per-origin sequence number.
-        oseq: OriginSeq,
-        /// Application payload.
-        payload: Bytes,
-    },
-    /// Per-receiver acknowledgement (reliable mode).
-    Ack {
-        /// Originating node of the message being acknowledged.
-        origin: NodeId,
-        /// Sequence being acknowledged.
-        oseq: OriginSeq,
-    },
-    /// Sender hands a message to the sequencer (sequenced mode).
-    Submit {
-        /// Originating node.
-        origin: NodeId,
-        /// Per-origin sequence number.
-        oseq: OriginSeq,
-        /// Application payload.
-        payload: Bytes,
-    },
-    /// Phase 1: sequencer proposes a globally ordered slot.
-    Prepare {
-        /// Global sequence slot.
-        gseq: u64,
-        /// Originating node.
-        origin: NodeId,
-        /// Per-origin sequence number.
-        oseq: OriginSeq,
-        /// Application payload.
-        payload: Bytes,
-    },
-    /// Phase 1 acknowledgement to the sequencer.
-    Prepared {
-        /// Slot being acknowledged.
-        gseq: u64,
-    },
-    /// Phase 2: commit a slot — receivers deliver in `gseq` order.
-    Commit {
-        /// Slot to commit.
-        gseq: u64,
-    },
-    /// Phase 2 acknowledgement (lets the sequencer retire state).
-    Committed {
-        /// Slot acknowledged.
-        gseq: u64,
-    },
-}
-
-impl BMsg {
-    /// Short kind string for traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            BMsg::Pub { .. } => "PUB",
-            BMsg::Ack { .. } => "ACK",
-            BMsg::Submit { .. } => "SUBMIT",
-            BMsg::Prepare { .. } => "PREPARE",
-            BMsg::Prepared { .. } => "PREPARED",
-            BMsg::Commit { .. } => "COMMIT",
-            BMsg::Committed { .. } => "COMMITTED",
-        }
-    }
-}
-
-impl WireEncode for BMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            BMsg::Pub {
-                origin,
-                oseq,
-                payload,
-            } => {
-                w.put_u8(0);
-                origin.encode(w);
-                oseq.encode(w);
-                w.put_bytes(payload);
-            }
-            BMsg::Ack { origin, oseq } => {
-                w.put_u8(1);
-                origin.encode(w);
-                oseq.encode(w);
-            }
-            BMsg::Submit {
-                origin,
-                oseq,
-                payload,
-            } => {
-                w.put_u8(2);
-                origin.encode(w);
-                oseq.encode(w);
-                w.put_bytes(payload);
-            }
-            BMsg::Prepare {
-                gseq,
-                origin,
-                oseq,
-                payload,
-            } => {
-                w.put_u8(3);
-                w.put_varint(*gseq);
-                origin.encode(w);
-                oseq.encode(w);
-                w.put_bytes(payload);
-            }
-            BMsg::Prepared { gseq } => {
-                w.put_u8(4);
-                w.put_varint(*gseq);
-            }
-            BMsg::Commit { gseq } => {
-                w.put_u8(5);
-                w.put_varint(*gseq);
-            }
-            BMsg::Committed { gseq } => {
-                w.put_u8(6);
-                w.put_varint(*gseq);
-            }
-        }
-    }
-}
-
-impl WireDecode for BMsg {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => BMsg::Pub {
-                origin: NodeId::decode(r)?,
-                oseq: OriginSeq::decode(r)?,
-                payload: r.get_bytes()?,
-            },
-            1 => BMsg::Ack {
-                origin: NodeId::decode(r)?,
-                oseq: OriginSeq::decode(r)?,
-            },
-            2 => BMsg::Submit {
-                origin: NodeId::decode(r)?,
-                oseq: OriginSeq::decode(r)?,
-                payload: r.get_bytes()?,
-            },
-            3 => BMsg::Prepare {
-                gseq: r.get_varint()?,
-                origin: NodeId::decode(r)?,
-                oseq: OriginSeq::decode(r)?,
-                payload: r.get_bytes()?,
-            },
-            4 => BMsg::Prepared {
-                gseq: r.get_varint()?,
-            },
-            5 => BMsg::Commit {
-                gseq: r.get_varint()?,
-            },
-            6 => BMsg::Committed {
-                gseq: r.get_varint()?,
-            },
-            tag => return Err(WireError::BadTag { ty: "BMsg", tag }),
-        })
+wire_enum! {
+    /// A baseline protocol message.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum BMsg {
+        /// Data fan-out (unreliable and reliable modes).
+        Pub {
+            /// Originating node.
+            origin: NodeId,
+            /// Per-origin sequence number.
+            oseq: OriginSeq,
+            /// Application payload.
+            payload: Bytes,
+        } = 0 => "PUB",
+        /// Per-receiver acknowledgement (reliable mode).
+        Ack {
+            /// Originating node of the message being acknowledged.
+            origin: NodeId,
+            /// Sequence being acknowledged.
+            oseq: OriginSeq,
+        } = 1 => "ACK",
+        /// Sender hands a message to the sequencer (sequenced mode).
+        Submit {
+            /// Originating node.
+            origin: NodeId,
+            /// Per-origin sequence number.
+            oseq: OriginSeq,
+            /// Application payload.
+            payload: Bytes,
+        } = 2 => "SUBMIT",
+        /// Phase 1: sequencer proposes a globally ordered slot.
+        Prepare {
+            /// Global sequence slot.
+            gseq: u64,
+            /// Originating node.
+            origin: NodeId,
+            /// Per-origin sequence number.
+            oseq: OriginSeq,
+            /// Application payload.
+            payload: Bytes,
+        } = 3 => "PREPARE",
+        /// Phase 1 acknowledgement to the sequencer.
+        Prepared {
+            /// Slot being acknowledged.
+            gseq: u64,
+        } = 4 => "PREPARED",
+        /// Phase 2: commit a slot — receivers deliver in `gseq` order.
+        Commit {
+            /// Slot to commit.
+            gseq: u64,
+        } = 5 => "COMMIT",
+        /// Phase 2 acknowledgement (lets the sequencer retire state).
+        Committed {
+            /// Slot acknowledged.
+            gseq: u64,
+        } = 6 => "COMMITTED",
     }
 }
 
@@ -172,6 +65,7 @@ impl WireDecode for BMsg {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use raincore_types::wire::{WireDecode, WireEncode};
 
     #[test]
     fn round_trip_all_variants() {

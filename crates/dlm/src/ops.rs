@@ -4,62 +4,45 @@
 //! (`raincore_session::Frame`), so they can share the group with
 //! application messages.
 
-use raincore_types::wire::{Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
-use raincore_types::NodeId;
+use raincore_types::{wire_enum, wire_struct, NodeId};
 
 /// Magic prefix identifying a lock-manager payload.
 pub const MAGIC: &[u8; 4] = b"RCLK";
 
-/// One held or contended lock, as a table transfer carries it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HeldLock {
-    /// Lock name.
-    pub lock: String,
-    /// Current owner.
-    pub owner: NodeId,
-    /// Reentrant acquisitions by the owner.
-    pub depth: u32,
-    /// Nodes queued behind the owner, first in line first.
-    pub waiters: Vec<NodeId>,
-}
-
-impl WireEncode for HeldLock {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.lock);
-        self.owner.encode(w);
-        w.put_varint(u64::from(self.depth));
-        self.waiters.encode(w);
+wire_struct! {
+    /// One held or contended lock, as a table transfer carries it.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct HeldLock {
+        /// Lock name.
+        pub lock: String,
+        /// Current owner.
+        pub owner: NodeId,
+        /// Reentrant acquisitions by the owner.
+        pub depth: u32,
+        /// Nodes queued behind the owner, first in line first.
+        pub waiters: Vec<NodeId>,
     }
 }
 
-impl WireDecode for HeldLock {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(HeldLock {
-            lock: r.get_str()?,
-            owner: NodeId::decode(r)?,
-            depth: r.get_varint()? as u32,
-            waiters: Vec::decode(r)?,
-        })
+wire_enum! {
+    /// A replicated lock-table operation.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum LockOp {
+        /// `node` requests `lock`; granted immediately if free, else queued.
+        Acquire {
+            /// Lock name.
+            lock: String,
+            /// Requesting node.
+            node: NodeId,
+        } = 0,
+        /// `node` releases `lock`; the head waiter (if any) is granted.
+        Release {
+            /// Lock name.
+            lock: String,
+            /// Releasing node.
+            node: NodeId,
+        } = 1,
     }
-}
-
-/// A replicated lock-table operation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LockOp {
-    /// `node` requests `lock`; granted immediately if free, else queued.
-    Acquire {
-        /// Lock name.
-        lock: String,
-        /// Requesting node.
-        node: NodeId,
-    },
-    /// `node` releases `lock`; the head waiter (if any) is granted.
-    Release {
-        /// Lock name.
-        lock: String,
-        /// Releasing node.
-        node: NodeId,
-    },
 }
 
 impl LockOp {
@@ -74,39 +57,6 @@ impl LockOp {
     pub fn node(&self) -> NodeId {
         match self {
             LockOp::Acquire { node, .. } | LockOp::Release { node, .. } => *node,
-        }
-    }
-}
-
-impl WireEncode for LockOp {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            LockOp::Acquire { lock, node } => {
-                w.put_u8(0);
-                w.put_str(lock);
-                node.encode(w);
-            }
-            LockOp::Release { lock, node } => {
-                w.put_u8(1);
-                w.put_str(lock);
-                node.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for LockOp {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(LockOp::Acquire {
-                lock: r.get_str()?,
-                node: NodeId::decode(r)?,
-            }),
-            1 => Ok(LockOp::Release {
-                lock: r.get_str()?,
-                node: NodeId::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { ty: "LockOp", tag }),
         }
     }
 }

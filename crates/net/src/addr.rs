@@ -2,21 +2,22 @@
 
 use bytes::Bytes;
 use core::fmt;
-use raincore_types::wire::{Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
-use raincore_types::NodeId;
+use raincore_types::{wire_enum, wire_struct, NodeId};
 
-/// A physical network address: a (node, NIC index) pair.
-///
-/// §2.1 of the paper: "The Transport Service allows each node to have
-/// multiple physical addresses" for redundant links. In the simulator an
-/// `Addr` plays the role of an IP address bound to one interface card;
-/// under the UDP backend it maps to a real socket address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Addr {
-    /// Owning node.
-    pub node: NodeId,
-    /// Interface index on that node (0 = primary).
-    pub nic: u8,
+wire_struct! {
+    /// A physical network address: a (node, NIC index) pair.
+    ///
+    /// §2.1 of the paper: "The Transport Service allows each node to have
+    /// multiple physical addresses" for redundant links. In the simulator an
+    /// `Addr` plays the role of an IP address bound to one interface card;
+    /// under the UDP backend it maps to a real socket address.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct Addr {
+        /// Owning node.
+        pub node: NodeId,
+        /// Interface index on that node (0 = primary).
+        pub nic: u8,
+    }
 }
 
 impl Addr {
@@ -43,35 +44,21 @@ impl fmt::Display for Addr {
     }
 }
 
-impl WireEncode for Addr {
-    fn encode(&self, w: &mut Writer) {
-        self.node.encode(w);
-        w.put_u8(self.nic);
+wire_enum! {
+    /// Traffic class of a datagram, used for separate accounting.
+    ///
+    /// §4.1's metrics distinguish the *group-communication* overhead from the
+    /// *regular network traffic* the cluster exists to process; tagging each
+    /// datagram lets the stats separate them exactly.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum PacketClass {
+        /// Group-communication traffic: transport frames carrying tokens,
+        /// 911 calls, beacons, acknowledgements.
+        Control = 0,
+        /// Regular network traffic passing *through* the cluster (the web
+        /// flows of the Rainwall benchmark).
+        Data = 1,
     }
-}
-
-impl WireDecode for Addr {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(Addr {
-            node: NodeId::decode(r)?,
-            nic: r.get_u8()?,
-        })
-    }
-}
-
-/// Traffic class of a datagram, used for separate accounting.
-///
-/// §4.1's metrics distinguish the *group-communication* overhead from the
-/// *regular network traffic* the cluster exists to process; tagging each
-/// datagram lets the stats separate them exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PacketClass {
-    /// Group-communication traffic: transport frames carrying tokens,
-    /// 911 calls, beacons, acknowledgements.
-    Control,
-    /// Regular network traffic passing *through* the cluster (the web
-    /// flows of the Rainwall benchmark).
-    Data,
 }
 
 impl PacketClass {
@@ -88,25 +75,6 @@ impl PacketClass {
 
     /// All classes, in index order.
     pub const ALL: [PacketClass; 2] = [PacketClass::Control, PacketClass::Data];
-}
-
-impl WireEncode for PacketClass {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.index() as u8);
-    }
-}
-
-impl WireDecode for PacketClass {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(PacketClass::Control),
-            1 => Ok(PacketClass::Data),
-            tag => Err(WireError::BadTag {
-                ty: "PacketClass",
-                tag,
-            }),
-        }
-    }
 }
 
 /// A raw datagram: what actually crosses the (simulated or real) wire.

@@ -15,8 +15,8 @@
 
 use crate::packet::FlowKey;
 use raincore_net::Addr;
-use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
-use raincore_types::{Duration, NodeId, Ring, Time, VipId};
+use raincore_types::wire::{WireDecode, WireEncode, Writer};
+use raincore_types::{wire_struct, Duration, NodeId, Ring, Time, VipId};
 use std::collections::HashMap;
 
 /// Magic prefix identifying a load-report multicast payload.
@@ -33,53 +33,33 @@ pub struct ConnEntry {
     pub last_active: Time,
 }
 
-/// A gateway's periodic state-sharing multicast: its load plus the
-/// connections opened since the previous report.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Reporting gateway.
-    pub node: NodeId,
-    /// Active connection count (the load figure used for balancing
-    /// decisions and monitoring).
-    pub active: u32,
-    /// Connections opened since the last report.
-    pub flows: Vec<(FlowKey, Addr)>,
+wire_struct! {
+    /// A gateway's periodic state-sharing multicast: its load plus the
+    /// connections opened since the previous report.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct LoadReport {
+        /// Reporting gateway.
+        pub node: NodeId,
+        /// Active connection count (the load figure used for balancing
+        /// decisions and monitoring).
+        pub active: u32,
+        /// Connections opened since the last report.
+        pub flows: Vec<(FlowKey, Addr)>,
+    }
 }
 
 impl LoadReport {
     /// Encodes as a multicast payload.
     pub fn to_payload(&self) -> bytes::Bytes {
         let mut w = Writer::new();
-        for &b in MAGIC {
-            w.put_u8(b);
-        }
-        self.node.encode(&mut w);
-        w.put_varint(u64::from(self.active));
-        w.put_varint(self.flows.len() as u64);
-        for (f, a) in &self.flows {
-            f.encode(&mut w);
-            a.encode(&mut w);
-        }
+        w.put_raw(MAGIC);
+        self.encode(&mut w);
         w.finish()
     }
 
     /// Decodes a multicast payload; `None` if it is not a load report.
     pub fn from_payload(payload: &[u8]) -> Option<LoadReport> {
-        let rest = payload.strip_prefix(&MAGIC[..])?;
-        let mut r = Reader::new(rest);
-        let node = NodeId::decode(&mut r).ok()?;
-        let active = r.get_varint().ok()? as u32;
-        let n = r.get_seq_len(3).ok()?;
-        let mut flows = Vec::with_capacity(n);
-        for _ in 0..n {
-            flows.push((FlowKey::decode(&mut r).ok()?, Addr::decode(&mut r).ok()?));
-        }
-        r.expect_end().ok()?;
-        Some(LoadReport {
-            node,
-            active,
-            flows,
-        })
+        LoadReport::decode_from_bytes(payload.strip_prefix(&MAGIC[..])?).ok()
     }
 }
 

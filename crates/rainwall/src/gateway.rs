@@ -33,9 +33,6 @@ pub struct GatewayCfg {
     pub report_interval: Duration,
     /// Idle time after which a connection is garbage-collected.
     pub conn_idle: Duration,
-    /// Enable per-connection rendezvous placement (the packet engine).
-    /// When disabled the VIP owner handles everything it receives.
-    pub per_connection_balance: bool,
 }
 
 impl Default for GatewayCfg {
@@ -44,7 +41,6 @@ impl Default for GatewayCfg {
             servers: Vec::new(),
             report_interval: Duration::from_millis(100),
             conn_idle: Duration::from_secs(5),
-            per_connection_balance: true,
         }
     }
 }
@@ -163,14 +159,11 @@ impl NodeApp for GatewayApp {
                     self.stats.denied += 1;
                     return;
                 }
-                let handler = if self.cfg.per_connection_balance {
-                    ctl.session
-                        .as_deref()
-                        .and_then(|s| handler_for(flow, s.ring()))
-                        .unwrap_or(self.me)
-                } else {
-                    self.me
-                };
+                let handler = ctl
+                    .session
+                    .as_deref()
+                    .and_then(|s| handler_for(flow, s.ring()))
+                    .unwrap_or(self.me);
                 if handler == self.me {
                     self.proxy(ctl, flow, dgram.src, vip, object_bytes);
                 } else {

@@ -10,174 +10,70 @@
 
 use bytes::Bytes;
 use raincore_net::Addr;
-use raincore_types::wire::{Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
-use raincore_types::{NodeId, VipId};
+use raincore_types::{wire_enum, wire_struct, NodeId, VipId};
 
-/// Identity of one client connection ("flow").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FlowKey {
-    /// The client host.
-    pub client: NodeId,
-    /// Client-local flow number (fresh per attempt; retries use new ids).
-    pub id: u64,
-}
-
-impl WireEncode for FlowKey {
-    fn encode(&self, w: &mut Writer) {
-        self.client.encode(w);
-        w.put_varint(self.id);
+wire_struct! {
+    /// Identity of one client connection ("flow").
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct FlowKey {
+        /// The client host.
+        pub client: NodeId,
+        /// Client-local flow number (fresh per attempt; retries use new ids).
+        pub id: u64,
     }
 }
 
-impl WireDecode for FlowKey {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(FlowKey {
-            client: NodeId::decode(r)?,
-            id: r.get_varint()?,
-        })
-    }
-}
-
-/// A data-plane packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AppPacket {
-    /// Client → gateway: fetch `object_bytes` via `vip`.
-    Request {
-        /// Connection identity.
-        flow: FlowKey,
-        /// The virtual IP addressed.
-        vip: VipId,
-        /// Requested object size.
-        object_bytes: u32,
-    },
-    /// Gateway → gateway: the packet engine hands the connection to its
-    /// rendezvous-chosen handler.
-    HandOff {
-        /// Connection identity.
-        flow: FlowKey,
-        /// The virtual IP originally addressed.
-        vip: VipId,
-        /// Where the client expects replies.
-        client_addr: Addr,
-        /// Requested object size.
-        object_bytes: u32,
-    },
-    /// Gateway → server: proxied fetch.
-    FetchReq {
-        /// Connection identity.
-        flow: FlowKey,
-        /// Requested object size.
-        object_bytes: u32,
-    },
-    /// Server → gateway and gateway → client: one object chunk. `fill`
-    /// pads the packet to a realistic size.
-    Chunk {
-        /// Connection identity.
-        flow: FlowKey,
-        /// Chunk index within the object.
-        seq: u32,
-        /// True on the final chunk.
-        last: bool,
-        /// Padding bytes (their length is the chunk's payload size).
-        fill: Bytes,
-    },
-}
-
-impl AppPacket {
-    /// Short kind string for traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            AppPacket::Request { .. } => "REQ",
-            AppPacket::HandOff { .. } => "HANDOFF",
-            AppPacket::FetchReq { .. } => "FETCH",
-            AppPacket::Chunk { .. } => "CHUNK",
-        }
-    }
-}
-
-impl WireEncode for AppPacket {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AppPacket::Request {
-                flow,
-                vip,
-                object_bytes,
-            } => {
-                w.put_u8(0);
-                flow.encode(w);
-                vip.encode(w);
-                w.put_varint(u64::from(*object_bytes));
-            }
-            AppPacket::HandOff {
-                flow,
-                vip,
-                client_addr,
-                object_bytes,
-            } => {
-                w.put_u8(1);
-                flow.encode(w);
-                vip.encode(w);
-                client_addr.encode(w);
-                w.put_varint(u64::from(*object_bytes));
-            }
-            AppPacket::FetchReq { flow, object_bytes } => {
-                w.put_u8(2);
-                flow.encode(w);
-                w.put_varint(u64::from(*object_bytes));
-            }
-            AppPacket::Chunk {
-                flow,
-                seq,
-                last,
-                fill,
-            } => {
-                w.put_u8(3);
-                flow.encode(w);
-                w.put_varint(u64::from(*seq));
-                w.put_bool(*last);
-                w.put_bytes(fill);
-            }
-        }
-    }
-}
-
-impl WireDecode for AppPacket {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => AppPacket::Request {
-                flow: FlowKey::decode(r)?,
-                vip: VipId::decode(r)?,
-                object_bytes: r.get_varint()? as u32,
-            },
-            1 => AppPacket::HandOff {
-                flow: FlowKey::decode(r)?,
-                vip: VipId::decode(r)?,
-                client_addr: Addr::decode(r)?,
-                object_bytes: r.get_varint()? as u32,
-            },
-            2 => AppPacket::FetchReq {
-                flow: FlowKey::decode(r)?,
-                object_bytes: r.get_varint()? as u32,
-            },
-            3 => AppPacket::Chunk {
-                flow: FlowKey::decode(r)?,
-                seq: r.get_varint()? as u32,
-                last: r.get_bool()?,
-                fill: r.get_bytes()?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    ty: "AppPacket",
-                    tag,
-                })
-            }
-        })
+wire_enum! {
+    /// A data-plane packet.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum AppPacket {
+        /// Client → gateway: fetch `object_bytes` via `vip`.
+        Request {
+            /// Connection identity.
+            flow: FlowKey,
+            /// The virtual IP addressed.
+            vip: VipId,
+            /// Requested object size.
+            object_bytes: u32,
+        } = 0 => "REQ",
+        /// Gateway → gateway: the packet engine hands the connection to its
+        /// rendezvous-chosen handler.
+        HandOff {
+            /// Connection identity.
+            flow: FlowKey,
+            /// The virtual IP originally addressed.
+            vip: VipId,
+            /// Where the client expects replies.
+            client_addr: Addr,
+            /// Requested object size.
+            object_bytes: u32,
+        } = 1 => "HANDOFF",
+        /// Gateway → server: proxied fetch.
+        FetchReq {
+            /// Connection identity.
+            flow: FlowKey,
+            /// Requested object size.
+            object_bytes: u32,
+        } = 2 => "FETCH",
+        /// Server → gateway and gateway → client: one object chunk. `fill`
+        /// pads the packet to a realistic size.
+        Chunk {
+            /// Connection identity.
+            flow: FlowKey,
+            /// Chunk index within the object.
+            seq: u32,
+            /// True on the final chunk.
+            last: bool,
+            /// Padding bytes (their length is the chunk's payload size).
+            fill: Bytes,
+        } = 3 => "CHUNK",
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raincore_types::wire::{WireDecode, WireEncode};
 
     #[test]
     fn round_trip_all_variants() {

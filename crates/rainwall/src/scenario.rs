@@ -46,8 +46,6 @@ pub struct ScenarioCfg {
     pub report_interval: Duration,
     /// Client goodput bucket width.
     pub bucket: Duration,
-    /// Enable the per-connection packet engine.
-    pub per_connection_balance: bool,
     /// Firewall policy installed on every gateway.
     pub rules: Vec<Rule>,
     /// Cluster (session/transport/network) configuration.
@@ -76,7 +74,6 @@ impl Default for ScenarioCfg {
             request_timeout: Duration::from_millis(500),
             report_interval: Duration::from_millis(100),
             bucket: Duration::from_millis(100),
-            per_connection_balance: true,
             rules: Vec::new(),
             cluster,
         }
@@ -118,7 +115,6 @@ impl Scenario {
                 servers: server_ids.clone(),
                 report_interval: cfg.report_interval,
                 conn_idle: Duration::from_secs(5),
-                per_connection_balance: cfg.per_connection_balance,
             };
             let app = GatewayApp::new(
                 g,
@@ -331,7 +327,6 @@ mod tests {
     fn per_connection_engine_spreads_work() {
         let mut cfg = small(2);
         cfg.vips = 1; // all traffic lands on ONE vip owner…
-        cfg.per_connection_balance = true;
         let mut s = Scenario::build(cfg).unwrap();
         s.cluster.run_until(Time::ZERO + Duration::from_secs(3));
         // …yet both gateways proxy connections thanks to the engine.

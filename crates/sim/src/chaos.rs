@@ -204,7 +204,7 @@ impl FromStr for ChaosFault {
         let bad = || format!("malformed fault: {s:?}");
         let node =
             |it: &mut std::str::SplitWhitespace| it.next().and_then(parse_node).ok_or_else(bad);
-        match kind {
+        let fault = match kind {
             "crash" => Ok(ChaosFault::Crash(node(&mut it)?)),
             "restart" => Ok(ChaosFault::Restart(node(&mut it)?)),
             "link-down" => Ok(ChaosFault::LinkDown(node(&mut it)?, node(&mut it)?)),
@@ -241,6 +241,12 @@ impl FromStr for ChaosFault {
                 it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
             )),
             _ => Err(bad()),
+        }?;
+        // A word past the fault's own would be dropped on replay, which
+        // would then run a different schedule than the line says.
+        match it.next() {
+            None => Ok(fault),
+            Some(_) => Err(bad()),
         }
     }
 }
@@ -1286,6 +1292,19 @@ mod tests {
                 ChaosConfig::from_header_line(&bad).is_err(),
                 "{why} was accepted: {bad}"
             );
+        }
+        // An event line replays as exactly the fault it names, or not at
+        // all: a trailing word is not dropped.
+        for bad in [
+            "@3 crash n1 n2",
+            "@3 heal junk",
+            "@3 link-down n0 n1 n2",
+            "@3 nic-up n1.0 n2.0",
+            "@3 partition n0|n1 n2",
+            "@3 dup 5 6",
+            "@3 delay-spike 250 x",
+        ] {
+            assert!(bad.parse::<ChaosEvent>().is_err(), "{bad} was accepted");
         }
     }
 

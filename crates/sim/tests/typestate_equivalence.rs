@@ -22,25 +22,11 @@ use raincore_sim::chaos::{run_chaos, ChaosConfig, ChaosEvent, ChaosScenario};
 use raincore_sim::explore::{parse_schedule, replay};
 use raincore_sim::ModelCheckConfig;
 
-/// Reconstructs the checker config from a fixture's `# scenario:` header.
+/// Reconstructs the checker config from a fixture's `# scenario:` header:
+/// every key is read, and an unknown one is an error.
 fn config_from_header(text: &str) -> ModelCheckConfig {
-    let line = text
-        .lines()
-        .find(|l| l.starts_with("# scenario:"))
-        .expect("fixture has a scenario header");
     let mut cfg = ModelCheckConfig::default();
-    for kv in line.trim_start_matches("# scenario:").split_whitespace() {
-        let Some((k, v)) = kv.split_once('=') else {
-            continue;
-        };
-        match k {
-            "nodes" => cfg.nodes = v.parse().expect("nodes"),
-            "crash_budget" => cfg.crash_budget = v.parse().expect("crash_budget"),
-            "drop_budget" => cfg.drop_budget = v.parse().expect("drop_budget"),
-            "forge_token" => cfg.forge_token = v.parse().expect("forge_token"),
-            _ => {}
-        }
-    }
+    cfg.read_scenario(text).expect("the scenario header parses");
     cfg
 }
 

@@ -29,7 +29,9 @@
 //! [`Endpoint::send_unreliable`]: crate::Endpoint::send_unreliable
 
 use bytes::Bytes;
-use raincore_types::wire::{Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
+use raincore_types::wire::{
+    varint_len, Reader, WireDecode, WireEncode, WireError, WireResult, Writer,
+};
 use raincore_types::{Incarnation, MsgId, NodeId, StateDigest};
 
 /// Upper bound on fragments per message: guards reassembly memory and
@@ -261,6 +263,31 @@ impl WireEncode for Frame {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        let (Frame::Data {
+            from, inc, msg_id, ..
+        }
+        | Frame::Ack {
+            from, inc, msg_id, ..
+        }) = self;
+        let tail = match self {
+            Frame::Data {
+                frag_index,
+                frag_count,
+                payload,
+                ..
+            } => frag_index.encoded_len() + frag_count.encoded_len() + payload.encoded_len(),
+            Frame::Ack { frags, .. } => match frags.as_single() {
+                Some(index) => index.encoded_len(),
+                None => {
+                    let count = frags.words().count() as u64;
+                    varint_len(count) + frags.words().map(varint_len).sum::<usize>()
+                }
+            },
+        };
+        1 + from.encoded_len() + inc.encoded_len() + msg_id.encoded_len() + tail
+    }
 }
 
 impl WireDecode for Frame {
@@ -271,8 +298,8 @@ impl WireDecode for Frame {
                 from: NodeId::decode(r)?,
                 inc: Incarnation::decode(r)?,
                 msg_id: MsgId::decode(r)?,
-                frag_index: r.get_varint()? as u32,
-                frag_count: r.get_varint()? as u32,
+                frag_index: r.get_uint("Frame")?,
+                frag_count: r.get_uint("Frame")?,
                 reliable: tag == TAG_DATA,
                 payload: r.get_bytes()?,
             }),
@@ -403,6 +430,40 @@ mod tests {
             &ack(set_of(&[0, 1, 2, 3, 4, 5])).encode_to_bytes()[..],
             &[3, 9, 2, 77, 1, 0x3f]
         );
+    }
+
+    #[test]
+    fn encoded_len_matches_the_encoder() {
+        let mut frames = vec![data(1, 4, true, b"chunk"), data(300, 70_000, false, b"")];
+        for frags in [
+            FragSet::single(0),
+            FragSet::single(4095),
+            FragSet::new(),
+            set_of(&[70, 4000]),
+            FragSet::first_n(MAX_FRAGS),
+        ] {
+            frames.push(ack(frags));
+        }
+        for f in frames {
+            assert_eq!(f.encoded_len(), f.encode_to_bytes().len(), "{f:?}");
+        }
+    }
+
+    /// A DATA frame's fragment fields are `u32`s: a larger varint is
+    /// refused, not truncated (2³² + 2 once read as 2 fragments).
+    #[test]
+    fn frag_fields_beyond_u32_are_refused() {
+        for (index, count) in [(0, (1u64 << 32) + 2), ((1u64 << 32) + 1, 4)] {
+            let mut w = Writer::new();
+            w.put_u8(TAG_DATA);
+            for field in [3, 2, 77, index, count] {
+                w.put_varint(field);
+            }
+            w.put_bytes(b"x");
+            let got = Frame::decode_from_bytes(w.as_slice()).map_err(|e| e.to_string());
+            let value = index.max(count);
+            assert_eq!(got, Err(format!("{value} is out of range for Frame")));
+        }
     }
 
     #[test]

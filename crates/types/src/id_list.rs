@@ -11,7 +11,7 @@
 
 use crate::digest::{DigestInto, StateDigest};
 use crate::id::NodeId;
-use crate::wire::{Reader, WireDecode, WireEncode, WireResult, Writer};
+use crate::wire::{varint_len, Reader, WireDecode, WireEncode, WireResult, Writer};
 use core::fmt;
 use core::ops::Deref;
 
@@ -106,6 +106,9 @@ impl WireEncode for IdList {
         for id in self.iter() {
             id.encode(w);
         }
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.iter().map(|id| id.encoded_len()).sum::<usize>()
     }
 }
 

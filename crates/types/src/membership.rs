@@ -203,6 +203,9 @@ impl WireEncode for Ring {
     fn encode(&self, w: &mut Writer) {
         self.members.encode(w);
     }
+    fn encoded_len(&self) -> usize {
+        self.members.encoded_len()
+    }
 }
 
 impl WireDecode for Ring {

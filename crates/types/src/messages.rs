@@ -13,128 +13,82 @@
 //! * [`Reply911`] — grant or denial of a 911 regeneration request.
 //! * [`BodyOdor`] — the periodic discovery beacon sent to eligible
 //!   non-members, carrying the sender's node id and current group id.
+//!
+//! Each format is declared once, with [`wire_struct!`] or [`wire_enum!`]:
+//! the declaration is the type definition, and its encoder, decoder and
+//! exact length follow from it.
 
 use crate::id::{GroupId, NodeId, OriginSeq};
 use crate::id_list::IdList;
 use crate::membership::Ring;
-use crate::wire::{varint_len, Reader, WireDecode, WireEncode, WireError, WireResult, Writer};
+use crate::wire::{Reader, WireDecode, WireEncode, WireResult, Writer};
+use crate::{wire_enum, wire_struct};
 use bytes::Bytes;
 use std::sync::Arc;
 
-/// Consistency level requested for a multicast message (§2.6).
-///
-/// *Agreed* (total) ordering falls out of the token order at no extra cost;
-/// *safe* delivery additionally waits until every member is known to have
-/// received the message, which costs one extra token round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DeliveryMode {
-    /// Deliver at first sight, in token order. Atomic + totally ordered.
-    Agreed,
-    /// Deliver only once all members of the membership have received the
-    /// message (one extra token round).
-    Safe,
-}
-
-impl WireEncode for DeliveryMode {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            DeliveryMode::Agreed => 0,
-            DeliveryMode::Safe => 1,
-        });
+wire_enum! {
+    /// Consistency level requested for a multicast message (§2.6).
+    ///
+    /// *Agreed* (total) ordering falls out of the token order at no extra cost;
+    /// *safe* delivery additionally waits until every member is known to have
+    /// received the message, which costs one extra token round.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum DeliveryMode {
+        /// Deliver at first sight, in token order. Atomic + totally ordered.
+        Agreed = 0,
+        /// Deliver only once all members of the membership have received the
+        /// message (one extra token round).
+        Safe = 1,
     }
 }
 
-impl WireDecode for DeliveryMode {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(DeliveryMode::Agreed),
-            1 => Ok(DeliveryMode::Safe),
-            tag => Err(WireError::BadTag {
-                ty: "DeliveryMode",
-                tag,
-            }),
-        }
+wire_enum! {
+    /// The body an [`Attached`] entry carries on the token: either the full
+    /// application payload inline (the classic piggyback path) or an
+    /// out-of-band *manifest* — just the payload length, with the bytes
+    /// themselves disseminated directly to members as bulk frames (Ring
+    /// Paxos split: the ring fixes the order, the payload travels out of
+    /// band). For an `Oob` entry the `seen` set doubles as the stability
+    /// watermark: a node marks itself seen only once it holds the payload,
+    /// so `seen_by_all` certifies that every member can deliver.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum AttachedBody {
+        /// Full payload rides the token.
+        Inline(Bytes) = 0,
+        /// Payload travels out of band as bulk frames; the token carries only
+        /// this id-manifest entry with the expected payload length.
+        Oob {
+            /// Length in bytes of the out-of-band payload.
+            len: u64,
+        } = 1,
     }
 }
 
-/// The body an [`Attached`] entry carries on the token: either the full
-/// application payload inline (the classic piggyback path) or an
-/// out-of-band *manifest* — just the payload length, with the bytes
-/// themselves disseminated directly to members as bulk frames (Ring
-/// Paxos split: the ring fixes the order, the payload travels out of
-/// band). For an `Oob` entry the `seen` set doubles as the stability
-/// watermark: a node marks itself seen only once it holds the payload,
-/// so `seen_by_all` certifies that every member can deliver.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AttachedBody {
-    /// Full payload rides the token.
-    Inline(Bytes),
-    /// Payload travels out of band as bulk frames; the token carries only
-    /// this id-manifest entry with the expected payload length.
-    Oob {
-        /// Length in bytes of the out-of-band payload.
-        len: u64,
-    },
-}
-
-impl AttachedBody {
-    const TAG_INLINE: u8 = 0;
-    const TAG_OOB: u8 = 1;
-}
-
-impl WireEncode for AttachedBody {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AttachedBody::Inline(payload) => {
-                w.put_u8(Self::TAG_INLINE);
-                w.put_bytes(payload);
-            }
-            AttachedBody::Oob { len } => {
-                w.put_u8(Self::TAG_OOB);
-                w.put_varint(*len);
-            }
-        }
+wire_struct! {
+    /// A multicast message riding the token ("the token is the locomotive for
+    /// the reliable multicast transport", §2.2).
+    ///
+    /// The `(origin, seq)` pair identifies the message globally and is the
+    /// receivers' duplicate-suppression key across token-loss recovery. The
+    /// `seen` set records which members have received the payload; for
+    /// [`DeliveryMode::Safe`] messages the `confirmed` set records which
+    /// members have *observed* that everyone received it (the extra round).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Attached {
+        /// Node that originated the multicast.
+        pub origin: NodeId,
+        /// Per-origin sequence number.
+        pub seq: OriginSeq,
+        /// Requested consistency level.
+        pub mode: DeliveryMode,
+        /// Members that have received the payload so far.
+        pub seen: IdList,
+        /// Members that have observed `seen` cover the membership (safe mode's
+        /// second round); unused (empty) for agreed mode.
+        pub confirmed: IdList,
+        /// Application payload, inline or as an out-of-band manifest entry.
+        pub body: AttachedBody,
     }
-}
-
-impl WireDecode for AttachedBody {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        match r.get_u8()? {
-            Self::TAG_INLINE => Ok(AttachedBody::Inline(r.get_bytes()?)),
-            Self::TAG_OOB => Ok(AttachedBody::Oob {
-                len: r.get_varint()?,
-            }),
-            tag => Err(WireError::BadTag {
-                ty: "AttachedBody",
-                tag,
-            }),
-        }
-    }
-}
-
-/// A multicast message riding the token ("the token is the locomotive for
-/// the reliable multicast transport", §2.2).
-///
-/// The `(origin, seq)` pair identifies the message globally and is the
-/// receivers' duplicate-suppression key across token-loss recovery. The
-/// `seen` set records which members have received the payload; for
-/// [`DeliveryMode::Safe`] messages the `confirmed` set records which
-/// members have *observed* that everyone received it (the extra round).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Attached {
-    /// Node that originated the multicast.
-    pub origin: NodeId,
-    /// Per-origin sequence number.
-    pub seq: OriginSeq,
-    /// Requested consistency level.
-    pub mode: DeliveryMode,
-    /// Members that have received the payload so far.
-    pub seen: IdList,
-    /// Members that have observed `seen` cover the membership (safe mode's
-    /// second round); unused (empty) for agreed mode.
-    pub confirmed: IdList,
-    /// Application payload, inline or as an out-of-band manifest entry.
-    pub body: AttachedBody,
 }
 
 impl Attached {
@@ -218,36 +172,12 @@ impl Attached {
     }
 }
 
-impl WireEncode for Attached {
-    fn encode(&self, w: &mut Writer) {
-        self.origin.encode(w);
-        self.seq.encode(w);
-        self.mode.encode(w);
-        self.seen.encode(w);
-        self.confirmed.encode(w);
-        self.body.encode(w);
-    }
-}
-
 impl Attached {
-    /// Exact length of [`WireEncode::encode`]'s output, without encoding:
-    /// what this entry adds to a token's wire image. The pacing rule
-    /// (DESIGN.md §16) sizes tokens with it on every accept and submit.
+    /// Exact length of this entry's wire image, without encoding it: what
+    /// it adds to a token's. The pacing rule (DESIGN.md §16) sizes tokens
+    /// with it on every accept and submit.
     pub fn wire_len(&self) -> usize {
-        let ids = |v: &[NodeId]| {
-            varint_len(v.len() as u64) + v.iter().map(|n| varint_len(n.0.into())).sum::<usize>()
-        };
-        let body = match &self.body {
-            AttachedBody::Inline(p) => varint_len(p.len() as u64) + p.len(),
-            AttachedBody::Oob { len } => varint_len(*len),
-        };
-        // One byte each for the mode and the body tag.
-        varint_len(self.origin.0.into())
-            + varint_len(self.seq.0)
-            + ids(&self.seen)
-            + ids(&self.confirmed)
-            + 2
-            + body
+        self.encoded_len()
     }
 
     /// The freight this entry orders, in bytes: [`Attached::wire_len`]
@@ -258,28 +188,19 @@ impl Attached {
     /// one smaller than `full`, the very same integer as `wire_len`.
     /// Saturating: `len` is an unbounded varint a peer chose.
     pub fn load_len(&self, full: usize) -> usize {
-        let beside = match self.body {
-            AttachedBody::Inline(_) => 0,
-            AttachedBody::Oob { len } => usize::try_from(len).unwrap_or(usize::MAX),
-        };
-        if beside >= full {
-            self.wire_len().saturating_add(beside)
-        } else {
-            self.wire_len()
-        }
+        self.wire_len().saturating_add(self.beside(full))
     }
-}
 
-impl WireDecode for Attached {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(Attached {
-            origin: NodeId::decode(r)?,
-            seq: OriginSeq::decode(r)?,
-            mode: DeliveryMode::decode(r)?,
-            seen: IdList::decode(r)?,
-            confirmed: IdList::decode(r)?,
-            body: AttachedBody::decode(r)?,
-        })
+    /// The out-of-band payload counted beside the token: its length if it
+    /// reaches `full`, else 0.
+    fn beside(&self, full: usize) -> usize {
+        let AttachedBody::Oob { len } = self.body else {
+            return 0;
+        };
+        match usize::try_from(len).unwrap_or(usize::MAX) {
+            len if len >= full => len,
+            _ => 0,
+        }
     }
 }
 
@@ -363,6 +284,9 @@ impl WireEncode for MsgList {
     fn encode(&self, w: &mut Writer) {
         self.items.encode(w);
     }
+    fn encoded_len(&self) -> usize {
+        self.items.encoded_len()
+    }
 }
 
 impl WireDecode for MsgList {
@@ -371,31 +295,33 @@ impl WireDecode for MsgList {
     }
 }
 
-/// Compact causal trace context carried in the token wire header, right
-/// after the per-hop `seq` and before the body.
-///
-/// Three varints turn every token hop into a cross-node span that can be
-/// merged without trusting wall clocks: `hop` orders hops within a
-/// *circulation* (one uninterrupted token lineage segment), `circ` names
-/// the circulation, and `parent` links a freshly minted circulation
-/// (regeneration, merge, bootstrap) back to the hop it causally descends
-/// from. The context is protocol-inert — nodes never branch on it — so it
-/// rides the patched header at zero allocation cost and stays decoupled
-/// from the protocol's own `seq` arithmetic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Circulation id: `(minter_id << 40) | (seq at mint)`. Changes
-    /// whenever a new token lineage segment is minted (founding,
-    /// regeneration, merge); unique per minter because `seq` is monotonic
-    /// along any lineage a single node ever extends.
-    pub circ: u64,
-    /// Hop sequence within the lineage; incremented alongside `seq` on
-    /// every pass, so `hop_a < hop_b` is happens-before within one
-    /// lineage regardless of clock skew between the observing nodes.
-    pub hop: u64,
-    /// Hop seq of the previous circulation's last observed hop at mint
-    /// time (0 for a true founding with no ancestor).
-    pub parent: u64,
+wire_struct! {
+    /// Compact causal trace context carried in the token wire header, right
+    /// after the per-hop `seq` and before the body.
+    ///
+    /// Three varints turn every token hop into a cross-node span that can be
+    /// merged without trusting wall clocks: `hop` orders hops within a
+    /// *circulation* (one uninterrupted token lineage segment), `circ` names
+    /// the circulation, and `parent` links a freshly minted circulation
+    /// (regeneration, merge, bootstrap) back to the hop it causally descends
+    /// from. The context is protocol-inert — nodes never branch on it — so it
+    /// rides the patched header at zero allocation cost and stays decoupled
+    /// from the protocol's own `seq` arithmetic.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct TraceCtx {
+        /// Circulation id: `(minter_id << 40) | (seq at mint)`. Changes
+        /// whenever a new token lineage segment is minted (founding,
+        /// regeneration, merge); unique per minter because `seq` is monotonic
+        /// along any lineage a single node ever extends.
+        pub circ: u64,
+        /// Hop sequence within the lineage; incremented alongside `seq` on
+        /// every pass, so `hop_a < hop_b` is happens-before within one
+        /// lineage regardless of clock skew between the observing nodes.
+        pub hop: u64,
+        /// Hop seq of the previous circulation's last observed hop at mint
+        /// time (0 for a true founding with no ancestor).
+        pub parent: u64,
+    }
 }
 
 impl TraceCtx {
@@ -418,45 +344,29 @@ impl TraceCtx {
     }
 }
 
-impl WireEncode for TraceCtx {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.circ);
-        w.put_varint(self.hop);
-        w.put_varint(self.parent);
+wire_struct! {
+    /// The circulating TOKEN (§2.2).
+    ///
+    /// Exactly one token exists per group at any instant (the paper proves
+    /// uniqueness from the per-hop sequence number and the 911 grant rule).
+    /// The membership recorded on the token is the *authoritative* group
+    /// membership; nodes refresh their local view from each token they receive.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Token {
+        /// Per-hop sequence number; incremented by one on every pass. Starts
+        /// at 1 for a freshly formed group, so `0` can mean "never saw a token".
+        pub seq: u64,
+        /// Causal trace context (circulation id, hop seq, causal parent).
+        /// Part of the mutable header, re-patched on every hop.
+        pub trace: TraceCtx,
+        /// Authoritative membership, in ring order.
+        pub ring: Ring,
+        /// "To Be Merged" flag (§2.4): set when this token is handed to a
+        /// lower group to be merged with that group's own token.
+        pub tbm: bool,
+        /// Piggybacked multicast messages, in global delivery order.
+        pub msgs: MsgList,
     }
-}
-
-impl WireDecode for TraceCtx {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(TraceCtx {
-            circ: r.get_varint()?,
-            hop: r.get_varint()?,
-            parent: r.get_varint()?,
-        })
-    }
-}
-
-/// The circulating TOKEN (§2.2).
-///
-/// Exactly one token exists per group at any instant (the paper proves
-/// uniqueness from the per-hop sequence number and the 911 grant rule).
-/// The membership recorded on the token is the *authoritative* group
-/// membership; nodes refresh their local view from each token they receive.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
-    /// Per-hop sequence number; incremented by one on every pass. Starts
-    /// at 1 for a freshly formed group, so `0` can mean "never saw a token".
-    pub seq: u64,
-    /// Causal trace context (circulation id, hop seq, causal parent).
-    /// Part of the mutable header, re-patched on every hop.
-    pub trace: TraceCtx,
-    /// Authoritative membership, in ring order.
-    pub ring: Ring,
-    /// "To Be Merged" flag (§2.4): set when this token is handed to a
-    /// lower group to be merged with that group's own token.
-    pub tbm: bool,
-    /// Piggybacked multicast messages, in global delivery order.
-    pub msgs: MsgList,
 }
 
 impl Token {
@@ -487,42 +397,11 @@ impl Token {
             .map(|m| m.inline_payload().map_or(0, Bytes::len))
             .sum()
     }
-}
-
-impl WireEncode for Token {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.seq);
-        self.trace.encode(w);
-        self.ring.encode(w);
-        w.put_bool(self.tbm);
-        self.msgs.encode(w);
-    }
-}
-
-impl Token {
-    /// Wire length of everything but the piggybacked entries.
-    fn envelope_len(&self) -> usize {
-        let varints = [
-            self.seq,
-            self.trace.circ,
-            self.trace.hop,
-            self.trace.parent,
-            self.ring.len() as u64,
-            self.msgs.len() as u64,
-        ];
-        // One byte each for the `SessionMsg` tag and the tbm flag.
-        2 + varints.into_iter().map(varint_len).sum::<usize>()
-            + self
-                .ring
-                .iter()
-                .map(|n| varint_len(n.0.into()))
-                .sum::<usize>()
-    }
 
     /// Exact length of the `SessionMsg::Token` wire image of this token
     /// (tag included), without encoding it.
     pub fn wire_len(&self) -> usize {
-        self.envelope_len() + self.msgs.iter().map(Attached::wire_len).sum::<usize>()
+        1 + self.encoded_len()
     }
 
     /// The freight this token orders: its wire image plus the out-of-band
@@ -530,367 +409,150 @@ impl Token {
     /// for ([`Attached::load_len`]). Equal to [`Token::wire_len`] when no
     /// entry orders such a payload; saturating.
     pub fn load_len(&self, full: usize) -> usize {
-        self.msgs.iter().fold(self.envelope_len(), |n, m| {
-            n.saturating_add(m.load_len(full))
-        })
+        let beside = self.msgs.iter().map(|m| m.beside(full));
+        beside.fold(self.wire_len(), usize::saturating_add)
     }
 }
 
-impl WireDecode for Token {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(Token {
-            seq: r.get_varint()?,
-            trace: TraceCtx::decode(r)?,
-            ring: Ring::decode(r)?,
-            tbm: r.get_bool()?,
-            msgs: MsgList::decode(r)?,
-        })
+wire_struct! {
+    /// A 911 call (§2.3): request for the right to regenerate a lost token,
+    /// or — when the caller is not in the receiver's membership — a join
+    /// request.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Call911 {
+        /// The calling node.
+        pub from: NodeId,
+        /// Sequence number on the caller's last local copy of the token
+        /// (0 if the caller has never seen a token, e.g. a brand-new node).
+        pub last_token_seq: u64,
+        /// Caller-local request id, echoed in replies so stale verdicts can be
+        /// discarded.
+        pub req_id: u64,
     }
 }
 
-/// A 911 call (§2.3): request for the right to regenerate a lost token,
-/// or — when the caller is not in the receiver's membership — a join
-/// request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Call911 {
-    /// The calling node.
-    pub from: NodeId,
-    /// Sequence number on the caller's last local copy of the token
-    /// (0 if the caller has never seen a token, e.g. a brand-new node).
-    pub last_token_seq: u64,
-    /// Caller-local request id, echoed in replies so stale verdicts can be
-    /// discarded.
-    pub req_id: u64,
-}
-
-impl WireEncode for Call911 {
-    fn encode(&self, w: &mut Writer) {
-        self.from.encode(w);
-        w.put_varint(self.last_token_seq);
-        w.put_varint(self.req_id);
+wire_enum! {
+    /// Verdict on a 911 regeneration request.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Verdict911 {
+        /// The voter's local token copy is not newer and it does not hold the
+        /// token: the caller may regenerate as far as this voter is concerned.
+        Grant = 0,
+        /// The voter holds the token or has a more recent local copy
+        /// (`newer_seq`); the caller must not regenerate.
+        Deny {
+            /// Sequence number of the voter's (newer) local copy, so the
+            /// caller can update its expectations.
+            newer_seq: u64,
+        } = 1,
     }
 }
 
-impl WireDecode for Call911 {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(Call911 {
-            from: NodeId::decode(r)?,
-            last_token_seq: r.get_varint()?,
-            req_id: r.get_varint()?,
-        })
+wire_struct! {
+    /// Reply to a [`Call911`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Reply911 {
+        /// The voting node.
+        pub from: NodeId,
+        /// Echo of the request id from the call.
+        pub req_id: u64,
+        /// The voter's verdict.
+        pub verdict: Verdict911,
     }
 }
 
-/// Verdict on a 911 regeneration request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict911 {
-    /// The voter's local token copy is not newer and it does not hold the
-    /// token: the caller may regenerate as far as this voter is concerned.
-    Grant,
-    /// The voter holds the token or has a more recent local copy
-    /// (`newer_seq`); the caller must not regenerate.
-    Deny {
-        /// Sequence number of the voter's (newer) local copy, so the
-        /// caller can update its expectations.
-        newer_seq: u64,
-    },
-}
-
-impl WireEncode for Verdict911 {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Verdict911::Grant => w.put_u8(0),
-            Verdict911::Deny { newer_seq } => {
-                w.put_u8(1);
-                w.put_varint(*newer_seq);
-            }
-        }
+wire_struct! {
+    /// Discovery beacon (§2.4): sent periodically, at low frequency, to nodes
+    /// in the Eligible Membership that are absent from the current group
+    /// membership. Carries the sender's node id and its group id; a receiver
+    /// whose group id is *higher* treats it as a merge-join request.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct BodyOdor {
+        /// The beaconing node.
+        pub from: NodeId,
+        /// The sender's current group id (lowest member of its group).
+        pub group: GroupId,
     }
 }
 
-impl WireDecode for Verdict911 {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(Verdict911::Grant),
-            1 => Ok(Verdict911::Deny {
-                newer_seq: r.get_varint()?,
-            }),
-            tag => Err(WireError::BadTag {
-                ty: "Verdict911",
-                tag,
-            }),
-        }
+wire_struct! {
+    /// An open-group submission (§2.6): a node *outside* the group sends a
+    /// message to any member; that member forwards it to the whole group as
+    /// an ordinary reliable multicast.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct OpenSubmit {
+        /// The external sender's node id (not a group member).
+        pub from: NodeId,
+        /// Sender-local sequence number, for relay-side deduplication when
+        /// the submission is retried toward a different member.
+        pub seq: OriginSeq,
+        /// The payload to multicast into the group.
+        pub payload: Bytes,
     }
 }
 
-/// Reply to a [`Call911`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Reply911 {
-    /// The voting node.
-    pub from: NodeId,
-    /// Echo of the request id from the call.
-    pub req_id: u64,
-    /// The voter's verdict.
-    pub verdict: Verdict911,
-}
-
-impl WireEncode for Reply911 {
-    fn encode(&self, w: &mut Writer) {
-        self.from.encode(w);
-        w.put_varint(self.req_id);
-        self.verdict.encode(w);
+wire_struct! {
+    /// An out-of-band bulk payload frame: the payload of a multicast whose
+    /// token entry is an [`AttachedBody::Oob`] manifest, sent directly to
+    /// each member (and re-sent by any holder answering a [`BulkNack`]).
+    /// Keyed by the same `(origin, seq)` bulk id the manifest orders.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct BulkData {
+        /// Node that originated the multicast.
+        pub origin: NodeId,
+        /// Per-origin sequence number (the bulk id, with `origin`).
+        pub seq: OriginSeq,
+        /// The application payload.
+        pub payload: Bytes,
     }
 }
 
-impl WireDecode for Reply911 {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(Reply911 {
-            from: NodeId::decode(r)?,
-            req_id: r.get_varint()?,
-            verdict: Verdict911::decode(r)?,
-        })
+wire_struct! {
+    /// A negative acknowledgement for a missing bulk payload: the sender saw
+    /// the `(origin, seq)` id ordered on the token but never received (or
+    /// lost) the [`BulkData`] frame, and asks the receiver to retransmit it.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct BulkNack {
+        /// The node requesting retransmission (where to send the payload).
+        pub from: NodeId,
+        /// Origin of the missing multicast.
+        pub origin: NodeId,
+        /// Per-origin sequence number of the missing multicast.
+        pub seq: OriginSeq,
     }
 }
 
-/// Discovery beacon (§2.4): sent periodically, at low frequency, to nodes
-/// in the Eligible Membership that are absent from the current group
-/// membership. Carries the sender's node id and its group id; a receiver
-/// whose group id is *higher* treats it as a merge-join request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BodyOdor {
-    /// The beaconing node.
-    pub from: NodeId,
-    /// The sender's current group id (lowest member of its group).
-    pub group: GroupId,
-}
-
-impl WireEncode for BodyOdor {
-    fn encode(&self, w: &mut Writer) {
-        self.from.encode(w);
-        self.group.encode(w);
-    }
-}
-
-impl WireDecode for BodyOdor {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(BodyOdor {
-            from: NodeId::decode(r)?,
-            group: GroupId::decode(r)?,
-        })
-    }
-}
-
-/// An open-group submission (§2.6): a node *outside* the group sends a
-/// message to any member; that member forwards it to the whole group as
-/// an ordinary reliable multicast.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OpenSubmit {
-    /// The external sender's node id (not a group member).
-    pub from: NodeId,
-    /// Sender-local sequence number, for relay-side deduplication when
-    /// the submission is retried toward a different member.
-    pub seq: OriginSeq,
-    /// The payload to multicast into the group.
-    pub payload: Bytes,
-}
-
-impl WireEncode for OpenSubmit {
-    fn encode(&self, w: &mut Writer) {
-        self.from.encode(w);
-        self.seq.encode(w);
-        w.put_bytes(&self.payload);
-    }
-}
-
-impl WireDecode for OpenSubmit {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(OpenSubmit {
-            from: NodeId::decode(r)?,
-            seq: OriginSeq::decode(r)?,
-            payload: r.get_bytes()?,
-        })
-    }
-}
-
-/// An out-of-band bulk payload frame: the payload of a multicast whose
-/// token entry is an [`AttachedBody::Oob`] manifest, sent directly to
-/// each member (and re-sent by any holder answering a [`BulkNack`]).
-/// Keyed by the same `(origin, seq)` bulk id the manifest orders.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BulkData {
-    /// Node that originated the multicast.
-    pub origin: NodeId,
-    /// Per-origin sequence number (the bulk id, with `origin`).
-    pub seq: OriginSeq,
-    /// The application payload.
-    pub payload: Bytes,
-}
-
-impl WireEncode for BulkData {
-    fn encode(&self, w: &mut Writer) {
-        self.origin.encode(w);
-        self.seq.encode(w);
-        w.put_bytes(&self.payload);
-    }
-}
-
-impl WireDecode for BulkData {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(BulkData {
-            origin: NodeId::decode(r)?,
-            seq: OriginSeq::decode(r)?,
-            payload: r.get_bytes()?,
-        })
-    }
-}
-
-/// A negative acknowledgement for a missing bulk payload: the sender saw
-/// the `(origin, seq)` id ordered on the token but never received (or
-/// lost) the [`BulkData`] frame, and asks the receiver to retransmit it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BulkNack {
-    /// The node requesting retransmission (where to send the payload).
-    pub from: NodeId,
-    /// Origin of the missing multicast.
-    pub origin: NodeId,
-    /// Per-origin sequence number of the missing multicast.
-    pub seq: OriginSeq,
-}
-
-impl WireEncode for BulkNack {
-    fn encode(&self, w: &mut Writer) {
-        self.from.encode(w);
-        self.origin.encode(w);
-        self.seq.encode(w);
-    }
-}
-
-impl WireDecode for BulkNack {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(BulkNack {
-            from: NodeId::decode(r)?,
-            origin: NodeId::decode(r)?,
-            seq: OriginSeq::decode(r)?,
-        })
-    }
-}
-
-/// Any session-layer datagram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SessionMsg {
-    /// The circulating token.
-    Token(Token),
-    /// 911 regeneration/join request.
-    Call911(Call911),
-    /// 911 verdict.
-    Reply911(Reply911),
-    /// Discovery beacon.
-    BodyOdor(BodyOdor),
-    /// Open-group submission from a non-member (§2.6).
-    Open(OpenSubmit),
-    /// Out-of-band bulk payload frame.
-    Bulk(BulkData),
-    /// Request to retransmit a missing bulk payload.
-    BulkNack(BulkNack),
-    /// "Are you there?" from a HUNGRY member to the member it last passed
-    /// the token to. Header only: the transport's acknowledgement is the
-    /// whole answer, and the receiver does nothing.
-    Probe,
-}
-
-impl SessionMsg {
-    /// Wire tag of the [`SessionMsg::Token`] variant. Shared with
-    /// [`crate::token_codec::TokenEncoder`], which writes the tag itself
-    /// so its output stays byte-identical to [`WireEncode::encode`].
-    pub const TAG_TOKEN: u8 = 0;
-    /// Wire tag of [`SessionMsg::Call911`].
-    pub const TAG_CALL911: u8 = 1;
-    /// Wire tag of [`SessionMsg::Reply911`].
-    pub const TAG_REPLY911: u8 = 2;
-    /// Wire tag of [`SessionMsg::BodyOdor`].
-    pub const TAG_BODYODOR: u8 = 3;
-    /// Wire tag of [`SessionMsg::Open`].
-    pub const TAG_OPEN: u8 = 4;
-    /// Wire tag of [`SessionMsg::Bulk`].
-    pub const TAG_BULK: u8 = 5;
-    /// Wire tag of [`SessionMsg::BulkNack`].
-    pub const TAG_BULK_NACK: u8 = 6;
-    /// Wire tag of [`SessionMsg::Probe`].
-    pub const TAG_PROBE: u8 = 7;
-
-    /// Short human-readable kind name (for traces).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SessionMsg::Token(_) => "TOKEN",
-            SessionMsg::Call911(_) => "911",
-            SessionMsg::Reply911(_) => "911-REPLY",
-            SessionMsg::BodyOdor(_) => "BODYODOR",
-            SessionMsg::Open(_) => "OPEN",
-            SessionMsg::Bulk(_) => "BULK",
-            SessionMsg::BulkNack(_) => "BULK-NACK",
-            SessionMsg::Probe => "PROBE",
-        }
-    }
-}
-
-impl WireEncode for SessionMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SessionMsg::Token(t) => {
-                w.put_u8(Self::TAG_TOKEN);
-                t.encode(w);
-            }
-            SessionMsg::Call911(c) => {
-                w.put_u8(Self::TAG_CALL911);
-                c.encode(w);
-            }
-            SessionMsg::Reply911(rep) => {
-                w.put_u8(Self::TAG_REPLY911);
-                rep.encode(w);
-            }
-            SessionMsg::BodyOdor(b) => {
-                w.put_u8(Self::TAG_BODYODOR);
-                b.encode(w);
-            }
-            SessionMsg::Open(o) => {
-                w.put_u8(Self::TAG_OPEN);
-                o.encode(w);
-            }
-            SessionMsg::Bulk(b) => {
-                w.put_u8(Self::TAG_BULK);
-                b.encode(w);
-            }
-            SessionMsg::BulkNack(n) => {
-                w.put_u8(Self::TAG_BULK_NACK);
-                n.encode(w);
-            }
-            SessionMsg::Probe => w.put_u8(Self::TAG_PROBE),
-        }
-    }
-}
-
-impl WireDecode for SessionMsg {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        match r.get_u8()? {
-            Self::TAG_TOKEN => Ok(SessionMsg::Token(Token::decode(r)?)),
-            Self::TAG_CALL911 => Ok(SessionMsg::Call911(Call911::decode(r)?)),
-            Self::TAG_REPLY911 => Ok(SessionMsg::Reply911(Reply911::decode(r)?)),
-            Self::TAG_BODYODOR => Ok(SessionMsg::BodyOdor(BodyOdor::decode(r)?)),
-            Self::TAG_OPEN => Ok(SessionMsg::Open(OpenSubmit::decode(r)?)),
-            Self::TAG_BULK => Ok(SessionMsg::Bulk(BulkData::decode(r)?)),
-            Self::TAG_BULK_NACK => Ok(SessionMsg::BulkNack(BulkNack::decode(r)?)),
-            Self::TAG_PROBE => Ok(SessionMsg::Probe),
-            tag => Err(WireError::BadTag {
-                ty: "SessionMsg",
-                tag,
-            }),
-        }
+wire_enum! {
+    /// Any session-layer datagram. [`crate::token_codec::TokenEncoder`]
+    /// writes [`SessionMsg::TAG_TOKEN`] itself, so its output stays
+    /// byte-identical to [`WireEncode::encode`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum SessionMsg {
+        /// The circulating token.
+        Token(Token) = 0 as TAG_TOKEN => "TOKEN",
+        /// 911 regeneration/join request.
+        Call911(Call911) = 1 as TAG_CALL911 => "911",
+        /// 911 verdict.
+        Reply911(Reply911) = 2 as TAG_REPLY911 => "911-REPLY",
+        /// Discovery beacon.
+        BodyOdor(BodyOdor) = 3 as TAG_BODYODOR => "BODYODOR",
+        /// Open-group submission from a non-member (§2.6).
+        Open(OpenSubmit) = 4 as TAG_OPEN => "OPEN",
+        /// Out-of-band bulk payload frame.
+        Bulk(BulkData) = 5 as TAG_BULK => "BULK",
+        /// Request to retransmit a missing bulk payload.
+        BulkNack(BulkNack) = 6 as TAG_BULK_NACK => "BULK-NACK",
+        /// "Are you there?" from a HUNGRY member to the member it last passed
+        /// the token to. Header only: the transport's acknowledgement is the
+        /// whole answer, and the receiver does nothing.
+        Probe = 7 as TAG_PROBE => "PROBE",
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireError;
     use proptest::prelude::*;
 
     fn ring(ids: &[u32]) -> Ring {

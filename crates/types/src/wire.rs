@@ -4,14 +4,28 @@
 //! is encoded with this codec before it is handed to the (simulated or
 //! real) network. The format is deliberately simple:
 //!
-//! * unsigned integers as LEB128 varints,
+//! * unsigned integers as LEB128 varints (`i64` zigzagged first), a `u8`
+//!   or a `bool` as one raw byte,
 //! * byte strings and sequences length-prefixed with a varint,
-//! * enums as a one-byte tag followed by the variant fields.
+//! * a struct as its fields in declaration order,
+//! * an enum as a one-byte tag followed by the variant's fields.
+//!
+//! Each format is declared once. [`wire_struct!`](crate::wire_struct) and
+//! [`wire_enum!`](crate::wire_enum) take a type's own definition and
+//! derive all three directions from it — [`WireEncode::encode`], the
+//! exact [`WireEncode::encoded_len`] (which neither encodes nor
+//! allocates) and [`WireDecode::decode`] — each field through its own
+//! type's impl. Only types with a representation of their own are written
+//! by hand: the id list and ring, the copy-on-write message list, the
+//! transport frame, the replica transfer frame.
 //!
 //! Decoding is fully length-checked and returns [`WireError`] on truncated
-//! or malformed input; it never panics and the crate forbids `unsafe`.
-//! Round-tripping of all message types is property-tested.
+//! or malformed input — a varint too large for its `u32` field is refused,
+//! not truncated; it never panics and the crate forbids `unsafe`. The
+//! bytes of every declared format are pinned by `tests/wire_golden.rs`.
 
+use crate::id::{GroupId, Incarnation, MsgId, NodeId, OriginSeq, VipId};
+use crate::time::{Duration, Time};
 use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
 
@@ -38,6 +52,13 @@ pub enum WireError {
     },
     /// Trailing bytes remained after a complete message was decoded.
     TrailingBytes(usize),
+    /// A varint did not fit the integer type it was read into.
+    OutOfRange {
+        /// The type being decoded.
+        ty: &'static str,
+        /// The value on the wire.
+        value: u64,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -56,6 +77,7 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
+            WireError::OutOfRange { ty, value } => write!(f, "{value} is out of range for {ty}"),
         }
     }
 }
@@ -65,8 +87,8 @@ impl std::error::Error for WireError {}
 /// Result alias for wire decoding.
 pub type WireResult<T> = core::result::Result<T, WireError>;
 
-/// Bytes [`Writer::put_varint`] spends on `v`: the arithmetic behind the
-/// `wire_len` methods, which size a value without encoding it.
+/// Bytes [`Writer::put_varint`] spends on `v`: the arithmetic behind
+/// [`WireEncode::encoded_len`], which sizes a value without encoding it.
 pub fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
@@ -223,6 +245,15 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a varint into the unsigned type `T`, refusing a value that
+    /// does not fit (`ty` names what was being read). Every narrow integer
+    /// on the wire — the `u32` ids and fields — is read through this one
+    /// check, never truncated.
+    pub fn get_uint<T: TryFrom<u64>>(&mut self, ty: &'static str) -> WireResult<T> {
+        let value = self.get_varint()?;
+        T::try_from(value).map_err(|_| WireError::OutOfRange { ty, value })
+    }
+
     /// Reads one raw byte.
     pub fn get_u8(&mut self) -> WireResult<u8> {
         let &byte = self.buf.first().ok_or(WireError::Truncated)?;
@@ -291,6 +322,10 @@ pub trait WireEncode {
     /// Appends this value's encoding to `w`.
     fn encode(&self, w: &mut Writer);
 
+    /// Exact length of [`WireEncode::encode`]'s output, computed without
+    /// encoding or allocating.
+    fn encoded_len(&self) -> usize;
+
     /// Convenience: encodes into a fresh buffer.
     fn encode_to_bytes(&self) -> Bytes {
         let mut w = Writer::new();
@@ -323,44 +358,49 @@ fn decode_whole<T: WireDecode>(mut r: Reader<'_>) -> WireResult<T> {
     Ok(v)
 }
 
+/// An id or time newtype is its integer as a varint; a `u32` one is read
+/// through the checked [`Reader::get_uint`].
 macro_rules! impl_wire_varint_newtype {
-    ($ty:ty, $inner:ty) => {
+    ($($ty:ident),+) => {$(
         impl WireEncode for $ty {
             fn encode(&self, w: &mut Writer) {
-                w.put_varint(self.0 as u64);
+                w.put_varint(u64::from(self.0));
+            }
+            fn encoded_len(&self) -> usize {
+                varint_len(u64::from(self.0))
             }
         }
         impl WireDecode for $ty {
             fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-                Ok(Self(r.get_varint()? as $inner))
+                Ok(Self(r.get_uint(stringify!($ty))?))
             }
         }
-    };
+    )+};
 }
 
-impl_wire_varint_newtype!(crate::id::NodeId, u32);
-impl_wire_varint_newtype!(crate::id::Incarnation, u32);
-impl_wire_varint_newtype!(crate::id::MsgId, u64);
-impl_wire_varint_newtype!(crate::id::OriginSeq, u64);
-impl_wire_varint_newtype!(crate::id::VipId, u32);
-impl_wire_varint_newtype!(crate::time::Time, u64);
-impl_wire_varint_newtype!(crate::time::Duration, u64);
+impl_wire_varint_newtype!(NodeId, Incarnation, MsgId, OriginSeq, VipId, Time, Duration);
 
-impl WireEncode for crate::id::GroupId {
+impl WireEncode for GroupId {
     fn encode(&self, w: &mut Writer) {
         self.0.encode(w);
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
+    }
 }
 
-impl WireDecode for crate::id::GroupId {
+impl WireDecode for GroupId {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(crate::id::GroupId(crate::id::NodeId::decode(r)?))
+        Ok(GroupId(NodeId::decode(r)?))
     }
 }
 
 impl WireEncode for u64 {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(*self)
     }
 }
 
@@ -370,12 +410,82 @@ impl WireDecode for u64 {
     }
 }
 
+impl WireEncode for u32 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(u64::from(*self));
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(u64::from(*self))
+    }
+}
+
+impl WireDecode for u32 {
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        r.get_uint("u32")
+    }
+}
+
+/// Zigzag: the varint of `(v << 1) ^ (v >> 63)`, so small magnitudes of
+/// either sign stay short.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+impl WireEncode for i64 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(zigzag(*self));
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(zigzag(*self))
+    }
+}
+
+impl WireDecode for i64 {
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        let z = r.get_varint()?;
+        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
+    }
+}
+
+impl WireEncode for u8 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+}
+
+impl WireDecode for u8 {
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        r.get_u8()
+    }
+}
+
+impl WireEncode for bool {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bool(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+}
+
+impl WireDecode for bool {
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        r.get_bool()
+    }
+}
+
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.len() as u64);
         for item in self {
             item.encode(w);
         }
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.iter().map(T::encoded_len).sum::<usize>()
     }
 }
 
@@ -394,6 +504,9 @@ impl WireEncode for Bytes {
     fn encode(&self, w: &mut Writer) {
         w.put_bytes(self);
     }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.len()
+    }
 }
 
 impl WireDecode for Bytes {
@@ -405,6 +518,9 @@ impl WireDecode for Bytes {
 impl WireEncode for String {
     fn encode(&self, w: &mut Writer) {
         w.put_str(self);
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.len()
     }
 }
 
@@ -423,6 +539,10 @@ macro_rules! impl_wire_tuple {
                 let ($($field,)+) = self;
                 $($field.encode(w);)+
             }
+            fn encoded_len(&self) -> usize {
+                let ($($field,)+) = self;
+                0 $(+ $field.encoded_len())+
+            }
         }
         impl<$($field: WireDecode),+> WireDecode for ($($field,)+) {
             fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
@@ -434,6 +554,192 @@ macro_rules! impl_wire_tuple {
 
 impl_wire_tuple!(A B);
 impl_wire_tuple!(A B C);
+
+/// Declares a struct whose wire format is its fields in declaration
+/// order, and derives [`WireEncode`] (with the exact
+/// [`WireEncode::encoded_len`]) and [`WireDecode`] from that one
+/// declaration, each field through its own type's impl. The struct is
+/// written exactly as without the macro: docs, derives, visibility.
+///
+/// ```
+/// raincore_types::wire_struct! {
+///     /// A point.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Point {
+///         /// Across.
+///         pub x: u64,
+///         /// Down.
+///         pub y: u32,
+///     }
+/// }
+/// use raincore_types::wire::{WireDecode, WireEncode};
+/// let p = Point { x: 300, y: 1 };
+/// assert_eq!(&p.encode_to_bytes()[..], [0xac, 0x02, 0x01]);
+/// assert_eq!(p.encoded_len(), 3);
+/// assert_eq!(Point::decode_from_bytes(&[0xac, 0x02, 0x01]), Ok(p));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty ),*
+        }
+
+        impl $crate::wire::WireEncode for $name {
+            fn encode(&self, w: &mut $crate::wire::Writer) {
+                $( $crate::wire::WireEncode::encode(&self.$field, w); )*
+            }
+            fn encoded_len(&self) -> usize {
+                0 $( + $crate::wire::WireEncode::encoded_len(&self.$field) )*
+            }
+        }
+
+        impl $crate::wire::WireDecode for $name {
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::wire::WireResult<Self> {
+                Ok($name {
+                    $( $field: <$ty as $crate::wire::WireDecode>::decode(r)? ),*
+                })
+            }
+        }
+    };
+}
+
+/// Declares a tagged enum — a one-byte tag, then the variant's fields in
+/// declaration order — and derives [`WireEncode`] (with the exact
+/// [`WireEncode::encoded_len`]) and [`WireDecode`] from that one
+/// declaration. The enum is written exactly as without the macro, except
+/// that each variant (unit, one-field tuple or struct) is followed by its
+/// row: `= TAG`, then optionally `as CONST` (a public `u8` constant
+/// naming the tag) and `=> "LABEL"`. If every variant has a label, the
+/// enum gets a `kind()` returning it. A tag byte no row names decodes as
+/// [`WireError::BadTag`].
+///
+/// ```
+/// raincore_types::wire_enum! {
+///     /// A shape.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Shape {
+///         /// Nothing.
+///         Empty = 0 as TAG_EMPTY => "EMPTY",
+///         /// A circle of this radius.
+///         Circle(u64) = 1 as TAG_CIRCLE => "CIRCLE",
+///         /// A rectangle.
+///         Rect {
+///             /// Across.
+///             w: u32,
+///             /// Down.
+///             h: u32,
+///         } = 2 as TAG_RECT => "RECT",
+///     }
+/// }
+/// use raincore_types::wire::{WireDecode, WireEncode};
+/// let r = Shape::Rect { w: 3, h: 4 };
+/// assert_eq!(&r.encode_to_bytes()[..], [Shape::TAG_RECT, 3, 4]);
+/// assert_eq!(r.encoded_len(), 3);
+/// assert_eq!(Shape::decode_from_bytes(&[1, 9]), Ok(Shape::Circle(9)));
+/// assert_eq!(Shape::Empty.kind(), "EMPTY");
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident { $($rows:tt)* }
+    ) => {
+        $crate::wire_enum!(@rows [$(#[$meta])* $vis enum $name] [] $($rows)*);
+    };
+    // Each variant is read into `{[definition] name tag [const] [label]
+    // {field binding: type, ...}}`; a tuple variant's one field is `0`.
+    (@rows $head:tt [$($done:tt)*]
+        $(#[$vmeta:meta])* $variant:ident
+        = $tag:literal $(as $konst:ident)? $(=> $label:literal)? $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_enum!(@rows $head [$($done)* {
+            [$(#[$vmeta])* $variant] $variant $tag [$($konst)?] [$($label)?] {}
+        }] $($($rest)*)?);
+    };
+    (@rows $head:tt [$($done:tt)*]
+        $(#[$vmeta:meta])* $variant:ident ($ty:ty)
+        = $tag:literal $(as $konst:ident)? $(=> $label:literal)? $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_enum!(@rows $head [$($done)* {
+            [$(#[$vmeta])* $variant($ty)] $variant $tag [$($konst)?] [$($label)?] {0 field: $ty}
+        }] $($($rest)*)?);
+    };
+    (@rows $head:tt [$($done:tt)*]
+        $(#[$vmeta:meta])* $variant:ident {
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)?
+        } = $tag:literal $(as $konst:ident)? $(=> $label:literal)? $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_enum!(@rows $head [$($done)* {
+            [$(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty ),* }]
+            $variant $tag [$($konst)?] [$($label)?] {$($field $field: $ty),*}
+        }] $($($rest)*)?);
+    };
+    (@rows [$(#[$meta:meta])* $vis:vis enum $name:ident] [$({
+        [$($def:tt)*] $variant:ident $tag:literal [$($konst:ident)?] [$($label:literal)?]
+        {$($f:tt $bind:ident: $ty:ty),*}
+    })*]) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $($def)* ),*
+        }
+
+        impl $name {
+            $($(
+                #[doc = concat!("Wire tag of [`", stringify!($name), "::", stringify!($variant), "`].")]
+                $vis const $konst: u8 = $tag;
+            )?)*
+        }
+
+        $crate::wire_enum!(@kind $vis $name $($variant [$($label)?])*);
+
+        impl $crate::wire::WireEncode for $name {
+            fn encode(&self, w: &mut $crate::wire::Writer) {
+                match self {
+                    $( Self::$variant { $($f: $bind),* } => {
+                        w.put_u8($tag);
+                        $( $crate::wire::WireEncode::encode($bind, w); )*
+                    } )*
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $( Self::$variant { $($f: $bind),* } => {
+                        1 $( + $crate::wire::WireEncode::encoded_len($bind) )*
+                    } )*
+                }
+            }
+        }
+
+        impl $crate::wire::WireDecode for $name {
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::wire::WireResult<Self> {
+                match r.get_u8()? {
+                    $( $tag => Ok(Self::$variant {
+                        $( $f: <$ty as $crate::wire::WireDecode>::decode(r)? ),*
+                    }), )*
+                    tag => Err($crate::wire::WireError::BadTag { ty: stringify!($name), tag }),
+                }
+            }
+        }
+    };
+    (@kind $vis:vis $name:ident $($variant:ident [$label:literal])*) => {
+        impl $name {
+            /// Short human-readable kind name (for traces).
+            $vis fn kind(&self) -> &'static str {
+                match self {
+                    $( Self::$variant { .. } => $label, )*
+                }
+            }
+        }
+    };
+    (@kind $vis:vis $name:ident $($variant:ident [])*) => {};
+}
 
 #[cfg(test)]
 mod tests {
@@ -551,6 +857,27 @@ mod tests {
             u64::decode_from_bytes(&buf),
             Err(WireError::TrailingBytes(1))
         );
+    }
+
+    /// A `u32` id is refused when its varint does not fit, not truncated
+    /// (2³² + 3 once read as `n3`).
+    #[test]
+    fn u32_ids_beyond_range_are_refused() {
+        let mut w = Writer::new();
+        w.put_varint((1 << 32) + 3);
+        let wire = w.finish();
+        let got = crate::id::NodeId::decode_from_bytes(&wire).map_err(|e| e.to_string());
+        assert_eq!(
+            got,
+            Err("4294967299 is out of range for NodeId".to_string())
+        );
+        let got = crate::id::VipId::decode_from_bytes(&wire).map_err(|e| e.to_string());
+        assert_eq!(got, Err("4294967299 is out of range for VipId".to_string()));
+        let mut w = Writer::new();
+        w.put_varint(u64::from(u32::MAX));
+        let wire = w.finish();
+        let max = crate::id::Incarnation::decode_from_bytes(&wire);
+        assert_eq!(max, Ok(crate::id::Incarnation(u32::MAX)));
     }
 
     #[test]

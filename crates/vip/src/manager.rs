@@ -1,8 +1,7 @@
 //! The replicated VIP assignment table and the gratuitous-ARP model.
 
 use raincore_session::{Replica, SessionApp, SessionEvent, SessionNode, Table};
-use raincore_types::wire::{Reader, WireDecode, WireEncode, WireResult, Writer};
-use raincore_types::{Duration, NodeId, Result, Time, VipId};
+use raincore_types::{wire_struct, Duration, NodeId, Result, Time, VipId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -75,31 +74,17 @@ impl SubnetArp {
     }
 }
 
-/// One batch of assignment changes, multicast by the leader under the
-/// master lock (automatic plans) or by an operator (`pinned` moves).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AssignBatch {
-    /// `(vip, new owner)` pairs.
-    pub assigns: Vec<(VipId, NodeId)>,
-    /// Operator move: the VIPs become *pinned* — excluded from automatic
-    /// rebalancing until a later automatic plan has to reassign them
-    /// (owner left the membership), which unpins them.
-    pub pinned: bool,
-}
-
-impl WireEncode for AssignBatch {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bool(self.pinned);
-        self.assigns.encode(w);
-    }
-}
-
-impl WireDecode for AssignBatch {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(AssignBatch {
-            pinned: r.get_bool()?,
-            assigns: Vec::decode(r)?,
-        })
+wire_struct! {
+    /// One batch of assignment changes, multicast by the leader under the
+    /// master lock (automatic plans) or by an operator (`pinned` moves).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AssignBatch {
+        /// Operator move: the VIPs become *pinned* — excluded from automatic
+        /// rebalancing until a later automatic plan has to reassign them
+        /// (owner left the membership), which unpins them.
+        pub pinned: bool,
+        /// `(vip, new owner)` pairs.
+        pub assigns: Vec<(VipId, NodeId)>,
     }
 }
 
