@@ -4,9 +4,12 @@
 //! of M bytes, the broadcast-emulated protocol puts `(N-1)²` packets of
 //! `M` bytes on the network (doubled with acknowledgements); the token
 //! protocol puts `N` packets of `N·M` bytes, reliably and in consistent
-//! order. (Our measured fan-out count is `N(N-1)` — every one of the N
-//! nodes sends N-1 unicasts; the paper's `(N-1)²` appears to count one
-//! sender fewer. Both are Θ(N²); the token side is Θ(N) packets.)
+//! order.
+//!
+//! Raincore's row is simulated: what a loaded cluster sends beyond an idle
+//! twin over the same window. The baselines are their closed forms
+//! (`raincore_bench::baselines`); fan-out is `N(N-1)` packets, as all N
+//! nodes send N-1 unicasts (the paper's `(N-1)²` counts one sender fewer).
 //!
 //! Usage: `exp_netoverhead [msg_bytes]` (default 1024).
 
@@ -22,7 +25,7 @@ fn main() {
     for n in [2u32, 4, 8, 16] {
         println!("N = {n}:");
         let mut t = Table::new([
-            "protocol",
+            "protocol (baselines: model)",
             "packets",
             "bytes",
             "paper: packets",

@@ -5,6 +5,9 @@
 //! second per node; a broadcast-based protocol needs at least `M·N`; a
 //! two-phase-commit ordered protocol up to `6·M·N`.
 //!
+//! Raincore's column is simulated; the baselines are their closed forms
+//! (`raincore_bench::baselines`), e.g. acked fan-out is `2M(N−1)`.
+//!
 //! Usage: `exp_taskswitch [secs]` (default 5 simulated seconds/cell).
 
 use raincore_bench::experiments::taskswitch;
@@ -22,9 +25,9 @@ fn main() {
         "M",
         "L",
         "raincore",
-        "fanout+acks",
-        "2PC(mean)",
-        "2PC(max=seq'er)",
+        "fanout+acks(model)",
+        "2PC(mean, model)",
+        "2PC(max=seq'er, model)",
         "M*N",
         "6*M*N",
     ]);

@@ -1,7 +1,7 @@
 //! Experiment implementations (see the crate docs for the index).
 
+use crate::baselines;
 use bytes::Bytes;
-use raincore_broadcast::{BroadcastCluster, Mode};
 use raincore_net::{Addr, MediumKind, PacketClass, SimNetConfig};
 use raincore_obs::{HistSummary, Histogram};
 use raincore_rainwall::{Scenario, ScenarioCfg};
@@ -66,62 +66,15 @@ pub struct TaskSwitchRow {
 }
 
 /// Measures §4.1's CPU metric: group-communication processing wake-ups
-/// per second per node, for Raincore and the broadcast baselines, with
-/// `n` nodes each multicasting `m` messages/s and the token doing
-/// `l` rounds/s.
+/// per second per node, with `n` nodes each multicasting `m` messages/s.
+/// Raincore's token does `l` rounds/s and runs in the simulator for
+/// `secs`; the broadcast baselines are their closed forms
+/// ([`crate::baselines`]).
 pub fn taskswitch(n: u32, m: u32, l: f64, secs: u64) -> TaskSwitchRow {
     let payload = Bytes::from(vec![0u8; 64]);
-
-    // --- Raincore ---
     let mut c = Cluster::founding(n, proto_cfg(n, l)).expect("cluster");
-    let warm = Time::ZERO + Duration::from_secs(1);
-    c.run_until(warm);
+    c.run_until(Time::ZERO + Duration::from_secs(1));
     let before: u64 = (0..n).map(|i| c.metrics(NodeId(i)).task_switches).sum();
-    inject_periodic(&mut c, n, m, secs, &payload);
-    let after: u64 = (0..n).map(|i| c.metrics(NodeId(i)).task_switches).sum();
-    let raincore = (after - before) as f64 / secs as f64 / f64::from(n);
-
-    // --- Baselines ---
-    let run_baseline = |mode: Mode| -> Vec<f64> {
-        let mut b =
-            BroadcastCluster::new(n, mode, SimNetConfig::default(), Duration::from_millis(20));
-        b.run_for(Duration::from_millis(100));
-        let before: Vec<u64> = (0..n)
-            .map(|i| b.stats(NodeId(i)).events_processed)
-            .collect();
-        let step = Duration::from_nanos(1_000_000_000 / u64::from(m.max(1)));
-        let mut t = b.now();
-        for _ in 0..(m as u64 * secs) {
-            for i in 0..n {
-                b.multicast(NodeId(i), payload.clone());
-            }
-            t += step;
-            b.run_until(t);
-        }
-        (0..n)
-            .map(|i| {
-                (b.stats(NodeId(i)).events_processed - before[i as usize]) as f64 / secs as f64
-            })
-            .collect()
-    };
-    let reliable_rates = run_baseline(Mode::Reliable);
-    let reliable = reliable_rates.iter().sum::<f64>() / f64::from(n);
-    let seq_rates = run_baseline(Mode::Sequenced);
-    let sequenced_max = seq_rates.iter().cloned().fold(0.0, f64::max);
-    let sequenced_mean = seq_rates.iter().sum::<f64>() / f64::from(n);
-
-    TaskSwitchRow {
-        n,
-        m,
-        l,
-        raincore,
-        reliable,
-        sequenced_max,
-        sequenced_mean,
-    }
-}
-
-fn inject_periodic(c: &mut Cluster, n: u32, m: u32, secs: u64, payload: &Bytes) {
     let step = Duration::from_nanos(1_000_000_000 / u64::from(m.max(1)));
     let mut t = c.now();
     for _ in 0..(m as u64 * secs) {
@@ -130,6 +83,19 @@ fn inject_periodic(c: &mut Cluster, n: u32, m: u32, secs: u64, payload: &Bytes) 
         }
         t += step;
         c.run_until(t);
+    }
+    let after: u64 = (0..n).map(|i| c.metrics(NodeId(i)).task_switches).sum();
+    let (reliable, _) = baselines::acked_fan_out(n, payload.len()).wakeups_per_s(n, m);
+    let (sequenced_mean, sequenced_max) =
+        baselines::sequencer_2pc(n, payload.len()).wakeups_per_s(n, m);
+    TaskSwitchRow {
+        n,
+        m,
+        l,
+        raincore: (after - before) as f64 / secs as f64 / f64::from(n),
+        reliable,
+        sequenced_max,
+        sequenced_mean,
     }
 }
 
@@ -143,8 +109,8 @@ fn inject_periodic(c: &mut Cluster, n: u32, m: u32, secs: u64, payload: &Bytes) 
 pub struct NetOverheadRow {
     /// Protocol label.
     pub protocol: String,
-    /// Control packets put on the wire during the delivery window
-    /// (marginal for Raincore: idle token traffic subtracted).
+    /// Control packets put on the wire for the round: for Raincore, the
+    /// margin over an idle twin of the same cluster in the same window.
     pub packets: i64,
     /// Control bytes on the wire (marginal for Raincore).
     pub bytes: i64,
@@ -154,72 +120,60 @@ pub struct NetOverheadRow {
     pub formula_bytes: String,
 }
 
-/// Measures §4.1's network overhead for all four protocols.
+/// §4.1's network overhead for all four protocols: Raincore measured in
+/// the simulator, the broadcast baselines from their closed forms.
 pub fn netoverhead(n: u32, msg_bytes: usize) -> Vec<NetOverheadRow> {
     let payload = Bytes::from(vec![0u8; msg_bytes]);
-    let window = Duration::from_secs(2);
-    let mut rows = Vec::new();
-
-    // --- Raincore: marginal cost over the idle token ---
-    let mut c = Cluster::founding(n, proto_cfg(n, 10.0)).expect("cluster");
-    c.run_for(Duration::from_secs(1));
-    c.reset_net_stats();
-    c.run_for(window);
-    let idle_p = c.net_stats().total_sent(PacketClass::Control).pkts as i64;
-    let idle_b = c.net_stats().total_sent(PacketClass::Control).bytes as i64;
-    c.reset_net_stats();
-    for i in 0..n {
-        c.multicast(NodeId(i), DeliveryMode::Agreed, payload.clone())
-            .expect("multicast");
-    }
-    c.run_for(window);
-    let mc_p = c.net_stats().total_sent(PacketClass::Control).pkts as i64;
-    let mc_b = c.net_stats().total_sent(PacketClass::Control).bytes as i64;
-    rows.push(NetOverheadRow {
-        protocol: "raincore (marginal)".into(),
-        packets: mc_p - idle_p,
-        bytes: mc_b - idle_b,
-        formula_packets: "0 extra (piggybacked)".into(),
-        formula_bytes: format!("N²·M = {}", u64::from(n) * u64::from(n) * msg_bytes as u64),
-    });
-
-    // --- Baselines ---
-    let mut run_mode = |label: &str, mode: Mode, fp: String, fb: String| {
-        let mut b =
-            BroadcastCluster::new(n, mode, SimNetConfig::default(), Duration::from_millis(20));
-        b.run_for(Duration::from_millis(100));
-        b.reset_net_stats();
-        for i in 0..n {
-            b.multicast(NodeId(i), payload.clone());
+    // Two identical clusters over the same window, only one of them
+    // loaded: the token's own traffic cancels hop for hop.
+    let [idle, loaded] = [false, true].map(|load| {
+        let mut c = Cluster::founding(n, proto_cfg(n, 10.0)).expect("cluster");
+        c.run_for(Duration::from_secs(1));
+        c.reset_net_stats();
+        for i in (0..n).filter(|_| load) {
+            c.multicast(NodeId(i), DeliveryMode::Agreed, payload.clone())
+                .expect("multicast");
         }
-        b.run_for(window);
-        rows.push(NetOverheadRow {
-            protocol: label.into(),
-            packets: b.net_stats().total_sent(PacketClass::Control).pkts as i64,
-            bytes: b.net_stats().total_sent(PacketClass::Control).bytes as i64,
-            formula_packets: fp,
-            formula_bytes: fb,
-        });
-    };
+        c.run_for(Duration::from_secs(2));
+        c.net_stats().total_sent(PacketClass::Control)
+    });
     let nn = u64::from(n);
-    run_mode(
-        "fan-out (unreliable)",
-        Mode::Unreliable,
-        format!("N(N-1) = {}", nn * (nn - 1)),
-        format!("≈N(N-1)·M = {}", nn * (nn - 1) * msg_bytes as u64),
-    );
-    run_mode(
-        "fan-out + acks",
-        Mode::Reliable,
-        format!("2N(N-1) = {}", 2 * nn * (nn - 1)),
-        format!(">N(N-1)·M = {}", nn * (nn - 1) * msg_bytes as u64),
-    );
-    run_mode(
-        "sequencer 2PC",
-        Mode::Sequenced,
-        "≈4N² (4 phases)".into(),
-        "≫".into(),
-    );
+    let fan_bytes = nn * (nn - 1) * msg_bytes as u64;
+    let mut rows = vec![NetOverheadRow {
+        protocol: "raincore (marginal)".into(),
+        packets: loaded.pkts as i64 - idle.pkts as i64,
+        bytes: loaded.bytes as i64 - idle.bytes as i64,
+        formula_packets: "0 extra (piggybacked)".into(),
+        formula_bytes: format!("N²·M = {}", nn * nn * msg_bytes as u64),
+    }];
+    for (protocol, cost, formula_packets, formula_bytes) in [
+        (
+            "fan-out (unreliable)",
+            baselines::fan_out(n, msg_bytes),
+            format!("N(N-1) = {}", nn * (nn - 1)),
+            format!("≈N(N-1)·M = {fan_bytes}"),
+        ),
+        (
+            "fan-out + acks",
+            baselines::acked_fan_out(n, msg_bytes),
+            format!("2N(N-1) = {}", 2 * nn * (nn - 1)),
+            format!(">N(N-1)·M = {fan_bytes}"),
+        ),
+        (
+            "sequencer 2PC",
+            baselines::sequencer_2pc(n, msg_bytes),
+            "≈4N² (4 phases)".into(),
+            "≫".into(),
+        ),
+    ] {
+        rows.push(NetOverheadRow {
+            protocol: protocol.into(),
+            packets: cost.packets as i64,
+            bytes: cost.bytes as i64,
+            formula_packets,
+            formula_bytes,
+        });
+    }
     rows
 }
 

@@ -16,6 +16,9 @@
 //! | `exp_quiescent` | §2.5: membership agreement after a burst of crashes |
 //! | `exp_ring_size` | one flat ring at N = 8…64: latency and wake-up rate |
 //!
+//! E1 and E2 measure Raincore in the simulator and take the broadcast
+//! baselines they compare it with from [`baselines`], their closed forms.
+//!
 //! Run everything with `--release`; the simulations move hundreds of
 //! thousands of packets.
 
@@ -25,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod report;
 

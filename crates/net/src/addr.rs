@@ -77,6 +77,11 @@ impl PacketClass {
     pub const ALL: [PacketClass; 2] = [PacketClass::Control, PacketClass::Data];
 }
 
+/// Fixed per-packet header overhead counted on top of every datagram's
+/// payload (Ethernet + IP + UDP ≈ 42 bytes; we use 42 to keep byte counts
+/// realistic without modelling real headers).
+pub const WIRE_OVERHEAD: u64 = 42;
+
 /// A raw datagram: what actually crosses the (simulated or real) wire.
 ///
 /// Delivery is unreliable and unordered — exactly the service UDP gives
@@ -115,11 +120,10 @@ impl Datagram {
         }
     }
 
-    /// Size used for bandwidth and byte accounting: payload plus a fixed
-    /// per-packet header overhead (Ethernet + IP + UDP ≈ 42 bytes; we use
-    /// 42 to keep byte counts realistic without modelling real headers).
+    /// Size used for bandwidth and byte accounting: payload plus
+    /// [`WIRE_OVERHEAD`].
     pub fn wire_bytes(&self) -> u64 {
-        self.payload.len() as u64 + 42
+        self.payload.len() as u64 + WIRE_OVERHEAD
     }
 }
 

@@ -41,7 +41,7 @@ pub mod sim;
 pub mod stats;
 pub mod udp;
 
-pub use addr::{Addr, Datagram, PacketClass};
+pub use addr::{Addr, Datagram, PacketClass, WIRE_OVERHEAD};
 pub use batch::{BatchConfig, BatchIo, IoBackend, IoMetrics, IoWaker};
 pub use sim::{MediumKind, SimNet, SimNetConfig};
 pub use stats::{ClassCounts, NetStats, NodeStats};

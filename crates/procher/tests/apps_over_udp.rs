@@ -226,8 +226,8 @@ fn lock_and_vips_survive_their_owner_over_real_sockets() {
     // The joiner has the lowest id, leads the ring it joined and moves
     // its share of the pool to itself — a plan its peers take for a
     // multicast of its previous life and drop (a restarted origin numbers
-    // from 0 again, ROADMAP item 4). So: everything it does not claim for
-    // itself is as an elder has it.
+    // from 0 again, DESIGN.md §18.3, "Known gaps"). So: everything it does
+    // not claim for itself is as an elder has it.
     let elder = assignment(&nodes[1]);
     for (vip, owner) in assignment(&back) {
         assert!(owner == n(0) || owner == elder[&vip], "{vip}: {owner}");

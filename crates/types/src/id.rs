@@ -81,7 +81,8 @@ impl fmt::Display for GroupId {
 /// node's lives apart: its frames carry the incarnation, so packets from a
 /// node's previous life are discarded after it crashes and rejoins. Above
 /// the transport a life is not named — a `Ring` holds node ids only, and
-/// the session keys an origin's messages by id (ROADMAP item 1).
+/// the session keys an origin's messages by id (DESIGN.md §18.3, "Known
+/// gaps").
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Incarnation(pub u32);
 

@@ -164,8 +164,8 @@ fn rejoining_member_regains_its_share() {
 /// the group and share the pool. (`late` was never up, rather than up
 /// and crashed, so that it never multicast: a restarted origin numbers
 /// its multicasts from 0 again and the members that remember its old
-/// ones drop as many of the new — ROADMAP item 4 — which loses a
-/// rejoining leader's first plan whatever table it plans from.)
+/// ones drop as many of the new — DESIGN.md §18.3, "Known gaps" — which
+/// loses a rejoining leader's first plan whatever table it plans from.)
 fn two_of_three(late: u32, k: u32) -> (Cluster, Arc<SubnetArp>) {
     let founders = (0..3).filter(|&id| id != late).map(NodeId);
     let ring = Ring::from_iter(founders.clone());

@@ -45,12 +45,11 @@ leg_lint() {
   done
   cargo check --workspace --all-features --offline --quiet
 
-  echo "==> layering (the application crates do not link the simulator; the simulator does not link the baselines)"
+  echo "==> layering (the application crates do not link the simulator)"
   # dlm, data and vip are hosted wherever a SessionNode runs (DESIGN.md
   # §18): the simulator is one host, and may be a dev-dependency of theirs
-  # only. The simulator uses nothing of the broadcast baselines. The seeded
-  # manifest — crates/vip's before PR 21 — must trip the same check, or the
-  # check checks nothing.
+  # only. The seeded manifest — crates/vip's before PR 21 — must trip the
+  # same check, or the check checks nothing.
   links() { # CRATE MANIFEST: does MANIFEST name CRATE under [dependencies]?
     awk -v crate="$1" '/^\[/ { deps = ($0 == "[dependencies]"); if ($0 == "[dependencies." crate "]") hit = 1 }
          deps && index($0, crate) == 1 && substr($0, length(crate) + 1, 1) ~ /[ .=]/ { hit = 1 }
@@ -66,10 +65,6 @@ leg_lint() {
       exit 1
     fi
   done
-  if links raincore-broadcast crates/sim/Cargo.toml; then
-    echo "crates/sim names raincore-broadcast under [dependencies]" >&2
-    exit 1
-  fi
 
   echo "==> clippy (seeded fixture must fail on every protocol rule family)"
   # The protocol rules are clippy lints (DESIGN.md §6b), so the clippy leg
@@ -296,10 +291,12 @@ leg_chaos() {
 }
 
 leg_experiments() {
-  echo "==> experiments (release build of the workspace; fail-over under the paper's 2 s; figure 3 smoke)"
+  echo "==> experiments (release build of the workspace; fail-over under the paper's 2 s; figure 3 and §4.1 tables smoke)"
   cargo build --release --workspace --quiet
   cargo run --release -q -p raincore-bench --bin exp_failover
   cargo run --release -q -p raincore-bench --bin exp_fig3 1
+  cargo run --release -q -p raincore-bench --bin exp_taskswitch 1
+  cargo run --release -q -p raincore-bench --bin exp_netoverhead
 }
 
 leg_micro_bench() {

@@ -16,7 +16,6 @@
 //! | [`net`] | `raincore-net` | simulated networks (switch/hub) + UDP backend |
 //! | [`transport`] | `raincore-transport` | atomic reliable unicast, failure-on-delivery |
 //! | [`session`] | `raincore-session` | token ring, 911, discovery/merge, multicast, mutex |
-//! | [`broadcast`] | `raincore-broadcast` | broadcast-over-unicast baselines |
 //! | [`sim`] | `raincore-sim` | deterministic discrete-event cluster harness |
 //! | [`dlm`] | `raincore-dlm` | distributed lock manager |
 //! | [`vip`] | `raincore-vip` | virtual IP manager |
@@ -43,7 +42,6 @@
 pub mod runtime;
 pub mod shard;
 
-pub use raincore_broadcast as broadcast;
 pub use raincore_data as data;
 pub use raincore_dlm as dlm;
 pub use raincore_net as net;

@@ -245,7 +245,7 @@ fn joiner_after_quiescence_synced_by_snapshot() {
 /// around the table transfer, on either side of it. (Only n1 writes
 /// before the crash: a restarted origin numbers its multicasts from 0
 /// again, and the members that remember its old ones drop as many of
-/// the new — ROADMAP item 4.)
+/// the new — DESIGN.md §18.3, "Known gaps".)
 fn rejoin_under_writes(joiner: NodeId) -> Cluster {
     let mut c = Cluster::founding(3, fast_cfg()).unwrap();
     for id in c.member_ids() {

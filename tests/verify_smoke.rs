@@ -169,7 +169,7 @@ fn replicated_tables_stay_equal_through_a_crash_and_a_joining_restart() {
     c.run_for(Duration::from_millis(300));
     // The victim submits nothing before it dies: a restarted origin
     // numbers its multicasts from 0 again, and its peers would take as
-    // many of the new ones for the old (ROADMAP item 4).
+    // many of the new ones for the old (DESIGN.md §18.3, "Known gaps").
     let victim = NodeId(2);
     for round in 0..70 {
         match round {

@@ -8,7 +8,6 @@
 //! bytes. A vector moves only with a deliberate change of the format.
 
 use bytes::Bytes;
-use raincore::broadcast::BMsg;
 use raincore::data::DataOp;
 use raincore::dlm::ops::HeldLock;
 use raincore::dlm::LockOp;
@@ -310,49 +309,4 @@ fn rainwall() {
         "LoadReport payload"
     );
     assert_eq!(LoadReport::from_payload(&payload), Some(report));
-}
-
-#[test]
-fn broadcast_baselines() {
-    let payload = Bytes::from_static(b"p");
-    let cases = [
-        (
-            BMsg::Pub {
-                origin: n(1),
-                oseq: OriginSeq(2),
-                payload: payload.clone(),
-            },
-            "0001020170",
-        ),
-        (
-            BMsg::Ack {
-                origin: n(300),
-                oseq: OriginSeq(2),
-            },
-            "01ac0202",
-        ),
-        (
-            BMsg::Submit {
-                origin: n(3),
-                oseq: OriginSeq(128),
-                payload: payload.clone(),
-            },
-            "020380010170",
-        ),
-        (
-            BMsg::Prepare {
-                gseq: 1 << 14,
-                origin: n(3),
-                oseq: OriginSeq(0),
-                payload,
-            },
-            "0380800103000170",
-        ),
-        (BMsg::Prepared { gseq: 9 }, "0409"),
-        (BMsg::Commit { gseq: 300 }, "05ac02"),
-        (BMsg::Committed { gseq: 9 }, "0609"),
-    ];
-    for (msg, want) in &cases {
-        golden(msg.kind(), msg, want);
-    }
 }
