@@ -10,10 +10,7 @@ use raincore_bench::experiments::fig3;
 use raincore_bench::report::{f, hist_table, Table};
 
 fn main() {
-    let secs: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let secs: u64 = raincore_bench::cli::arg("secs", 8, 1..=3_600);
     println!("E3 (Figure 3): Rainwall cluster throughput, switched Fast Ethernet\n");
     let pts = fig3(&[1, 2, 4], secs);
     let paper = [(95.0, 1.0), (187.0, 1.97), (357.0, 3.76)];

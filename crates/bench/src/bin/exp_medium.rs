@@ -12,10 +12,7 @@ use raincore_bench::experiments::medium;
 use raincore_bench::report::{f, Table};
 
 fn main() {
-    let secs: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
+    let secs: u64 = raincore_bench::cli::arg("secs", 6, 1..=3_600);
     println!("E5: cluster goodput, switched vs shared (hub) Fast Ethernet\n");
     let rows = medium(&[1, 2, 4], secs);
     let mut t = Table::new([

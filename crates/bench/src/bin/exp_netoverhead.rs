@@ -17,10 +17,7 @@ use raincore_bench::experiments::netoverhead;
 use raincore_bench::report::Table;
 
 fn main() {
-    let m: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024);
+    let m: usize = raincore_bench::cli::arg("msg_bytes", 1024, 1..=raincore_session::MAX_PAYLOAD);
     println!("E2: network overhead — every node multicasts one {m}-byte message\n");
     for n in [2u32, 4, 8, 16] {
         println!("N = {n}:");

@@ -14,10 +14,7 @@ use raincore_bench::experiments::quiescent;
 use raincore_bench::report::Table;
 
 fn main() {
-    let n: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let n: u32 = raincore_bench::cli::arg("n", 8, 2..=64);
     println!("E6: membership agreement time after disturbance bursts (N = {n})\n");
     let mut t = Table::new([
         "simultaneous crashes",

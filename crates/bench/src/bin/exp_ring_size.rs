@@ -12,10 +12,7 @@ use raincore_bench::experiments::flat_ring;
 use raincore_bench::report::{f, Table};
 
 fn main() {
-    let samples: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
+    let samples: u32 = raincore_bench::cli::arg("samples", 6, 1..=1_000);
     println!("A5: one flat ring at N = 8…64 (token hold 2 ms)\n");
     let mut t = Table::new(["N", "latency to farthest (ms)", "switches/s/node"]);
     for n in [8u32, 16, 32, 64] {

@@ -14,10 +14,7 @@ use raincore_bench::experiments::taskswitch;
 use raincore_bench::report::{f, Table};
 
 fn main() {
-    let secs: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let secs: u64 = raincore_bench::cli::arg("secs", 5, 1..=3_600);
     println!("E1: group-communication task switches per second per node");
     println!("    (paper §4.1: Raincore = L;  broadcast ≥ M·N;  2PC ordered ≤ 6·M·N)\n");
     let mut t = Table::new([

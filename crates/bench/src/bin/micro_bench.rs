@@ -15,6 +15,7 @@
 //! | `bench_udp_rtt` | ping round-trip p50/p99 over the batched engine while each ping shares its batch with background load |
 //! | `bench_failure_detect` | two simulated fail-overs with the stock detection timeouts: crash → failure-on-delivery (a skipped hop) and crash → token regenerated (a lost token), in simulated ns that repeat exactly |
 //! | `bench_lost_token_outage` | `sim_core`'s fail-over on its own: eight simulated members, stock timeouts, the EATING member crashes — the repairer's outage stages (wait for the successor probe, its give-up, the vote) in simulated ns, probes sent and 911 callers; counts that repeat exactly |
+//! | `bench_token_accept` | one member's hop through its public API: a four-member ring's token with 16 inline entries from three other origins comes off the wire, all 16 are delivered, the token is passed and its acknowledgement handled |
 //! | `bench_bulk_closed_loop` | one simulated second of the `udp_bulk` shape (3 nodes, node 0 keeps 8 × 8 KiB out-of-band multicasts in flight): deliveries per simulated second, hops per delivery and the share of passes the pacing rule released early — counts that repeat exactly |
 //!
 //! `bytes_per_op` is **heap bytes allocated** per operation (not wire
@@ -34,10 +35,11 @@
 //! the newest one (the retired legacy rows of the first, PR 5's, are
 //! quoted in EXPERIMENTS.md P1/P2).
 //! `--compare` additionally loads a committed baseline and exits non-zero
-//! if any of the six gated benches — `bench_token_hop`,
+//! if any of the seven gated benches — `bench_token_hop`,
 //! `bench_hop_latency`, `bench_model_check_states`,
-//! `bench_multicast_throughput`, `bench_udp_pps`, `bench_udp_rtt` —
-//! allocates >25% more per op than the baseline records.
+//! `bench_multicast_throughput`, `bench_udp_pps`, `bench_udp_rtt`,
+//! `bench_token_accept` — allocates >25% more per op than the baseline
+//! records.
 
 // A micro-benchmark measures wall time by design, and its counting
 // allocator keeps statistics that are never used for control flow.
@@ -176,6 +178,110 @@ fn token_hop() -> (u64, Extras) {
     }
     black_box(&last_copy);
     (HOPS, Vec::new())
+}
+
+/// Tokens `bench_token_accept` hands its member, one per op.
+const ACCEPTS: u64 = 5_000;
+/// Entries each of those tokens carries, from three other origins.
+const ACCEPT_ENTRIES: u64 = 16;
+
+/// The wire images `bench_token_accept` feeds its member, built before
+/// the measured run: node 0's DATA frame carrying the `k`-th token of a
+/// four-member ring, `ACCEPT_ENTRIES` fresh 32-byte agreed multicasts
+/// aboard from origins 0, 2 and 3 (what the rest of the ring would have
+/// added, the earlier ones retired).
+fn token_accept_images() -> Vec<Bytes> {
+    use raincore_transport::Frame;
+    use raincore_types::{Incarnation, MsgId};
+    let payload = Bytes::from(vec![0x5A; 32]);
+    (0..ACCEPTS)
+        .map(|k| {
+            let mut t = quiescent_token(4);
+            t.seq += 4 * k;
+            for i in 0..ACCEPT_ENTRIES {
+                let origin = NodeId([0, 2, 3][(i % 3) as usize]);
+                let seq = OriginSeq(k * ACCEPT_ENTRIES + i);
+                t.msgs.push(Attached::new(
+                    origin,
+                    seq,
+                    DeliveryMode::Agreed,
+                    payload.clone(),
+                ));
+            }
+            Frame::Data {
+                from: NodeId(0),
+                inc: Incarnation::FIRST,
+                msg_id: MsgId(k + 1),
+                frag_index: 0,
+                frag_count: 1,
+                reliable: true,
+                payload: SessionMsg::Token(t).encode_to_bytes(),
+            }
+            .encode_to_bytes()
+        })
+        .collect()
+}
+
+/// One member's whole hop through its public API (DESIGN.md §9): node 1
+/// of a four-member ring takes a token off the wire carrying
+/// `ACCEPT_ENTRIES` inline entries from the three other origins, marks,
+/// buffers and delivers all of them, and passes the token to node 2 at
+/// the end of its hold, whose acknowledgement comes straight back. One op
+/// is one accept → deliver → pass; every delivery is counted.
+fn token_accept(images: Vec<Bytes>) -> (u64, Extras) {
+    use raincore_session::{SessionEvent, SessionNode, StartMode};
+    use raincore_transport::{FragSet, Frame, PeerTable};
+    use raincore_types::{Duration, Incarnation, SessionConfig, Time, TransportConfig};
+
+    let ring = Ring::from_iter((0..4).map(NodeId));
+    let (me, next) = (NodeId(1), NodeId(2));
+    let mut cfg = SessionConfig::for_cluster(4);
+    cfg.token_hold = Duration::from_millis(1);
+    let mut node = SessionNode::new(
+        me,
+        Incarnation::FIRST,
+        cfg,
+        TransportConfig::default(),
+        vec![Addr::primary(me)],
+        PeerTable::full_mesh(ring.iter(), 1),
+        StartMode::Founding(ring),
+        Time::ZERO,
+    )
+    .expect("member");
+    let (mut now, mut passes, mut delivered) = (Time::ZERO, 0u64, 0u64);
+    for image in images {
+        now += Duration::from_millis(1);
+        let from = Addr::primary(NodeId(0));
+        node.on_datagram(now, Datagram::control(from, Addr::primary(me), image));
+        now += Duration::from_millis(1);
+        node.on_tick(now);
+        while let Some(ev) = node.poll_event() {
+            delivered += u64::from(matches!(ev, SessionEvent::Delivery(_)));
+        }
+        while let Some(d) = node.poll_outgoing() {
+            let Ok(Frame::Data {
+                msg_id, frag_count, ..
+            }) = Frame::decode_from_shared(&d.payload)
+            else {
+                continue;
+            };
+            if d.dst.node != next {
+                continue;
+            }
+            passes += 1;
+            let ack = Frame::Ack {
+                from: next,
+                inc: Incarnation::FIRST,
+                msg_id,
+                frags: FragSet::first_n(frag_count),
+            };
+            let ack = Datagram::control(Addr::primary(next), d.src, ack.encode_to_bytes());
+            node.on_datagram(now, ack);
+        }
+    }
+    assert_eq!(passes, ACCEPTS, "every token accepted was passed on");
+    assert_eq!(delivered, ACCEPTS * ACCEPT_ENTRIES, "every entry delivered");
+    (ACCEPTS, Vec::new())
 }
 
 /// Encode+decode round-trip of a token carrying piggybacked multicasts:
@@ -751,6 +857,10 @@ fn main() {
         measure("bench_failure_detect", failure_detect),
         measure("bench_bulk_closed_loop", bulk_closed_loop),
         measure("bench_lost_token_outage", lost_token_outage),
+        measure("bench_token_accept", {
+            let images = token_accept_images();
+            move || token_accept(images)
+        }),
     ];
 
     let new_hop = &results[0];
@@ -797,9 +907,10 @@ fn main() {
         // full simulated pipeline hop (which the trace/span plumbing
         // rides on, so a tracing regression trips it), the model-check
         // state cost (which the fingerprint machinery rides
-        // on), and the batched I/O engine's loopback workloads (which
+        // on), the batched I/O engine's loopback workloads (which
         // the buffer pool rides on — a pool regression shows up as
-        // per-datagram allocations).
+        // per-datagram allocations), and one member's accept → deliver →
+        // pass (a per-hop copy of the message list shows up there).
         for gated in [
             "bench_token_hop",
             "bench_hop_latency",
@@ -807,6 +918,7 @@ fn main() {
             "bench_multicast_throughput",
             "bench_udp_pps",
             "bench_udp_rtt",
+            "bench_token_accept",
         ] {
             let base = extract(&baseline, gated, "allocs_per_op")
                 .unwrap_or_else(|| panic!("baseline has {gated} allocs_per_op"));

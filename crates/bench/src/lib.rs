@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+pub mod cli;
 pub mod experiments;
 pub mod report;
 

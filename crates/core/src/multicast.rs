@@ -130,10 +130,16 @@ impl Multicast {
             .is_some_and(|w| w.contains(MsgId(key.1 .0)))
     }
 
-    /// The hold-back entry for `key` (there is at most one:
+    /// Where the hold-back entry for `key` is (there is at most one:
     /// [`Multicast::buffer_message`] is idempotent).
+    fn pending_at(&self, key: BulkId) -> Option<usize> {
+        self.holdback.iter().position(|p| p.key() == key)
+    }
+
+    /// The hold-back entry for `key`.
     fn pending_mut(&mut self, key: BulkId) -> Option<&mut PendingDelivery> {
-        self.holdback.iter_mut().find(|p| p.key() == key)
+        let at = self.pending_at(key)?;
+        self.holdback.get_mut(at)
     }
 
     /// Freight the queued multicasts will add to a token.
@@ -221,6 +227,10 @@ impl Multicast {
     /// later pass (backpressure that keeps hop latency bounded under
     /// bursts).
     pub(crate) fn attach_outgoing(&mut self, cx: &mut Ctx<'_>, token: &mut Token) {
+        // Nothing queued: the pass attaches nothing and reserves nothing.
+        if self.outgoing.is_empty() {
+            return;
+        }
         let mut attached_any = false;
         let full = cx.full_line();
         let room = MAX_ATTACHED.saturating_sub(token.msgs.len());
@@ -252,18 +262,21 @@ impl Multicast {
     /// entry counts as received only once its payload is actually in
     /// hand, so `seen_by_all` certifies every member can deliver — the
     /// stability watermark that makes retirement (and the origin dropping
-    /// its retransmit cache) safe without any new wire state.
-    fn payload_in_hand(&mut self, m: &Attached) -> bool {
+    /// its retransmit cache) safe without any new wire state. `held`: the
+    /// entry's place in the hold-back queue, if it is there.
+    fn payload_in_hand(&self, m: &Attached, held: Option<usize>) -> bool {
         !m.is_oob()
             || self.bulk_store.contains(m.key())
             || self.already_delivered(m.key())
-            || self
-                .pending_mut(m.key())
+            || held
+                .and_then(|at| self.holdback.get(at))
                 .is_some_and(|p| p.payload.is_some())
     }
 
     /// Marks, buffers, delivers and retires the messages piggybacked on
-    /// an accepted token (§2.6).
+    /// an accepted token (§2.6), and returns the freight the token orders
+    /// afterwards ([`Token::load_len`] against `full`, the pacing rule's
+    /// line), measured by the retirement walk rather than by another.
     ///
     /// Delivery order is the *token order*: messages enter the hold-back
     /// queue the first time they are seen (the token's message list is
@@ -274,19 +287,26 @@ impl Multicast {
     /// order hold *across* delivery modes, exactly as "the message
     /// ordering on the token decides the message ordering on each of the
     /// nodes".
-    pub(crate) fn process_attachments(&mut self, cx: &mut Ctx<'_>, token: &mut Token) {
+    pub(crate) fn process_attachments(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        token: &mut Token,
+        full: usize,
+    ) -> usize {
         let ring = token.ring.clone();
         for m in token.msgs.iter_mut() {
-            if self.payload_in_hand(m) {
+            // At most one scan of the hold-back queue per entry: buffering
+            // finds (or makes) the entry the marks below refresh.
+            let held = self.buffer_message(cx, m);
+            if self.payload_in_hand(m, held) {
                 m.mark_seen(cx.id);
             }
-            self.buffer_message(cx, m);
             // Every member has it: deliverable (§2.6's extra round).
             let safe_now = m.mode == DeliveryMode::Safe && m.seen_by_all(&ring);
             if safe_now {
                 m.mark_confirmed(cx.id);
             }
-            if let Some(p) = self.pending_mut(m.key()) {
+            if let Some(p) = held.and_then(|at| self.holdback.get_mut(at)) {
                 // Refresh the holder snapshot for NACK-pull rotation.
                 p.holders.clone_from(&m.seen);
                 p.ready |= safe_now;
@@ -295,44 +315,59 @@ impl Multicast {
         self.drain_holdback(cx);
         // Retire completed messages. The *originator* retires its own
         // (and emits the atomicity confirmation); anyone may retire a
-        // message whose originator has left the membership.
+        // message whose originator has left the membership. What stays is
+        // weighed on the way.
         let my_id = cx.id;
+        let mut aboard = 0usize;
         token.msgs.retain(|m| {
             let done = match m.mode {
                 DeliveryMode::Agreed => m.seen_by_all(&ring),
                 DeliveryMode::Safe => m.confirmed_by_all(&ring),
             };
-            let responsible = m.origin == my_id || !ring.contains(m.origin);
-            if done && responsible && m.origin == my_id {
+            let retire = done && (m.origin == my_id || !ring.contains(m.origin));
+            if retire && m.origin == my_id {
                 cx.obs.own_atomic(m.seq);
                 cx.events
                     .push_back(SessionEvent::MulticastAtomic { seq: m.seq });
             }
-            !(done && responsible)
+            if !retire {
+                aboard = aboard.saturating_add(m.load_len(full));
+            }
+            !retire
         });
         // Release bulk payloads whose manifest entries have retired: an
         // entry retires only once every member marked it seen, and an
         // out-of-band entry is marked seen only with the payload in hand,
-        // so no member can still need to pull it.
-        let on_token: BTreeSet<BulkId> = token
-            .msgs
-            .iter()
-            .filter(|m| m.is_oob())
-            .map(|m| m.key())
-            .collect();
-        let resident: Vec<BulkId> = self.bulk_store.keys().collect();
-        for k in resident {
-            if self.already_delivered(k) && !on_token.contains(&k) {
-                self.bulk_store.remove(k);
+        // so no member can still need to pull it. With none resident there
+        // is nothing to release, and no third walk over the entries.
+        if !self.bulk_store.is_empty() {
+            let on_token: BTreeSet<BulkId> = token
+                .msgs
+                .iter()
+                .filter(|m| m.is_oob())
+                .map(|m| m.key())
+                .collect();
+            let resident: Vec<BulkId> = self.bulk_store.keys().collect();
+            for k in resident {
+                if self.already_delivered(k) && !on_token.contains(&k) {
+                    self.bulk_store.remove(k);
+                }
             }
         }
+        token.load_len_with(aboard)
     }
 
-    /// Adds a newly seen message to the hold-back queue (idempotent).
-    fn buffer_message(&mut self, cx: &mut Ctx<'_>, m: &Attached) {
+    /// Adds a newly seen message to the hold-back queue (idempotent), and
+    /// says where its entry is: `None` for a message delivered already.
+    fn buffer_message(&mut self, cx: &mut Ctx<'_>, m: &Attached) -> Option<usize> {
         let key = m.key();
-        if self.already_delivered(key) || self.pending_mut(key).is_some() {
-            return;
+        // A message is delivered only as it leaves the queue, so one that
+        // was is not held back: no scan for it.
+        if self.already_delivered(key) {
+            return None;
+        }
+        if let Some(at) = self.pending_at(key) {
+            return Some(at);
         }
         if m.mode == DeliveryMode::Safe {
             cx.metrics.safe_held_back += 1;
@@ -363,6 +398,7 @@ impl Multicast {
             pull_tries: 0,
             holders: m.seen.clone(),
         });
+        Some(self.holdback.len() - 1)
     }
 
     /// Delivers the ready prefix of the hold-back queue, in token order.
@@ -372,34 +408,36 @@ impl Multicast {
     /// delivered-id gap so the model checker can demonstrate it.
     fn drain_holdback(&mut self, cx: &mut Ctx<'_>) {
         let blind = cx.cfg.bulk_blind_delivery;
-        while self
+        while let Some(front) = self
             .holdback
-            .front()
-            .is_some_and(|front| front.ready && (front.payload.is_some() || blind))
+            .front_mut()
+            .filter(|front| front.ready && (front.payload.is_some() || blind))
         {
-            let Some(p) = self.holdback.pop_front() else {
-                return;
-            };
+            // Read the entry where it lies and take only its payload out:
+            // moving the whole entry out of the queue copies it for nothing.
+            let (origin, seq, mode) = (front.origin, front.seq, front.mode);
+            let payload = front.payload.take().unwrap_or_default();
+            self.holdback.pop_front();
             let fresh = self
                 .delivered
-                .entry(p.origin)
+                .entry(origin)
                 .or_default()
-                .insert(MsgId(p.seq.0));
+                .insert(MsgId(seq.0));
             if fresh {
                 cx.metrics.deliveries += 1;
                 cx.obs.trace(TraceKind::Delivered {
-                    origin: p.origin.0,
-                    seq: p.seq.0,
-                    safe: p.mode == DeliveryMode::Safe,
+                    origin: origin.0,
+                    seq: seq.0,
+                    safe: mode == DeliveryMode::Safe,
                 });
-                if p.origin == cx.id {
-                    cx.obs.own_delivered(p.seq);
+                if origin == cx.id {
+                    cx.obs.own_delivered(seq);
                 }
                 cx.events.push_back(SessionEvent::Delivery(Delivery {
-                    origin: p.origin,
-                    seq: p.seq,
-                    mode: p.mode,
-                    payload: p.payload.unwrap_or_default(),
+                    origin,
+                    seq,
+                    mode,
+                    payload,
                 }));
             }
         }

@@ -620,10 +620,11 @@ impl SessionNode {
             .token_accepted(token.seq, hop, token.ring.len() as u64, hungry_since);
         cx.obs.hop_accepted(token.trace); // stage b3: protocol accepted
         cx.sync_membership(&token.ring);
-        self.mcast.process_attachments(&mut cx, &mut token);
-        cx.metrics.tokens_received += 1;
         let full = cx.full_line();
-        cx.role.accept_token(token, now, cx.cfg.token_hold, full);
+        let load = self.mcast.process_attachments(&mut cx, &mut token, full);
+        self.pass.keep_copy(&token);
+        cx.metrics.tokens_received += 1;
+        cx.role.accept_token(token, now, cx.cfg.token_hold, load);
         self.grant_master_if_eating();
         self.release_full_hold();
     }
@@ -683,6 +684,10 @@ impl SessionNode {
         let Some(mut token) = cx.role.take_token(now) else {
             return;
         };
+        // Every way out of a pass replaces the local copy; letting the
+        // stale one go first leaves the token's message list unshared, so
+        // the multicasts that board do not copy it.
+        self.pass.release_copy();
         cx.metrics.tokens_passed_early += u64::from(early);
         // This pass's slot on the pace: a round after the last one, and
         // within a round of the pass itself. A token that came late does
@@ -1160,6 +1165,40 @@ mod tests {
              the bytes the one that is a full token's worth sent round it"
         );
         assert_eq!(sent.load_len(line), empty + queued);
+    }
+
+    #[test]
+    fn the_weight_taken_at_accept_is_the_full_walk_of_the_held_token() {
+        // The accept weighs the token in its retirement walk; it must read
+        // what a walk over the held token reads. Aboard: an entry of the
+        // accepting member that everyone else has seen (it retires), one
+        // it marks, and out-of-band entries under and over the line.
+        let mut b = mk_bulk(1, 512);
+        let line = full_line(&b.transport);
+        let mut own = Attached::new(NodeId(1), OriginSeq(0), DeliveryMode::Agreed, Bytes::new());
+        own.mark_seen(NodeId(0));
+        own.mark_seen(NodeId(2));
+        let safe = Attached::new(
+            NodeId(0),
+            OriginSeq(0),
+            DeliveryMode::Safe,
+            Bytes::from(vec![7u8; 300]),
+        );
+        let msgs = [
+            own,
+            safe,
+            manifest(2, 0, 600),
+            manifest(2, 1, line as u64),
+            manifest(0, 1, 100_000),
+        ];
+        let now = Time::ZERO + Duration::from_millis(3);
+        b.on_session_msg(now, token_of(10, msgs));
+        let load = b.role().held_load().expect("eating");
+        let held = b.role.take_token(now).expect("eating");
+        assert_eq!(held.msgs.len(), 4, "the member's own entry retired");
+        assert!(held.msgs[0].seen.contains(&NodeId(1)), "and it marked one");
+        assert_eq!(load, held.load_len(line));
+        assert_eq!(load, held.wire_len() + line + 100_000);
     }
 
     #[test]

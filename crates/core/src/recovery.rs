@@ -375,7 +375,7 @@ fn regenerate(cx: &mut Ctx<'_>, pass: &mut RingPass) -> Option<Eat> {
     cx.obs.trace(TraceKind::TokenRegenerated { seq: token.seq });
     cx.events
         .push_back(SessionEvent::TokenRegenerated { seq: token.seq });
-    Some(pass.install_copy_and_eat(token))
+    Some(pass.accept(token))
 }
 
 #[cfg(test)]

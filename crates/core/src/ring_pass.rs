@@ -188,28 +188,32 @@ impl RingPass {
         (limit < cx.cfg.hungry_timeout).then_some(limit)
     }
 
-    fn install_copy(&mut self, token: &Token) {
+    /// `token` is ours now: its seq becomes the acceptance mark, and the
+    /// caller must eat it. The local copy follows once the accept has
+    /// processed the token ([`RingPass::keep_copy`]), so the message list
+    /// is not shared while the accept mutates it, and not copied.
+    pub(crate) fn accept(&mut self, token: Token) -> Eat {
         self.last_seen_seq = token.seq;
-        self.last_copy = Some(token.clone());
-    }
-
-    /// `token` is ours now: it becomes the local copy and the acceptance
-    /// mark, and the caller must eat it.
-    pub(crate) fn install_copy_and_eat(&mut self, token: Token) -> Eat {
-        self.install_copy(&token);
         Eat(token)
     }
 
-    /// Our own pass came straight back (nobody else to send to): refresh
-    /// the copy; the acceptance mark already covers this seq.
-    fn eat_own_pass(&mut self, token: Token) -> Eat {
+    /// The accepted token, processed: it becomes the local copy (a CoW
+    /// share, no copy). Every [`Eat`] ends here, and nothing reads the
+    /// copy between the accept and this.
+    pub(crate) fn keep_copy(&mut self, token: &Token) {
         self.last_copy = Some(token.clone());
-        Eat(token)
+    }
+
+    /// A pass has begun: the local copy goes, to be replaced by what the
+    /// pass sends ([`RingPass::forward`] and the paths it takes all set
+    /// it, a self-pass through [`RingPass::keep_copy`]).
+    pub(crate) fn release_copy(&mut self) {
+        self.last_copy = None;
     }
 
     /// Founds a fresh token over `ring`.
     pub(crate) fn found(&mut self, ring: Ring) -> Eat {
-        self.install_copy_and_eat(Token::founding(ring))
+        self.accept(Token::founding(ring))
     }
 
     /// Queues a join request for the next pass (idempotent).
@@ -250,25 +254,24 @@ impl RingPass {
             });
             return None;
         }
-        self.install_copy(&t);
         // If two tokens converged on us (false-alarm fork), absorb: keep
         // the newer ring, preserve any messages only the old one had.
         cx.role.absorb_fork(&mut t);
-        Some(Eat(t))
+        Some(self.accept(t))
     }
 
     fn on_tbm_token(&mut self, cx: &mut Ctx<'_>, mut t: Token) -> Option<Eat> {
         if let Some(ours) = cx.role.take_token(cx.now) {
             // Our own token is in hand: merge right away.
             let merged = merge_tokens(cx, ours, t);
-            Some(self.install_copy_and_eat(merged))
+            Some(self.accept(merged))
         } else if self.last_copy.is_none() {
             // We never had a token of our own (fresh joiner): the TBM
             // token simply becomes ours.
             t.tbm = false;
             bump_hop(&mut t);
             cx.metrics.merges += 1;
-            Some(self.install_copy_and_eat(t))
+            Some(self.accept(t))
         } else {
             // Hold it until our own group's token arrives (§2.4).
             self.held_tbm = Some(t);
@@ -282,7 +285,7 @@ impl RingPass {
             return token;
         };
         let merged = merge_tokens(cx, token, tbm);
-        self.install_copy(&merged);
+        self.last_seen_seq = merged.seq;
         merged
     }
 
@@ -323,9 +326,10 @@ impl RingPass {
         self.bump_for_send(&mut token);
         let next = token.ring.next_after(cx.id).unwrap_or(cx.id);
         if next == cx.id {
-            // Singleton ring: the pass is a self-pass.
+            // Singleton ring: the pass is a self-pass, eaten at once; the
+            // acceptance mark already covers its seq.
             cx.metrics.self_passes += 1;
-            Some(self.eat_own_pass(token))
+            Some(Eat(token))
         } else {
             self.send_token(cx, token, next)
         }
@@ -391,7 +395,7 @@ impl RingPass {
             _ => {
                 token.ring = Ring::from_iter([cx.id]);
                 cx.sync_membership(&token.ring);
-                Some(self.eat_own_pass(token))
+                Some(Eat(token))
             }
         }
     }

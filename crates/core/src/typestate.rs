@@ -222,12 +222,13 @@ impl Role {
     }
 
     /// Accepts a token: any state → EATING (§2.2's HUNGRY → EATING edge,
-    /// plus re-accept while EATING for false-alarm fork absorption), the
-    /// held token weighed against the pacing rule's line `full`
-    /// ([`Token::load_len`]).
-    pub fn accept_token(&mut self, token: Token, now: Time, hold: Duration, full: usize) {
+    /// plus re-accept while EATING for false-alarm fork absorption). `load`
+    /// is the freight it orders against the pacing rule's line
+    /// ([`Token::load_len`]), which the accept's own walk over the entries
+    /// measured.
+    pub fn accept_token(&mut self, token: Token, now: Time, hold: Duration, load: usize) {
         self.state = State::Eating {
-            load: token.load_len(full),
+            load,
             token,
             accepted: now,
             hold,
@@ -510,11 +511,17 @@ mod tests {
     /// The pacing rule's line at the default `mtu` of 1 400 bytes.
     const LINE: usize = 2625;
 
+    /// Accepts `t` weighed by the full walk, [`Token::load_len`].
+    fn accept(r: &mut Role, t: Token, now: Time, hold: Duration) {
+        let load = t.load_len(LINE);
+        r.accept_token(t, now, hold, load);
+    }
+
     #[test]
     fn typed_pass_is_the_only_token_exit() {
         let mut r = Role::hungry(Time(0));
         assert_eq!(r.take_token(Time(1)), None, "HUNGRY holds no token");
-        r.accept_token(token(), Time(0), Duration(5), LINE);
+        accept(&mut r, token(), Time(0), Duration(5));
         assert!(r.is_eating());
         let t = r.take_token(Time(5)).expect("EATING hands the token out");
         assert_eq!(t.ring.len(), 3);
@@ -615,7 +622,7 @@ mod tests {
         assert_eq!(r.shut_down(), None);
         assert!(r.is_down());
         let mut r = Role::hungry(Time(0));
-        r.accept_token(token(), Time(0), Duration(5), LINE);
+        accept(&mut r, token(), Time(0), Duration(5));
         assert!(r.shut_down().is_some());
         assert!(r.is_down());
         assert_eq!(r.shut_down(), None, "already down");
@@ -627,7 +634,7 @@ mod tests {
         let mut r = Role::hungry(Time(0));
         assert_eq!(r.timer(Time(99), ht, false), TimerFired::Idle);
         assert_eq!(r.timer(Time(100), ht, false), TimerFired::Starve);
-        r.accept_token(token(), Time(0), Duration(10), LINE);
+        accept(&mut r, token(), Time(0), Duration(10));
         assert_eq!(r.timer(Time(9), ht, false), TimerFired::Idle);
         assert_eq!(r.timer(Time(10), ht, false), TimerFired::PassToken);
         assert_eq!(
@@ -693,7 +700,7 @@ mod tests {
             "same hungry age at different absolute times"
         );
         let mut e = Role::hungry(Time(0));
-        e.accept_token(token(), Time(0), Duration(5), LINE);
+        accept(&mut e, token(), Time(0), Duration(5));
         assert_ne!(fp(&h0, Time(3)), fp(&e, Time(3)));
     }
 
@@ -713,7 +720,7 @@ mod tests {
         t.msgs.push(oob(1, LINE as u64 - 1));
         let mut r = Role::hungry(Time(0));
         assert_eq!(r.held_load(), None);
-        r.accept_token(t.clone(), Time(0), Duration(5), LINE);
+        accept(&mut r, t.clone(), Time(0), Duration(5));
         assert_eq!(r.held_load(), Some(t.wire_len() + 8192));
         assert!(t.wire_len() < 64, "three entries, a few bytes each");
         // A member evicted from the held ring takes its id's byte off the
@@ -739,7 +746,7 @@ mod tests {
         assert_eq!(r.hold(), None);
         r.set_pass_due(Time(0));
         assert_eq!(r.name(), "HUNGRY", "nothing to pace without a token");
-        r.accept_token(token(), Time(20), Duration(10), LINE);
+        accept(&mut r, token(), Time(20), Duration(10));
         assert_eq!(r.held_load(), Some(token().wire_len()));
         assert_eq!(r.hold(), Some(Duration(10)));
         let held = fp(&r, Time(22));
@@ -762,7 +769,7 @@ mod tests {
         // (wrapping subtraction gave every instant its own fingerprint).
         assert_eq!(fp(&r, Time(22)), fp(&r, Time(2_000_000_020)));
         let mut later = Role::hungry(Time(0));
-        later.accept_token(token(), Time(500), Duration(10), LINE);
+        accept(&mut later, token(), Time(500), Duration(10));
         later.set_pass_due(Time(0));
         assert_eq!(fp(&r, Time(22)), fp(&later, Time(500)));
     }

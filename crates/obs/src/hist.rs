@@ -68,13 +68,21 @@ impl Histogram {
     }
 
     /// Record one observation. Lock-free; callable from any thread.
+    #[inline]
     pub fn record(&self, v: u64) {
         let h = &*self.inner;
         h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         h.count.fetch_add(1, Ordering::Relaxed);
         h.sum.fetch_add(v, Ordering::Relaxed);
-        h.min.fetch_min(v, Ordering::Relaxed);
-        h.max.fetch_max(v, Ordering::Relaxed);
+        // Only a new extreme writes: min only falls and max only rises, so
+        // a load that already bounds `v` stays a bound, and skipping the
+        // read-modify-write is exact.
+        if v < h.min.load(Ordering::Relaxed) {
+            h.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > h.max.load(Ordering::Relaxed) {
+            h.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {

@@ -11,7 +11,8 @@ use raincore_types::{
     SessionConfig, Time, TransportConfig,
 };
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Static configuration of a simulated cluster.
 #[derive(Clone, Debug)]
@@ -58,9 +59,15 @@ struct Slot {
     deliveries_taken: usize,
     /// [`Slot::next_wakeup`] as last evaluated; stale while `touched`.
     wakeup: Option<Time>,
+    /// The instant of this member's live entry in [`Cluster`]'s wakeup
+    /// heap: never later than `wakeup`, and set whenever `wakeup` is and
+    /// the member is up (a dead member's entry is dropped; a restart
+    /// touches the member, which keys it again).
+    keyed: Option<Time>,
     /// Something may have changed this member since its wakeup was last
     /// evaluated: a datagram, a tick, a drain of its queues, or whoever
-    /// held the cluster between quanta.
+    /// held the cluster between quanta. A touched member's index is also on
+    /// [`Cluster`]'s touched list.
     touched: bool,
 }
 
@@ -77,7 +84,9 @@ impl Slot {
             events: Vec::new(),
             deliveries_taken: 0,
             wakeup: None,
-            touched: true,
+            keyed: None,
+            // Every run begins by touching every member.
+            touched: false,
         }
     }
 
@@ -189,11 +198,56 @@ impl Slot {
             sends: &mut sends,
         };
         react(app.as_mut(), &mut ctl);
-        let moved = !sends.is_empty();
+        if sends.is_empty() {
+            return false;
+        }
         for s in sends {
             net.send(now, s);
         }
-        moved
+        true
+    }
+}
+
+/// The hosts' slots, ascending by id. A slot's index is fixed once the
+/// cluster is built, so the stepping keys its heap and its touched list
+/// by index — one array access, no search — and index order is id order.
+#[derive(Default)]
+struct Slots(Vec<(NodeId, Slot)>);
+
+impl Slots {
+    fn index_of(&self, id: &NodeId) -> Option<usize> {
+        self.0.binary_search_by_key(id, |(k, _)| *k).ok()
+    }
+
+    fn get(&self, id: &NodeId) -> Option<&Slot> {
+        let at = self.index_of(id)?;
+        self.0.get(at).map(|(_, slot)| slot)
+    }
+
+    fn get_mut(&mut self, id: &NodeId) -> Option<&mut Slot> {
+        let at = self.index_of(id)?;
+        self.at_mut(at).map(|(_, slot)| slot)
+    }
+
+    fn at_mut(&mut self, at: usize) -> Option<(NodeId, &mut Slot)> {
+        self.0.get_mut(at).map(|(id, slot)| (*id, slot))
+    }
+
+    /// Adds `id`'s slot, or replaces it. Moves the indices: build only.
+    fn insert(&mut self, id: NodeId, slot: Slot) {
+        match self.0.binary_search_by_key(&id, |(k, _)| *k) {
+            Ok(at) => self.0[at].1 = slot,
+            Err(at) => self.0.insert(at, (id, slot)),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&NodeId, &Slot)> {
+        self.0.iter().map(|(id, slot)| (id, slot))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, NodeId, &mut Slot)> {
+        let slots = self.0.iter_mut().enumerate();
+        slots.map(|(at, (id, slot))| (at, *id, slot))
     }
 }
 
@@ -247,7 +301,7 @@ impl ClusterBuilder {
         let mut cluster = Cluster {
             now: Time::ZERO,
             net: SimNet::new(self.cfg.net.clone()),
-            slots: BTreeMap::new(),
+            slots: Slots::default(),
             members: self.members.iter().map(|(id, _)| *id).collect(),
             cfg: self.cfg,
             peer_table: PeerTable::new(),
@@ -257,6 +311,9 @@ impl ClusterBuilder {
             expected_payloads: BTreeMap::new(),
             wire_tap: None,
             quantum_tap: None,
+            wakeups: BinaryHeap::new(),
+            touched: Vec::new(),
+            due: Vec::new(),
         };
         cluster.members.sort_unstable();
         // The peer table covers every session member with all its NICs.
@@ -295,7 +352,7 @@ type QuantumTap = Box<dyn FnMut(&mut Cluster)>;
 pub struct Cluster {
     now: Time,
     net: SimNet,
-    slots: BTreeMap<NodeId, Slot>,
+    slots: Slots,
     /// Ids of the slots that run a session, ascending. Fixed at build.
     members: Vec<NodeId>,
     cfg: ClusterConfig,
@@ -316,6 +373,17 @@ pub struct Cluster {
     wire_tap: Option<WireTap>,
     /// See [`Cluster::set_quantum_tap`].
     quantum_tap: Option<QuantumTap>,
+    /// `(instant, slot index)` for every member whose [`Slot::keyed`] is
+    /// set, earliest first and, at one instant, lowest id first. A wakeup that
+    /// moves later keeps its entry, which is re-keyed when it reaches the
+    /// top; one that moves earlier gets a new entry, and the old one,
+    /// which no longer matches `keyed`, is dropped when it reaches the top.
+    wakeups: BinaryHeap<Reverse<(Time, usize)>>,
+    /// Slot indices of the members touched since their wakeup was last
+    /// evaluated; only these are re-evaluated.
+    touched: Vec<usize>,
+    /// The members [`Cluster::tick_due`] ticks, kept to reuse its buffer.
+    due: Vec<usize>,
 }
 
 impl Cluster {
@@ -446,26 +514,46 @@ impl Cluster {
     fn flush_all(&mut self) -> bool {
         let now = self.now;
         let mut moved = false;
-        for (&id, slot) in &mut self.slots {
-            slot.touched = true;
+        for (at, id, slot) in self.slots.iter_mut() {
+            if !std::mem::replace(&mut slot.touched, true) {
+                self.touched.push(at);
+            }
             moved |= slot.flush(&mut self.net, now, id);
         }
         moved
     }
 
     /// The next arrival or the earliest wakeup of a live member, whichever
-    /// comes first, re-evaluating the wakeups of the members touched since.
+    /// comes first. Re-evaluates the members touched since — only those —
+    /// then reads the heap's top, re-keying or dropping on the way the
+    /// entries that no longer name their member's wakeup.
     fn next_instant(&mut self) -> Option<Time> {
-        let mut next = self.net.next_arrival();
-        for slot in self.slots.values_mut() {
-            if std::mem::take(&mut slot.touched) {
-                slot.wakeup = slot.next_wakeup();
-            }
-            if slot.alive {
-                next = min_opt(next, slot.wakeup);
+        for at in self.touched.drain(..) {
+            let Some((_, slot)) = self.slots.at_mut(at) else {
+                continue;
+            };
+            slot.touched = false;
+            slot.wakeup = slot.next_wakeup();
+            if let Some(w) = slot.wakeup.filter(|&w| slot.keyed.is_none_or(|k| w < k)) {
+                slot.keyed = Some(w);
+                self.wakeups.push(Reverse((w, at)));
             }
         }
-        next
+        while let Some(&Reverse((t, at))) = self.wakeups.peek() {
+            if let Some((_, slot)) = self.slots.at_mut(at).filter(|(_, s)| s.keyed == Some(t)) {
+                if slot.alive && slot.wakeup == Some(t) {
+                    return min_opt(self.net.next_arrival(), Some(t));
+                }
+                // Keyed early, or dead (a restart touches it): key it
+                // afresh where it is due now, if anywhere.
+                slot.keyed = slot.wakeup.filter(|_| slot.alive);
+                if let Some(w) = slot.keyed {
+                    self.wakeups.push(Reverse((w, at)));
+                }
+            }
+            self.wakeups.pop();
+        }
+        self.net.next_arrival()
     }
 
     fn route(&mut self, d: Datagram) {
@@ -473,19 +561,49 @@ impl Cluster {
             tap(&d);
         }
         let id = d.dst.node;
-        if let Some(slot) = self.slots.get_mut(&id) {
+        let Some(at) = self.slots.index_of(&id) else {
+            return;
+        };
+        if let Some((_, slot)) = self.slots.at_mut(at) {
+            let was_touched = slot.touched;
             slot.deliver(&mut self.net, self.now, id, d);
+            if slot.touched && !was_touched {
+                self.touched.push(at);
+            }
         }
     }
 
-    /// Ticks the live members whose wakeup has come, in id order; one back
-    /// on the CPU first handles its socket buffer, through the wire tap.
+    /// Ticks the live members whose wakeup has come, in id order (the heap
+    /// yields them by instant, and a member may be due from an earlier
+    /// instant than another); one back on the CPU first handles its socket
+    /// buffer, through the wire tap. Each is touched, so re-evaluated.
     fn tick_due(&mut self) {
         let now = self.now;
-        for (&id, slot) in &mut self.slots {
-            if !slot.alive || slot.wakeup.is_none_or(|t| t > now) {
+        while let Some(&Reverse((t, at))) = self.wakeups.peek().filter(|e| e.0 .0 <= now) {
+            self.wakeups.pop();
+            let Some((_, slot)) = self.slots.at_mut(at).filter(|(_, s)| s.keyed == Some(t)) else {
                 continue;
+            };
+            slot.keyed = None;
+            match slot.wakeup.filter(|_| slot.alive) {
+                Some(w) if w <= now => {
+                    if !std::mem::replace(&mut slot.touched, true) {
+                        self.touched.push(at);
+                    }
+                    self.due.push(at);
+                }
+                Some(w) => {
+                    slot.keyed = Some(w);
+                    self.wakeups.push(Reverse((w, at)));
+                }
+                None => {}
             }
+        }
+        self.due.sort_unstable();
+        for at in self.due.drain(..) {
+            let Some((id, slot)) = self.slots.at_mut(at) else {
+                continue;
+            };
             if let Some((_, held)) = slot.stalled.take_if(|(until, _)| *until <= now) {
                 for d in held {
                     if let Some(tap) = &mut self.wire_tap {
@@ -750,7 +868,7 @@ impl Cluster {
             (session, slot.app.as_ref().and_then(|a| a.next_wakeup()))
         };
         let mut changed = Vec::new();
-        for (&id, slot) in &mut self.slots {
+        for (_, id, slot) in self.slots.iter_mut() {
             let wakeup = slot.next_wakeup();
             if !slot.alive || slot.stalled.is_some() || wakeup.is_some_and(|t| t <= now) {
                 continue;
@@ -1494,7 +1612,7 @@ impl Cluster {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "t = {} ({} steps)", self.now, self.steps);
-        for (id, slot) in &self.slots {
+        for (id, slot) in self.slots.iter() {
             match &slot.session {
                 Some(s) => {
                     let _ = writeln!(

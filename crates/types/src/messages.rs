@@ -21,7 +21,7 @@
 use crate::id::{GroupId, NodeId, OriginSeq};
 use crate::id_list::IdList;
 use crate::membership::Ring;
-use crate::wire::{Reader, WireDecode, WireEncode, WireResult, Writer};
+use crate::wire::{varint_len, Reader, WireDecode, WireEncode, WireResult, Writer};
 use crate::{wire_enum, wire_struct};
 use bytes::Bytes;
 use std::sync::Arc;
@@ -163,13 +163,23 @@ impl Attached {
     /// True if every member of `ring` has received the payload.
     #[inline]
     pub fn seen_by_all(&self, ring: &Ring) -> bool {
-        ring.iter().all(|m| self.seen.contains(&m))
+        covers(&self.seen, ring)
     }
 
     /// True if every member of `ring` has observed all-received.
+    #[inline]
     pub fn confirmed_by_all(&self, ring: &Ring) -> bool {
-        ring.iter().all(|m| self.confirmed.contains(&m))
+        covers(&self.confirmed, ring)
     }
+}
+
+/// True if `ids` names every member of `ring`. Ring members are distinct,
+/// so a list shorter than the ring cannot cover it, whatever duplicates or
+/// strangers it holds: the length settles most calls (every entry not yet
+/// round the ring) before the O(|ring|·|ids|) walk.
+#[inline]
+fn covers(ids: &IdList, ring: &Ring) -> bool {
+    ids.len() >= ring.len() && ring.iter().all(|m| ids.contains(&m))
 }
 
 impl Attached {
@@ -409,8 +419,28 @@ impl Token {
     /// for ([`Attached::load_len`]). Equal to [`Token::wire_len`] when no
     /// entry orders such a payload; saturating.
     pub fn load_len(&self, full: usize) -> usize {
-        let beside = self.msgs.iter().map(|m| m.beside(full));
-        beside.fold(self.wire_len(), usize::saturating_add)
+        let aboard = self.msgs.iter().map(|m| m.load_len(full));
+        self.load_len_with(aboard.fold(0, usize::saturating_add))
+    }
+
+    /// [`Token::load_len`], given `aboard`: the saturating sum of its
+    /// entries' [`Attached::load_len`] against the same line, from a walk
+    /// over the entries that has them in hand. Measures the header only.
+    pub fn load_len_with(&self, aboard: usize) -> usize {
+        let Token {
+            seq,
+            trace,
+            ring,
+            tbm,
+            msgs,
+        } = self;
+        let head = 1
+            + seq.encoded_len()
+            + trace.encoded_len()
+            + ring.encoded_len()
+            + tbm.encoded_len()
+            + varint_len(msgs.len() as u64);
+        head.saturating_add(aboard)
     }
 }
 
@@ -860,6 +890,39 @@ mod tests {
             let msg = SessionMsg::Token(t);
             let buf = msg.encode_to_bytes();
             prop_assert_eq!(SessionMsg::decode_from_bytes(&buf).unwrap(), msg);
+        }
+
+        #[test]
+        fn prop_load_len_is_the_wire_image_plus_the_freight_beside(
+            t in arb_token(),
+            full in prop_oneof![Just(0usize), Just(1usize), Just(2625usize), Just(usize::MAX)],
+        ) {
+            // The definition, walked in full: the encoded image, plus each
+            // out-of-band payload that reaches the line.
+            let image = SessionMsg::Token(t.clone()).encode_to_bytes().len();
+            let beside = t.msgs.iter().map(|m| match m.body {
+                AttachedBody::Oob { len } if len as usize >= full => len as usize,
+                AttachedBody::Oob { .. } | AttachedBody::Inline(_) => 0,
+            });
+            prop_assert_eq!(t.wire_len(), image);
+            prop_assert_eq!(t.load_len(full), beside.fold(image, usize::saturating_add));
+        }
+
+        #[test]
+        fn prop_coverage_matches_its_definition(
+            members in proptest::collection::btree_set(0u32..24, 1..17),
+            seen in proptest::collection::vec(0u32..32, 0..24),
+            confirmed in proptest::collection::vec(0u32..32, 0..24),
+        ) {
+            // A decoded list may repeat ids and name non-members; the ring
+            // (1–16 distinct members) may not.
+            let ring = Ring::from_iter(members.into_iter().map(NodeId));
+            let mut m = Attached::new(NodeId(0), OriginSeq(1), DeliveryMode::Safe, Bytes::new());
+            m.seen = seen.into_iter().map(NodeId).collect();
+            m.confirmed = confirmed.into_iter().map(NodeId).collect();
+            let by_definition = |ids: &IdList| ring.iter().all(|r| ids.contains(&r));
+            prop_assert_eq!(m.seen_by_all(&ring), by_definition(&m.seen));
+            prop_assert_eq!(m.confirmed_by_all(&ring), by_definition(&m.confirmed));
         }
 
         #[test]

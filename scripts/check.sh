@@ -305,7 +305,7 @@ leg_micro_bench() {
   baseline=$(ls BENCH_[0-9]*.json | grep -v '\.current\.json$' | sort -V | tail -1)
   echo "==> micro-bench (report + <=25% allocation regression vs committed $baseline)"
   # Fails if any gated bench (token hop, hop latency, model-check state
-  # cost, multicast throughput, UDP pps/RTT) allocates >25% more per op
+  # cost, multicast throughput, UDP pps/RTT, token accept) allocates >25% more per op
   # than the baseline records — or, in-process, if id manifests stop
   # cutting the token load >=5x at 64 in-flight 1KiB multicasts, or if the
   # batched I/O backend stops moving >=3x the packets per syscall of the
@@ -327,6 +327,11 @@ leg_benchmark_package() {
     --manifest-path benchmark/Cargo.toml -- -D clippy::disallowed_types
   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload udp_bulk --seed 7 --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct": true'
+  # The simulated ring too: a change to it can stop `sim_core` through the
+  # benchmark's own `expect` / `assert!` (a non-zero exit, which pipefail
+  # makes this leg's failure) or have it print "correct": false.
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload sim_core --seed 7 --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct": true'
 }
 
 leg_procher() {
