@@ -24,6 +24,7 @@ use raincore_sim::chaos::{
     dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, ChaosConfig,
     ChaosEvidence, ChaosScenario,
 };
+use raincore_sim::text::TextFields;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -46,13 +47,19 @@ fn write_evidence(dump_path: &str, evidence: Option<&ChaosEvidence>) {
     }
 }
 
+/// `r`'s value, or exit 2 naming `what` went wrong and why.
+fn or_exit<T>(r: Result<T, impl std::fmt::Display>, what: &str) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("chaos: {what}: {e}");
+        std::process::exit(2)
+    })
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: chaos [--seed N] [--soak N] [--nodes N] [--ticks N] \
-         [--fault-period N] [--scenario founding|isolated|split] \
-         [--bulk THRESHOLD] [--pad BYTES] [--delay-spike PERCENT] [--seeded-fault] \
-         [--replay FILE] \
-         [--dump FILE] [--no-shrink]"
+        "usage: chaos {} [--soak N] [--nodes N] [--scenario founding|isolated|split] \
+         [--seeded-fault] [--replay FILE] [--dump FILE] [--no-shrink]",
+        ChaosConfig::flag_usage()
     );
     std::process::exit(2);
 }
@@ -102,28 +109,23 @@ fn main() {
     while i < args.len() {
         let arg = next(&mut i);
         match arg.as_str() {
-            "--seed" => base.seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--soak" => soak = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--nodes" => {
                 base.nodes = next(&mut i).parse().unwrap_or_else(|_| usage());
                 pin_nodes = true;
             }
-            "--ticks" => base.ticks = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--fault-period" => {
-                base.fault_period = next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
             "--scenario" => {
                 base.scenario = next(&mut i).parse().unwrap_or_else(|_| usage());
                 pin_scenario = true;
             }
-            "--bulk" => base.bulk_threshold = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--pad" => base.payload_pad = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--delay-spike" => base.delay_spike = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seeded-fault" => base.seeded_fault = true,
             "--replay" => replay_path = Some(next(&mut i)),
             "--dump" => dump_path = next(&mut i),
             "--no-shrink" => shrink = false,
-            _ => usage(),
+            // Every other flag sets one field of the `# config:` header.
+            flag => base
+                .set_flag(flag, &next(&mut i))
+                .unwrap_or_else(|| usage()),
         }
     }
 
@@ -148,13 +150,8 @@ fn main() {
     for k in 0..soak {
         let cfg = soak_cfg(&base, k, pin_nodes, pin_scenario);
         let schedule = generate_schedule(&cfg);
-        let report = match run_chaos(&cfg, &schedule) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("chaos: setup failed for seed {}: {e}", cfg.seed);
-                std::process::exit(2);
-            }
-        };
+        let setup = format!("setup failed for seed {}", cfg.seed);
+        let report = or_exit(run_chaos(&cfg, &schedule), &setup);
         for (class, count) in &report.fault_counts {
             *totals.entry(class).or_default() += count;
         }
@@ -274,13 +271,8 @@ fn run_seeded_fault(base: &ChaosConfig, dump_path: &str, pin_nodes: bool, pin_sc
     const ATTEMPTS: u64 = 50;
     for k in 0..ATTEMPTS {
         let cfg = soak_cfg(base, k, pin_nodes, pin_scenario);
-        let found = match find_and_minimize(&cfg) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("chaos: setup failed for seed {}: {e}", cfg.seed);
-                std::process::exit(2);
-            }
-        };
+        let setup = format!("setup failed for seed {}", cfg.seed);
+        let found = or_exit(find_and_minimize(&cfg), &setup);
         let Some((violation, schedule, minimized)) = found else {
             continue;
         };
@@ -295,19 +287,12 @@ fn run_seeded_fault(base: &ChaosConfig, dump_path: &str, pin_nodes: bool, pin_sc
             t0.elapsed().as_secs_f64()
         );
         // The minimized schedule must still reproduce the violation.
-        match run_chaos(&cfg, &minimized) {
-            Ok(r) if r.violation.is_some() => {
-                write_evidence(dump_path, r.evidence.as_ref());
-            }
-            Ok(_) => {
-                eprintln!("chaos: FAIL — minimized schedule no longer reproduces");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("chaos: replay setup failed: {e}");
-                std::process::exit(2);
-            }
+        let r = or_exit(run_chaos(&cfg, &minimized), "replay setup failed");
+        if r.violation.is_none() {
+            eprintln!("chaos: FAIL — minimized schedule no longer reproduces");
+            std::process::exit(1);
         }
+        write_evidence(dump_path, r.evidence.as_ref());
         let dump = dump_violation(&cfg, &violation, &minimized);
         if let Err(e) = std::fs::write(dump_path, &dump) {
             eprintln!("chaos: cannot write {dump_path}: {e}");
@@ -324,29 +309,14 @@ fn run_seeded_fault(base: &ChaosConfig, dump_path: &str, pin_nodes: bool, pin_sc
 }
 
 fn run_replay(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("chaos: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let text = or_exit(
+        std::fs::read_to_string(path),
+        &format!("cannot read {path}"),
+    );
     // The dump header carries the full config, including seeded_fault,
     // so a broken-heal dump re-arms the bug on replay.
-    let (cfg, schedule) = match parse_dump(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("chaos: bad dump in {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let report = match run_chaos(&cfg, &schedule) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos: replay setup failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (cfg, schedule) = or_exit(parse_dump(&text), &format!("bad dump in {path}"));
+    let report = or_exit(run_chaos(&cfg, &schedule), "replay setup failed");
     print_fault_summary(&report.fault_counts);
     if report.restarts_skipped > 0 {
         println!(

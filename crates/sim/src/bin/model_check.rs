@@ -20,17 +20,25 @@
 #![allow(clippy::disallowed_types)]
 
 use raincore_sim::explore::{parse_schedule, replay, Reduction};
+use raincore_sim::text::TextFields;
 use raincore_sim::{Explorer, ModelCheckConfig};
-use raincore_types::{Duration, NodeId};
+use raincore_types::Duration;
 use std::time::Instant;
+
+/// `r`'s value, or exit 2 naming `what` went wrong and why.
+fn or_exit<T>(r: Result<T, impl std::fmt::Display>, what: &str) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("model-check: {what}: {e}");
+        std::process::exit(2)
+    })
+}
 
 fn usage() -> ! {
     eprintln!(
-        "usage: model_check [--nodes N] [--depth N] [--crashes N] [--drops N] \
-         [--max-schedules N] [--min-schedules N] [--dump FILE] [--seeded-check] [--replay FILE] \
-         [--no-reduction] [--stats-out FILE] [--mtu BYTES] [--multicast ORIGIN:LEN]... \
-         [--min-early-passes N] [--min-probes N] [--retry-ms MS] [--hungry-ms MS] \
-         [--bulk-threshold BYTES] [--bulk-drops N]"
+        "usage: model_check {} [--min-schedules N] [--dump FILE] [--seeded-check] \
+         [--replay FILE] [--no-reduction] [--stats-out FILE] [--min-early-passes N] \
+         [--min-probes N] [--retry-ms MS] [--hungry-ms MS]",
+        ModelCheckConfig::flag_usage()
     );
     std::process::exit(2);
 }
@@ -54,13 +62,6 @@ fn main() {
     while i < args.len() {
         let arg = next(&mut i);
         match arg.as_str() {
-            "--nodes" => cfg.nodes = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--depth" => cfg.max_depth = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--crashes" => cfg.crash_budget = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--drops" => cfg.drop_budget = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--max-schedules" => {
-                cfg.max_schedules = next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
             "--min-schedules" => min_schedules = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--dump" => dump_path = next(&mut i),
             "--seeded-check" => seeded_check = true,
@@ -68,16 +69,6 @@ fn main() {
             // Pure sleep-set DFS (the differential baseline).
             "--no-reduction" => cfg.reduction = Reduction::None,
             "--stats-out" => stats_out = Some(next(&mut i)),
-            // The early-pass leg: a small MTU puts the pacing line
-            // (DESIGN.md §16) within reach of a few seeded multicasts.
-            "--mtu" => cfg.transport.mtu = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--multicast" => {
-                let spec = next(&mut i);
-                let seed = spec
-                    .split_once(':')
-                    .and_then(|(o, l)| Some((NodeId(o.parse().ok()?), l.parse().ok()?)));
-                cfg.seed_bulk.push(seed.unwrap_or_else(|| usage()));
-            }
             "--min-early-passes" => {
                 min_early_passes = next(&mut i).parse().unwrap_or_else(|_| usage())
             }
@@ -89,15 +80,6 @@ fn main() {
                 min_probes = next(&mut i).parse().unwrap_or_else(|_| usage());
                 cfg.warm_rotations = 4;
             }
-            // The freight leg (DESIGN.md §16.5): seeded multicasts of at
-            // least this many bytes travel out of band, and the adversary
-            // may drop that many of their payload frames.
-            "--bulk-threshold" => {
-                cfg.session.bulk_threshold = next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--bulk-drops" => {
-                cfg.bulk_drop_budget = next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
             // The adaptive-timer leg (DESIGN.md §17.5): timeouts far enough
             // above what the model measures for the timers to come down.
             "--retry-ms" => {
@@ -108,7 +90,9 @@ fn main() {
                 let ms = next(&mut i).parse().unwrap_or_else(|_| usage());
                 cfg.session.hungry_timeout = Duration::from_millis(ms);
             }
-            _ => usage(),
+            // Every flag that sets one field of the `# scenario:` header
+            // (`--nodes`, `--mtu`, `--multicast`, ...) is that field's row.
+            flag => cfg.set_flag(flag, &next(&mut i)).unwrap_or_else(|| usage()),
         }
     }
 
@@ -122,13 +106,7 @@ fn main() {
 
     let t0 = Instant::now();
     let mut explorer = Explorer::new(cfg.clone());
-    let report = match explorer.run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("model-check: setup failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = or_exit(explorer.run(), "setup failed");
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     let s = report.stats;
     println!(
@@ -237,33 +215,15 @@ fn main() {
 }
 
 fn run_replay(cfg: &ModelCheckConfig, path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("model-check: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let schedule = match parse_schedule(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("model-check: bad schedule in {path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let text = or_exit(
+        std::fs::read_to_string(path),
+        &format!("cannot read {path}"),
+    );
+    let schedule = or_exit(parse_schedule(&text), &format!("bad schedule in {path}"));
     // The dump's own scenario header says which world it was found in.
     let mut cfg = cfg.clone();
-    if let Err(e) = cfg.read_scenario(&text) {
-        eprintln!("model-check: bad scenario in {path}: {e}");
-        std::process::exit(2);
-    }
-    let r = match replay(&cfg, &schedule) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("model-check: replay setup failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    or_exit(cfg.read_scenario(&text), &format!("bad scenario in {path}"));
+    let r = or_exit(replay(&cfg, &schedule), "replay setup failed");
     match r.violation {
         Some((step, reason)) => {
             println!(

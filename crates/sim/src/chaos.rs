@@ -35,6 +35,7 @@
 use crate::audit::AuditView;
 use crate::cluster::{Cluster, ClusterBuilder, ClusterConfig};
 use crate::engine::{minimize, NetBelief, ScheduleEngine, TickBounds};
+use crate::text::{text_enum, text_fields, Groups, Micros, Nic, Node, Plain, TextFields};
 use bytes::Bytes;
 use raincore_net::Addr;
 use raincore_session::StartMode;
@@ -49,45 +50,51 @@ use std::str::FromStr;
 // Fault taxonomy
 // ----------------------------------------------------------------------
 
-/// One injectable disturbance. Probabilities are expressed in permille
-/// (integer thousandths) so schedules round-trip through text exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosFault {
-    /// Crash a node (process + all NICs).
-    Crash(NodeId),
-    /// Restart a crashed node in [`StartMode::Joining`]. Scheduled for a
-    /// member that is up it does nothing, in every world
-    /// ([`ScheduleEngine::next_due`]).
-    Restart(NodeId),
-    /// Cut one bidirectional node-to-node link.
-    LinkDown(NodeId, NodeId),
-    /// Restore one bidirectional node-to-node link.
-    LinkUp(NodeId, NodeId),
-    /// Unplug one NIC's cable (§2.1 multi-address fail-over).
-    NicDown(Addr),
-    /// Re-plug one NIC.
-    NicUp(Addr),
-    /// Partition the cluster into the given groups.
-    Partition(Vec<Vec<NodeId>>),
-    /// Heal every link-level failure and partition.
-    Heal,
-    /// Set per-packet duplication probability, in permille.
-    Duplicate(u32),
-    /// Set per-packet reordering probability, in permille.
-    Reorder(u32),
-    /// Set uniform latency jitter, in microseconds.
-    Jitter(u64),
-    /// Set the drop probability (permille) applied *only* to out-of-band
-    /// bulk payload frames (DESIGN.md §13) — the targeted fault behind
-    /// the id-without-payload hazard: the token still orders every id
-    /// while the payloads racing it get lost.
-    BulkLoss(u32),
-    /// Stall one link once, for this many microseconds: the link of the
-    /// next datagram between two nodes holds everything put on it, either
-    /// way, until the stall is over. What a member whose thread does not
-    /// get a CPU looks like to its peers — the fault the adaptive
-    /// detection timers (DESIGN.md §17) must tell from a dead member.
-    DelaySpike(u64),
+text_enum! {
+    /// One injectable disturbance, written as its verb and its words
+    /// (`link-down n0 n3`). Probabilities are expressed in permille
+    /// (integer thousandths) so schedules round-trip through text exactly.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ChaosFault {
+        /// Crash a node (process + all NICs).
+        Crash(node: NodeId as Node) = "crash",
+        /// Restart a crashed node in [`StartMode::Joining`]. Scheduled for a
+        /// member that is up it does nothing, in every world
+        /// ([`ScheduleEngine::next_due`]).
+        Restart(node: NodeId as Node) = "restart",
+        /// Cut one bidirectional node-to-node link.
+        LinkDown(a: NodeId as Node, b: NodeId as Node) = "link-down",
+        /// Restore one bidirectional node-to-node link.
+        LinkUp(a: NodeId as Node, b: NodeId as Node) = "link-up",
+        /// Unplug one NIC's cable (§2.1 multi-address fail-over).
+        NicDown(nic: Addr as Nic) = "nic-down",
+        /// Re-plug one NIC.
+        NicUp(nic: Addr as Nic) = "nic-up",
+        /// Partition the cluster into the given groups.
+        Partition(groups: Vec<Vec<NodeId>> as Groups) = "partition",
+        /// Heal every link-level failure and partition.
+        Heal = "heal",
+        /// Set per-packet duplication probability, in permille.
+        Duplicate(permille: u32 as Plain) = "dup",
+        /// Set per-packet reordering probability, in permille.
+        Reorder(permille: u32 as Plain) = "reorder",
+        /// Set uniform latency jitter, in microseconds.
+        Jitter(us: u64 as Plain) = "jitter",
+        /// Set the drop probability (permille) applied *only* to out-of-band
+        /// bulk payload frames (DESIGN.md §13) — the targeted fault behind
+        /// the id-without-payload hazard: the token still orders every id
+        /// while the payloads racing it get lost.
+        BulkLoss(permille: u32 as Plain) = "bulk-loss",
+        /// Stall one link once, for this many microseconds: the link of the
+        /// next datagram between two nodes holds everything put on it, either
+        /// way, until the stall is over. What a member whose thread does not
+        /// get a CPU looks like to its peers — the fault the adaptive
+        /// detection timers (DESIGN.md §17) must tell from a dead member.
+        DelaySpike(us: u64 as Plain) = "delay-spike",
+    }
+    /// Stable class name used for obs counters and CLI summaries: the
+    /// fault's verb.
+    pub fn class;
 }
 
 /// How a fault bears on what the verifiers may claim while it is fresh.
@@ -104,25 +111,6 @@ pub enum FaultKind {
 }
 
 impl ChaosFault {
-    /// Stable class name used for obs counters and CLI summaries.
-    pub fn class(&self) -> &'static str {
-        match self {
-            ChaosFault::Crash(_) => "crash",
-            ChaosFault::Restart(_) => "restart",
-            ChaosFault::LinkDown(..) => "link-down",
-            ChaosFault::LinkUp(..) => "link-up",
-            ChaosFault::NicDown(_) => "nic-down",
-            ChaosFault::NicUp(_) => "nic-up",
-            ChaosFault::Partition(_) => "partition",
-            ChaosFault::Heal => "heal",
-            ChaosFault::Duplicate(_) => "dup",
-            ChaosFault::Reorder(_) => "reorder",
-            ChaosFault::Jitter(_) => "jitter",
-            ChaosFault::BulkLoss(_) => "bulk-loss",
-            ChaosFault::DelaySpike(_) => "delay-spike",
-        }
-    }
-
     /// The fault's [`FaultKind`]. A delay spike a member can outwait is a
     /// dial. One that reaches `give_up_floor` is a link that was down for
     /// a while: the member behind it is evicted although it got what it
@@ -152,105 +140,6 @@ impl ChaosFault {
     }
 }
 
-impl fmt::Display for ChaosFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChaosFault::Crash(n) => write!(f, "crash {n}"),
-            ChaosFault::Restart(n) => write!(f, "restart {n}"),
-            ChaosFault::LinkDown(a, b) => write!(f, "link-down {a} {b}"),
-            ChaosFault::LinkUp(a, b) => write!(f, "link-up {a} {b}"),
-            ChaosFault::NicDown(a) => write!(f, "nic-down {a}"),
-            ChaosFault::NicUp(a) => write!(f, "nic-up {a}"),
-            ChaosFault::Partition(groups) => {
-                write!(f, "partition ")?;
-                for (i, g) in groups.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "|")?;
-                    }
-                    for (j, n) in g.iter().enumerate() {
-                        if j > 0 {
-                            write!(f, ",")?;
-                        }
-                        write!(f, "{n}")?;
-                    }
-                }
-                Ok(())
-            }
-            ChaosFault::Heal => write!(f, "heal"),
-            ChaosFault::Duplicate(p) => write!(f, "dup {p}"),
-            ChaosFault::Reorder(p) => write!(f, "reorder {p}"),
-            ChaosFault::Jitter(us) => write!(f, "jitter {us}"),
-            ChaosFault::BulkLoss(p) => write!(f, "bulk-loss {p}"),
-            ChaosFault::DelaySpike(us) => write!(f, "delay-spike {us}"),
-        }
-    }
-}
-
-pub(crate) fn parse_node(s: &str) -> Option<NodeId> {
-    s.strip_prefix('n')?.parse().ok().map(NodeId)
-}
-
-fn parse_addr(s: &str) -> Option<Addr> {
-    let (node, nic) = s.split_once('.')?;
-    Some(Addr::new(parse_node(node)?, nic.parse().ok()?))
-}
-
-impl FromStr for ChaosFault {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        let mut it = s.split_whitespace();
-        let kind = it.next().ok_or("empty fault")?;
-        let bad = || format!("malformed fault: {s:?}");
-        let node =
-            |it: &mut std::str::SplitWhitespace| it.next().and_then(parse_node).ok_or_else(bad);
-        let fault = match kind {
-            "crash" => Ok(ChaosFault::Crash(node(&mut it)?)),
-            "restart" => Ok(ChaosFault::Restart(node(&mut it)?)),
-            "link-down" => Ok(ChaosFault::LinkDown(node(&mut it)?, node(&mut it)?)),
-            "link-up" => Ok(ChaosFault::LinkUp(node(&mut it)?, node(&mut it)?)),
-            "nic-down" => Ok(ChaosFault::NicDown(
-                it.next().and_then(parse_addr).ok_or_else(bad)?,
-            )),
-            "nic-up" => Ok(ChaosFault::NicUp(
-                it.next().and_then(parse_addr).ok_or_else(bad)?,
-            )),
-            "partition" => {
-                let spec = it.next().ok_or_else(bad)?;
-                let mut groups = Vec::new();
-                for g in spec.split('|') {
-                    let members: Option<Vec<NodeId>> = g.split(',').map(parse_node).collect();
-                    groups.push(members.ok_or_else(bad)?);
-                }
-                Ok(ChaosFault::Partition(groups))
-            }
-            "heal" => Ok(ChaosFault::Heal),
-            "dup" => Ok(ChaosFault::Duplicate(
-                it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
-            )),
-            "reorder" => Ok(ChaosFault::Reorder(
-                it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
-            )),
-            "jitter" => Ok(ChaosFault::Jitter(
-                it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
-            )),
-            "bulk-loss" => Ok(ChaosFault::BulkLoss(
-                it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
-            )),
-            "delay-spike" => Ok(ChaosFault::DelaySpike(
-                it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?,
-            )),
-            _ => Err(bad()),
-        }?;
-        // A word past the fault's own would be dropped on replay, which
-        // would then run a different schedule than the line says.
-        match it.next() {
-            None => Ok(fault),
-            Some(_) => Err(bad()),
-        }
-    }
-}
-
 /// A fault scheduled at an engine tick: text form `@12 crash n2`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosEvent {
@@ -271,14 +160,14 @@ impl FromStr for ChaosEvent {
 
     fn from_str(s: &str) -> std::result::Result<Self, String> {
         let s = s.trim();
-        let rest = s
+        let bad = || format!("not an `@tick fault` line: {s:?}");
+        let (tick, fault) = s
             .strip_prefix('@')
-            .ok_or_else(|| format!("missing @tick: {s:?}"))?;
-        let (tick, fault) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("missing fault: {s:?}"))?;
+            .and_then(|rest| rest.split_once(' '))
+            .ok_or_else(bad)?;
+        let tick = tick.parse().map_err(|_| bad())?;
         Ok(ChaosEvent {
-            tick: tick.parse().map_err(|_| format!("bad tick: {s:?}"))?,
+            tick,
             fault: fault.parse()?,
         })
     }
@@ -288,38 +177,17 @@ impl FromStr for ChaosEvent {
 // Configuration
 // ----------------------------------------------------------------------
 
-/// How the cluster starts before the fault stream begins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosScenario {
-    /// All nodes found one group together.
-    Founding,
-    /// Every node starts isolated and must coalesce via discovery/merge.
-    Isolated,
-    /// Two founding groups that share one eligible membership and must
-    /// merge via BODYODOR discovery (§2.4).
-    Split,
-}
-
-impl fmt::Display for ChaosScenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChaosScenario::Founding => write!(f, "founding"),
-            ChaosScenario::Isolated => write!(f, "isolated"),
-            ChaosScenario::Split => write!(f, "split"),
-        }
-    }
-}
-
-impl FromStr for ChaosScenario {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "founding" => Ok(ChaosScenario::Founding),
-            "isolated" => Ok(ChaosScenario::Isolated),
-            "split" => Ok(ChaosScenario::Split),
-            other => Err(format!("unknown scenario: {other:?}")),
-        }
+text_enum! {
+    /// How the cluster starts before the fault stream begins.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ChaosScenario {
+        /// All nodes found one group together.
+        Founding = "founding",
+        /// Every node starts isolated and must coalesce via discovery/merge.
+        Isolated = "isolated",
+        /// Two founding groups that share one eligible membership and must
+        /// merge via BODYODOR discovery (§2.4).
+        Split = "split",
     }
 }
 
@@ -491,30 +359,10 @@ impl ChaosConfig {
         }
     }
 
-    /// Renders the `key=value` config line embedded in dump headers.
+    /// Renders the `key=value` config line embedded in dump headers, one
+    /// word per row of the table below.
     pub fn header_line(&self) -> String {
-        format!(
-            "nodes={} nics={} seed={} scenario={} ticks={} tick_us={} warmup={} \
-             fault_period={} workload={} grace={} token_bound={} conv_bound={} \
-             post={} seeded_fault={} bulk_threshold={} pad={} delay_spike={}",
-            self.nodes,
-            self.nics,
-            self.seed,
-            self.scenario,
-            self.ticks,
-            self.tick.as_nanos() / 1_000,
-            self.warmup_ticks,
-            self.fault_period,
-            self.workload_period,
-            self.grace_ticks,
-            self.token_bound_ticks,
-            self.convergence_bound_ticks,
-            self.post_ticks,
-            self.seeded_fault,
-            self.bulk_threshold,
-            self.payload_pad,
-            self.delay_spike,
-        )
+        self.words()
     }
 
     /// Parses a `key=value` config line produced by [`Self::header_line`].
@@ -523,36 +371,34 @@ impl ChaosConfig {
     /// is an error, so a replay never runs a different world than the
     /// dump recorded.
     pub fn from_header_line(line: &str) -> std::result::Result<Self, String> {
-        fn num<T: FromStr>(pair: &str, v: &str) -> std::result::Result<T, String> {
-            v.parse().map_err(|_| format!("bad value: {pair:?}"))
-        }
         let mut cfg = ChaosConfig::default();
-        for pair in line.split_whitespace() {
-            let Some((k, v)) = pair.split_once('=') else {
-                return Err(format!("malformed config pair: {pair:?}"));
-            };
-            match k {
-                "nodes" => cfg.nodes = num(pair, v)?,
-                "nics" => cfg.nics = num(pair, v)?,
-                "seed" => cfg.seed = num(pair, v)?,
-                "scenario" => cfg.scenario = v.parse()?,
-                "ticks" => cfg.ticks = num(pair, v)?,
-                "tick_us" => cfg.tick = Duration::from_micros(num(pair, v)?),
-                "warmup" => cfg.warmup_ticks = num(pair, v)?,
-                "fault_period" => cfg.fault_period = num(pair, v)?,
-                "workload" => cfg.workload_period = num(pair, v)?,
-                "grace" => cfg.grace_ticks = num(pair, v)?,
-                "token_bound" => cfg.token_bound_ticks = num(pair, v)?,
-                "conv_bound" => cfg.convergence_bound_ticks = num(pair, v)?,
-                "post" => cfg.post_ticks = num(pair, v)?,
-                "seeded_fault" => cfg.seeded_fault = num(pair, v)?,
-                "bulk_threshold" => cfg.bulk_threshold = num(pair, v)?,
-                "pad" => cfg.payload_pad = num(pair, v)?,
-                "delay_spike" => cfg.delay_spike = num(pair, v)?,
-                _ => return Err(format!("unknown config key: {pair:?}")),
-            }
-        }
+        cfg.read_words(line)?;
         Ok(cfg)
+    }
+}
+
+// The `# config:` line of a dump, one row per field. `--nodes` and
+// `--scenario` also pin the soak's sweep, and `--seeded-fault` takes no
+// value, so the `chaos` CLI sets those three itself.
+text_fields! {
+    impl ChaosConfig {
+        "nodes" => nodes: Plain;
+        "nics" => nics: Plain;
+        "seed" => seed: Plain, "--seed N";
+        "scenario" => scenario: Plain;
+        "ticks" => ticks: Plain, "--ticks N";
+        "tick_us" => tick: Micros;
+        "warmup" => warmup_ticks: Plain;
+        "fault_period" => fault_period: Plain, "--fault-period N";
+        "workload" => workload_period: Plain;
+        "grace" => grace_ticks: Plain;
+        "token_bound" => token_bound_ticks: Plain;
+        "conv_bound" => convergence_bound_ticks: Plain;
+        "post" => post_ticks: Plain;
+        "seeded_fault" => seeded_fault: Plain;
+        "bulk_threshold" => bulk_threshold: Plain, "--bulk THRESHOLD";
+        "pad" => payload_pad: Plain, "--pad BYTES";
+        "delay_spike" => delay_spike: Plain, "--delay-spike PERCENT";
     }
 }
 
@@ -1168,27 +1014,18 @@ pub fn dump_violation(
 /// Parses a dump produced by [`dump_violation`] back into the config and
 /// schedule needed to replay it.
 pub fn parse_dump(text: &str) -> std::result::Result<(ChaosConfig, Vec<ChaosEvent>), String> {
-    let mut cfg = ChaosConfig::default();
-    let mut saw_config = false;
+    let mut cfg = None;
     let mut events = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        match line.strip_prefix('#') {
+            Some(comment) => match comment.trim().strip_prefix("config:") {
+                Some(c) => cfg = Some(ChaosConfig::from_header_line(c)?),
+                None => continue,
+            },
+            None => events.push(line.parse::<ChaosEvent>()?),
         }
-        if let Some(rest) = line.strip_prefix('#') {
-            if let Some(c) = rest.trim().strip_prefix("config:") {
-                cfg = ChaosConfig::from_header_line(c.trim())?;
-                saw_config = true;
-            }
-            continue;
-        }
-        events.push(line.parse::<ChaosEvent>()?);
     }
-    if !saw_config {
-        return Err("dump has no `# config:` header".into());
-    }
-    Ok((cfg, events))
+    Ok((cfg.ok_or("dump has no `# config:` header")?, events))
 }
 
 #[cfg(test)]
@@ -1293,16 +1130,55 @@ mod tests {
                 "{why} was accepted: {bad}"
             );
         }
+        // Each row reads only what it writes.
+        for field in ChaosConfig::FIELDS {
+            let bad = format!("{line} {}=?", field.key);
+            assert!(ChaosConfig::from_header_line(&bad).is_err(), "{bad}");
+        }
         // An event line replays as exactly the fault it names, or not at
-        // all: a trailing word is not dropped.
+        // all: a trailing word is not dropped, and a missing one is not
+        // made up.
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let every_class = [
+            ChaosFault::Crash(n1),
+            ChaosFault::Restart(n1),
+            ChaosFault::LinkDown(n0, n1),
+            ChaosFault::LinkUp(n0, n1),
+            ChaosFault::NicDown(Addr::new(n1, 0)),
+            ChaosFault::NicUp(Addr::new(n1, 0)),
+            ChaosFault::Partition(vec![vec![n0], vec![n1]]),
+            ChaosFault::Heal,
+            ChaosFault::Duplicate(5),
+            ChaosFault::Reorder(5),
+            ChaosFault::Jitter(5),
+            ChaosFault::BulkLoss(5),
+            ChaosFault::DelaySpike(250),
+        ];
+        for fault in every_class {
+            let line = format!("@3 {fault}");
+            assert_eq!(
+                line.parse::<ChaosEvent>().map(|e| e.fault),
+                Ok(fault.clone())
+            );
+            let longer = format!("{line} n2");
+            assert!(
+                longer.parse::<ChaosEvent>().is_err(),
+                "{longer} was accepted"
+            );
+            // `@3 verb word...` less its last word, if it has one.
+            let (shorter, _) = line.rsplit_once(' ').unwrap_or_default();
+            if fault != ChaosFault::Heal {
+                assert!(
+                    shorter.parse::<ChaosEvent>().is_err(),
+                    "{shorter} was accepted"
+                );
+            }
+        }
         for bad in [
-            "@3 crash n1 n2",
-            "@3 heal junk",
-            "@3 link-down n0 n1 n2",
-            "@3 nic-up n1.0 n2.0",
-            "@3 partition n0|n1 n2",
-            "@3 dup 5 6",
-            "@3 delay-spike 250 x",
+            "@3 nic-up n1",
+            "@3 partition n0|",
+            "@3 dup x",
+            "@3 explode n1",
         ] {
             assert!(bad.parse::<ChaosEvent>().is_err(), "{bad} was accepted");
         }

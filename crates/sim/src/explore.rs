@@ -34,15 +34,15 @@
 //! [`SessionNode`]: raincore_session::SessionNode
 
 use crate::audit::{AuditView, Auditors, Delivered, MembershipAuditor};
-use crate::chaos::parse_node;
 use crate::engine::minimize;
+use crate::text::{text_enum, text_fields, Codec, Exact, Multicasts, Node, Plain, TextFields};
 use bytes::Bytes;
 use raincore_net::{Addr, Datagram, PacketClass};
 use raincore_session::{Delivery, SessionEvent, SessionNode, StartMode};
 use raincore_transport::{Frame, PeerTable};
 use raincore_types::wire::{WireDecode, WireEncode};
 use raincore_types::{
-    DeliveryMode, DigestInto, Duration, Fingerprint, GroupId, Incarnation, MsgId, NodeId,
+    DeliveryMode, DigestInto, Duration, Error, Fingerprint, GroupId, Incarnation, MsgId, NodeId,
     OriginSeq, Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, TransportConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -99,7 +99,7 @@ impl std::fmt::Display for Action {
 
 fn parse_key(s: &str) -> Option<MsgKey> {
     let (src, n) = s.split_once('#')?;
-    Some((parse_node(src)?, n.parse().ok()?))
+    Some((Node::read(src)?, n.parse().ok()?))
 }
 
 impl std::str::FromStr for Action {
@@ -107,34 +107,20 @@ impl std::str::FromStr for Action {
 
     fn from_str(s: &str) -> std::result::Result<Self, String> {
         let s = s.trim();
-        if s == "tick" {
-            return Ok(Action::Tick);
-        }
-        if let Some(rest) = s.strip_prefix("crash ") {
-            return parse_node(rest.trim())
-                .map(Action::Crash)
-                .ok_or_else(|| format!("bad node in {s:?}"));
-        }
-        if let Some(rest) = s.strip_prefix("drop-bulk ") {
-            return parse_key(rest.trim())
-                .map(|key| Action::DropBulk { key })
-                .ok_or_else(|| format!("bad message key in {s:?}"));
-        }
-        if let Some(rest) = s.strip_prefix("drop ") {
-            return parse_key(rest.trim())
-                .map(|key| Action::Drop { key })
-                .ok_or_else(|| format!("bad message key in {s:?}"));
-        }
-        if let Some(rest) = s.strip_prefix("deliver ") {
-            let (key, dst) = rest
-                .trim()
-                .split_once("->")
-                .ok_or_else(|| format!("missing -> in {s:?}"))?;
-            let key = parse_key(key).ok_or_else(|| format!("bad message key in {s:?}"))?;
-            let dst = parse_node(dst).ok_or_else(|| format!("bad node in {s:?}"))?;
-            return Ok(Action::Deliver { key, dst });
-        }
-        Err(format!("unknown action {s:?}"))
+        let (verb, rest) = s.split_once(' ').unwrap_or((s, ""));
+        let rest = rest.trim();
+        let action = match verb {
+            "tick" if rest.is_empty() => Some(Action::Tick),
+            "crash" => Node::read(rest).map(Action::Crash),
+            "drop" => parse_key(rest).map(|key| Action::Drop { key }),
+            "drop-bulk" => parse_key(rest).map(|key| Action::DropBulk { key }),
+            "deliver" => rest.split_once("->").and_then(|(key, dst)| {
+                let (key, dst) = (parse_key(key)?, Node::read(dst)?);
+                Some(Action::Deliver { key, dst })
+            }),
+            _ => None,
+        };
+        action.ok_or_else(|| format!("not an action: {s:?}"))
     }
 }
 
@@ -188,17 +174,19 @@ pub fn is_bulk_frame(bytes: &[u8]) -> bool {
     }
 }
 
-/// State-space reduction applied on top of sleep-set DPOR.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Reduction {
-    /// No state caching: pure sleep-set DFS (the pre-reduction
-    /// behavior; useful as a differential baseline).
-    None,
-    /// Cache visited states under their fingerprint and prune
-    /// revisits. Unconditionally sound: only byte-identical canonical
-    /// snapshots merge.
-    #[default]
-    Hash,
+text_enum! {
+    /// State-space reduction applied on top of sleep-set DPOR.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub enum Reduction {
+        /// No state caching: pure sleep-set DFS (the pre-reduction
+        /// behavior; useful as a differential baseline).
+        None = "None",
+        /// Cache visited states under their fingerprint and prune
+        /// revisits. Unconditionally sound: only byte-identical canonical
+        /// snapshots merge.
+        #[default]
+        Hash = "Hash",
+    }
 }
 
 /// Bounds and scenario of one exploration.
@@ -281,38 +269,37 @@ impl Default for ModelCheckConfig {
     }
 }
 
+// The `# scenario:` header of a dump ([`Violation::dump`]), one row per
+// field: every field the `model_check` CLI sets and the delay bound. A
+// key is never renamed or reordered, and a new one goes last, so every
+// dump an older build wrote still replays (DESIGN.md §6b).
+text_fields! {
+    impl ModelCheckConfig {
+        "nodes" => nodes: Plain, "--nodes N";
+        "depth" => max_depth: Plain, "--depth N";
+        "crash_budget" => crash_budget: Plain, "--crashes N";
+        "drop_budget" => drop_budget: Plain, "--drops N";
+        "bulk_drop_budget" => bulk_drop_budget: Plain, "--bulk-drops N";
+        "max_delay" => max_delay: Exact;
+        "max_schedules" => max_schedules: Plain, "--max-schedules N";
+        "forge_token" => forge_token: Plain;
+        "reduction" => reduction: Plain;
+        "mtu" => transport.mtu: Plain, "--mtu BYTES";
+        "multicasts" => seed_bulk: Multicasts, "--multicast ORIGIN:LEN";
+        "bulk_threshold" => session.bulk_threshold: Plain, "--bulk-threshold BYTES";
+        "warm_rotations" => warm_rotations: Plain;
+        "retry_timeout" => transport.retry_timeout: Exact;
+        "hungry_timeout" => session.hungry_timeout: Exact;
+        "bulk_blind_delivery" => session.bulk_blind_delivery: Plain;
+    }
+}
+
 impl ModelCheckConfig {
-    /// The fields of a dump's `# scenario:` header ([`Violation::dump`]):
-    /// every field the `model_check` CLI sets, and the delay bound, as
-    /// `key=value` words. [`ModelCheckConfig::read_scenario`] is its
-    /// inverse, so a dump replays in the world it was found in.
+    /// The words of a dump's `# scenario:` header, one per row of the
+    /// table above. [`ModelCheckConfig::read_scenario`] is its inverse,
+    /// so a dump replays in the world it was found in.
     pub fn scenario(&self) -> String {
-        let multicasts: Vec<String> = self
-            .seed_bulk
-            .iter()
-            .map(|(origin, len)| format!("{}:{len}", origin.0))
-            .collect();
-        format!(
-            "nodes={} depth={} crash_budget={} drop_budget={} bulk_drop_budget={} \
-             max_delay={} max_schedules={} forge_token={} reduction={:?} mtu={} \
-             multicasts={} bulk_threshold={} warm_rotations={} retry_timeout={} \
-             hungry_timeout={}",
-            self.nodes,
-            self.max_depth,
-            self.crash_budget,
-            self.drop_budget,
-            self.bulk_drop_budget,
-            exact(self.max_delay),
-            self.max_schedules,
-            self.forge_token,
-            self.reduction,
-            self.transport.mtu,
-            multicasts.join(","),
-            self.session.bulk_threshold,
-            self.warm_rotations,
-            exact(self.transport.retry_timeout),
-            exact(self.session.hungry_timeout),
-        )
+        self.words()
     }
 
     /// Sets every field the `# scenario:` header of `dump` names, read
@@ -320,85 +307,27 @@ impl ModelCheckConfig {
     /// does not name (a dump from an older build) keeps its value, and a
     /// dump without the header changes nothing.
     pub fn read_scenario(&mut self, dump: &str) -> std::result::Result<(), String> {
-        fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
-            v.parse().ok()
+        let header = dump.lines().find_map(|l| l.strip_prefix("# scenario:"));
+        header.map_or(Ok(()), |line| self.read_words(line))
+    }
+
+    /// Rejects a world whose search would pass without checking anything:
+    /// one with no member, or a seeded multicast whose origin is not a
+    /// member (it would seed nothing). [`ModelWorld::new`] calls it, so
+    /// the CLI, `--replay` and every test do.
+    pub fn validate(&self) -> Result<()> {
+        if self.nodes == 0 {
+            return Err(Error::Config("the model world needs at least one member"));
         }
-        let Some(line) = dump.lines().find_map(|l| l.strip_prefix("# scenario:")) else {
-            return Ok(());
-        };
-        for word in line.split_whitespace() {
-            let (key, v) = word
-                .split_once('=')
-                .ok_or_else(|| format!("scenario word without a value: {word:?}"))?;
-            let bad = || format!("bad scenario value: {word:?}");
-            let time = |v: &str| parse_exact(v).ok_or_else(bad);
-            match key {
-                "nodes" => self.nodes = num(v).ok_or_else(bad)?,
-                "depth" => self.max_depth = num(v).ok_or_else(bad)?,
-                "crash_budget" => self.crash_budget = num(v).ok_or_else(bad)?,
-                "drop_budget" => self.drop_budget = num(v).ok_or_else(bad)?,
-                "bulk_drop_budget" => self.bulk_drop_budget = num(v).ok_or_else(bad)?,
-                "max_delay" => self.max_delay = time(v)?,
-                "max_schedules" => self.max_schedules = num(v).ok_or_else(bad)?,
-                "forge_token" => self.forge_token = num(v).ok_or_else(bad)?,
-                "reduction" => {
-                    self.reduction = match v {
-                        "None" => Reduction::None,
-                        "Hash" => Reduction::Hash,
-                        _ => return Err(bad()),
-                    }
-                }
-                "mtu" => self.transport.mtu = num(v).ok_or_else(bad)?,
-                "multicasts" => {
-                    self.seed_bulk = v
-                        .split(',')
-                        .filter(|m| !m.is_empty())
-                        .map(|m| {
-                            let (origin, len) = m.split_once(':')?;
-                            Some((NodeId(num(origin)?), num(len)?))
-                        })
-                        .collect::<Option<_>>()
-                        .ok_or_else(bad)?;
-                }
-                "bulk_threshold" => self.session.bulk_threshold = num(v).ok_or_else(bad)?,
-                "warm_rotations" => self.warm_rotations = num(v).ok_or_else(bad)?,
-                "retry_timeout" => self.transport.retry_timeout = time(v)?,
-                "hungry_timeout" => self.session.hungry_timeout = time(v)?,
-                _ => return Err(format!("unknown scenario field: {key:?}")),
-            }
+        if self
+            .seed_bulk
+            .iter()
+            .any(|(origin, _)| origin.0 >= self.nodes)
+        {
+            return Err(Error::Config("a seeded multicast's origin is not a member"));
         }
         Ok(())
     }
-}
-
-/// `d` in the largest of ms, us and ns that states it whole.
-fn exact(d: Duration) -> String {
-    match d.as_nanos() {
-        ns if ns % 1_000_000 == 0 => format!("{}ms", ns / 1_000_000),
-        ns if ns % 1_000 == 0 => format!("{}us", ns / 1_000),
-        ns => format!("{ns}ns"),
-    }
-}
-
-/// Reads what [`exact`] writes, and the decimal form of `Duration`'s
-/// `Debug` (`5.000ms`) that older dumps carry, to the nanosecond.
-fn parse_exact(v: &str) -> Option<Duration> {
-    let (number, unit) = v.split_at(v.find(|c: char| c.is_ascii_alphabetic())?);
-    let scale: u64 = match unit {
-        "s" => 1_000_000_000,
-        "ms" => 1_000_000,
-        "us" => 1_000,
-        "ns" => 1,
-        _ => return None,
-    };
-    let (whole, fraction) = number.split_once('.').unwrap_or((number, ""));
-    let mut ns = whole.parse::<u64>().ok()?.checked_mul(scale)?;
-    let mut place = scale;
-    for digit in fraction.chars() {
-        place /= 10;
-        ns = ns.checked_add(u64::from(digit.to_digit(10)?) * place)?;
-    }
-    Some(Duration::from_nanos(ns))
 }
 
 struct ModelSlot {
@@ -449,6 +378,7 @@ impl ModelWorld {
     /// Builds the initial state: `cfg.nodes` members founding one group
     /// at t = 0, with any bootstrap traffic already on the wire.
     pub fn new(cfg: &ModelCheckConfig) -> Result<Self> {
+        cfg.validate()?;
         let ids: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
         let ring = Ring::from_iter(ids.iter().copied());
         let peers = PeerTable::full_mesh(ids.iter().copied(), 1);
@@ -1229,6 +1159,9 @@ mod tests {
             Action::Drop {
                 key: (NodeId(0), 7),
             },
+            Action::DropBulk {
+                key: (NodeId(1), 4),
+            },
             Action::Deliver {
                 key: (NodeId(1), 3),
                 dst: NodeId(2),
@@ -1238,7 +1171,16 @@ mod tests {
             let s = a.to_string();
             assert_eq!(s.parse::<Action>().unwrap(), a, "{s}");
         }
-        assert!("explode n1".parse::<Action>().is_err());
+        for bad in [
+            "explode n1",
+            "tick n1",
+            "crash",
+            "drop n0",
+            "deliver n0#1",
+            "deliver n0#1->",
+        ] {
+            assert!(bad.parse::<Action>().is_err(), "{bad} was accepted");
+        }
     }
 
     #[test]

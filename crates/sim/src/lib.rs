@@ -32,6 +32,7 @@ pub mod engine;
 pub mod explore;
 pub mod obs;
 pub mod open_app;
+pub mod text;
 
 pub use app::{NodeApp, NodeCtl};
 pub use audit::{

@@ -156,8 +156,10 @@ fn pinned_blind_delivery_fixture_reproduces() {
     let schedule = parse_schedule(text).expect("fixture parses");
     assert!(!schedule.is_empty(), "fixture is empty");
 
-    let mut cfg = bulk_cfg();
-    cfg.session.bulk_blind_delivery = true;
+    // The world comes from the fixture's own header, blind dial included.
+    let mut cfg = ModelCheckConfig::default();
+    cfg.read_scenario(text).expect("the scenario header parses");
+    assert!(cfg.session.bulk_blind_delivery);
     let rep = replay(&cfg, &schedule).expect("replay setup");
     let (_, reason) = rep
         .violation
@@ -166,7 +168,8 @@ fn pinned_blind_delivery_fixture_reproduces() {
 
     // The same schedule against the real (non-blind) protocol is clean:
     // the two-phase deliver holds the id back until the payload arrives.
-    let rep = replay(&bulk_cfg(), &schedule).expect("replay setup");
+    cfg.session.bulk_blind_delivery = false;
+    let rep = replay(&cfg, &schedule).expect("replay setup");
     assert!(
         rep.violation.is_none(),
         "the fixed protocol still fails the pinned schedule: {:?}",

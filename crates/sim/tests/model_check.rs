@@ -4,6 +4,7 @@
 //! also through the `model_check` binary, from the dump alone.
 
 use raincore_sim::explore::{parse_schedule, replay, Reduction};
+use raincore_sim::text::TextFields;
 use raincore_sim::{Explorer, ModelCheckConfig};
 use raincore_types::{Duration, NodeId};
 use std::process::Command;
@@ -269,12 +270,20 @@ fn scenario_header_reads_back_every_field() {
     cfg.transport.retry_timeout = Duration::from_millis(50);
     cfg.session.bulk_threshold = 100;
     cfg.session.hungry_timeout = Duration::from_nanos(400_000_001);
+    cfg.session.bulk_blind_delivery = true;
+    // Every row is off its default, so every row is read back.
+    let default = ModelCheckConfig::default().scenario();
+    for (set, stock) in cfg.scenario().split(' ').zip(default.split(' ')) {
+        assert_ne!(set, stock, "a row the round trip does not exercise");
+    }
+    assert_eq!(
+        cfg.scenario().split(' ').count(),
+        ModelCheckConfig::FIELDS.len()
+    );
     let header = format!("# scenario: {}\n", cfg.scenario());
     let mut read = ModelCheckConfig::default();
     read.read_scenario(&header).expect("header parses");
-    assert_eq!(read.scenario(), cfg.scenario());
-    assert_eq!(read.seed_bulk, cfg.seed_bulk);
-    assert_eq!(read.session.hungry_timeout, cfg.session.hungry_timeout);
+    assert_eq!(format!("{read:?}"), format!("{cfg:?}"));
 
     // The header an older build wrote: the fields it names, a `Debug`
     // duration among them; the rest keep their value.
@@ -285,6 +294,41 @@ fn scenario_header_reads_back_every_field() {
     assert_eq!(old.max_delay, Duration::from_millis(5));
     assert_eq!(old.transport.mtu, ModelCheckConfig::default().transport.mtu);
     assert!(old.read_scenario("# scenario: colour=blue").is_err());
+    // Each row reads only what it writes.
+    for field in ModelCheckConfig::FIELDS {
+        let word = format!("# scenario: {}=?", field.key);
+        assert!(old.read_scenario(&word).is_err(), "{word}");
+    }
+}
+
+/// A world the search would pass without checking anything is refused
+/// before it is explored: no member, or a seeded multicast from a node
+/// outside the world (it would seed nothing). The CLI exits 2 on either,
+/// also when the world comes from a dump's header.
+#[test]
+fn a_vacuous_world_is_refused() {
+    use raincore_sim::ModelWorld;
+    use raincore_types::Error;
+    let empty = ModelCheckConfig {
+        nodes: 0,
+        ..ModelCheckConfig::default()
+    };
+    let outsider = ModelCheckConfig {
+        seed_bulk: vec![(NodeId(0), 30), (NodeId(7), 30)],
+        ..ModelCheckConfig::default()
+    };
+    for cfg in [&empty, &outsider] {
+        assert!(matches!(cfg.validate(), Err(Error::Config(_))), "{cfg:?}");
+        assert!(matches!(ModelWorld::new(cfg), Err(Error::Config(_))));
+        assert!(Explorer::new(cfg.clone()).run().is_err());
+    }
+    assert!(ModelCheckConfig::default().validate().is_ok());
+    assert_eq!(model_check(&["--nodes", "0"]).0, Some(2));
+    assert_eq!(model_check(&["--multicast", "7:30"]).0, Some(2));
+    let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("outsider-dump.txt");
+    std::fs::write(&dump, "# scenario: nodes=3 multicasts=3:30\ntick\n").expect("write");
+    let (code, out) = model_check(&["--replay", dump.to_str().expect("utf-8 path")]);
+    assert_eq!(code, Some(2), "{out}");
 }
 
 /// Runs the `model_check` binary; returns its exit code and stdout.

@@ -105,6 +105,14 @@ leg_model_check() {
   echo "==> model check (seeded two-token fault must be found)"
   cargo run --release -q -p raincore-sim --bin model_check -- --seeded-check
 
+  echo "==> model check (every committed fixture must reproduce from its own header)"
+  # A fixture is a dump the checker once found; `--replay` rebuilds its
+  # world from the `# scenario:` line alone, so a header field the reader
+  # cannot read, or one the fixture leaves out, fails here.
+  for fixture in crates/sim/tests/fixtures/*.txt; do
+    cargo run --release -q -p raincore-sim --bin model_check -- --replay "$fixture"
+  done
+
   echo "==> model check (bounded exploration must be clean, and exactly the pinned space)"
   # The default 3-node space is the inertness pin (DESIGN.md §17.5): a
   # change to the session core or the transport that means to leave the
