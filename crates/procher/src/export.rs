@@ -276,6 +276,10 @@ mod tests {
             "[]",
             &deliveries,
         );
+        assert_eq!(
+            doc.lines().nth(1),
+            Some("node=5 incarnation=1 wall_ms=777 export_seq=9 finished=0")
+        );
         let parsed = ChildExport::parse(&doc).expect("parse");
         assert_eq!(parsed.node, NodeId(5));
         assert_eq!(parsed.incarnation, 1);
