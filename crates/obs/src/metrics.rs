@@ -186,7 +186,7 @@ impl Registry {
 }
 
 /// Point-in-time copy of a [`Registry`], sorted by metric key.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     pub entries: Vec<SnapshotEntry>,
 }

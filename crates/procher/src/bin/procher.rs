@@ -20,9 +20,11 @@
 //! Exit codes: `0` pass, `1` violation or divergence, `2` usage error,
 //! `77` subprocess spawning forbidden by the environment (skip).
 
-use raincore_procher::child::{run_child, ChildArgs, StartKind};
-use raincore_procher::cluster::{run_cluster, run_holder_case, ProcConfig, Scenario};
+use raincore_procher::child::{run_child, ChildArgs};
+use raincore_procher::cluster::{run_cluster, run_holder_case, ProcConfig};
 use raincore_procher::differential::{run_differential, DiffConfig};
+use raincore_sim::outln;
+use raincore_sim::text::TextFields;
 use raincore_sim::ChaosEvent;
 use raincore_types::NodeId;
 use std::path::PathBuf;
@@ -35,42 +37,37 @@ const EXIT_SKIP: u8 = 77;
 fn usage(msg: &str) -> ExitCode {
     eprintln!("procher: {msg}");
     eprintln!(
-        "usage: procher [--seed N] [--nodes N] [--loss P] [--dup P] [--reorder P] \
-         [--delay-us N] [--ticks N] [--tick-ms N] [--scenario founding|isolated] \
-         [--workload-count N] [--workload-period-ms N] [--bulk THRESHOLD] \
-         [--fault \"@tick fault\"]... [--out-dir DIR]\n\
-         \x20      procher --differential [--seed N] [--nodes N] [--count N] [--period-ms N] \
-         [--bulk THRESHOLD]\n\
+        "usage: procher {} [--fault \"@tick fault\"]...\n\
+         \x20      procher --differential {}\n\
          \x20      procher --regression bootstrap\n\
-         \x20      procher --gate"
+         \x20      procher --gate",
+        ProcConfig::flag_usage(),
+        DiffConfig::flag_usage(),
     );
     ExitCode::from(EXIT_USAGE)
 }
 
-/// Simple `--key value` argument cursor.
-struct Args {
-    argv: Vec<String>,
-    i: usize,
-}
-
-impl Args {
-    fn next(&mut self) -> Option<String> {
-        let v = self.argv.get(self.i).cloned();
-        self.i += v.is_some() as usize;
-        v
+/// Applies `--flag value` pairs to `cfg`'s rows; `--fault` lines go to
+/// `schedule`, in a mode that takes one.
+fn read_flags<C: TextFields>(
+    cfg: &mut C,
+    argv: &[String],
+    mut schedule: Option<&mut Vec<ChaosEvent>>,
+) -> Result<(), String> {
+    for pair in argv.chunks(2) {
+        let [flag, value] = pair else {
+            return Err(format!("{} needs a value", pair[0]));
+        };
+        match (flag.as_str(), schedule.as_deref_mut()) {
+            ("--fault", Some(schedule)) => {
+                schedule.push(value.parse().map_err(|e| format!("--fault: {e}"))?);
+            }
+            _ => cfg.set_flag(flag, value).ok_or_else(|| {
+                format!("unknown flag, or a value it does not take: {flag} {value}")
+            })?,
+        }
     }
-
-    fn value(&mut self, flag: &str) -> Result<String, String> {
-        self.next().ok_or_else(|| format!("{flag} needs a value"))
-    }
-
-    fn parse<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = self.value(flag)?;
-        v.parse().map_err(|e| format!("{flag} `{v}`: {e}"))
-    }
+    Ok(())
 }
 
 fn default_out_dir(tag: &str) -> PathBuf {
@@ -87,76 +84,12 @@ fn spawn_allowed(exe: &PathBuf) -> bool {
         .unwrap_or(false)
 }
 
-fn permille_from_prob(flag: &str, v: &str) -> Result<u32, String> {
-    let p: f64 = v.parse().map_err(|e| format!("{flag} `{v}`: {e}"))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("{flag} must be a probability in [0, 1]"));
-    }
-    Ok((p * 1000.0).round() as u32)
-}
-
-fn child_main(mut args: Args) -> Result<i32, String> {
-    let mut node = None;
-    let mut nodes = None;
-    let mut incarnation = 0u32;
-    let mut start = StartKind::Founding;
-    let mut peers = Vec::new();
-    let mut export_path = None;
-    let mut ctl_path = None;
-    let mut export_ms = 50u64;
-    let mut workload_count = 0u32;
-    let mut workload_period_ms = 40u64;
-    let mut bulk_threshold = 0usize;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--node" => node = Some(NodeId(args.parse("--node")?)),
-            "--nodes" => nodes = Some(args.parse("--nodes")?),
-            "--incarnation" => incarnation = args.parse("--incarnation")?,
-            "--start" => start = args.parse("--start")?,
-            "--peers" => {
-                for kv in args.value("--peers")?.split(',') {
-                    let (id, saddr) = kv
-                        .split_once('=')
-                        .ok_or_else(|| format!("bad peer `{kv}`"))?;
-                    peers.push((
-                        NodeId(id.parse().map_err(|e| format!("peer id `{id}`: {e}"))?),
-                        saddr
-                            .parse()
-                            .map_err(|e| format!("peer addr `{saddr}`: {e}"))?,
-                    ));
-                }
-            }
-            "--export" => export_path = Some(PathBuf::from(args.value("--export")?)),
-            "--ctl" => ctl_path = Some(PathBuf::from(args.value("--ctl")?)),
-            "--export-ms" => export_ms = args.parse("--export-ms")?,
-            "--workload-count" => workload_count = args.parse("--workload-count")?,
-            "--workload-period-ms" => workload_period_ms = args.parse("--workload-period-ms")?,
-            "--bulk-threshold" => bulk_threshold = args.parse("--bulk-threshold")?,
-            other => return Err(format!("unknown child flag `{other}`")),
-        }
-    }
-    let child = ChildArgs {
-        node: node.ok_or("--node is required")?,
-        nodes: nodes.ok_or("--nodes is required")?,
-        incarnation,
-        start,
-        peers,
-        export_path: export_path.ok_or("--export is required")?,
-        ctl_path: ctl_path.ok_or("--ctl is required")?,
-        export_ms,
-        workload_count,
-        workload_period_ms,
-        bulk_threshold,
-    };
-    run_child(&child).map_err(|e| e.to_string())
-}
-
 /// Runs `schedule` and prints the outcome. `pinned`: the schedule is a
 /// checked-in regression, which must crash what it restarts — a skipped
 /// restart means it no longer tests the rejoin it was kept for.
 fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent], pinned: bool) -> Result<bool, String> {
     let report = run_cluster(cfg, schedule).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "procher: nodes={} seed={} ticks_run={} faults={} exports={} regenerations={} \
          proxy(forwarded={} dropped_loss={} dropped_bulk={} dropped_blocked={} dup={} delayed={} \
          stalled={})",
@@ -175,44 +108,40 @@ fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent], pinned: bool) -> Resul
         report.proxy.stalled,
     );
     if report.restarts_skipped > 0 {
-        println!(
+        outln!(
             "{} scheduled restart(s) skipped: the child was running",
             report.restarts_skipped
         );
         if pinned {
-            println!("FAILED: a pinned schedule must crash what it restarts");
+            outln!("FAILED: a pinned schedule must crash what it restarts");
             return Ok(false);
         }
     }
     match &report.violation {
-        Some((tick, reason)) => {
-            println!("VIOLATION @tick {tick}: {reason}");
-            println!("artifacts: {}", cfg.out_dir.display());
-            Ok(false)
-        }
+        Some((tick, reason)) => outln!("VIOLATION @tick {tick}: {reason}"),
         None if !report.converged => {
-            println!("FAILED: cluster did not converge within the budget");
+            outln!("FAILED: cluster did not converge within the budget");
             if let Some(block) = &report.last_block {
-                println!("last convergence blocker: {block}");
+                outln!("last convergence blocker: {block}");
             }
-            println!("artifacts: {}", cfg.out_dir.display());
-            Ok(false)
         }
         None => {
-            println!("ok: converged");
-            Ok(true)
+            outln!("ok: converged");
+            return Ok(true);
         }
     }
+    outln!("artifacts: {}", cfg.out_dir.display());
+    Ok(false)
 }
 
 fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
     let report = run_differential(cfg).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "differential: nodes={} count={} bulk_threshold={} sim_deliveries={} \
          real_deliveries={} sim_regens={} real_regens={} real_bulk_drops={}",
-        cfg.nodes,
-        cfg.count,
-        cfg.bulk_threshold,
+        cfg.cluster.nodes,
+        cfg.cluster.workload_count,
+        cfg.cluster.bulk_threshold,
         report.sim.values().map(Vec::len).sum::<usize>(),
         report.real.values().map(Vec::len).sum::<usize>(),
         report.sim_regenerations,
@@ -220,13 +149,13 @@ fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
         report.real_bulk_drops,
     );
     if report.divergences.is_empty() {
-        println!("ok: zero sim<->real divergence");
+        outln!("ok: zero sim<->real divergence");
         return Ok(true);
     }
     for d in &report.divergences {
-        println!("DIVERGENCE: {d}");
+        outln!("DIVERGENCE: {d}");
     }
-    println!("artifacts: {}", cfg.out_dir.display());
+    outln!("artifacts: {}", cfg.cluster.out_dir.display());
     Ok(false)
 }
 
@@ -236,17 +165,14 @@ fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
 /// its predecessor alone, inside 300 ms of that member's own clock —
 /// the successor probe at work, where `hungry_timeout` is 400 ms.
 fn holder_report(cfg: &ProcConfig) -> Result<bool, String> {
-    use raincore_obs::OutageMode;
+    use raincore_obs::{OutageMode, OutageRow};
     let stall = std::time::Duration::from_millis(100);
     let report = run_holder_case(cfg, NodeId(2), stall).map_err(|e| e.to_string())?;
     // Let-go to regenerated: every stage but the deliveries either side.
     let repaired_ms = |stages: &[u64; 6]| stages[1..5].iter().sum::<u64>() as f64 / 1e6;
-    let rows: Vec<String> = report
-        .outages
-        .iter()
-        .map(|r| format!("n{} {:?} {:.1} ms", r.node, r.mode, repaired_ms(&r.stages)))
-        .collect();
-    println!(
+    let row = |r: &OutageRow| format!("n{} {:?} {:.1} ms", r.node, r.mode, repaired_ms(&r.stages));
+    let rows: Vec<String> = report.outages.iter().map(row).collect();
+    outln!(
         "holder: nodes={} alarms_after_stall={} outages=[{}] callers={} regenerations={} \
          false_suspicions={} probes_sent={}",
         cfg.nodes,
@@ -259,18 +185,13 @@ fn holder_report(cfg: &ProcConfig) -> Result<bool, String> {
     );
     let repaired = matches!(&report.outages[..],
         [r] if r.mode == OutageMode::Regen && repaired_ms(&r.stages) < 300.0);
-    let ok = report.alarms_after_stall == 0
-        && repaired
-        && (
-            report.callers,
-            report.regenerations,
-            report.false_suspicions,
-        ) == (1, 1, 0);
+    let quiet = report.alarms_after_stall == 0 && report.false_suspicions == 0;
+    let ok = quiet && repaired && (report.callers, report.regenerations) == (1, 1);
     if ok {
-        println!("ok: the stall evicted nobody, the crash was repaired by one caller");
+        outln!("ok: the stall evicted nobody, the crash was repaired by one caller");
     } else {
-        println!("FAILED: holder case");
-        println!("artifacts: {}", cfg.out_dir.display());
+        outln!("FAILED: holder case");
+        outln!("artifacts: {}", cfg.out_dir.display());
     }
     Ok(ok)
 }
@@ -279,21 +200,13 @@ fn holder_report(cfg: &ProcConfig) -> Result<bool, String> {
 /// (`chaos_regression_total_copy_loss_bootstrap`), now replayed over
 /// real sockets: every node holding a token copy dies and the restarted
 /// survivors must found fresh groups and re-merge.
-fn bootstrap_regression() -> (ProcConfig, Vec<ChaosEvent>) {
-    let out = default_out_dir("regression");
-    let exe = std::env::current_exe().expect("current exe");
-    let mut cfg = ProcConfig::new(exe, out);
-    cfg.nodes = 8;
-    cfg.seed = 25;
-    cfg.scenario = Scenario::Isolated;
-    cfg.tick_ms = 5;
-    cfg.bounds.ticks = 2000;
-    cfg.bounds.grace_ticks = 300;
-    cfg.bounds.token_bound_ticks = 600;
-    cfg.bounds.convergence_bound_ticks = 3000;
-    cfg.bounds.post_ticks = 100;
-    cfg.workload_count = 0;
-    let schedule = [
+fn bootstrap_regression(exe: PathBuf) -> Result<(ProcConfig, Vec<ChaosEvent>), String> {
+    let mut cfg = ProcConfig::new(exe, default_out_dir("regression"));
+    cfg.read_words(
+        "nodes=8 seed=25 scenario=isolated tick_ms=5 ticks=2000 grace=300 token_bound=600 \
+         conv_bound=3000 post=100 workload_count=0",
+    )?;
+    let schedule = schedule(&[
         "@712 crash n3",
         "@976 crash n4",
         "@1039 crash n6",
@@ -307,192 +220,81 @@ fn bootstrap_regression() -> (ProcConfig, Vec<ChaosEvent>) {
         "@1686 restart n5",
         "@1783 crash n7",
         "@1990 heal",
-    ]
-    .iter()
-    .map(|s| s.parse().expect("pinned schedule line"))
-    .collect();
-    (cfg, schedule)
+    ])?;
+    Ok((cfg, schedule))
 }
 
-fn gate() -> Result<bool, String> {
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+fn schedule(lines: &[&str]) -> Result<Vec<ChaosEvent>, String> {
+    lines.iter().map(|line| line.parse()).collect()
+}
+
+fn gate(exe: PathBuf) -> Result<bool, String> {
     // Leg 1: 3-node lossy soak with a crash/restart cycle.
     let mut cfg = ProcConfig::new(exe.clone(), default_out_dir("gate-soak"));
-    cfg.nodes = 3;
-    cfg.seed = 7;
-    cfg.bounds.ticks = 400;
-    cfg.dials.drop_permille = 50;
-    let schedule: Vec<ChaosEvent> = ["@100 crash n2", "@200 restart n2"]
-        .iter()
-        .map(|s| s.parse().expect("gate schedule line"))
-        .collect();
-    let soak_ok = soak_report(&cfg, &schedule, true)?;
+    cfg.read_words("nodes=3 seed=7 ticks=400 loss=0.05")?;
+    let crash_restart = schedule(&["@100 crash n2", "@200 restart n2"])?;
+    let soak_ok = soak_report(&cfg, &crash_restart, true)?;
     // Leg 2: small differential run.
-    let diff = DiffConfig {
-        nodes: 3,
-        seed: 7,
-        count: 3,
-        period_ms: 30,
-        bulk_threshold: 0,
-        out_dir: default_out_dir("gate-diff"),
-        child_exe: exe.clone(),
-    };
+    let mut diff = DiffConfig::new(exe.clone(), default_out_dir("gate-diff"));
+    diff.read_words("seed=7")?;
     let diff_ok = diff_report(&diff)?;
     // Leg 3: the same differential with the out-of-band path on and the
-    // proxy dropping 20% of the real bulk frames — the delivered-set and
+    // proxy dropping 40% of the real bulk frames — the delivered-set and
     // order projections must still match the simulator (NACK recovery).
-    let bulk_diff = DiffConfig {
-        nodes: 3,
-        seed: 7,
-        count: 4,
-        period_ms: 30,
-        bulk_threshold: 512,
-        out_dir: default_out_dir("gate-bulk-diff"),
-        child_exe: exe.clone(),
-    };
+    let mut bulk_diff = DiffConfig::new(exe.clone(), default_out_dir("gate-bulk-diff"));
+    bulk_diff.read_words("seed=7 count=4 bulk_threshold=512")?;
     let bulk_ok = diff_report(&bulk_diff)?;
     // Leg 4: the holder of the token stalled, then killed, under load.
     let mut holder = ProcConfig::new(exe, default_out_dir("gate-holder"));
-    holder.workload_count = 600;
-    holder.workload_period_ms = 5;
+    holder.read_words("workload_count=600 workload_period_ms=5")?;
     let holder_ok = holder_report(&holder)?;
     Ok(soak_ok && diff_ok && bulk_ok && holder_ok)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("--probe") {
-        return ExitCode::SUCCESS;
-    }
-    if argv.first().map(String::as_str) == Some("--child") {
-        let args = Args { argv, i: 1 };
-        return match child_main(args) {
-            Ok(code) => ExitCode::from(code as u8),
-            Err(e) => {
-                eprintln!("procher child: {e}");
-                ExitCode::from(EXIT_USAGE)
-            }
-        };
+    match argv.first().map(String::as_str) {
+        Some("--probe") => return ExitCode::SUCCESS,
+        Some("--child") => {
+            let child = ChildArgs::from_args(argv[1..].iter().map(String::as_str));
+            return match child.and_then(|c| run_child(&c).map_err(|e| e.to_string())) {
+                Ok(code) => ExitCode::from(code as u8),
+                Err(e) => {
+                    eprintln!("procher child: {e}");
+                    ExitCode::from(EXIT_USAGE)
+                }
+            };
+        }
+        _ => {}
     }
 
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("procher: cannot locate own binary: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let Ok(exe) = std::env::current_exe() else {
+        return usage("cannot locate own binary");
     };
     if !spawn_allowed(&exe) {
         eprintln!("procher: subprocess spawning is forbidden here; skipping (exit 77)");
         return ExitCode::from(EXIT_SKIP);
     }
 
-    match argv.first().map(String::as_str) {
-        Some("--gate") => {
-            return match gate() {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::from(EXIT_VIOLATION),
-                Err(e) => usage(&e),
-            };
+    let verdict = match argv.first().map(String::as_str) {
+        Some("--gate") => gate(exe),
+        Some("--regression") if argv.get(1).map(String::as_str) == Some("bootstrap") => {
+            let regression = bootstrap_regression(exe);
+            regression.and_then(|(cfg, schedule)| soak_report(&cfg, &schedule, true))
         }
-        Some("--regression") => {
-            if argv.get(1).map(String::as_str) != Some("bootstrap") {
-                return usage("--regression takes the schedule name `bootstrap`");
-            }
-            let (cfg, schedule) = bootstrap_regression();
-            return match soak_report(&cfg, &schedule, true) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::from(EXIT_VIOLATION),
-                Err(e) => usage(&e),
-            };
-        }
+        Some("--regression") => Err("--regression takes the schedule name `bootstrap`".into()),
         Some("--differential") => {
-            let mut args = Args { argv, i: 1 };
-            let mut cfg = DiffConfig {
-                nodes: 3,
-                seed: 1,
-                count: 3,
-                period_ms: 30,
-                bulk_threshold: 0,
-                out_dir: default_out_dir("diff"),
-                child_exe: exe,
-            };
-            while let Some(flag) = args.next() {
-                let r = match flag.as_str() {
-                    "--nodes" => args.parse("--nodes").map(|v| cfg.nodes = v),
-                    "--seed" => args.parse("--seed").map(|v| cfg.seed = v),
-                    "--count" => args.parse("--count").map(|v| cfg.count = v),
-                    "--period-ms" => args.parse("--period-ms").map(|v| cfg.period_ms = v),
-                    "--bulk" => args.parse("--bulk").map(|v| cfg.bulk_threshold = v),
-                    "--out-dir" => args.value("--out-dir").map(|v| cfg.out_dir = v.into()),
-                    other => Err(format!("unknown differential flag `{other}`")),
-                };
-                if let Err(e) = r {
-                    return usage(&e);
-                }
-            }
-            return match diff_report(&cfg) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::from(EXIT_VIOLATION),
-                Err(e) => usage(&e),
-            };
+            let mut cfg = DiffConfig::new(exe, default_out_dir("diff"));
+            read_flags(&mut cfg, &argv[1..], None).and_then(|()| diff_report(&cfg))
         }
-        _ => {}
-    }
-
-    // Default soak mode.
-    let mut cfg = ProcConfig::new(exe, default_out_dir("soak"));
-    let mut schedule: Vec<ChaosEvent> = Vec::new();
-    let mut args = Args { argv, i: 0 };
-    while let Some(flag) = args.next() {
-        let r = match flag.as_str() {
-            "--seed" => args.parse("--seed").map(|v| cfg.seed = v),
-            "--nodes" => args.parse("--nodes").map(|v| cfg.nodes = v),
-            "--ticks" => args.parse("--ticks").map(|v| cfg.bounds.ticks = v),
-            "--tick-ms" => args.parse("--tick-ms").map(|v| cfg.tick_ms = v),
-            "--loss" => args
-                .value("--loss")
-                .and_then(|v| permille_from_prob("--loss", &v))
-                .map(|v| cfg.dials.drop_permille = v),
-            "--dup" => args
-                .value("--dup")
-                .and_then(|v| permille_from_prob("--dup", &v))
-                .map(|v| cfg.dials.dup_permille = v),
-            "--reorder" => args
-                .value("--reorder")
-                .and_then(|v| permille_from_prob("--reorder", &v))
-                .map(|v| cfg.dials.reorder_permille = v),
-            "--delay-us" => args.parse("--delay-us").map(|v| cfg.dials.delay_us = v),
-            "--scenario" => args.value("--scenario").and_then(|v| match v.as_str() {
-                "founding" => {
-                    cfg.scenario = Scenario::Founding;
-                    Ok(())
-                }
-                "isolated" => {
-                    cfg.scenario = Scenario::Isolated;
-                    Ok(())
-                }
-                other => Err(format!("unknown scenario `{other}`")),
-            }),
-            "--workload-count" => args
-                .parse("--workload-count")
-                .map(|v| cfg.workload_count = v),
-            "--workload-period-ms" => args
-                .parse("--workload-period-ms")
-                .map(|v| cfg.workload_period_ms = v),
-            "--bulk" => args.parse("--bulk").map(|v| cfg.bulk_threshold = v),
-            "--fault" => args
-                .value("--fault")
-                .and_then(|v| v.parse::<ChaosEvent>().map_err(|e| format!("--fault: {e}")))
-                .map(|ev| schedule.push(ev)),
-            "--out-dir" => args.value("--out-dir").map(|v| cfg.out_dir = v.into()),
-            other => return usage(&format!("unknown flag `{other}`")),
-        };
-        if let Err(e) = r {
-            return usage(&e);
+        _ => {
+            let mut cfg = ProcConfig::new(exe, default_out_dir("soak"));
+            let mut schedule = Vec::new();
+            read_flags(&mut cfg, &argv, Some(&mut schedule))
+                .and_then(|()| soak_report(&cfg, &schedule, false))
         }
-    }
-    match soak_report(&cfg, &schedule, false) {
+    };
+    match verdict {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(EXIT_VIOLATION),
         Err(e) => usage(&e),

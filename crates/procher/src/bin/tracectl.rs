@@ -38,6 +38,13 @@ use raincore_obs::{
 };
 use raincore_procher::export::{merge_export_journals, ChildExport};
 
+/// Writes `text` to stdout; a reader that has gone (`| head`) is no
+/// error of ours.
+fn emit(text: &str) {
+    use std::io::Write;
+    let _ = std::io::stdout().write_all(text.as_bytes());
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: tracectl FILE... [--circ ID|nM@S] [--from-hop N] [--max-hops N] \
@@ -128,7 +135,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "outage") {
         match outage_table(&args[1..]) {
-            Ok(table) => print!("{table}"),
+            Ok(table) => emit(&table),
             Err(e) => {
                 eprintln!("tracectl: {e}");
                 std::process::exit(2);
@@ -188,8 +195,8 @@ fn main() {
     }
 
     if flat_events {
-        print!("{}", render_events_text(&events));
+        emit(&render_events_text(&events));
     } else {
-        print!("{}", render_waterfall(&events, &opts));
+        emit(&render_waterfall(&events, &opts));
     }
 }

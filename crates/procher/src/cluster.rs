@@ -31,9 +31,10 @@
 // protocol time.
 #![allow(clippy::disallowed_types)]
 
-use crate::child::StartKind;
-use crate::export::{merge_export_journals, ChildExport};
+use crate::child::{ChildArgs, Ctl, StartKind};
+use crate::export::{merge_export_journals, node_file, ChildExport};
 use crate::proxy::{LossProxy, ProxyDials, ProxyStats};
+use raincore_sim::text::{text_fields, Codec, FilePath, Plain, TextFields};
 use raincore_sim::{
     AuditView, ChaosEvent, ChaosFault, NetBelief, NodeStatus, ScheduleEngine, StatusView,
     TickBounds,
@@ -45,15 +46,6 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// How every child starts at tick 0.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scenario {
-    /// All nodes found one group with the full ring.
-    Founding,
-    /// All nodes start as singleton groups and merge via discovery.
-    Isolated,
-}
-
 /// Configuration of one harness run.
 #[derive(Clone, Debug)]
 pub struct ProcConfig {
@@ -61,8 +53,9 @@ pub struct ProcConfig {
     pub nodes: u32,
     /// Seed for the proxy's packet-fate RNG.
     pub seed: u64,
-    /// Start scenario.
-    pub scenario: Scenario,
+    /// How every child starts at tick 0: founding one group with the
+    /// full ring, or isolated singletons that merge via discovery.
+    pub scenario: StartKind,
     /// Parent tick length in milliseconds (schedule ticks are parent
     /// ticks).
     pub tick_ms: u64,
@@ -96,7 +89,7 @@ impl ProcConfig {
         ProcConfig {
             nodes: 4,
             seed: 1,
-            scenario: Scenario::Founding,
+            scenario: StartKind::Founding,
             tick_ms: 10,
             bounds: TickBounds {
                 ticks: 300,
@@ -113,6 +106,84 @@ impl ProcConfig {
             out_dir,
             child_exe,
         }
+    }
+}
+
+// The soak flags, one row per field; `report.txt` records the run's
+// words.
+text_fields! {
+    impl ProcConfig {
+        "seed" => seed: Plain, "--seed N";
+        "nodes" => nodes: Plain, "--nodes N";
+        "loss" => dials.drop_permille: Permille, "--loss P";
+        "dup" => dials.dup_permille: Permille, "--dup P";
+        "reorder" => dials.reorder_permille: Permille, "--reorder P";
+        "delay_us" => dials.delay_us: Plain, "--delay-us N";
+        "ticks" => bounds.ticks: Plain, "--ticks N";
+        "grace" => bounds.grace_ticks: Plain;
+        "token_bound" => bounds.token_bound_ticks: Plain;
+        "conv_bound" => bounds.convergence_bound_ticks: Plain;
+        "post" => bounds.post_ticks: Plain;
+        "tick_ms" => tick_ms: Plain, "--tick-ms N";
+        "scenario" => scenario: Plain, "--scenario founding|isolated";
+        "workload_count" => workload_count: Plain, "--workload-count N";
+        "workload_period_ms" => workload_period_ms: Plain, "--workload-period-ms N";
+        "bulk_threshold" => bulk_threshold: Plain, "--bulk THRESHOLD";
+        "out_dir" => out_dir: FilePath, "--out-dir DIR";
+    }
+}
+
+/// A per-packet probability in [0, 1], kept in permille: `0.05` is 50.
+struct Permille;
+
+impl Codec<u32> for Permille {
+    fn write(v: &u32) -> String {
+        (f64::from(*v) / 1000.0).to_string()
+    }
+    fn read(word: &str) -> Option<u32> {
+        let p: f64 = word.parse().ok()?;
+        let permille = (p * 1000.0).round() as u32;
+        (0.0..=1.0).contains(&p).then_some(permille)
+    }
+}
+
+impl ProcConfig {
+    /// Refuses a run that could prove nothing, before anything is bound
+    /// or spawned: no member, no tick, no member to found a group, or a
+    /// fault aimed at a node or NIC the cluster does not have.
+    pub fn validate(&self, schedule: &[ChaosEvent]) -> Result<(), String> {
+        if self.nodes == 0 {
+            return Err("--nodes 0: a cluster of no member converges vacuously".into());
+        }
+        if self.tick_ms == 0 {
+            return Err("--tick-ms 0: a tick that takes no time leaves no time to converge".into());
+        }
+        if self.scenario == StartKind::Joining {
+            return Err("--scenario joining: no member would found a group".into());
+        }
+        for event in schedule {
+            let named = match &event.fault {
+                ChaosFault::Crash(n) | ChaosFault::Restart(n) => vec![*n],
+                ChaosFault::LinkDown(a, b) | ChaosFault::LinkUp(a, b) => vec![*a, *b],
+                // `apply` unplugs the whole node for a NIC fault, which
+                // the one-NIC belief follows only for index 0.
+                ChaosFault::NicDown(nic) | ChaosFault::NicUp(nic) if nic.nic != 0 => {
+                    return Err(format!("`{event}`: a procher child has one NIC, index 0"));
+                }
+                ChaosFault::NicDown(nic) | ChaosFault::NicUp(nic) => vec![nic.node],
+                ChaosFault::Partition(groups) => groups.concat(),
+                ChaosFault::Heal
+                | ChaosFault::Duplicate(_)
+                | ChaosFault::Reorder(_)
+                | ChaosFault::Jitter(_)
+                | ChaosFault::BulkLoss(_)
+                | ChaosFault::DelaySpike(_) => Vec::new(),
+            };
+            if let Some(n) = named.iter().find(|n| n.0 >= self.nodes) {
+                return Err(format!("`{event}`: the cluster has no {n}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -182,11 +253,12 @@ impl<'a> Harness<'a> {
     }
 
     fn export_path(&self, id: NodeId) -> PathBuf {
-        self.cfg.out_dir.join(format!("node-{}.export", id.0))
+        node_file(&self.cfg.out_dir, id, "export")
     }
 
-    fn ctl_path(&self, id: NodeId) -> PathBuf {
-        self.cfg.out_dir.join(format!("node-{}.ctl", id.0))
+    /// Writes `word` to child `id`'s ctl file.
+    fn ctl(&self, id: NodeId, word: Ctl) -> std::io::Result<()> {
+        std::fs::write(node_file(&self.cfg.out_dir, id, "ctl"), word.to_string())
     }
 
     fn spawn_child(
@@ -195,54 +267,42 @@ impl<'a> Harness<'a> {
         incarnation: u32,
         start: StartKind,
     ) -> std::io::Result<()> {
-        let peers: Vec<String> = (0..self.cfg.nodes)
-            .map(NodeId)
-            .filter_map(|p| self.proxy.proxy_addr(p).map(|a| format!("{}={a}", p.0)))
-            .collect();
-        let start_s = match start {
-            StartKind::Founding => "founding",
-            StartKind::Isolated => "isolated",
-            StartKind::Joining => "joining",
+        let proxy_of = |p| {
+            self.proxy
+                .proxy_addr(NodeId(p))
+                .expect("bound for every member")
+        };
+        let child = ChildArgs {
+            node: id,
+            incarnation,
+            start,
+            peers: (0..self.cfg.nodes).map(proxy_of).collect(),
+            dir: self.cfg.out_dir.clone(),
+            export_ms: self.cfg.export_ms,
+            workload_count: self.cfg.workload_count,
+            workload_period_ms: self.cfg.workload_period_ms,
+            bulk_threshold: self.cfg.bulk_threshold,
         };
         // A fresh incarnation must not inherit the previous life's export
         // or ctl state.
         let _ = std::fs::remove_file(self.export_path(id));
-        std::fs::write(self.ctl_path(id), "run")?;
+        self.ctl(id, Ctl::Run)?;
         let mut proc = Command::new(&self.cfg.child_exe)
             .arg("--child")
-            .args(["--node", &id.0.to_string()])
-            .args(["--nodes", &self.cfg.nodes.to_string()])
-            .args(["--incarnation", &incarnation.to_string()])
-            .args(["--start", start_s])
-            .args(["--peers", &peers.join(",")])
-            .args(["--export", &self.export_path(id).display().to_string()])
-            .args(["--ctl", &self.ctl_path(id).display().to_string()])
-            .args(["--export-ms", &self.cfg.export_ms.to_string()])
-            .args(["--workload-count", &self.cfg.workload_count.to_string()])
-            .args([
-                "--workload-period-ms",
-                &self.cfg.workload_period_ms.to_string(),
-            ])
-            .args(["--bulk-threshold", &self.cfg.bulk_threshold.to_string()])
+            .args(child.pairs())
             .stdout(Stdio::piped())
             .spawn()?;
+        // Two lines, then nothing: the pipe is dropped with them.
         let stdout = proc.stdout.take().expect("piped stdout");
         let mut lines = std::io::BufReader::new(stdout).lines();
-        let port_line = lines
-            .next()
-            .transpose()?
-            .ok_or_else(|| std::io::Error::other(format!("child {id} exited before PORT")))?;
-        let saddr = port_line
-            .strip_prefix("PORT ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::other(format!("child {id}: bad line `{port_line}`")))?;
-        let ready = lines.next().transpose()?;
-        if ready.as_deref() != Some("READY") {
-            return Err(std::io::Error::other(format!("child {id} never got READY")));
-        }
-        // The reader thread for the child's stdout is no longer needed;
-        // children print nothing after READY.
-        drop(lines);
+        let mut line = || lines.next().transpose().map(Option::unwrap_or_default);
+        let (port, ready) = (line()?, line()?);
+        let saddr = port.strip_prefix("PORT ").and_then(|s| s.parse().ok());
+        let saddr = saddr.filter(|_| ready == "READY").ok_or_else(|| {
+            std::io::Error::other(format!(
+                "child {id} said `{port}`, `{ready}`: not PORT, READY"
+            ))
+        })?;
         self.proxy.set_dest(id, saddr);
         self.cache.remove(&id);
         self.children.insert(
@@ -278,24 +338,14 @@ impl<'a> Harness<'a> {
             ChaosFault::NicUp(addr) => self.proxy.set_node(addr.node, true),
             ChaosFault::Partition(groups) => self.proxy.partition(groups),
             ChaosFault::Heal => self.proxy.heal(),
-            ChaosFault::Duplicate(p) => {
-                dials.dup_permille = *p;
-                self.proxy.set_dials(*dials);
-            }
-            ChaosFault::Reorder(p) => {
-                dials.reorder_permille = *p;
-                self.proxy.set_dials(*dials);
-            }
-            ChaosFault::Jitter(us) => {
-                dials.delay_us = *us;
-                self.proxy.set_dials(*dials);
-            }
-            ChaosFault::BulkLoss(p) => {
-                dials.bulk_drop_permille = *p;
-                self.proxy.set_dials(*dials);
-            }
+            ChaosFault::Duplicate(p) => dials.dup_permille = *p,
+            ChaosFault::Reorder(p) => dials.reorder_permille = *p,
+            ChaosFault::Jitter(us) => dials.delay_us = *us,
+            ChaosFault::BulkLoss(p) => dials.bulk_drop_permille = *p,
             ChaosFault::DelaySpike(us) => self.proxy.stall_next(Duration::from_micros(*us)),
         }
+        // What a dial fault set; every other fault leaves the dials be.
+        self.proxy.set_dials(*dials);
         Ok(())
     }
 
@@ -318,34 +368,21 @@ impl<'a> Harness<'a> {
         let mut view = StatusView::new(Time(self.started.elapsed().as_nanos() as u64));
         for i in 0..self.cfg.nodes {
             let id = NodeId(i);
-            let child = self.children.get(&id);
             let raw = std::fs::read_to_string(self.export_path(id)).unwrap_or_default();
-            let mut status = NodeStatus::default();
-            if !raw.is_empty() {
-                let cached = self.cache.get(&id).filter(|(prev, _, _)| *prev == raw);
-                let parsed: Option<(u32, NodeStatus)> = match cached {
-                    Some((_, inc, st)) => Some((*inc, st.clone())),
-                    None => match ChildExport::parse_status(&raw) {
-                        Ok(exp) => {
-                            self.exports_parsed += 1;
-                            let st = exp.node_status();
-                            let inc = exp.incarnation;
-                            self.cache.insert(id, (raw.clone(), inc, st.clone()));
-                            Some((inc, st))
-                        }
-                        // A torn read (rename midway) fixes itself next
-                        // tick; keep the previous status meanwhile.
-                        Err(_) => self.cache.get(&id).map(|(_, inc, st)| (*inc, st.clone())),
-                    },
-                };
-                if let Some((inc, st)) = parsed {
-                    let current = child.is_some_and(|c| c.alive && c.incarnation == inc);
-                    status = st;
-                    status.live &= current;
+            if self.cache.get(&id).is_none_or(|(prev, ..)| *prev != raw) {
+                // A torn read (rename midway) fixes itself next tick; the
+                // previous status stands meanwhile.
+                if let Ok(exp) = ChildExport::parse_status(&raw) {
+                    self.exports_parsed += 1;
+                    self.cache
+                        .insert(id, (raw, exp.incarnation, exp.node_status()));
                 }
             }
-            if !child.is_some_and(|c| c.alive) {
-                status.live = false;
+            let mut status = NodeStatus::default();
+            if let Some((_, inc, st)) = self.cache.get(&id) {
+                let child = self.children.get(&id);
+                status = st.clone();
+                status.live &= child.is_some_and(|c| c.alive && c.incarnation == *inc);
             }
             view.insert(id, status);
         }
@@ -356,7 +393,7 @@ impl<'a> Harness<'a> {
         for i in 0..self.cfg.nodes {
             let id = NodeId(i);
             if self.children.get(&id).is_some_and(|c| c.alive) {
-                let _ = std::fs::write(self.ctl_path(id), "leave");
+                let _ = self.ctl(id, Ctl::Leave);
             }
         }
         let deadline = Instant::now() + Duration::from_secs(3);
@@ -409,6 +446,7 @@ pub fn run_holder_case(
     victim: NodeId,
     stall: Duration,
 ) -> std::io::Result<HolderReport> {
+    cfg.validate(&[]).map_err(std::io::Error::other)?;
     let mut h = Harness::launch(cfg, StartKind::Founding)?;
     let ids: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
     let settle = Duration::from_millis(10 * cfg.export_ms.max(50));
@@ -436,12 +474,12 @@ pub fn run_holder_case(
 
     // Four rotations and then some, so every probe limit is armed.
     std::thread::sleep(settle);
-    std::fs::write(h.ctl_path(victim), format!("stall {}", stall.as_millis()))?;
+    h.ctl(victim, Ctl::Stall(stall.as_millis() as u64))?;
     std::thread::sleep(stall + settle);
     let calm = exports(&h);
     let alarms_after_stall = ALARMS.iter().map(|name| sum(&calm, name)).sum();
 
-    std::fs::write(h.ctl_path(victim), "die")?;
+    h.ctl(victim, Ctl::Die)?;
     std::thread::sleep(2 * settle);
     let after = exports(&h);
     let outages = after
@@ -468,24 +506,21 @@ pub fn run_holder_case(
 /// dump). Called on failed runs so CI uploads a ready post-mortem; also
 /// usable on any finished out_dir.
 pub fn write_trace_artifacts(out_dir: &std::path::Path, nodes: u32) -> std::io::Result<()> {
-    let mut exports = Vec::new();
-    for i in 0..nodes {
-        if let Ok(raw) = std::fs::read_to_string(out_dir.join(format!("node-{i}.export"))) {
-            if let Ok(exp) = ChildExport::parse(&raw) {
-                exports.push(exp);
-            }
-        }
-    }
+    // Every node's file of `kind` that is there to read.
+    let files = |kind| {
+        let read = move |i| std::fs::read_to_string(node_file(out_dir, NodeId(i), kind)).ok();
+        (0..nodes).filter_map(move |i| Some((i, read(i)?)))
+    };
+    let parse = |(_, raw): (u32, String)| ChildExport::parse(&raw).ok();
+    let exports: Vec<ChildExport> = files("export").filter_map(parse).collect();
     let events = merge_export_journals(&exports);
     std::fs::write(
         out_dir.join("journal.json"),
         raincore_obs::render_events_json(&events),
     )?;
     let mut text = raincore_obs::render_waterfall(&events, &raincore_obs::WaterfallOpts::default());
-    for i in 0..nodes {
-        if let Ok(flight) = std::fs::read_to_string(out_dir.join(format!("node-{i}.flight"))) {
-            text.push_str(&format!("--- node {i} flight recorder ---\n{flight}"));
-        }
+    for (i, flight) in files("flight") {
+        text.push_str(&format!("--- node {i} flight recorder ---\n{flight}"));
     }
     std::fs::write(out_dir.join("waterfall.txt"), text)
 }
@@ -496,19 +531,8 @@ pub fn write_trace_artifacts(out_dir: &std::path::Path, nodes: u32) -> std::io::
 /// budget; children are always torn down before returning. Export files
 /// and `report.txt` stay in `cfg.out_dir` as the run's artifacts.
 pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result<ProcReport> {
-    // A child has one NIC. `apply` unplugs the whole node for a NIC
-    // fault, which the one-NIC belief follows only for index 0.
-    let second_nic = |e: &&ChaosEvent| matches!(e.fault, ChaosFault::NicDown(a) | ChaosFault::NicUp(a) if a.nic != 0);
-    if let Some(event) = schedule.iter().find(second_nic) {
-        return Err(std::io::Error::other(format!(
-            "`{event}`: a procher child has one NIC, index 0"
-        )));
-    }
-    let start_kind = match cfg.scenario {
-        Scenario::Founding => StartKind::Founding,
-        Scenario::Isolated => StartKind::Isolated,
-    };
-    let mut h = Harness::launch(cfg, start_kind)?;
+    cfg.validate(schedule).map_err(std::io::Error::other)?;
+    let mut h = Harness::launch(cfg, cfg.scenario)?;
 
     let has_churn = schedule
         .iter()
@@ -522,11 +546,8 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
     let mut dials = cfg.dials;
     let mut last_block: Option<String> = None;
     let mut violation: Option<(u64, String)> = None;
-    let expect_deliveries = if cfg.workload_count > 0 && !has_churn {
-        Some((cfg.nodes as usize) * (cfg.workload_count as usize))
-    } else {
-        None
-    };
+    let workload = (cfg.nodes as usize) * (cfg.workload_count as usize);
+    let expect_deliveries = (workload > 0 && !has_churn).then_some(workload);
     let mut ticks_run = 0u64;
 
     for tick in 0..cfg.bounds.horizon() {
@@ -563,32 +584,24 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
             break;
         }
         if engine.in_tail(tick) && engine.streak() == 0 {
+            let nodes = view.nodes().iter();
             last_block = Some(if !engine.quiet(tick) {
                 "not yet quiet (standing damage or fault grace)".to_string()
             } else if !view.membership_agreed() {
-                let groups: Vec<String> = view
-                    .nodes()
-                    .iter()
-                    .map(|(id, n)| {
-                        format!(
-                            "n{}:{}{}",
-                            id.0,
-                            if n.live { "" } else { "dead " },
-                            n.group.map_or("-".to_string(), |g| g.0 .0.to_string()),
-                        )
-                    })
-                    .collect();
+                let group = |(id, n): (&NodeId, &NodeStatus)| {
+                    let group = n.group.map_or("-".to_string(), |g| g.0 .0.to_string());
+                    format!("n{}:{}{group}", id.0, if n.live { "" } else { "dead " })
+                };
+                let groups: Vec<String> = nodes.map(group).collect();
                 format!("membership not agreed [{}]", groups.join(" "))
             } else {
-                let lags: Vec<String> = view
-                    .nodes()
-                    .iter()
-                    .filter(|(_, n)| n.live)
-                    .map(|(id, n)| format!("n{}:{}", id.0, n.deliveries.len()))
-                    .collect();
+                let lag = |(id, n): (&NodeId, &NodeStatus)| {
+                    n.live.then(|| format!("n{}:{}", id.0, n.deliveries.len()))
+                };
+                let lags: Vec<String> = nodes.filter_map(lag).collect();
+                let want = expect_deliveries.unwrap_or(0);
                 format!(
-                    "deliveries incomplete (want {} per node) [{}]",
-                    expect_deliveries.unwrap_or(0),
+                    "deliveries incomplete (want {want} per node) [{}]",
                     lags.join(" ")
                 )
             });
@@ -615,15 +628,16 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
         proxy: h.proxy.stats(),
         last_block: if converged { None } else { last_block },
     };
-    let mut text = String::new();
-    text.push_str(&format!(
-        "procher run: nodes={} seed={} ticks_run={} faults={} exports={}\n",
-        cfg.nodes, cfg.seed, report.ticks_run, report.faults_applied, report.exports_parsed
-    ));
-    text.push_str(&format!(
-        "converged={} regenerations={} proxy={:?}\n",
-        report.converged, report.total_regenerations, report.proxy
-    ));
+    let mut text = format!(
+        "config: {}\nticks_run={} faults={} exports={} converged={} regenerations={} proxy={:?}\n",
+        cfg.words(),
+        report.ticks_run,
+        report.faults_applied,
+        report.exports_parsed,
+        report.converged,
+        report.total_regenerations,
+        report.proxy
+    );
     match &report.violation {
         Some((tick, reason)) => text.push_str(&format!("VIOLATION @tick {tick}: {reason}\n")),
         None => text.push_str("no violation\n"),

@@ -20,9 +20,11 @@
 //! through the `raincore-obs` JSON parser, which is what lets the parent
 //! rebuild a typed [`raincore_sim::NodeStatus`] from the file alone.
 
-use raincore_obs::{parse_journal_json, Snapshot, TraceEvent};
+use raincore_obs::{parse_journal_json, Snapshot, SnapshotEntry, TraceEvent};
+use raincore_sim::text::{text_fields, Codec, Plain, TextFields};
 use raincore_sim::NodeStatus;
 use raincore_types::{GroupId, NodeId, OriginSeq, Ring};
+use std::path::{Path, PathBuf};
 
 const MAGIC: &str = "RAINCORE-PROCHER-EXPORT v1";
 const SNAPSHOT_MARK: &str = "---snapshot---";
@@ -30,7 +32,7 @@ const JOURNAL_MARK: &str = "---journal---";
 const DELIVERIES_MARK: &str = "---deliveries---";
 
 /// One parsed child export: identity header plus the three sections.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChildExport {
     /// The exporting node.
     pub node: NodeId,
@@ -51,6 +53,47 @@ pub struct ChildExport {
     pub deliveries: Vec<(NodeId, OriginSeq)>,
 }
 
+/// Where node `id`'s file of `kind` lives in a run's directory:
+/// `node-3.export`, `node-3.ctl`, `node-3.flight`.
+pub fn node_file(dir: &Path, id: NodeId, kind: &str) -> PathBuf {
+    dir.join(format!("node-{}.{kind}", id.0))
+}
+
+// The header line, one row per field.
+text_fields! {
+    impl ChildExport {
+        "node" => node: Id;
+        "incarnation" => incarnation: Plain;
+        "wall_ms" => wall_ms: Plain;
+        "export_seq" => export_seq: Plain;
+        "finished" => finished: Bit;
+    }
+}
+
+/// A node id as its bare number: `3`.
+struct Id;
+
+impl Codec<NodeId> for Id {
+    fn write(v: &NodeId) -> String {
+        v.0.to_string()
+    }
+    fn read(word: &str) -> Option<NodeId> {
+        word.parse().ok().map(NodeId)
+    }
+}
+
+/// A flag as `0` or `1`.
+struct Bit;
+
+impl Codec<bool> for Bit {
+    fn write(v: &bool) -> String {
+        u8::from(*v).to_string()
+    }
+    fn read(word: &str) -> Option<bool> {
+        Some(word.parse::<u8>().ok()? != 0)
+    }
+}
+
 /// Renders an export document from the child's raw obs strings. The
 /// parameter list mirrors the document fields one-for-one.
 #[allow(clippy::too_many_arguments)]
@@ -64,38 +107,23 @@ pub fn render_export(
     journal_json: &str,
     deliveries: &[(NodeId, OriginSeq)],
 ) -> String {
-    let mut out = String::with_capacity(snapshot_json.len() + journal_json.len() + 256);
-    out.push_str(MAGIC);
-    out.push('\n');
-    out.push_str(&format!(
-        "node={} incarnation={incarnation} wall_ms={wall_ms} export_seq={export_seq} \
-         finished={}\n",
-        node.0,
-        u8::from(finished),
-    ));
-    out.push_str(SNAPSHOT_MARK);
-    out.push('\n');
-    out.push_str(snapshot_json);
-    out.push('\n');
-    out.push_str(JOURNAL_MARK);
-    out.push('\n');
-    out.push_str(journal_json);
-    out.push('\n');
-    out.push_str(DELIVERIES_MARK);
-    out.push('\n');
+    let header = ChildExport {
+        node,
+        incarnation,
+        wall_ms,
+        export_seq,
+        finished,
+        ..ChildExport::default()
+    }
+    .words();
+    let mut out = format!(
+        "{MAGIC}\n{header}\n{SNAPSHOT_MARK}\n{snapshot_json}\n\
+         {JOURNAL_MARK}\n{journal_json}\n{DELIVERIES_MARK}\n"
+    );
     for (origin, seq) in deliveries {
         out.push_str(&format!("{} {}\n", origin.0, seq.0));
     }
     out
-}
-
-fn header_field(header: &str, key: &str) -> Result<u64, String> {
-    header
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix(&format!("{key}=")))
-        .ok_or_else(|| format!("export header missing `{key}=`"))?
-        .parse::<u64>()
-        .map_err(|e| format!("export header `{key}`: {e}"))
 }
 
 impl ChildExport {
@@ -115,59 +143,37 @@ impl ChildExport {
     }
 
     fn parse_inner(text: &str, with_journal: bool) -> Result<ChildExport, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(format!("missing magic line `{MAGIC}`"));
+        // A section runs to the next one's mark; a torn or truncated file
+        // lacks a mark and is refused.
+        fn cut<'a>(text: &'a str, mark: &str) -> Result<(&'a str, &'a str), String> {
+            let found = text.split_once(&format!("\n{mark}\n"));
+            found.ok_or_else(|| format!("truncated export: no `{mark}` line"))
         }
-        let header = lines.next().ok_or("missing header line")?;
-        let mut snapshot_src = String::new();
-        let mut journal_src = String::new();
-        let mut deliveries = Vec::new();
-        let mut section = "";
-        for line in lines {
-            match line {
-                SNAPSHOT_MARK => section = SNAPSHOT_MARK,
-                JOURNAL_MARK => section = JOURNAL_MARK,
-                DELIVERIES_MARK => section = DELIVERIES_MARK,
-                _ => match section {
-                    SNAPSHOT_MARK => snapshot_src.push_str(line),
-                    JOURNAL_MARK => journal_src.push_str(line),
-                    DELIVERIES_MARK => {
-                        let mut it = line.split_whitespace();
-                        let origin = it
-                            .next()
-                            .and_then(|s| s.parse::<u32>().ok())
-                            .ok_or_else(|| format!("bad delivery line `{line}`"))?;
-                        let seq = it
-                            .next()
-                            .and_then(|s| s.parse::<u64>().ok())
-                            .ok_or_else(|| format!("bad delivery line `{line}`"))?;
-                        deliveries.push((NodeId(origin), OriginSeq(seq)));
-                    }
-                    _ => return Err(format!("content before first section: `{line}`")),
-                },
-            }
-        }
-        if !matches!(section, DELIVERIES_MARK) {
-            return Err("truncated export: deliveries section missing".to_string());
-        }
-        let snapshot =
-            Snapshot::parse_json(&snapshot_src).map_err(|e| format!("snapshot section: {e}"))?;
-        let journal = if with_journal {
-            parse_journal_json(&journal_src).map_err(|e| format!("journal section: {e}"))?
-        } else {
-            Vec::new()
+        let (head, rest) = cut(text, SNAPSHOT_MARK)?;
+        let (snapshot, rest) = cut(rest, JOURNAL_MARK)?;
+        let (journal, deliveries) = cut(rest, DELIVERIES_MARK)?;
+        let header = head.strip_prefix(MAGIC).and_then(|h| h.strip_prefix('\n'));
+        let header = header.ok_or_else(|| format!("missing magic line `{MAGIC}`"))?;
+        let delivery = |line: &str| {
+            let (origin, seq) = line.split_once(' ')?;
+            Some((NodeId(origin.parse().ok()?), OriginSeq(seq.parse().ok()?)))
         };
-        Ok(ChildExport {
-            node: NodeId(header_field(header, "node")? as u32),
-            incarnation: header_field(header, "incarnation")? as u32,
-            wall_ms: header_field(header, "wall_ms")?,
-            export_seq: header_field(header, "export_seq")?,
-            finished: header_field(header, "finished")? != 0,
-            snapshot,
-            journal,
-            deliveries,
-        })
+        let deliveries = deliveries
+            .lines()
+            .map(|line| delivery(line).ok_or_else(|| format!("bad delivery line `{line}`")));
+        let mut export = ChildExport {
+            snapshot: Snapshot::parse_json(snapshot)
+                .map_err(|e| format!("snapshot section: {e}"))?,
+            journal: match with_journal {
+                true => parse_journal_json(journal).map_err(|e| format!("journal section: {e}"))?,
+                false => Vec::new(),
+            },
+            deliveries: deliveries.collect::<Result<_, _>>()?,
+            ..ChildExport::default()
+        };
+        let read = export.read_all(header.split_whitespace());
+        read.map_err(|e| format!("export header: {e}"))?;
+        Ok(export)
     }
 
     /// Rebuilds the typed per-node status the audit layer consumes from
@@ -180,18 +186,15 @@ impl ChildExport {
         let labels: &[(&str, &str)] = &[("node", id.as_str())];
         let gauge = |name: &str| self.snapshot.gauge_value(name, labels);
         let down = gauge("raincore_status_down") == Some(1);
+        let label = |e: &SnapshotEntry, name: &str| {
+            let found = e.key.labels.iter().find(|(k, _)| k == name);
+            found.map(|(_, v)| v.clone())
+        };
         let members: Vec<NodeId> = self
             .snapshot
             .entries_named("raincore_status_ring_member")
-            .filter(|e| e.key.labels.iter().any(|(k, v)| k == "node" && *v == id))
-            .filter_map(|e| {
-                e.key
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "member")
-                    .and_then(|(_, v)| v.parse::<u32>().ok())
-                    .map(NodeId)
-            })
+            .filter(|e| label(e, "node").as_ref() == Some(&id))
+            .filter_map(|e| label(e, "member")?.parse().ok().map(NodeId))
             .collect();
         NodeStatus {
             live: !down,
@@ -223,14 +226,12 @@ pub fn merge_export_journals(exports: &[ChildExport]) -> Vec<TraceEvent> {
             .snapshot
             .counter_value("raincore_trace_dropped_events", labels)
             .unwrap_or(0);
-        if dropped > 0 {
-            if let Some(first) = exp.journal.first() {
-                all.push(TraceEvent {
-                    t_ns: first.t_ns,
-                    node: first.node,
-                    kind: raincore_obs::TraceKind::Gap { dropped },
-                });
-            }
+        if let Some(first) = exp.journal.first().filter(|_| dropped > 0) {
+            all.push(TraceEvent {
+                t_ns: first.t_ns,
+                node: first.node,
+                kind: raincore_obs::TraceKind::Gap { dropped },
+            });
         }
         all.extend(exp.journal.iter().cloned());
     }

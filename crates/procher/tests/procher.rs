@@ -78,25 +78,42 @@ fn procher_smoke_converges_under_loss() {
     assert!(dir.join("node-0.export").exists());
 }
 
-/// A child has one NIC. A fault on a second one is refused before
-/// anything is spawned — not turned into a whole-node unplug that the
-/// engine's one-NIC belief would not see.
+/// A run that could prove nothing is refused with exit 2 and its reason,
+/// before anything is bound or spawned: no member, no multicast to
+/// compare, a fault aimed at a node the cluster does not have, a tick of
+/// no time, no member to found a group. A fault on a second NIC is
+/// refused too: a child has one, and turning the fault into a whole-node
+/// unplug would go unseen by the engine's one-NIC belief.
 #[test]
-fn procher_refuses_a_fault_on_a_second_nic() {
+fn procher_refuses_a_run_that_can_prove_nothing() {
     if !spawn_allowed() {
         eprintln!("skipping: subprocess spawn forbidden here");
         return;
     }
-    let out = Command::new(exe())
-        .args(["--fault", "@10 nic-down n1.1"])
-        .output()
-        .expect("run procher");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("`@10 nic-down n1.1`: a procher child has one NIC"),
-        "{stderr}"
-    );
+    let cases: [(&[&str], &str); 7] = [
+        (&["--nodes", "0"], "--nodes 0"),
+        (&["--differential", "--nodes", "0"], "--nodes 0"),
+        (&["--differential", "--count", "0"], "--count 0"),
+        (
+            &["--fault", "@3 crash n9"],
+            "`@3 crash n9`: the cluster has no n9",
+        ),
+        (&["--tick-ms", "0"], "--tick-ms 0"),
+        (&["--scenario", "joining"], "--scenario joining"),
+        (
+            &["--fault", "@10 nic-down n1.1"],
+            "`@10 nic-down n1.1`: a procher child has one NIC",
+        ),
+    ];
+    for (args, reason) in cases {
+        let out = Command::new(exe())
+            .args(args)
+            .output()
+            .expect("run procher");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

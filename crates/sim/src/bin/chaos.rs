@@ -24,6 +24,7 @@ use raincore_sim::chaos::{
     dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, ChaosConfig,
     ChaosEvidence, ChaosScenario,
 };
+use raincore_sim::outln;
 use raincore_sim::text::TextFields;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -85,9 +86,9 @@ fn soak_cfg(base: &ChaosConfig, k: u64, pin_nodes: bool, pin_scenario: bool) -> 
 
 fn print_fault_summary(counts: &BTreeMap<&'static str, u64>) {
     let total: u64 = counts.values().sum();
-    println!("chaos: {total} faults applied by class:");
+    outln!("chaos: {total} faults applied by class:");
     for (class, count) in counts {
-        println!("chaos:   raincore_chaos_faults_total{{class=\"{class}\"}} {count}");
+        outln!("chaos:   raincore_chaos_faults_total{{class=\"{class}\"}} {count}");
     }
 }
 
@@ -198,7 +199,7 @@ fn main() {
         spike_retransmissions += report.spike_retransmissions;
         false_suspicions += report.false_suspicions;
         probes_sent += report.probes_sent;
-        println!(
+        outln!(
             "chaos: seed {} nodes {:2} scenario {:8} OK — {} faults, {} dups, {} reorders, {} bulk drops, {} ticks",
             cfg.seed,
             cfg.nodes,
@@ -211,7 +212,7 @@ fn main() {
         );
     }
     if base.bulk_threshold > 0 {
-        println!(
+        outln!(
             "chaos: bulk soak — {bulk_drops} bulk frames dropped, \
              {completeness_checked} deliveries completeness-checked"
         );
@@ -219,7 +220,7 @@ fn main() {
             eprintln!("chaos: FAIL — bulk soak dropped no bulk frames (fault not exercised)");
             std::process::exit(1);
         }
-        println!("chaos: bulk soak — {early_passes} token passes were early");
+        outln!("chaos: bulk soak — {early_passes} token passes were early");
         if early_passes == 0 {
             eprintln!(
                 "chaos: FAIL — bulk soak passed no token early (out-of-band freight not weighed)"
@@ -228,7 +229,7 @@ fn main() {
         }
     }
     if base.payload_pad > 0 {
-        println!("chaos: padded soak — {early_passes} token passes were early");
+        outln!("chaos: padded soak — {early_passes} token passes were early");
         if early_passes == 0 {
             eprintln!(
                 "chaos: FAIL — padded soak passed no token early (pacing rule not exercised)"
@@ -237,7 +238,7 @@ fn main() {
         }
     }
     if base.delay_spike > 0 {
-        println!(
+        outln!(
             "chaos: delay-spike soak — {spike_retransmissions} retransmissions under the \
              give-up budget, {false_suspicions} live members suspected over it"
         );
@@ -249,7 +250,7 @@ fn main() {
             eprintln!("chaos: FAIL — no delay spike outlasted a give-up budget (vacuous)");
             std::process::exit(1);
         }
-        println!("chaos: delay-spike soak — {probes_sent} successor probes sent");
+        outln!("chaos: delay-spike soak — {probes_sent} successor probes sent");
         if probes_sent == 0 {
             eprintln!("chaos: FAIL — no member was hungry past its probe limit (vacuous)");
             std::process::exit(1);
@@ -257,7 +258,7 @@ fn main() {
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     print_fault_summary(&totals);
-    println!(
+    outln!(
         "chaos: OK — {soak} seeds clean ({total_ticks} ticks) in {elapsed:.2}s — {:.0} ticks/s",
         total_ticks as f64 / elapsed
     );
@@ -276,11 +277,14 @@ fn run_seeded_fault(base: &ChaosConfig, dump_path: &str, pin_nodes: bool, pin_sc
         let Some((violation, schedule, minimized)) = found else {
             continue;
         };
-        println!(
+        outln!(
             "chaos: seeded fault FOUND at seed {} (nodes {}, scenario {}): {}",
-            cfg.seed, cfg.nodes, cfg.scenario, violation.reason
+            cfg.seed,
+            cfg.nodes,
+            cfg.scenario,
+            violation.reason
         );
-        println!(
+        outln!(
             "chaos: minimized {} events to {} in {:.2}s",
             schedule.len(),
             minimized.len(),
@@ -297,8 +301,8 @@ fn run_seeded_fault(base: &ChaosConfig, dump_path: &str, pin_nodes: bool, pin_sc
         if let Err(e) = std::fs::write(dump_path, &dump) {
             eprintln!("chaos: cannot write {dump_path}: {e}");
         }
-        println!("{dump}");
-        println!("chaos: dump written to {dump_path}; replay with --replay {dump_path}");
+        outln!("{dump}");
+        outln!("chaos: dump written to {dump_path}; replay with --replay {dump_path}");
         return;
     }
     eprintln!(
@@ -319,20 +323,22 @@ fn run_replay(path: &str) {
     let report = or_exit(run_chaos(&cfg, &schedule), "replay setup failed");
     print_fault_summary(&report.fault_counts);
     if report.restarts_skipped > 0 {
-        println!(
+        outln!(
             "chaos: {} scheduled restart(s) skipped — the member was up",
             report.restarts_skipped
         );
     }
     match report.violation {
         Some(v) => {
-            println!(
+            outln!(
                 "chaos: violation reproduced at tick {} ({}): {}",
-                v.tick, v.at, v.reason
+                v.tick,
+                v.at,
+                v.reason
             );
         }
         None => {
-            println!(
+            outln!(
                 "chaos: schedule replayed clean ({} faults applied) — violation did NOT reproduce",
                 report.faults_applied
             );

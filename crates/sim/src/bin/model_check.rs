@@ -20,6 +20,7 @@
 #![allow(clippy::disallowed_types)]
 
 use raincore_sim::explore::{parse_schedule, replay, Reduction};
+use raincore_sim::outln;
 use raincore_sim::text::TextFields;
 use raincore_sim::{Explorer, ModelCheckConfig};
 use raincore_types::Duration;
@@ -109,11 +110,16 @@ fn main() {
     let report = or_exit(explorer.run(), "setup failed");
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     let s = report.stats;
-    println!(
+    outln!(
         "model-check: nodes={} depth<={} crashes<={} drops<={} forge_token={} reduction={:?}",
-        cfg.nodes, cfg.max_depth, cfg.crash_budget, cfg.drop_budget, cfg.forge_token, cfg.reduction
+        cfg.nodes,
+        cfg.max_depth,
+        cfg.crash_budget,
+        cfg.drop_budget,
+        cfg.forge_token,
+        cfg.reduction
     );
-    println!(
+    outln!(
         "model-check: {} schedules ({} states, {} sleep-pruned, {} state-pruned, {} actions, deepest {}, {} early passes, {} probes) in {:.2}s — {:.0} schedules/s{}",
         s.schedules,
         s.states,
@@ -154,8 +160,8 @@ fn main() {
     if seeded_check {
         match report.violation {
             Some(v) => {
-                println!("model-check: seeded fault FOUND as expected: {}", v.reason);
-                println!(
+                outln!("model-check: seeded fault FOUND as expected: {}", v.reason);
+                outln!(
                     "model-check: minimized to {} of {} actions",
                     v.minimized.len(),
                     v.schedule.len()
@@ -164,7 +170,7 @@ fn main() {
                 if let Err(e) = std::fs::write(&dump_path, &dump) {
                     eprintln!("model-check: cannot write {dump_path}: {e}");
                 }
-                println!("{dump}");
+                outln!("{dump}");
             }
             None => {
                 eprintln!(
@@ -211,7 +217,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("model-check: OK — no invariant violations");
+    outln!("model-check: OK — no invariant violations");
 }
 
 fn run_replay(cfg: &ModelCheckConfig, path: &str) {
@@ -226,14 +232,14 @@ fn run_replay(cfg: &ModelCheckConfig, path: &str) {
     let r = or_exit(replay(&cfg, &schedule), "replay setup failed");
     match r.violation {
         Some((step, reason)) => {
-            println!(
+            outln!(
                 "model-check: violation reproduced after {step} of {} actions: {reason}",
                 schedule.len()
             );
-            println!("{}", r.world.dump_state());
+            outln!("{}", r.world.dump_state());
         }
         None => {
-            println!(
+            outln!(
                 "model-check: schedule replayed clean ({} of {} actions applied) — \
                  violation did NOT reproduce",
                 r.applied,

@@ -34,6 +34,17 @@ pub mod obs;
 pub mod open_app;
 pub mod text;
 
+/// `println!` for a binary's report lines. A stdout closed early (piped
+/// into `head` or `grep -q`) drops the line instead of panicking, so the
+/// binary still exits with its own verdict code.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 pub use app::{NodeApp, NodeCtl};
 pub use audit::{
     AuditView, Auditors, CompletenessAuditor, ConvergenceOracle, Delivered, GroupIdOracle,

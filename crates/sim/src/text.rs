@@ -1,7 +1,8 @@
-//! The text forms of the verification harnesses' replay surface, each
-//! declared once (DESIGN.md §6b, §7). A model-check dump replays from its
-//! `# scenario:` line, a chaos dump from its `# config:` line and its
-//! `@tick fault` lines.
+//! The text forms of the harnesses, each declared once (DESIGN.md §6b,
+//! §7, §10.2). A model-check dump replays from its `# scenario:` line, a
+//! chaos dump from its `# config:` line and its `@tick fault` lines;
+//! `raincore-procher` declares its child's command line, its ctl words,
+//! its export header and its flags the same way.
 //!
 //! A config declares one row per field (`text_fields!`): the header
 //! key, the field, its `Codec` and, where a command-line flag sets
@@ -18,7 +19,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 /// How a value is written as one word of a dump, and read back.
-pub(crate) trait Codec<T> {
+pub trait Codec<T> {
     /// The word.
     fn write(v: &T) -> String;
     /// The value `word` names, or `None` if it names none.
@@ -33,7 +34,7 @@ pub(crate) trait Codec<T> {
 
 /// `Display` out, `FromStr` in: numbers, `true`/`false` and the enums
 /// `text_enum!` declares.
-pub(crate) struct Plain;
+pub struct Plain;
 
 impl<T: Display + FromStr> Codec<T> for Plain {
     fn write(v: &T) -> String {
@@ -45,7 +46,7 @@ impl<T: Display + FromStr> Codec<T> for Plain {
 }
 
 /// A node id: `n3`.
-pub(crate) struct Node;
+pub struct Node;
 
 impl Codec<NodeId> for Node {
     fn write(v: &NodeId) -> String {
@@ -57,7 +58,7 @@ impl Codec<NodeId> for Node {
 }
 
 /// One NIC of a node: `n3.1`.
-pub(crate) struct Nic;
+pub struct Nic;
 
 impl Codec<Addr> for Nic {
     fn write(v: &Addr) -> String {
@@ -70,7 +71,7 @@ impl Codec<Addr> for Nic {
 }
 
 /// The sides of a partition: `n0,n1|n2,n3`.
-pub(crate) struct Groups;
+pub struct Groups;
 
 impl Codec<Vec<Vec<NodeId>>> for Groups {
     fn write(v: &Vec<Vec<NodeId>>) -> String {
@@ -86,7 +87,7 @@ impl Codec<Vec<Vec<NodeId>>> for Groups {
 /// A duration in the largest of ms, us and ns that states it whole
 /// (`5ms`). Also reads the decimal form of `Duration`'s `Debug`
 /// (`5.000ms`) that older dumps carry, to the nanosecond.
-pub(crate) struct Exact;
+pub struct Exact;
 
 impl Codec<Duration> for Exact {
     fn write(v: &Duration) -> String {
@@ -117,7 +118,7 @@ impl Codec<Duration> for Exact {
 }
 
 /// A duration in whole microseconds: `10000`.
-pub(crate) struct Micros;
+pub struct Micros;
 
 impl Codec<Duration> for Micros {
     fn write(v: &Duration) -> String {
@@ -128,9 +129,22 @@ impl Codec<Duration> for Micros {
     }
 }
 
+/// A file path, as it displays; a path that is not UTF-8 is written
+/// lossily.
+pub struct FilePath;
+
+impl Codec<std::path::PathBuf> for FilePath {
+    fn write(v: &std::path::PathBuf) -> String {
+        v.display().to_string()
+    }
+    fn read(word: &str) -> Option<std::path::PathBuf> {
+        Some(word.into())
+    }
+}
+
 /// Seeded multicasts, `ORIGIN:LEN` each, comma-separated (`0:30,1:120`;
 /// none is the empty word). A flag adds one.
-pub(crate) struct Multicasts;
+pub struct Multicasts;
 
 fn multicast(word: &str) -> Option<(NodeId, usize)> {
     let (origin, len) = word.split_once(':')?;
@@ -160,10 +174,13 @@ pub struct Field<C> {
     pub key: &'static str,
     /// The flag that sets exactly this field, with its metavariable
     /// (`"--depth N"`), if one does.
-    pub(crate) flag: Option<&'static str>,
-    pub(crate) write: fn(&C) -> String,
-    pub(crate) set: fn(&mut C, &str) -> Option<()>,
-    pub(crate) push: fn(&mut C, &str) -> Option<()>,
+    pub flag: Option<&'static str>,
+    /// The field's value as its codec writes it.
+    pub write: fn(&C) -> String,
+    /// Replaces the field with the value a word names.
+    pub set: fn(&mut C, &str) -> Option<()>,
+    /// What the field's flag does with its value.
+    pub push: fn(&mut C, &str) -> Option<()>,
 }
 
 /// A config written as one line of `key=value` words, one per row.
@@ -171,25 +188,47 @@ pub trait TextFields: Sized + 'static {
     /// The rows, in the order the words are written.
     const FIELDS: &'static [Field<Self>];
 
-    /// Every row's `key=value` word, space-separated.
-    fn words(&self) -> String {
-        let word = |f: &Field<Self>| format!("{}={}", f.key, (f.write)(self));
-        Self::FIELDS.iter().map(word).collect::<Vec<_>>().join(" ")
+    /// Every row's `key=value` word, in row order.
+    fn pairs(&self) -> Vec<String> {
+        let pair = |f: &Field<Self>| format!("{}={}", f.key, (f.write)(self));
+        Self::FIELDS.iter().map(pair).collect()
     }
 
-    /// Sets every field a word of `line` names; the rest keep their
-    /// value. A word without `=`, an unknown key or a value the row's
-    /// codec does not read is an error, so a replay never runs a world
-    /// other than the one the line records.
+    /// Every row's `key=value` word, space-separated.
+    fn words(&self) -> String {
+        self.pairs().join(" ")
+    }
+
+    /// Sets the field a `key=value` word names and returns its key. A
+    /// word without `=`, an unknown key or a value the row's codec does
+    /// not read is an error, so a replay never runs a world other than
+    /// the one the line records.
+    fn read_pair(&mut self, word: &str) -> Result<&'static str, String> {
+        let bad = |what| format!("{what}: {word:?}");
+        let (key, value) = word.split_once('=').ok_or_else(|| bad("no value"))?;
+        let field = Self::FIELDS.iter().find(|f| f.key == key);
+        let field = field.ok_or_else(|| bad("unknown key"))?;
+        (field.set)(self, value).ok_or_else(|| bad("bad value"))?;
+        Ok(field.key)
+    }
+
+    /// Sets every field a word of `line` names; the rest keep their value.
     fn read_words(&mut self, line: &str) -> Result<(), String> {
-        for word in line.split_whitespace() {
-            let bad = |what| format!("{what}: {word:?}");
-            let (key, value) = word.split_once('=').ok_or_else(|| bad("no value"))?;
-            let field = Self::FIELDS.iter().find(|f| f.key == key);
-            let field = field.ok_or_else(|| bad("unknown key"))?;
-            (field.set)(self, value).ok_or_else(|| bad("bad value"))?;
+        let mut read = |word| self.read_pair(word).map(drop);
+        line.split_whitespace().try_for_each(&mut read)
+    }
+
+    /// Sets every field, one `key=value` pair each (a value may hold
+    /// spaces); a row no pair names is an error too.
+    fn read_all<'a>(&mut self, pairs: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
+        let named: Vec<_> = pairs
+            .into_iter()
+            .map(|p| self.read_pair(p))
+            .collect::<Result<_, _>>()?;
+        match Self::FIELDS.iter().find(|f| !named.contains(&f.key)) {
+            Some(f) => Err(format!("missing key: {:?}", f.key)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Applies command-line `flag` with `value`; `None` if no row names
@@ -212,6 +251,7 @@ pub trait TextFields: Sized + 'static {
 /// Declares a config's text form, one row per field, in header order:
 /// `"key" => field.path: Codec`, then `, "--flag METAVAR"` if a flag sets
 /// exactly that field. Implements [`TextFields`].
+#[macro_export]
 macro_rules! text_fields {
     (impl $cfg:ty { $( $key:literal => $($path:ident).+ : $codec:ty $(, $flag:literal)? ; )* }) => {
         impl $crate::text::TextFields for $cfg {
@@ -232,13 +272,14 @@ macro_rules! text_fields {
     (@flag) => { None };
     (@flag $flag:literal) => { Some($flag) };
 }
-pub(crate) use text_fields;
+pub use crate::text_fields;
 
 /// Declares an enum written as words, one row per variant: the variant,
 /// unit or a tuple of `name: Type as Codec` words, then `= "verb"`.
 /// Generates `Display` (the verb, then each word), a strict `FromStr`
 /// (the verb, exactly the variant's words, nothing after) and, given a
 /// trailing `fn name;`, a method returning the verb.
+#[macro_export]
 macro_rules! text_enum {
     ($(#[$meta:meta])* $vis:vis enum $name:ident {
         $( $(#[$vmeta:meta])* $variant:ident $(( $($w:ident: $t:ty as $c:ty),* ))?
@@ -292,4 +333,4 @@ macro_rules! text_enum {
         }
     };
 }
-pub(crate) use text_enum;
+pub use crate::text_enum;

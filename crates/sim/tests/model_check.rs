@@ -7,7 +7,7 @@ use raincore_sim::explore::{parse_schedule, replay, Reduction};
 use raincore_sim::text::TextFields;
 use raincore_sim::{Explorer, ModelCheckConfig};
 use raincore_types::{Duration, NodeId};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn small_cfg() -> ModelCheckConfig {
     ModelCheckConfig {
@@ -379,4 +379,24 @@ fn a_dump_replays_from_its_own_header_alone() {
         )),
         "{out}"
     );
+}
+
+/// A reader that goes before the verdict is printed (`| head -1`,
+/// `| true`) does not turn it into a panic: the replay still exits with
+/// its own code.
+#[test]
+fn a_closed_stdout_keeps_the_verdict() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/forged_token_3node.txt"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_model_check"))
+        .args(["--replay", fixture])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("model_check runs");
+    drop(child.stdout.take());
+    let status = child.wait().expect("model_check exits");
+    assert_eq!(status.code(), Some(0));
 }

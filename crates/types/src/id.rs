@@ -15,7 +15,7 @@ use std::collections::HashMap;
 /// "node ID" carried in `BODYODOR` beacons and the token membership). They
 /// are dense small integers in the simulator, but nothing relies on
 /// density — only on uniqueness and total order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -105,12 +105,21 @@ leg_model_check() {
   echo "==> model check (seeded two-token fault must be found)"
   cargo run --release -q -p raincore-sim --bin model_check -- --seeded-check
 
-  echo "==> model check (every committed fixture must reproduce from its own header)"
+  echo "==> model check (every committed fixture must reproduce its own # reason: from its own header)"
   # A fixture is a dump the checker once found; `--replay` rebuilds its
   # world from the `# scenario:` line alone, so a header field the reader
-  # cannot read, or one the fixture leaves out, fails here.
+  # cannot read, or one the fixture leaves out, fails here. The violation
+  # it reproduces must be the one its `# reason:` line records, word for
+  # word: a reason that names another member or origin misleads whoever
+  # reads the fixture.
   for fixture in crates/sim/tests/fixtures/*.txt; do
-    cargo run --release -q -p raincore-sim --bin model_check -- --replay "$fixture"
+    reason=$(sed -n 's/^# reason: //p' "$fixture")
+    replayed=$(cargo run --release -q -p raincore-sim --bin model_check -- --replay "$fixture")
+    echo "$replayed"
+    if [ -z "$reason" ] || [[ $(head -1 <<<"$replayed") != *" actions: $reason" ]]; then
+      echo "$fixture: the replay does not print its # reason: line (${reason:-none})" >&2
+      exit 1
+    fi
   done
 
   echo "==> model check (bounded exploration must be clean, and exactly the pinned space)"
