@@ -118,20 +118,24 @@ fn soak_report(cfg: &ProcConfig, schedule: &[ChaosEvent], pinned: bool) -> Resul
         }
     }
     match &report.violation {
-        Some((tick, reason)) => outln!("VIOLATION @tick {tick}: {reason}"),
+        Some((tick, reason)) => {
+            outln!("VIOLATION @tick {tick}: {reason}");
+            outln!("artifacts: {}", cfg.out_dir.display());
+            Ok(false)
+        }
         None if !report.converged => {
             outln!("FAILED: cluster did not converge within the budget");
             if let Some(block) = &report.last_block {
                 outln!("last convergence blocker: {block}");
             }
+            outln!("artifacts: {}", cfg.out_dir.display());
+            Ok(false)
         }
         None => {
             outln!("ok: converged");
-            return Ok(true);
+            Ok(true)
         }
     }
-    outln!("artifacts: {}", cfg.out_dir.display());
-    Ok(false)
 }
 
 fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
@@ -139,9 +143,9 @@ fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
     outln!(
         "differential: nodes={} count={} bulk_threshold={} sim_deliveries={} \
          real_deliveries={} sim_regens={} real_regens={} real_bulk_drops={}",
-        cfg.cluster.nodes,
-        cfg.cluster.workload_count,
-        cfg.cluster.bulk_threshold,
+        cfg.nodes,
+        cfg.count,
+        cfg.bulk_threshold,
         report.sim.values().map(Vec::len).sum::<usize>(),
         report.real.values().map(Vec::len).sum::<usize>(),
         report.sim_regenerations,
@@ -155,7 +159,7 @@ fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
     for d in &report.divergences {
         outln!("DIVERGENCE: {d}");
     }
-    outln!("artifacts: {}", cfg.cluster.out_dir.display());
+    outln!("artifacts: {}", cfg.out_dir.display());
     Ok(false)
 }
 
@@ -165,13 +169,16 @@ fn diff_report(cfg: &DiffConfig) -> Result<bool, String> {
 /// its predecessor alone, inside 300 ms of that member's own clock —
 /// the successor probe at work, where `hungry_timeout` is 400 ms.
 fn holder_report(cfg: &ProcConfig) -> Result<bool, String> {
-    use raincore_obs::{OutageMode, OutageRow};
+    use raincore_obs::OutageMode;
     let stall = std::time::Duration::from_millis(100);
     let report = run_holder_case(cfg, NodeId(2), stall).map_err(|e| e.to_string())?;
     // Let-go to regenerated: every stage but the deliveries either side.
     let repaired_ms = |stages: &[u64; 6]| stages[1..5].iter().sum::<u64>() as f64 / 1e6;
-    let row = |r: &OutageRow| format!("n{} {:?} {:.1} ms", r.node, r.mode, repaired_ms(&r.stages));
-    let rows: Vec<String> = report.outages.iter().map(row).collect();
+    let rows: Vec<String> = report
+        .outages
+        .iter()
+        .map(|r| format!("n{} {:?} {:.1} ms", r.node, r.mode, repaired_ms(&r.stages)))
+        .collect();
     outln!(
         "holder: nodes={} alarms_after_stall={} outages=[{}] callers={} regenerations={} \
          false_suspicions={} probes_sent={}",
@@ -185,8 +192,13 @@ fn holder_report(cfg: &ProcConfig) -> Result<bool, String> {
     );
     let repaired = matches!(&report.outages[..],
         [r] if r.mode == OutageMode::Regen && repaired_ms(&r.stages) < 300.0);
-    let quiet = report.alarms_after_stall == 0 && report.false_suspicions == 0;
-    let ok = quiet && repaired && (report.callers, report.regenerations) == (1, 1);
+    let ok = report.alarms_after_stall == 0
+        && repaired
+        && (
+            report.callers,
+            report.regenerations,
+            report.false_suspicions,
+        ) == (1, 1, 0);
     if ok {
         outln!("ok: the stall evicted nobody, the crash was repaired by one caller");
     } else {
@@ -268,8 +280,12 @@ fn main() -> ExitCode {
         _ => {}
     }
 
-    let Ok(exe) = std::env::current_exe() else {
-        return usage("cannot locate own binary");
+    let exe = match std::env::current_exe() {
+        Ok(exe) => exe,
+        Err(e) => {
+            eprintln!("procher: cannot locate own binary: {e}");
+            return ExitCode::from(EXIT_USAGE);
+        }
     };
     if !spawn_allowed(&exe) {
         eprintln!("procher: subprocess spawning is forbidden here; skipping (exit 77)");

@@ -37,13 +37,7 @@ use raincore_obs::{
     TraceEvent, TraceKind, WaterfallOpts,
 };
 use raincore_procher::export::{merge_export_journals, ChildExport};
-
-/// Writes `text` to stdout; a reader that has gone (`| head`) is no
-/// error of ours.
-fn emit(text: &str) {
-    use std::io::Write;
-    let _ = std::io::stdout().write_all(text.as_bytes());
-}
+use raincore_sim::out;
 
 fn usage() -> ! {
     eprintln!(
@@ -135,7 +129,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "outage") {
         match outage_table(&args[1..]) {
-            Ok(table) => emit(&table),
+            Ok(table) => out!("{table}"),
             Err(e) => {
                 eprintln!("tracectl: {e}");
                 std::process::exit(2);
@@ -195,8 +189,8 @@ fn main() {
     }
 
     if flat_events {
-        emit(&render_events_text(&events));
+        out!("{}", render_events_text(&events));
     } else {
-        emit(&render_waterfall(&events, &opts));
+        out!("{}", render_waterfall(&events, &opts));
     }
 }

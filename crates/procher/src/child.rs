@@ -2,10 +2,10 @@
 //! real UDP socket, exporting its observability state to a file.
 //!
 //! The parent spawns `procher --child --node=n3 --incarnation=0 …`: the
-//! rows of [`ChildArgs`], one `--key=value` argument each, so a path with
-//! a space in it stays one argument. The child refuses a line that misses a row
-//! or names a key no row has. After that they talk through three narrow
-//! channels:
+//! rows of [`ChildArgs`], one `--key=value` argument each, so a path
+//! with a space in it stays one argument. The child refuses a line that
+//! misses a row or names a key no row has. After that they talk through
+//! three narrow channels:
 //!
 //! * **stdout** — exactly two lines at startup: `PORT <socket addr>`
 //!   (the real UDP address the parent registers with the proxy) and
@@ -167,6 +167,10 @@ fn try_holder_cmd(rt: &RuntimeNode, cmd: Ctl) -> bool {
     done != Some(false)
 }
 
+fn io_err(e: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::other(e.to_string())
+}
+
 /// Atomic write: temp file in the same directory, then rename over.
 fn write_atomic(path: &PathBuf, contents: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
@@ -177,15 +181,15 @@ fn write_atomic(path: &PathBuf, contents: &str) -> std::io::Result<()> {
 /// Runs the child to completion; returns the process exit code.
 pub fn run_child(args: &ChildArgs) -> std::io::Result<i32> {
     let me = Addr::primary(args.node);
-    let peers = args.peers.iter().enumerate();
-    let peers: HashMap<Addr, SocketAddr> = peers
-        .map(|(id, &saddr)| (Addr::primary(NodeId(id as u32)), saddr))
+    let peers: HashMap<Addr, SocketAddr> = (0..)
+        .map(|id| Addr::primary(NodeId(id)))
+        .zip(args.peers.iter().copied())
         .filter(|(addr, _)| *addr != me)
         .collect();
-    let net = UdpNet::bind(&[(me, SocketAddr::from(([127, 0, 0, 1], 0)))], peers)?;
+    let net = UdpNet::bind(&[(me, "127.0.0.1:0".parse().map_err(io_err)?)], peers)?;
     let port = net
         .local_socket_addr(me)
-        .ok_or_else(|| std::io::Error::other("local socket vanished"))?;
+        .ok_or_else(|| io_err("local socket vanished"))?;
     println!("PORT {port}");
     std::io::stdout().flush()?;
 
@@ -208,7 +212,7 @@ pub fn run_child(args: &ChildArgs) -> std::io::Result<i32> {
         start_mode,
         Time::ZERO,
     )
-    .map_err(std::io::Error::other)?;
+    .map_err(io_err)?;
     let rt = RuntimeNode::spawn(session, net)?;
     println!("READY");
     std::io::stdout().flush()?;
@@ -226,7 +230,6 @@ pub fn run_child(args: &ChildArgs) -> std::io::Result<i32> {
     // The ctl text last acted on, and the holder word still to do.
     let mut ctl_seen = String::new();
     let mut holder_cmd: Option<Ctl> = None;
-    let mut leaving = false;
 
     let drain = |rt: &RuntimeNode, deliveries: &mut Vec<(NodeId, OriginSeq)>| {
         while let Some(ev) = rt.try_recv_event() {
@@ -305,19 +308,24 @@ pub fn run_child(args: &ChildArgs) -> std::io::Result<i32> {
                 ctl_seen.clone_from(&ctl);
             }
             if word == Ok(Ctl::Leave) {
-                last_dump = rt.obs_dump().or(last_dump);
+                let final_dump = rt.obs_dump().or(last_dump);
                 rt.leave();
                 let deadline = Instant::now() + Duration::from_secs(3);
                 while !rt.is_finished() && Instant::now() < deadline {
                     drain(&rt, &mut deliveries);
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                leaving = true;
+                drain(&rt, &mut deliveries);
+                if let Some(dump) = &final_dump {
+                    export_seq += 1;
+                    export(dump, export_seq, true, &deliveries)?;
+                }
+                return Ok(0);
             }
         }
 
-        if leaving || rt.is_finished() {
-            // Left, or the protocol shut the node down on its own. Flush
+        if rt.is_finished() {
+            // Protocol shutdown (the node went down on its own). Flush
             // the tail of the event stream and the last known obs state.
             drain(&rt, &mut deliveries);
             if let Some(dump) = &last_dump {

@@ -109,8 +109,8 @@ impl ProcConfig {
     }
 }
 
-// The soak flags, one row per field; `report.txt` records the run's
-// words.
+// The soak flags, one row per field. `report.txt` records every row on
+// its `config:` line, the flagless ones too.
 text_fields! {
     impl ProcConfig {
         "seed" => seed: Plain, "--seed N";
@@ -119,6 +119,7 @@ text_fields! {
         "dup" => dials.dup_permille: Permille, "--dup P";
         "reorder" => dials.reorder_permille: Permille, "--reorder P";
         "delay_us" => dials.delay_us: Plain, "--delay-us N";
+        "bulk_loss" => dials.bulk_drop_permille: Permille;
         "ticks" => bounds.ticks: Plain, "--ticks N";
         "grace" => bounds.grace_ticks: Plain;
         "token_bound" => bounds.token_bound_ticks: Plain;
@@ -129,6 +130,7 @@ text_fields! {
         "workload_count" => workload_count: Plain, "--workload-count N";
         "workload_period_ms" => workload_period_ms: Plain, "--workload-period-ms N";
         "bulk_threshold" => bulk_threshold: Plain, "--bulk THRESHOLD";
+        "export_ms" => export_ms: Plain;
         "out_dir" => out_dir: FilePath, "--out-dir DIR";
     }
 }
@@ -292,17 +294,23 @@ impl<'a> Harness<'a> {
             .args(child.pairs())
             .stdout(Stdio::piped())
             .spawn()?;
-        // Two lines, then nothing: the pipe is dropped with them.
         let stdout = proc.stdout.take().expect("piped stdout");
         let mut lines = std::io::BufReader::new(stdout).lines();
-        let mut line = || lines.next().transpose().map(Option::unwrap_or_default);
-        let (port, ready) = (line()?, line()?);
-        let saddr = port.strip_prefix("PORT ").and_then(|s| s.parse().ok());
-        let saddr = saddr.filter(|_| ready == "READY").ok_or_else(|| {
-            std::io::Error::other(format!(
-                "child {id} said `{port}`, `{ready}`: not PORT, READY"
-            ))
-        })?;
+        let port_line = lines
+            .next()
+            .transpose()?
+            .ok_or_else(|| std::io::Error::other(format!("child {id} exited before PORT")))?;
+        let saddr = port_line
+            .strip_prefix("PORT ")
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| std::io::Error::other(format!("child {id}: bad line `{port_line}`")))?;
+        let ready = lines.next().transpose()?;
+        if ready.as_deref() != Some("READY") {
+            return Err(std::io::Error::other(format!("child {id} never got READY")));
+        }
+        // The reader thread for the child's stdout is no longer needed;
+        // children print nothing after READY.
+        drop(lines);
         self.proxy.set_dest(id, saddr);
         self.cache.remove(&id);
         self.children.insert(
@@ -338,14 +346,24 @@ impl<'a> Harness<'a> {
             ChaosFault::NicUp(addr) => self.proxy.set_node(addr.node, true),
             ChaosFault::Partition(groups) => self.proxy.partition(groups),
             ChaosFault::Heal => self.proxy.heal(),
-            ChaosFault::Duplicate(p) => dials.dup_permille = *p,
-            ChaosFault::Reorder(p) => dials.reorder_permille = *p,
-            ChaosFault::Jitter(us) => dials.delay_us = *us,
-            ChaosFault::BulkLoss(p) => dials.bulk_drop_permille = *p,
+            ChaosFault::Duplicate(p) => {
+                dials.dup_permille = *p;
+                self.proxy.set_dials(*dials);
+            }
+            ChaosFault::Reorder(p) => {
+                dials.reorder_permille = *p;
+                self.proxy.set_dials(*dials);
+            }
+            ChaosFault::Jitter(us) => {
+                dials.delay_us = *us;
+                self.proxy.set_dials(*dials);
+            }
+            ChaosFault::BulkLoss(p) => {
+                dials.bulk_drop_permille = *p;
+                self.proxy.set_dials(*dials);
+            }
             ChaosFault::DelaySpike(us) => self.proxy.stall_next(Duration::from_micros(*us)),
         }
-        // What a dial fault set; every other fault leaves the dials be.
-        self.proxy.set_dials(*dials);
         Ok(())
     }
 
@@ -368,21 +386,34 @@ impl<'a> Harness<'a> {
         let mut view = StatusView::new(Time(self.started.elapsed().as_nanos() as u64));
         for i in 0..self.cfg.nodes {
             let id = NodeId(i);
+            let child = self.children.get(&id);
             let raw = std::fs::read_to_string(self.export_path(id)).unwrap_or_default();
-            if self.cache.get(&id).is_none_or(|(prev, ..)| *prev != raw) {
-                // A torn read (rename midway) fixes itself next tick; the
-                // previous status stands meanwhile.
-                if let Ok(exp) = ChildExport::parse_status(&raw) {
-                    self.exports_parsed += 1;
-                    self.cache
-                        .insert(id, (raw, exp.incarnation, exp.node_status()));
+            let mut status = NodeStatus::default();
+            if !raw.is_empty() {
+                let cached = self.cache.get(&id).filter(|(prev, _, _)| *prev == raw);
+                let parsed: Option<(u32, NodeStatus)> = match cached {
+                    Some((_, inc, st)) => Some((*inc, st.clone())),
+                    None => match ChildExport::parse_status(&raw) {
+                        Ok(exp) => {
+                            self.exports_parsed += 1;
+                            let st = exp.node_status();
+                            let inc = exp.incarnation;
+                            self.cache.insert(id, (raw.clone(), inc, st.clone()));
+                            Some((inc, st))
+                        }
+                        // A torn read (rename midway) fixes itself next
+                        // tick; keep the previous status meanwhile.
+                        Err(_) => self.cache.get(&id).map(|(_, inc, st)| (*inc, st.clone())),
+                    },
+                };
+                if let Some((inc, st)) = parsed {
+                    let current = child.is_some_and(|c| c.alive && c.incarnation == inc);
+                    status = st;
+                    status.live &= current;
                 }
             }
-            let mut status = NodeStatus::default();
-            if let Some((_, inc, st)) = self.cache.get(&id) {
-                let child = self.children.get(&id);
-                status = st.clone();
-                status.live &= child.is_some_and(|c| c.alive && c.incarnation == *inc);
+            if !child.is_some_and(|c| c.alive) {
+                status.live = false;
             }
             view.insert(id, status);
         }
@@ -506,21 +537,24 @@ pub fn run_holder_case(
 /// dump). Called on failed runs so CI uploads a ready post-mortem; also
 /// usable on any finished out_dir.
 pub fn write_trace_artifacts(out_dir: &std::path::Path, nodes: u32) -> std::io::Result<()> {
-    // Every node's file of `kind` that is there to read.
-    let files = |kind| {
-        let read = move |i| std::fs::read_to_string(node_file(out_dir, NodeId(i), kind)).ok();
-        (0..nodes).filter_map(move |i| Some((i, read(i)?)))
-    };
-    let parse = |(_, raw): (u32, String)| ChildExport::parse(&raw).ok();
-    let exports: Vec<ChildExport> = files("export").filter_map(parse).collect();
+    let mut exports = Vec::new();
+    for i in 0..nodes {
+        if let Ok(raw) = std::fs::read_to_string(node_file(out_dir, NodeId(i), "export")) {
+            if let Ok(exp) = ChildExport::parse(&raw) {
+                exports.push(exp);
+            }
+        }
+    }
     let events = merge_export_journals(&exports);
     std::fs::write(
         out_dir.join("journal.json"),
         raincore_obs::render_events_json(&events),
     )?;
     let mut text = raincore_obs::render_waterfall(&events, &raincore_obs::WaterfallOpts::default());
-    for (i, flight) in files("flight") {
-        text.push_str(&format!("--- node {i} flight recorder ---\n{flight}"));
+    for i in 0..nodes {
+        if let Ok(flight) = std::fs::read_to_string(node_file(out_dir, NodeId(i), "flight")) {
+            text.push_str(&format!("--- node {i} flight recorder ---\n{flight}"));
+        }
     }
     std::fs::write(out_dir.join("waterfall.txt"), text)
 }
@@ -546,8 +580,11 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
     let mut dials = cfg.dials;
     let mut last_block: Option<String> = None;
     let mut violation: Option<(u64, String)> = None;
-    let workload = (cfg.nodes as usize) * (cfg.workload_count as usize);
-    let expect_deliveries = (workload > 0 && !has_churn).then_some(workload);
+    let expect_deliveries = if cfg.workload_count > 0 && !has_churn {
+        Some((cfg.nodes as usize) * (cfg.workload_count as usize))
+    } else {
+        None
+    };
     let mut ticks_run = 0u64;
 
     for tick in 0..cfg.bounds.horizon() {
@@ -584,24 +621,32 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
             break;
         }
         if engine.in_tail(tick) && engine.streak() == 0 {
-            let nodes = view.nodes().iter();
             last_block = Some(if !engine.quiet(tick) {
                 "not yet quiet (standing damage or fault grace)".to_string()
             } else if !view.membership_agreed() {
-                let group = |(id, n): (&NodeId, &NodeStatus)| {
-                    let group = n.group.map_or("-".to_string(), |g| g.0 .0.to_string());
-                    format!("n{}:{}{group}", id.0, if n.live { "" } else { "dead " })
-                };
-                let groups: Vec<String> = nodes.map(group).collect();
+                let groups: Vec<String> = view
+                    .nodes()
+                    .iter()
+                    .map(|(id, n)| {
+                        format!(
+                            "n{}:{}{}",
+                            id.0,
+                            if n.live { "" } else { "dead " },
+                            n.group.map_or("-".to_string(), |g| g.0 .0.to_string()),
+                        )
+                    })
+                    .collect();
                 format!("membership not agreed [{}]", groups.join(" "))
             } else {
-                let lag = |(id, n): (&NodeId, &NodeStatus)| {
-                    n.live.then(|| format!("n{}:{}", id.0, n.deliveries.len()))
-                };
-                let lags: Vec<String> = nodes.filter_map(lag).collect();
-                let want = expect_deliveries.unwrap_or(0);
+                let lags: Vec<String> = view
+                    .nodes()
+                    .iter()
+                    .filter(|(_, n)| n.live)
+                    .map(|(id, n)| format!("n{}:{}", id.0, n.deliveries.len()))
+                    .collect();
                 format!(
-                    "deliveries incomplete (want {want} per node) [{}]",
+                    "deliveries incomplete (want {} per node) [{}]",
+                    expect_deliveries.unwrap_or(0),
                     lags.join(" ")
                 )
             });
@@ -628,16 +673,19 @@ pub fn run_cluster(cfg: &ProcConfig, schedule: &[ChaosEvent]) -> std::io::Result
         proxy: h.proxy.stats(),
         last_block: if converged { None } else { last_block },
     };
-    let mut text = format!(
-        "config: {}\nticks_run={} faults={} exports={} converged={} regenerations={} proxy={:?}\n",
-        cfg.words(),
-        report.ticks_run,
-        report.faults_applied,
-        report.exports_parsed,
-        report.converged,
-        report.total_regenerations,
-        report.proxy
-    );
+    let mut text = String::new();
+    text.push_str(&format!(
+        "procher run: nodes={} seed={} ticks_run={} faults={} exports={}\n",
+        cfg.nodes, cfg.seed, report.ticks_run, report.faults_applied, report.exports_parsed
+    ));
+    text.push_str(&format!(
+        "converged={} regenerations={} proxy={:?}\n",
+        report.converged, report.total_regenerations, report.proxy
+    ));
+    text.push_str(&format!("config: {}\n", cfg.words()));
+    for event in schedule {
+        text.push_str(&format!("fault: {event}\n"));
+    }
     match &report.violation {
         Some((tick, reason)) => text.push_str(&format!("VIOLATION @tick {tick}: {reason}\n")),
         None => text.push_str("no violation\n"),

@@ -24,7 +24,7 @@
 //! * **stability** — neither side needed a 911 regeneration on a
 //!   fault-free network (counts are compared and must both be zero).
 
-use crate::child::workload_payload;
+use crate::child::{workload_payload, StartKind};
 use crate::cluster::{run_cluster, ProcConfig};
 use crate::fast_profile;
 use raincore_sim::text::{text_fields, FilePath, Plain};
@@ -37,29 +37,37 @@ use std::path::PathBuf;
 /// delivery order.
 pub type DeliveryLogs = BTreeMap<NodeId, Vec<(NodeId, OriginSeq)>>;
 
-/// Configuration of one differential run: the process cluster's, whose
-/// workload the simulator runs too — `workload_count` agreed multicasts
-/// from every member, `workload_period_ms` apart (virtual ms on the
-/// simulator), with `bulk_threshold` on both sides. With the out-of-band
-/// path on, odd workload messages are padded past the threshold, so real
-/// bulk frames cross real sockets and the delivered-set/order
-/// projections must still match the simulator.
+/// Configuration of one differential run.
 #[derive(Clone, Debug)]
 pub struct DiffConfig {
-    /// The real side, founding; its seed drives the proxy (the simulator
-    /// side is deterministic anyway).
-    pub cluster: ProcConfig,
+    /// Cluster size on both sides.
+    pub nodes: u32,
+    /// Seed (proxy RNG; the sim side is fully deterministic anyway).
+    pub seed: u64,
+    /// Multicasts each node originates.
+    pub count: u32,
+    /// Origination pacing, milliseconds (real side; virtual ms sim side).
+    pub period_ms: u64,
+    /// Out-of-band bulk threshold applied on *both* sides (bytes; 0 keeps
+    /// the OOB path off). With it on, odd workload messages are padded
+    /// past the threshold, so real bulk frames cross real sockets and the
+    /// delivered-set/order projections must still match the simulator.
+    pub bulk_threshold: usize,
+    /// Artifact directory for the real side.
+    pub out_dir: PathBuf,
+    /// Path of the `procher` binary for spawning children.
+    pub child_exe: PathBuf,
 }
 
 // The differential's flags, one row per field.
 text_fields! {
     impl DiffConfig {
-        "nodes" => cluster.nodes: Plain, "--nodes N";
-        "seed" => cluster.seed: Plain, "--seed N";
-        "count" => cluster.workload_count: Plain, "--count N";
-        "period_ms" => cluster.workload_period_ms: Plain, "--period-ms N";
-        "bulk_threshold" => cluster.bulk_threshold: Plain, "--bulk THRESHOLD";
-        "out_dir" => cluster.out_dir: FilePath, "--out-dir DIR";
+        "nodes" => nodes: Plain, "--nodes N";
+        "seed" => seed: Plain, "--seed N";
+        "count" => count: Plain, "--count N";
+        "period_ms" => period_ms: Plain, "--period-ms N";
+        "bulk_threshold" => bulk_threshold: Plain, "--bulk THRESHOLD";
+        "out_dir" => out_dir: FilePath, "--out-dir DIR";
     }
 }
 
@@ -67,19 +75,27 @@ impl DiffConfig {
     /// Three nodes sending three multicasts each, 30 ms apart, with the
     /// out-of-band path off.
     pub fn new(child_exe: PathBuf, out_dir: PathBuf) -> DiffConfig {
-        let mut cluster = ProcConfig::new(child_exe, out_dir);
-        cluster.nodes = 3;
-        cluster.workload_period_ms = 30;
-        DiffConfig { cluster }
+        DiffConfig {
+            nodes: 3,
+            seed: 1,
+            count: 3,
+            period_ms: 30,
+            bulk_threshold: 0,
+            out_dir,
+            child_exe,
+        }
     }
 
-    /// Refuses a differential that compares nothing: no multicast to
-    /// deliver, or a cluster [`ProcConfig::validate`] refuses.
+    /// Refuses a differential that compares nothing: no member, or no
+    /// multicast to deliver.
     pub fn validate(&self) -> Result<(), String> {
-        if self.cluster.workload_count == 0 {
+        if self.nodes == 0 {
+            return Err("--nodes 0: a cluster of no member compares nothing".into());
+        }
+        if self.count == 0 {
             return Err("--count 0: a workload of no multicast compares nothing".into());
         }
-        self.cluster.validate(&[])
+        Ok(())
     }
 }
 
@@ -104,7 +120,7 @@ pub struct DiffReport {
 
 /// Runs the workload through the simulator and returns each node's
 /// delivery sequence plus the total regeneration count.
-fn run_sim_side(cfg: &ProcConfig) -> Result<(DeliveryLogs, u64), String> {
+fn run_sim_side(cfg: &DiffConfig) -> Result<(DeliveryLogs, u64), String> {
     let mut session = fast_profile(cfg.nodes);
     session.bulk_threshold = cfg.bulk_threshold;
     let ccfg = ClusterConfig {
@@ -114,8 +130,8 @@ fn run_sim_side(cfg: &ProcConfig) -> Result<(DeliveryLogs, u64), String> {
     };
     let mut cluster = Cluster::founding(cfg.nodes, ccfg).map_err(|e| e.to_string())?;
     let ids: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
-    let period = VDuration::from_millis(cfg.workload_period_ms.max(1));
-    let want = (cfg.nodes as usize) * (cfg.workload_count as usize);
+    let period = VDuration::from_millis(cfg.period_ms.max(1));
+    let want = (cfg.nodes as usize) * (cfg.count as usize);
     // Same shape as the child loop: paced sends, retried under token
     // backpressure, then run until every node has delivered everything.
     let mut sent = vec![0u32; cfg.nodes as usize];
@@ -125,7 +141,7 @@ fn run_sim_side(cfg: &ProcConfig) -> Result<(DeliveryLogs, u64), String> {
     while t < deadline {
         for &id in &ids {
             let k = sent[id.0 as usize];
-            if k < cfg.workload_count
+            if k < cfg.count
                 && cluster
                     .multicast(
                         id,
@@ -139,7 +155,7 @@ fn run_sim_side(cfg: &ProcConfig) -> Result<(DeliveryLogs, u64), String> {
         }
         t += period;
         cluster.run_until(t);
-        if sent.iter().all(|&k| k == cfg.workload_count)
+        if sent.iter().all(|&k| k == cfg.count)
             && ids.iter().all(|&id| cluster.deliveries(id).len() >= want)
         {
             break;
@@ -161,31 +177,42 @@ fn run_sim_side(cfg: &ProcConfig) -> Result<(DeliveryLogs, u64), String> {
     Ok((out, regens))
 }
 
-fn check_side(name: &str, side: &DeliveryLogs, want: usize, divergences: &mut Vec<String>) {
-    let reference = side.iter().next();
+fn check_side(
+    name: &str,
+    side: &DeliveryLogs,
+    want_per_node: usize,
+    divergences: &mut Vec<String>,
+) {
+    let mut reference: Option<(NodeId, &Vec<(NodeId, OriginSeq)>)> = None;
     for (id, log) in side {
-        if log.len() != want {
-            let got = log.len();
+        if log.len() != want_per_node {
             divergences.push(format!(
-                "{name}: node {id} delivered {got} of {want} messages"
+                "{name}: node {id} delivered {} of {want_per_node} messages",
+                log.len()
             ));
         }
         // Per-origin FIFO.
-        let mut last = BTreeMap::new();
-        let behind = |&&(origin, seq): &&(NodeId, OriginSeq)| {
-            last.insert(origin, seq).is_some_and(|prev| seq <= prev)
-        };
-        if let Some((origin, seq)) = log.iter().find(behind) {
-            divergences.push(format!(
-                "{name}: node {id} delivered origin {origin} out of sequence at seq {}",
-                seq.0
-            ));
+        let mut last: BTreeMap<NodeId, OriginSeq> = BTreeMap::new();
+        for &(origin, seq) in log {
+            if last.get(&origin).is_some_and(|&prev| seq <= prev) {
+                divergences.push(format!(
+                    "{name}: node {id} delivered origin {origin} out of sequence at seq {}",
+                    seq.0
+                ));
+                break;
+            }
+            last.insert(origin, seq);
         }
         // Cross-node agreement on the full sequence.
-        if let Some((first, _)) = reference.filter(|&(_, first)| first != log) {
-            divergences.push(format!(
-                "{name}: delivery order diverges between nodes {first} and {id}"
-            ));
+        match &reference {
+            None => reference = Some((*id, log)),
+            Some((ref_id, ref_log)) => {
+                if log != *ref_log {
+                    divergences.push(format!(
+                        "{name}: delivery order diverges between nodes {ref_id} and {id}"
+                    ));
+                }
+            }
         }
     }
 }
@@ -195,10 +222,15 @@ fn check_side(name: &str, side: &DeliveryLogs, want: usize, divergences: &mut Ve
 /// [`DiffReport::divergences`].
 pub fn run_differential(cfg: &DiffConfig) -> std::io::Result<DiffReport> {
     cfg.validate().map_err(std::io::Error::other)?;
-    let cfg = &cfg.cluster;
     let (sim, sim_regenerations) = run_sim_side(cfg).map_err(std::io::Error::other)?;
 
-    let mut pcfg = cfg.clone();
+    let mut pcfg = ProcConfig::new(cfg.child_exe.clone(), cfg.out_dir.clone());
+    pcfg.nodes = cfg.nodes;
+    pcfg.seed = cfg.seed;
+    pcfg.scenario = StartKind::Founding;
+    pcfg.workload_count = cfg.count;
+    pcfg.workload_period_ms = cfg.period_ms;
+    pcfg.bulk_threshold = cfg.bulk_threshold;
     if cfg.bulk_threshold > 0 {
         // Drop 40% of the real bulk payload frames: the differential's
         // claim becomes "NACK recovery restores the sim projections
@@ -207,7 +239,7 @@ pub fn run_differential(cfg: &DiffConfig) -> std::io::Result<DiffReport> {
     }
     // No faults, no dials: the schedule horizon only needs to cover the
     // workload; convergence + delivery completeness end the run.
-    pcfg.bounds.ticks = (cfg.workload_count as u64 * cfg.workload_period_ms / pcfg.tick_ms).max(50);
+    pcfg.bounds.ticks = (cfg.count as u64 * cfg.period_ms / pcfg.tick_ms).max(50);
     let report = run_cluster(&pcfg, &[])?;
 
     let mut divergences = Vec::new();
@@ -229,18 +261,17 @@ pub fn run_differential(cfg: &DiffConfig) -> std::io::Result<DiffReport> {
         .iter()
         .map(|(&id, st)| (id, st.deliveries.clone()))
         .collect();
-    let want = (cfg.nodes as usize) * (cfg.workload_count as usize);
+    let want = (cfg.nodes as usize) * (cfg.count as usize);
     check_side("sim", &sim, want, &mut divergences);
     check_side("real", &real, want, &mut divergences);
     // Cross-side: identical delivered sets per node (order is compared
     // within each side; across sides only the set is timing-invariant).
-    let sorted = |log: Option<&Vec<_>>| {
-        let mut log = log.cloned().unwrap_or_default();
-        log.sort_unstable();
-        log
-    };
     for (id, sim_log) in &sim {
-        if sorted(Some(sim_log)) != sorted(real.get(id)) {
+        let mut a = sim_log.clone();
+        let mut b = real.get(id).cloned().unwrap_or_default();
+        a.sort_unstable();
+        b.sort_unstable();
+        if a != b {
             divergences.push(format!(
                 "node {id}: delivered message sets differ between sim and real"
             ));

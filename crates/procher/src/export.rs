@@ -20,7 +20,7 @@
 //! through the `raincore-obs` JSON parser, which is what lets the parent
 //! rebuild a typed [`raincore_sim::NodeStatus`] from the file alone.
 
-use raincore_obs::{parse_journal_json, Snapshot, SnapshotEntry, TraceEvent};
+use raincore_obs::{parse_journal_json, Snapshot, TraceEvent};
 use raincore_sim::text::{text_fields, Codec, Plain, TextFields};
 use raincore_sim::NodeStatus;
 use raincore_types::{GroupId, NodeId, OriginSeq, Ring};
@@ -107,6 +107,9 @@ pub fn render_export(
     journal_json: &str,
     deliveries: &[(NodeId, OriginSeq)],
 ) -> String {
+    let mut out = String::with_capacity(snapshot_json.len() + journal_json.len() + 256);
+    out.push_str(MAGIC);
+    out.push('\n');
     let header = ChildExport {
         node,
         incarnation,
@@ -114,12 +117,19 @@ pub fn render_export(
         export_seq,
         finished,
         ..ChildExport::default()
-    }
-    .words();
-    let mut out = format!(
-        "{MAGIC}\n{header}\n{SNAPSHOT_MARK}\n{snapshot_json}\n\
-         {JOURNAL_MARK}\n{journal_json}\n{DELIVERIES_MARK}\n"
-    );
+    };
+    out.push_str(&header.words());
+    out.push('\n');
+    out.push_str(SNAPSHOT_MARK);
+    out.push('\n');
+    out.push_str(snapshot_json);
+    out.push('\n');
+    out.push_str(JOURNAL_MARK);
+    out.push('\n');
+    out.push_str(journal_json);
+    out.push('\n');
+    out.push_str(DELIVERIES_MARK);
+    out.push('\n');
     for (origin, seq) in deliveries {
         out.push_str(&format!("{} {}\n", origin.0, seq.0));
     }
@@ -143,32 +153,53 @@ impl ChildExport {
     }
 
     fn parse_inner(text: &str, with_journal: bool) -> Result<ChildExport, String> {
-        // A section runs to the next one's mark; a torn or truncated file
-        // lacks a mark and is refused.
-        fn cut<'a>(text: &'a str, mark: &str) -> Result<(&'a str, &'a str), String> {
-            let found = text.split_once(&format!("\n{mark}\n"));
-            found.ok_or_else(|| format!("truncated export: no `{mark}` line"))
+        let mut lines = text.lines();
+        if lines.next() != Some(MAGIC) {
+            return Err(format!("missing magic line `{MAGIC}`"));
         }
-        let (head, rest) = cut(text, SNAPSHOT_MARK)?;
-        let (snapshot, rest) = cut(rest, JOURNAL_MARK)?;
-        let (journal, deliveries) = cut(rest, DELIVERIES_MARK)?;
-        let header = head.strip_prefix(MAGIC).and_then(|h| h.strip_prefix('\n'));
-        let header = header.ok_or_else(|| format!("missing magic line `{MAGIC}`"))?;
-        let delivery = |line: &str| {
-            let (origin, seq) = line.split_once(' ')?;
-            Some((NodeId(origin.parse().ok()?), OriginSeq(seq.parse().ok()?)))
+        let header = lines.next().ok_or("missing header line")?;
+        let mut snapshot_src = String::new();
+        let mut journal_src = String::new();
+        let mut deliveries = Vec::new();
+        let mut section = "";
+        for line in lines {
+            match line {
+                SNAPSHOT_MARK => section = SNAPSHOT_MARK,
+                JOURNAL_MARK => section = JOURNAL_MARK,
+                DELIVERIES_MARK => section = DELIVERIES_MARK,
+                _ => match section {
+                    SNAPSHOT_MARK => snapshot_src.push_str(line),
+                    JOURNAL_MARK => journal_src.push_str(line),
+                    DELIVERIES_MARK => {
+                        let mut it = line.split_whitespace();
+                        let origin = it
+                            .next()
+                            .and_then(|s| s.parse::<u32>().ok())
+                            .ok_or_else(|| format!("bad delivery line `{line}`"))?;
+                        let seq = it
+                            .next()
+                            .and_then(|s| s.parse::<u64>().ok())
+                            .ok_or_else(|| format!("bad delivery line `{line}`"))?;
+                        deliveries.push((NodeId(origin), OriginSeq(seq)));
+                    }
+                    _ => return Err(format!("content before first section: `{line}`")),
+                },
+            }
+        }
+        if !matches!(section, DELIVERIES_MARK) {
+            return Err("truncated export: deliveries section missing".to_string());
+        }
+        let snapshot =
+            Snapshot::parse_json(&snapshot_src).map_err(|e| format!("snapshot section: {e}"))?;
+        let journal = if with_journal {
+            parse_journal_json(&journal_src).map_err(|e| format!("journal section: {e}"))?
+        } else {
+            Vec::new()
         };
-        let deliveries = deliveries
-            .lines()
-            .map(|line| delivery(line).ok_or_else(|| format!("bad delivery line `{line}`")));
         let mut export = ChildExport {
-            snapshot: Snapshot::parse_json(snapshot)
-                .map_err(|e| format!("snapshot section: {e}"))?,
-            journal: match with_journal {
-                true => parse_journal_json(journal).map_err(|e| format!("journal section: {e}"))?,
-                false => Vec::new(),
-            },
-            deliveries: deliveries.collect::<Result<_, _>>()?,
+            snapshot,
+            journal,
+            deliveries,
             ..ChildExport::default()
         };
         let read = export.read_all(header.split_whitespace());
@@ -186,15 +217,18 @@ impl ChildExport {
         let labels: &[(&str, &str)] = &[("node", id.as_str())];
         let gauge = |name: &str| self.snapshot.gauge_value(name, labels);
         let down = gauge("raincore_status_down") == Some(1);
-        let label = |e: &SnapshotEntry, name: &str| {
-            let found = e.key.labels.iter().find(|(k, _)| k == name);
-            found.map(|(_, v)| v.clone())
-        };
         let members: Vec<NodeId> = self
             .snapshot
             .entries_named("raincore_status_ring_member")
-            .filter(|e| label(e, "node").as_ref() == Some(&id))
-            .filter_map(|e| label(e, "member")?.parse().ok().map(NodeId))
+            .filter(|e| e.key.labels.iter().any(|(k, v)| k == "node" && *v == id))
+            .filter_map(|e| {
+                e.key
+                    .labels
+                    .iter()
+                    .find(|(k, _)| k == "member")
+                    .and_then(|(_, v)| v.parse::<u32>().ok())
+                    .map(NodeId)
+            })
             .collect();
         NodeStatus {
             live: !down,
@@ -226,12 +260,14 @@ pub fn merge_export_journals(exports: &[ChildExport]) -> Vec<TraceEvent> {
             .snapshot
             .counter_value("raincore_trace_dropped_events", labels)
             .unwrap_or(0);
-        if let Some(first) = exp.journal.first().filter(|_| dropped > 0) {
-            all.push(TraceEvent {
-                t_ns: first.t_ns,
-                node: first.node,
-                kind: raincore_obs::TraceKind::Gap { dropped },
-            });
+        if dropped > 0 {
+            if let Some(first) = exp.journal.first() {
+                all.push(TraceEvent {
+                    t_ns: first.t_ns,
+                    node: first.node,
+                    kind: raincore_obs::TraceKind::Gap { dropped },
+                });
+            }
         }
         all.extend(exp.journal.iter().cloned());
     }

@@ -45,6 +45,15 @@ macro_rules! outln {
     }};
 }
 
+/// [`outln!`] without the newline: `print!` for text that brings its own.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 pub use app::{NodeApp, NodeCtl};
 pub use audit::{
     AuditView, Auditors, CompletenessAuditor, ConvergenceOracle, Delivered, GroupIdOracle,
