@@ -10,8 +10,13 @@
 //!   analogue of the model checker's forged token) and exit non-zero
 //!   unless the harness *finds* the violation, shrinks it to a 1-minimal
 //!   schedule and reproduces it from the dump;
-//! * `--replay FILE` — re-run a schedule dump and report whether the
-//!   violation reproduces.
+//! * `--replay FILE` — re-run a schedule dump and report whether it
+//!   reproduces the violation its `# reason:` line states.
+//!
+//! Dumps are shrunk, written, read and replayed by `raincore_sim::dump`,
+//! as the `model_check` binary's are. A dump and its evidence files come
+//! from one run of the schedule dumped, and a dump that cannot be written
+//! exits 2.
 //!
 //! Wall-clock throughput is measured with `std::time::Instant`; this
 //! binary is a driver, not protocol code, and carries a lint allowlist
@@ -21,40 +26,13 @@
 #![allow(clippy::disallowed_types)]
 
 use raincore_sim::chaos::{
-    dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, ChaosConfig,
-    ChaosEvidence, ChaosScenario,
+    generate_schedule, run_chaos, ChaosConfig, ChaosEvent, ChaosScenario, ChaosViolation, DUMP,
 };
+use raincore_sim::dump;
 use raincore_sim::outln;
 use raincore_sim::text::TextFields;
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Writes the trace evidence captured at the violation instant next to
-/// the schedule dump: `<stem>-journal.json` (tracectl input),
-/// `<stem>-flight.txt` and `<stem>-waterfall.txt`.
-fn write_evidence(dump_path: &str, evidence: Option<&ChaosEvidence>) {
-    let Some(ev) = evidence else { return };
-    let stem = dump_path.strip_suffix(".txt").unwrap_or(dump_path);
-    for (suffix, body) in [
-        ("-journal.json", ev.journal_json.as_str()),
-        ("-flight.txt", ev.flight_text.as_str()),
-        ("-waterfall.txt", ev.waterfall.as_str()),
-    ] {
-        let path = format!("{stem}{suffix}");
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("chaos: evidence written to {path}"),
-            Err(e) => eprintln!("chaos: cannot write {path}: {e}"),
-        }
-    }
-}
-
-/// `r`'s value, or exit 2 naming `what` went wrong and why.
-fn or_exit<T>(r: Result<T, impl std::fmt::Display>, what: &str) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("chaos: {what}: {e}");
-        std::process::exit(2)
-    })
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -131,13 +109,29 @@ fn main() {
     }
 
     if let Some(path) = replay_path {
-        run_replay(&path);
-        return;
+        // The dump header carries the full config, including
+        // seeded_fault, so a broken-heal dump re-arms the bug on replay.
+        DUMP.replay(&path, base, |cfg, steps| {
+            let report = run_chaos(cfg, steps)?;
+            print_fault_summary(&report.fault_counts);
+            if report.restarts_skipped > 0 {
+                outln!(
+                    "chaos: {} scheduled restart(s) skipped — the member was up",
+                    report.restarts_skipped
+                );
+            }
+            let progress = match &report.violation {
+                Some(v) => format!("at tick {} ({})", v.tick, v.at),
+                None => format!("{} faults applied", report.faults_applied),
+            };
+            let verdict = report.violation.as_ref().map(ChaosViolation::verdict);
+            Ok((verdict, progress, String::new()))
+        });
     }
-    if base.seeded_fault {
-        run_seeded_fault(&base, &dump_path, pin_nodes, pin_scenario);
-        return;
-    }
+    // `--seeded-fault` soaks until it finds the broken heal, 50 seeds at
+    // most, and fails if it does not.
+    let seeded = base.seeded_fault;
+    let soak = if seeded { 50 } else { soak };
 
     let t0 = Instant::now();
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -152,38 +146,34 @@ fn main() {
         let cfg = soak_cfg(&base, k, pin_nodes, pin_scenario);
         let schedule = generate_schedule(&cfg);
         let setup = format!("setup failed for seed {}", cfg.seed);
-        let report = or_exit(run_chaos(&cfg, &schedule), &setup);
+        let report = DUMP.or_exit(run_chaos(&cfg, &schedule), &setup);
         for (class, count) in &report.fault_counts {
             *totals.entry(class).or_default() += count;
         }
         total_ticks += report.ticks_run;
-        if let Some(v) = &report.violation {
-            eprintln!(
-                "chaos: FAIL — seed {} nodes {} scenario {}: {}",
-                cfg.seed, cfg.nodes, cfg.scenario, v.reason
-            );
-            let events = if shrink {
-                match raincore_sim::chaos::shrink(&cfg, &schedule, v.tick) {
-                    Ok(m) => {
-                        eprintln!("chaos: minimized {} events to {}", schedule.len(), m.len());
-                        m
-                    }
-                    Err(e) => {
-                        eprintln!("chaos: shrink failed ({e}); dumping full schedule");
-                        schedule.clone()
-                    }
-                }
-            } else {
-                schedule.clone()
+        if report.violation.is_some() {
+            let run = |s: &[ChaosEvent]| {
+                let r = run_chaos(&cfg, s)?;
+                Ok((
+                    r.violation.as_ref().map(ChaosViolation::verdict),
+                    r.evidence,
+                ))
             };
-            let dump = dump_violation(&cfg, v, &events);
-            if let Err(e) = std::fs::write(&dump_path, &dump) {
-                eprintln!("chaos: cannot write {dump_path}: {e}");
-            }
-            write_evidence(&dump_path, report.evidence.as_ref());
-            eprintln!("{dump}");
-            eprintln!("chaos: dump written to {dump_path}");
-            std::process::exit(1);
+            let found = DUMP.or_exit(dump::shrink(&schedule, shrink, run), "shrink failed");
+            let evidence = found.evidence.as_ref().map_or(Vec::new(), |ev| {
+                vec![
+                    ("-journal.json", ev.journal_json.as_str()),
+                    ("-flight.txt", ev.flight_text.as_str()),
+                    ("-waterfall.txt", ev.waterfall.as_str()),
+                ]
+            });
+            let (seed, nodes, scenario) = (cfg.seed, cfg.nodes, cfg.scenario);
+            let what = format!("at seed {seed} (nodes {nodes}, scenario {scenario})");
+            DUMP.report(&cfg, &found, &dump_path, &evidence, seeded, &what);
+            return;
+        }
+        if seeded {
+            continue;
         }
         if cfg.bulk_threshold > 0 && report.completeness_checked == 0 {
             eprintln!(
@@ -210,6 +200,13 @@ fn main() {
             report.bulk_drops_injected,
             report.ticks_run,
         );
+    }
+    if seeded {
+        eprintln!(
+            "chaos: FAIL — seeded broken-heal fault was NOT found in {soak} seeds \
+             (liveness oracles are not watching)"
+        );
+        std::process::exit(1);
     }
     if base.bulk_threshold > 0 {
         outln!(
@@ -262,87 +259,4 @@ fn main() {
         "chaos: OK — {soak} seeds clean ({total_ticks} ticks) in {elapsed:.2}s — {:.0} ticks/s",
         total_ticks as f64 / elapsed
     );
-}
-
-/// `--seeded-fault`: the harness must find the broken-heal liveness bug,
-/// shrink it to a 1-minimal schedule, dump it, and reproduce it from the
-/// minimized schedule. Exit 0 only if all of that works.
-fn run_seeded_fault(base: &ChaosConfig, dump_path: &str, pin_nodes: bool, pin_scenario: bool) {
-    let t0 = Instant::now();
-    const ATTEMPTS: u64 = 50;
-    for k in 0..ATTEMPTS {
-        let cfg = soak_cfg(base, k, pin_nodes, pin_scenario);
-        let setup = format!("setup failed for seed {}", cfg.seed);
-        let found = or_exit(find_and_minimize(&cfg), &setup);
-        let Some((violation, schedule, minimized)) = found else {
-            continue;
-        };
-        outln!(
-            "chaos: seeded fault FOUND at seed {} (nodes {}, scenario {}): {}",
-            cfg.seed,
-            cfg.nodes,
-            cfg.scenario,
-            violation.reason
-        );
-        outln!(
-            "chaos: minimized {} events to {} in {:.2}s",
-            schedule.len(),
-            minimized.len(),
-            t0.elapsed().as_secs_f64()
-        );
-        // The minimized schedule must still reproduce the violation.
-        let r = or_exit(run_chaos(&cfg, &minimized), "replay setup failed");
-        if r.violation.is_none() {
-            eprintln!("chaos: FAIL — minimized schedule no longer reproduces");
-            std::process::exit(1);
-        }
-        write_evidence(dump_path, r.evidence.as_ref());
-        let dump = dump_violation(&cfg, &violation, &minimized);
-        if let Err(e) = std::fs::write(dump_path, &dump) {
-            eprintln!("chaos: cannot write {dump_path}: {e}");
-        }
-        outln!("{dump}");
-        outln!("chaos: dump written to {dump_path}; replay with --replay {dump_path}");
-        return;
-    }
-    eprintln!(
-        "chaos: FAIL — seeded broken-heal fault was NOT found in {ATTEMPTS} seeds \
-         (liveness oracles are not watching)"
-    );
-    std::process::exit(1);
-}
-
-fn run_replay(path: &str) {
-    let text = or_exit(
-        std::fs::read_to_string(path),
-        &format!("cannot read {path}"),
-    );
-    // The dump header carries the full config, including seeded_fault,
-    // so a broken-heal dump re-arms the bug on replay.
-    let (cfg, schedule) = or_exit(parse_dump(&text), &format!("bad dump in {path}"));
-    let report = or_exit(run_chaos(&cfg, &schedule), "replay setup failed");
-    print_fault_summary(&report.fault_counts);
-    if report.restarts_skipped > 0 {
-        outln!(
-            "chaos: {} scheduled restart(s) skipped — the member was up",
-            report.restarts_skipped
-        );
-    }
-    match report.violation {
-        Some(v) => {
-            outln!(
-                "chaos: violation reproduced at tick {} ({}): {}",
-                v.tick,
-                v.at,
-                v.reason
-            );
-        }
-        None => {
-            outln!(
-                "chaos: schedule replayed clean ({} faults applied) — violation did NOT reproduce",
-                report.faults_applied
-            );
-            std::process::exit(1);
-        }
-    }
 }

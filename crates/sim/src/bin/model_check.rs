@@ -9,8 +9,11 @@
 //!   non-zero unless the explorer *finds* the violation (proves the
 //!   search actually searches);
 //! * `--replay FILE` — re-run a schedule dump in the world its
-//!   `# scenario:` header describes and report whether the violation
-//!   reproduces.
+//!   `# scenario:` header describes and report whether it reproduces the
+//!   violation its `# reason:` line states.
+//!
+//! Dumps are written, read and replayed by `raincore_sim::dump`, as the
+//! `chaos` binary's are; a dump that cannot be written exits 2.
 //!
 //! Wall-clock throughput (schedules/sec) is measured with
 //! `std::time::Instant`; this binary is a driver, not protocol code, and
@@ -19,20 +22,12 @@
 // Wall-clock throughput reporting only, never protocol time.
 #![allow(clippy::disallowed_types)]
 
-use raincore_sim::explore::{parse_schedule, replay, Reduction};
+use raincore_sim::explore::{replay, Reduction, DUMP};
 use raincore_sim::outln;
 use raincore_sim::text::TextFields;
 use raincore_sim::{Explorer, ModelCheckConfig};
 use raincore_types::Duration;
 use std::time::Instant;
-
-/// `r`'s value, or exit 2 naming `what` went wrong and why.
-fn or_exit<T>(r: Result<T, impl std::fmt::Display>, what: &str) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("model-check: {what}: {e}");
-        std::process::exit(2)
-    })
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -98,8 +93,15 @@ fn main() {
     }
 
     if let Some(path) = replay_path {
-        run_replay(&cfg, &path);
-        return;
+        DUMP.replay(&path, cfg, |cfg, steps| {
+            let r = replay(cfg, steps)?;
+            let n = steps.len();
+            let progress = match &r.violation {
+                Some((step, _)) => format!("after {step} of {n} actions"),
+                None => format!("{} of {n} actions applied", r.applied),
+            };
+            Ok((r.verdict(), progress, r.world.dump_state()))
+        });
     }
     if seeded_check {
         cfg.forge_token = true;
@@ -107,7 +109,7 @@ fn main() {
 
     let t0 = Instant::now();
     let mut explorer = Explorer::new(cfg.clone());
-    let report = or_exit(explorer.run(), "setup failed");
+    let report = DUMP.or_exit(explorer.run(), "setup failed");
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     let s = report.stats;
     outln!(
@@ -157,40 +159,20 @@ fn main() {
         }
     }
 
-    if seeded_check {
-        match report.violation {
-            Some(v) => {
-                outln!("model-check: seeded fault FOUND as expected: {}", v.reason);
-                outln!(
-                    "model-check: minimized to {} of {} actions",
-                    v.minimized.len(),
-                    v.schedule.len()
-                );
-                let dump = v.dump(&cfg);
-                if let Err(e) = std::fs::write(&dump_path, &dump) {
-                    eprintln!("model-check: cannot write {dump_path}: {e}");
-                }
-                outln!("{dump}");
-            }
-            None => {
-                eprintln!(
-                    "model-check: FAIL — seeded two-token fault was NOT found \
-                     (explorer is not exploring)"
-                );
-                std::process::exit(1);
-            }
-        }
+    if let Some(v) = &report.violation {
+        let what = if seeded_check {
+            "as expected"
+        } else {
+            "bounded exploration"
+        };
+        DUMP.report(&cfg, v, &dump_path, &[], seeded_check, what);
         return;
     }
-
-    if let Some(v) = report.violation {
-        let dump = v.dump(&cfg);
-        if let Err(e) = std::fs::write(&dump_path, &dump) {
-            eprintln!("model-check: cannot write {dump_path}: {e}");
-        }
-        eprintln!("model-check: FAIL — {}", v.reason);
-        eprintln!("{dump}");
-        eprintln!("model-check: dump written to {dump_path}");
+    if seeded_check {
+        eprintln!(
+            "model-check: FAIL — seeded two-token fault was NOT found \
+             (explorer is not exploring)"
+        );
         std::process::exit(1);
     }
     if s.schedules < min_schedules {
@@ -218,34 +200,4 @@ fn main() {
         std::process::exit(1);
     }
     outln!("model-check: OK — no invariant violations");
-}
-
-fn run_replay(cfg: &ModelCheckConfig, path: &str) {
-    let text = or_exit(
-        std::fs::read_to_string(path),
-        &format!("cannot read {path}"),
-    );
-    let schedule = or_exit(parse_schedule(&text), &format!("bad schedule in {path}"));
-    // The dump's own scenario header says which world it was found in.
-    let mut cfg = cfg.clone();
-    or_exit(cfg.read_scenario(&text), &format!("bad scenario in {path}"));
-    let r = or_exit(replay(&cfg, &schedule), "replay setup failed");
-    match r.violation {
-        Some((step, reason)) => {
-            outln!(
-                "model-check: violation reproduced after {step} of {} actions: {reason}",
-                schedule.len()
-            );
-            outln!("{}", r.world.dump_state());
-        }
-        None => {
-            outln!(
-                "model-check: schedule replayed clean ({} of {} actions applied) — \
-                 violation did NOT reproduce",
-                r.applied,
-                schedule.len()
-            );
-            std::process::exit(1);
-        }
-    }
 }

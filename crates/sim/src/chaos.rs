@@ -21,9 +21,11 @@
 //!    which disturbances it *believes* are outstanding, when the safety
 //!    auditors may speak, and the bounds within which the cluster must
 //!    reconverge once the schedule ends and the believed network is clean.
-//! 3. On violation, [`shrink`] cuts the failing schedule down to a
-//!    1-minimal one and [`dump_violation`] renders a replayable text dump
-//!    that [`parse_dump`] reads back (`chaos --replay FILE`).
+//! 3. On violation, [`crate::dump`], the failing-schedule artifact the
+//!    model checker shares, shrinks the schedule to a 1-minimal one and
+//!    runs that once: the run's verdict ([`ChaosViolation::verdict`]) and
+//!    trace evidence are what the dump ([`DUMP`]) and its evidence files
+//!    state (`chaos --replay FILE`).
 //!
 //! Determinism contract: `(ChaosConfig, schedule)` fully determines a
 //! run. The schedule generator and the network share nothing but their
@@ -34,7 +36,8 @@
 
 use crate::audit::AuditView;
 use crate::cluster::{Cluster, ClusterBuilder, ClusterConfig};
-use crate::engine::{minimize, NetBelief, ScheduleEngine, TickBounds};
+use crate::dump::{Format, Verdict};
+use crate::engine::{NetBelief, ScheduleEngine, TickBounds};
 use crate::text::{text_enum, text_fields, Groups, Micros, Nic, Node, Plain, TextFields};
 use bytes::Bytes;
 use raincore_net::Addr;
@@ -377,6 +380,15 @@ impl ChaosConfig {
     }
 }
 
+/// The chaos harness's dump ([`crate::dump`]): its world is the
+/// `# config:` line, the rows below, and its steps are [`ChaosEvent`]s.
+pub const DUMP: Format<ChaosConfig, ChaosEvent> = Format {
+    name: "chaos",
+    key: "config",
+    bin: "chaos",
+    types: std::marker::PhantomData,
+};
+
 // The `# config:` line of a dump, one row per field. `--nodes` and
 // `--scenario` also pin the soak's sweep, and `--seeded-fault` takes no
 // value, so the `chaos` CLI sets those three itself.
@@ -654,6 +666,17 @@ pub struct ChaosViolation {
     pub at: Time,
     /// Human-readable description (stable prefix per oracle).
     pub reason: String,
+}
+
+impl ChaosViolation {
+    /// The verdict a dump of this run states: the reason, and the tick
+    /// and time.
+    pub fn verdict(&self) -> Verdict {
+        Verdict {
+            reason: self.reason.clone(),
+            tick: Some(format!("{} at {}", self.tick, self.at)),
+        }
+    }
 }
 
 /// Trace evidence frozen at the instant a violation fired, while the
@@ -964,70 +987,6 @@ fn apply_fault(cluster: &mut Cluster, fault: &ChaosFault, seeded_fault: bool) {
     }
 }
 
-// ----------------------------------------------------------------------
-// Shrinking and dumps
-// ----------------------------------------------------------------------
-
-/// Truncates a failing `schedule` at the tick of its violation and
-/// shrinks it to a 1-minimal one (`engine::minimize`).
-pub fn shrink(cfg: &ChaosConfig, schedule: &[ChaosEvent], tick: u64) -> Result<Vec<ChaosEvent>> {
-    let upto = schedule.iter().filter(|e| e.tick <= tick);
-    let truncated: Vec<ChaosEvent> = upto.cloned().collect();
-    minimize(&truncated, |s| Ok(run_chaos(cfg, s)?.violation.is_some()))
-}
-
-/// What [`find_and_minimize`] found: the violation, the truncated
-/// original schedule, and its 1-minimal shrink.
-pub type FoundViolation = (ChaosViolation, Vec<ChaosEvent>, Vec<ChaosEvent>);
-
-/// Finds a violation for `cfg` (generating the schedule from its seed),
-/// truncates the schedule at the violation tick and minimizes it.
-/// Returns `None` if the run is clean.
-pub fn find_and_minimize(cfg: &ChaosConfig) -> Result<Option<FoundViolation>> {
-    let schedule = generate_schedule(cfg);
-    let report = run_chaos(cfg, &schedule)?;
-    let Some(violation) = report.violation else {
-        return Ok(None);
-    };
-    let minimized = shrink(cfg, &schedule, violation.tick)?;
-    Ok(Some((violation, schedule, minimized)))
-}
-
-/// Renders a replayable violation dump: commented header (reason, tick,
-/// config) followed by one event per line.
-pub fn dump_violation(
-    cfg: &ChaosConfig,
-    violation: &ChaosViolation,
-    events: &[ChaosEvent],
-) -> String {
-    let mut out = String::new();
-    out.push_str("# raincore chaos violation dump\n");
-    out.push_str(&format!("# reason: {}\n", violation.reason));
-    out.push_str(&format!("# tick: {} at {}\n", violation.tick, violation.at));
-    out.push_str(&format!("# config: {}\n", cfg.header_line()));
-    for e in events {
-        out.push_str(&format!("{e}\n"));
-    }
-    out
-}
-
-/// Parses a dump produced by [`dump_violation`] back into the config and
-/// schedule needed to replay it.
-pub fn parse_dump(text: &str) -> std::result::Result<(ChaosConfig, Vec<ChaosEvent>), String> {
-    let mut cfg = None;
-    let mut events = Vec::new();
-    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-        match line.strip_prefix('#') {
-            Some(comment) => match comment.trim().strip_prefix("config:") {
-                Some(c) => cfg = Some(ChaosConfig::from_header_line(c)?),
-                None => continue,
-            },
-            None => events.push(line.parse::<ChaosEvent>()?),
-        }
-    }
-    Ok((cfg.ok_or("dump has no `# config:` header")?, events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1195,11 +1154,12 @@ mod tests {
             payload_pad: 3000,
             ..ChaosConfig::default()
         };
-        let violation = ChaosViolation {
+        let verdict = ChaosViolation {
             tick: 17,
             at: Time::ZERO + Duration::from_millis(170),
             reason: "membership liveness: test".into(),
-        };
+        }
+        .verdict();
         let events = vec![
             ChaosEvent {
                 tick: 9,
@@ -1210,8 +1170,11 @@ mod tests {
                 fault: ChaosFault::Heal,
             },
         ];
-        let dump = dump_violation(&cfg, &violation, &events);
-        let (parsed_cfg, parsed_events) = parse_dump(&dump).expect("parse");
+        let dump = DUMP.render(&cfg, &verdict, &events);
+        assert!(dump.contains("\n# tick: 17 at 0.170000s\n"), "{dump}");
+        let (parsed_cfg, reason, parsed_events) =
+            DUMP.read(&dump, ChaosConfig::default()).expect("parse");
+        assert_eq!(reason, Some(verdict.reason));
         assert_eq!(parsed_events, events);
         assert_eq!(parsed_cfg.nodes, cfg.nodes);
         assert_eq!(parsed_cfg.seed, cfg.seed);

@@ -21,7 +21,7 @@
 use crate::audit::{AuditView, Auditors, LivenessOracles, MembershipAuditor};
 use crate::chaos::{ChaosEvent, ChaosFault, FaultKind};
 use raincore_net::Addr;
-use raincore_types::{Duration, NodeId, Result};
+use raincore_types::{Duration, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The five tick bounds of a schedule run, in engine ticks.
@@ -372,33 +372,6 @@ impl<'a> ScheduleEngine<'a> {
     }
 }
 
-/// Greedy 1-minimal delta debugging: repeatedly try dropping single
-/// steps of a `failing` schedule, keeping any shorter one that
-/// `still_fails`, until a fixpoint. The caller should first truncate the
-/// schedule at the violation.
-pub(crate) fn minimize<T: Clone>(
-    failing: &[T],
-    mut still_fails: impl FnMut(&[T]) -> Result<bool>,
-) -> Result<Vec<T>> {
-    let mut schedule = failing.to_vec();
-    loop {
-        let mut shrunk = false;
-        let mut i = schedule.len();
-        while i > 0 {
-            i -= 1;
-            let mut candidate = schedule.clone();
-            candidate.remove(i);
-            if still_fails(&candidate)? {
-                schedule = candidate;
-                shrunk = true;
-            }
-        }
-        if !shrunk {
-            return Ok(schedule);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,12 +608,5 @@ mod tests {
         new.note(&"nic-down n0.1".parse().unwrap());
         old.note(&"nic-down n0.1".parse().unwrap());
         assert!(old.blocked() && !new.blocked());
-    }
-
-    #[test]
-    fn shrinking_is_one_minimal() {
-        // Fails while it still holds a 3 and a 7.
-        let fails = |s: &[u32]| Ok(s.contains(&3) && s.contains(&7));
-        assert_eq!(minimize(&[1, 3, 4, 7, 9, 3], fails).unwrap(), [3, 7]);
     }
 }

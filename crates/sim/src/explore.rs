@@ -25,16 +25,18 @@
 //!   commute, so only one representative per Mazurkiewicz trace is
 //!   explored.
 //! * Every explored state is fed to the five [`Auditors`]; the first
-//!   violation stops the search, is **minimized** (greedy delta-debugging
-//!   over the failing schedule) and rendered as a replayable dump (see
-//!   [`parse_schedule`] / [`replay`]).
+//!   violation stops the search and is **minimized** through
+//!   [`crate::dump`], the failing-schedule artifact chaos shares: greedy
+//!   1-minimal delta debugging, then one [`replay`] of the result, whose
+//!   verdict heads the dump ([`DUMP`]: a `# scenario:` line, then one
+//!   [`Action`] per line).
 //!
 //! The `model_check` binary wraps this for `scripts/check.sh` and CI.
 //!
 //! [`SessionNode`]: raincore_session::SessionNode
 
 use crate::audit::{AuditView, Auditors, Delivered, MembershipAuditor};
-use crate::engine::minimize;
+use crate::dump::{self, Format, Found, Verdict};
 use crate::text::{text_enum, text_fields, Codec, Exact, Multicasts, Node, Plain, TextFields};
 use bytes::Bytes;
 use raincore_net::{Addr, Datagram, PacketClass};
@@ -46,6 +48,7 @@ use raincore_types::{
     OriginSeq, Result, Ring, SessionConfig, SessionMsg, StateDigest, Time, TransportConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::marker::PhantomData;
 
 /// Stable identity of an in-flight message: `(sender, per-sender send
 /// counter)`. A node's send counter depends only on its own delivery
@@ -269,7 +272,7 @@ impl Default for ModelCheckConfig {
     }
 }
 
-// The `# scenario:` header of a dump ([`Violation::dump`]), one row per
+// The `# scenario:` header of a dump ([`DUMP`]), one row per
 // field: every field the `model_check` CLI sets and the delay bound. A
 // key is never renamed or reordered, and a new one goes last, so every
 // dump an older build wrote still replays (DESIGN.md §6b).
@@ -302,13 +305,11 @@ impl ModelCheckConfig {
         self.words()
     }
 
-    /// Sets every field the `# scenario:` header of `dump` names, read
-    /// as [`ModelCheckConfig::scenario`] writes it. A field the header
-    /// does not name (a dump from an older build) keeps its value, and a
-    /// dump without the header changes nothing.
+    /// Sets every field the `# scenario:` header of `dump` names, as
+    /// [`DUMP`]'s reader does.
     pub fn read_scenario(&mut self, dump: &str) -> std::result::Result<(), String> {
-        let header = dump.lines().find_map(|l| l.strip_prefix("# scenario:"));
-        header.map_or(Ok(()), |line| self.read_words(line))
+        *self = DUMP.read(dump, self.clone())?.0;
+        Ok(())
     }
 
     /// Rejects a world whose search would pass without checking anything:
@@ -843,6 +844,15 @@ impl AuditView for ModelWorld {
     }
 }
 
+/// The model checker's dump ([`crate::dump`]): its world is the
+/// `# scenario:` line, the rows above.
+pub const DUMP: Format<ModelCheckConfig, Action> = Format {
+    name: "model-check",
+    key: "scenario",
+    bin: "model_check",
+    types: PhantomData,
+};
+
 /// Outcome of replaying one schedule from the initial state.
 pub struct Replay {
     /// The final world (state after the last applied action).
@@ -886,45 +896,15 @@ pub fn replay(cfg: &ModelCheckConfig, schedule: &[Action]) -> Result<Replay> {
     })
 }
 
-/// A violation found by the explorer, with its replayable evidence.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// Human-readable reason (which invariant, where).
-    pub reason: String,
-    /// The full failing schedule as first discovered.
-    pub schedule: Vec<Action>,
-    /// The 1-minimal failing schedule (greedy delta-debugging).
-    pub minimized: Vec<Action>,
-}
-
-impl Violation {
-    /// Renders the replayable dump: `# `-prefixed header lines followed
-    /// by one action per line ([`parse_schedule`] reads it back).
-    pub fn dump(&self, cfg: &ModelCheckConfig) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# raincore model-check failing schedule");
-        let _ = writeln!(out, "# reason: {}", self.reason);
-        let _ = writeln!(out, "# scenario: {}", cfg.scenario());
-        let _ = writeln!(
-            out,
-            "# replay: cargo run -p raincore-sim --bin model_check -- --replay <this file>"
-        );
-        for a in &self.minimized {
-            let _ = writeln!(out, "{a}");
-        }
-        out
+impl Replay {
+    /// The verdict a dump of this replay states; `None` if it ran clean.
+    pub fn verdict(&self) -> Option<Verdict> {
+        let (_, reason) = self.violation.as_ref()?;
+        Some(Verdict {
+            reason: reason.clone(),
+            tick: None,
+        })
     }
-}
-
-/// Parses a schedule dump produced by [`Violation::dump`] (or written by
-/// hand): one action per line, `#` starts a comment.
-pub fn parse_schedule(text: &str) -> std::result::Result<Vec<Action>, String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::parse)
-        .collect()
 }
 
 /// Counters describing one exploration run.
@@ -958,8 +938,8 @@ pub struct ExploreStats {
 pub struct ExploreReport {
     /// Search counters.
     pub stats: ExploreStats,
-    /// The first violation found, if any (minimized).
-    pub violation: Option<Violation>,
+    /// The first violation found, if any, shrunk ([`dump::shrink`]).
+    pub violation: Option<Found<Action>>,
     /// True if the search stopped at [`ModelCheckConfig::max_schedules`]
     /// rather than exhausting the bounded space.
     pub capped: bool,
@@ -986,7 +966,7 @@ struct VisitedEntry {
 pub struct Explorer {
     cfg: ModelCheckConfig,
     stats: ExploreStats,
-    violation: Option<Violation>,
+    violation: Option<Found<Action>>,
     capped: bool,
     registry: raincore_obs::Registry,
     visited: HashMap<Fingerprint, Vec<VisitedEntry>>,
@@ -1055,16 +1035,16 @@ impl Explorer {
         self.stats.deepest = self.stats.deepest.max(prefix.len());
         self.stats.early_passes = self.stats.early_passes.max(r.world.early_passes());
         self.stats.probes = self.stats.probes.max(r.world.probes());
-        if let Some((upto, reason)) = r.violation {
+        if let Some((upto, _)) = r.violation {
             self.stats.schedules += 1;
-            let mut failing = prefix.clone();
-            failing.truncate(upto);
-            let minimized = self.shrink(&failing)?;
-            self.violation = Some(Violation {
-                reason,
-                schedule: failing,
-                minimized,
-            });
+            // The replays the shrink takes are counted into the stats.
+            let (cfg, stats) = (&self.cfg, &mut self.stats);
+            let found = dump::shrink(&prefix[..upto], true, |s| {
+                let r = replay(cfg, s)?;
+                stats.actions += r.applied as u64;
+                Ok((r.verdict(), ()))
+            })?;
+            self.violation = Some(found);
             return Ok(true);
         }
         if prefix.len() >= self.cfg.max_depth {
@@ -1134,17 +1114,6 @@ impl Explorer {
         }
         Ok(false)
     }
-
-    /// 1-minimal shrink of a failing schedule; the replays it takes are
-    /// counted into the stats.
-    fn shrink(&mut self, failing: &[Action]) -> Result<Vec<Action>> {
-        let (cfg, stats) = (&self.cfg, &mut self.stats);
-        minimize(failing, |s| {
-            let r = replay(cfg, s)?;
-            stats.actions += r.applied as u64;
-            Ok(r.violation.is_some())
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1185,19 +1154,22 @@ mod tests {
 
     #[test]
     fn schedule_dump_round_trips() {
-        let v = Violation {
+        let verdict = Verdict {
             reason: "test".into(),
-            schedule: vec![Action::Tick],
-            minimized: vec![
-                Action::Tick,
-                Action::Deliver {
-                    key: (NodeId(0), 0),
-                    dst: NodeId(1),
-                },
-            ],
+            tick: None,
         };
-        let dump = v.dump(&ModelCheckConfig::default());
-        assert_eq!(parse_schedule(&dump).unwrap(), v.minimized);
+        let steps = vec![
+            Action::Tick,
+            Action::Deliver {
+                key: (NodeId(0), 0),
+                dst: NodeId(1),
+            },
+        ];
+        let cfg = ModelCheckConfig::default();
+        let (_, reason, read) = DUMP
+            .read(&DUMP.render(&cfg, &verdict, &steps), cfg)
+            .unwrap();
+        assert_eq!((reason.as_deref(), read), (Some("test"), steps));
     }
 
     #[test]

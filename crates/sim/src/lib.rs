@@ -28,6 +28,7 @@ pub mod audit;
 pub mod chaos;
 pub mod closed_loop;
 pub mod cluster;
+pub mod dump;
 pub mod engine;
 pub mod explore;
 pub mod obs;
@@ -61,14 +62,12 @@ pub use audit::{
     TokenAuditor, TokenLivenessOracle,
 };
 pub use chaos::{
-    dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, ChaosConfig,
-    ChaosEvent, ChaosFault, ChaosReport, ChaosScenario, ChaosViolation, FaultKind,
+    generate_schedule, run_chaos, ChaosConfig, ChaosEvent, ChaosFault, ChaosReport, ChaosScenario,
+    ChaosViolation, FaultKind,
 };
 pub use closed_loop::ClosedLoop;
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig};
 pub use engine::{NetBelief, ScheduleEngine, TickBounds};
-pub use explore::{
-    is_bulk_frame, Action, ExploreReport, Explorer, ModelCheckConfig, ModelWorld, Violation,
-};
+pub use explore::{is_bulk_frame, Action, ExploreReport, Explorer, ModelCheckConfig, ModelWorld};
 pub use obs::{standard_invariants, InvariantFailure};
 pub use open_app::OpenClientApp;

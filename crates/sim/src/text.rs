@@ -1,8 +1,10 @@
 //! The text forms of the harnesses, each declared once (DESIGN.md §6b,
 //! §7, §10.2). A model-check dump replays from its `# scenario:` line, a
-//! chaos dump from its `# config:` line and its `@tick fault` lines;
-//! `raincore-procher` declares its child's command line, its ctl words,
-//! its export header and its flags the same way.
+//! chaos dump from its `# config:` line and its `@tick fault` lines; the
+//! dump around those lines (its `# reason:`, its steps) is written and
+//! read by [`crate::dump`], one format for both. `raincore-procher`
+//! declares its child's command line, its ctl words, its export header
+//! and its flags the same way.
 //!
 //! A config declares one row per field (`text_fields!`): the header
 //! key, the field, its `Codec` and, where a command-line flag sets

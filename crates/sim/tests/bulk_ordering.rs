@@ -17,7 +17,8 @@
 //! * **regression** — the minimized blind-delivery schedule is pinned as
 //!   a replayable fixture (`fixtures/bulk_blind_3node.txt`).
 
-use raincore_sim::explore::{parse_schedule, replay, Action, Reduction};
+use raincore_sim::dump;
+use raincore_sim::explore::{replay, Action, Reduction, DUMP};
 use raincore_sim::{Explorer, ModelCheckConfig};
 use raincore_types::NodeId;
 
@@ -90,7 +91,7 @@ fn exhaustive_bulk_loss_exploration_is_clean() {
     assert!(
         report.violation.is_none(),
         "bulk loss broke an invariant: {:?}",
-        report.violation.map(|v| v.reason)
+        report.violation.map(|v| v.verdict.reason)
     );
     assert!(!report.capped, "search capped before exhausting the space");
     // The space exhausts at 3 166 schedules (4 555 states). It was 26 557
@@ -117,32 +118,35 @@ fn blind_delivery_fault_is_found_minimized_and_replayable() {
     let violation = report
         .violation
         .expect("blind delivery must trip the completeness auditor");
+    let reason = &violation.verdict.reason;
     assert!(
-        violation.reason.contains("completeness"),
-        "unexpected violation: {}",
-        violation.reason
+        reason.contains("completeness"),
+        "unexpected violation: {reason}"
     );
     assert!(!violation.minimized.is_empty());
 
-    // Dump round-trip and replay.
-    let dump = violation.dump(&cfg);
-    let parsed = parse_schedule(&dump).expect("dump parses");
+    // Dump round-trip and replay, in the world the dump's own header
+    // states. The dump states what its own schedule reproduces: the
+    // search first fails on a longer schedule, in which another member
+    // delivers another origin's id, and that verdict is not the dump's.
+    let dump = DUMP.render(&cfg, &violation.verdict, &violation.minimized);
+    let (read, stated, parsed) = DUMP
+        .read(&dump, ModelCheckConfig::default())
+        .expect("dump parses");
     assert_eq!(parsed, violation.minimized);
-    let rep = replay(&cfg, &violation.minimized).expect("replay setup");
+    let rep = replay(&read, &parsed).expect("replay setup");
     let (_, reason) = rep.violation.expect("minimized schedule reproduces");
     assert!(reason.contains("completeness"), "{reason}");
+    assert_eq!(
+        stated,
+        Some(reason),
+        "the dump's # reason: is not its schedule's"
+    );
 
     // 1-minimality: every single-action deletion loses the bug.
-    for skip in 0..violation.minimized.len() {
-        let mut shorter = violation.minimized.clone();
-        shorter.remove(skip);
-        let rep = replay(&cfg, &shorter).expect("replay setup");
-        assert!(
-            rep.violation.is_none(),
-            "dropping action {skip} should break the repro, still got: {:?}",
-            rep.violation
-        );
-    }
+    let run = |s: &[_]| Ok((replay(&cfg, s)?.verdict(), ()));
+    let again = dump::shrink(&violation.minimized, true, run).expect("replay setup");
+    assert_eq!(again.minimized, violation.minimized, "not 1-minimal");
 }
 
 /// Pinned regression: the minimized blind-delivery counterexample the
@@ -153,12 +157,10 @@ fn blind_delivery_fault_is_found_minimized_and_replayable() {
 #[test]
 fn pinned_blind_delivery_fixture_reproduces() {
     let text = include_str!("fixtures/bulk_blind_3node.txt");
-    let schedule = parse_schedule(text).expect("fixture parses");
-    assert!(!schedule.is_empty(), "fixture is empty");
-
     // The world comes from the fixture's own header, blind dial included.
-    let mut cfg = ModelCheckConfig::default();
-    cfg.read_scenario(text).expect("the scenario header parses");
+    let read = DUMP.read(text, ModelCheckConfig::default());
+    let (mut cfg, _, schedule) = read.expect("the fixture parses");
+    assert!(!schedule.is_empty(), "fixture is empty");
     assert!(cfg.session.bulk_blind_delivery);
     let rep = replay(&cfg, &schedule).expect("replay setup");
     let (_, reason) = rep
@@ -211,12 +213,12 @@ fn four_node_bulk_reduction_preserves_violation_sets() {
     assert!(
         unreduced.violation.is_none(),
         "clean bulk space violated unreduced: {:?}",
-        unreduced.violation.map(|v| v.reason)
+        unreduced.violation.map(|v| v.verdict.reason)
     );
     assert!(
         reduced.violation.is_none(),
         "reduction invented a bulk violation: {:?}",
-        reduced.violation.map(|v| v.reason)
+        reduced.violation.map(|v| v.verdict.reason)
     );
     assert!(!unreduced.capped && !reduced.capped, "bounds too tight");
     assert!(
@@ -237,6 +239,7 @@ fn four_node_bulk_reduction_preserves_violation_sets() {
         .expect("setup")
         .violation
         .expect("reduced search must not prune away blind delivery");
-    assert!(vu.reason.contains("completeness"), "{}", vu.reason);
-    assert!(vr.reason.contains("completeness"), "{}", vr.reason);
+    let (ru, rr) = (&vu.verdict.reason, &vr.verdict.reason);
+    assert!(ru.contains("completeness"), "{ru}");
+    assert!(rr.contains("completeness"), "{rr}");
 }

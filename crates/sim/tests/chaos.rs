@@ -4,9 +4,11 @@
 //! the core protocol (see the `chaos_regression_*` tests).
 
 use raincore_sim::chaos::{
-    dump_violation, find_and_minimize, generate_schedule, parse_dump, run_chaos, shrink,
-    ChaosConfig, ChaosEvent, ChaosScenario,
+    generate_schedule, run_chaos, ChaosConfig, ChaosEvent, ChaosScenario, ChaosViolation, DUMP,
 };
+use raincore_sim::dump::{self, Found, Verdict};
+use raincore_types::Result;
+use std::process::Command;
 
 /// A small, debug-build-friendly config: short fault phase and a tight
 /// convergence bound so seeded-fault runs don't crawl to the horizon.
@@ -120,6 +122,18 @@ fn chaos_padded_soak_passes_early_and_stays_clean() {
     }
 }
 
+/// One chaos run as `dump::shrink` takes it: the verdict a dump of it
+/// states, and no evidence.
+fn verdict_of(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Result<(Option<Verdict>, ())> {
+    let report = run_chaos(cfg, schedule)?;
+    Ok((report.violation.as_ref().map(ChaosViolation::verdict), ()))
+}
+
+/// `schedule` shrunk to a 1-minimal schedule under `cfg`.
+fn shrunk(cfg: &ChaosConfig, schedule: &[ChaosEvent]) -> Found<ChaosEvent> {
+    dump::shrink(schedule, true, |s| verdict_of(cfg, s)).expect("setup")
+}
+
 /// The deliberately seeded broken heal (belief updated, network still
 /// partitioned) must be caught by the convergence oracle, shrink to a
 /// 1-minimal schedule, and reproduce from its own dump.
@@ -150,47 +164,45 @@ fn chaos_seeded_fault_found_shrunk_and_replayable() {
         violation.reason
     );
 
-    let minimized = shrink(&cfg, &schedule, violation.tick).expect("shrink");
+    let found = shrunk(&cfg, &schedule);
+    let minimized = &found.minimized;
     assert!(
         minimized.len() < schedule.len(),
         "shrinker removed nothing from a padded schedule"
     );
 
     // 1-minimality: removing any single surviving event loses the bug.
-    for skip in 0..minimized.len() {
-        let without: Vec<ChaosEvent> = minimized
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != skip)
-            .map(|(_, e)| e.clone())
-            .collect();
-        let r = run_chaos(&cfg, &without).expect("setup");
-        assert!(
-            r.violation.is_none(),
-            "dropping {} still violates — schedule not 1-minimal",
-            minimized[skip]
-        );
-    }
+    let again = shrunk(&cfg, minimized);
+    assert_eq!(&again.minimized, minimized, "schedule not 1-minimal");
 
-    // The dump round-trips and the violation reproduces from it.
-    let dump = dump_violation(&cfg, &violation, &minimized);
-    let (cfg2, schedule2) = parse_dump(&dump).expect("parse dump");
+    // The dump round-trips and the violation it states reproduces from it.
+    let dump = DUMP.render(&cfg, &found.verdict, minimized);
+    let (cfg2, stated, schedule2) = DUMP
+        .read(&dump, ChaosConfig::default())
+        .expect("parse dump");
     assert!(cfg2.seeded_fault, "dump header lost the seeded-fault flag");
     let replay = run_chaos(&cfg2, &schedule2).expect("setup");
+    let replayed = replay.violation.map(|v| v.reason);
     assert!(
-        replay.violation.is_some(),
+        replayed.is_some(),
         "minimized dump no longer reproduces the violation"
+    );
+    assert_eq!(
+        stated, replayed,
+        "the dump's # reason: is not its schedule's"
     );
 }
 
-/// End-to-end search: `find_and_minimize` must locate the seeded broken
-/// heal from generated schedules alone within a few seeds.
+/// End-to-end search: the seeded broken heal is found from generated
+/// schedules alone within a few seeds, and shrinks.
 #[test]
 fn chaos_seeded_fault_found_from_generated_schedules() {
     for seed in 1..=20u64 {
         let mut cfg = small_cfg(seed, ChaosScenario::Founding);
         cfg.seeded_fault = true;
-        if let Some((violation, schedule, minimized)) = find_and_minimize(&cfg).expect("setup") {
+        let schedule = generate_schedule(&cfg);
+        if let Some(violation) = run_chaos(&cfg, &schedule).expect("setup").violation {
+            let minimized = shrunk(&cfg, &schedule).minimized;
             assert!(minimized.len() <= schedule.len());
             assert!(
                 !minimized.is_empty(),
@@ -327,4 +339,77 @@ fn chaos_regression_total_copy_loss_bootstrap() {
         (report.fault_counts["restart"], report.restarts_skipped),
         (2, 0)
     );
+}
+
+/// Runs the `chaos` binary; returns its exit code, and its stdout
+/// followed by its stderr.
+fn chaos(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+        .args(args)
+        .output()
+        .expect("chaos runs");
+    let (stdout, stderr) = (&out.stdout, &out.stderr);
+    let text = String::from_utf8_lossy(stdout) + String::from_utf8_lossy(stderr);
+    (out.status.code(), text.into())
+}
+
+/// A dump passes `--replay` only if its schedule reproduces the violation
+/// its `# reason:` line states: another one fails it (exit 1, both
+/// reasons printed), and a dump that states none replays as any dump did.
+#[test]
+fn a_replay_that_reproduces_another_violation_fails() {
+    let cfg = ChaosConfig {
+        seeded_fault: true,
+        ..small_cfg(7, ChaosScenario::Founding)
+    };
+    let schedule: Vec<ChaosEvent> = ["@30 partition n0,n1|n2,n3,n4", "@50 heal"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let (verdict, ()) = verdict_of(&cfg, &schedule).expect("setup");
+    let verdict = verdict.expect("the broken heal trips an oracle");
+    let stated = DUMP.render(&cfg, &verdict, &schedule);
+    let other = "token liveness: nonsense";
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let cases = [
+        ("chaos-stated-reason.txt", stated.clone(), Some(0)),
+        (
+            "chaos-other-reason.txt",
+            stated.replace(&verdict.reason, other),
+            Some(1),
+        ),
+        (
+            "chaos-no-reason.txt",
+            stated.replace(&format!("# reason: {}\n", verdict.reason), ""),
+            Some(0),
+        ),
+    ];
+    for (name, text, code) in cases {
+        assert_eq!(
+            text == stated,
+            name.contains("stated"),
+            "{name}: the edit took"
+        );
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write");
+        let (got, out) = chaos(&["--replay", path.to_str().expect("utf-8 path")]);
+        assert_eq!(got, code, "{name}: {out}");
+        assert!(
+            out.contains(&format!(": {}", verdict.reason)),
+            "{name}: {out}"
+        );
+        assert_eq!(out.contains(other), name.contains("other"), "{name}: {out}");
+    }
+}
+
+/// The seeded-fault search fails when its dump or evidence cannot be
+/// written: they are what the search exists to leave.
+#[test]
+fn a_dump_that_cannot_be_written_fails() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir");
+    let dump = dir.join("chaos-seeded.txt");
+    let dump = dump.to_str().expect("utf-8 path");
+    let (code, out) = chaos(&["--seeded-fault", "--nodes", "5", "--dump", dump]);
+    assert_eq!(code, Some(2), "{out}");
+    assert!(out.contains("cannot write"), "{out}");
 }

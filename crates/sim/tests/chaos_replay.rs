@@ -9,23 +9,22 @@
 //! and the *same schedule without the forgery* must replay clean (the
 //! violation is caused by the fault, not by the schedule or auditors).
 
-use raincore_sim::explore::{parse_schedule, replay};
+use raincore_sim::explore::{replay, Action, DUMP};
 use raincore_sim::ModelCheckConfig;
 
-/// Reconstructs the checker config from a fixture's `# scenario:` header.
-fn config_from_header(text: &str) -> ModelCheckConfig {
-    let mut cfg = ModelCheckConfig::default();
-    cfg.read_scenario(text).expect("the scenario header parses");
-    cfg
+/// Reads a fixture: the checker config from its `# scenario:` header,
+/// the reason it records, and its schedule.
+fn read(text: &str) -> (ModelCheckConfig, Option<String>, Vec<Action>) {
+    let fixture = DUMP.read(text, ModelCheckConfig::default());
+    fixture.expect("the fixture parses")
 }
 
 fn check_fixture(text: &str) {
-    let cfg = config_from_header(text);
+    let (cfg, _, schedule) = read(text);
     assert!(
         cfg.forge_token,
         "fixture was not produced by a seeded check"
     );
-    let schedule = parse_schedule(text).expect("fixture parses");
     assert!(!schedule.is_empty(), "fixture has an empty schedule");
 
     // Forged: the dumped violation must reproduce.
@@ -62,16 +61,8 @@ fn forged_token_3node_fixture_reproduces() {
 /// the wire or when would shift the violation time or wording here.
 #[test]
 fn replay_audit_verdict_matches_recorded_reason() {
-    let text = include_str!("fixtures/forged_token_3node.txt");
-    let recorded = text
-        .lines()
-        .find(|l| l.starts_with("# reason:"))
-        .expect("fixture has a reason header")
-        .trim_start_matches("# reason:")
-        .trim()
-        .to_string();
-    let cfg = config_from_header(text);
-    let schedule = parse_schedule(text).expect("fixture parses");
+    let (cfg, recorded, schedule) = read(include_str!("fixtures/forged_token_3node.txt"));
+    let recorded = recorded.expect("fixture has a reason header");
     let replayed = replay(&cfg, &schedule).expect("replay setup");
     let (_, reason) = replayed.violation.expect("violation reproduces");
     assert_eq!(

@@ -3,7 +3,8 @@
 //! two-token fault must be found, minimized, dumped and replayable —
 //! also through the `model_check` binary, from the dump alone.
 
-use raincore_sim::explore::{parse_schedule, replay, Reduction};
+use raincore_sim::dump;
+use raincore_sim::explore::{replay, Reduction, DUMP};
 use raincore_sim::text::TextFields;
 use raincore_sim::{Explorer, ModelCheckConfig};
 use raincore_types::{Duration, NodeId};
@@ -24,7 +25,7 @@ fn clean_exploration_reports_no_violation() {
     assert!(
         report.violation.is_none(),
         "clean 3-node scenario must audit clean: {:?}",
-        report.violation.map(|v| v.reason)
+        report.violation.map(|v| v.verdict.reason)
     );
     assert!(
         report.stats.schedules > 100,
@@ -77,7 +78,7 @@ fn early_pass_space_exhausts_clean_with_and_without_the_cache() {
         assert!(
             report.violation.is_none(),
             "{name}: {:?}",
-            report.violation.as_ref().map(|v| &v.reason)
+            report.violation.as_ref().map(|v| &v.verdict.reason)
         );
         assert!(!report.capped, "{name}: bounds too tight to exhaust");
         assert_eq!(report.stats.early_passes, 2, "{name}: nodes 1 and 2");
@@ -120,7 +121,7 @@ fn freight_space_exhausts_clean_with_and_without_the_cache() {
         assert!(
             report.violation.is_none(),
             "{name}: {:?}",
-            report.violation.as_ref().map(|v| &v.reason)
+            report.violation.as_ref().map(|v| &v.verdict.reason)
         );
         assert!(!report.capped, "{name}: bounds too tight to exhaust");
         assert_eq!(report.stats.early_passes, 2, "{name}: nodes 1 and 2");
@@ -156,7 +157,7 @@ fn lost_token_space_exhausts_clean_and_asks_before_it_starves() {
         assert!(
             report.violation.is_none(),
             "{name}: {:?}",
-            report.violation.as_ref().map(|v| &v.reason)
+            report.violation.as_ref().map(|v| &v.verdict.reason)
         );
         assert!(!report.capped, "{name}: bounds too tight to exhaust");
         assert_eq!(report.stats.probes, 2, "{name}: one answered, one not");
@@ -204,38 +205,33 @@ fn seeded_two_token_fault_is_found_minimized_and_replayable() {
     let violation = report
         .violation
         .expect("the forged token must violate token uniqueness");
+    let reason = &violation.verdict.reason;
     assert!(
-        violation.reason.contains("token uniqueness"),
-        "unexpected reason: {}",
-        violation.reason
+        reason.contains("token uniqueness"),
+        "unexpected reason: {reason}"
     );
     assert!(!violation.minimized.is_empty());
     assert!(violation.minimized.len() <= violation.schedule.len());
 
     // The dump must parse back to exactly the minimized schedule.
-    let dump = violation.dump(&cfg);
-    let parsed = parse_schedule(&dump).expect("dump must parse");
+    let dump = DUMP.render(&cfg, &violation.verdict, &violation.minimized);
+    let (_, stated, parsed) = DUMP.read(&dump, cfg.clone()).expect("dump must parse");
     assert_eq!(parsed, violation.minimized);
 
-    // Replaying the minimized schedule must reproduce the violation.
+    // Replaying the minimized schedule must reproduce the violation the
+    // dump states.
     let rep = replay(&cfg, &violation.minimized).expect("replay setup");
     let (_, reason) = rep
         .violation
         .expect("minimized schedule must still reproduce the violation");
     assert!(reason.contains("token uniqueness"), "{reason}");
+    assert_eq!(stated, Some(reason));
 
     // Greedy minimization fixpoint: removing any single action yields a
     // schedule that no longer fails (1-minimality).
-    for skip in 0..violation.minimized.len() {
-        let mut shorter = violation.minimized.clone();
-        shorter.remove(skip);
-        let rep = replay(&cfg, &shorter).expect("replay setup");
-        assert!(
-            rep.violation.is_none(),
-            "dropping action {skip} should break the repro, still got: {:?}",
-            rep.violation
-        );
-    }
+    let run = |s: &[_]| Ok((replay(&cfg, s)?.verdict(), ()));
+    let again = dump::shrink(&violation.minimized, true, run).expect("replay setup");
+    assert_eq!(again.minimized, violation.minimized, "not 1-minimal");
 }
 
 #[test]
@@ -244,7 +240,8 @@ fn replay_skips_disabled_actions() {
     // keys, crashes beyond budget) must replay cleanly with nothing
     // applied.
     let cfg = small_cfg();
-    let schedule = parse_schedule("deliver n7#999->n0\ndrop n7#998\n").expect("parse");
+    let text = "deliver n7#999->n0\ndrop n7#998\n";
+    let (_, _, schedule) = DUMP.read(text, cfg.clone()).expect("parse");
     let rep = replay(&cfg, &schedule).expect("setup");
     assert_eq!(rep.applied, 0);
     assert!(rep.violation.is_none());
@@ -331,16 +328,16 @@ fn a_vacuous_world_is_refused() {
     assert_eq!(code, Some(2), "{out}");
 }
 
-/// Runs the `model_check` binary; returns its exit code and stdout.
+/// Runs the `model_check` binary; returns its exit code, and its stdout
+/// followed by its stderr.
 fn model_check(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_model_check"))
         .args(args)
         .output()
         .expect("model_check runs");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout).into(),
-    )
+    let (stdout, stderr) = (&out.stdout, &out.stderr);
+    let text = String::from_utf8_lossy(stdout) + String::from_utf8_lossy(stderr);
+    (out.status.code(), text.into())
 }
 
 #[test]
@@ -372,7 +369,8 @@ fn a_dump_replays_from_its_own_header_alone() {
     // header, so every action applies and the violation reproduces.
     let (code, out) = model_check(&["--replay", dump]);
     assert_eq!(code, Some(0), "{out}");
-    let steps = parse_schedule(&text).expect("dump parses").len();
+    let steps = DUMP.read(&text, ModelCheckConfig::default());
+    let steps = steps.expect("dump parses").2.len();
     assert!(
         out.contains(&format!(
             "violation reproduced after {steps} of {steps} actions"
@@ -399,4 +397,56 @@ fn a_closed_stdout_keeps_the_verdict() {
     drop(child.stdout.take());
     let status = child.wait().expect("model_check exits");
     assert_eq!(status.code(), Some(0));
+}
+
+/// A dump passes `--replay` only if its schedule reproduces the violation
+/// its `# reason:` line states: another violation fails it (exit 1, both
+/// reasons printed), and a dump that states none replays as any dump did.
+#[test]
+fn a_replay_that_reproduces_another_violation_fails() {
+    let fixture = include_str!("fixtures/forged_token_3node.txt");
+    let recorded = "token uniqueness violated in group g0 at 0.032000s";
+    let other = "agreed order diverged between n0 and n2";
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let cases = [
+        ("stated-reason-dump.txt", fixture.to_string(), Some(0)),
+        (
+            "other-reason-dump.txt",
+            fixture.replace(recorded, other),
+            Some(1),
+        ),
+        (
+            "no-reason-dump.txt",
+            fixture.replace(&format!("# reason: {recorded}\n"), ""),
+            Some(0),
+        ),
+    ];
+    for (name, text, code) in cases {
+        assert_eq!(
+            text == fixture,
+            name.starts_with("stated"),
+            "{name}: the edit took"
+        );
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write");
+        let (got, out) = model_check(&["--replay", path.to_str().expect("utf-8 path")]);
+        assert_eq!(got, code, "{name}: {out}");
+        assert!(out.contains(&format!("reproduced after 7 of 7 actions: {recorded}")));
+        assert_eq!(
+            out.contains(other),
+            name.starts_with("other"),
+            "{name}: {out}"
+        );
+    }
+}
+
+/// The seeded check fails when its dump cannot be written: the dump is
+/// the evidence it exists to leave.
+#[test]
+fn a_dump_that_cannot_be_written_fails() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir");
+    let dump = dir.join("seeded.txt");
+    let (code, out) = model_check(&["--seeded-check", "--dump", dump.to_str().expect("utf-8")]);
+    assert_eq!(code, Some(2), "{out}");
+    assert!(out.contains("cannot write"), "{out}");
 }

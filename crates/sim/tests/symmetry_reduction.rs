@@ -15,6 +15,7 @@
 //! debug-friendly bounds.
 
 use raincore_sim::audit::MembershipAuditor;
+use raincore_sim::dump;
 use raincore_sim::explore::{replay, Action, Reduction};
 use raincore_sim::{Explorer, ModelCheckConfig, ModelWorld};
 use raincore_types::NodeId;
@@ -43,12 +44,12 @@ fn reduced_clean_exploration_matches_unreduced() {
     assert!(
         unreduced.violation.is_none(),
         "clean space violated without reduction: {:?}",
-        unreduced.violation.map(|v| v.reason)
+        unreduced.violation.map(|v| v.verdict.reason)
     );
     assert!(
         reduced.violation.is_none(),
         "reduction introduced a spurious violation: {:?}",
-        reduced.violation.map(|v| v.reason)
+        reduced.violation.map(|v| v.verdict.reason)
     );
     assert!(!unreduced.capped && !reduced.capped, "bounds too tight");
     assert!(
@@ -83,11 +84,11 @@ fn reduced_search_finds_the_seeded_fault() {
     let vr = reduced
         .violation
         .expect("reduced search must not prune away the forged token");
-    assert!(vu.reason.contains("token uniqueness"), "{}", vu.reason);
+    let (ru, rr) = (&vu.verdict.reason, &vr.verdict.reason);
+    assert!(ru.contains("token uniqueness"), "{ru}");
     assert!(
-        vr.reason.contains("token uniqueness"),
-        "reduced search found a different property violation: {}",
-        vr.reason
+        rr.contains("token uniqueness"),
+        "reduced search found a different property violation: {rr}"
     );
 
     // The counterexample is reduction-independent: replay (which never
@@ -174,14 +175,7 @@ fn minimized_schedule_is_one_minimal_under_reduction() {
     let report = Explorer::new(cfg.clone()).run().expect("setup");
     let v = report.violation.expect("seeded fault found");
     assert!(!v.minimized.is_empty());
-    for skip in 0..v.minimized.len() {
-        let mut shorter = v.minimized.clone();
-        shorter.remove(skip);
-        let rep = replay(&cfg, &shorter).expect("replay setup");
-        assert!(
-            rep.violation.is_none(),
-            "dropping action {skip} should break the repro, still got: {:?}",
-            rep.violation
-        );
-    }
+    let run = |s: &[_]| Ok((replay(&cfg, s)?.verdict(), ()));
+    let again = dump::shrink(&v.minimized, true, run).expect("replay setup");
+    assert_eq!(again.minimized, v.minimized, "not 1-minimal");
 }

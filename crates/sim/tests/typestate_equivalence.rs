@@ -19,29 +19,17 @@
 mod common;
 
 use raincore_sim::chaos::{run_chaos, ChaosConfig, ChaosEvent, ChaosScenario};
-use raincore_sim::explore::{parse_schedule, replay};
+use raincore_sim::explore::{replay, DUMP};
 use raincore_sim::ModelCheckConfig;
 
-/// Reconstructs the checker config from a fixture's `# scenario:` header:
-/// every key is read, and an unknown one is an error.
-fn config_from_header(text: &str) -> ModelCheckConfig {
-    let mut cfg = ModelCheckConfig::default();
-    cfg.read_scenario(text).expect("the scenario header parses");
-    cfg
-}
-
-/// Replays a fixture and asserts the audit verdict is byte-identical to
-/// the one recorded when the fixture was harvested (pre-refactor).
+/// Replays a fixture in the world its `# scenario:` header states (every
+/// key is read, and an unknown one is an error) and asserts the audit
+/// verdict is byte-identical to the one recorded when the fixture was
+/// harvested (pre-refactor).
 fn assert_verdict_exact(text: &str) {
-    let recorded = text
-        .lines()
-        .find(|l| l.starts_with("# reason:"))
-        .expect("fixture has a reason header")
-        .trim_start_matches("# reason:")
-        .trim()
-        .to_string();
-    let cfg = config_from_header(text);
-    let schedule = parse_schedule(text).expect("fixture parses");
+    let read = DUMP.read(text, ModelCheckConfig::default());
+    let (cfg, recorded, schedule) = read.expect("the fixture parses");
+    let recorded = recorded.expect("fixture has a reason header");
     let replayed = replay(&cfg, &schedule).expect("replay setup");
     let (_, reason) = replayed
         .violation

@@ -105,6 +105,9 @@ leg_model_check() {
   echo "==> model check (seeded two-token fault must be found)"
   cargo run --release -q -p raincore-sim --bin model_check -- --seeded-check
 
+  echo "==> model check (seeded dump must reproduce its own # reason: under --replay)"
+  cargo run --release -q -p raincore-sim --bin model_check -- --replay model-check-violation.txt
+
   echo "==> model check (every committed fixture must reproduce its own # reason: from its own header)"
   # A fixture is a dump the checker once found; `--replay` rebuilds its
   # world from the `# scenario:` line alone, so a header field the reader

@@ -49,7 +49,7 @@ fn state_cache_and_plain_search_agree_on_a_clean_space() {
         assert!(
             report.violation.is_none(),
             "{name}: clean space violated: {:?}",
-            report.violation.as_ref().map(|v| &v.reason)
+            report.violation.as_ref().map(|v| &v.verdict.reason)
         );
         assert!(!report.capped, "{name}: bounds too tight to exhaust");
     }
@@ -71,7 +71,8 @@ fn seeded_fault_found_under_the_cache_replays_without_it() {
         .expect("setup")
         .violation
         .expect("the forged second token must be found");
-    assert!(v.reason.contains("token uniqueness"), "{}", v.reason);
+    let reason = &v.verdict.reason;
+    assert!(reason.contains("token uniqueness"), "{reason}");
 
     let plain = ModelCheckConfig {
         reduction: Reduction::None,
@@ -102,7 +103,7 @@ fn early_pass_space_is_clean_and_not_vacuous() {
         assert!(
             report.violation.is_none(),
             "{:?}",
-            report.violation.as_ref().map(|v| &v.reason)
+            report.violation.as_ref().map(|v| &v.verdict.reason)
         );
         assert!(!report.capped, "bounds too tight to exhaust");
         assert!(report.stats.early_passes > 0, "no schedule passed early");
